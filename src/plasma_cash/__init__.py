@@ -11,7 +11,6 @@ from .core import (
     Transaction,
     make_deposit_tx,
     make_transfer_tx,
-    tx_hash,
 )
 from .driver import Simulation
 from .history import (
@@ -20,7 +19,6 @@ from .history import (
     RootView,
     Verdict,
     build_history,
-    earliest_owner_filter,
     valid_tip,
     verify_history,
 )

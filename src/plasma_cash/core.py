@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from . import smt
 from .errors import MalformedSignature
-from .smt import CompactProof, Proof, SmtConfig, SparseMerkleTree
+from .smt import Proof, SmtConfig, SparseMerkleTree
 
 ADDRESS_SIZE = 20
 SIG_SIZE = ADDRESS_SIZE + 32  # embedded address + 32-byte binding MAC
@@ -88,10 +87,6 @@ class Transaction:
         return self.parent_block == 0
 
 
-def tx_hash(tx: Transaction) -> bytes:
-    return tx.hash()
-
-
 def make_deposit_tx(slot: int, depositor: Address) -> Transaction:
     return Transaction(slot=slot, parent_block=0, new_owner=depositor, signature=b"")
 
@@ -117,7 +112,7 @@ class IncludedTx:
 
     tx: Optional[Transaction]
     blk_number: int
-    proof: Union[Proof, CompactProof]
+    proof: Proof
 
     @property
     def is_exclusion(self) -> bool:
@@ -125,12 +120,11 @@ class IncludedTx:
 
     def encode(self, config: SmtConfig) -> bytes:
         tx_bytes = b"" if self.tx is None else self.tx.encode()
-        proof = smt.as_full(self.proof, config)
         return (
             self.blk_number.to_bytes(8, "big")
             + len(tx_bytes).to_bytes(4, "big")
             + tx_bytes
-            + proof.to_bytes()
+            + self.proof.to_bytes()
         )
 
     @classmethod
@@ -229,3 +223,11 @@ class Keyring:
             return claimed
         # invalid binding: derive a garbage address deterministically
         return Address(hashlib.sha256(b"unrecoverable:" + sig + digest).digest()[:ADDRESS_SIZE])
+
+    def signer_of(self, tx: Transaction) -> Optional[Address]:
+        """Address that signed ``tx``, or None when its signature is
+        malformed.  A spend is valid only when this is the parent's owner."""
+        try:
+            return self.recover(tx.hash(), tx.signature)
+        except MalformedSignature:
+            return None

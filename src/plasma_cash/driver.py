@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction
-from .errors import MalformedSignature, NotOwned, PlasmaError
+from .errors import NotOwned, PlasmaError
 from .history import Verdict, valid_tip
 from .operator_node import OperatorMode, PlasmaOperator, TxReceipt
 from .rootchain import ChainParams, PlasmaContract
@@ -36,15 +36,9 @@ class ShadowLedger:
             if known is None:
                 continue
             owner, last_block = known
-            if tx.parent_block != last_block:
-                continue  # double spend or forged chain: no effect on truth
-            try:
-                signer = self.keyring.recover(tx.hash(), tx.signature)
-            except MalformedSignature:
-                continue
-            if signer != owner:
-                continue
-            self.owners[slot] = (tx.new_owner, block.number)
+            # a double spend or forged chain has no effect on truth
+            if tx.parent_block == last_block and self.keyring.signer_of(tx) == owner:
+                self.owners[slot] = (tx.new_owner, block.number)
 
     def true_owner(self, slot: int) -> Address:
         return self.owners[slot][0]

@@ -46,10 +46,6 @@ class WitnessUnavailable(PlasmaError):
     code = "WitnessUnavailable"
 
 
-class EmptyCandidates(PlasmaError):
-    code = "EmptyCandidates"
-
-
 # --- root-chain contract ---
 
 class NotOperator(PlasmaError):

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import smt
 from .core import Address, IncludedTx, Keyring
-from .errors import EmptyCandidates, MalformedSignature, MissingRoot
+from .errors import MissingRoot, PlasmaError
 from .smt import SmtConfig
 
 
@@ -168,7 +168,7 @@ def verify_history(
 
     # deposit transaction
     dep = history.incl.get(history.deposit_block)
-    if dep is None or dep.tx is None:
+    if dep is None or dep.tx is None or dep.blk_number != history.deposit_block:
         return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
     if dep.tx.slot != slot or dep.tx.parent_block != 0:
         return reject(Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
@@ -195,9 +195,8 @@ def verify_history(
                 f"block {blk}: parent {itx.tx.parent_block} != last inclusion {last_block}",
             )
         # accept spends only with valid signatures
-        try:
-            sender = keyring.recover(itx.tx.hash(), itx.tx.signature)
-        except MalformedSignature:
+        sender = keyring.signer_of(itx.tx)
+        if sender is None:
             return reject(Reason.BAD_SIGNATURE, f"block {blk}: malformed signature")
         if sender != last_owner:
             return reject(Reason.BAD_SIGNATURE, f"block {blk}: signer is not the owner")
@@ -216,9 +215,8 @@ def verify_history(
 
 def _check_proof(slot, itx: IncludedTx, leaf: bytes, view: RootView, config: SmtConfig) -> bool:
     try:
-        proof = smt.as_full(itx.proof, config)
-        return smt.verify(slot, leaf, proof, view.roots[itx.blk_number], config)
-    except Exception:
+        return smt.verify(slot, leaf, itx.proof, view.roots[itx.blk_number], config)
+    except PlasmaError:
         return False
 
 
@@ -236,16 +234,7 @@ def build_history(
     WitnessUnavailable from the source propagates: withheld data is never
     papered over.
     """
-    history = CoinHistory(slot=slot, deposit_block=deposit_block)
-    for blk in view.blocks:
-        if blk < deposit_block:
-            continue
-        itx = witness(slot, blk)
-        if itx.is_exclusion:
-            history.excl[blk] = itx
-        else:
-            history.incl[blk] = itx
-    return history
+    return extend_history(CoinHistory(slot=slot, deposit_block=deposit_block), view, witness)
 
 
 def extend_history(
@@ -272,6 +261,31 @@ def extend_history(
     return history
 
 
+def find_spend(
+    history: CoinHistory,
+    parent: int,
+    owner: Address,
+    keyring: Keyring,
+    before: Optional[int] = None,
+) -> Optional[IncludedTx]:
+    """Earliest inclusion after block ``parent`` (and before block
+    ``before``, when given) that spends ``parent`` and is signed by
+    ``owner``, or None.  Signatures are recovered only for entries that
+    already name ``parent`` and fall in the range."""
+    spends = [
+        itx
+        for itx in history.incl.values()
+        if itx.tx is not None
+        and itx.tx.parent_block == parent
+        and parent < itx.blk_number
+        and (before is None or itx.blk_number < before)
+    ]
+    for itx in sorted(spends, key=lambda i: i.blk_number):
+        if keyring.signer_of(itx.tx) == owner:
+            return itx
+    return None
+
+
 def valid_tip(history: CoinHistory, keyring: Keyring) -> IncludedTx:
     """Last inclusion on the coin's valid ownership chain.
 
@@ -282,29 +296,8 @@ def valid_tip(history: CoinHistory, keyring: Keyring) -> IncludedTx:
     wallet can legitimately spend or exit with.
     """
     tip = history.incl[history.deposit_block]
-    owner = tip.tx.new_owner
     while True:
-        candidates = []
-        for itx in history.incl.values():
-            if itx.tx is None or itx.tx.is_deposit:
-                continue
-            if itx.tx.parent_block != tip.blk_number or itx.blk_number <= tip.blk_number:
-                continue
-            try:
-                if keyring.recover(itx.tx.hash(), itx.tx.signature) != owner:
-                    continue
-            except MalformedSignature:
-                continue
-            candidates.append(itx)
-        if not candidates:
+        spend = find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)
+        if spend is None:
             return tip
-        tip = earliest_owner_filter(candidates)
-        owner = tip.tx.new_owner
-
-
-def earliest_owner_filter(candidates: List[IncludedTx]) -> IncludedTx:
-    """Among same-parent spends, the earliest inclusion is the real one;
-    every later sibling is a double spend."""
-    if not candidates:
-        raise EmptyCandidates("no candidate transactions")
-    return min(candidates, key=lambda itx: itx.blk_number)
+        tip = spend

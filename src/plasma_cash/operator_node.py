@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction
-from .errors import MalformedSignature, UnknownBlock, WitnessUnavailable, WrongMode
+from .errors import UnknownBlock, WitnessUnavailable, WrongMode
 from .smt import SmtConfig
 
 
@@ -85,9 +85,8 @@ class PlasmaOperator:
             return TxReceipt(False, "slot already spent this block")
         if tx.parent_block != last_block:
             return TxReceipt(False, "parent is not the last inclusion block")
-        try:
-            signer = self.keyring.recover(tx.hash(), tx.signature)
-        except MalformedSignature:
+        signer = self.keyring.signer_of(tx)
+        if signer is None:
             return TxReceipt(False, "malformed signature")
         if signer != owner:
             return TxReceipt(False, "signer does not own the coin")

@@ -24,7 +24,6 @@ from .errors import (
     BadSignature,
     CoinNotExitable,
     InsufficientBalance,
-    MalformedSignature,
     NoActiveExit,
     NoSuchChallenge,
     NotBefore,
@@ -38,6 +37,7 @@ from .errors import (
     NotOwner,
     NotSameParent,
     ParentMismatch,
+    PlasmaError,
     UnknownCoin,
     WrongBond,
 )
@@ -111,12 +111,12 @@ class Event:
         return json.dumps({"kind": self.kind, **self.data}, sort_keys=True)
 
 
-def _itx_data(itx: IncludedTx, config: SmtConfig) -> dict:
+def _itx_data(itx: IncludedTx) -> dict:
     """Full witness payload for the event log (a challenge reveals it)."""
     return {
         "blk_number": itx.blk_number,
         "tx": itx.tx.encode().hex() if itx.tx is not None else None,
-        "proof": smt.as_full(itx.proof, config).to_bytes().hex(),
+        "proof": itx.proof.to_bytes().hex(),
     }
 
 
@@ -185,15 +185,24 @@ class PlasmaContract:
         interval = self.params.child_block_interval
         return (self.current_block // interval + 1) * interval
 
-    def _verify_itx(self, slot: int, itx: IncludedTx) -> bool:
+    def _check_included(self, slot: int, itx: IncludedTx, what: str):
+        """Raise BadProof unless ``itx`` is a transaction of ``slot`` proven
+        included under a committed root; ``what`` names it in the error."""
+        if itx.tx is None or itx.tx.slot != slot:
+            raise BadProof(f"{what} transaction missing or for another slot")
         root = self.roots.get(itx.blk_number)
-        if root is None:
-            return False
-        leaf = self.config.default_leaf if itx.tx is None else itx.tx.hash()
         try:
-            return smt.verify(slot, leaf, smt.as_full(itx.proof, self.config), root, self.config)
-        except Exception:
-            return False
+            if root is not None and smt.verify(slot, itx.tx.hash(), itx.proof, root, self.config):
+                return
+        except PlasmaError:
+            pass
+        raise BadProof(f"{what} inclusion proof invalid")
+
+    def _check_signer(self, itx: IncludedTx, expected: Address, message: str):
+        """Raise BadSignature unless ``expected`` signed ``itx``'s transaction;
+        a malformed signature is signed by no one."""
+        if self.keyring.signer_of(itx.tx) != expected:
+            raise BadSignature(message)
 
     # -- deposits and block commitments --
 
@@ -266,8 +275,7 @@ class PlasmaContract:
             # deposit-exit: the coin was never transferred
             if exit_tx.blk_number != coin.deposit_block or not exit_tx.tx.is_deposit:
                 raise ParentMismatch("deposit-exit must use the deposit transaction")
-            if not self._verify_itx(slot, exit_tx):
-                raise BadProof("deposit inclusion proof invalid")
+            self._check_included(slot, exit_tx, "deposit")
         else:
             if parent_tx.tx is None or parent_tx.tx.slot != slot:
                 raise BadProof("parent transaction missing or for another slot")
@@ -277,16 +285,11 @@ class PlasmaContract:
                 )
             if exit_tx.blk_number <= parent_tx.blk_number:
                 raise ParentMismatch("exit tx must come after its parent")
-            if not self._verify_itx(slot, parent_tx):
-                raise BadProof("parent inclusion proof invalid")
-            if not self._verify_itx(slot, exit_tx):
-                raise BadProof("exit inclusion proof invalid")
-            try:
-                signer = self.keyring.recover(exit_tx.tx.hash(), exit_tx.tx.signature)
-            except MalformedSignature as exc:
-                raise BadSignature(str(exc))
-            if signer != parent_tx.tx.new_owner:
-                raise BadSignature("exit tx not signed by the parent tx recipient")
+            self._check_included(slot, parent_tx, "parent")
+            self._check_included(slot, exit_tx, "exit")
+            self._check_signer(
+                exit_tx, parent_tx.tx.new_owner, "exit tx not signed by the parent tx recipient"
+            )
 
         self._debit(caller, bond)
         self.bond_escrow += bond
@@ -330,27 +333,19 @@ class PlasmaContract:
             kind,
             slot=slot,
             challenger=beneficiary.hex,
-            witness=_itx_data(revealed, self.config),
+            witness=_itx_data(revealed),
         )
         self._emit("ExitCancelled", slot=slot, exitor=ex.exitor.hex)
 
     def challenge_after(self, challenger: Address, slot: int, spend: IncludedTx):
         """Cancel an exit of a spent coin with a direct spend of the exit tx."""
         ex = self._active_exit(slot)
-        if spend.tx is None or spend.tx.slot != slot:
-            raise BadProof("challenge transaction missing or for another slot")
-        if not self._verify_itx(slot, spend):
-            raise BadProof("challenge inclusion proof invalid")
+        self._check_included(slot, spend, "challenge")
         # only a child of the exit tx counts: deeper descendants assume the
         # validity of their ancestors
         if spend.tx.parent_block != ex.exit_block or spend.blk_number <= ex.exit_block:
             raise NotDirectSpend("challenge must directly spend the exit transaction")
-        try:
-            signer = self.keyring.recover(spend.tx.hash(), spend.tx.signature)
-        except MalformedSignature as exc:
-            raise BadSignature(str(exc))
-        if signer != ex.exitor:
-            raise BadSignature("challenge spend not signed by the exitor")
+        self._check_signer(spend, ex.exitor, "challenge spend not signed by the exitor")
         self._cancel_exit(slot, challenger, "ChallengedAfter", spend)
 
     def challenge_between(self, challenger: Address, slot: int, spend: IncludedTx):
@@ -358,20 +353,14 @@ class PlasmaContract:
         ex = self._active_exit(slot)
         if ex.parent_tx is None:
             raise NotSameParent("deposit-exit has no parent to double-spend")
-        if spend.tx is None or spend.tx.slot != slot:
-            raise BadProof("challenge transaction missing or for another slot")
-        if not self._verify_itx(slot, spend):
-            raise BadProof("challenge inclusion proof invalid")
+        self._check_included(slot, spend, "challenge")
         if spend.tx.parent_block != ex.parent_tx.blk_number:
             raise NotSameParent("challenge does not spend the exit's parent")
         if not (ex.parent_tx.blk_number < spend.blk_number < ex.exit_block):
             raise NotBetween("challenge must sit between parent and exit blocks")
-        try:
-            signer = self.keyring.recover(spend.tx.hash(), spend.tx.signature)
-        except MalformedSignature as exc:
-            raise BadSignature(str(exc))
-        if signer != ex.parent_tx.tx.new_owner:
-            raise BadSignature("challenge spend not signed by the parent tx recipient")
+        self._check_signer(
+            spend, ex.parent_tx.tx.new_owner, "challenge spend not signed by the parent tx recipient"
+        )
         self._cancel_exit(slot, challenger, "ChallengedBetween", spend)
 
     def challenge_before(self, challenger: Address, slot: int, tx: IncludedTx, bond: int) -> int:
@@ -379,10 +368,7 @@ class PlasmaContract:
         ex = self._active_exit(slot)
         if bond != self.params.bond_amount:
             raise WrongBond(f"bond must be {self.params.bond_amount}")
-        if tx.tx is None or tx.tx.slot != slot:
-            raise BadProof("challenge transaction missing or for another slot")
-        if not self._verify_itx(slot, tx):
-            raise BadProof("challenge inclusion proof invalid")
+        self._check_included(slot, tx, "challenge")
         boundary = ex.parent_tx.blk_number if ex.parent_tx is not None else ex.exit_block
         if tx.blk_number >= boundary:
             raise NotBefore("challenge must precede the exit's parent block")
@@ -414,20 +400,14 @@ class PlasmaContract:
         )
         if challenge is None:
             raise NoSuchChallenge(f"no unanswered challenge {challenge_id} on slot {slot}")
-        if response.tx is None or response.tx.slot != slot:
-            raise BadProof("response transaction missing or for another slot")
-        if not self._verify_itx(slot, response):
-            raise BadProof("response inclusion proof invalid")
+        self._check_included(slot, response, "response")
         if response.tx.parent_block != challenge.tx.blk_number:
             raise NotDirectSpendOfChallenge("response must spend the challenge tx")
-        if response.blk_number > ex.exit_block:
-            raise NotDirectSpendOfChallenge("response must not come after the exit block")
-        try:
-            signer = self.keyring.recover(response.tx.hash(), response.tx.signature)
-        except MalformedSignature as exc:
-            raise BadSignature(str(exc))
-        if signer != challenge.tx.tx.new_owner:
-            raise BadSignature("response not signed by the challenged tx recipient")
+        if not challenge.tx.blk_number < response.blk_number <= ex.exit_block:
+            raise NotDirectSpendOfChallenge("response must sit between challenge and exit blocks")
+        self._check_signer(
+            response, challenge.tx.tx.new_owner, "response not signed by the challenged tx recipient"
+        )
         challenge.answered = True
         self.bond_escrow -= challenge.bond
         self._credit(responder, challenge.bond)
@@ -436,7 +416,7 @@ class PlasmaContract:
             slot=slot,
             challenge_id=challenge_id,
             responder=responder.hex,
-            witness=_itx_data(response, self.config),
+            witness=_itx_data(response),
         )
 
     def finalize_exit(self, slot: int, now: Optional[int] = None) -> str:

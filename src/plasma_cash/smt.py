@@ -239,10 +239,3 @@ def expand(cp: CompactProof, config: SmtConfig) -> Proof:
         for i in range(config.depth)
     )
     return Proof(sibs)
-
-
-def as_full(proof, config: SmtConfig) -> Proof:
-    """Accept either proof form; return the naive form."""
-    if isinstance(proof, CompactProof):
-        return expand(proof, config)
-    return proof

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .core import Address, IncludedTx, Keyring, Signer, Transaction
+from .core import Address, IncludedTx, Keyring, Signer, Transaction, make_transfer_tx
 from .errors import NotOwned, PlasmaError
 from .history import (
     CoinHistory,
@@ -18,6 +18,7 @@ from .history import (
     Verdict,
     WitnessSource,
     extend_history,
+    find_spend,
     valid_tip,
     verify_history,
 )
@@ -55,7 +56,6 @@ class Wallet:
         self.policy = policy or WalletPolicy()
         self.coins: Dict[int, CoinHistory] = {}
         self._event_cursor = 0
-        self._before_challenged: set = set()
 
     @property
     def address(self) -> Address:
@@ -95,20 +95,12 @@ class Wallet:
     # -- transfers --
 
     def send_coin(self, slot: int, new_owner: Address) -> Transaction:
-        if slot not in self.coins:
-            raise NotOwned(f"slot {slot}")
         parent = self.last_inclusion(slot)
-        tx = Transaction(slot=slot, parent_block=parent.blk_number, new_owner=new_owner)
-        return Transaction(
-            slot=tx.slot,
-            parent_block=tx.parent_block,
-            new_owner=tx.new_owner,
-            signature=Keyring.sign(self.signer, tx.hash()),
-        )
+        return make_transfer_tx(self.signer, slot, parent.blk_number, new_owner)
 
     def receive_coin(self, history: CoinHistory, view: RootView) -> Verdict:
-        """Audit an incoming coin; store the history only when it is valid,
-        ends at this wallet, and contains no earlier same-parent spend."""
+        """Audit an incoming coin; store the history only when it is valid
+        and ends at this wallet."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
@@ -119,17 +111,6 @@ class Wallet:
         last = history.last_inclusion()
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
-        # earliest-owner rule: among same-parent spends, only the first is
-        # acceptable (a verified partitioned history cannot contain a later
-        # sibling, but the check guards histories assembled elsewhere)
-        by_parent: Dict[int, List[IncludedTx]] = {}
-        for itx in history.incl.values():
-            if not itx.tx.is_deposit:
-                by_parent.setdefault(itx.tx.parent_block, []).append(itx)
-        for siblings in by_parent.values():
-            earliest = min(siblings, key=lambda i: i.blk_number)
-            if last in siblings and earliest is not last:
-                return Verdict(False, None, "a same-parent earlier spend exists")
         self.coins[history.slot] = history
         return Verdict(True)
 
@@ -169,19 +150,15 @@ class Wallet:
         parent_block = ex.parent_block
 
         # a direct spend of the exit tx cancels it outright
-        after = self._find_spend(history, parent=exit_block, signer=ex.exitor, lo=exit_block)
+        after = find_spend(history, exit_block, ex.exitor, self.keyring)
         if after is not None:
             return self._attempt(
                 "after", slot, lambda: self.contract.challenge_after(self.address, slot, after)
             )
         # a same-parent spend strictly between parent and exit proves a double spend
         if parent_block is not None:
-            between = self._find_spend(
-                history,
-                parent=parent_block,
-                signer=ex.parent_tx.tx.new_owner,
-                lo=parent_block,
-                hi=exit_block,
+            between = find_spend(
+                history, parent_block, ex.parent_tx.tx.new_owner, self.keyring, before=exit_block
             )
             if between is not None:
                 return self._attempt(
@@ -189,11 +166,12 @@ class Wallet:
                     slot,
                     lambda: self.contract.challenge_between(self.address, slot, between),
                 )
-        # otherwise stake a bonded claim that the coin's history is invalid
+        # otherwise stake a bonded claim that the coin's history is invalid,
+        # once per live exit: a restarted exit is a new exit to challenge
         mine = self.last_inclusion(slot)
         boundary = parent_block if parent_block is not None else exit_block
-        if mine.blk_number < boundary and slot not in self._before_challenged:
-            self._before_challenged.add(slot)
+        staked = any(c.challenger == self.address and not c.answered for c in ex.challenges)
+        if mine.blk_number < boundary and not staked:
             return self._attempt(
                 "before",
                 slot,
@@ -201,24 +179,6 @@ class Wallet:
                     self.address, slot, mine, self.contract.params.bond_amount
                 ),
             )
-        return None
-
-    def _find_spend(self, history, parent: int, signer: Address, lo: int, hi=None):
-        """Inclusion in the stored history spending ``parent`` and signed by
-        ``signer``, with block number in (lo, hi)."""
-        from .errors import MalformedSignature
-
-        for itx in sorted(history.incl.values(), key=lambda i: i.blk_number):
-            if itx.tx is None or itx.tx.is_deposit or itx.tx.parent_block != parent:
-                continue
-            if itx.blk_number <= lo or (hi is not None and itx.blk_number >= hi):
-                continue
-            try:
-                if self.keyring.recover(itx.tx.hash(), itx.tx.signature) != signer:
-                    continue
-            except MalformedSignature:
-                continue
-            return itx
         return None
 
     def _attempt(self, kind: str, slot: int, op) -> ChallengeAction:

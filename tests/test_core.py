@@ -103,6 +103,14 @@ def test_malformed_signature_raises(keyring):
         keyring.recover(b"\x01" * 32, b"\x00" * 51)
 
 
+def test_signer_of_names_the_signer_or_none(keyring):
+    alice = keyring.new_signer("alice")
+    tx = make_transfer_tx(alice, 0, 1, alice.address)
+    assert keyring.signer_of(tx) == alice.address
+    truncated = Transaction(tx.slot, tx.parent_block, tx.new_owner, tx.signature[:-1])
+    assert keyring.signer_of(truncated) is None
+
+
 def test_new_signer_is_deterministic_per_seed():
     a = Keyring().new_signer("alice")
     b = Keyring().new_signer("alice")

@@ -12,25 +12,24 @@ from plasma_cash.core import (
     make_deposit_tx,
     make_transfer_tx,
 )
-from plasma_cash.errors import EmptyCandidates, MissingRoot
+from plasma_cash.errors import MissingRoot
 from plasma_cash.history import (
     CoinHistory,
     Reason,
     RootView,
     build_history,
-    earliest_owner_filter,
+    find_spend,
     valid_tip,
     verify_history,
 )
-from plasma_cash.smt import Proof, SmtConfig, as_full
+from plasma_cash.smt import Proof, SmtConfig
 
 CONFIG = SmtConfig(depth=16)
 
 
 def flip(proof):
     """Corrupt one sibling digest."""
-    full = as_full(proof, CONFIG)
-    sibs = list(full.siblings)
+    sibs = list(proof.siblings)
     sibs[0] = bytes(b ^ 1 for b in sibs[0])
     return Proof(tuple(sibs))
 
@@ -122,6 +121,15 @@ def test_corrupt_deposit_proof_rejected(chain):
     history = chain.history(0, 1)
     dep = history.incl[1]
     history.incl[1] = IncludedTx(dep.tx, 1, flip(dep.proof))
+    verdict = verify(chain, history)
+    assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+
+
+def test_deposit_entry_for_another_block_rejected(chain):
+    # the entry filed under the deposit block claims block 5 (no root)
+    history = chain.history(0, 1)
+    dep = history.incl[1]
+    history.incl[1] = IncludedTx(dep.tx, 5, dep.proof)
     verdict = verify(chain, history)
     assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
 
@@ -221,13 +229,14 @@ def test_valid_tip_takes_earliest_same_parent_spend(chain):
     assert tip.blk_number == 3000  # the earlier spend of parent 1000 wins
 
 
-def test_earliest_owner_filter():
-    proofs = [IncludedTx(None, n, None) for n in (4000, 1000, 3000)]
-    for perm in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
-        picked = earliest_owner_filter([proofs[i] for i in perm])
-        assert picked.blk_number == 1000
-    with pytest.raises(EmptyCandidates):
-        earliest_owner_filter([])
+def test_find_spend_checks_parent_signer_and_range(chain):
+    alice, bob = chain.signer("alice"), chain.signer("bob")
+    history = chain.history(0, 1)
+    assert find_spend(history, 1, alice.address, chain.keyring).blk_number == 1000
+    assert find_spend(history, 1, bob.address, chain.keyring) is None  # not the owner
+    assert find_spend(history, 1000, bob.address, chain.keyring).blk_number == 3000
+    assert find_spend(history, 1000, bob.address, chain.keyring, before=3000) is None
+    assert find_spend(history, 2000, bob.address, chain.keyring) is None  # nothing spends 2000
 
 
 # -- agreement with a block-replay oracle --

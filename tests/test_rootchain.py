@@ -296,6 +296,19 @@ def test_respond_challenge_before_error_paths(fx):
         fx.contract.respond_challenge_before(
             fx.carol.address, fx.slot, cid, fx.witness(fx.slot, 3000)
         )
+    # a signed spend of the challenged tx included before it is no answer
+    f = Fixture()
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)
+    early = f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.mallory.address)})
+    f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
+    f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.carol.address)})
+    f.commit({slot: make_transfer_tx(f.carol, slot, 3000, f.mallory.address)})
+    f.contract.start_exit(
+        f.mallory.address, slot, f.witness(slot, 3000), f.witness(slot, 4000), BOND
+    )
+    cid = f.contract.challenge_before(f.alice.address, slot, f.witness(slot, 2000), BOND)
+    with pytest.raises(NotDirectSpendOfChallenge):
+        f.contract.respond_challenge_before(f.mallory.address, slot, cid, early.prove(slot))
 
 
 def test_cancelled_exit_refunds_pending_challenge_bonds(fx):

@@ -19,7 +19,6 @@ from plasma_cash.smt import (
     Proof,
     SmtConfig,
     SparseMerkleTree,
-    as_full,
     compact,
     expand,
     hash_pair,
@@ -189,11 +188,3 @@ def test_bitfield_mismatch_detected():
         expand(CompactProof(cp.bitfield | (1 << 5), cp.siblings), config)
     with pytest.raises(BitfieldMismatch):
         expand(CompactProof(1 << config.depth, (leaf(9),) + cp.siblings), config)
-
-
-def test_as_full_accepts_both_forms():
-    config = SmtConfig(depth=8)
-    tree = SparseMerkleTree(config, {5: leaf(5)})
-    proof = tree.prove(5)
-    assert as_full(proof, config) == proof
-    assert as_full(compact(proof, config), config) == proof

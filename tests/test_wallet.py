@@ -134,10 +134,9 @@ def test_watcher_challenges_double_spend_exit():
     assert slot not in sim.contract.exits
 
 
-def test_watcher_stakes_before_challenge_on_forged_history():
-    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
-    slot = sim.deposit("alice", 5)
-    assert settled_transfer(sim, "alice", slot, "bob")
+def forged_exit(sim, slot):
+    """Mallory forges a spend of Bob's coin and an exit on top of it;
+    returns the (parent, exit) witnesses and starts the exit."""
     mallory = sim.actor("mallory")
     forged_parent = make_transfer_tx(mallory.signer, slot, 1000, mallory.address)
     sim.operator.inject_raw_tx(forged_parent)
@@ -145,7 +144,16 @@ def test_watcher_stakes_before_challenge_on_forged_history():
     forged_exit = make_transfer_tx(mallory.signer, slot, p_blk.number, mallory.address)
     sim.operator.inject_raw_tx(forged_exit)
     e_blk = sim.commit_block()
-    sim.exit_with("mallory", slot, p_blk.prove(slot), e_blk.prove(slot))
+    witnesses = (p_blk.prove(slot), e_blk.prove(slot))
+    sim.exit_with("mallory", slot, *witnesses)
+    return witnesses
+
+
+def test_watcher_stakes_before_challenge_on_forged_history():
+    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    forged_exit(sim, slot)
 
     actions = sim.run_watchers()
     assert [(a.kind, a.ok) for a in actions] == [("before", True)]
@@ -153,6 +161,24 @@ def test_watcher_stakes_before_challenge_on_forged_history():
     # Bob keeps the coin and nets Mallory's slashed bond
     assert sim.contract.coins[slot].state is CoinState.DEPOSITED
     assert sim.contract.balance_of(sim.address("bob")) == sim.initial_balance + PARAMS.bond_amount
+
+
+def test_watcher_challenges_a_restarted_forged_exit():
+    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    witnesses = forged_exit(sim, slot)
+    sim.run_watchers()
+    assert finish_exit(sim, slot) == "CancelledByChallenge"
+
+    # Mallory starts the very same exit again
+    sim.exit_with("mallory", slot, *witnesses)
+    actions = sim.run_watchers()
+    assert [(a.kind, a.ok) for a in actions] == [("before", True)]
+    assert finish_exit(sim, slot) == "CancelledByChallenge"
+    assert sim.contract.coins[slot].state is CoinState.DEPOSITED
+    assert sim.actor("bob").owns(slot)
+    assert sim.ledger.true_owner(slot) == sim.address("bob")
 
 
 def test_watcher_ignores_own_and_honest_exits():
