@@ -14,6 +14,7 @@ from .core import (
 )
 from .driver import Simulation
 from .history import (
+    Checkpoint,
     CoinHistory,
     Reason,
     RootView,

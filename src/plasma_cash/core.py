@@ -13,11 +13,41 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .errors import MalformedSignature
-from .smt import Proof, SmtConfig, SparseMerkleTree
+from .errors import MalformedEncoding, MalformedSignature
+from .smt import DIGEST_SIZE, Proof, SmtConfig, SparseMerkleTree
 
 ADDRESS_SIZE = 20
 SIG_SIZE = ADDRESS_SIZE + 32  # embedded address + 32-byte binding MAC
+
+
+class Reader:
+    """Cursor over one encoding.  Reading past the end or leaving bytes
+    unread raises MalformedEncoding, so a truncated or padded input never
+    decodes."""
+
+    def __init__(self, data: bytes, what: str):
+        self.data = data
+        self.pos = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise MalformedEncoding(
+                f"{self.what}: needs {end} bytes, got {len(self.data)}"
+            )
+        chunk = self.data[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def int(self, n: int) -> int:
+        return int.from_bytes(self.take(n), "big")
+
+    def end(self):
+        if self.pos != len(self.data):
+            raise MalformedEncoding(
+                f"{self.what}: {len(self.data) - self.pos} trailing bytes"
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -73,14 +103,17 @@ class Transaction:
 
     @classmethod
     def decode(cls, data: bytes) -> "Transaction":
-        if len(data) < 36:
-            raise ValueError("transaction encoding shorter than fixed fields")
-        return cls(
-            slot=int.from_bytes(data[0:8], "big"),
-            parent_block=int.from_bytes(data[8:16], "big"),
-            new_owner=Address(data[16:36]),
-            signature=data[36:],
-        )
+        """Inverse of encode.  The signature is unframed, so it must be
+        empty or exactly SIG_SIZE bytes; any other length is a truncated
+        or padded encoding."""
+        r = Reader(data, "transaction")
+        slot, parent_block, new_owner = r.int(8), r.int(8), Address(r.take(ADDRESS_SIZE))
+        signature = data[r.pos:]
+        if len(signature) not in (0, SIG_SIZE):
+            raise MalformedEncoding(
+                f"transaction: signature of {len(signature)} bytes, not 0 or {SIG_SIZE}"
+            )
+        return cls(slot, parent_block, new_owner, signature)
 
     @property
     def is_deposit(self) -> bool:
@@ -129,10 +162,12 @@ class IncludedTx:
 
     @classmethod
     def decode(cls, data: bytes, config: SmtConfig) -> "IncludedTx":
-        blk = int.from_bytes(data[0:8], "big")
-        n = int.from_bytes(data[8:12], "big")
-        tx = Transaction.decode(data[12:12 + n]) if n else None
-        proof = Proof.from_bytes(data[12 + n:], config)
+        r = Reader(data, "included tx")
+        blk = r.int(8)
+        n = r.int(4)
+        tx = Transaction.decode(r.take(n)) if n else None
+        proof = Proof.from_bytes(r.take(DIGEST_SIZE * config.depth), config)
+        r.end()
         return cls(tx, blk, proof)
 
 
@@ -167,17 +202,17 @@ class PlasmaBlock:
 
     @classmethod
     def decode(cls, data: bytes) -> "PlasmaBlock":
-        number = int.from_bytes(data[0:8], "big")
-        count = int.from_bytes(data[8:12], "big")
-        pos = 12
+        r = Reader(data, "block")
+        number = r.int(8)
+        count = r.int(4)
         txs = {}
         for _ in range(count):
-            n = int.from_bytes(data[pos:pos + 4], "big")
-            pos += 4
-            tx = Transaction.decode(data[pos:pos + n])
-            pos += n
+            tx = Transaction.decode(r.take(r.int(4)))
             txs[tx.slot] = tx
-        root = data[pos:pos + 32]
+        if len(txs) != count or list(txs) != sorted(txs):
+            raise MalformedEncoding("block: transactions not in ascending slot order")
+        root = r.take(DIGEST_SIZE)
+        r.end()
         return cls(number=number, txs=txs, root=root)
 
 

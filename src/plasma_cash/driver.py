@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction
 from .errors import NotOwned, PlasmaError
-from .history import Verdict, valid_tip
+from .history import Verdict
 from .operator_node import OperatorMode, PlasmaOperator, TxReceipt
 from .rootchain import ChainParams, PlasmaContract
 from .wallet import Wallet, WalletPolicy
@@ -129,9 +129,9 @@ class Simulation:
         wallet = self.actor(name)
         if not wallet.owns(slot):
             raise NotOwned(f"{name} does not hold slot {slot}")
-        history = wallet.coins[slot]
-        exit_tx = valid_tip(history, self.keyring)
-        parent_tx = None if exit_tx.tx.is_deposit else history.incl[exit_tx.tx.parent_block]
+        exit_tx = wallet.last_inclusion(slot)
+        parent = exit_tx.tx.parent_block
+        parent_tx = None if exit_tx.tx.is_deposit else wallet.coins[slot].incl[parent]
         self.contract.start_exit(
             wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount
         )

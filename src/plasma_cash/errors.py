@@ -30,6 +30,12 @@ class BitfieldMismatch(PlasmaError):
     code = "BitfieldMismatch"
 
 
+# --- encodings ---
+
+class MalformedEncoding(PlasmaError):
+    code = "MalformedEncoding"
+
+
 # --- signatures ---
 
 class MalformedSignature(PlasmaError):

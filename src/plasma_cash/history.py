@@ -17,8 +17,8 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from . import smt
-from .core import Address, IncludedTx, Keyring
-from .errors import MissingRoot, PlasmaError
+from .core import Address, IncludedTx, Keyring, Reader
+from .errors import MalformedEncoding, MissingRoot, PlasmaError
 from .smt import SmtConfig
 
 
@@ -95,21 +95,19 @@ class CoinHistory:
 
     @classmethod
     def decode(cls, data: bytes, config: SmtConfig) -> "CoinHistory":
-        slot = int.from_bytes(data[0:8], "big")
-        deposit_block = int.from_bytes(data[8:16], "big")
-        pos = 16
+        r = Reader(data, "coin history")
+        slot, deposit_block = r.int(8), r.int(8)
         maps = []
         for _ in range(2):
-            count = int.from_bytes(data[pos:pos + 4], "big")
-            pos += 4
+            count = r.int(4)
             entries = {}
             for _ in range(count):
-                n = int.from_bytes(data[pos:pos + 4], "big")
-                pos += 4
-                itx = IncludedTx.decode(data[pos:pos + n], config)
-                pos += n
+                itx = IncludedTx.decode(r.take(r.int(4)), config)
                 entries[itx.blk_number] = itx
+            if len(entries) != count or list(entries) != sorted(entries):
+                raise MalformedEncoding("coin history: entries not in ascending block order")
             maps.append(entries)
+        r.end()
         return cls(slot, deposit_block, maps[0], maps[1])
 
     def to_json(self, config: SmtConfig) -> str:
@@ -138,18 +136,70 @@ class CoinHistory:
         return cls(obj["slot"], obj["deposit_block"], dec(obj["incl"]), dec(obj["excl"]))
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """What a wallet has already verified of one coin: the history's entries
+    up to block ``upto``, snapshotted when it accepted them, and ``tip``, the
+    last inclusion among them.
+
+    Committed roots are append-only and the depositor is fixed at minting, so
+    entries equal to the snapshot verify the same way again; only blocks past
+    ``upto`` need checking.  A checkpoint therefore vouches only for the root
+    chain and the depositor its history was verified against.
+    """
+
+    slot: int
+    deposit_block: int
+    upto: int
+    incl: Dict[int, IncludedTx]
+    excl: Dict[int, IncludedTx]
+    tip: IncludedTx
+
+    @classmethod
+    def of(cls, history: CoinHistory) -> "Checkpoint":
+        """Checkpoint a history that verify_history just accepted."""
+        return cls(
+            slot=history.slot,
+            deposit_block=history.deposit_block,
+            upto=max([*history.incl, *history.excl]),
+            incl=dict(history.incl),
+            excl=dict(history.excl),
+            tip=history.last_inclusion(),
+        )
+
+    def covers(self, history: CoinHistory) -> bool:
+        """True when the history's entries at or below ``upto`` are exactly
+        the snapshot."""
+        return (
+            history.slot == self.slot
+            and history.deposit_block == self.deposit_block
+            and _upto(history.incl, self.upto) == self.incl
+            and _upto(history.excl, self.upto) == self.excl
+        )
+
+
+def _upto(entries: Dict[int, IncludedTx], upto: int) -> Dict[int, IncludedTx]:
+    return {blk: itx for blk, itx in entries.items() if blk <= upto}
+
+
 def verify_history(
     history: CoinHistory,
     view: RootView,
     deposit_owner: Address,
     keyring: Keyring,
     config: SmtConfig,
+    since: Optional[Checkpoint] = None,
 ) -> Verdict:
     """Audit a coin history against the committed roots.
 
     Returns ACCEPT or a reject verdict with a reason code.  A view that
     cannot cover the claimed blocks raises MissingRoot instead: the caller
     must distinguish "unverifiable" from "fraudulent".
+
+    With a checkpoint ``since`` that covers the history, proofs, parent
+    links and signatures are checked only past ``since.upto``, resuming the
+    ownership chain at ``since.tip``; the verdict is the one the full walk
+    gives.  Root coverage and the partition are always checked whole.
     """
     slot = history.slot
     claimed = set(history.incl) | set(history.excl)
@@ -166,23 +216,26 @@ def verify_history(
         extra = sorted(claimed - required)
         return reject(Reason.PARTITION_GAP, f"missing={missing} extra={extra}")
 
-    # deposit transaction
-    dep = history.incl.get(history.deposit_block)
-    if dep is None or dep.tx is None or dep.blk_number != history.deposit_block:
-        return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
-    if dep.tx.slot != slot or dep.tx.parent_block != 0:
-        return reject(Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
-    if dep.tx.new_owner != deposit_owner:
-        return reject(Reason.BAD_DEPOSIT_PROOF, "deposit owner mismatch")
-    if not _check_proof(slot, dep, dep.tx.hash(), view, config):
-        return reject(Reason.BAD_DEPOSIT_PROOF, "deposit proof invalid")
+    if since is not None and since.covers(history):
+        upto = since.upto
+        last_block = since.tip.blk_number
+        last_owner = since.tip.tx.new_owner
+    else:
+        # deposit transaction
+        dep = history.incl.get(history.deposit_block)
+        if dep is None or dep.tx is None or dep.blk_number != history.deposit_block:
+            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
+        if dep.tx.slot != slot or dep.tx.parent_block != 0:
+            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
+        if dep.tx.new_owner != deposit_owner:
+            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit owner mismatch")
+        if not _check_proof(slot, dep, dep.tx.hash(), view, config):
+            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit proof invalid")
+        # the partition puts every other entry after the deposit block
+        upto = last_block = history.deposit_block
+        last_owner = deposit_owner
 
-    last_block = history.deposit_block
-    last_owner = deposit_owner
-
-    for blk in sorted(history.incl):
-        if blk == history.deposit_block:
-            continue
+    for blk in sorted(b for b in history.incl if b > upto):
         itx = history.incl[blk]
         if itx.tx is None or itx.tx.slot != slot or itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
@@ -203,7 +256,7 @@ def verify_history(
         last_block = blk
         last_owner = itx.tx.new_owner
 
-    for blk in sorted(history.excl):
+    for blk in sorted(b for b in history.excl if b > upto):
         itx = history.excl[blk]
         if itx.tx is not None or itx.blk_number != blk:
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: not an exclusion")
@@ -286,7 +339,9 @@ def find_spend(
     return None
 
 
-def valid_tip(history: CoinHistory, keyring: Keyring) -> IncludedTx:
+def valid_tip(
+    history: CoinHistory, keyring: Keyring, start: Optional[IncludedTx] = None
+) -> IncludedTx:
     """Last inclusion on the coin's valid ownership chain.
 
     Walks from the deposit, at each step following only correctly signed
@@ -294,8 +349,12 @@ def valid_tip(history: CoinHistory, keyring: Keyring) -> IncludedTx:
     inclusion wins.  Fraudulent inclusions a wallet picked up while syncing
     (double spends, forged spends) are skipped, so the tip is what the
     wallet can legitimately spend or exit with.
+
+    ``start`` resumes the walk at the tip of a covering Checkpoint: its
+    prefix is one verified chain, and any other spend of a block in it comes
+    later than the chain's own, so the walk from the deposit passes there.
     """
-    tip = history.incl[history.deposit_block]
+    tip = history.incl[history.deposit_block] if start is None else start
     while True:
         spend = find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)
         if spend is None:

@@ -29,7 +29,7 @@ from .errors import (
     UnknownScenario,
     WitnessUnavailable,
 )
-from .history import build_history, valid_tip, verify_history
+from .history import build_history, verify_history
 from .operator_node import OperatorMode
 from .driver import Simulation
 from .rootchain import ChainParams, CoinState
@@ -597,7 +597,7 @@ def fuzz(
         if not candidates:
             return
         name, slot = rng.choice(candidates)
-        tip = valid_tip(sim.actor(name).coins[slot], sim.keyring)
+        tip = sim.actor(name).last_inclusion(slot)
         if tip.tx.new_owner != sim.address(name):
             return  # already signed away on-chain; cannot exit
         try:

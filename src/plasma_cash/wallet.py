@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 from .core import Address, IncludedTx, Keyring, Signer, Transaction, make_transfer_tx
 from .errors import NotOwned, PlasmaError
 from .history import (
+    Checkpoint,
     CoinHistory,
     RootView,
     Verdict,
@@ -55,6 +56,9 @@ class Wallet:
         self.config: SmtConfig = contract.config
         self.policy = policy or WalletPolicy()
         self.coins: Dict[int, CoinHistory] = {}
+        # what this wallet has verified of each coin it ever accepted; kept
+        # after release, because the coin may come back
+        self._checkpoints: Dict[int, Checkpoint] = {}
         self._event_cursor = 0
 
     @property
@@ -77,7 +81,10 @@ class Wallet:
         inclusions picked up while syncing are skipped."""
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
-        return valid_tip(self.coins[slot], self.keyring)
+        history = self.coins[slot]
+        checkpoint = self._checkpoints.get(slot)
+        start = checkpoint.tip if checkpoint is not None and checkpoint.covers(history) else None
+        return valid_tip(history, self.keyring, start)
 
     def sync(self, slot: int, witness: WitnessSource, view: Optional[RootView] = None):
         """Pull witnesses for any committed blocks the stored history lacks.
@@ -100,18 +107,27 @@ class Wallet:
 
     def receive_coin(self, history: CoinHistory, view: RootView) -> Verdict:
         """Audit an incoming coin; store the history only when it is valid
-        and ends at this wallet."""
+        and ends at this wallet.  Blocks already verified on an earlier
+        delivery of the coin are not verified again."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
         deposit_owner = self._depositor(history.slot)
-        verdict = verify_history(history, view, deposit_owner, self.keyring, self.config)
+        verdict = verify_history(
+            history,
+            view,
+            deposit_owner,
+            self.keyring,
+            self.config,
+            since=self._checkpoints.get(history.slot),
+        )
         if not verdict:
             return verdict
         last = history.last_inclusion()
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
         self.coins[history.slot] = history
+        self._checkpoints[history.slot] = Checkpoint.of(history)
         return Verdict(True)
 
     def _depositor(self, slot: int) -> Address:

@@ -1,4 +1,5 @@
-"""Transactions, blocks, and the recoverable signature scheme."""
+"""Transactions, blocks, their canonical encodings, and the recoverable
+signature scheme."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from plasma_cash.core import (
     make_deposit_tx,
     make_transfer_tx,
 )
-from plasma_cash.errors import MalformedSignature
-from plasma_cash.smt import SmtConfig
+from plasma_cash.errors import MalformedEncoding, MalformedSignature
+from plasma_cash.history import CoinHistory
+from plasma_cash.smt import Proof, SmtConfig
 
 
 @pytest.fixture
@@ -149,3 +151,109 @@ def test_included_tx_encode_round_trip(keyring):
     for slot in (4, 5):
         itx = block.prove(slot)
         assert IncludedTx.decode(itx.encode(config), config) == itx
+
+
+# -- canonical decoding: one byte string, one value --
+
+SMALL = SmtConfig(depth=4)
+u64 = st.integers(0, 2**64 - 1)
+transactions = st.builds(
+    Transaction,
+    slot=u64,
+    parent_block=u64,
+    new_owner=st.binary(min_size=20, max_size=20).map(Address),
+    signature=st.one_of(st.just(b""), st.binary(min_size=52, max_size=52)),
+)
+included_txs = st.builds(
+    IncludedTx,
+    tx=st.none() | transactions,
+    blk_number=u64,
+    proof=st.lists(st.binary(min_size=32, max_size=32), min_size=4, max_size=4).map(
+        lambda sibs: Proof(tuple(sibs))
+    ),
+)
+
+
+def entries_by(key, elements, max_size=3):
+    return st.lists(elements, max_size=max_size, unique_by=key).map(
+        lambda items: {key(item): item for item in sorted(items, key=key)}
+    )
+
+
+def assert_canonical(data, decode, value, keep=()):
+    """``data`` decodes to ``value``, and every strict prefix (but the
+    lengths in ``keep``) and every 1-3 byte extension raises
+    MalformedEncoding."""
+    assert decode(data) == value
+    for cut in range(len(data)):
+        if cut not in keep:
+            with pytest.raises(MalformedEncoding):
+                decode(data[:cut])
+    for extra in (b"\x00", b"\x01\x02", b"\xff" * 3):
+        with pytest.raises(MalformedEncoding):
+            decode(data + extra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tx=transactions)
+def test_tx_decode_is_canonical(tx):
+    # the signature is unframed: cutting all of it leaves the encoding of
+    # the unsigned transaction, which containers tell apart by their framing
+    whole_signature_cut = (36,) if tx.signature else ()
+    assert_canonical(tx.encode(), Transaction.decode, tx, keep=whole_signature_cut)
+    unsigned = Transaction(tx.slot, tx.parent_block, tx.new_owner)
+    assert Transaction.decode(tx.encode()[:36]) == unsigned
+
+
+@settings(max_examples=50, deadline=None)
+@given(itx=included_txs)
+def test_included_tx_decode_is_canonical(itx):
+    assert_canonical(itx.encode(SMALL), lambda d: IncludedTx.decode(d, SMALL), itx)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    number=u64,
+    txs=entries_by(lambda tx: tx.slot, transactions),
+    root=st.binary(min_size=32, max_size=32),
+)
+def test_block_decode_is_canonical(number, txs, root):
+    block = PlasmaBlock(number, txs, root)
+    assert_canonical(block.encode(), PlasmaBlock.decode, block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    slot=u64,
+    deposit_block=u64,
+    incl=entries_by(lambda itx: itx.blk_number, included_txs),
+    excl=entries_by(lambda itx: itx.blk_number, included_txs),
+)
+def test_history_decode_is_canonical(slot, deposit_block, incl, excl):
+    history = CoinHistory(slot, deposit_block, incl, excl)
+    assert_canonical(
+        history.encode(SMALL), lambda d: CoinHistory.decode(d, SMALL), history
+    )
+
+
+def frame(encoding):
+    return len(encoding).to_bytes(4, "big") + encoding
+
+
+def test_decoders_reject_unordered_or_repeated_entries(keyring):
+    alice = keyring.new_signer("alice")
+    a, b = (make_transfer_tx(alice, s, 1, alice.address) for s in (1, 2))
+    head, root = (7).to_bytes(8, "big") + (2).to_bytes(4, "big"), bytes(32)
+    assert list(PlasmaBlock.decode(head + frame(a.encode()) + frame(b.encode()) + root).txs) == [1, 2]
+    for body in (frame(b.encode()) + frame(a.encode()), frame(a.encode()) * 2):
+        with pytest.raises(MalformedEncoding):
+            PlasmaBlock.decode(head + body + root)
+
+    proof = Proof((bytes(32),) * SMALL.depth)
+    first, second = (IncludedTx(None, n, proof).encode(SMALL) for n in (3, 4))
+    head, no_incl = bytes(16), bytes(4)
+    count = (2).to_bytes(4, "big")
+    assert set(CoinHistory.decode(head + no_incl + count + frame(first) + frame(second), SMALL).excl) == {3, 4}
+    for body in (frame(second) + frame(first), frame(first) * 2):
+        with pytest.raises(MalformedEncoding):
+            CoinHistory.decode(head + no_incl + count + body, SMALL)

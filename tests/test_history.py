@@ -14,10 +14,13 @@ from plasma_cash.core import (
 )
 from plasma_cash.errors import MissingRoot
 from plasma_cash.history import (
+    ACCEPT,
+    Checkpoint,
     CoinHistory,
     Reason,
     RootView,
     build_history,
+    extend_history,
     find_spend,
     valid_tip,
     verify_history,
@@ -287,3 +290,119 @@ def test_random_honest_chains_agree_with_replay(subtests=None):
         oracle_owner, oracle_block = replay_owner(c, 0, 1)
         assert tip.tx.new_owner == oracle_owner
         assert tip.blk_number == oracle_block
+
+
+# -- checkpointed verification agrees with the full walk --
+
+
+def random_chain(seed):
+    """Deposit at 1, then 2-8 blocks each holding an honest spend or
+    nothing; the same seed always builds the same chain."""
+    rng = random.Random(seed)
+    c = Chain()
+    signers = [c.signer(f"r{seed}-{i}") for i in range(3)]
+    c.owners = {s.address: s for s in signers}
+    owner = signers[0]
+    c.add_block(1, {0: make_deposit_tx(0, owner.address)})
+    last = 1
+    for number in range(1000, 1000 * rng.randint(3, 9), 1000):
+        if rng.random() < 0.6:
+            nxt = rng.choice(signers)
+            c.add_block(number, {0: make_transfer_tx(owner, 0, last, nxt.address)})
+            owner, last = nxt, number
+        else:
+            c.add_block(number, {})
+    return c, signers[0].address
+
+
+CORRUPTIONS = ("overlap", "gap", "inclusion", "parent", "signature", "exclusion")
+
+
+def corrupt(chain, history, kind, blk):
+    """Apply one scripted corruption at block ``blk``, in place; returns the
+    reason the full verifier must give, or None (and changes nothing) when
+    ``kind`` does not apply to that block."""
+    spend = blk in history.incl and blk != history.deposit_block
+    if kind == "overlap":
+        if blk in history.incl:
+            history.excl[blk] = history.incl[blk]
+        else:
+            history.incl[blk] = history.excl[blk]
+        return Reason.PARTITION_OVERLAP
+    if kind == "gap":
+        history.incl.pop(blk, None)
+        history.excl.pop(blk, None)
+        return Reason.PARTITION_GAP
+    if kind == "inclusion" and blk in history.incl:
+        itx = history.incl[blk]
+        history.incl[blk] = IncludedTx(itx.tx, blk, flip(itx.proof))
+        return Reason.BAD_INCLUSION_PROOF if spend else Reason.BAD_DEPOSIT_PROOF
+    if kind == "exclusion" and blk in history.excl:
+        history.excl[blk] = IncludedTx(None, blk, flip(history.excl[blk].proof))
+        return Reason.BAD_EXCLUSION_PROOF
+    if kind in ("parent", "signature") and spend:
+        # the operator commits a bad spend at blk, with valid proofs
+        tx = history.incl[blk].tx
+        if kind == "parent":
+            spender = chain.owners[history.incl[tx.parent_block].tx.new_owner]
+            bad = make_transfer_tx(spender, 0, tx.parent_block + 1, tx.new_owner)
+        else:
+            bad = make_transfer_tx(chain.signer("mallory"), 0, tx.parent_block, tx.new_owner)
+        chain.add_block(blk, {0: bad})
+        history.incl[blk] = chain.witness(0, blk)
+        return Reason.BROKEN_PARENT_LINK if kind == "parent" else Reason.BAD_SIGNATURE
+    return None
+
+
+def test_checkpointed_verifier_agrees_with_full_walk():
+    exercised = set()
+    for seed in range(60):
+        rng = random.Random(f"cut-{seed}")
+        chain, depositor = random_chain(seed)
+
+        def verify(history, since=None):
+            return verify_history(
+                history, chain.view(), depositor, chain.keyring, CONFIG, since=since
+            )
+
+        # verify a prefix cut at a random block, checkpoint it, extend it
+        cut = rng.choice(sorted(chain.blocks)[:-1])
+        prefix_view = RootView({n: r for n, r in chain.view().roots.items() if n <= cut})
+        prefix = build_history(0, 1, prefix_view, chain.witness)
+        assert verify_history(prefix, prefix_view, depositor, chain.keyring, CONFIG)
+        checkpoint = Checkpoint.of(prefix)
+        assert checkpoint.upto == cut
+        extended = extend_history(prefix, chain.view(), chain.witness)
+        assert checkpoint.covers(extended)
+        assert verify(extended, since=checkpoint) == verify(extended) == ACCEPT
+
+        for kind in CORRUPTIONS:
+            for above in (True, False):
+                chain, depositor = random_chain(seed)  # undo the last corruption
+                history = chain.history(0, 1)
+                side = [b for b in sorted(chain.blocks) if (b > cut) == above]
+                rng.shuffle(side)
+                for blk in side:
+                    expected = corrupt(chain, history, kind, blk)
+                    if expected is not None:
+                        break
+                else:
+                    continue
+                # below the cut the snapshot no longer matches: the full walk runs
+                assert checkpoint.covers(history) == above
+                full = verify(history)
+                assert not full and full.reason is expected, (seed, kind, above)
+                assert verify(history, since=checkpoint) == full
+                exercised.add((kind, above))
+    assert exercised == {(k, a) for k in CORRUPTIONS for a in (True, False)}
+
+
+def test_valid_tip_resumes_at_a_checkpoint(chain):
+    # Bob double-spends his 1000 inclusion after Carol's checkpoint at 3000
+    bob, mallory = chain.signer("bob"), chain.signer("mallory")
+    checkpoint = Checkpoint.of(chain.history(0, 1))
+    chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
+    history = chain.history(0, 1)
+    assert checkpoint.covers(history)
+    tip = valid_tip(history, chain.keyring, start=checkpoint.tip)
+    assert tip == valid_tip(history, chain.keyring) and tip.blk_number == 3000

@@ -1,11 +1,14 @@
 """Wallets: transfer etiquette, history auditing, and auto-challenging."""
 
+from collections import Counter
+
 import pytest
 
-from plasma_cash.core import make_transfer_tx
+from plasma_cash import smt
+from plasma_cash.core import IncludedTx, Keyring, make_transfer_tx
 from plasma_cash.driver import Simulation
 from plasma_cash.errors import NotOwned
-from plasma_cash.history import Reason
+from plasma_cash.history import CoinHistory, Reason, verify_history
 from plasma_cash.operator_node import OperatorMode
 from plasma_cash.rootchain import ChainParams, CoinState
 
@@ -200,3 +203,98 @@ def test_watcher_can_be_disabled():
     sim.exit_with("alice", slot, None, dep)
     assert sim.run_watchers() == []
     assert finish_exit(sim, slot) == "Finalized"  # theft goes through
+
+
+# -- verified checkpoints --
+
+
+def flip(itx):
+    """The same entry with one sibling of its proof corrupted."""
+    sibs = list(itx.proof.siblings)
+    sibs[0] = bytes(b ^ 1 for b in sibs[0])
+    return IncludedTx(itx.tx, itx.blk_number, smt.Proof(tuple(sibs)))
+
+
+def handed_over(sim, sender, slot, receiver):
+    """Transfer and commit, then return the history the sender would hand
+    over, leaving the sender's copy in place."""
+    _, receipt = sim.transfer(sender, slot, receiver)
+    assert receipt.accepted
+    sim.commit_block()
+    src = sim.actor(sender)
+    src.sync(slot, sim.operator.get_witness)
+    h = src.coins[slot]
+    return CoinHistory(h.slot, h.deposit_block, dict(h.incl), dict(h.excl))
+
+
+def test_rejected_delivery_keeps_checkpoints():
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    assert settled_transfer(sim, "bob", slot, "carol")
+    bob, eve = sim.actor("bob"), sim.actor("eve")
+    kept = dict(bob._checkpoints)
+    assert set(kept) == {slot}
+
+    to_dave = handed_over(sim, "carol", slot, "dave")
+    view = sim.contract.root_view()
+    assert not bob.receive_coin(to_dave, view)  # valid, but ends at Dave
+    newest = max(to_dave.incl)
+    to_dave.incl[newest] = flip(to_dave.incl[newest])
+    verdict = bob.receive_coin(to_dave, view)
+    assert not verdict and verdict.reason is Reason.BAD_INCLUSION_PROOF
+    assert not eve.receive_coin(to_dave, view)
+    assert bob._checkpoints == kept and eve._checkpoints == {}
+
+
+def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    bob = sim.actor("bob")
+    seen = bob._checkpoints[slot]
+    assert settled_transfer(sim, "bob", slot, "carol")
+
+    history = handed_over(sim, "carol", slot, "bob")
+    view = sim.contract.root_view()
+    history.incl[seen.upto] = flip(history.incl[seen.upto])  # already verified by Bob
+    assert not seen.covers(history)
+    full = verify_history(history, view, sim.address("alice"), sim.keyring, sim.params.smt_config)
+    verdict = bob.receive_coin(history, view)
+    assert verdict == full
+    assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {seen.upto}" in verdict.detail
+    assert bob._checkpoints[slot] is seen
+
+    assert sim.deliver("carol", slot, "bob")  # the honest copy goes through
+    assert bob._checkpoints[slot].upto == sim.contract.root_view().head
+
+
+def test_handoff_cost_does_not_grow_with_coin_age(monkeypatch):
+    """A receiver verifies only the blocks it has not seen: one coin at
+    depth 64, handed round-robin among 4 wallets, costs as many hashes and
+    signature recoveries at hand-off 16 as at hand-off 64."""
+    counts = Counter()
+    hash_pair, recover = smt.hash_pair, Keyring.recover
+
+    def counted_hash_pair(left, right):
+        counts["hashes"] += 1
+        return hash_pair(left, right)
+
+    def counted_recover(keyring, digest, sig):
+        counts["recoveries"] += 1
+        return recover(keyring, digest, sig)
+
+    monkeypatch.setattr(smt, "hash_pair", counted_hash_pair)
+    monkeypatch.setattr(Keyring, "recover", counted_recover)
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    names = ["w0", "w1", "w2", "w3"]
+    slot = sim.deposit(names[0], 5)
+    cost = {}
+    for k in range(1, 65):
+        counts.clear()
+        assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
+        cost[k] = (counts["hashes"], counts["recoveries"])
+    # per hand-off: a one-leaf block build and the four inclusion proofs the
+    # receiver has not verified, 64 hashes each; those four signatures plus
+    # the operator's and the shadow ledger's check of the new spend
+    assert cost[16] == cost[64] == (5 * 64, 6)
