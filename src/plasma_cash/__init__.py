@@ -28,12 +28,9 @@ from .rootchain import ChainParams, CoinRecord, CoinState, Exit, PlasmaContract
 from .scenarios import SCENARIOS, ScenarioReport, fuzz, run
 from .smt import (
     DEFAULT_LEAF,
-    CompactProof,
     Proof,
     SmtConfig,
     SparseMerkleTree,
-    compact,
-    expand,
     verify,
 )
 from .wallet import Wallet, WalletPolicy

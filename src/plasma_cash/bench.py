@@ -1,4 +1,5 @@
-"""Proof-size measurement for compact vs naive proofs."""
+"""Proof-size measurement: encoded bitfield proofs against the naive
+32-bytes-per-level form."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 import statistics
 from typing import Optional
 
-from .smt import SmtConfig, SparseMerkleTree, compact
+from .smt import DIGEST_SIZE, SmtConfig, SparseMerkleTree
 
 
 def bench_compact_proofs(
@@ -35,8 +36,8 @@ def bench_compact_proofs(
     for _ in range(trials):
         slot = rng.choice(population)
         proof = tree.prove(slot)
-        naive_sizes.append(len(proof.to_bytes()))
-        sizes.append(len(compact(proof, config).to_bytes(config)))
+        naive_sizes.append(DIGEST_SIZE * len(proof.siblings))
+        sizes.append(len(proof.encode(config)))
 
     return {
         "txs": txs,

@@ -83,7 +83,8 @@ def fuzz_cmd(steps, seed, byzantine, json_path):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def bench_cmd(txs, depth, trials, seed, json_path):
-    """Measure naive vs compact serialized proof sizes."""
+    """Measure encoded proof sizes: the bitfield form every history and
+    challenge carries, against the naive 32 bytes per level."""
     result = bench_mod.bench_compact_proofs(txs=txs, depth=depth, trials=trials, seed=seed)
     _write_report(json.dumps(result, indent=2), json_path)
     click.echo(

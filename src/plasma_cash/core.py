@@ -1,7 +1,8 @@
 """Canonical transaction, block, and identity types.
 
-Serialization is fixed-width big-endian, fields in declaration order, so
-encodings are bit-exact across machines and usable as golden fixtures.
+Serialization is big-endian, fields in declaration order, proofs in their
+bitfield form (see ``smt.Proof``), so encodings are bit-exact across
+machines and usable as golden fixtures.
 Signatures use a deterministic in-process scheme -- sig = address || MAC --
 kept behind the same sign/recover contract a real recoverable-ECDSA
 implementation would satisfy.
@@ -14,40 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .errors import MalformedEncoding, MalformedSignature
-from .smt import DIGEST_SIZE, Proof, SmtConfig, SparseMerkleTree
+from .smt import DIGEST_SIZE, Proof, Reader, SmtConfig, SparseMerkleTree
 
 ADDRESS_SIZE = 20
 SIG_SIZE = ADDRESS_SIZE + 32  # embedded address + 32-byte binding MAC
-
-
-class Reader:
-    """Cursor over one encoding.  Reading past the end or leaving bytes
-    unread raises MalformedEncoding, so a truncated or padded input never
-    decodes."""
-
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.pos = 0
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise MalformedEncoding(
-                f"{self.what}: needs {end} bytes, got {len(self.data)}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def int(self, n: int) -> int:
-        return int.from_bytes(self.take(n), "big")
-
-    def end(self):
-        if self.pos != len(self.data):
-            raise MalformedEncoding(
-                f"{self.what}: {len(self.data) - self.pos} trailing bytes"
-            )
 
 
 @dataclass(frozen=True, order=True)
@@ -157,7 +128,7 @@ class IncludedTx:
             self.blk_number.to_bytes(8, "big")
             + len(tx_bytes).to_bytes(4, "big")
             + tx_bytes
-            + self.proof.to_bytes()
+            + self.proof.encode(config)
         )
 
     @classmethod
@@ -166,9 +137,8 @@ class IncludedTx:
         blk = r.int(8)
         n = r.int(4)
         tx = Transaction.decode(r.take(n)) if n else None
-        proof = Proof.from_bytes(r.take(DIGEST_SIZE * config.depth), config)
-        r.end()
-        return cls(tx, blk, proof)
+        # the proof's bitfield frames it: it runs to the end of the entry
+        return cls(tx, blk, Proof.decode(data[r.pos:], config))
 
 
 @dataclass

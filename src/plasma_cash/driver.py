@@ -132,9 +132,7 @@ class Simulation:
         exit_tx = wallet.last_inclusion(slot)
         parent = exit_tx.tx.parent_block
         parent_tx = None if exit_tx.tx.is_deposit else wallet.coins[slot].incl[parent]
-        self.contract.start_exit(
-            wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount
-        )
+        self.exit_with(name, slot, parent_tx, exit_tx)
 
     def exit_with(self, name: str, slot: int, parent_tx: Optional[IncludedTx], exit_tx: IncludedTx):
         """Exit with explicit witnesses (used by attackers and scripted runs)."""

@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a short machine-readable ``code`` so drivers and tests
-can assert on failure kinds without string matching.
+Every error carries a short machine-readable ``code``, its class name, so
+drivers and tests can assert on failure kinds without string matching.
 """
 
 
 class PlasmaError(Exception):
     code = "PlasmaError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __init__(self, message=""):
         super().__init__(message or self.code)
@@ -15,136 +19,132 @@ class PlasmaError(Exception):
 # --- sparse merkle tree ---
 
 class SlotOutOfRange(PlasmaError):
-    code = "SlotOutOfRange"
+    pass
 
 
 class LeafEqualsDefault(PlasmaError):
-    code = "LeafEqualsDefault"
+    pass
 
 
 class MalformedProof(PlasmaError):
-    code = "MalformedProof"
-
-
-class BitfieldMismatch(PlasmaError):
-    code = "BitfieldMismatch"
+    pass
 
 
 # --- encodings ---
 
 class MalformedEncoding(PlasmaError):
-    code = "MalformedEncoding"
+    pass
 
 
 # --- signatures ---
 
 class MalformedSignature(PlasmaError):
-    code = "MalformedSignature"
+    pass
 
 
 # --- coin histories ---
 
 class MissingRoot(PlasmaError):
-    code = "MissingRoot"
+    pass
 
 
 class WitnessUnavailable(PlasmaError):
-    code = "WitnessUnavailable"
+    pass
 
 
 # --- root-chain contract ---
 
 class NotOperator(PlasmaError):
-    code = "NotOperator"
+    pass
 
 
 class BadProof(PlasmaError):
-    code = "BadProof"
+    pass
 
 
 class BadSignature(PlasmaError):
-    code = "BadSignature"
+    pass
 
 
 class ParentMismatch(PlasmaError):
-    code = "ParentMismatch"
+    pass
 
 
 class NotNewOwner(PlasmaError):
-    code = "NotNewOwner"
+    pass
 
 
 class CoinNotExitable(PlasmaError):
-    code = "CoinNotExitable"
+    pass
 
 
 class WrongBond(PlasmaError):
-    code = "WrongBond"
+    pass
 
 
 class NoActiveExit(PlasmaError):
-    code = "NoActiveExit"
+    pass
 
 
 class NotDirectSpend(PlasmaError):
-    code = "NotDirectSpend"
+    pass
 
 
 class NotBetween(PlasmaError):
-    code = "NotBetween"
+    pass
 
 
 class NotSameParent(PlasmaError):
-    code = "NotSameParent"
+    pass
 
 
 class NotBefore(PlasmaError):
-    code = "NotBefore"
+    pass
 
 
 class NoSuchChallenge(PlasmaError):
-    code = "NoSuchChallenge"
+    pass
 
 
 class NotDirectSpendOfChallenge(PlasmaError):
-    code = "NotDirectSpendOfChallenge"
+    pass
 
 
 class NotMature(PlasmaError):
-    code = "NotMature"
+    pass
 
 
 class NotExited(PlasmaError):
-    code = "NotExited"
+    pass
 
 
 class NotOwner(PlasmaError):
-    code = "NotOwner"
+    pass
 
 
 class UnknownCoin(PlasmaError):
-    code = "UnknownCoin"
+    pass
 
 
 class InsufficientBalance(PlasmaError):
-    code = "InsufficientBalance"
+    pass
 
 
 # --- operator ---
 
 class UnknownBlock(PlasmaError):
-    code = "UnknownBlock"
+    pass
 
 
 class WrongMode(PlasmaError):
-    code = "WrongMode"
+    pass
 
 
 # --- wallet / scenarios ---
 
 class NotOwned(PlasmaError):
-    code = "NotOwned"
+    pass
 
 
 class UnknownScenario(PlasmaError):
-    code = "UnknownScenario"
+    pass

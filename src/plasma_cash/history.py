@@ -11,7 +11,6 @@ the slot empty.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional
@@ -81,7 +80,7 @@ class CoinHistory:
     def last_inclusion(self) -> IncludedTx:
         return self.incl[max(self.incl)]
 
-    # -- canonical encodings (binary and JSON) --
+    # -- canonical encoding --
 
     def encode(self, config: SmtConfig) -> bytes:
         out = [self.slot.to_bytes(8, "big"), self.deposit_block.to_bytes(8, "big")]
@@ -109,31 +108,6 @@ class CoinHistory:
             maps.append(entries)
         r.end()
         return cls(slot, deposit_block, maps[0], maps[1])
-
-    def to_json(self, config: SmtConfig) -> str:
-        def enc(entries):
-            return {str(b): itx.encode(config).hex() for b, itx in sorted(entries.items())}
-
-        return json.dumps(
-            {
-                "slot": self.slot,
-                "deposit_block": self.deposit_block,
-                "incl": enc(self.incl),
-                "excl": enc(self.excl),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str, config: SmtConfig) -> "CoinHistory":
-        obj = json.loads(s)
-
-        def dec(entries):
-            return {
-                int(b): IncludedTx.decode(bytes.fromhex(h), config)
-                for b, h in entries.items()
-            }
-
-        return cls(obj["slot"], obj["deposit_block"], dec(obj["incl"]), dec(obj["excl"]))
 
 
 @dataclass(frozen=True)

@@ -111,15 +111,6 @@ class Event:
         return json.dumps({"kind": self.kind, **self.data}, sort_keys=True)
 
 
-def _itx_data(itx: IncludedTx) -> dict:
-    """Full witness payload for the event log (a challenge reveals it)."""
-    return {
-        "blk_number": itx.blk_number,
-        "tx": itx.tx.encode().hex() if itx.tx is not None else None,
-        "proof": itx.proof.to_bytes().hex(),
-    }
-
-
 class PlasmaContract:
     """Single-owner state machine; all mutations go through its methods."""
 
@@ -151,9 +142,6 @@ class PlasmaContract:
 
     def _emit(self, kind: str, **data):
         self.events.append(Event(kind, data))
-
-    def event_log_json(self) -> str:
-        return "\n".join(e.to_json() for e in self.events)
 
     def balance_of(self, addr: Address) -> int:
         return self.balances.get(addr, 0)
@@ -333,7 +321,7 @@ class PlasmaContract:
             kind,
             slot=slot,
             challenger=beneficiary.hex,
-            witness=_itx_data(revealed),
+            witness=revealed.encode(self.config).hex(),
         )
         self._emit("ExitCancelled", slot=slot, exitor=ex.exitor.hex)
 
@@ -416,7 +404,7 @@ class PlasmaContract:
             slot=slot,
             challenge_id=challenge_id,
             responder=responder.hex,
-            witness=_itx_data(response),
+            witness=response.encode(self.config).hex(),
         )
 
     def finalize_exit(self, slot: int, now: Optional[int] = None) -> str:

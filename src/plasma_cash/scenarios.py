@@ -19,10 +19,10 @@ import json
 import random
 from itertools import count
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import smt
-from .core import Transaction, make_transfer_tx
+from .core import IncludedTx, Transaction, make_transfer_tx
 from .errors import (
     BadSignature,
     PlasmaError,
@@ -33,7 +33,6 @@ from .history import build_history, verify_history
 from .operator_node import OperatorMode
 from .driver import Simulation
 from .rootchain import ChainParams, CoinState
-from .smt import Proof
 
 
 @dataclass
@@ -425,15 +424,14 @@ def scenario_s5(seed: int, params: ChainParams, watcher: bool = True) -> Scenari
     challenge_events = [e for e in sim.contract.events if e.kind == "ChallengedAfter"]
     checks.expect(len(challenge_events) == 1, "exactly one challenge event")
     if challenge_events:
-        data = challenge_events[0].data["witness"]
-        tx = Transaction.decode(bytes.fromhex(data["tx"]))
-        proof = Proof.from_bytes(bytes.fromhex(data["proof"]), sim.contract.config)
+        config = sim.contract.config
+        itx = IncludedTx.decode(bytes.fromhex(challenge_events[0].data["witness"]), config)
         checks.expect(
-            smt.verify(slot, tx.hash(), proof, sim.contract.roots[data["blk_number"]], sim.contract.config),
+            smt.verify(slot, itx.tx.hash(), itx.proof, sim.contract.roots[itx.blk_number], config),
             "revealed witness must prove the withheld inclusion",
         )
         checks.expect(
-            tx.new_owner == sim.address("bob"),
+            itx.tx.new_owner == sim.address("bob"),
             "both parties now know the transfer to Bob settled",
         )
     return _finish("S5", sim, checks, before)
@@ -493,7 +491,7 @@ def fuzz(
     before = sim.balances_snapshot()
     total0 = sim.contract.total_value()
 
-    pending_deliveries: List = []  # (sender, slot, receiver)
+    pending: Dict[int, Tuple[str, str]] = {}  # slot -> (sender, receiver), in submission order
     exits_started: Dict[int, str] = {}
     frozen: set = set()  # coins with tainted history: exit-only
     stale_credentials: List = []  # (slot, parent_block) the attacker can re-spend
@@ -554,14 +552,17 @@ def fuzz(
         if name == attacker:
             attacker_deposits[slot] = sim.contract.coins[slot].deposit_block
 
+    def free(slot: int) -> bool:
+        """No exit started, not exiting or settled, no delivery pending."""
+        return (
+            slot not in exits_started
+            and sim.contract.coins[slot].state is CoinState.DEPOSITED
+            and slot not in pending
+        )
+
     def do_transfer():
         candidates = [
-            (n, s)
-            for n in actors
-            for s in sim.actor(n).coins
-            if s not in frozen and s not in exits_started
-            and sim.contract.coins[s].state is CoinState.DEPOSITED
-            and not any(p[1] == s for p in pending_deliveries)
+            (n, s) for n in actors for s in sim.actor(n).coins if s not in frozen and free(s)
         ]
         if not candidates:
             return
@@ -569,31 +570,24 @@ def fuzz(
         receiver = rng.choice([n for n in actors if n != sender])
         tx, receipt = sim.transfer(sender, slot, receiver)
         if receipt.accepted:
-            pending_deliveries.append((sender, slot, receiver))
+            pending[slot] = (sender, receiver)
             if sender == attacker:
                 stale_credentials.append((slot, tx.parent_block))
 
     def do_commit():
         nonlocal deliveries, rejected
         sim.commit_block()
-        for sender, slot, receiver in pending_deliveries:
+        for slot, (sender, receiver) in pending.items():
             verdict = sim.deliver(sender, slot, receiver)
             deliveries += 1
             if not verdict:
                 rejected += 1
                 frozen.add(slot)
-        pending_deliveries.clear()
+        pending.clear()
         sim.run_watchers()
 
     def do_honest_exit():
-        candidates = [
-            (n, s)
-            for n in honest
-            for s in sim.actor(n).coins
-            if s not in exits_started
-            and sim.contract.coins[s].state is CoinState.DEPOSITED
-            and not any(p[1] == s for p in pending_deliveries)
-        ]
+        candidates = [(n, s) for n in honest for s in sim.actor(n).coins if free(s)]
         if not candidates:
             return
         name, slot = rng.choice(candidates)
@@ -614,9 +608,7 @@ def fuzz(
         if choice < 0.5 and stale_credentials:
             # double spend an old parent to self, then exit with it
             slot, parent_block = rng.choice(stale_credentials)
-            if slot in exits_started or sim.contract.coins[slot].state is not CoinState.DEPOSITED:
-                return
-            if any(p[1] == slot for p in pending_deliveries):
+            if not free(slot):
                 return
             double = make_transfer_tx(
                 sim.wallets[attacker].signer, slot, parent_block, sim.address(attacker)
@@ -636,9 +628,7 @@ def fuzz(
         elif attacker_deposits:
             # exit a deposited coin the attacker has since spent away
             slot = rng.choice(sorted(attacker_deposits))
-            if slot in exits_started or sim.contract.coins[slot].state is not CoinState.DEPOSITED:
-                return
-            if any(p[1] == slot for p in pending_deliveries):
+            if not free(slot):
                 return
             try:
                 deposit_itx = sim.operator.get_witness(slot, attacker_deposits[slot])

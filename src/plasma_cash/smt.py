@@ -2,10 +2,10 @@
 
 Leaves live at fixed slots in a 2^depth address space.  Empty slots commit
 to a per-level chain of precomputed default hashes, so building and proving
-only ever touches the occupied part of the tree.  Proofs exist in two
-encodings: the naive form (one 32-byte sibling per level) and a compact
-form where a bitfield switches each level between "sibling is in the proof"
-and "sibling is the level's default hash".
+only ever touches the occupied part of the tree.  A proof holds one sibling
+per level; its one wire form is a bitfield that switches each level between
+"sibling is in the proof" and "sibling is the level's default hash", followed
+by the siblings that are in it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from .errors import (
-    BitfieldMismatch,
     LeafEqualsDefault,
+    MalformedEncoding,
     MalformedProof,
     SlotOutOfRange,
 )
@@ -74,61 +74,81 @@ def _default_chain(depth: int, default_leaf: bytes) -> Tuple[bytes, ...]:
     return tuple(chain)
 
 
+class Reader:
+    """Cursor over one encoding.  Reading past the end or leaving bytes
+    unread raises MalformedEncoding, so a truncated or padded input never
+    decodes."""
+
+    def __init__(self, data: bytes, what: str):
+        self.data = data
+        self.pos = 0
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise MalformedEncoding(
+                f"{self.what}: needs {end} bytes, got {len(self.data)}"
+            )
+        chunk = self.data[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def int(self, n: int) -> int:
+        return int.from_bytes(self.take(n), "big")
+
+    def end(self):
+        if self.pos != len(self.data):
+            raise MalformedEncoding(
+                f"{self.what}: {len(self.data) - self.pos} trailing bytes"
+            )
+
+
 @dataclass(frozen=True)
 class Proof:
-    """Naive Merkle proof: one sibling digest per level, leaf-adjacent first."""
+    """Merkle proof: one sibling digest per level, leaf-adjacent first.
 
-    siblings: Tuple[bytes, ...]
-
-    def to_bytes(self) -> bytes:
-        return b"".join(self.siblings)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, config: SmtConfig) -> "Proof":
-        if len(data) != DIGEST_SIZE * config.depth:
-            raise MalformedProof(
-                f"expected {DIGEST_SIZE * config.depth} bytes, got {len(data)}"
-            )
-        sibs = tuple(
-            data[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE] for i in range(config.depth)
-        )
-        return cls(sibs)
-
-
-@dataclass(frozen=True)
-class CompactProof:
-    """Bitfield-compressed proof.
-
-    Bit i of ``bitfield`` is set iff the level-i sibling differs from the
-    level default and therefore appears in ``siblings`` (leaf-adjacent
-    first).  Serialized as a little-endian bitfield followed by the
-    non-default siblings.
+    On the wire only the siblings that differ from their level's default
+    are sent: a little-endian bitfield of ``config.bitfield_size`` bytes
+    whose bit i is set iff the level-i sibling is present, then those
+    siblings, leaf-adjacent first.
     """
 
-    bitfield: int
     siblings: Tuple[bytes, ...]
 
-    def to_bytes(self, config: SmtConfig) -> bytes:
-        return self.bitfield.to_bytes(config.bitfield_size, "little") + b"".join(
-            self.siblings
-        )
+    def encode(self, config: SmtConfig) -> bytes:
+        if len(self.siblings) != config.depth:
+            raise MalformedProof(
+                f"proof has {len(self.siblings)} siblings, depth is {config.depth}"
+            )
+        bitfield = 0
+        present = []
+        for i, (sib, default) in enumerate(zip(self.siblings, config.defaults)):
+            if sib != default:
+                bitfield |= 1 << i
+                present.append(sib)
+        return bitfield.to_bytes(config.bitfield_size, "little") + b"".join(present)
 
     @classmethod
-    def from_bytes(cls, data: bytes, config: SmtConfig) -> "CompactProof":
-        n = config.bitfield_size
-        if len(data) < n:
-            raise MalformedProof("compact proof shorter than its bitfield")
-        bitfield = int.from_bytes(data[:n], "little")
-        body = data[n:]
-        count = bin(bitfield).count("1")
-        if len(body) != count * DIGEST_SIZE:
-            raise BitfieldMismatch(
-                f"bitfield says {count} siblings, body holds {len(body) // DIGEST_SIZE}"
-            )
-        sibs = tuple(
-            body[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE] for i in range(count)
-        )
-        return cls(bitfield, sibs)
+    def decode(cls, data: bytes, config: SmtConfig) -> "Proof":
+        """Inverse of encode.  A bit past the depth or a present sibling
+        equal to its default would give a second encoding of the same
+        proof, so both raise MalformedEncoding."""
+        r = Reader(data, "proof")
+        bitfield = int.from_bytes(r.take(config.bitfield_size), "little")
+        if bitfield >> config.depth:
+            raise MalformedEncoding("proof: bitfield bit set past the tree depth")
+        sibs = []
+        for i, default in enumerate(config.defaults[:config.depth]):
+            if bitfield >> i & 1:
+                sib = r.take(DIGEST_SIZE)
+                if sib == default:
+                    raise MalformedEncoding(f"proof: level-{i} sibling sent but is the default")
+                sibs.append(sib)
+            else:
+                sibs.append(default)
+        r.end()
+        return cls(tuple(sibs))
 
 
 class SparseMerkleTree:
@@ -210,32 +230,3 @@ def verify(slot: int, leaf: bytes, proof: Proof, root: bytes, config: SmtConfig)
             node = hash_pair(node, sib)
     return node == root
 
-
-def compact(proof: Proof, config: SmtConfig) -> CompactProof:
-    if len(proof.siblings) != config.depth:
-        raise MalformedProof("cannot compact a proof of the wrong depth")
-    defaults = config.defaults
-    bitfield = 0
-    kept = []
-    for i, sib in enumerate(proof.siblings):
-        if sib != defaults[i]:
-            bitfield |= 1 << i
-            kept.append(sib)
-    return CompactProof(bitfield, tuple(kept))
-
-
-def expand(cp: CompactProof, config: SmtConfig) -> Proof:
-    count = bin(cp.bitfield).count("1")
-    if count != len(cp.siblings):
-        raise BitfieldMismatch(
-            f"popcount {count} != sibling count {len(cp.siblings)}"
-        )
-    if cp.bitfield >> config.depth:
-        raise BitfieldMismatch("bitfield has bits beyond the tree depth")
-    defaults = config.defaults
-    it = iter(cp.siblings)
-    sibs = tuple(
-        next(it) if (cp.bitfield >> i) & 1 else defaults[i]
-        for i in range(config.depth)
-    )
-    return Proof(sibs)

@@ -153,6 +153,19 @@ def test_included_tx_encode_round_trip(keyring):
         assert IncludedTx.decode(itx.encode(config), config) == itx
 
 
+def test_exclusion_entry_size():
+    """With one coin on the chain every sibling of an exclusion proof is a
+    default, so the entry is its block number, an empty tx length and the
+    8-byte depth-64 bitfield."""
+    config = SmtConfig(depth=64)
+    keyring = Keyring()
+    deposit = PlasmaBlock.build(1, {0: make_deposit_tx(0, keyring.new_signer("alice").address)}, config)
+    excl = PlasmaBlock.build(1000, {}, config).prove(0)
+    assert excl.is_exclusion
+    assert len(excl.encode(config)) == 8 + 4 + 8
+    assert len(deposit.prove(0).encode(config)) == 8 + 4 + 36 + 8
+
+
 # -- canonical decoding: one byte string, one value --
 
 SMALL = SmtConfig(depth=4)
@@ -164,13 +177,15 @@ transactions = st.builds(
     new_owner=st.binary(min_size=20, max_size=20).map(Address),
     signature=st.one_of(st.just(b""), st.binary(min_size=52, max_size=52)),
 )
+# each sibling is its level's default (left out of the encoding) or random
+# bytes (sent), so the bitfield takes every value
 included_txs = st.builds(
     IncludedTx,
     tx=st.none() | transactions,
     blk_number=u64,
-    proof=st.lists(st.binary(min_size=32, max_size=32), min_size=4, max_size=4).map(
-        lambda sibs: Proof(tuple(sibs))
-    ),
+    proof=st.tuples(
+        *(st.just(d) | st.binary(min_size=32, max_size=32) for d in SMALL.defaults[:SMALL.depth])
+    ).map(Proof),
 )
 
 

@@ -201,11 +201,6 @@ def test_history_binary_round_trip(chain):
     assert CoinHistory.decode(history.encode(CONFIG), CONFIG) == history
 
 
-def test_history_json_round_trip(chain):
-    history = chain.history(0, 1)
-    assert CoinHistory.from_json(history.to_json(CONFIG), CONFIG) == history
-
-
 # -- valid tip and sibling filtering --
 
 

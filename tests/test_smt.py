@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasma_cash.errors import (
-    BitfieldMismatch,
     LeafEqualsDefault,
+    MalformedEncoding,
     MalformedProof,
     SlotOutOfRange,
 )
 from plasma_cash.smt import (
     DEFAULT_LEAF,
-    CompactProof,
     Proof,
     SmtConfig,
     SparseMerkleTree,
-    compact,
-    expand,
     hash_pair,
     verify,
 )
@@ -125,28 +122,26 @@ def test_wrong_depth_proof_rejected():
     with pytest.raises(MalformedProof):
         verify(0, leaf(0), Proof((leaf(1),) * 7), b"\x00" * 32, config)
     with pytest.raises(MalformedProof):
-        compact(Proof((leaf(1),) * 7), config)
+        Proof((leaf(1),) * 7).encode(config)
 
 
-# -- serialization --
-
-
-def test_naive_proof_size_is_depth_times_32():
-    for depth in (4, 8, 64):
-        config = SmtConfig(depth=depth)
-        tree = SparseMerkleTree(config, {0: leaf(0)})
-        assert len(tree.prove(0).to_bytes()) == 32 * depth
+# -- serialization: the bitfield form --
 
 
 def test_compact_proof_size_formula():
+    # a lone leaf at slot 0 has only default siblings: the bitfield alone
+    for depth in (4, 8, 64):
+        config = SmtConfig(depth=depth)
+        tree = SparseMerkleTree(config, {0: leaf(0)})
+        assert tree.prove(0).encode(config) == bytes(config.bitfield_size)
     config = SmtConfig(depth=64)
     rng = random.Random(2)
     tree = SparseMerkleTree(config, {rng.getrandbits(64): leaf(i) for i in range(100)})
-    slot = next(iter(tree.leaves))
-    cp = compact(tree.prove(slot), config)
-    popcount = bin(cp.bitfield).count("1")
-    assert len(cp.to_bytes(config)) == 8 + 32 * popcount
-    assert popcount == len(cp.siblings)
+    proof = tree.prove(next(iter(tree.leaves)))
+    present = sum(sib != d for sib, d in zip(proof.siblings, config.defaults))
+    encoded = proof.encode(config)
+    assert len(encoded) == 8 + 32 * present
+    assert bin(int.from_bytes(encoded[:8], "little")).count("1") == present
 
 
 def test_proof_bytes_round_trip():
@@ -155,17 +150,7 @@ def test_proof_bytes_round_trip():
     tree = SparseMerkleTree(config, random_leaves(rng, config, 30))
     for slot in (0, 9, 255):
         proof = tree.prove(slot)
-        assert Proof.from_bytes(proof.to_bytes(), config) == proof
-        cp = compact(proof, config)
-        assert CompactProof.from_bytes(cp.to_bytes(config), config) == cp
-
-
-def test_proof_from_bytes_rejects_bad_length():
-    config = SmtConfig(depth=8)
-    with pytest.raises(MalformedProof):
-        Proof.from_bytes(b"\x00" * 33, config)
-    with pytest.raises(MalformedProof):
-        Proof.from_bytes(b"\x00" * (32 * 7), config)
+        assert Proof.decode(proof.encode(config), config) == proof
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,16 +160,56 @@ def test_compact_expand_round_trip(leafmap, slot):
     leaves = {s: leaf(v) for s, v in leafmap.items()}
     tree = SparseMerkleTree(config, leaves)
     proof = tree.prove(slot)
-    cp = compact(proof, config)
-    assert expand(cp, config) == proof
-    assert verify(slot, tree.leaf_at(slot), expand(cp, config), tree.root, config)
+    decoded = Proof.decode(proof.encode(config), config)
+    assert decoded == proof
+    assert verify(slot, tree.leaf_at(slot), decoded, tree.root, config)
+
+
+def test_proof_decode_rejects_bad_length():
+    config = SmtConfig(depth=8)
+    encoded = SparseMerkleTree(config, {0: leaf(0), 1: leaf(1)}).prove(0).encode(config)
+    assert len(encoded) == 1 + 32
+    for data in (b"", encoded[:-1], encoded + b"\x00", encoded + leaf(9)):
+        with pytest.raises(MalformedEncoding):
+            Proof.decode(data, config)
 
 
 def test_bitfield_mismatch_detected():
-    config = SmtConfig(depth=8)
-    tree = SparseMerkleTree(config, {0: leaf(0), 1: leaf(1)})
-    cp = compact(tree.prove(0), config)
-    with pytest.raises(BitfieldMismatch):
-        expand(CompactProof(cp.bitfield | (1 << 5), cp.siblings), config)
-    with pytest.raises(BitfieldMismatch):
-        expand(CompactProof(1 << config.depth, (leaf(9),) + cp.siblings), config)
+    """Each proof has one encoding: a bit whose sibling is missing, a
+    spare bit past the depth, or a sent sibling equal to its level default
+    does not decode."""
+    config = SmtConfig(depth=4)  # 4 spare bits in the 1-byte bitfield
+    sib = leaf(9)
+    assert Proof.decode(b"\x01" + sib, config).siblings == (sib,) + config.defaults[1:4]
+    for bad in (
+        b"\x03" + sib,  # bit 1 set, its sibling missing
+        b"\x11" + sib,  # bit 4 set: past the depth
+        b"\x80",  # bit 7 set: past the depth
+        b"\x01" + config.defaults[0],  # sent sibling is the level-0 default
+        b"\x05" + sib + config.defaults[2],  # sent sibling is the level-2 default
+    ):
+        with pytest.raises(MalformedEncoding):
+            Proof.decode(bad, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_proof_decode_is_canonical(data):
+    """Multi-byte bitfields too: any proof round-trips, every strict prefix
+    fails, and so does setting any spare bit past the depth."""
+    config = SmtConfig(depth=data.draw(st.sampled_from([4, 12, 64])))
+    proof = Proof(tuple(
+        data.draw(st.just(d) | st.binary(min_size=32, max_size=32))
+        for d in config.defaults[:config.depth]
+    ))
+    encoded = proof.encode(config)
+    assert Proof.decode(encoded, config) == proof
+    for cut in range(len(encoded)):
+        with pytest.raises(MalformedEncoding):
+            Proof.decode(encoded[:cut], config)
+    n = config.bitfield_size
+    bitfield = int.from_bytes(encoded[:n], "little")
+    for bit in range(config.depth, 8 * n):
+        spare = (bitfield | 1 << bit).to_bytes(n, "little")
+        with pytest.raises(MalformedEncoding):
+            Proof.decode(spare + encoded[n:], config)
