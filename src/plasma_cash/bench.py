@@ -1,5 +1,5 @@
-"""Proof-size measurement: encoded bitfield proofs against the naive
-32-bytes-per-level form."""
+"""Proof-size measurement: the encoded bitfield proofs every history and
+challenge carries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 import statistics
 from typing import Optional
 
-from .smt import DIGEST_SIZE, SmtConfig, SparseMerkleTree
+from .smt import SmtConfig, SparseMerkleTree
 
 
 def bench_compact_proofs(
@@ -31,21 +31,13 @@ def bench_compact_proofs(
     tree = SparseMerkleTree(config, leaves)
 
     population = sorted(slots)
-    sizes = []
-    naive_sizes = []
-    for _ in range(trials):
-        slot = rng.choice(population)
-        proof = tree.prove(slot)
-        naive_sizes.append(DIGEST_SIZE * len(proof.siblings))
-        sizes.append(len(proof.encode(config)))
+    sizes = [len(tree.prove(rng.choice(population)).encode(config)) for _ in range(trials)]
 
     return {
         "txs": txs,
         "depth": depth,
         "trials": trials,
         "seed": seed,
-        "naive_size": naive_sizes[0],
-        "naive_uniform": len(set(naive_sizes)) == 1,
         "mean_compact": statistics.fmean(sizes),
         "min_compact": min(sizes),
         "max_compact": max(sizes),

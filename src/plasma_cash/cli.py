@@ -84,15 +84,13 @@ def fuzz_cmd(steps, seed, byzantine, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def bench_cmd(txs, depth, trials, seed, json_path):
     """Measure encoded proof sizes: the bitfield form every history and
-    challenge carries, against the naive 32 bytes per level."""
+    challenge carries."""
     result = bench_mod.bench_compact_proofs(txs=txs, depth=depth, trials=trials, seed=seed)
     _write_report(json.dumps(result, indent=2), json_path)
     click.echo(
-        f"naive proof: {result['naive_size']} bytes; "
         f"mean compact over {trials} proofs: {result['mean_compact']:.1f} bytes "
         f"(min {result['min_compact']}, max {result['max_compact']})"
     )
-    sys.exit(0 if result["naive_uniform"] else 1)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Building and verifying complete per-coin transfer histories.
 
-A coin's history partitions every committed block since its deposit into
-inclusions (the coin moved) and exclusions (proof the slot was empty).  The
-verifier walks that partition: deposit first, then each spend must prove
-inclusion, chain its parent link to the previous inclusion, and carry a
-signature recovering to the previous owner; every other block must prove
-the slot empty.
+A coin's history partitions its own deposit block and every operator block
+committed after it into inclusions (the coin moved) and exclusions (proof
+the slot was empty).  Other coins' deposit blocks are left out: the contract
+builds each of them from one deposit of a freshly minted slot, so the coin
+cannot be in one (see ``RootView``).  The verifier walks that partition:
+deposit first, then each spend must prove inclusion, chain its parent link
+to the previous inclusion, and carry a signature recovering to the previous
+owner; every other block must prove the slot empty.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from . import smt
 from .core import Address, IncludedTx, Keyring, Reader
@@ -52,9 +54,26 @@ def reject(reason: Reason, detail: str = "") -> Verdict:
 
 @dataclass
 class RootView:
-    """Read-only snapshot of the committed roots on the root chain."""
+    """Read-only snapshot of the committed roots on the root chain, and of
+    which of them the contract minted as deposit blocks.
+
+    A coin's history covers its own deposit block and every operator block
+    after it, never another coin's deposit block.  That is sound because:
+
+    - the contract builds each deposit root itself, from the one deposit
+      transaction of a slot it has just minted, so no other slot is in it;
+    - ``deposit`` skips the ``child_block_interval`` multiples and
+      ``submit_block`` only ever uses ``next_operator_block``, so a deposit
+      number is never an operator number;
+    - no contract move takes an exclusion proof.
+
+    An operator, Byzantine or not, commits no deposit root, so skipping
+    those blocks hides nothing it could have put there.  A view that lists
+    no deposit blocks requires every committed block from the deposit on.
+    """
 
     roots: Dict[int, bytes]
+    deposit_blocks: FrozenSet[int] = frozenset()
     _blocks: Optional[List[int]] = field(default=None, repr=False, compare=False)
 
     @property
@@ -62,6 +81,17 @@ class RootView:
         if self._blocks is None:
             self._blocks = sorted(self.roots)
         return self._blocks
+
+    def history_blocks(self, deposit_block: int, after: int = 0) -> List[int]:
+        """Ascending blocks past ``after`` that a history of the coin
+        deposited at ``deposit_block`` must cover: the deposit block itself,
+        when committed, then every operator block after it."""
+        blocks = self.blocks
+        start = bisect.bisect_right(blocks, max(after, deposit_block))
+        tail = [b for b in blocks[start:] if b not in self.deposit_blocks]
+        if after < deposit_block and deposit_block in self.roots:
+            return [deposit_block, *tail]
+        return tail
 
     @property
     def head(self) -> int:
@@ -184,7 +214,7 @@ def verify_history(
     overlap = set(history.incl) & set(history.excl)
     if overlap:
         return reject(Reason.PARTITION_OVERLAP, f"blocks {sorted(overlap)}")
-    required = {b for b in view.roots if b >= history.deposit_block}
+    required = set(view.history_blocks(history.deposit_block))
     if claimed != required:
         missing = sorted(required - claimed)
         extra = sorted(claimed - required)
@@ -269,16 +299,17 @@ def extend_history(
     view: RootView,
     witness: WitnessSource,
 ) -> CoinHistory:
-    """Fill in witnesses for committed blocks the history does not cover yet.
+    """Fill in witnesses for the history's blocks it does not cover yet.
 
-    Histories always cover a contiguous block range, so only blocks past the
-    highest covered one need fetching.
+    Histories always cover a prefix of ``view.history_blocks``, so only
+    blocks past the highest covered one need fetching.  Entries are kept in
+    ascending block order (``decode`` requires it and this loop appends in
+    order), so each map's last key is its highest; a map filled out of order
+    only makes the loop start earlier, and covered blocks are skipped.
     """
-    covered = set(history.incl) | set(history.excl)
-    start = max(covered) if covered else history.deposit_block - 1
-    blocks = view.blocks
-    for blk in blocks[bisect.bisect_right(blocks, start):]:
-        if blk < history.deposit_block or blk in covered:
+    start = max(next(reversed(history.incl), 0), next(reversed(history.excl), 0))
+    for blk in view.history_blocks(history.deposit_block, after=start):
+        if blk in history.incl or blk in history.excl:
             continue
         itx = witness(history.slot, blk)
         if itx.is_exclusion:

@@ -137,6 +137,7 @@ class PlasmaContract:
         self._next_slot = 0
         self._next_challenge_id = 0
         self._view: Optional[RootView] = None
+        self._deposit_blocks: List[int] = []  # numbers of the blocks deposit() minted
 
     # -- plumbing --
 
@@ -162,7 +163,9 @@ class PlasmaContract:
         # roots is append-only, so a stale copy is detected by length alone
         view = self._view
         if view is None or len(view.roots) != len(self.roots):
-            view = self._view = RootView(roots=dict(self.roots))
+            view = self._view = RootView(
+                roots=dict(self.roots), deposit_blocks=frozenset(self._deposit_blocks)
+            )
         return view
 
     def advance_time(self, dt: int = 1):
@@ -211,6 +214,7 @@ class PlasmaContract:
         tx = make_deposit_tx(slot, depositor)
         block = PlasmaBlock.build(number, {slot: tx}, self.config)
         self.roots[number] = block.root
+        self._deposit_blocks.append(number)
         self.coins[slot] = CoinRecord(
             slot=slot,
             owner=depositor,

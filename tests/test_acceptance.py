@@ -41,13 +41,13 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_compact_proof_sizes():
-    """Depth-64 tree, 2378 uniformly random occupied slots: naive proofs are
-    exactly 2048 bytes, and the mean compact proof is within 1% of its
-    closed form.  The level-i sibling covers 2^i slots, so it is non-default
-    iff one of the other txs-1 slots falls in it; the expected sibling count
-    is sum_{i<depth} (1 - (1 - 2^(i-depth))^(txs-1)) ~= 11.548, giving a mean
-    of 8 + 32 * 11.548 ~= 377.5 bytes.  Every proof must be the 8-byte
-    bitfield followed by at least one whole 32-byte sibling."""
+    """Depth-64 tree, 2378 uniformly random occupied slots: the mean compact
+    proof is within 1% of its closed form.  The level-i sibling covers 2^i
+    slots, so it is non-default iff one of the other txs-1 slots falls in
+    it; the expected sibling count is
+    sum_{i<depth} (1 - (1 - 2^(i-depth))^(txs-1)) ~= 11.548, giving a mean of
+    8 + 32 * 11.548 ~= 377.5 bytes.  Every proof must be the 8-byte bitfield
+    followed by at least one whole 32-byte sibling."""
     txs, depth = 2378, 64
     bitfield_bytes = (depth + 7) // 8
     expected_siblings = sum(
@@ -66,9 +66,7 @@ def test_compact_proof_sizes():
     elapsed = time.monotonic() - t0
     mean = stats["mean_compact"]
     ok = (
-        stats["naive_size"] == 2048
-        and stats["naive_uniform"]
-        and low <= mean <= high
+        low <= mean <= high
         and whole_siblings(stats["min_compact"])
         and whole_siblings(stats["max_compact"])
         and elapsed < 10
@@ -76,7 +74,7 @@ def test_compact_proof_sizes():
     report(
         "compact-proof-size",
         ok,
-        f"naive={stats['naive_size']} expected_mean={expected_mean:.1f} "
+        f"expected_mean={expected_mean:.1f} "
         f"mean_compact={mean:.1f} bounds=[{low:.1f},{high:.1f}] "
         f"mean_siblings={(mean - bitfield_bytes) / 32:.2f} "
         f"min={stats['min_compact']} max={stats['max_compact']} "

@@ -41,4 +41,7 @@ def test_bench_command(tmp_path):
     )
     assert result.exit_code == 0, result.output
     obj = json.loads(path.read_text())
-    assert obj["naive_size"] == 16 * 32
+    # a 2-byte bitfield, then 1 to 16 whole 32-byte siblings
+    sizes = {2 + 32 * k for k in range(1, 17)}
+    assert obj["min_compact"] in sizes and obj["max_compact"] in sizes
+    assert obj["min_compact"] <= obj["mean_compact"] <= obj["max_compact"]

@@ -43,6 +43,7 @@ class Chain:
     def __init__(self):
         self.keyring = Keyring()
         self.blocks = {}
+        self.deposits = set()  # blocks the view lists as deposit blocks
 
     def signer(self, name):
         return self.keyring.new_signer(name)
@@ -51,7 +52,9 @@ class Chain:
         self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
 
     def view(self):
-        return RootView({n: b.root for n, b in self.blocks.items()})
+        return RootView(
+            {n: b.root for n, b in self.blocks.items()}, deposit_blocks=frozenset(self.deposits)
+        )
 
     def witness(self, slot, number):
         return self.blocks[number].prove(slot)
@@ -111,6 +114,30 @@ def test_partition_gap_rejected(chain):
     del history.excl[2000]
     verdict = verify(chain, history)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
+
+
+def test_other_coins_deposit_blocks_are_skipped(chain):
+    # block 2 is slot 1's deposit block: slot 0 cannot be in it
+    chain.add_block(2, {1: make_deposit_tx(1, chain.signer("dave").address)})
+    assert set(chain.history(0, 1).excl) == {2, 2000, 4000}  # no deposit blocks listed
+
+    chain.deposits = {1, 2}
+    history = chain.history(0, 1)
+    assert set(history.incl) == {1, 1000, 3000}
+    assert set(history.excl) == {2000, 4000}
+    assert verify(chain, history)
+
+    padded = chain.history(0, 1)
+    padded.excl[2] = chain.witness(0, 2)
+    verdict = verify(chain, padded)
+    assert not verdict and verdict.reason is Reason.PARTITION_GAP
+    assert verdict.detail == "missing=[] extra=[2]"
+
+    # the coin's own deposit block stays required, though it is a deposit block
+    del history.incl[1]
+    verdict = verify(chain, history)
+    assert not verdict and verdict.reason is Reason.PARTITION_GAP
+    assert verdict.detail == "missing=[1] extra=[]"
 
 
 def test_wrong_deposit_owner_rejected(chain):

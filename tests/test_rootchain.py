@@ -33,7 +33,7 @@ BOND = PARAMS.bond_amount
 class Fixture:
     """Contract plus hand-built blocks: deposit, Alice->Bob, Bob->Carol."""
 
-    def __init__(self):
+    def __init__(self, params=PARAMS):
         self.keyring = Keyring()
         self.operator = self.keyring.new_signer("operator")
         self.alice = self.keyring.new_signer("alice")
@@ -47,7 +47,7 @@ class Fixture:
         self.contract = PlasmaContract(
             operator=self.operator.address,
             keyring=self.keyring,
-            params=PARAMS,
+            params=params,
             initial_balances=balances,
         )
         self.blocks = {}
@@ -91,6 +91,23 @@ def test_block_numbering_interleaves_deposits():
     assert f.commit({}).number == 1000
     assert f.contract.deposit(f.carol.address, 1)[1] == 1001
     assert f.commit({}).number == 2000
+
+
+def test_root_view_lists_exactly_the_deposit_blocks():
+    """Deposits skip the interval multiples and operator blocks take only
+    those; the view lists every coin's deposit block and no operator block,
+    and a history runs from the coin's deposit over operator blocks only."""
+    f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
+    numbers = [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)]
+    assert numbers == [1, 2, 3] and f.commit({}).number == 4
+    numbers = [f.contract.deposit(f.bob.address, 1)[1] for _ in range(4)]
+    assert numbers == [5, 6, 7, 9] and f.commit({}).number == 12
+    view = f.contract.root_view()
+    assert view.deposit_blocks == {c.deposit_block for c in f.contract.coins.values()}
+    assert view.roots.keys() - view.deposit_blocks == {4, 12}
+    assert view.history_blocks(1) == [1, 4, 12]
+    assert view.history_blocks(6) == [6, 12]
+    assert view.history_blocks(6, after=6) == [12]
 
 
 def test_deposit_moves_value_to_escrow():

@@ -1,5 +1,6 @@
 """Scripted scenarios, determinism, and small fuzz smoke runs."""
 
+import hashlib
 import json
 
 import pytest
@@ -68,3 +69,21 @@ def test_fuzz_seeds_differ():
     a = fuzz(200, seed=1)
     b = fuzz(200, seed=2)
     assert a.event_trace != b.event_trace
+
+
+# sha256 of the reports below, concatenated in order; a change that alters
+# behaviour on purpose updates it and says why
+REPORTS_DIGEST = "a49a6d87382bfa7f27b60cbd235cd03d698ba05854612ce0957db5d160ac6621"
+
+
+def test_reports_are_byte_identical():
+    """S1-S5 with the watcher on, then off, then fuzz(1000) at seeds 0-5,
+    honest, then byzantine: every report serializes to the recorded bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(SCENARIOS):
+        for watcher in (True, False):
+            digest.update(run(name, watcher=watcher).to_json().encode())
+    for seed in range(6):
+        for byzantine in (False, True):
+            digest.update(fuzz(1000, seed=seed, byzantine=byzantine).to_json().encode())
+    assert digest.hexdigest() == REPORTS_DIGEST

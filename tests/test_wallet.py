@@ -269,12 +269,11 @@ def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
     assert bob._checkpoints[slot].upto == sim.contract.root_view().head
 
 
-def test_handoff_cost_does_not_grow_with_coin_age(monkeypatch):
-    """A receiver verifies only the blocks it has not seen: one coin at
-    depth 64, handed round-robin among 4 wallets, costs as many hashes and
-    signature recoveries at hand-off 16 as at hand-off 64."""
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of hashes, signature recoveries and proof verifications."""
     counts = Counter()
-    hash_pair, recover = smt.hash_pair, Keyring.recover
+    hash_pair, recover, verify = smt.hash_pair, Keyring.recover, smt.verify
 
     def counted_hash_pair(left, right):
         counts["hashes"] += 1
@@ -284,8 +283,20 @@ def test_handoff_cost_does_not_grow_with_coin_age(monkeypatch):
         counts["recoveries"] += 1
         return recover(keyring, digest, sig)
 
+    def counted_verify(*args):
+        counts["verifies"] += 1
+        return verify(*args)
+
     monkeypatch.setattr(smt, "hash_pair", counted_hash_pair)
     monkeypatch.setattr(Keyring, "recover", counted_recover)
+    monkeypatch.setattr(smt, "verify", counted_verify)
+    return counts
+
+
+def test_handoff_cost_does_not_grow_with_coin_age(counts):
+    """A receiver verifies only the blocks it has not seen: one coin at
+    depth 64, handed round-robin among 4 wallets, costs as many hashes and
+    signature recoveries at hand-off 16 as at hand-off 64."""
     sim = Simulation(params=ChainParams(smt_depth=64))
     names = ["w0", "w1", "w2", "w3"]
     slot = sim.deposit(names[0], 5)
@@ -298,3 +309,20 @@ def test_handoff_cost_does_not_grow_with_coin_age(monkeypatch):
     # receiver has not verified, 64 hashes each; those four signatures plus
     # the operator's and the shadow ledger's check of the new spend
     assert cost[16] == cost[64] == (5 * 64, 6)
+
+
+@pytest.mark.parametrize("others", [0, 50])
+def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
+    """A fresh receiver verifies the coin's deposit proof and one proof per
+    operator block since; other coins' deposit blocks, here interleaved
+    with those operator blocks, cost it nothing."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    for _ in range(2):
+        for _ in range(others // 2):
+            sim.deposit("dave", 1)
+        sim.commit_block()
+    history = handed_over(sim, "alice", slot, "bob")
+    counts.clear()
+    assert sim.actor("bob").receive_coin(history, sim.contract.root_view())
+    assert counts["verifies"] == 1 + 3
