@@ -33,6 +33,6 @@ from .smt import (
     SparseMerkleTree,
     verify,
 )
-from .wallet import Wallet, WalletPolicy
+from .wallet import Wallet
 
 __version__ = "0.1.0"

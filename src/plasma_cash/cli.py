@@ -40,7 +40,6 @@ def main():
 
 @main.command("run")
 @click.option("--scenario", "name", required=True, help="scenario name (S1..S5)")
-@click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--maturity", type=int, default=None, help="maturity period override")
 @click.option("--bond", type=int, default=None, help="bond amount override")
 @click.option("--smt-depth", type=int, default=None, help="tree depth override")
@@ -50,10 +49,10 @@ def main():
               help="run the defending wallet watcher")
 @click.option("--json", "json_path", type=click.Path(), default=None,
               help="write the full report to this path")
-def run_cmd(name, seed, maturity, bond, smt_depth, config_file, watcher, json_path):
+def run_cmd(name, maturity, bond, smt_depth, config_file, watcher, json_path):
     """Run one scripted scenario and check its expected outcome."""
     params = _params(maturity, bond, smt_depth, config_file)
-    report = scn.run(name, seed=seed, params=params, watcher=watcher)
+    report = scn.run(name, params=params, watcher=watcher)
     _write_report(report.to_json(), json_path)
     click.echo(f"{report.name}: {'PASS' if report.passed else 'FAIL'}")
     for failure in report.failures:

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction
+from .core import Address, Keyring, PlasmaBlock, Transaction
 from .errors import NotOwned, PlasmaError
 from .history import Verdict
 from .operator_node import OperatorMode, PlasmaOperator, TxReceipt
 from .rootchain import ChainParams, PlasmaContract
-from .wallet import Wallet, WalletPolicy
+from .wallet import Wallet
 
 
 class ShadowLedger:
@@ -72,15 +72,10 @@ class Simulation:
 
     # -- actors --
 
-    def actor(self, name: str, auto_challenge: bool = True) -> Wallet:
+    def actor(self, name: str) -> Wallet:
         if name not in self.wallets:
             signer = self.keyring.new_signer(name)
-            self.wallets[name] = Wallet(
-                signer,
-                self.keyring,
-                self.contract,
-                WalletPolicy(auto_challenge=auto_challenge),
-            )
+            self.wallets[name] = Wallet(signer, self.keyring, self.contract)
             self.contract.balances[signer.address] = self.initial_balance
         return self.wallets[name]
 
@@ -132,21 +127,26 @@ class Simulation:
         exit_tx = wallet.last_inclusion(slot)
         parent = exit_tx.tx.parent_block
         parent_tx = None if exit_tx.tx.is_deposit else wallet.coins[slot].incl[parent]
-        self.exit_with(name, slot, parent_tx, exit_tx)
+        self.contract.start_exit(wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount)
 
-    def exit_with(self, name: str, slot: int, parent_tx: Optional[IncludedTx], exit_tx: IncludedTx):
-        """Exit with explicit witnesses (used by attackers and scripted runs)."""
+    def exit_with(self, name: str, slot: int, parent_block: Optional[int], exit_block: int):
+        """Exit with the operator's witnesses of the coin at ``parent_block``
+        (None for a deposit exit) and ``exit_block``, not the wallet's own
+        history (used by attackers and scripted runs).  A withheld witness
+        raises WitnessUnavailable before any exit starts."""
+        witness = self.operator.get_witness
+        parent_tx = None if parent_block is None else witness(slot, parent_block)
+        exit_tx = witness(slot, exit_block)
         self.contract.start_exit(
             self.address(name), slot, parent_tx, exit_tx, self.params.bond_amount
         )
 
-    def run_watchers(self, names: Optional[List[str]] = None):
+    def run_watchers(self):
         """Each wallet syncs its coins (best effort) and challenges any
         fraudulent exits it can prove wrong."""
         actions = []
         view = self.contract.root_view()
-        for name in names if names is not None else list(self.wallets):
-            wallet = self.actor(name)
+        for wallet in self.wallets.values():
             for slot in list(wallet.coins):
                 try:
                     wallet.sync(slot, self.operator.get_witness, view)

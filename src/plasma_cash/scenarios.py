@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import random
 from itertools import count
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import smt
-from .core import IncludedTx, Transaction, make_transfer_tx
+from .core import IncludedTx, PlasmaBlock, Transaction, make_transfer_tx
 from .errors import (
     BadSignature,
     PlasmaError,
@@ -46,24 +46,23 @@ class ScenarioReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "passed": self.passed,
-                "failures": self.failures,
-                "event_trace": self.event_trace,
-                "bond_ledger": self.bond_ledger,
-                "elapsed_steps": self.elapsed_steps,
-                "extras": self.extras,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-class _Checks:
-    def __init__(self):
+DENOM = 5  # the value of every scripted scenario's coin
+
+
+class _Run:
+    """One run: the simulation, the balances it started from and the
+    failures seen so far, with the moves the scripted scenarios repeat."""
+
+    def __init__(self, name: str, sim: Simulation, actors: Iterable[str]):
+        self.name = name
+        self.sim = sim
         self.failures: List[str] = []
+        for actor in actors:
+            sim.actor(actor)
+        self.before = sim.balances_snapshot()
 
     def expect(self, cond: bool, message: str):
         if not cond:
@@ -79,206 +78,175 @@ class _Checks:
             return
         self.failures.append(f"{message} (no error raised)")
 
+    def expect_delta(self, name: str, delta: int, message: str):
+        """``name``'s balance has moved by exactly ``delta`` since the start."""
+        self.expect(self.sim.balances_snapshot()[name] - self.before[name] == delta, message)
 
-def _finish(name: str, sim: Simulation, checks: _Checks, before: Dict[str, int], extras=None) -> ScenarioReport:
-    after = sim.balances_snapshot()
-    ledger = {k: after.get(k, 0) - before.get(k, 0) for k in set(before) | set(after)}
-    return ScenarioReport(
-        name=name,
-        passed=not checks.failures,
-        failures=checks.failures,
-        event_trace=sim.event_trace(),
-        bond_ledger=ledger,
-        elapsed_steps=len(sim.contract.events),
-        extras=extras or {},
-    )
+    def handoff(self, sender: str, slot: int, receiver: str):
+        """Honest hand-off: transfer, commit the block, deliver the history."""
+        _, receipt = self.sim.transfer(sender, slot, receiver)
+        self.expect(receipt.accepted, f"{sender}'s transfer must be accepted")
+        self.sim.commit_block()
+        self.expect(
+            bool(self.sim.deliver(sender, slot, receiver)), f"{receiver} must accept the history"
+        )
+
+    def spend(self, sender: str, slot: int, parent_block: int, receiver: str) -> PlasmaBlock:
+        """``sender`` signs a spend of the coin's output at ``parent_block``
+        straight to the operator, which includes it in a new block."""
+        sim = self.sim
+        tx = make_transfer_tx(sim.actor(sender).signer, slot, parent_block, sim.address(receiver))
+        self.expect(sim.operator.submit_tx(tx).accepted, f"the operator includes {sender}'s spend")
+        return sim.commit_block()
+
+    def challenged(self, kinds: List[str], who: str):
+        """Run the watchers: exactly the challenges ``kinds`` succeed."""
+        actions = self.sim.run_watchers()
+        self.expect(
+            [a.kind for a in actions if a.ok] == kinds,
+            f"{who} must challenge with {kinds}, got {actions}",
+        )
+
+    def settle(self, name: str, slot: int):
+        """The live exit of ``slot`` matures, finalizes and pays ``name``."""
+        sim = self.sim
+        sim.advance_time(sim.params.maturity_period)
+        self.expect(sim.finalize(slot) == "Finalized", f"the exit of slot {slot} must finalize")
+        self.expect(sim.withdraw(name, slot) == DENOM, f"{name} must withdraw the denomination")
+
+    def exit_and_withdraw(self, name: str, slot: int):
+        """``name`` exits ``slot`` from its own history, unchallenged."""
+        self.sim.start_exit(name, slot)
+        self.sim.run_watchers()
+        self.settle(name, slot)
+
+    def theft_settles(self, thief: str, slot: int):
+        """With no watcher, the fraudulent exit matures and pays the thief."""
+        self.settle(thief, slot)
+        self.expect(
+            self.sim.contract.coins[slot].owner != self.sim.ledger.true_owner(slot),
+            "attack success: the withdrawer is not the true owner",
+        )
+
+    def report(self, extras: Optional[dict] = None) -> ScenarioReport:
+        sim = self.sim
+        before, after = self.before, sim.balances_snapshot()
+        ledger = {k: after.get(k, 0) - before.get(k, 0) for k in set(before) | set(after)}
+        return ScenarioReport(
+            name=self.name,
+            passed=not self.failures,
+            failures=self.failures,
+            event_trace=sim.event_trace(),
+            bond_ledger=ledger,
+            elapsed_steps=len(sim.contract.events),
+            extras=extras or {},
+        )
 
 
 # ---------------------------------------------------------------------------
 # S1: deposit -> two transfers (with a gap block) -> exit -> withdraw
 # ---------------------------------------------------------------------------
 
-def scenario_s1(seed: int, params: ChainParams, watcher: bool = True) -> ScenarioReport:
-    sim = Simulation(params=params)
-    checks = _Checks()
-    for name in ("alice", "bob", "charlie"):
-        sim.actor(name)
-    before = sim.balances_snapshot()
-    denom = 5
+def scenario_s1(params: ChainParams, watcher: bool = True) -> ScenarioReport:
+    run = _Run("S1", Simulation(params=params), ("alice", "bob", "charlie"))
+    sim = run.sim
 
-    slot = sim.deposit("alice", denom)
-    _, receipt = sim.transfer("alice", slot, "bob")
-    checks.expect(receipt.accepted, "honest transfer must be accepted")
-    sim.commit_block()
-    checks.expect(bool(sim.deliver("alice", slot, "bob")), "Bob must accept the history")
-
+    slot = sim.deposit("alice", DENOM)
+    run.handoff("alice", slot, "bob")
     sim.commit_block()  # a block in which the coin does not move
+    run.handoff("bob", slot, "charlie")
+    run.exit_and_withdraw("charlie", slot)
 
-    _, receipt = sim.transfer("bob", slot, "charlie")
-    checks.expect(receipt.accepted, "second transfer must be accepted")
-    sim.commit_block()
-    checks.expect(bool(sim.deliver("bob", slot, "charlie")), "Charlie must accept the history")
-
-    sim.start_exit("charlie", slot)
-    sim.run_watchers()
-    sim.advance_time(params.maturity_period)
-    checks.expect(sim.finalize(slot) == "Finalized", "unchallenged exit must finalize")
-    checks.expect(sim.withdraw("charlie", slot) == denom, "withdrawal must pay the denomination")
-
-    checks.expect(
+    run.expect(
         sim.contract.coins[slot].state is CoinState.WITHDRAWN, "coin must end WITHDRAWN"
     )
-    checks.expect(
+    run.expect(
         sim.ledger.true_owner(slot) == sim.address("charlie"),
         "ground truth must agree Charlie owns the coin",
     )
-    after = sim.balances_snapshot()
-    checks.expect(
-        after["charlie"] - before["charlie"] == denom,
-        "Charlie nets exactly the denomination (bond refunded)",
-    )
-    checks.expect(after["alice"] - before["alice"] == -denom, "Alice paid the deposit")
+    run.expect_delta("charlie", DENOM, "Charlie nets exactly the denomination (bond refunded)")
+    run.expect_delta("alice", -DENOM, "Alice paid the deposit")
     expected_kinds = [
         "Deposit", "BlockSubmitted", "BlockSubmitted", "BlockSubmitted",
         "ExitStarted", "ExitFinalized", "Withdrawn",
     ]
-    checks.expect(sim.event_kinds() == expected_kinds, f"event trace {sim.event_kinds()}")
-    return _finish("S1", sim, checks, before)
+    run.expect(sim.event_kinds() == expected_kinds, f"event trace {sim.event_kinds()}")
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
 # S2: exit of a spent coin, challenged with the direct spend
 # ---------------------------------------------------------------------------
 
-def scenario_s2(seed: int, params: ChainParams, watcher: bool = True) -> ScenarioReport:
-    sim = Simulation(params=params)
-    checks = _Checks()
-    for name in ("alice", "bob"):
-        sim.actor(name)
-    before = sim.balances_snapshot()
-    denom = 5
+def scenario_s2(params: ChainParams, watcher: bool = True) -> ScenarioReport:
+    run = _Run("S2", Simulation(params=params), ("alice", "bob"))
+    sim = run.sim
 
-    slot = sim.deposit("alice", denom)
-    deposit_block = sim.contract.coins[slot].deposit_block
-    sim.transfer("alice", slot, "bob")
-    sim.commit_block()
-    checks.expect(bool(sim.deliver("alice", slot, "bob")), "Bob must accept the history")
+    slot = sim.deposit("alice", DENOM)
+    run.handoff("alice", slot, "bob")
 
     # Alice immediately exits the coin she just spent, using the deposit tx
-    deposit_itx = sim.operator.get_witness(slot, deposit_block)
-    sim.exit_with("alice", slot, None, deposit_itx)
+    sim.exit_with("alice", slot, None, sim.contract.coins[slot].deposit_block)
 
-    if watcher:
-        actions = sim.run_watchers()
-        checks.expect(
-            [a.kind for a in actions if a.ok] == ["after"],
-            f"Bob must cancel via a direct-spend challenge, got {actions}",
-        )
-        checks.expect(slot not in sim.contract.exits, "exit must be cancelled")
-        checks.expect(
-            sim.contract.coins[slot].state is CoinState.DEPOSITED,
-            "coin must return to DEPOSITED",
-        )
-        after = sim.balances_snapshot()
-        checks.expect(
-            after["alice"] - before["alice"] == -denom - params.bond_amount,
-            "Alice loses deposit value and her slashed bond",
-        )
-        checks.expect(
-            after["bob"] - before["bob"] == params.bond_amount,
-            "Bob is paid Alice's bond",
-        )
-        checks.expect("ChallengedAfter" in sim.event_kinds(), "challenge must be logged")
-        # Bob can still settle his coin afterwards
-        sim.start_exit("bob", slot)
-        sim.advance_time(params.maturity_period)
-        sim.finalize(slot)
-        checks.expect(sim.withdraw("bob", slot) == denom, "Bob withdraws his coin")
-    else:
-        sim.advance_time(params.maturity_period)
-        checks.expect(sim.finalize(slot) == "Finalized", "unwatched fraud must finalize")
-        sim.withdraw("alice", slot)
-        checks.expect(
-            sim.contract.coins[slot].owner != sim.ledger.true_owner(slot),
-            "attack success: the withdrawer is not the true owner",
-        )
-    return _finish("S2", sim, checks, before)
+    if not watcher:
+        run.theft_settles("alice", slot)
+        return run.report()
+    run.challenged(["after"], "Bob")
+    run.expect(slot not in sim.contract.exits, "exit must be cancelled")
+    run.expect(
+        sim.contract.coins[slot].state is CoinState.DEPOSITED,
+        "coin must return to DEPOSITED",
+    )
+    run.expect_delta(
+        "alice", -DENOM - params.bond_amount, "Alice loses deposit value and her slashed bond"
+    )
+    run.expect_delta("bob", params.bond_amount, "Bob is paid Alice's bond")
+    run.expect("ChallengedAfter" in sim.event_kinds(), "challenge must be logged")
+    # Bob can still settle his coin afterwards
+    run.exit_and_withdraw("bob", slot)
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
 # S3: double-spend exit, challenged with the earlier same-parent spend
 # ---------------------------------------------------------------------------
 
-def scenario_s3(seed: int, params: ChainParams, watcher: bool = True) -> ScenarioReport:
+def scenario_s3(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim = Simulation(params=params, operator_mode=OperatorMode.INCLUDE_DOUBLE_SPEND)
-    checks = _Checks()
-    for name in ("alice", "bob", "charlie"):
-        sim.actor(name)
-    before = sim.balances_snapshot()
-    denom = 5
+    run = _Run("S3", sim, ("alice", "bob", "charlie"))
 
-    slot = sim.deposit("alice", denom)
+    slot = sim.deposit("alice", DENOM)
     deposit_block = sim.contract.coins[slot].deposit_block
-    sim.transfer("alice", slot, "bob")
-    sim.commit_block()
-    checks.expect(bool(sim.deliver("alice", slot, "bob")), "Bob must accept the history")
+    run.handoff("alice", slot, "bob")
 
     # colluding operator includes Alice's second spend of the same parent
-    double = make_transfer_tx(
-        sim.wallets["alice"].signer, slot, deposit_block, sim.address("charlie")
+    double_block = run.spend("alice", slot, deposit_block, "charlie")
+    sim.exit_with("charlie", slot, deposit_block, double_block.number)
+
+    if not watcher:
+        run.theft_settles("charlie", slot)
+        return run.report()
+    run.challenged(["between"], "Bob")
+    run.expect(slot not in sim.contract.exits, "exit must be cancelled")
+    run.expect_delta("charlie", -params.bond_amount, "Charlie loses his bond")
+    run.expect_delta("bob", params.bond_amount, "Bob is paid Charlie's bond")
+    run.expect("ChallengedBetween" in sim.event_kinds(), "challenge must be logged")
+    run.expect(
+        sim.ledger.true_owner(slot) == sim.address("bob"),
+        "ground truth: the earliest owner keeps the coin",
     )
-    checks.expect(sim.operator.submit_tx(double).accepted, "colluding operator accepts the double spend")
-    double_block = sim.commit_block()
-
-    parent_itx = sim.operator.get_witness(slot, deposit_block)
-    exit_itx = sim.operator.get_witness(slot, double_block.number)
-    sim.exit_with("charlie", slot, parent_itx, exit_itx)
-
-    if watcher:
-        actions = sim.run_watchers()
-        checks.expect(
-            [a.kind for a in actions if a.ok] == ["between"],
-            f"Bob must cancel via a between challenge, got {actions}",
-        )
-        checks.expect(slot not in sim.contract.exits, "exit must be cancelled")
-        after = sim.balances_snapshot()
-        checks.expect(
-            after["charlie"] - before["charlie"] == -params.bond_amount,
-            "Charlie loses his bond",
-        )
-        checks.expect(
-            after["bob"] - before["bob"] == params.bond_amount,
-            "Bob is paid Charlie's bond",
-        )
-        checks.expect("ChallengedBetween" in sim.event_kinds(), "challenge must be logged")
-        checks.expect(
-            sim.ledger.true_owner(slot) == sim.address("bob"),
-            "ground truth: the earliest owner keeps the coin",
-        )
-    else:
-        sim.advance_time(params.maturity_period)
-        checks.expect(sim.finalize(slot) == "Finalized", "unwatched fraud must finalize")
-        sim.withdraw("charlie", slot)
-        checks.expect(
-            sim.contract.coins[slot].owner != sim.ledger.true_owner(slot),
-            "attack success: the withdrawer is not the true owner",
-        )
-    return _finish("S3", sim, checks, before)
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
 # S4: invalid-history exit, killed by an unanswered interactive challenge
 # ---------------------------------------------------------------------------
 
-def scenario_s4(seed: int, params: ChainParams, watcher: bool = True) -> ScenarioReport:
+def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim = Simulation(params=params, operator_mode=OperatorMode.INCLUDE_FORGED_TX)
-    checks = _Checks()
-    for name in ("alice", "bob", "charlie", "dylan"):
-        sim.actor(name)
-    before = sim.balances_snapshot()
-    denom = 5
+    run = _Run("S4", sim, ("alice", "bob", "charlie", "dylan"))
 
-    slot = sim.deposit("alice", denom)
+    slot = sim.deposit("alice", DENOM)
     deposit_block = sim.contract.coins[slot].deposit_block
 
     # operator includes a forged Alice -> Bob spend (garbage signature)
@@ -291,93 +259,63 @@ def scenario_s4(seed: int, params: ChainParams, watcher: bool = True) -> Scenari
     sim.operator.inject_raw_tx(forged)
     forged_block = sim.commit_block()
 
-    bob_tx = make_transfer_tx(
-        sim.wallets["bob"].signer, slot, forged_block.number, sim.address("charlie")
-    )
-    checks.expect(sim.operator.submit_tx(bob_tx).accepted, "Bob's spend builds on the forgery")
-    charlie_block = sim.commit_block()
-
-    charlie_tx = make_transfer_tx(
-        sim.wallets["charlie"].signer, slot, charlie_block.number, sim.address("dylan")
-    )
-    checks.expect(sim.operator.submit_tx(charlie_tx).accepted, "Charlie forwards to Dylan")
-    dylan_block = sim.commit_block()
+    # Bob's spend builds on the forgery, and Charlie forwards it to Dylan
+    charlie_block = run.spend("bob", slot, forged_block.number, "charlie")
+    dylan_block = run.spend("charlie", slot, charlie_block.number, "dylan")
 
     # From the contract's point of view Dylan's exit looks valid
-    parent_itx = sim.operator.get_witness(slot, charlie_block.number)
-    exit_itx = sim.operator.get_witness(slot, dylan_block.number)
-    sim.exit_with("dylan", slot, parent_itx, exit_itx)
+    sim.exit_with("dylan", slot, charlie_block.number, dylan_block.number)
 
     # an honest receiver would have rejected this history outright
     full = build_history(slot, deposit_block, sim.contract.root_view(), sim.operator.get_witness)
     verdict = verify_history(
         full, sim.contract.root_view(), sim.address("alice"), sim.keyring, sim.contract.config
     )
-    checks.expect(not verdict.accepted, "the forged history must not verify")
+    run.expect(not verdict.accepted, "the forged history must not verify")
 
-    if watcher:
-        actions = sim.run_watchers()
-        checks.expect(
-            [a.kind for a in actions if a.ok] == ["before"],
-            f"Alice must stake an interactive challenge, got {actions}",
-        )
-        challenge_id = sim.contract.exits[slot].challenges[0].challenge_id
-        # the only would-be response is the forged spend, which cannot recover
-        forged_itx = sim.operator.get_witness(slot, forged_block.number)
-        checks.expect_raises(
-            BadSignature,
-            lambda: sim.contract.respond_challenge_before(
-                sim.address("dylan"), slot, challenge_id, forged_itx
-            ),
-            "responding with the forged spend must fail",
-        )
-        sim.advance_time(params.maturity_period)
-        checks.expect(
-            sim.finalize(slot) == "CancelledByChallenge",
-            "exit must die with an unanswered challenge",
-        )
-        checks.expect(
-            sim.contract.coins[slot].state is CoinState.DEPOSITED,
-            "coin must return to DEPOSITED",
-        )
-        after = sim.balances_snapshot()
-        checks.expect(
-            after["dylan"] - before["dylan"] == -params.bond_amount,
-            "Dylan loses his exit bond",
-        )
-        checks.expect(
-            after["alice"] - before["alice"] == params.bond_amount - denom,
-            "Alice wins the exit bond and has her challenge bond back",
-        )
-        # Alice can still settle her coin
-        sim.start_exit("alice", slot)
-        sim.advance_time(params.maturity_period)
-        sim.finalize(slot)
-        checks.expect(sim.withdraw("alice", slot) == denom, "Alice recovers her coin")
-    else:
-        sim.advance_time(params.maturity_period)
-        checks.expect(sim.finalize(slot) == "Finalized", "unwatched fraud must finalize")
-        sim.withdraw("dylan", slot)
-        checks.expect(
-            sim.contract.coins[slot].owner != sim.ledger.true_owner(slot),
-            "attack success: the withdrawer is not the true owner",
-        )
-    return _finish("S4", sim, checks, before)
+    if not watcher:
+        run.theft_settles("dylan", slot)
+        return run.report()
+    run.challenged(["before"], "Alice")
+    challenge_id = sim.contract.exits[slot].challenges[0].challenge_id
+    # the only would-be response is the forged spend, which cannot recover
+    forged_itx = sim.operator.get_witness(slot, forged_block.number)
+    run.expect_raises(
+        BadSignature,
+        lambda: sim.contract.respond_challenge_before(
+            sim.address("dylan"), slot, challenge_id, forged_itx
+        ),
+        "responding with the forged spend must fail",
+    )
+    sim.advance_time(params.maturity_period)
+    run.expect(
+        sim.finalize(slot) == "CancelledByChallenge",
+        "exit must die with an unanswered challenge",
+    )
+    run.expect(
+        sim.contract.coins[slot].state is CoinState.DEPOSITED,
+        "coin must return to DEPOSITED",
+    )
+    run.expect_delta("dylan", -params.bond_amount, "Dylan loses his exit bond")
+    run.expect_delta(
+        "alice",
+        params.bond_amount - DENOM,
+        "Alice wins the exit bond and has her challenge bond back",
+    )
+    # Alice can still settle her coin
+    run.exit_and_withdraw("alice", slot)
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
 # S5: witness withholding and the griefing challenge
 # ---------------------------------------------------------------------------
 
-def scenario_s5(seed: int, params: ChainParams, watcher: bool = True) -> ScenarioReport:
+def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim = Simulation(params=params, operator_mode=OperatorMode.WITHHOLD_WITNESS)
-    checks = _Checks()
-    for name in ("alice", "bob"):
-        sim.actor(name)
-    before = sim.balances_snapshot()
-    denom = 5
+    run = _Run("S5", sim, ("alice", "bob"))
 
-    slot = sim.deposit("alice", denom)
+    slot = sim.deposit("alice", DENOM)
     deposit_block = sim.contract.coins[slot].deposit_block
     sim.transfer("alice", slot, "bob")
     block = sim.commit_block()
@@ -386,7 +324,7 @@ def scenario_s5(seed: int, params: ChainParams, watcher: bool = True) -> Scenari
     # neither party can assemble a verifiable history
     view = sim.contract.root_view()
     for _ in ("alice", "bob"):
-        checks.expect_raises(
+        run.expect_raises(
             WitnessUnavailable,
             lambda: build_history(slot, deposit_block, view, sim.operator.get_witness),
             "withheld witness must surface, not be fabricated",
@@ -394,12 +332,12 @@ def scenario_s5(seed: int, params: ChainParams, watcher: bool = True) -> Scenari
 
     if not watcher:
         # Alice never logs in: the coin is simply stuck in limbo
-        checks.expect(slot not in sim.contract.exits, "no exit was ever started")
-        checks.expect(
+        run.expect(slot not in sim.contract.exits, "no exit was ever started")
+        run.expect(
             sim.contract.coins[slot].state is CoinState.DEPOSITED,
             "attack success: the coin stays frozen on the plasmachain",
         )
-        return _finish("S5", sim, checks, before)
+        return run.report()
 
     # Alice must assume the operator is malicious and exit with her last
     # provable ownership: the deposit
@@ -409,35 +347,32 @@ def scenario_s5(seed: int, params: ChainParams, watcher: bool = True) -> Scenari
     revealed = sim.operator.blocks[block.number].prove(slot)
     sim.contract.challenge_after(sim.operator.address, slot, revealed)
 
-    checks.expect(slot not in sim.contract.exits, "exit must be cancelled")
-    after = sim.balances_snapshot()
-    checks.expect(
-        after["alice"] - before["alice"] == -denom - params.bond_amount,
+    run.expect(slot not in sim.contract.exits, "exit must be cancelled")
+    run.expect_delta(
+        "alice",
+        -DENOM - params.bond_amount,
         "Alice loses exactly one bond (plus the still-deposited value)",
     )
-    checks.expect(
-        after["operator"] - before["operator"] == params.bond_amount,
-        "the operator pockets the bond",
-    )
+    run.expect_delta("operator", params.bond_amount, "the operator pockets the bond")
 
     # but the challenge event revealed the witness data for everyone
     challenge_events = [e for e in sim.contract.events if e.kind == "ChallengedAfter"]
-    checks.expect(len(challenge_events) == 1, "exactly one challenge event")
+    run.expect(len(challenge_events) == 1, "exactly one challenge event")
     if challenge_events:
         config = sim.contract.config
         itx = IncludedTx.decode(bytes.fromhex(challenge_events[0].data["witness"]), config)
-        checks.expect(
+        run.expect(
             smt.verify(slot, itx.tx.hash(), itx.proof, sim.contract.roots[itx.blk_number], config),
             "revealed witness must prove the withheld inclusion",
         )
-        checks.expect(
+        run.expect(
             itx.tx.new_owner == sim.address("bob"),
             "both parties now know the transfer to Bob settled",
         )
-    return _finish("S5", sim, checks, before)
+    return run.report()
 
 
-SCENARIOS: Dict[str, Callable[[int, ChainParams, bool], ScenarioReport]] = {
+SCENARIOS: Dict[str, Callable[[ChainParams, bool], ScenarioReport]] = {
     "S1": scenario_s1,
     "S2": scenario_s2,
     "S3": scenario_s3,
@@ -448,13 +383,12 @@ SCENARIOS: Dict[str, Callable[[int, ChainParams, bool], ScenarioReport]] = {
 
 def run(
     name: str,
-    seed: int = 0,
     params: Optional[ChainParams] = None,
     watcher: bool = True,
 ) -> ScenarioReport:
     if name not in SCENARIOS:
         raise UnknownScenario(f"{name!r}; known: {sorted(SCENARIOS)}")
-    return SCENARIOS[name](seed, params or ChainParams(), watcher)
+    return SCENARIOS[name](params or ChainParams(), watcher)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +414,15 @@ def fuzz(
     params = params or ChainParams(maturity_period=8, smt_depth=16)
     rng = random.Random(seed)
     mode = OperatorMode.INCLUDE_DOUBLE_SPEND if byzantine else OperatorMode.HONEST
-    sim = Simulation(params=params, operator_mode=mode, initial_balance=1_000_000)
-    checks = _Checks()
-
     honest = [f"h{i}" for i in range(4)]
     attacker = "attacker" if byzantine else None
     actors = honest + ([attacker] if attacker else [])
-    for name in actors:
-        sim.actor(name)
-    before = sim.balances_snapshot()
+    run = _Run(
+        f"fuzz-{'byzantine' if byzantine else 'honest'}",
+        Simulation(params=params, operator_mode=mode, initial_balance=1_000_000),
+        actors,
+    )
+    sim = run.sim
     total0 = sim.contract.total_value()
 
     pending: Dict[int, Tuple[str, str]] = {}  # slot -> (sender, receiver), in submission order
@@ -497,14 +431,14 @@ def fuzz(
     stale_credentials: List = []  # (slot, parent_block) the attacker can re-spend
     attacker_deposits: Dict[int, int] = {}  # slot -> deposit block
     deliveries = rejected = 0
-    violations: List[str] = []
+    withdrawn = 0  # coins withdrawn so far; settle_exits makes every withdrawal
     prev_states: Dict[int, CoinState] = {}
 
     addr_to_name = {sim.address(n): n for n in actors}
 
     def note(v: str):
-        if len(violations) < 20:
-            violations.append(v)
+        if len(run.failures) < 20:
+            run.failures.append(v)
 
     live_slots: List[int] = []  # coins not yet withdrawn; slots are minted sequentially
     sweep = count()
@@ -535,17 +469,8 @@ def fuzz(
         if slots is live_slots:
             live_slots[:] = still
 
-    def holder(slot: int) -> Optional[str]:
-        for n in actors:
-            if sim.actor(n).owns(slot):
-                return n
-        return None
-
     def do_deposit():
-        active = sum(
-            1 for c in sim.contract.coins.values() if c.state is not CoinState.WITHDRAWN
-        )
-        if active >= 25:
+        if len(sim.contract.coins) - withdrawn >= 25:
             return
         name = rng.choice(actors)
         slot = sim.deposit(name, rng.randint(1, 9))
@@ -586,6 +511,16 @@ def fuzz(
         pending.clear()
         sim.run_watchers()
 
+    def exit_as(name: str, slot: int, start: Callable[[], None]):
+        """Start an exit; if the contract takes it, record it and let the
+        watchers react."""
+        try:
+            start()
+        except PlasmaError:
+            return
+        exits_started[slot] = name
+        sim.run_watchers()
+
     def do_honest_exit():
         candidates = [(n, s) for n in honest for s in sim.actor(n).coins if free(s)]
         if not candidates:
@@ -594,16 +529,9 @@ def fuzz(
         tip = sim.actor(name).last_inclusion(slot)
         if tip.tx.new_owner != sim.address(name):
             return  # already signed away on-chain; cannot exit
-        try:
-            sim.start_exit(name, slot)
-        except PlasmaError:
-            return
-        exits_started[slot] = name
-        sim.run_watchers()
+        exit_as(name, slot, lambda: sim.start_exit(name, slot))
 
     def do_attack():
-        if not byzantine:
-            return
         choice = rng.random()
         if choice < 0.5 and stale_credentials:
             # double spend an old parent to self, then exit with it
@@ -617,28 +545,19 @@ def fuzz(
                 return
             block = sim.commit_block()
             sim.run_watchers()
-            try:
-                parent_itx = sim.operator.get_witness(slot, parent_block)
-                exit_itx = sim.operator.get_witness(slot, block.number)
-                sim.exit_with(attacker, slot, parent_itx, exit_itx)
-            except PlasmaError:
-                return
-            exits_started[slot] = attacker
-            sim.run_watchers()
+            exit_as(
+                attacker, slot, lambda: sim.exit_with(attacker, slot, parent_block, block.number)
+            )
         elif attacker_deposits:
             # exit a deposited coin the attacker has since spent away
             slot = rng.choice(sorted(attacker_deposits))
             if not free(slot):
                 return
-            try:
-                deposit_itx = sim.operator.get_witness(slot, attacker_deposits[slot])
-                sim.exit_with(attacker, slot, None, deposit_itx)
-            except PlasmaError:
-                return
-            exits_started[slot] = attacker
-            sim.run_watchers()
+            deposit_block = attacker_deposits[slot]
+            exit_as(attacker, slot, lambda: sim.exit_with(attacker, slot, None, deposit_block))
 
     def settle_exits():
+        nonlocal withdrawn
         for slot, name in list(exits_started.items()):
             ex = sim.contract.exits.get(slot)
             if ex is None:
@@ -657,6 +576,7 @@ def fuzz(
                 note(f"honest coin {slot} finalized to {owner_name}")
             if owner_name is not None:
                 sim.withdraw(owner_name, slot)
+                withdrawn += 1
 
     action_weights = [
         (do_deposit, 3),
@@ -684,12 +604,7 @@ def fuzz(
     if not byzantine and rejected:
         note(f"{rejected} honest deliveries rejected")
 
-    checks.failures.extend(violations)
-    return _finish(
-        f"fuzz-{'byzantine' if byzantine else 'honest'}",
-        sim,
-        checks,
-        before,
+    return run.report(
         extras={
             "steps": steps,
             "seed": seed,

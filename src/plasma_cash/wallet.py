@@ -28,11 +28,6 @@ from .smt import SmtConfig
 
 
 @dataclass
-class WalletPolicy:
-    auto_challenge: bool = True
-
-
-@dataclass
 class ChallengeAction:
     """One attempted challenge, with its outcome."""
 
@@ -43,18 +38,11 @@ class ChallengeAction:
 
 
 class Wallet:
-    def __init__(
-        self,
-        signer: Signer,
-        keyring: Keyring,
-        contract: PlasmaContract,
-        policy: Optional[WalletPolicy] = None,
-    ):
+    def __init__(self, signer: Signer, keyring: Keyring, contract: PlasmaContract):
         self.signer = signer
         self.keyring = keyring
         self.contract = contract
         self.config: SmtConfig = contract.config
-        self.policy = policy or WalletPolicy()
         self.coins: Dict[int, CoinHistory] = {}
         # what this wallet has verified of each coin it ever accepted; kept
         # after release, because the coin may come back
@@ -144,8 +132,6 @@ class Wallet:
         actions: List[ChallengeAction] = []
         events = self.contract.events[self._event_cursor:]
         self._event_cursor = len(self.contract.events)
-        if not self.policy.auto_challenge:
-            return actions
         for event in events:
             if event.kind != "ExitStarted":
                 continue

@@ -7,7 +7,7 @@ import pytest
 from plasma_cash import smt
 from plasma_cash.core import IncludedTx, Keyring, make_transfer_tx
 from plasma_cash.driver import Simulation
-from plasma_cash.errors import NotOwned
+from plasma_cash.errors import NotOwned, WitnessUnavailable
 from plasma_cash.history import CoinHistory, Reason, verify_history
 from plasma_cash.operator_node import OperatorMode
 from plasma_cash.rootchain import ChainParams, CoinState
@@ -113,8 +113,7 @@ def test_watcher_challenges_exit_of_spent_coin():
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
-    dep = sim.operator.get_witness(slot, sim.contract.coins[slot].deposit_block)
-    sim.exit_with("alice", slot, None, dep)  # stale deposit exit
+    sim.exit_with("alice", slot, None, sim.contract.coins[slot].deposit_block)  # stale deposit exit
     actions = sim.run_watchers()
     assert [(a.kind, a.ok) for a in actions] == [("after", True)]
     assert slot not in sim.contract.exits
@@ -130,8 +129,7 @@ def test_watcher_challenges_double_spend_exit():
     stale = make_transfer_tx(alice.signer, slot, dep_block, alice.address)
     assert sim.operator.submit_tx(stale).accepted
     block = sim.commit_block()
-    dep = sim.operator.get_witness(slot, dep_block)
-    sim.exit_with("alice", slot, dep, block.prove(slot))
+    sim.exit_with("alice", slot, dep_block, block.number)
     actions = sim.run_watchers()
     assert [(a.kind, a.ok) for a in actions] == [("between", True)]
     assert slot not in sim.contract.exits
@@ -139,7 +137,7 @@ def test_watcher_challenges_double_spend_exit():
 
 def forged_exit(sim, slot):
     """Mallory forges a spend of Bob's coin and an exit on top of it;
-    returns the (parent, exit) witnesses and starts the exit."""
+    returns the (parent, exit) block numbers and starts the exit."""
     mallory = sim.actor("mallory")
     forged_parent = make_transfer_tx(mallory.signer, slot, 1000, mallory.address)
     sim.operator.inject_raw_tx(forged_parent)
@@ -147,9 +145,9 @@ def forged_exit(sim, slot):
     forged_exit = make_transfer_tx(mallory.signer, slot, p_blk.number, mallory.address)
     sim.operator.inject_raw_tx(forged_exit)
     e_blk = sim.commit_block()
-    witnesses = (p_blk.prove(slot), e_blk.prove(slot))
-    sim.exit_with("mallory", slot, *witnesses)
-    return witnesses
+    blocks = (p_blk.number, e_blk.number)
+    sim.exit_with("mallory", slot, *blocks)
+    return blocks
 
 
 def test_watcher_stakes_before_challenge_on_forged_history():
@@ -170,12 +168,12 @@ def test_watcher_challenges_a_restarted_forged_exit():
     sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
-    witnesses = forged_exit(sim, slot)
+    blocks = forged_exit(sim, slot)
     sim.run_watchers()
     assert finish_exit(sim, slot) == "CancelledByChallenge"
 
     # Mallory starts the very same exit again
-    sim.exit_with("mallory", slot, *witnesses)
+    sim.exit_with("mallory", slot, *blocks)
     actions = sim.run_watchers()
     assert [(a.kind, a.ok) for a in actions] == [("before", True)]
     assert finish_exit(sim, slot) == "CancelledByChallenge"
@@ -194,15 +192,25 @@ def test_watcher_ignores_own_and_honest_exits():
     assert sim.withdraw("bob", slot) == 5
 
 
-def test_watcher_can_be_disabled():
-    sim = make_sim()
-    sim.actor("bob", auto_challenge=False)
+def test_exit_with_a_withheld_witness_starts_no_exit():
+    """``exit_with`` fetches the operator's witnesses before it calls the
+    contract: a withheld parent or exit witness leaves no trace on chain."""
+    sim = make_sim(OperatorMode.WITHHOLD_WITNESS)
     slot = sim.deposit("alice", 5)
-    assert settled_transfer(sim, "alice", slot, "bob")
-    dep = sim.operator.get_witness(slot, sim.contract.coins[slot].deposit_block)
-    sim.exit_with("alice", slot, None, dep)
-    assert sim.run_watchers() == []
-    assert finish_exit(sim, slot) == "Finalized"  # theft goes through
+    sim.transfer("alice", slot, "bob")
+    block = sim.commit_block()
+    sim.operator.withhold(slot, block.number)
+    later = sim.commit_block()
+    dep_block = sim.contract.coins[slot].deposit_block
+    before = sim.balances_snapshot()
+    events = len(sim.contract.events)
+    for blocks in [(dep_block, block.number), (block.number, later.number)]:
+        with pytest.raises(WitnessUnavailable):
+            sim.exit_with("bob", slot, *blocks)
+    assert slot not in sim.contract.exits
+    assert sim.contract.coins[slot].state is CoinState.DEPOSITED
+    assert sim.event_kinds()[events:] == []  # no ExitStarted, nor anything else
+    assert sim.balances_snapshot() == before
 
 
 # -- verified checkpoints --
