@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import random
 import statistics
-from typing import Optional
 
 from .smt import SmtConfig, SparseMerkleTree
 
@@ -16,11 +15,10 @@ def bench_compact_proofs(
     depth: int = 64,
     trials: int = 1000,
     seed: int = 0,
-    config: Optional[SmtConfig] = None,
 ) -> dict:
     """Fill a depth-``depth`` tree with ``txs`` random occupied slots and
     measure serialized proof sizes over ``trials`` sampled occupied slots."""
-    config = config or SmtConfig(depth=depth)
+    config = SmtConfig(depth=depth)
     rng = random.Random(seed)
     slots = set()
     while len(slots) < txs:

@@ -114,7 +114,7 @@ class Simulation:
         dst = self.actor(receiver)
         src.sync(slot, self.operator.get_witness)
         history = src.release(slot)
-        verdict = dst.receive_coin(history, self.contract.root_view())
+        verdict = dst.receive_coin(history)
         if not verdict:
             src.coins[slot] = history  # receiver refused; sender keeps the coin
         return verdict
@@ -145,11 +145,10 @@ class Simulation:
         """Each wallet syncs its coins (best effort) and challenges any
         fraudulent exits it can prove wrong."""
         actions = []
-        view = self.contract.root_view()
         for wallet in self.wallets.values():
             for slot in list(wallet.coins):
                 try:
-                    wallet.sync(slot, self.operator.get_witness, view)
+                    wallet.sync(slot, self.operator.get_witness)
                 except PlasmaError:
                     pass  # withheld witnesses cannot block watching
             actions.extend(wallet.watch_and_challenge())

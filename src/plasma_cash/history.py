@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import smt
 from .core import Address, IncludedTx, Keyring, Reader
@@ -54,8 +54,9 @@ def reject(reason: Reason, detail: str = "") -> Verdict:
 
 @dataclass
 class RootView:
-    """Read-only snapshot of the committed roots on the root chain, and of
-    which of them the contract minted as deposit blocks.
+    """The committed roots on the root chain, and the numbers of the
+    operator blocks among them in ascending order.  The contract keeps one
+    view over its own dict and list, so the view stays current.
 
     A coin's history covers its own deposit block and every operator block
     after it, never another coin's deposit block.  That is sound because:
@@ -68,34 +69,21 @@ class RootView:
     - no contract move takes an exclusion proof.
 
     An operator, Byzantine or not, commits no deposit root, so skipping
-    those blocks hides nothing it could have put there.  A view that lists
-    no deposit blocks requires every committed block from the deposit on.
+    those blocks hides nothing it could have put there.
     """
 
     roots: Dict[int, bytes]
-    deposit_blocks: FrozenSet[int] = frozenset()
-    _blocks: Optional[List[int]] = field(default=None, repr=False, compare=False)
-
-    @property
-    def blocks(self) -> List[int]:
-        if self._blocks is None:
-            self._blocks = sorted(self.roots)
-        return self._blocks
+    operator_blocks: List[int]
 
     def history_blocks(self, deposit_block: int, after: int = 0) -> List[int]:
         """Ascending blocks past ``after`` that a history of the coin
         deposited at ``deposit_block`` must cover: the deposit block itself,
         when committed, then every operator block after it."""
-        blocks = self.blocks
-        start = bisect.bisect_right(blocks, max(after, deposit_block))
-        tail = [b for b in blocks[start:] if b not in self.deposit_blocks]
+        blocks = self.operator_blocks
+        tail = blocks[bisect.bisect_right(blocks, max(after, deposit_block)):]
         if after < deposit_block and deposit_block in self.roots:
             return [deposit_block, *tail]
         return tail
-
-    @property
-    def head(self) -> int:
-        return max(self.roots) if self.roots else 0
 
 
 @dataclass

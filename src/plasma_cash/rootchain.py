@@ -126,6 +126,8 @@ class PlasmaContract:
         self.params = params
         self.config = params.smt_config
         self.roots: Dict[int, bytes] = {}
+        self.operator_blocks: List[int] = []  # ascending: submit_block counts up
+        self.view = RootView(self.roots, self.operator_blocks)
         self.current_block = 0
         self.coins: Dict[int, CoinRecord] = {}
         self.exits: Dict[int, Exit] = {}
@@ -136,8 +138,6 @@ class PlasmaContract:
         self.events: List[Event] = []
         self._next_slot = 0
         self._next_challenge_id = 0
-        self._view: Optional[RootView] = None
-        self._deposit_blocks: List[int] = []  # numbers of the blocks deposit() minted
 
     # -- plumbing --
 
@@ -158,15 +158,6 @@ class PlasmaContract:
     def total_value(self) -> int:
         """Conserved quantity: account balances plus both escrows."""
         return sum(self.balances.values()) + self.value_escrow + self.bond_escrow
-
-    def root_view(self) -> RootView:
-        # roots is append-only, so a stale copy is detected by length alone
-        view = self._view
-        if view is None or len(view.roots) != len(self.roots):
-            view = self._view = RootView(
-                roots=dict(self.roots), deposit_blocks=frozenset(self._deposit_blocks)
-            )
-        return view
 
     def advance_time(self, dt: int = 1):
         self.clock += dt
@@ -214,7 +205,6 @@ class PlasmaContract:
         tx = make_deposit_tx(slot, depositor)
         block = PlasmaBlock.build(number, {slot: tx}, self.config)
         self.roots[number] = block.root
-        self._deposit_blocks.append(number)
         self.coins[slot] = CoinRecord(
             slot=slot,
             owner=depositor,
@@ -237,6 +227,7 @@ class PlasmaContract:
             raise NotOperator("only the registered operator commits roots")
         number = self.next_operator_block
         self.roots[number] = root
+        self.operator_blocks.append(number)
         self.current_block = number
         self._emit("BlockSubmitted", block=number, root=root.hex())
         return number
@@ -411,14 +402,13 @@ class PlasmaContract:
             witness=response.encode(self.config).hex(),
         )
 
-    def finalize_exit(self, slot: int, now: Optional[int] = None) -> str:
+    def finalize_exit(self, slot: int) -> str:
         """Settle a matured exit: finalize, or cancel if any interactive
         challenge went unanswered."""
         ex = self._active_exit(slot)
-        now = self.clock if now is None else now
-        if now < ex.created_at + self.params.maturity_period:
+        if self.clock < ex.created_at + self.params.maturity_period:
             raise NotMature(
-                f"exit matures at {ex.created_at + self.params.maturity_period}, now {now}"
+                f"exit matures at {ex.created_at + self.params.maturity_period}, now {self.clock}"
             )
         unanswered = [c for c in ex.challenges if not c.answered]
         coin = self.coins[slot]

@@ -267,10 +267,9 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim.exit_with("dylan", slot, charlie_block.number, dylan_block.number)
 
     # an honest receiver would have rejected this history outright
-    full = build_history(slot, deposit_block, sim.contract.root_view(), sim.operator.get_witness)
-    verdict = verify_history(
-        full, sim.contract.root_view(), sim.address("alice"), sim.keyring, sim.contract.config
-    )
+    view = sim.contract.view
+    full = build_history(slot, deposit_block, view, sim.operator.get_witness)
+    verdict = verify_history(full, view, sim.address("alice"), sim.keyring, sim.contract.config)
     run.expect(not verdict.accepted, "the forged history must not verify")
 
     if not watcher:
@@ -321,14 +320,19 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     block = sim.commit_block()
     sim.operator.withhold(slot, block.number)
 
-    # neither party can assemble a verifiable history
-    view = sim.contract.root_view()
-    for _ in ("alice", "bob"):
-        run.expect_raises(
-            WitnessUnavailable,
-            lambda: build_history(slot, deposit_block, view, sim.operator.get_witness),
-            "withheld witness must surface, not be fabricated",
-        )
+    # neither party can assemble a verifiable history: Alice cannot
+    # complete the one she must hand over, and Bob, who holds nothing,
+    # cannot build one from the operator
+    run.expect_raises(
+        WitnessUnavailable,
+        lambda: sim.deliver("alice", slot, "bob"),
+        "Alice's sync must surface the withheld witness, not skip it",
+    )
+    run.expect_raises(
+        WitnessUnavailable,
+        lambda: build_history(slot, deposit_block, sim.contract.view, sim.operator.get_witness),
+        "Bob's build must surface the withheld witness, not fabricate it",
+    )
 
     if not watcher:
         # Alice never logs in: the coin is simply stuck in limbo
@@ -403,15 +407,10 @@ _LEGAL_TRANSITIONS = {
 }
 
 
-def fuzz(
-    steps: int,
-    seed: int = 0,
-    params: Optional[ChainParams] = None,
-    byzantine: bool = False,
-) -> ScenarioReport:
+def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
     """Random interleavings of deposits, transfers, exits, challenges, and
     settlement, with invariants checked after every step."""
-    params = params or ChainParams(maturity_period=8, smt_depth=16)
+    params = ChainParams(maturity_period=8, smt_depth=16)
     rng = random.Random(seed)
     mode = OperatorMode.INCLUDE_DOUBLE_SPEND if byzantine else OperatorMode.HONEST
     honest = [f"h{i}" for i in range(4)]
@@ -426,7 +425,6 @@ def fuzz(
     total0 = sim.contract.total_value()
 
     pending: Dict[int, Tuple[str, str]] = {}  # slot -> (sender, receiver), in submission order
-    exits_started: Dict[int, str] = {}
     frozen: set = set()  # coins with tainted history: exit-only
     stale_credentials: List = []  # (slot, parent_block) the attacker can re-spend
     attacker_deposits: Dict[int, int] = {}  # slot -> deposit block
@@ -478,12 +476,8 @@ def fuzz(
             attacker_deposits[slot] = sim.contract.coins[slot].deposit_block
 
     def free(slot: int) -> bool:
-        """No exit started, not exiting or settled, no delivery pending."""
-        return (
-            slot not in exits_started
-            and sim.contract.coins[slot].state is CoinState.DEPOSITED
-            and slot not in pending
-        )
+        """Not exiting or settled, no delivery pending."""
+        return sim.contract.coins[slot].state is CoinState.DEPOSITED and slot not in pending
 
     def do_transfer():
         candidates = [
@@ -511,14 +505,12 @@ def fuzz(
         pending.clear()
         sim.run_watchers()
 
-    def exit_as(name: str, slot: int, start: Callable[[], None]):
-        """Start an exit; if the contract takes it, record it and let the
-        watchers react."""
+    def exit_as(start: Callable[[], None]):
+        """Start an exit; if the contract takes it, let the watchers react."""
         try:
             start()
         except PlasmaError:
             return
-        exits_started[slot] = name
         sim.run_watchers()
 
     def do_honest_exit():
@@ -526,10 +518,7 @@ def fuzz(
         if not candidates:
             return
         name, slot = rng.choice(candidates)
-        tip = sim.actor(name).last_inclusion(slot)
-        if tip.tx.new_owner != sim.address(name):
-            return  # already signed away on-chain; cannot exit
-        exit_as(name, slot, lambda: sim.start_exit(name, slot))
+        exit_as(lambda: sim.start_exit(name, slot))
 
     def do_attack():
         choice = rng.random()
@@ -545,28 +534,21 @@ def fuzz(
                 return
             block = sim.commit_block()
             sim.run_watchers()
-            exit_as(
-                attacker, slot, lambda: sim.exit_with(attacker, slot, parent_block, block.number)
-            )
+            exit_as(lambda: sim.exit_with(attacker, slot, parent_block, block.number))
         elif attacker_deposits:
             # exit a deposited coin the attacker has since spent away
             slot = rng.choice(sorted(attacker_deposits))
             if not free(slot):
                 return
             deposit_block = attacker_deposits[slot]
-            exit_as(attacker, slot, lambda: sim.exit_with(attacker, slot, None, deposit_block))
+            exit_as(lambda: sim.exit_with(attacker, slot, None, deposit_block))
 
     def settle_exits():
         nonlocal withdrawn
-        for slot, name in list(exits_started.items()):
-            ex = sim.contract.exits.get(slot)
-            if ex is None:
-                del exits_started[slot]  # challenged away
-                continue
+        for slot, ex in list(sim.contract.exits.items()):
             if sim.contract.clock < ex.created_at + params.maturity_period:
                 continue
             outcome = sim.finalize(slot)
-            del exits_started[slot]
             check_invariants()  # observe the post-finalization state too
             if outcome != "Finalized":
                 continue

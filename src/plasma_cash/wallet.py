@@ -15,7 +15,6 @@ from .errors import NotOwned, PlasmaError
 from .history import (
     Checkpoint,
     CoinHistory,
-    RootView,
     Verdict,
     WitnessSource,
     extend_history,
@@ -74,12 +73,12 @@ class Wallet:
         start = checkpoint.tip if checkpoint is not None and checkpoint.covers(history) else None
         return valid_tip(history, self.keyring, start)
 
-    def sync(self, slot: int, witness: WitnessSource, view: Optional[RootView] = None):
+    def sync(self, slot: int, witness: WitnessSource):
         """Pull witnesses for any committed blocks the stored history lacks.
         Propagates WitnessUnavailable if the operator withholds data."""
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
-        extend_history(self.coins[slot], view or self.contract.root_view(), witness)
+        extend_history(self.coins[slot], self.contract.view, witness)
 
     def release(self, slot: int) -> CoinHistory:
         """Hand the coin's history over after a transfer is included."""
@@ -93,18 +92,17 @@ class Wallet:
         parent = self.last_inclusion(slot)
         return make_transfer_tx(self.signer, slot, parent.blk_number, new_owner)
 
-    def receive_coin(self, history: CoinHistory, view: RootView) -> Verdict:
+    def receive_coin(self, history: CoinHistory) -> Verdict:
         """Audit an incoming coin; store the history only when it is valid
         and ends at this wallet.  Blocks already verified on an earlier
         delivery of the coin are not verified again."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
-        deposit_owner = self._depositor(history.slot)
         verdict = verify_history(
             history,
-            view,
-            deposit_owner,
+            self.contract.view,
+            coin.depositor,
             self.keyring,
             self.config,
             since=self._checkpoints.get(history.slot),
@@ -117,11 +115,6 @@ class Wallet:
         self.coins[history.slot] = history
         self._checkpoints[history.slot] = Checkpoint.of(history)
         return Verdict(True)
-
-    def _depositor(self, slot: int) -> Address:
-        """Depositor recorded at minting, which survives later ownership
-        changes on the coin record."""
-        return self.contract.coins[slot].depositor
 
     # -- watching and challenging --
 

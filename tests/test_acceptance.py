@@ -132,7 +132,9 @@ class _Chain:
         self.blocks[number] = PlasmaBlock.build(number, txs, self.config)
 
     def view(self):
-        return RootView({n: b.root for n, b in self.blocks.items()})
+        # operator blocks take the multiples of 1000, deposit blocks the rest
+        operator_blocks = sorted(n for n in self.blocks if n % 1000 == 0)
+        return RootView({n: b.root for n, b in self.blocks.items()}, operator_blocks)
 
     def history(self, slot=0, deposit_block=1):
         return build_history(

@@ -43,7 +43,6 @@ class Chain:
     def __init__(self):
         self.keyring = Keyring()
         self.blocks = {}
-        self.deposits = set()  # blocks the view lists as deposit blocks
 
     def signer(self, name):
         return self.keyring.new_signer(name)
@@ -52,9 +51,9 @@ class Chain:
         self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
 
     def view(self):
-        return RootView(
-            {n: b.root for n, b in self.blocks.items()}, deposit_blocks=frozenset(self.deposits)
-        )
+        # operator blocks take the multiples of 1000, deposit blocks the rest
+        operator_blocks = sorted(n for n in self.blocks if n % 1000 == 0)
+        return RootView({n: b.root for n, b in self.blocks.items()}, operator_blocks)
 
     def witness(self, slot, number):
         return self.blocks[number].prove(slot)
@@ -119,9 +118,6 @@ def test_partition_gap_rejected(chain):
 def test_other_coins_deposit_blocks_are_skipped(chain):
     # block 2 is slot 1's deposit block: slot 0 cannot be in it
     chain.add_block(2, {1: make_deposit_tx(1, chain.signer("dave").address)})
-    assert set(chain.history(0, 1).excl) == {2, 2000, 4000}  # no deposit blocks listed
-
-    chain.deposits = {1, 2}
     history = chain.history(0, 1)
     assert set(history.incl) == {1, 1000, 3000}
     assert set(history.excl) == {2000, 4000}
@@ -389,7 +385,11 @@ def test_checkpointed_verifier_agrees_with_full_walk():
 
         # verify a prefix cut at a random block, checkpoint it, extend it
         cut = rng.choice(sorted(chain.blocks)[:-1])
-        prefix_view = RootView({n: r for n, r in chain.view().roots.items() if n <= cut})
+        view = chain.view()
+        prefix_view = RootView(
+            {n: r for n, r in view.roots.items() if n <= cut},
+            [n for n in view.operator_blocks if n <= cut],
+        )
         prefix = build_history(0, 1, prefix_view, chain.witness)
         assert verify_history(prefix, prefix_view, depositor, chain.keyring, CONFIG)
         checkpoint = Checkpoint.of(prefix)

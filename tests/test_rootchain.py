@@ -93,18 +93,17 @@ def test_block_numbering_interleaves_deposits():
     assert f.commit({}).number == 2000
 
 
-def test_root_view_lists_exactly_the_deposit_blocks():
+def test_contract_records_its_operator_blocks():
     """Deposits skip the interval multiples and operator blocks take only
-    those; the view lists every coin's deposit block and no operator block,
+    those; the contract records every operator block and no deposit block,
     and a history runs from the coin's deposit over operator blocks only."""
     f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
     numbers = [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)]
     assert numbers == [1, 2, 3] and f.commit({}).number == 4
     numbers = [f.contract.deposit(f.bob.address, 1)[1] for _ in range(4)]
     assert numbers == [5, 6, 7, 9] and f.commit({}).number == 12
-    view = f.contract.root_view()
-    assert view.deposit_blocks == {c.deposit_block for c in f.contract.coins.values()}
-    assert view.roots.keys() - view.deposit_blocks == {4, 12}
+    view = f.contract.view
+    assert f.contract.operator_blocks == view.operator_blocks == [4, 12]
     assert view.history_blocks(1) == [1, 4, 12]
     assert view.history_blocks(6) == [6, 12]
     assert view.history_blocks(6, after=6) == [12]

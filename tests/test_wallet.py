@@ -35,6 +35,25 @@ def test_send_receive_moves_ownership():
     assert sim.ledger.true_owner(slot) == sim.address("bob")
 
 
+def test_contract_view_stays_current():
+    """The contract's one view reads its roots in place: a view taken
+    before a commit covers the new block, and a wallet verifies a delivery
+    made after the commit without being handed a new view."""
+    sim = make_sim()
+    view = sim.contract.view
+    slot = sim.deposit("alice", 5)
+    deposit_block = sim.contract.coins[slot].deposit_block
+    sim.deposit("dave", 1)
+    _, receipt = sim.transfer("alice", slot, "bob")
+    assert receipt.accepted
+    block = sim.commit_block()
+    assert sim.contract.view is view
+    assert view.roots[block.number] == block.root
+    assert view.history_blocks(deposit_block) == [deposit_block, block.number]
+    assert sim.deliver("alice", slot, "bob")
+    assert sim.contract.view is view
+
+
 def test_cannot_spend_unowned_coin():
     sim = make_sim()
     slot = sim.deposit("alice", 5)
@@ -50,7 +69,7 @@ def test_receiver_rejects_unknown_coin():
     history = sim.actor("alice").coins[slot]
     import dataclasses
     bogus = dataclasses.replace(history, slot=slot + 7)
-    verdict = sim.actor("bob").receive_coin(bogus, sim.contract.root_view())
+    verdict = sim.actor("bob").receive_coin(bogus)
     assert not verdict
 
 
@@ -63,7 +82,7 @@ def test_receiver_rejects_history_ending_elsewhere():
     alice.sync(slot, sim.operator.get_witness)
     history = alice.release(slot)
     # Carol is handed Bob's coin
-    verdict = sim.actor("carol").receive_coin(history, sim.contract.root_view())
+    verdict = sim.actor("carol").receive_coin(history)
     assert not verdict and "does not end" in verdict.detail
 
 
@@ -78,10 +97,9 @@ def test_receiver_rejects_forged_history():
     sim.commit_block()
     from plasma_cash.history import build_history
     history = build_history(
-        slot, sim.contract.coins[slot].deposit_block, sim.contract.root_view(),
-        sim.operator.get_witness,
+        slot, sim.contract.coins[slot].deposit_block, sim.contract.view, sim.operator.get_witness
     )
-    verdict = sim.actor("dave").receive_coin(history, sim.contract.root_view())
+    verdict = sim.actor("dave").receive_coin(history)
     assert not verdict and verdict.reason is Reason.BAD_SIGNATURE
 
 
@@ -96,8 +114,8 @@ def test_receiver_rejects_double_spend_history():
     assert sim.operator.submit_tx(stale).accepted
     sim.commit_block()
     from plasma_cash.history import build_history
-    history = build_history(slot, dep_block, sim.contract.root_view(), sim.operator.get_witness)
-    verdict = sim.actor("carol").receive_coin(history, sim.contract.root_view())
+    history = build_history(slot, dep_block, sim.contract.view, sim.operator.get_witness)
+    verdict = sim.actor("carol").receive_coin(history)
     assert not verdict and verdict.reason is Reason.BROKEN_PARENT_LINK
 
 
@@ -245,13 +263,12 @@ def test_rejected_delivery_keeps_checkpoints():
     assert set(kept) == {slot}
 
     to_dave = handed_over(sim, "carol", slot, "dave")
-    view = sim.contract.root_view()
-    assert not bob.receive_coin(to_dave, view)  # valid, but ends at Dave
+    assert not bob.receive_coin(to_dave)  # valid, but ends at Dave
     newest = max(to_dave.incl)
     to_dave.incl[newest] = flip(to_dave.incl[newest])
-    verdict = bob.receive_coin(to_dave, view)
+    verdict = bob.receive_coin(to_dave)
     assert not verdict and verdict.reason is Reason.BAD_INCLUSION_PROOF
-    assert not eve.receive_coin(to_dave, view)
+    assert not eve.receive_coin(to_dave)
     assert bob._checkpoints == kept and eve._checkpoints == {}
 
 
@@ -264,17 +281,18 @@ def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
     assert settled_transfer(sim, "bob", slot, "carol")
 
     history = handed_over(sim, "carol", slot, "bob")
-    view = sim.contract.root_view()
     history.incl[seen.upto] = flip(history.incl[seen.upto])  # already verified by Bob
     assert not seen.covers(history)
-    full = verify_history(history, view, sim.address("alice"), sim.keyring, sim.params.smt_config)
-    verdict = bob.receive_coin(history, view)
+    full = verify_history(
+        history, sim.contract.view, sim.address("alice"), sim.keyring, sim.params.smt_config
+    )
+    verdict = bob.receive_coin(history)
     assert verdict == full
     assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {seen.upto}" in verdict.detail
     assert bob._checkpoints[slot] is seen
 
     assert sim.deliver("carol", slot, "bob")  # the honest copy goes through
-    assert bob._checkpoints[slot].upto == sim.contract.root_view().head
+    assert bob._checkpoints[slot].upto == max(sim.contract.roots)
 
 
 @pytest.fixture
@@ -332,5 +350,5 @@ def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
         sim.commit_block()
     history = handed_over(sim, "alice", slot, "bob")
     counts.clear()
-    assert sim.actor("bob").receive_coin(history, sim.contract.root_view())
+    assert sim.actor("bob").receive_coin(history)
     assert counts["verifies"] == 1 + 3
