@@ -14,12 +14,10 @@ from .core import (
 )
 from .driver import Simulation
 from .history import (
-    Checkpoint,
     CoinHistory,
     Reason,
     RootView,
     Verdict,
-    build_history,
     valid_tip,
     verify_history,
 )

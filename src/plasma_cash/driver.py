@@ -113,7 +113,7 @@ class Simulation:
         src = self.actor(sender)
         dst = self.actor(receiver)
         src.sync(slot, self.operator.get_witness)
-        history = src.release(slot)
+        history = src.coins.pop(slot)
         verdict = dst.receive_coin(history)
         if not verdict:
             src.coins[slot] = history  # receiver refused; sender keeps the coin
@@ -172,6 +172,4 @@ class Simulation:
         return [e.kind for e in self.contract.events]
 
     def event_trace(self) -> List[dict]:
-        import json
-
-        return [json.loads(e.to_json()) for e in self.contract.events]
+        return [{"kind": e.kind, **e.data} for e in self.contract.events]

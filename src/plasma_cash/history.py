@@ -98,6 +98,30 @@ class CoinHistory:
     def last_inclusion(self) -> IncludedTx:
         return self.incl[max(self.incl)]
 
+    def last_block(self) -> int:
+        return max(max(self.incl, default=0), max(self.excl, default=0))
+
+    def copy(self) -> "CoinHistory":
+        return CoinHistory(self.slot, self.deposit_block, dict(self.incl), dict(self.excl))
+
+    def extends(self, verified: "CoinHistory") -> bool:
+        """True when this history's entries at or below ``verified``'s last
+        block are exactly ``verified``'s.
+
+        Committed roots are append-only and the depositor is fixed at
+        minting, so entries equal to a copy that passed ``verify_history``
+        verify the same way again; only blocks past it need checking.  A
+        copy therefore vouches only for the root chain and the depositor it
+        was verified against.
+        """
+        upto = verified.last_block()
+        return (
+            self.slot == verified.slot
+            and self.deposit_block == verified.deposit_block
+            and _upto(self.incl, upto) == verified.incl
+            and _upto(self.excl, upto) == verified.excl
+        )
+
     # -- canonical encoding --
 
     def encode(self, config: SmtConfig) -> bytes:
@@ -128,48 +152,6 @@ class CoinHistory:
         return cls(slot, deposit_block, maps[0], maps[1])
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """What a wallet has already verified of one coin: the history's entries
-    up to block ``upto``, snapshotted when it accepted them, and ``tip``, the
-    last inclusion among them.
-
-    Committed roots are append-only and the depositor is fixed at minting, so
-    entries equal to the snapshot verify the same way again; only blocks past
-    ``upto`` need checking.  A checkpoint therefore vouches only for the root
-    chain and the depositor its history was verified against.
-    """
-
-    slot: int
-    deposit_block: int
-    upto: int
-    incl: Dict[int, IncludedTx]
-    excl: Dict[int, IncludedTx]
-    tip: IncludedTx
-
-    @classmethod
-    def of(cls, history: CoinHistory) -> "Checkpoint":
-        """Checkpoint a history that verify_history just accepted."""
-        return cls(
-            slot=history.slot,
-            deposit_block=history.deposit_block,
-            upto=max([*history.incl, *history.excl]),
-            incl=dict(history.incl),
-            excl=dict(history.excl),
-            tip=history.last_inclusion(),
-        )
-
-    def covers(self, history: CoinHistory) -> bool:
-        """True when the history's entries at or below ``upto`` are exactly
-        the snapshot."""
-        return (
-            history.slot == self.slot
-            and history.deposit_block == self.deposit_block
-            and _upto(history.incl, self.upto) == self.incl
-            and _upto(history.excl, self.upto) == self.excl
-        )
-
-
 def _upto(entries: Dict[int, IncludedTx], upto: int) -> Dict[int, IncludedTx]:
     return {blk: itx for blk, itx in entries.items() if blk <= upto}
 
@@ -180,7 +162,7 @@ def verify_history(
     deposit_owner: Address,
     keyring: Keyring,
     config: SmtConfig,
-    since: Optional[Checkpoint] = None,
+    since: Optional[CoinHistory] = None,
 ) -> Verdict:
     """Audit a coin history against the committed roots.
 
@@ -188,33 +170,39 @@ def verify_history(
     cannot cover the claimed blocks raises MissingRoot instead: the caller
     must distinguish "unverifiable" from "fraudulent".
 
-    With a checkpoint ``since`` that covers the history, proofs, parent
-    links and signatures are checked only past ``since.upto``, resuming the
-    ownership chain at ``since.tip``; the verdict is the one the full walk
-    gives.  Root coverage and the partition are always checked whole.
+    With ``since``, a copy of the coin's history that passed these checks,
+    and a history that extends it, every check runs only on the entries past
+    ``since``'s last block, and the ownership chain resumes at its last
+    inclusion; the verdict is the one the full walk gives.
     """
     slot = history.slot
-    claimed = set(history.incl) | set(history.excl)
-    for blk in claimed | {history.deposit_block}:
+    incl, excl = history.incl, history.excl
+    resume = since is not None and history.extends(since)
+    after = since.last_block() if resume else 0
+    if resume:
+        incl = {blk: itx for blk, itx in incl.items() if blk > after}
+        excl = {blk: itx for blk, itx in excl.items() if blk > after}
+    claimed = set(incl) | set(excl)
+    for blk in claimed if resume else claimed | {history.deposit_block}:
         if blk not in view.roots:
             raise MissingRoot(f"no committed root for block {blk}")
 
-    overlap = set(history.incl) & set(history.excl)
+    overlap = incl.keys() & excl.keys()
     if overlap:
         return reject(Reason.PARTITION_OVERLAP, f"blocks {sorted(overlap)}")
-    required = set(view.history_blocks(history.deposit_block))
+    required = set(view.history_blocks(history.deposit_block, after=after))
     if claimed != required:
         missing = sorted(required - claimed)
         extra = sorted(claimed - required)
         return reject(Reason.PARTITION_GAP, f"missing={missing} extra={extra}")
 
-    if since is not None and since.covers(history):
-        upto = since.upto
-        last_block = since.tip.blk_number
-        last_owner = since.tip.tx.new_owner
+    if resume:
+        tip = since.last_inclusion()
+        last_block = tip.blk_number
+        last_owner = tip.tx.new_owner
     else:
         # deposit transaction
-        dep = history.incl.get(history.deposit_block)
+        dep = incl.get(history.deposit_block)
         if dep is None or dep.tx is None or dep.blk_number != history.deposit_block:
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
         if dep.tx.slot != slot or dep.tx.parent_block != 0:
@@ -224,11 +212,11 @@ def verify_history(
         if not _check_proof(slot, dep, dep.tx.hash(), view, config):
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit proof invalid")
         # the partition puts every other entry after the deposit block
-        upto = last_block = history.deposit_block
+        last_block = history.deposit_block
         last_owner = deposit_owner
 
-    for blk in sorted(b for b in history.incl if b > upto):
-        itx = history.incl[blk]
+    for blk in sorted(b for b in incl if b > last_block):
+        itx = incl[blk]
         if itx.tx is None or itx.tx.slot != slot or itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
         if not _check_proof(slot, itx, itx.tx.hash(), view, config):
@@ -248,11 +236,11 @@ def verify_history(
         last_block = blk
         last_owner = itx.tx.new_owner
 
-    for blk in sorted(b for b in history.excl if b > upto):
-        itx = history.excl[blk]
+    for blk in sorted(excl):
+        itx = excl[blk]
         if itx.tx is not None or itx.blk_number != blk:
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: not an exclusion")
-        if not _check_proof(slot, itx, config.default_leaf, view, config):
+        if not _check_proof(slot, itx, smt.DEFAULT_LEAF, view, config):
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
 
     return ACCEPT
@@ -268,20 +256,6 @@ def _check_proof(slot, itx: IncludedTx, leaf: bytes, view: RootView, config: Smt
 WitnessSource = Callable[[int, int], IncludedTx]
 
 
-def build_history(
-    slot: int,
-    deposit_block: int,
-    view: RootView,
-    witness: WitnessSource,
-) -> CoinHistory:
-    """Assemble the full history for a slot from a witness-data service.
-
-    WitnessUnavailable from the source propagates: withheld data is never
-    papered over.
-    """
-    return extend_history(CoinHistory(slot=slot, deposit_block=deposit_block), view, witness)
-
-
 def extend_history(
     history: CoinHistory,
     view: RootView,
@@ -294,6 +268,8 @@ def extend_history(
     ascending block order (``decode`` requires it and this loop appends in
     order), so each map's last key is its highest; a map filled out of order
     only makes the loop start earlier, and covered blocks are skipped.
+    WitnessUnavailable from the source propagates: withheld data is never
+    papered over.
     """
     start = max(next(reversed(history.incl), 0), next(reversed(history.excl), 0))
     for blk in view.history_blocks(history.deposit_block, after=start):
@@ -333,7 +309,7 @@ def find_spend(
 
 
 def valid_tip(
-    history: CoinHistory, keyring: Keyring, start: Optional[IncludedTx] = None
+    history: CoinHistory, keyring: Keyring, since: Optional[CoinHistory] = None
 ) -> IncludedTx:
     """Last inclusion on the coin's valid ownership chain.
 
@@ -343,11 +319,15 @@ def valid_tip(
     (double spends, forged spends) are skipped, so the tip is what the
     wallet can legitimately spend or exit with.
 
-    ``start`` resumes the walk at the tip of a covering Checkpoint: its
-    prefix is one verified chain, and any other spend of a block in it comes
-    later than the chain's own, so the walk from the deposit passes there.
+    With ``since``, a verified copy the history extends, the walk resumes at
+    the copy's last inclusion: its inclusions are one verified chain, and
+    any other spend of a block in it comes later than the chain's own, so
+    the walk from the deposit passes there.
     """
-    tip = history.incl[history.deposit_block] if start is None else start
+    if since is not None and history.extends(since):
+        tip = since.last_inclusion()
+    else:
+        tip = history.incl[history.deposit_block]
     while True:
         spend = find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)
         if spend is None:

@@ -6,13 +6,12 @@ after the exit, a same-parent spend between parent and exit, and bonded
 interactive challenges from deeper history), finalization after a maturity
 period, and withdrawal.
 
-Every state change appends a structured event; the JSON-lines event log is
-the interface wallet watchers consume.
+Every state change appends an ``Event`` to ``events``; that list is the
+interface wallet watchers consume.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
@@ -89,6 +88,12 @@ class Exit:
     def parent_block(self) -> Optional[int]:
         return self.parent_tx.blk_number if self.parent_tx is not None else None
 
+    @property
+    def boundary(self) -> int:
+        """Interactive challenges must come before this block: the parent
+        block, or the exit block of a deposit exit."""
+        return self.exit_block if self.parent_tx is None else self.parent_tx.blk_number
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -106,9 +111,6 @@ class ChainParams:
 class Event:
     kind: str
     data: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, **self.data}, sort_keys=True)
 
 
 class PlasmaContract:
@@ -276,7 +278,7 @@ class PlasmaContract:
 
         self._debit(caller, bond)
         self.bond_escrow += bond
-        self.exits[slot] = Exit(
+        ex = self.exits[slot] = Exit(
             slot=slot,
             exitor=caller,
             parent_tx=parent_tx,
@@ -289,8 +291,8 @@ class PlasmaContract:
             "ExitStarted",
             slot=slot,
             exitor=caller.hex,
-            exit_block=exit_tx.blk_number,
-            parent_block=parent_tx.blk_number if parent_tx else None,
+            exit_block=ex.exit_block,
+            parent_block=ex.parent_block,
             bond=bond,
         )
         return slot
@@ -352,8 +354,7 @@ class PlasmaContract:
         if bond != self.params.bond_amount:
             raise WrongBond(f"bond must be {self.params.bond_amount}")
         self._check_included(slot, tx, "challenge")
-        boundary = ex.parent_tx.blk_number if ex.parent_tx is not None else ex.exit_block
-        if tx.blk_number >= boundary:
+        if tx.blk_number >= ex.boundary:
             raise NotBefore("challenge must precede the exit's parent block")
         self._debit(challenger, bond)
         self.bond_escrow += bond

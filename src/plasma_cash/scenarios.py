@@ -29,7 +29,7 @@ from .errors import (
     UnknownScenario,
     WitnessUnavailable,
 )
-from .history import build_history, verify_history
+from .history import CoinHistory, extend_history, verify_history
 from .operator_node import OperatorMode
 from .driver import Simulation
 from .rootchain import ChainParams, CoinState
@@ -268,7 +268,7 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
 
     # an honest receiver would have rejected this history outright
     view = sim.contract.view
-    full = build_history(slot, deposit_block, view, sim.operator.get_witness)
+    full = extend_history(CoinHistory(slot, deposit_block), view, sim.operator.get_witness)
     verdict = verify_history(full, view, sim.address("alice"), sim.keyring, sim.contract.config)
     run.expect(not verdict.accepted, "the forged history must not verify")
 
@@ -330,7 +330,9 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     )
     run.expect_raises(
         WitnessUnavailable,
-        lambda: build_history(slot, deposit_block, sim.contract.view, sim.operator.get_witness),
+        lambda: extend_history(
+            CoinHistory(slot, deposit_block), sim.contract.view, sim.operator.get_witness
+        ),
         "Bob's build must surface the withheld witness, not fabricate it",
     )
 

@@ -25,31 +25,24 @@ from .errors import (
 DIGEST_SIZE = 32
 
 
-def hash_leaf(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def hash_pair(left: bytes, right: bytes) -> bytes:
     # parent = H(left || right); no domain separation, 32 bytes per level
     return hashlib.sha256(left + right).digest()
 
 
 #: Digest marking an empty slot: the hash of 32 zero bytes.
-DEFAULT_LEAF = hash_leaf(b"\x00" * DIGEST_SIZE)
+DEFAULT_LEAF = hashlib.sha256(b"\x00" * DIGEST_SIZE).digest()
 
 
 @dataclass(frozen=True)
 class SmtConfig:
-    """Tree shape: height and the empty-slot marker digest."""
+    """Tree shape: its height.  Empty slots hold ``DEFAULT_LEAF``."""
 
     depth: int = 64
-    default_leaf: bytes = DEFAULT_LEAF
 
     def __post_init__(self):
         if not 1 <= self.depth <= 64:
             raise ValueError(f"depth must be in [1, 64], got {self.depth}")
-        if len(self.default_leaf) != DIGEST_SIZE:
-            raise ValueError("default_leaf must be 32 bytes")
 
     @property
     def capacity(self) -> int:
@@ -59,7 +52,7 @@ class SmtConfig:
     def defaults(self) -> Tuple[bytes, ...]:
         """Default digest per level; defaults[0] is the empty leaf,
         defaults[depth] the empty-tree root."""
-        return _default_chain(self.depth, self.default_leaf)
+        return _default_chain(self.depth)
 
     @property
     def bitfield_size(self) -> int:
@@ -67,8 +60,8 @@ class SmtConfig:
 
 
 @lru_cache(maxsize=None)
-def _default_chain(depth: int, default_leaf: bytes) -> Tuple[bytes, ...]:
-    chain = [default_leaf]
+def _default_chain(depth: int) -> Tuple[bytes, ...]:
+    chain = [DEFAULT_LEAF]
     for _ in range(depth):
         chain.append(hash_pair(chain[-1], chain[-1]))
     return tuple(chain)
@@ -160,7 +153,7 @@ class SparseMerkleTree:
                 raise SlotOutOfRange(f"slot {slot} outside 2^{config.depth} space")
             if len(leaf) != DIGEST_SIZE:
                 raise MalformedProof(f"leaf at slot {slot} is not 32 bytes")
-            if leaf == config.default_leaf:
+            if leaf == DEFAULT_LEAF:
                 raise LeafEqualsDefault(
                     f"slot {slot}: leaf equals the empty-slot marker"
                 )
@@ -193,7 +186,7 @@ class SparseMerkleTree:
         """Digest committed at a slot (the default marker when absent)."""
         if not 0 <= slot < self.config.capacity:
             raise SlotOutOfRange(str(slot))
-        return self.leaves.get(slot, self.config.default_leaf)
+        return self.leaves.get(slot, DEFAULT_LEAF)
 
     def prove(self, slot: int) -> Proof:
         """Merkle path for a slot; works for absent slots too (non-inclusion)."""

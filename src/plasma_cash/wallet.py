@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 from .core import Address, IncludedTx, Keyring, Signer, Transaction, make_transfer_tx
 from .errors import NotOwned, PlasmaError
 from .history import (
-    Checkpoint,
     CoinHistory,
     Verdict,
     WitnessSource,
@@ -43,9 +42,9 @@ class Wallet:
         self.contract = contract
         self.config: SmtConfig = contract.config
         self.coins: Dict[int, CoinHistory] = {}
-        # what this wallet has verified of each coin it ever accepted; kept
-        # after release, because the coin may come back
-        self._checkpoints: Dict[int, Checkpoint] = {}
+        # a copy of the history this wallet last accepted for each coin; kept
+        # after the coin leaves, because it may come back
+        self._checkpoints: Dict[int, CoinHistory] = {}
         self._event_cursor = 0
 
     @property
@@ -68,10 +67,7 @@ class Wallet:
         inclusions picked up while syncing are skipped."""
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
-        history = self.coins[slot]
-        checkpoint = self._checkpoints.get(slot)
-        start = checkpoint.tip if checkpoint is not None and checkpoint.covers(history) else None
-        return valid_tip(history, self.keyring, start)
+        return valid_tip(self.coins[slot], self.keyring, self._checkpoints.get(slot))
 
     def sync(self, slot: int, witness: WitnessSource):
         """Pull witnesses for any committed blocks the stored history lacks.
@@ -79,12 +75,6 @@ class Wallet:
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
         extend_history(self.coins[slot], self.contract.view, witness)
-
-    def release(self, slot: int) -> CoinHistory:
-        """Hand the coin's history over after a transfer is included."""
-        if slot not in self.coins:
-            raise NotOwned(f"slot {slot}")
-        return self.coins.pop(slot)
 
     # -- transfers --
 
@@ -113,7 +103,7 @@ class Wallet:
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
         self.coins[history.slot] = history
-        self._checkpoints[history.slot] = Checkpoint.of(history)
+        self._checkpoints[history.slot] = history.copy()
         return Verdict(True)
 
     # -- watching and challenging --
@@ -164,9 +154,8 @@ class Wallet:
         # otherwise stake a bonded claim that the coin's history is invalid,
         # once per live exit: a restarted exit is a new exit to challenge
         mine = self.last_inclusion(slot)
-        boundary = parent_block if parent_block is not None else exit_block
         staked = any(c.challenger == self.address and not c.answered for c in ex.challenges)
-        if mine.blk_number < boundary and not staked:
+        if mine.blk_number < ex.boundary and not staked:
             return self._attempt(
                 "before",
                 slot,

@@ -23,12 +23,12 @@ from plasma_cash.history import (
     CoinHistory,
     Reason,
     RootView,
-    build_history,
+    extend_history,
     valid_tip,
     verify_history,
 )
 from plasma_cash.scenarios import fuzz, run
-from plasma_cash.smt import Proof, SmtConfig, SparseMerkleTree, hash_pair
+from plasma_cash.smt import DEFAULT_LEAF, Proof, SmtConfig, SparseMerkleTree, hash_pair
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -99,7 +99,7 @@ def test_smt_matches_dense_oracle():
         }
         sparse = SparseMerkleTree(config, leaves)
 
-        level = [leaves.get(i, config.default_leaf) for i in range(config.capacity)]
+        level = [leaves.get(i, DEFAULT_LEAF) for i in range(config.capacity)]
         levels = [level]
         while len(level) > 1:
             level = [hash_pair(level[i], level[i + 1]) for i in range(0, len(level), 2)]
@@ -137,8 +137,8 @@ class _Chain:
         return RootView({n: b.root for n, b in self.blocks.items()}, operator_blocks)
 
     def history(self, slot=0, deposit_block=1):
-        return build_history(
-            slot, deposit_block, self.view(), lambda s, n: self.blocks[n].prove(s)
+        return extend_history(
+            CoinHistory(slot, deposit_block), self.view(), lambda s, n: self.blocks[n].prove(s)
         )
 
     def replay_owner(self, slot=0, deposit_block=1):

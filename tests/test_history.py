@@ -15,11 +15,9 @@ from plasma_cash.core import (
 from plasma_cash.errors import MissingRoot
 from plasma_cash.history import (
     ACCEPT,
-    Checkpoint,
     CoinHistory,
     Reason,
     RootView,
-    build_history,
     extend_history,
     find_spend,
     valid_tip,
@@ -59,7 +57,7 @@ class Chain:
         return self.blocks[number].prove(slot)
 
     def history(self, slot, deposit_block):
-        return build_history(slot, deposit_block, self.view(), self.witness)
+        return extend_history(CoinHistory(slot, deposit_block), self.view(), self.witness)
 
 
 @pytest.fixture
@@ -383,20 +381,20 @@ def test_checkpointed_verifier_agrees_with_full_walk():
                 history, chain.view(), depositor, chain.keyring, CONFIG, since=since
             )
 
-        # verify a prefix cut at a random block, checkpoint it, extend it
+        # verify a prefix cut at a random block, keep a copy of it, extend it
         cut = rng.choice(sorted(chain.blocks)[:-1])
         view = chain.view()
         prefix_view = RootView(
             {n: r for n, r in view.roots.items() if n <= cut},
             [n for n in view.operator_blocks if n <= cut],
         )
-        prefix = build_history(0, 1, prefix_view, chain.witness)
+        prefix = extend_history(CoinHistory(0, 1), prefix_view, chain.witness)
         assert verify_history(prefix, prefix_view, depositor, chain.keyring, CONFIG)
-        checkpoint = Checkpoint.of(prefix)
-        assert checkpoint.upto == cut
+        verified = prefix.copy()
         extended = extend_history(prefix, chain.view(), chain.witness)
-        assert checkpoint.covers(extended)
-        assert verify(extended, since=checkpoint) == verify(extended) == ACCEPT
+        assert verified.last_block() == cut < extended.last_block()
+        assert extended.extends(verified)
+        assert verify(extended, since=verified) == verify(extended) == ACCEPT
 
         for kind in CORRUPTIONS:
             for above in (True, False):
@@ -410,21 +408,37 @@ def test_checkpointed_verifier_agrees_with_full_walk():
                         break
                 else:
                     continue
-                # below the cut the snapshot no longer matches: the full walk runs
-                assert checkpoint.covers(history) == above
+                # below the cut the copy no longer matches: the full walk runs
+                assert history.extends(verified) == above
                 full = verify(history)
                 assert not full and full.reason is expected, (seed, kind, above)
-                assert verify(history, since=checkpoint) == full
+                assert verify(history, since=verified) == full
                 exercised.add((kind, above))
     assert exercised == {(k, a) for k in CORRUPTIONS for a in (True, False)}
 
 
+def test_resumed_verification_reads_only_roots_past_the_copy(chain):
+    """Resuming from a verified copy checks roots, partition and proofs only
+    past its last block: a view that has lost the older roots still accepts
+    the new entries, while the full walk cannot cover them."""
+    verified = chain.history(0, 1)
+    chain.add_block(5000, {})
+    history = chain.history(0, 1)
+    view = chain.view()
+    recent = RootView({n: r for n, r in view.roots.items() if n > 4000}, view.operator_blocks)
+    alice = chain.keyring.new_signer("alice")
+    args = (recent, alice.address, chain.keyring, CONFIG)
+    assert verify_history(history, *args, since=verified) == ACCEPT
+    with pytest.raises(MissingRoot):
+        verify_history(history, *args)
+
+
 def test_valid_tip_resumes_at_a_checkpoint(chain):
-    # Bob double-spends his 1000 inclusion after Carol's checkpoint at 3000
+    # Bob double-spends the 1000 inclusion after Carol verified the coin up to 4000
     bob, mallory = chain.signer("bob"), chain.signer("mallory")
-    checkpoint = Checkpoint.of(chain.history(0, 1))
+    verified = chain.history(0, 1)
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
     history = chain.history(0, 1)
-    assert checkpoint.covers(history)
-    tip = valid_tip(history, chain.keyring, start=checkpoint.tip)
+    assert history.extends(verified)
+    tip = valid_tip(history, chain.keyring, since=verified)
     assert tip == valid_tip(history, chain.keyring) and tip.blk_number == 3000

@@ -274,6 +274,24 @@ def test_unanswered_challenge_before_cancels_at_finalization(fx):
     assert cid == 0
 
 
+def test_unanswered_challengers_split_the_exit_bond(fx):
+    """Three unanswered challengers share the exit bond, the remainder going
+    to the earliest, and each gets its own bond back."""
+    exit_invalid_history(fx)
+    challengers = [(fx.carol, 3000), (fx.bob, 1000), (fx.alice, fx.dep_block)]
+    for signer, block in challengers:
+        fx.contract.challenge_before(signer.address, fx.slot, fx.witness(fx.slot, block), BOND)
+    assert fx.contract.bond_escrow == 4 * BOND
+    before = [fx.contract.balance_of(signer.address) for signer, _ in challengers]
+    fx.contract.advance_time(PARAMS.maturity_period)
+    assert fx.contract.finalize_exit(fx.slot) == "CancelledByChallenge"
+    gains = [
+        fx.contract.balance_of(signer.address) - b for (signer, _), b in zip(challengers, before)
+    ]
+    assert BOND == 100 and gains == [134, 133, 133]
+    assert fx.contract.bond_escrow == 0
+
+
 def test_answered_challenge_before_lets_exit_finalize(fx):
     carol_exit(fx)
     # Alice (griefing) challenges with the deposit tx; Bob's spend answers it

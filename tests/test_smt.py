@@ -31,7 +31,7 @@ class DenseTree:
     """Brute-force oracle: materializes every node of the full tree."""
 
     def __init__(self, config: SmtConfig, leaves):
-        level = [leaves.get(i, config.default_leaf) for i in range(config.capacity)]
+        level = [leaves.get(i, DEFAULT_LEAF) for i in range(config.capacity)]
         self.levels = [level]
         while len(level) > 1:
             level = [hash_pair(level[i], level[i + 1]) for i in range(0, len(level), 2)]
@@ -82,7 +82,7 @@ def test_proofs_verify_for_present_and_absent_slots():
     assert verify(3, leaf(3), tree.prove(3), tree.root, config)
     assert verify(200, leaf(200), tree.prove(200), tree.root, config)
     # non-inclusion: absent slots commit to the default marker
-    assert verify(77, config.default_leaf, tree.prove(77), tree.root, config)
+    assert verify(77, DEFAULT_LEAF, tree.prove(77), tree.root, config)
     # and nothing else passes off as that slot's leaf
     assert not verify(77, leaf(77), tree.prove(77), tree.root, config)
 
@@ -114,7 +114,7 @@ def test_slot_bounds():
 def test_leaf_equal_to_default_rejected():
     config = SmtConfig(depth=4)
     with pytest.raises(LeafEqualsDefault):
-        SparseMerkleTree(config, {0: config.default_leaf})
+        SparseMerkleTree(config, {0: DEFAULT_LEAF})
 
 
 def test_wrong_depth_proof_rejected():

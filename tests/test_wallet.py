@@ -8,7 +8,13 @@ from plasma_cash import smt
 from plasma_cash.core import IncludedTx, Keyring, make_transfer_tx
 from plasma_cash.driver import Simulation
 from plasma_cash.errors import NotOwned, WitnessUnavailable
-from plasma_cash.history import CoinHistory, Reason, verify_history
+from plasma_cash.history import (
+    CoinHistory,
+    Reason,
+    extend_history,
+    valid_tip,
+    verify_history,
+)
 from plasma_cash.operator_node import OperatorMode
 from plasma_cash.rootchain import ChainParams, CoinState
 
@@ -60,7 +66,7 @@ def test_cannot_spend_unowned_coin():
     with pytest.raises(NotOwned):
         sim.actor("bob").send_coin(slot, sim.address("alice"))
     with pytest.raises(NotOwned):
-        sim.actor("bob").release(slot)
+        sim.deliver("bob", slot, "alice")
 
 
 def test_receiver_rejects_unknown_coin():
@@ -80,7 +86,7 @@ def test_receiver_rejects_history_ending_elsewhere():
     sim.commit_block()
     alice = sim.actor("alice")
     alice.sync(slot, sim.operator.get_witness)
-    history = alice.release(slot)
+    history = alice.coins.pop(slot)
     # Carol is handed Bob's coin
     verdict = sim.actor("carol").receive_coin(history)
     assert not verdict and "does not end" in verdict.detail
@@ -95,9 +101,10 @@ def test_receiver_rejects_forged_history():
     )
     sim.operator.inject_raw_tx(forged)
     sim.commit_block()
-    from plasma_cash.history import build_history
-    history = build_history(
-        slot, sim.contract.coins[slot].deposit_block, sim.contract.view, sim.operator.get_witness
+    history = extend_history(
+        CoinHistory(slot, sim.contract.coins[slot].deposit_block),
+        sim.contract.view,
+        sim.operator.get_witness,
     )
     verdict = sim.actor("dave").receive_coin(history)
     assert not verdict and verdict.reason is Reason.BAD_SIGNATURE
@@ -113,8 +120,9 @@ def test_receiver_rejects_double_spend_history():
     stale = make_transfer_tx(alice.signer, slot, dep_block, sim.address("carol"))
     assert sim.operator.submit_tx(stale).accepted
     sim.commit_block()
-    from plasma_cash.history import build_history
-    history = build_history(slot, dep_block, sim.contract.view, sim.operator.get_witness)
+    history = extend_history(
+        CoinHistory(slot, dep_block), sim.contract.view, sim.operator.get_witness
+    )
     verdict = sim.actor("carol").receive_coin(history)
     assert not verdict and verdict.reason is Reason.BROKEN_PARENT_LINK
 
@@ -281,18 +289,34 @@ def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
     assert settled_transfer(sim, "bob", slot, "carol")
 
     history = handed_over(sim, "carol", slot, "bob")
-    history.incl[seen.upto] = flip(history.incl[seen.upto])  # already verified by Bob
-    assert not seen.covers(history)
+    upto = seen.last_block()
+    history.incl[upto] = flip(history.incl[upto])  # already verified by Bob
+    assert not history.extends(seen)
     full = verify_history(
         history, sim.contract.view, sim.address("alice"), sim.keyring, sim.params.smt_config
     )
     verdict = bob.receive_coin(history)
     assert verdict == full
-    assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {seen.upto}" in verdict.detail
+    assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {upto}" in verdict.detail
     assert bob._checkpoints[slot] is seen
 
     assert sim.deliver("carol", slot, "bob")  # the honest copy goes through
-    assert bob._checkpoints[slot].upto == max(sim.contract.roots)
+    assert bob._checkpoints[slot].last_block() == max(sim.contract.roots)
+
+
+def test_valid_tip_walks_from_the_deposit_when_the_copy_no_longer_matches():
+    """A stored history that lost an entry Bob verified no longer extends
+    Bob's copy, so the tip comes from the full walk, not from the copy."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    bob = sim.actor("bob")
+    mine = bob.last_inclusion(slot)
+    assert mine.tx.new_owner == bob.address and bob._checkpoints[slot].incl[mine.blk_number] == mine
+    del bob.coins[slot].incl[mine.blk_number]
+    deposit_block = sim.contract.coins[slot].deposit_block
+    assert bob.last_inclusion(slot).blk_number == deposit_block
+    assert bob.last_inclusion(slot) == valid_tip(bob.coins[slot], sim.keyring)
 
 
 @pytest.fixture
