@@ -163,6 +163,7 @@ def verify_history(
     keyring: Keyring,
     config: SmtConfig,
     since: Optional[CoinHistory] = None,
+    known: Optional[smt.Memo] = None,
 ) -> Verdict:
     """Audit a coin history against the committed roots.
 
@@ -174,6 +175,9 @@ def verify_history(
     and a history that extends it, every check runs only on the entries past
     ``since``'s last block, and the ownership chain resumes at its last
     inclusion; the verdict is the one the full walk gives.
+
+    ``known`` is the caller's memo of verified upper Merkle paths, handed to
+    every ``smt.verify``; it changes the cost, never the verdict.
     """
     slot = history.slot
     incl, excl = history.incl, history.excl
@@ -209,7 +213,7 @@ def verify_history(
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
         if dep.tx.new_owner != deposit_owner:
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit owner mismatch")
-        if not _check_proof(slot, dep, dep.tx.hash(), view, config):
+        if not _check_proof(slot, dep, dep.tx.hash(), view, config, known):
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit proof invalid")
         # the partition puts every other entry after the deposit block
         last_block = history.deposit_block
@@ -219,7 +223,7 @@ def verify_history(
         itx = incl[blk]
         if itx.tx is None or itx.tx.slot != slot or itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
-        if not _check_proof(slot, itx, itx.tx.hash(), view, config):
+        if not _check_proof(slot, itx, itx.tx.hash(), view, config, known):
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: proof invalid")
         # reject double spends: each spend must chain the previous inclusion
         if itx.tx.parent_block != last_block:
@@ -240,15 +244,18 @@ def verify_history(
         itx = excl[blk]
         if itx.tx is not None or itx.blk_number != blk:
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: not an exclusion")
-        if not _check_proof(slot, itx, smt.DEFAULT_LEAF, view, config):
+        if not _check_proof(slot, itx, smt.DEFAULT_LEAF, view, config, known):
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
 
     return ACCEPT
 
 
-def _check_proof(slot, itx: IncludedTx, leaf: bytes, view: RootView, config: SmtConfig) -> bool:
+def _check_proof(
+    slot, itx: IncludedTx, leaf: bytes, view: RootView, config: SmtConfig,
+    known: Optional[smt.Memo],
+) -> bool:
     try:
-        return smt.verify(slot, leaf, itx.proof, view.roots[itx.blk_number], config)
+        return smt.verify(slot, leaf, itx.proof, view.roots[itx.blk_number], config, known)
     except PlasmaError:
         return False
 

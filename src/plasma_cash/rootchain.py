@@ -37,6 +37,7 @@ from .errors import (
     NotSameParent,
     ParentMismatch,
     PlasmaError,
+    SlotOutOfRange,
     UnknownCoin,
     WrongBond,
 )
@@ -194,6 +195,8 @@ class PlasmaContract:
         """Lock value, mint a coin, and append its one-transaction block."""
         if denomination <= 0:
             raise ValueError("denomination must be positive")
+        if self._next_slot >= self.config.capacity:
+            raise SlotOutOfRange(f"all 2^{self.config.depth} slots are minted")
         self._debit(depositor, denomination)
         self.value_escrow += denomination
 
@@ -355,7 +358,8 @@ class PlasmaContract:
             raise WrongBond(f"bond must be {self.params.bond_amount}")
         self._check_included(slot, tx, "challenge")
         if tx.blk_number >= ex.boundary:
-            raise NotBefore("challenge must precede the exit's parent block")
+            kind = "parent" if ex.parent_tx is not None else "deposit exit's"
+            raise NotBefore(f"challenge must precede the {kind} block {ex.boundary}")
         self._debit(challenger, bond)
         self.bond_escrow += bond
         challenge_id = self._next_challenge_id

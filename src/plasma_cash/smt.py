@@ -11,9 +11,10 @@ by the siblings that are in it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Tuple
+import operator
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Dict, Optional, Set, Tuple
 
 from .errors import (
     LeafEqualsDefault,
@@ -143,6 +144,16 @@ class Proof:
         r.end()
         return cls(tuple(sibs))
 
+    @cached_property
+    def top(self) -> int:
+        """One past the highest level whose sibling is not that level's
+        default, found by identity: ``prove`` and ``decode`` place the
+        shared default objects.  A sibling equal to its default but not
+        the same object only raises ``top``, which ``verify`` allows."""
+        defaults = _default_chain(len(self.siblings))
+        # byte i is 1 iff the level-i sibling is not the default object
+        return bytes(map(operator.is_not, self.siblings, defaults)).rfind(1) + 1
+
 
 class SparseMerkleTree:
     """Immutable SMT built once from a slot -> digest map."""
@@ -200,26 +211,70 @@ class SparseMerkleTree:
         return Proof(tuple(sibs))
 
 
-def verify(slot: int, leaf: bytes, proof: Proof, root: bytes, config: SmtConfig) -> bool:
+#: Keys ``(root, level, index, node)`` of subtree nodes ``verify`` folded
+#: up to ``root`` with default siblings only.
+Memo = Set[Tuple[bytes, int, int, bytes]]
+
+
+def verify(
+    slot: int,
+    leaf: bytes,
+    proof: Proof,
+    root: bytes,
+    config: SmtConfig,
+    known: Optional[Memo] = None,
+) -> bool:
     """Fold ``leaf`` up the path selected by the slot's bits.
 
     Bit i of the slot picks the side at level i (bit 0 decides adjacent to
     the leaf); returns True iff the fold reproduces ``root``.
+
+    Above ``proof.top`` every sibling is its level's default, so the rest
+    of the fold depends only on the node reached at ``top``, its index
+    ``slot >> top`` and ``root``.  With ``known``, a caller's memo of such
+    keys that folded to their root, a hit returns True without hashing and
+    a fold that succeeds adds its key.  The answer is the full fold's, with
+    no assumption on the hash: a proof altered above ``top`` has another
+    ``top``, one altered below it reaches another node.  Coins of one block
+    share their path above the smallest subtree holding them, so a wallet
+    that keeps one memo hashes that path once per block.
     """
     if len(proof.siblings) != config.depth:
         raise MalformedProof(
             f"proof has {len(proof.siblings)} siblings, depth is {config.depth}"
         )
+    if not 0 <= slot < config.capacity:
+        raise SlotOutOfRange(str(slot))
+    # hash_pair is looked up once a call, so a hook patched in before the
+    # call still sees every hash
+    hash_ = hash_pair
     defaults = config.defaults
+    top = proof.top
     node = leaf
-    for i, sib in enumerate(proof.siblings):
+    for i, sib in enumerate(proof.siblings[:top]):
         # Two defaults fold to the next default; skipping the hash keeps
         # non-inclusion checks over sparse trees cheap.
         if node == defaults[i] and sib == defaults[i]:
             node = defaults[i + 1]
         elif (slot >> i) & 1:
-            node = hash_pair(sib, node)
+            node = hash_(sib, node)
         else:
-            node = hash_pair(node, sib)
-    return node == root
-
+            node = hash_(node, sib)
+    key = (root, top, slot >> top, node)
+    if known is not None and key in known:
+        return True
+    if node == defaults[top]:
+        node = defaults[config.depth]
+    else:
+        # every sibling is a default; the per-level default test below top
+        # would skip only hashes whose result, defaults[i + 1] ==
+        # hash_pair(defaults[i], defaults[i]), is the one computed here
+        index = slot >> top
+        for sib in defaults[top:config.depth]:
+            node = hash_(sib, node) if index & 1 else hash_(node, sib)
+            index >>= 1
+    if node != root:
+        return False
+    if known is not None:
+        known.add(key)
+    return True

@@ -22,7 +22,7 @@ from .history import (
     verify_history,
 )
 from .rootchain import PlasmaContract
-from .smt import SmtConfig
+from .smt import Memo, SmtConfig
 
 
 @dataclass
@@ -45,6 +45,10 @@ class Wallet:
         # a copy of the history this wallet last accepted for each coin; kept
         # after the coin leaves, because it may come back
         self._checkpoints: Dict[int, CoinHistory] = {}
+        # upper Merkle paths this wallet folded to a committed root, so coins
+        # of one block share the hashing above their common subtree; never
+        # shared with another wallet, each client pays for its own checks
+        self._known: Memo = set()
         self._event_cursor = 0
 
     @property
@@ -85,7 +89,8 @@ class Wallet:
     def receive_coin(self, history: CoinHistory) -> Verdict:
         """Audit an incoming coin; store the history only when it is valid
         and ends at this wallet.  Blocks already verified on an earlier
-        delivery of the coin are not verified again."""
+        delivery of the coin are not verified again, and a Merkle path above
+        a subtree already folded to the same root is not hashed again."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
@@ -96,6 +101,7 @@ class Wallet:
             self.keyring,
             self.config,
             since=self._checkpoints.get(history.slot),
+            known=self._known,
         )
         if not verdict:
             return verdict

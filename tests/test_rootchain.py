@@ -21,6 +21,7 @@ from plasma_cash.errors import (
     NotOwner,
     NotSameParent,
     ParentMismatch,
+    SlotOutOfRange,
     UnknownCoin,
     WrongBond,
 )
@@ -124,6 +125,23 @@ def test_deposit_rejects_bad_amounts():
         f.contract.deposit(f.alice.address, 0)
     with pytest.raises(InsufficientBalance):
         f.contract.deposit(f.alice.address, 10_001)
+
+
+def test_deposit_past_capacity_changes_nothing():
+    """A depth-2 tree holds four coins; a fifth deposit is refused before
+    any value moves or any block or slot number is taken."""
+    f = Fixture(ChainParams(smt_depth=2))
+    for _ in range(4):
+        f.contract.deposit(f.alice.address, 1)
+
+    def state():
+        c = f.contract
+        return c.balance_of(f.alice.address), c.value_escrow, c.current_block, c._next_slot
+
+    before = state()
+    with pytest.raises(SlotOutOfRange):
+        f.contract.deposit(f.alice.address, 7)
+    assert state() == before == (10_000 - 4, 4, 4, 4)
 
 
 def test_only_operator_commits():
@@ -315,6 +333,19 @@ def test_challenge_before_window_and_bond(fx):
         fx.contract.challenge_before(
             fx.bob.address, fx.slot, fx.witness(fx.slot, fx.dep_block), BOND - 1
         )
+
+
+def test_challenge_before_a_deposit_exit_names_its_exit_block():
+    """A deposit exit has no parent block: its own deposit transaction is
+    too late to challenge it, and the refusal names the deposit block."""
+    f = Fixture()
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 3)
+    f.contract.start_exit(f.alice.address, slot, None, dep.prove(slot), BOND)
+    assert f.contract.exits[slot].boundary == dep_block
+    with pytest.raises(NotBefore) as err:
+        f.contract.challenge_before(f.bob.address, slot, dep.prove(slot), BOND)
+    assert "parent" not in str(err.value) and f"block {dep_block}" in str(err.value)
+    assert f.contract.exits[slot].challenges == []
 
 
 def test_respond_challenge_before_error_paths(fx):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasma_cash import smt
 from plasma_cash.errors import (
     LeafEqualsDefault,
     MalformedEncoding,
@@ -111,6 +112,17 @@ def test_slot_bounds():
         tree.leaf_at(16)
 
 
+def test_verify_rejects_out_of_range_slots():
+    """Slots 5 + 256 and -251 share slot 5's low 8 bits, so without a range
+    check both would fold slot 5's proof to the root."""
+    config = SmtConfig(depth=8)
+    tree = SparseMerkleTree(config, {5: leaf(5)})
+    assert verify(5, leaf(5), tree.prove(5), tree.root, config)
+    for slot in (5 + 256, -251):
+        with pytest.raises(SlotOutOfRange):
+            verify(slot, leaf(5), tree.prove(5), tree.root, config)
+
+
 def test_leaf_equal_to_default_rejected():
     config = SmtConfig(depth=4)
     with pytest.raises(LeafEqualsDefault):
@@ -213,3 +225,101 @@ def test_proof_decode_is_canonical(data):
         spare = (bitfield | 1 << bit).to_bytes(n, "little")
         with pytest.raises(MalformedEncoding):
             Proof.decode(spare + encoded[n:], config)
+
+
+# -- the memo of verified upper paths --
+
+
+def fold(slot: int, leaf_: bytes, siblings, root: bytes) -> bool:
+    """Reference verifier: hash every level, no shortcut."""
+    node = leaf_
+    for i, sib in enumerate(siblings):
+        node = hash_pair(sib, node) if (slot >> i) & 1 else hash_pair(node, sib)
+    return node == root
+
+
+def test_proof_top_is_one_past_the_highest_non_default_sibling():
+    config = SmtConfig(depth=64)
+    tree = SparseMerkleTree(config, {s: leaf(s) for s in range(8)})
+    assert tree.prove(0).top == tree.prove(7).top == 3
+    assert tree.prove(8).top == 4  # an absent slot beside the occupied subtree
+    assert Proof.decode(tree.prove(0).encode(config), config).top == 3
+    assert SparseMerkleTree(config, {9: leaf(9)}).prove(9).top == 0
+    # equal to the defaults but not the shared objects: a higher top, same verdict
+    copies = tuple(d[:16] + d[16:] for d in config.defaults[:64])
+    assert Proof(copies).top == 64
+    empty = SparseMerkleTree(config, {}).root
+    assert verify(3, DEFAULT_LEAF, Proof(copies), empty, config, set())
+
+
+def _memo_case(data):
+    depth = data.draw(st.sampled_from([3, 6, 8]), label="depth")
+    config = SmtConfig(depth=depth)
+    cap = config.capacity
+    occupied = data.draw(
+        st.sets(st.integers(0, cap - 1), min_size=1, max_size=min(cap, 24)), label="occupied"
+    )
+    leaves = {s: leaf(s) for s in occupied}
+    tree = SparseMerkleTree(config, leaves)
+    slot = data.draw(st.sampled_from(sorted(occupied)), label="slot")
+    # a second root whose tree differs only at the target slot
+    other = SparseMerkleTree(config, {**leaves, slot: leaf(-1)})
+    known = set()
+    for t in (tree, other):
+        for s in occupied - {slot}:
+            assert verify(s, t.leaf_at(s), t.prove(s), t.root, config, known)
+    return config, tree, other, slot, known
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_memo_verdict_equals_the_full_fold(data):
+    """Warmed with every other occupied slot's genuine proof under two
+    roots, the memo never changes a verdict: not for the genuine proof, nor
+    for one tampered at any level, a wrong leaf, a wrong slot or a wrong
+    root."""
+    config, tree, other, slot, known = _memo_case(data)
+    siblings = list(tree.prove(slot).siblings)
+    the_leaf, the_slot, root = tree.leaf_at(slot), slot, tree.root
+    kind = data.draw(st.sampled_from(["genuine", "sibling", "leaf", "slot", "root"]), label="kind")
+    if kind == "sibling":
+        level = data.draw(st.integers(0, config.depth - 1), label="level")
+        siblings[level] = bytes([siblings[level][0] ^ 1]) + siblings[level][1:]
+    elif kind == "leaf":
+        the_leaf = data.draw(st.sampled_from([DEFAULT_LEAF, leaf(-1), leaf(slot + 1)]))
+    elif kind == "slot":
+        the_slot = data.draw(st.integers(0, config.capacity - 1).filter(lambda s: s != slot))
+    elif kind == "root":
+        root = data.draw(st.sampled_from([other.root, config.defaults[config.depth]]))
+    proof = Proof(tuple(siblings))
+    expected = fold(the_slot, the_leaf, siblings, root)
+    assert expected == (kind == "genuine")
+    assert verify(the_slot, the_leaf, proof, root, config) == expected
+    assert verify(the_slot, the_leaf, proof, root, config, known) == expected
+    # and again, once a success may have added its own key
+    assert verify(the_slot, the_leaf, proof, root, config, known) == expected
+
+
+def test_memo_hit_skips_the_shared_upper_path(monkeypatch):
+    """Eight coins in slots 0-7 at depth 64: the first proof hashes all 64
+    levels, each later one only the 3 below its subtree; a proof whose
+    upper path is tampered misses and is refused."""
+    config = SmtConfig(depth=64)
+    tree = SparseMerkleTree(config, {s: leaf(s) for s in range(8)})
+    calls = []
+
+    def counted(left, right):
+        calls.append(1)
+        return hash_pair(left, right)
+
+    monkeypatch.setattr(smt, "hash_pair", counted)
+    known = set()
+    cost = []
+    for s in range(8):
+        calls.clear()
+        assert verify(s, leaf(s), tree.prove(s), tree.root, config, known)
+        cost.append(len(calls))
+    assert cost == [64] + [3] * 7 and len(known) == 1
+    sibs = list(tree.prove(0).siblings)
+    sibs[40] = leaf(40)
+    assert not verify(0, leaf(0), Proof(tuple(sibs)), tree.root, config, known)

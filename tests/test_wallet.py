@@ -376,3 +376,60 @@ def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
     counts.clear()
     assert sim.actor("bob").receive_coin(history)
     assert counts["verifies"] == 1 + 3
+
+
+def coins_moved_together(sim, sender, receiver, n):
+    """Deposit ``n`` coins to ``sender``, move them all to ``receiver`` in
+    one block, and return the histories the sender hands over."""
+    slots = [sim.deposit(sender, 5) for _ in range(n)]
+    for slot in slots:
+        _, receipt = sim.transfer(sender, slot, receiver)
+        assert receipt.accepted
+    sim.commit_block()
+    histories = []
+    for slot in slots:
+        sim.actor(sender).sync(slot, sim.operator.get_witness)
+        histories.append(sim.actor(sender).coins[slot].copy())
+    return histories
+
+
+def test_coins_that_share_a_block_share_its_upper_path(counts):
+    """Eight coins in slots 0-7 of one depth-64 block: Bob's first delivery
+    hashes its one-leaf deposit proof and the block proof, 64 each; every
+    later one hashes its own deposit proof and only the 3 levels below the
+    coins' common subtree.  Without the memo each costs 128."""
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    histories = coins_moved_together(sim, "alice", "bob", 8)
+    bob = sim.actor("bob")
+    cost = []
+    for history in histories:
+        counts.clear()
+        assert bob.receive_coin(history)
+        cost.append(counts["hashes"])
+    assert cost == [128] + [67] * 7
+    coin = sim.contract.coins[histories[-1].slot]
+    counts.clear()
+    assert verify_history(
+        histories[-1], sim.contract.view, coin.depositor, sim.keyring, bob.config
+    )
+    assert counts["hashes"] == 128
+
+
+def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
+    """Bob's memo holds the block's upper path from coin 0; coin 1's proof
+    for that block, with a default sibling above the coins' subtree
+    replaced, is refused, and the genuine one is then accepted."""
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    first, second = coins_moved_together(sim, "alice", "bob", 2)
+    bob = sim.actor("bob")
+    assert bob.receive_coin(first) and bob._known
+    blk = max(second.incl)
+    itx = second.incl[blk]
+    assert itx.proof.top == 1
+    sibs = list(itx.proof.siblings)
+    sibs[5] = sibs[0]
+    forged = second.copy()
+    forged.incl[blk] = IncludedTx(itx.tx, blk, smt.Proof(tuple(sibs)))
+    verdict = bob.receive_coin(forged)
+    assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {blk}" in verdict.detail
+    assert bob.receive_coin(second)
