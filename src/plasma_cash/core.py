@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .errors import MalformedEncoding, MalformedSignature
+from .errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
 from .smt import DIGEST_SIZE, Proof, Reader, SmtConfig, SparseMerkleTree
 
 ADDRESS_SIZE = 20
@@ -141,25 +141,60 @@ class IncludedTx:
         return cls(tx, blk, Proof.decode(data[r.pos:], config))
 
 
+def deposit_fault(
+    itx: IncludedTx, slot: int, depositor: Address, root: bytes, config: SmtConfig
+) -> Optional[str]:
+    """Why ``itx`` is not the deposit of ``slot`` to ``depositor`` under the
+    deposit block root ``root``, or None when it is.
+
+    A deposit block's root is its one transaction's hash, so a deposit entry
+    has one form: ``make_deposit_tx(slot, depositor)`` with the empty proof.
+    The contract and ``verify_history`` both check deposit entries here."""
+    tx = itx.tx
+    if tx is None:
+        return "deposit block not an inclusion"
+    if tx.new_owner != depositor:
+        return "deposit owner mismatch"
+    if tx != make_deposit_tx(slot, depositor):
+        return "deposit tx malformed"
+    if itx.proof != config.empty_proof or tx.hash() != root:
+        return "deposit proof invalid"
+    return None
+
+
 @dataclass
 class PlasmaBlock:
-    """One plasmachain block: at most one transaction per slot, plus the
-    SMT root over the slot -> txHash map."""
+    """One plasmachain block: at most one transaction per slot, plus its
+    root.  An operator block's root is the SMT root over the slot -> txHash
+    map; a deposit block's root is its one transaction's hash."""
 
     number: int
     txs: Dict[int, Transaction]
     root: bytes
-    tree: SparseMerkleTree = field(repr=False, compare=False, default=None)
+    tree: Optional[SparseMerkleTree] = field(repr=False, compare=False, default=None)
+    config: Optional[SmtConfig] = field(repr=False, compare=False, default=None)
 
     @classmethod
     def build(cls, number: int, txs: Dict[int, Transaction], config: SmtConfig) -> "PlasmaBlock":
         tree = SparseMerkleTree(config, {slot: tx.hash() for slot, tx in txs.items()})
-        return cls(number=number, txs=dict(txs), root=tree.root, tree=tree)
+        return cls(number=number, txs=dict(txs), root=tree.root, tree=tree, config=config)
+
+    @classmethod
+    def deposit(cls, number: int, tx: Transaction, config: SmtConfig) -> "PlasmaBlock":
+        """The block of one deposit: its root is the transaction's hash, and
+        no tree is built."""
+        return cls(number=number, txs={tx.slot: tx}, root=tx.hash(), config=config)
 
     def prove(self, slot: int) -> IncludedTx:
-        """Inclusion witness when the slot is spent here, exclusion otherwise."""
-        proof = self.tree.prove(slot)
-        return IncludedTx(self.txs.get(slot), self.number, proof)
+        """Inclusion witness when the slot is spent here, exclusion otherwise.
+        A deposit block proves its one transaction with the empty proof and
+        raises NotInDepositBlock for any other slot."""
+        tx = self.txs.get(slot)
+        if self.tree is not None:
+            return IncludedTx(tx, self.number, self.tree.prove(slot))
+        if tx is None:
+            raise NotInDepositBlock(f"slot {slot} in deposit block {self.number}")
+        return IncludedTx(tx, self.number, self.config.empty_proof)
 
     def encode(self) -> bytes:
         out = [self.number.to_bytes(8, "big"), len(self.txs).to_bytes(4, "big")]

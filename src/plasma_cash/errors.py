@@ -36,6 +36,13 @@ class MalformedEncoding(PlasmaError):
     pass
 
 
+# --- blocks ---
+
+class NotInDepositBlock(PlasmaError):
+    """A deposit block commits one transaction's hash, not a tree, so it
+    proves no other slot."""
+
+
 # --- signatures ---
 
 class MalformedSignature(PlasmaError):

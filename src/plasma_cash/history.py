@@ -2,12 +2,13 @@
 
 A coin's history partitions its own deposit block and every operator block
 committed after it into inclusions (the coin moved) and exclusions (proof
-the slot was empty).  Other coins' deposit blocks are left out: the contract
-builds each of them from one deposit of a freshly minted slot, so the coin
+the slot was empty).  A deposit block's root is its one deposit
+transaction's hash, so other coins' deposit blocks are left out: the coin
 cannot be in one (see ``RootView``).  The verifier walks that partition:
-deposit first, then each spend must prove inclusion, chain its parent link
-to the previous inclusion, and carry a signature recovering to the previous
-owner; every other block must prove the slot empty.
+the deposit entry first, checked by hash equality (``core.deposit_fault``),
+then each spend must prove inclusion, chain its parent link to the previous
+inclusion, and carry a signature recovering to the previous owner; every
+other block must prove the slot empty.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional
 
 from . import smt
-from .core import Address, IncludedTx, Keyring, Reader
+from .core import Address, IncludedTx, Keyring, Reader, deposit_fault
 from .errors import MalformedEncoding, MissingRoot, PlasmaError
 from .smt import SmtConfig
 
@@ -61,11 +62,17 @@ class RootView:
     A coin's history covers its own deposit block and every operator block
     after it, never another coin's deposit block.  That is sound because:
 
-    - the contract builds each deposit root itself, from the one deposit
-      transaction of a slot it has just minted, so no other slot is in it;
+    - the contract sets each deposit root itself, to the hash of the one
+      deposit transaction of a slot it has just minted, so the block holds
+      no other slot and proves none (``PlasmaBlock.prove`` raises for one);
+    - the contract and ``verify_history`` accept an entry at a coin's
+      deposit block only through ``core.deposit_fault``: the coin's own
+      deposit transaction, the empty proof, and its hash equal to the root;
     - ``deposit`` skips the ``child_block_interval`` multiples and
       ``submit_block`` only ever uses ``next_operator_block``, so a deposit
-      number is never an operator number;
+      number is never an operator number, and the contract refuses an
+      entry at any block that is neither the coin's deposit block nor an
+      operator block;
     - no contract move takes an exclusion proof.
 
     An operator, Byzantine or not, commits no deposit root, so skipping
@@ -84,6 +91,11 @@ class RootView:
         if after < deposit_block and deposit_block in self.roots:
             return [deposit_block, *tail]
         return tail
+
+    def is_operator_block(self, number: int) -> bool:
+        blocks = self.operator_blocks
+        i = bisect.bisect_left(blocks, number)
+        return i < len(blocks) and blocks[i] == number
 
 
 @dataclass
@@ -205,16 +217,15 @@ def verify_history(
         last_block = tip.blk_number
         last_owner = tip.tx.new_owner
     else:
-        # deposit transaction
         dep = incl.get(history.deposit_block)
-        if dep is None or dep.tx is None or dep.blk_number != history.deposit_block:
+        if dep is None or dep.blk_number != history.deposit_block:
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
-        if dep.tx.slot != slot or dep.tx.parent_block != 0:
-            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
-        if dep.tx.new_owner != deposit_owner:
-            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit owner mismatch")
-        if not _check_proof(slot, dep, dep.tx.hash(), view, config, known):
-            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit proof invalid")
+        # an operator may commit any root, even a deposit transaction's hash
+        if view.is_operator_block(dep.blk_number):
+            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block is an operator block")
+        fault = deposit_fault(dep, slot, deposit_owner, view.roots[dep.blk_number], config)
+        if fault is not None:
+            return reject(Reason.BAD_DEPOSIT_PROOF, fault)
         # the partition puts every other entry after the deposit block
         last_block = history.deposit_block
         last_owner = deposit_owner

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from . import smt
-from .core import Address, IncludedTx, Keyring, make_deposit_tx, PlasmaBlock
+from .core import Address, IncludedTx, Keyring, deposit_fault, make_deposit_tx, PlasmaBlock
 from .errors import (
     BadProof,
     BadSignature,
@@ -172,12 +172,23 @@ class PlasmaContract:
 
     def _check_included(self, slot: int, itx: IncludedTx, what: str):
         """Raise BadProof unless ``itx`` is a transaction of ``slot`` proven
-        included under a committed root; ``what`` names it in the error."""
+        included in one of the coin's blocks: its deposit block, checked by
+        ``deposit_fault``, or an operator block, checked by ``smt.verify``.
+        ``what`` names the entry in the error."""
         if itx.tx is None or itx.tx.slot != slot:
             raise BadProof(f"{what} transaction missing or for another slot")
-        root = self.roots.get(itx.blk_number)
+        coin = self.coins[slot]
+        number = itx.blk_number
+        root = self.roots.get(number)
+        if number == coin.deposit_block:
+            fault = deposit_fault(itx, slot, coin.depositor, root, self.config)
+            if fault is not None:
+                raise BadProof(f"{what}: {fault}")
+            return
+        if not self.view.is_operator_block(number):
+            raise BadProof(f"{what} block {number} is not the coin's deposit or an operator block")
         try:
-            if root is not None and smt.verify(slot, itx.tx.hash(), itx.proof, root, self.config):
+            if smt.verify(slot, itx.tx.hash(), itx.proof, root, self.config):
                 return
         except PlasmaError:
             pass
@@ -192,7 +203,8 @@ class PlasmaContract:
     # -- deposits and block commitments --
 
     def deposit(self, depositor: Address, denomination: int):
-        """Lock value, mint a coin, and append its one-transaction block."""
+        """Lock value, mint a coin, and append its one-transaction block,
+        whose root is the deposit transaction's hash."""
         if denomination <= 0:
             raise ValueError("denomination must be positive")
         if self._next_slot >= self.config.capacity:
@@ -207,8 +219,7 @@ class PlasmaContract:
             number += 1  # interval numbers belong to operator blocks
         self.current_block = number
 
-        tx = make_deposit_tx(slot, depositor)
-        block = PlasmaBlock.build(number, {slot: tx}, self.config)
+        block = PlasmaBlock.deposit(number, make_deposit_tx(slot, depositor), self.config)
         self.roots[number] = block.root
         self.coins[slot] = CoinRecord(
             slot=slot,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Set, Tuple
 
 from .errors import (
@@ -59,6 +59,12 @@ class SmtConfig:
     def bitfield_size(self) -> int:
         return (self.depth + 7) // 8
 
+    @property
+    def empty_proof(self) -> "Proof":
+        """The proof whose every sibling is its level's default: a lone
+        leaf's path."""
+        return _empty_proof(self.depth)
+
 
 @lru_cache(maxsize=None)
 def _default_chain(depth: int) -> Tuple[bytes, ...]:
@@ -66,6 +72,11 @@ def _default_chain(depth: int) -> Tuple[bytes, ...]:
     for _ in range(depth):
         chain.append(hash_pair(chain[-1], chain[-1]))
     return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def _empty_proof(depth: int) -> "Proof":
+    return Proof(_default_chain(depth)[:depth], 0)
 
 
 class Reader:
@@ -109,6 +120,19 @@ class Proof:
     """
 
     siblings: Tuple[bytes, ...]
+    #: One past the highest level whose sibling is not that level's default.
+    #: ``prove`` and ``decode`` set it; a proof built from siblings alone
+    #: finds it by identity, since ``prove`` and ``decode`` place the shared
+    #: default objects.  A sibling equal to its default but not the same
+    #: object only raises ``top``, which ``verify`` allows.
+    top: int = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.top is None:
+            defaults = _default_chain(len(self.siblings))
+            # byte i is 1 iff the level-i sibling is not the default object
+            top = bytes(map(operator.is_not, self.siblings, defaults)).rfind(1) + 1
+            object.__setattr__(self, "top", top)
 
     def encode(self, config: SmtConfig) -> bytes:
         if len(self.siblings) != config.depth:
@@ -142,17 +166,7 @@ class Proof:
             else:
                 sibs.append(default)
         r.end()
-        return cls(tuple(sibs))
-
-    @cached_property
-    def top(self) -> int:
-        """One past the highest level whose sibling is not that level's
-        default, found by identity: ``prove`` and ``decode`` place the
-        shared default objects.  A sibling equal to its default but not
-        the same object only raises ``top``, which ``verify`` allows."""
-        defaults = _default_chain(len(self.siblings))
-        # byte i is 1 iff the level-i sibling is not the default object
-        return bytes(map(operator.is_not, self.siblings, defaults)).rfind(1) + 1
+        return cls(tuple(sibs), bitfield.bit_length())
 
 
 class SparseMerkleTree:
@@ -172,6 +186,12 @@ class SparseMerkleTree:
         self.leaves = dict(leaves)
         # levels[i]: non-default node digests at level i, keyed by node index
         self._levels = self._build()
+        # the split height: one past the highest level holding two or more
+        # nodes; every level from it up holds only the node above ``_anchor``
+        self._split = next(
+            (i + 1 for i in reversed(range(config.depth)) if len(self._levels[i]) > 1), 0
+        )
+        self._anchor = next(iter(self.leaves), None)
 
     def _build(self):
         defaults = self.config.defaults
@@ -200,15 +220,30 @@ class SparseMerkleTree:
         return self.leaves.get(slot, DEFAULT_LEAF)
 
     def prove(self, slot: int) -> Proof:
-        """Merkle path for a slot; works for absent slots too (non-inclusion)."""
-        if not 0 <= slot < self.config.capacity:
+        """Merkle path for a slot; works for absent slots too (non-inclusion).
+
+        Only the levels below the split height are looked up.  Above it the
+        one node of each level lies on the occupied slots' path, so it is the
+        slot's sibling only at the highest bit where the slot leaves that
+        path, and a slot that leaves it there has no other non-default
+        sibling."""
+        depth = self.config.depth
+        if not 0 <= slot < 1 << depth:
             raise SlotOutOfRange(str(slot))
-        defaults = self.config.defaults
-        sibs = []
-        for i in range(self.config.depth):
-            sib_idx = (slot >> i) ^ 1
-            sibs.append(self._levels[i].get(sib_idx, defaults[i]))
-        return Proof(tuple(sibs))
+        sibs = list(self.config.defaults[:depth])
+        levels, split, anchor = self._levels, self._split, self._anchor
+        if anchor is not None:
+            high = (slot ^ anchor).bit_length() - 1
+            if high >= split:
+                sibs[high] = levels[high][anchor >> high]
+                return Proof(tuple(sibs), high + 1)
+        top = 0
+        for i in range(split):
+            sib = levels[i].get((slot >> i) ^ 1)
+            if sib is not None:
+                sibs[i] = sib
+                top = i + 1
+        return Proof(tuple(sibs), top)
 
 
 #: Keys ``(root, level, index, node)`` of subtree nodes ``verify`` folded
@@ -233,11 +268,13 @@ def verify(
     of the fold depends only on the node reached at ``top``, its index
     ``slot >> top`` and ``root``.  With ``known``, a caller's memo of such
     keys that folded to their root, a hit returns True without hashing and
-    a fold that succeeds adds its key.  The answer is the full fold's, with
-    no assumption on the hash: a proof altered above ``top`` has another
-    ``top``, one altered below it reaches another node.  Coins of one block
-    share their path above the smallest subtree holding them, so a wallet
-    that keeps one memo hashes that path once per block.
+    a fold that succeeds adds its key, unless ``top`` is 0: that key names
+    the leaf itself, so only the same check again could hit it.  The answer
+    is the full fold's, with no assumption on the hash: a proof altered
+    above ``top`` has another ``top``, one altered below it reaches another
+    node.  Coins of one block share their path above the smallest subtree
+    holding them, so a wallet that keeps one memo hashes that path once per
+    block.
     """
     if len(proof.siblings) != config.depth:
         raise MalformedProof(
@@ -250,6 +287,8 @@ def verify(
     hash_ = hash_pair
     defaults = config.defaults
     top = proof.top
+    if not top:
+        known = None
     node = leaf
     for i, sib in enumerate(proof.siblings[:top]):
         # Two defaults fold to the next default; skipping the hash keeps

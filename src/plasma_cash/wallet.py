@@ -47,7 +47,10 @@ class Wallet:
         self._checkpoints: Dict[int, CoinHistory] = {}
         # upper Merkle paths this wallet folded to a committed root, so coins
         # of one block share the hashing above their common subtree; never
-        # shared with another wallet, each client pays for its own checks
+        # shared with another wallet, each client pays for its own checks.
+        # A proof whose every sibling is a default stores no key, so this
+        # holds at most one key per (root, shared subtree) of a block of two
+        # or more coins that the wallet verified
         self._known: Memo = set()
         self._event_cursor = 0
 

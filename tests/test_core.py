@@ -14,9 +14,9 @@ from plasma_cash.core import (
     make_deposit_tx,
     make_transfer_tx,
 )
-from plasma_cash.errors import MalformedEncoding, MalformedSignature
+from plasma_cash.errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
 from plasma_cash.history import CoinHistory
-from plasma_cash.smt import Proof, SmtConfig
+from plasma_cash.smt import Proof, SmtConfig, SparseMerkleTree
 
 
 @pytest.fixture
@@ -133,6 +133,23 @@ def test_block_build_and_prove(keyring):
     assert block.prove(6).is_exclusion
 
 
+def test_deposit_block_commits_its_transaction_hash():
+    """A deposit block builds no tree: its root is its one transaction's
+    hash, it proves that transaction with the empty proof, which encodes as
+    a one-leaf tree's proof did, and it proves no other slot."""
+    config = SmtConfig(depth=64)
+    tx = make_deposit_tx(7, Address(b"\x02" * 20))
+    block = PlasmaBlock.deposit(3, tx, config)
+    assert block.root == tx.hash() and block.txs == {7: tx} and block.tree is None
+    itx = block.prove(7)
+    assert itx == IncludedTx(tx, 3, config.empty_proof) and itx.proof.top == 0
+    one_leaf = SparseMerkleTree(config, {7: tx.hash()}).prove(7)
+    assert itx.encode(config) == IncludedTx(tx, 3, one_leaf).encode(config)
+    for slot in (6, 8):
+        with pytest.raises(NotInDepositBlock):
+            block.prove(slot)
+
+
 def test_block_encode_round_trip(keyring):
     config = SmtConfig(depth=8)
     alice = keyring.new_signer("alice")
@@ -159,7 +176,7 @@ def test_exclusion_entry_size():
     8-byte depth-64 bitfield."""
     config = SmtConfig(depth=64)
     keyring = Keyring()
-    deposit = PlasmaBlock.build(1, {0: make_deposit_tx(0, keyring.new_signer("alice").address)}, config)
+    deposit = PlasmaBlock.deposit(1, make_deposit_tx(0, keyring.new_signer("alice").address), config)
     excl = PlasmaBlock.build(1000, {}, config).prove(0)
     assert excl.is_exclusion
     assert len(excl.encode(config)) == 8 + 4 + 8

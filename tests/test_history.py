@@ -5,6 +5,7 @@ import random
 import pytest
 
 from plasma_cash.core import (
+    SIG_SIZE,
     IncludedTx,
     Keyring,
     PlasmaBlock,
@@ -18,6 +19,7 @@ from plasma_cash.history import (
     CoinHistory,
     Reason,
     RootView,
+    Verdict,
     extend_history,
     find_spend,
     valid_tip,
@@ -46,7 +48,11 @@ class Chain:
         return self.keyring.new_signer(name)
 
     def add_block(self, number, txs):
-        self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
+        if number % 1000:  # a deposit block: its one transaction's hash is the root
+            (tx,) = txs.values()
+            self.blocks[number] = PlasmaBlock.deposit(number, tx, CONFIG)
+        else:
+            self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
 
     def view(self):
         # operator blocks take the multiples of 1000, deposit blocks the rest
@@ -121,8 +127,9 @@ def test_other_coins_deposit_blocks_are_skipped(chain):
     assert set(history.excl) == {2000, 4000}
     assert verify(chain, history)
 
+    # block 2 proves no other slot, so the padding is built by hand
     padded = chain.history(0, 1)
-    padded.excl[2] = chain.witness(0, 2)
+    padded.excl[2] = IncludedTx(None, 2, CONFIG.empty_proof)
     verdict = verify(chain, padded)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
     assert verdict.detail == "missing=[] extra=[2]"
@@ -147,6 +154,19 @@ def test_corrupt_deposit_proof_rejected(chain):
     history.incl[1] = IncludedTx(dep.tx, 1, flip(dep.proof))
     verdict = verify(chain, history)
     assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+
+
+def test_signed_deposit_entry_rejected(chain):
+    """``Transaction.hash`` leaves the signature out, so a deposit tx that
+    carries one hashes to the committed root; it is still refused, and a
+    deposit entry has one encoding."""
+    history = chain.history(0, 1)
+    dep = history.incl[1]
+    signed = Transaction(0, 0, dep.tx.new_owner, bytes(SIG_SIZE))
+    assert signed.hash() == chain.blocks[1].root
+    history.incl[1] = IncludedTx(signed, 1, dep.proof)
+    verdict = verify(chain, history)
+    assert verdict == Verdict(False, Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
 
 
 def test_deposit_entry_for_another_block_rejected(chain):

@@ -1,8 +1,17 @@
 """Root-chain contract: deposits, commitments, and the exit game."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plasma_cash.core import Keyring, PlasmaBlock, make_transfer_tx
+from plasma_cash.core import (
+    SIG_SIZE,
+    IncludedTx,
+    Keyring,
+    PlasmaBlock,
+    Transaction,
+    make_transfer_tx,
+)
 from plasma_cash.errors import (
     BadProof,
     BadSignature,
@@ -21,11 +30,14 @@ from plasma_cash.errors import (
     NotOwner,
     NotSameParent,
     ParentMismatch,
+    PlasmaError,
     SlotOutOfRange,
     UnknownCoin,
     WrongBond,
 )
+from plasma_cash.history import ACCEPT, CoinHistory, Reason, verify_history
 from plasma_cash.rootchain import ChainParams, CoinState, PlasmaContract
+from plasma_cash.smt import Proof
 
 PARAMS = ChainParams(maturity_period=5, bond_amount=100, smt_depth=16)
 BOND = PARAMS.bond_amount
@@ -253,6 +265,107 @@ def test_challenge_between_window_enforced(fx):
     late = fx.commit({fx.slot: make_transfer_tx(fx.bob, fx.slot, 1000, fx.mallory.address)})
     with pytest.raises(NotBetween):  # same parent but after the exit block
         fx.contract.challenge_between(fx.bob.address, fx.slot, late.prove(fx.slot))
+
+
+def contract_state(contract):
+    return (dict(contract.balances), contract.value_escrow, contract.bond_escrow,
+            dict(contract.exits), len(contract.events))
+
+
+def test_signed_deposit_tx_does_not_exit():
+    """A deposit tx carrying a signature hashes to the deposit root, since
+    the hash leaves the signature out; the contract still refuses it and
+    nothing changes."""
+    f = Fixture()
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 3)
+    genuine = dep.prove(slot)
+    signed_tx = Transaction(slot, 0, f.alice.address, Keyring.sign(f.alice, genuine.tx.hash()))
+    assert signed_tx.hash() == dep.root
+    before = contract_state(f.contract)
+    with pytest.raises(BadProof):
+        f.contract.start_exit(
+            f.alice.address, slot, None, IncludedTx(signed_tx, dep_block, genuine.proof), BOND
+        )
+    assert contract_state(f.contract) == before
+    assert f.contract.coins[slot].state is CoinState.DEPOSITED
+
+
+def test_entries_outside_the_coins_blocks_are_refused(fx):
+    """A move takes an entry only at the coin's deposit block or at an
+    operator block: the coin's deposit tx filed under another coin's
+    deposit block, or under an uncommitted number, is refused; at its own
+    deposit block it is taken."""
+    _, other_block, _ = fx.contract.deposit(fx.bob.address, 3)
+    carol_exit(fx)
+    genuine = fx.witness(fx.slot, fx.dep_block)
+    for number in (other_block, 999):
+        moved = IncludedTx(genuine.tx, number, genuine.proof)
+        with pytest.raises(BadProof, match="not the coin's deposit or an operator block"):
+            fx.contract.challenge_before(fx.alice.address, fx.slot, moved, BOND)
+    assert fx.contract.exits[fx.slot].challenges == []
+    fx.contract.challenge_before(fx.alice.address, fx.slot, genuine, BOND)
+    assert len(fx.contract.exits[fx.slot].challenges) == 1
+
+
+def deposit_mutant(data, f, slot, genuine):
+    """One field of the genuine deposit entry changed, and the reasons the
+    verifier may give for it."""
+    kind = data.draw(st.sampled_from(
+        ["genuine", "owner", "slot", "parent_block", "signature", "sibling", "blk_number"]
+    ), label="kind")
+    tx, number, proof = genuine.tx, genuine.blk_number, genuine.proof
+    reasons = {Reason.BAD_DEPOSIT_PROOF}
+    if kind == "owner":
+        tx = Transaction(slot, 0, data.draw(st.sampled_from([f.bob, f.mallory])).address)
+    elif kind == "slot":
+        tx = Transaction(data.draw(st.integers(0, 99).filter(lambda s: s != slot)), 0, tx.new_owner)
+    elif kind == "parent_block":
+        tx = Transaction(slot, data.draw(st.integers(1, 2**63)), tx.new_owner)
+    elif kind == "signature":
+        tx = Transaction(slot, 0, tx.new_owner, data.draw(st.binary(min_size=SIG_SIZE, max_size=SIG_SIZE)))
+    elif kind == "sibling":
+        sibs = list(proof.siblings)
+        sibs[data.draw(st.integers(0, len(sibs) - 1))] = data.draw(st.binary(min_size=32, max_size=32))
+        proof = Proof(tuple(sibs))
+    elif kind == "blk_number":
+        number = data.draw(st.sampled_from([1, 1000, 1002]))
+        reasons = {Reason.PARTITION_GAP}
+    return kind, IncludedTx(tx, number, proof), reasons
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verifier_and_contract_agree_on_deposit_entries(data):
+    """Mutate one field of a deposit entry: ``verify_history`` refuses the
+    mutant with BAD_DEPOSIT_PROOF (PARTITION_GAP when the entry moves to
+    another committed block), and ``start_exit`` refuses it whether it is
+    the exit tx of a deposit exit or the parent of a spend, changing
+    nothing; both accept the genuine entry."""
+    f = Fixture()
+    f.contract.deposit(f.bob.address, 1)  # block 1: another coin's deposit
+    f.commit({})  # 1000
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)  # 1001
+    f.contract.deposit(f.carol.address, 1)  # 1002
+    spend = f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)}).prove(slot)
+    kind, entry, reasons = deposit_mutant(data, f, slot, dep.prove(slot))
+
+    history = CoinHistory(slot, dep_block, {entry.blk_number: entry, spend.blk_number: spend})
+    verdict = verify_history(history, f.contract.view, f.alice.address, f.keyring, f.contract.config)
+    use = data.draw(st.sampled_from(["deposit exit", "parent"]), label="use")
+    if use == "deposit exit":
+        exitor, args = entry.tx.new_owner, (None, entry)
+    else:
+        exitor, args = f.bob.address, (entry, spend)
+    before = contract_state(f.contract)
+    if kind == "genuine":
+        assert verdict == ACCEPT
+        f.contract.start_exit(exitor, slot, *args, BOND)
+        assert f.contract.coins[slot].state is CoinState.EXITING
+        return
+    assert not verdict and verdict.reason in reasons, (kind, verdict)
+    with pytest.raises(PlasmaError):
+        f.contract.start_exit(exitor, slot, *args, BOND)
+    assert contract_state(f.contract) == before
 
 
 def test_challenge_between_rejected_on_deposit_exit():

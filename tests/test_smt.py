@@ -123,6 +123,38 @@ def test_verify_rejects_out_of_range_slots():
             verify(slot, leaf(5), tree.prove(5), tree.root, config)
 
 
+def per_level_proof(tree: SparseMerkleTree, slot: int) -> Proof:
+    """Reference prover: one lookup at every level."""
+    defaults = tree.config.defaults
+    return Proof(tuple(
+        tree._levels[i].get((slot >> i) ^ 1, defaults[i]) for i in range(tree.config.depth)
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_prove_matches_the_per_level_lookup(data):
+    """``prove`` looks up only the levels below the split height, yet gives
+    every level's sibling and the same ``top`` as a lookup at every level:
+    for the empty tree, occupied slots, absent slots beside them and slots
+    far outside the occupied subtree."""
+    depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
+    config = SmtConfig(depth=depth)
+    # leaves clustered in one 2^width-slot subtree, so the split height varies
+    width = data.draw(st.integers(0, depth), label="width")
+    base = data.draw(st.integers(0, config.capacity - 1), label="base") >> width << width
+    offsets = data.draw(st.sets(st.integers(0, (1 << width) - 1), max_size=12), label="offsets")
+    occupied = sorted(base | o for o in offsets)
+    tree = SparseMerkleTree(config, {s: leaf(s) for s in occupied})
+    slots = [0, config.capacity - 1, *occupied[:4]]
+    slots += data.draw(st.lists(st.integers(0, config.capacity - 1), max_size=4), label="far")
+    for bit in data.draw(st.lists(st.integers(0, depth - 1), max_size=4), label="bits"):
+        slots.append((occupied[0] if occupied else base) ^ (1 << bit))
+    for slot in slots:
+        got, want = tree.prove(slot), per_level_proof(tree, slot)
+        assert got.siblings == want.siblings and got.top == want.top, slot
+
+
 def test_leaf_equal_to_default_rejected():
     config = SmtConfig(depth=4)
     with pytest.raises(LeafEqualsDefault):

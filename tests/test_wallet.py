@@ -5,9 +5,9 @@ from collections import Counter
 import pytest
 
 from plasma_cash import smt
-from plasma_cash.core import IncludedTx, Keyring, make_transfer_tx
+from plasma_cash.core import IncludedTx, Keyring, make_deposit_tx, make_transfer_tx
 from plasma_cash.driver import Simulation
-from plasma_cash.errors import NotOwned, WitnessUnavailable
+from plasma_cash.errors import BadProof, NotOwned, WitnessUnavailable
 from plasma_cash.history import (
     CoinHistory,
     Reason,
@@ -361,11 +361,23 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
     assert cost[16] == cost[64] == (5 * 64, 6)
 
 
+def test_one_coin_blocks_leave_the_memo_empty():
+    """Every proof in a block of one coin has ``top`` 0, whose memo key only
+    the same check again could hit: after a hand-off chain of such blocks
+    no wallet holds a key."""
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    names = ["w0", "w1", "w2", "w3"]
+    slot = sim.deposit(names[0], 5)
+    for k in range(1, 17):
+        assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
+    assert [w._known for w in sim.wallets.values()] == [set()] * 4
+
+
 @pytest.mark.parametrize("others", [0, 50])
 def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
-    """A fresh receiver verifies the coin's deposit proof and one proof per
-    operator block since; other coins' deposit blocks, here interleaved
-    with those operator blocks, cost it nothing."""
+    """A fresh receiver checks the coin's deposit entry by hash equality and
+    verifies one proof per operator block since; other coins' deposit
+    blocks, here interleaved with those operator blocks, cost it nothing."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     for _ in range(2):
@@ -375,7 +387,7 @@ def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
     history = handed_over(sim, "alice", slot, "bob")
     counts.clear()
     assert sim.actor("bob").receive_coin(history)
-    assert counts["verifies"] == 1 + 3
+    assert counts["verifies"] == 3
 
 
 def coins_moved_together(sim, sender, receiver, n):
@@ -395,9 +407,9 @@ def coins_moved_together(sim, sender, receiver, n):
 
 def test_coins_that_share_a_block_share_its_upper_path(counts):
     """Eight coins in slots 0-7 of one depth-64 block: Bob's first delivery
-    hashes its one-leaf deposit proof and the block proof, 64 each; every
-    later one hashes its own deposit proof and only the 3 levels below the
-    coins' common subtree.  Without the memo each costs 128."""
+    hashes the block proof's 64 levels; every later one hashes only the 3
+    levels below the coins' common subtree.  A deposit entry is checked by
+    hash equality and costs no tree hash.  Without the memo each costs 64."""
     sim = Simulation(params=ChainParams(smt_depth=64))
     histories = coins_moved_together(sim, "alice", "bob", 8)
     bob = sim.actor("bob")
@@ -406,13 +418,13 @@ def test_coins_that_share_a_block_share_its_upper_path(counts):
         counts.clear()
         assert bob.receive_coin(history)
         cost.append(counts["hashes"])
-    assert cost == [128] + [67] * 7
+    assert cost == [64] + [3] * 7
     coin = sim.contract.coins[histories[-1].slot]
     counts.clear()
     assert verify_history(
         histories[-1], sim.contract.view, coin.depositor, sim.keyring, bob.config
     )
-    assert counts["hashes"] == 128
+    assert counts["hashes"] == 64
 
 
 def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
@@ -433,3 +445,31 @@ def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
     verdict = bob.receive_coin(forged)
     assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {blk}" in verdict.detail
     assert bob.receive_coin(second)
+
+
+@pytest.mark.parametrize("forgery", ["root", "tree"])
+def test_deposit_entry_under_an_operator_block_is_refused(forgery):
+    """An operator may commit any root: the hash of a coin's deposit
+    transaction, or a tree holding that transaction.  A history that
+    claims such an operator block as the coin's deposit block is refused;
+    the contract too refuses the hash-root entry."""
+    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    alice, carol = sim.actor("alice"), sim.actor("carol")
+    dep = make_deposit_tx(slot, alice.address)
+    if forgery == "root":
+        fake = sim.contract.submit_block(sim.operator.address, dep.hash())
+        entry = IncludedTx(dep, fake, sim.params.smt_config.empty_proof)
+    else:
+        sim.operator.inject_raw_tx(dep)
+        entry = sim.commit_block().prove(slot)
+        fake = entry.blk_number
+    sim.operator.inject_raw_tx(make_transfer_tx(alice.signer, slot, fake, carol.address))
+    spend = sim.commit_block().prove(slot)
+    history = CoinHistory(slot, fake, {fake: entry, spend.blk_number: spend})
+    verdict = carol.receive_coin(history)
+    assert verdict.reason is Reason.BAD_DEPOSIT_PROOF and not carol.owns(slot)
+    if forgery == "root":
+        with pytest.raises(BadProof):
+            sim.contract.start_exit(carol.address, slot, entry, spend, PARAMS.bond_amount)
