@@ -109,14 +109,15 @@ class Simulation:
         return tx, self.operator.submit_tx(tx)
 
     def deliver(self, sender: str, slot: int, receiver: str) -> Verdict:
-        """After inclusion: sender completes the history and hands it over."""
-        src = self.actor(sender)
-        dst = self.actor(receiver)
+        """After inclusion: the sender completes its log and hands over its
+        entries past the receiver's mark (all of them if it has none)."""
+        src, dst = self.actor(sender), self.actor(receiver)
         src.sync(slot, self.operator.get_witness)
-        history = src.coins.pop(slot)
-        verdict = dst.receive_coin(history)
+        mark = dst.marks.get(slot)
+        log = src.coins.pop(slot)
+        verdict = dst.receive_coin(log.past(mark.block if mark else 0))
         if not verdict:
-            src.coins[slot] = history  # receiver refused; sender keeps the coin
+            src.coins[slot] = log  # refused: kept, now last (the fuzz draws coins in order)
         return verdict
 
     def start_exit(self, name: str, slot: int):
@@ -163,7 +164,9 @@ class Simulation:
     def withdraw(self, name: str, slot: int) -> int:
         wallet = self.actor(name)
         amount = self.contract.withdraw(wallet.address, slot)
-        wallet.coins.pop(slot, None)
+        for w in self.wallets.values():  # a withdrawn coin never comes back
+            for held in (w.coins, w.logs, w.marks):
+                held.pop(slot, None)
         return amount
 
     # -- convenience queries --

@@ -9,6 +9,9 @@ the deposit entry first, checked by hash equality (``core.deposit_fault``),
 then each spend must prove inclusion, chain its parent link to the previous
 inclusion, and carry a signature recovering to the previous owner; every
 other block must prove the slot empty.
+
+A receiver that verified a coin up to a block keeps a ``Mark`` there and is
+handed only the later entries, so a hand-off costs the same however old the coin is.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from itertools import takewhile
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import smt
 from .core import Address, IncludedTx, Keyring, Reader, deposit_fault
@@ -100,7 +104,8 @@ class RootView:
 
 @dataclass
 class CoinHistory:
-    """Everything a receiver needs to audit one coin since its deposit."""
+    """A coin's entries since its deposit, or past a receiver's mark, kept in
+    ascending block order (``decode`` requires it), so a map's last key is its highest."""
 
     slot: int
     deposit_block: int
@@ -108,31 +113,16 @@ class CoinHistory:
     excl: Dict[int, IncludedTx] = field(default_factory=dict)
 
     def last_inclusion(self) -> IncludedTx:
-        return self.incl[max(self.incl)]
+        return self.incl[next(reversed(self.incl))]
 
     def last_block(self) -> int:
-        return max(max(self.incl, default=0), max(self.excl, default=0))
+        return max(next(reversed(self.incl), 0), next(reversed(self.excl), 0))
 
-    def copy(self) -> "CoinHistory":
-        return CoinHistory(self.slot, self.deposit_block, dict(self.incl), dict(self.excl))
-
-    def extends(self, verified: "CoinHistory") -> bool:
-        """True when this history's entries at or below ``verified``'s last
-        block are exactly ``verified``'s.
-
-        Committed roots are append-only and the depositor is fixed at
-        minting, so entries equal to a copy that passed ``verify_history``
-        verify the same way again; only blocks past it need checking.  A
-        copy therefore vouches only for the root chain and the depositor it
-        was verified against.
-        """
-        upto = verified.last_block()
-        return (
-            self.slot == verified.slot
-            and self.deposit_block == verified.deposit_block
-            and _upto(self.incl, upto) == verified.incl
-            and _upto(self.excl, upto) == verified.excl
-        )
+    def past(self, block: int) -> "CoinHistory":
+        """A fresh history of the entries past ``block`` (all of them, one
+        copy a map, for 0); the frozen entries are shared, never the maps."""
+        incl, excl = _past(self.incl, block), _past(self.excl, block)
+        return CoinHistory(self.slot, self.deposit_block, incl, excl)
 
     # -- canonical encoding --
 
@@ -164,8 +154,18 @@ class CoinHistory:
         return cls(slot, deposit_block, maps[0], maps[1])
 
 
-def _upto(entries: Dict[int, IncludedTx], upto: int) -> Dict[int, IncludedTx]:
-    return {blk: itx for blk, itx in entries.items() if blk <= upto}
+def _past(entries: Dict[int, IncludedTx], block: int) -> Dict[int, IncludedTx]:
+    if not block:
+        return dict(entries)
+    tail = list(takewhile(lambda blk: blk > block, reversed(entries)))
+    return {blk: entries[blk] for blk in reversed(tail)}
+
+
+class Mark(NamedTuple):
+    """The last block of a coin a wallet verified, and the valid tip there."""
+
+    block: int
+    tip: IncludedTx
 
 
 def verify_history(
@@ -174,7 +174,7 @@ def verify_history(
     deposit_owner: Address,
     keyring: Keyring,
     config: SmtConfig,
-    since: Optional[CoinHistory] = None,
+    mark: Optional[Mark] = None,
     known: Optional[smt.Memo] = None,
 ) -> Verdict:
     """Audit a coin history against the committed roots.
@@ -183,39 +183,33 @@ def verify_history(
     cannot cover the claimed blocks raises MissingRoot instead: the caller
     must distinguish "unverifiable" from "fraudulent".
 
-    With ``since``, a copy of the coin's history that passed these checks,
-    and a history that extends it, every check runs only on the entries past
-    ``since``'s last block, and the ownership chain resumes at its last
-    inclusion; the verdict is the one the full walk gives.
+    With ``mark``, the caller's record of the coin verified up to its block,
+    the history must hold exactly the coin's blocks past that one; every
+    check runs on each and the ownership chain resumes at ``mark.tip``.
+    Committed roots are append-only and the depositor is fixed at minting,
+    so the verdict is the full walk's over the verified entries and these.
 
     ``known`` is the caller's memo of verified upper Merkle paths, handed to
     every ``smt.verify``; it changes the cost, never the verdict.
     """
     slot = history.slot
     incl, excl = history.incl, history.excl
-    resume = since is not None and history.extends(since)
-    after = since.last_block() if resume else 0
-    if resume:
-        incl = {blk: itx for blk, itx in incl.items() if blk > after}
-        excl = {blk: itx for blk, itx in excl.items() if blk > after}
-    claimed = set(incl) | set(excl)
-    for blk in claimed if resume else claimed | {history.deposit_block}:
+    claimed = incl.keys() | excl.keys()
+    for blk in claimed if mark is not None else claimed | {history.deposit_block}:
         if blk not in view.roots:
             raise MissingRoot(f"no committed root for block {blk}")
 
     overlap = incl.keys() & excl.keys()
     if overlap:
         return reject(Reason.PARTITION_OVERLAP, f"blocks {sorted(overlap)}")
-    required = set(view.history_blocks(history.deposit_block, after=after))
+    required = set(view.history_blocks(history.deposit_block, after=mark.block if mark else 0))
     if claimed != required:
         missing = sorted(required - claimed)
         extra = sorted(claimed - required)
         return reject(Reason.PARTITION_GAP, f"missing={missing} extra={extra}")
 
-    if resume:
-        tip = since.last_inclusion()
-        last_block = tip.blk_number
-        last_owner = tip.tx.new_owner
+    if mark is not None:
+        last_block, last_owner = mark.tip.blk_number, mark.tip.tx.new_owner
     else:
         dep = incl.get(history.deposit_block)
         if dep is None or dep.blk_number != history.deposit_block:
@@ -282,17 +276,10 @@ def extend_history(
     """Fill in witnesses for the history's blocks it does not cover yet.
 
     Histories always cover a prefix of ``view.history_blocks``, so only
-    blocks past the highest covered one need fetching.  Entries are kept in
-    ascending block order (``decode`` requires it and this loop appends in
-    order), so each map's last key is its highest; a map filled out of order
-    only makes the loop start earlier, and covered blocks are skipped.
-    WitnessUnavailable from the source propagates: withheld data is never
-    papered over.
+    blocks past the highest covered one need fetching.  WitnessUnavailable
+    from the source propagates: withheld data is never papered over.
     """
-    start = max(next(reversed(history.incl), 0), next(reversed(history.excl), 0))
-    for blk in view.history_blocks(history.deposit_block, after=start):
-        if blk in history.incl or blk in history.excl:
-            continue
+    for blk in view.history_blocks(history.deposit_block, after=history.last_block()):
         itx = witness(history.slot, blk)
         if itx.is_exclusion:
             history.excl[blk] = itx
@@ -310,14 +297,15 @@ def find_spend(
 ) -> Optional[IncludedTx]:
     """Earliest inclusion after block ``parent`` (and before block
     ``before``, when given) that spends ``parent`` and is signed by
-    ``owner``, or None.  Signatures are recovered only for entries that
-    already name ``parent`` and fall in the range."""
+    ``owner``, or None.  Only inclusions past ``parent`` are read, from the
+    last back, and signatures are recovered only for entries that already
+    name ``parent`` and fall in the range."""
+    incl = history.incl
     spends = [
         itx
-        for itx in history.incl.values()
+        for itx in map(incl.get, takewhile(lambda blk: blk > parent, reversed(incl)))
         if itx.tx is not None
         and itx.tx.parent_block == parent
-        and parent < itx.blk_number
         and (before is None or itx.blk_number < before)
     ]
     for itx in sorted(spends, key=lambda i: i.blk_number):
@@ -327,7 +315,7 @@ def find_spend(
 
 
 def valid_tip(
-    history: CoinHistory, keyring: Keyring, since: Optional[CoinHistory] = None
+    history: CoinHistory, keyring: Keyring, tip: Optional[IncludedTx] = None
 ) -> IncludedTx:
     """Last inclusion on the coin's valid ownership chain.
 
@@ -337,14 +325,12 @@ def valid_tip(
     (double spends, forged spends) are skipped, so the tip is what the
     wallet can legitimately spend or exit with.
 
-    With ``since``, a verified copy the history extends, the walk resumes at
-    the copy's last inclusion: its inclusions are one verified chain, and
-    any other spend of a block in it comes later than the chain's own, so
-    the walk from the deposit passes there.
+    With ``tip``, the valid tip at a block the caller verified, the walk
+    resumes there: up to that block the inclusions are one chain and every
+    other block proves the slot empty, so any other spend of a block in the
+    chain comes later than the chain's own, and the full walk passes ``tip``.
     """
-    if since is not None and history.extends(since):
-        tip = since.last_inclusion()
-    else:
+    if tip is None:
         tip = history.incl[history.deposit_block]
     while True:
         spend = find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)

@@ -187,6 +187,8 @@ class PlasmaContract:
             return
         if not self.view.is_operator_block(number):
             raise BadProof(f"{what} block {number} is not the coin's deposit or an operator block")
+        if itx.tx.is_deposit:  # no spend at an operator block names block 0
+            raise BadProof(f"{what} is a deposit transaction at operator block {number}")
         try:
             if smt.verify(slot, itx.tx.hash(), itx.proof, root, self.config):
                 return

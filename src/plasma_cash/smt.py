@@ -194,18 +194,24 @@ class SparseMerkleTree:
         self._anchor = next(iter(self.leaves), None)
 
     def _build(self):
-        defaults = self.config.defaults
+        defaults, depth = self.config.defaults, self.config.depth
         levels = [dict(self.leaves)]
-        for i in range(self.config.depth):
+        for i in range(depth):
             current = levels[i]
+            if len(current) == 1:
+                # one node a level from here: fold it up past default siblings
+                ((idx, node),) = current.items()
+                for j in range(i, depth):
+                    node = hash_pair(defaults[j], node) if idx & 1 else hash_pair(node, defaults[j])
+                    idx >>= 1
+                    levels.append({idx: node})
+                break
             parents: Dict[int, bytes] = {}
             for idx in current:
                 p = idx >> 1
-                if p in parents:
-                    continue
-                left = current.get(p * 2, defaults[i])
-                right = current.get(p * 2 + 1, defaults[i])
-                parents[p] = hash_pair(left, right)
+                if p not in parents:
+                    left = current.get(p * 2, defaults[i])
+                    parents[p] = hash_pair(left, current.get(p * 2 + 1, defaults[i]))
             levels.append(parents)
         return levels
 

@@ -1,8 +1,8 @@
 """Client-side coin management and root-chain watching.
 
-A wallet stores a verified history for every coin it owns, signs outgoing
-transfers, audits incoming histories before accepting them, and scans the
-root-chain event log to challenge fraudulent exits of its coins.
+A wallet keeps an append-only log and a mark of the last block it verified
+for every coin it has held, signs transfers, audits only the entries past
+its mark, and scans the root chain to challenge fraudulent exits of its coins.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .core import Address, IncludedTx, Keyring, Signer, Transaction, make_transf
 from .errors import NotOwned, PlasmaError
 from .history import (
     CoinHistory,
+    Mark,
     Verdict,
     WitnessSource,
     extend_history,
@@ -41,10 +42,11 @@ class Wallet:
         self.keyring = keyring
         self.contract = contract
         self.config: SmtConfig = contract.config
-        self.coins: Dict[int, CoinHistory] = {}
-        # a copy of the history this wallet last accepted for each coin; kept
-        # after the coin leaves, because it may come back
-        self._checkpoints: Dict[int, CoinHistory] = {}
+        self.coins: Dict[int, CoinHistory] = {}  # the logs of the coins owned
+        # every coin deposited or accepted, kept after it leaves since it may
+        # come back: entries up to the mark were verified, later ones synced
+        self.logs: Dict[int, CoinHistory] = {}
+        self.marks: Dict[int, Mark] = {}
         # upper Merkle paths this wallet folded to a committed root, so coins
         # of one block share the hashing above their common subtree; never
         # shared with another wallet, each client pays for its own checks.
@@ -64,17 +66,16 @@ class Wallet:
         return slot in self.coins
 
     def register_deposit(self, slot: int, deposit_block: int, itx: IncludedTx):
-        """Record a coin this wallet just deposited on the root chain."""
-        self.coins[slot] = CoinHistory(
-            slot=slot, deposit_block=deposit_block, incl={deposit_block: itx}
-        )
+        """Record a coin this wallet deposited; the contract's deposit entry is the first mark."""
+        self.coins[slot] = self.logs[slot] = CoinHistory(slot, deposit_block, {deposit_block: itx})
+        self.marks[slot] = Mark(deposit_block, itx)
 
     def last_inclusion(self, slot: int) -> IncludedTx:
-        """Last inclusion on the coin's valid ownership chain; fraudulent
-        inclusions picked up while syncing are skipped."""
+        """Last inclusion on the coin's valid ownership chain, walked from
+        the mark; fraudulent inclusions picked up while syncing are skipped."""
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
-        return valid_tip(self.coins[slot], self.keyring, self._checkpoints.get(slot))
+        return valid_tip(self.coins[slot], self.keyring, self.marks[slot].tip)
 
     def sync(self, slot: int, witness: WitnessSource):
         """Pull witnesses for any committed blocks the stored history lacks.
@@ -90,29 +91,31 @@ class Wallet:
         return make_transfer_tx(self.signer, slot, parent.blk_number, new_owner)
 
     def receive_coin(self, history: CoinHistory) -> Verdict:
-        """Audit an incoming coin; store the history only when it is valid
-        and ends at this wallet.  Blocks already verified on an earlier
-        delivery of the coin are not verified again, and a Merkle path above
-        a subtree already folded to the same root is not hashed again."""
+        """Audit an incoming coin and accept it only when it is valid and ends
+        here.  A coin with a mark must come as exactly its entries past the
+        mark; a Merkle path above a subtree already folded to the same root
+        is not hashed again.  A refusal leaves the log and mark as they were."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
+        mark = self.marks.get(history.slot)
         verdict = verify_history(
-            history,
-            self.contract.view,
-            coin.depositor,
-            self.keyring,
-            self.config,
-            since=self._checkpoints.get(history.slot),
-            known=self._known,
+            history, self.contract.view, coin.depositor, self.keyring, self.config, mark, self._known
         )
         if not verdict:
             return verdict
-        last = history.last_inclusion()
+        last = history.last_inclusion() if history.incl else mark.tip
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
-        self.coins[history.slot] = history
-        self._checkpoints[history.slot] = history.copy()
+        log = self.logs.setdefault(history.slot, history)
+        if mark is not None:
+            # drop what sync appended past the mark; the new entries replace it
+            for entries, new in ((log.incl, history.incl), (log.excl, history.excl)):
+                while entries and next(reversed(entries)) > mark.block:
+                    entries.popitem()
+                entries.update(sorted(new.items()))
+        self.coins[history.slot] = log
+        self.marks[history.slot] = Mark(log.last_block(), last)
         return Verdict(True)
 
     # -- watching and challenging --

@@ -17,6 +17,7 @@ from plasma_cash.errors import MissingRoot
 from plasma_cash.history import (
     ACCEPT,
     CoinHistory,
+    Mark,
     Reason,
     RootView,
     Verdict,
@@ -390,18 +391,27 @@ def corrupt(chain, history, kind, blk):
     return None
 
 
+def suffix(history, cut):
+    """The entries past ``cut``; unlike ``CoinHistory.past`` it assumes no
+    order, since a corruption may append an entry out of order."""
+    return CoinHistory(
+        history.slot,
+        history.deposit_block,
+        {blk: itx for blk, itx in history.incl.items() if blk > cut},
+        {blk: itx for blk, itx in history.excl.items() if blk > cut},
+    )
+
+
 def test_checkpointed_verifier_agrees_with_full_walk():
     exercised = set()
     for seed in range(60):
         rng = random.Random(f"cut-{seed}")
         chain, depositor = random_chain(seed)
 
-        def verify(history, since=None):
-            return verify_history(
-                history, chain.view(), depositor, chain.keyring, CONFIG, since=since
-            )
+        def verify(history, mark=None):
+            return verify_history(history, chain.view(), depositor, chain.keyring, CONFIG, mark)
 
-        # verify a prefix cut at a random block, keep a copy of it, extend it
+        # verify a prefix cut at a random block, mark its tip, extend it
         cut = rng.choice(sorted(chain.blocks)[:-1])
         view = chain.view()
         prefix_view = RootView(
@@ -410,11 +420,12 @@ def test_checkpointed_verifier_agrees_with_full_walk():
         )
         prefix = extend_history(CoinHistory(0, 1), prefix_view, chain.witness)
         assert verify_history(prefix, prefix_view, depositor, chain.keyring, CONFIG)
-        verified = prefix.copy()
+        mark = Mark(prefix.last_block(), prefix.last_inclusion())
+        assert mark.tip == valid_tip(prefix, chain.keyring)
         extended = extend_history(prefix, chain.view(), chain.witness)
-        assert verified.last_block() == cut < extended.last_block()
-        assert extended.extends(verified)
-        assert verify(extended, since=verified) == verify(extended) == ACCEPT
+        assert mark.block == cut < extended.last_block()
+        assert extended.past(cut) == suffix(extended, cut)
+        assert verify(extended.past(cut), mark) == verify(extended) == ACCEPT
 
         for kind in CORRUPTIONS:
             for above in (True, False):
@@ -428,27 +439,36 @@ def test_checkpointed_verifier_agrees_with_full_walk():
                         break
                 else:
                     continue
-                # below the cut the copy no longer matches: the full walk runs
-                assert history.extends(verified) == above
                 full = verify(history)
                 assert not full and full.reason is expected, (seed, kind, above)
-                assert verify(history, since=verified) == full
+                if above:
+                    # the suffix from the mark gives the full walk's verdict
+                    assert verify(suffix(history, cut), mark) == full
+                else:
+                    # entries at or below the mark are not read again: the
+                    # suffix is accepted, a history holding them is refused
+                    assert verify(suffix(history, cut), mark) == ACCEPT
+                    if min(history.incl.keys() | history.excl.keys()) <= cut:
+                        refused = verify(history, mark).reason
+                        assert refused in (Reason.PARTITION_OVERLAP, Reason.PARTITION_GAP)
                 exercised.add((kind, above))
     assert exercised == {(k, a) for k in CORRUPTIONS for a in (True, False)}
 
 
-def test_resumed_verification_reads_only_roots_past_the_copy(chain):
-    """Resuming from a verified copy checks roots, partition and proofs only
-    past its last block: a view that has lost the older roots still accepts
-    the new entries, while the full walk cannot cover them."""
+def test_resumed_verification_reads_only_roots_past_the_mark(chain):
+    """Verifying from a mark checks roots, partition and proofs only past
+    its block: a view that has lost the older roots still accepts the new
+    entries, while the full walk cannot cover them."""
     verified = chain.history(0, 1)
+    mark = Mark(verified.last_block(), verified.last_inclusion())
     chain.add_block(5000, {})
     history = chain.history(0, 1)
     view = chain.view()
     recent = RootView({n: r for n, r in view.roots.items() if n > 4000}, view.operator_blocks)
     alice = chain.keyring.new_signer("alice")
     args = (recent, alice.address, chain.keyring, CONFIG)
-    assert verify_history(history, *args, since=verified) == ACCEPT
+    assert list(history.past(mark.block).excl) == [5000]
+    assert verify_history(history.past(mark.block), *args, mark) == ACCEPT
     with pytest.raises(MissingRoot):
         verify_history(history, *args)
 
@@ -459,6 +479,5 @@ def test_valid_tip_resumes_at_a_checkpoint(chain):
     verified = chain.history(0, 1)
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
     history = chain.history(0, 1)
-    assert history.extends(verified)
-    tip = valid_tip(history, chain.keyring, since=verified)
+    tip = valid_tip(history, chain.keyring, verified.last_inclusion())
     assert tip == valid_tip(history, chain.keyring) and tip.blk_number == 3000

@@ -10,6 +10,7 @@ from plasma_cash.core import (
     Keyring,
     PlasmaBlock,
     Transaction,
+    make_deposit_tx,
     make_transfer_tx,
 )
 from plasma_cash.errors import (
@@ -305,6 +306,25 @@ def test_entries_outside_the_coins_blocks_are_refused(fx):
     assert fx.contract.exits[fx.slot].challenges == []
     fx.contract.challenge_before(fx.alice.address, fx.slot, genuine, BOND)
     assert len(fx.contract.exits[fx.slot].challenges) == 1
+
+
+def test_deposit_tx_at_an_operator_block_is_no_exit_parent():
+    """A Byzantine operator includes the coin's deposit tx at 2000, after
+    Alice paid Bob at 1000, then Alice's spend of it to Carol at 3000.  No
+    spend names block 0, so the entry at 2000 is no parent: the exit is
+    refused and nothing changes."""
+    f = Fixture()
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)
+    f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
+    f.commit({slot: make_deposit_tx(slot, f.alice.address)})
+    f.commit({slot: make_transfer_tx(f.alice, slot, 2000, f.carol.address)})
+    before = contract_state(f.contract)
+    with pytest.raises(BadProof, match="deposit transaction at operator block 2000"):
+        f.contract.start_exit(
+            f.carol.address, slot, f.witness(slot, 2000), f.witness(slot, 3000), BOND
+        )
+    assert contract_state(f.contract) == before
+    assert f.contract.coins[slot].state is CoinState.DEPOSITED
 
 
 def deposit_mutant(data, f, slot, genuine):

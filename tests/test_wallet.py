@@ -1,5 +1,6 @@
 """Wallets: transfer etiquette, history auditing, and auto-challenging."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from plasma_cash.history import (
 )
 from plasma_cash.operator_node import OperatorMode
 from plasma_cash.rootchain import ChainParams, CoinState
+from plasma_cash.wallet import Wallet
 
 PARAMS = ChainParams(maturity_period=5, smt_depth=16)
 
@@ -218,6 +220,18 @@ def test_watcher_ignores_own_and_honest_exits():
     assert sim.withdraw("bob", slot) == 5
 
 
+def test_a_withdrawn_coin_leaves_every_wallet():
+    """A withdrawn coin never comes back, so no wallet keeps its log or mark."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    assert all(slot in w.logs and slot in w.marks for w in sim.wallets.values())
+    sim.start_exit("bob", slot)
+    assert finish_exit(sim, slot) == "Finalized"
+    assert sim.withdraw("bob", slot) == 5
+    assert [(w.coins, w.logs, w.marks) for w in sim.wallets.values()] == [({}, {}, {})] * 2
+
+
 def test_exit_with_a_withheld_witness_starts_no_exit():
     """``exit_with`` fetches the operator's witnesses before it calls the
     contract: a withheld parent or exit witness leaves no trace on chain."""
@@ -261,62 +275,126 @@ def handed_over(sim, sender, slot, receiver):
     return CoinHistory(h.slot, h.deposit_block, dict(h.incl), dict(h.excl))
 
 
+def log_state(wallet, slot):
+    """Copies of a wallet's log maps for a coin, and its mark."""
+    log = wallet.logs[slot]
+    return dict(log.incl), dict(log.excl), wallet.marks[slot]
+
+
 def test_rejected_delivery_keeps_checkpoints():
+    """A refused delivery leaves the receiver's log and mark as they were,
+    the entries ``sync`` appended past the mark included."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     assert settled_transfer(sim, "bob", slot, "carol")
     bob, eve = sim.actor("bob"), sim.actor("eve")
-    kept = dict(bob._checkpoints)
-    assert set(kept) == {slot}
+    kept = log_state(bob, slot)
+    assert max(kept[0]) > kept[2].block  # Bob's own spend, synced, not verified
 
     to_dave = handed_over(sim, "carol", slot, "dave")
-    assert not bob.receive_coin(to_dave)  # valid, but ends at Dave
-    newest = max(to_dave.incl)
-    to_dave.incl[newest] = flip(to_dave.incl[newest])
-    verdict = bob.receive_coin(to_dave)
+    to_bob = to_dave.past(bob.marks[slot].block)
+    assert not bob.receive_coin(to_bob)  # valid, but ends at Dave
+    newest = max(to_bob.incl)
+    to_bob.incl[newest] = to_dave.incl[newest] = flip(to_bob.incl[newest])
+    verdict = bob.receive_coin(to_bob)
     assert not verdict and verdict.reason is Reason.BAD_INCLUSION_PROOF
     assert not eve.receive_coin(to_dave)
-    assert bob._checkpoints == kept and eve._checkpoints == {}
+    assert log_state(bob, slot) == kept and eve.logs == eve.marks == {}
 
 
 def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
+    """A returning receiver takes only the blocks past its mark: a whole
+    history, honest or with a block Bob verified corrupted, is refused for
+    its extra blocks and changes nothing; the suffix ``deliver`` hands over
+    is accepted."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     bob = sim.actor("bob")
-    seen = bob._checkpoints[slot]
+    mark = bob.marks[slot]
     assert settled_transfer(sim, "bob", slot, "carol")
+    kept = log_state(bob, slot)
 
     history = handed_over(sim, "carol", slot, "bob")
-    upto = seen.last_block()
-    history.incl[upto] = flip(history.incl[upto])  # already verified by Bob
-    assert not history.extends(seen)
-    full = verify_history(
-        history, sim.contract.view, sim.address("alice"), sim.keyring, sim.params.smt_config
-    )
-    verdict = bob.receive_coin(history)
-    assert verdict == full
-    assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {upto}" in verdict.detail
-    assert bob._checkpoints[slot] is seen
+    corrupted = history.past(0)
+    corrupted.incl[mark.block] = flip(corrupted.incl[mark.block])  # already verified by Bob
+    verified = sorted(b for b in history.incl.keys() | history.excl.keys() if b <= mark.block)
+    for offered in (history, corrupted):
+        verdict = bob.receive_coin(offered)
+        assert verdict.reason is Reason.PARTITION_GAP
+        assert verdict.detail == f"missing=[] extra={verified}"
+        assert log_state(bob, slot) == kept and not bob.owns(slot)
 
-    assert sim.deliver("carol", slot, "bob")  # the honest copy goes through
-    assert bob._checkpoints[slot].last_block() == max(sim.contract.roots)
+    # what Bob synced past his mark is replaced by the delivery, not merged
+    log = bob.logs[slot]
+    spent = max(log.incl)  # Bob's spend to Carol, synced when he handed it over
+    log.excl[spent] = IncludedTx(None, spent, sim.params.smt_config.empty_proof)
+    assert sim.deliver("carol", slot, "bob")  # the suffix past Bob's mark goes through
+    assert bob.coins[slot] is bob.logs[slot] is log
+    assert log == sim.actor("carol").logs[slot] and list(log.excl) == sorted(log.excl)
+    assert bob.marks[slot].block == max(sim.contract.roots) == log.last_block()
 
 
-def test_valid_tip_walks_from_the_deposit_when_the_copy_no_longer_matches():
-    """A stored history that lost an entry Bob verified no longer extends
-    Bob's copy, so the tip comes from the full walk, not from the copy."""
+def test_valid_tip_walks_from_the_stored_mark():
+    """Bob's tip is walked from his mark, never from the deposit: entries
+    at or below the mark are not read again, so losing them changes
+    nothing, while the walk from the deposit needs them."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     bob = sim.actor("bob")
     mine = bob.last_inclusion(slot)
-    assert mine.tx.new_owner == bob.address and bob._checkpoints[slot].incl[mine.blk_number] == mine
-    del bob.coins[slot].incl[mine.blk_number]
-    deposit_block = sim.contract.coins[slot].deposit_block
-    assert bob.last_inclusion(slot).blk_number == deposit_block
-    assert bob.last_inclusion(slot) == valid_tip(bob.coins[slot], sim.keyring)
+    assert mine == bob.marks[slot].tip and mine.tx.new_owner == bob.address
+    log = bob.coins[slot]
+    log.incl.clear()
+    assert bob.last_inclusion(slot) == mine
+    with pytest.raises(KeyError):
+        valid_tip(log, sim.keyring)
+
+
+def test_a_returning_receiver_is_handed_only_the_new_blocks(monkeypatch):
+    """One coin handed round-robin among 4 wallets: after the first lap
+    every receiver is handed the 4 blocks since it verified the coin, at
+    hand-off 16 as at hand-off 400, and keeps the whole log."""
+    sim = make_sim()
+    names = ["w0", "w1", "w2", "w3"]
+    slot = sim.deposit(names[0], 5)
+    handed = []
+    receive = Wallet.receive_coin
+
+    def counted(wallet, history):
+        handed.append(len(history.incl) + len(history.excl))
+        return receive(wallet, history)
+
+    monkeypatch.setattr(Wallet, "receive_coin", counted)
+    for k in range(1, 401):
+        assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
+    assert handed[:3] == [2, 3, 4]  # first-time receivers: deposit and every block
+    assert handed[16 - 1] == handed[400 - 1] == 4 and set(handed[3:]) == {4}
+    log = sim.actor(names[0]).coins[slot]
+    assert len(log.incl) == 401 and log.last_block() == max(sim.contract.roots)
+
+
+def test_no_two_wallets_share_a_log_map():
+    """Deliveries hand over fresh maps and receivers append into their own,
+    so no two wallets ever hold the same ``incl`` or ``excl`` dict."""
+    sim = make_sim()
+    rng = random.Random(3)
+    names = ["alice", "bob", "carol", "dave", "erin"]
+    holder = {sim.deposit(name, 5): name for name in names for _ in range(2)}
+    for _ in range(80):
+        slot = rng.choice(sorted(holder))
+        receiver = rng.choice([n for n in names if n != holder[slot]])
+        assert settled_transfer(sim, holder[slot], slot, receiver)
+        holder[slot] = receiver
+        maps = [
+            id(entries)
+            for wallet in sim.wallets.values()
+            for log in wallet.logs.values()
+            for entries in (log.incl, log.excl)
+        ]
+        assert len(maps) == len(set(maps))
 
 
 @pytest.fixture
@@ -401,7 +479,7 @@ def coins_moved_together(sim, sender, receiver, n):
     histories = []
     for slot in slots:
         sim.actor(sender).sync(slot, sim.operator.get_witness)
-        histories.append(sim.actor(sender).coins[slot].copy())
+        histories.append(sim.actor(sender).coins[slot].past(0))
     return histories
 
 
@@ -440,7 +518,7 @@ def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
     assert itx.proof.top == 1
     sibs = list(itx.proof.siblings)
     sibs[5] = sibs[0]
-    forged = second.copy()
+    forged = second.past(0)
     forged.incl[blk] = IncludedTx(itx.tx, blk, smt.Proof(tuple(sibs)))
     verdict = bob.receive_coin(forged)
     assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {blk}" in verdict.detail
