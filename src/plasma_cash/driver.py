@@ -109,13 +109,11 @@ class Simulation:
         return tx, self.operator.submit_tx(tx)
 
     def deliver(self, sender: str, slot: int, receiver: str) -> Verdict:
-        """After inclusion: the sender completes its log and hands over its
-        entries past the receiver's mark (all of them if it has none)."""
+        """After inclusion: the sender syncs and hands over its entries past the receiver's mark."""
         src, dst = self.actor(sender), self.actor(receiver)
         src.sync(slot, self.operator.get_witness)
-        mark = dst.marks.get(slot)
         log = src.coins.pop(slot)
-        verdict = dst.receive_coin(log.past(mark.block if mark else 0))
+        verdict = dst.receive_coin(log.past(dst.verified_block(slot)))
         if not verdict:
             src.coins[slot] = log  # refused: kept, now last (the fuzz draws coins in order)
         return verdict
@@ -164,9 +162,8 @@ class Simulation:
     def withdraw(self, name: str, slot: int) -> int:
         wallet = self.actor(name)
         amount = self.contract.withdraw(wallet.address, slot)
-        for w in self.wallets.values():  # a withdrawn coin never comes back
-            for held in (w.coins, w.logs, w.marks):
-                held.pop(slot, None)
+        for w in self.wallets.values():
+            w.forget(slot)
         return amount
 
     # -- convenience queries --

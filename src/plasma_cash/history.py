@@ -104,23 +104,20 @@ class RootView:
 
 @dataclass
 class CoinHistory:
-    """A coin's entries since its deposit, or past a receiver's mark, kept in
-    ascending block order (``decode`` requires it), so a map's last key is its highest."""
+    """A coin's entries since its deposit, or past a receiver's mark.  A wallet's
+    log keeps them in ascending block order, so a map's last key is its highest."""
 
     slot: int
     deposit_block: int
     incl: Dict[int, IncludedTx] = field(default_factory=dict)
     excl: Dict[int, IncludedTx] = field(default_factory=dict)
 
-    def last_inclusion(self) -> IncludedTx:
-        return self.incl[next(reversed(self.incl))]
-
     def last_block(self) -> int:
         return max(next(reversed(self.incl), 0), next(reversed(self.excl), 0))
 
     def past(self, block: int) -> "CoinHistory":
-        """A fresh history of the entries past ``block`` (all of them, one
-        copy a map, for 0); the frozen entries are shared, never the maps."""
+        """A fresh history of the entries past ``block``: new maps, the frozen
+        entries shared; for 0, in ascending block order whatever order these are in."""
         incl, excl = _past(self.incl, block), _past(self.excl, block)
         return CoinHistory(self.slot, self.deposit_block, incl, excl)
 
@@ -156,7 +153,7 @@ class CoinHistory:
 
 def _past(entries: Dict[int, IncludedTx], block: int) -> Dict[int, IncludedTx]:
     if not block:
-        return dict(entries)
+        return dict(entries) if list(entries) == sorted(entries) else dict(sorted(entries.items()))
     tail = list(takewhile(lambda blk: blk > block, reversed(entries)))
     return {blk: entries[blk] for blk in reversed(tail)}
 

@@ -49,10 +49,7 @@ class Wallet:
         self.marks: Dict[int, Mark] = {}
         # upper Merkle paths this wallet folded to a committed root, so coins
         # of one block share the hashing above their common subtree; never
-        # shared with another wallet, each client pays for its own checks.
-        # A proof whose every sibling is a default stores no key, so this
-        # holds at most one key per (root, shared subtree) of a block of two
-        # or more coins that the wallet verified
+        # shared with another wallet, each client pays for its own checks
         self._known: Memo = set()
         self._event_cursor = 0
 
@@ -69,6 +66,15 @@ class Wallet:
         """Record a coin this wallet deposited; the contract's deposit entry is the first mark."""
         self.coins[slot] = self.logs[slot] = CoinHistory(slot, deposit_block, {deposit_block: itx})
         self.marks[slot] = Mark(deposit_block, itx)
+
+    def verified_block(self, slot: int) -> int:
+        """The last block of the coin this wallet verified, 0 if it never held it."""
+        return self.marks[slot].block if slot in self.marks else 0
+
+    def forget(self, slot: int):
+        """Drop a withdrawn coin's log and mark: it never comes back."""
+        for held in (self.coins, self.logs, self.marks):
+            held.pop(slot, None)
 
     def last_inclusion(self, slot: int) -> IncludedTx:
         """Last inclusion on the coin's valid ownership chain, walked from
@@ -104,16 +110,17 @@ class Wallet:
         )
         if not verdict:
             return verdict
-        last = history.last_inclusion() if history.incl else mark.tip
+        new = history.past(0)  # own maps, in block order whatever order these are in
+        last = new.incl[next(reversed(new.incl))] if new.incl else mark.tip
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
-        log = self.logs.setdefault(history.slot, history)
+        log = self.logs.setdefault(history.slot, new)
         if mark is not None:
             # drop what sync appended past the mark; the new entries replace it
-            for entries, new in ((log.incl, history.incl), (log.excl, history.excl)):
+            for entries, added in ((log.incl, new.incl), (log.excl, new.excl)):
                 while entries and next(reversed(entries)) > mark.block:
                     entries.popitem()
-                entries.update(sorted(new.items()))
+                entries.update(added)
         self.coins[history.slot] = log
         self.marks[history.slot] = Mark(log.last_block(), last)
         return Verdict(True)
@@ -144,7 +151,6 @@ class Wallet:
     def _challenge_exit(self, slot: int, ex) -> Optional[ChallengeAction]:
         history = self.coins[slot]
         exit_block = ex.exit_block
-        parent_block = ex.parent_block
 
         # a direct spend of the exit tx cancels it outright
         after = find_spend(history, exit_block, ex.exitor, self.keyring)
@@ -153,9 +159,9 @@ class Wallet:
                 "after", slot, lambda: self.contract.challenge_after(self.address, slot, after)
             )
         # a same-parent spend strictly between parent and exit proves a double spend
-        if parent_block is not None:
+        if ex.parent_block is not None:
             between = find_spend(
-                history, parent_block, ex.parent_tx.tx.new_owner, self.keyring, before=exit_block
+                history, ex.parent_block, ex.parent_tx.tx.new_owner, self.keyring, before=exit_block
             )
             if between is not None:
                 return self._attempt(

@@ -420,7 +420,7 @@ def test_checkpointed_verifier_agrees_with_full_walk():
         )
         prefix = extend_history(CoinHistory(0, 1), prefix_view, chain.witness)
         assert verify_history(prefix, prefix_view, depositor, chain.keyring, CONFIG)
-        mark = Mark(prefix.last_block(), prefix.last_inclusion())
+        mark = Mark(prefix.last_block(), prefix.incl[max(prefix.incl)])
         assert mark.tip == valid_tip(prefix, chain.keyring)
         extended = extend_history(prefix, chain.view(), chain.witness)
         assert mark.block == cut < extended.last_block()
@@ -460,7 +460,7 @@ def test_resumed_verification_reads_only_roots_past_the_mark(chain):
     its block: a view that has lost the older roots still accepts the new
     entries, while the full walk cannot cover them."""
     verified = chain.history(0, 1)
-    mark = Mark(verified.last_block(), verified.last_inclusion())
+    mark = Mark(verified.last_block(), verified.incl[max(verified.incl)])
     chain.add_block(5000, {})
     history = chain.history(0, 1)
     view = chain.view()
@@ -479,5 +479,5 @@ def test_valid_tip_resumes_at_a_checkpoint(chain):
     verified = chain.history(0, 1)
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
     history = chain.history(0, 1)
-    tip = valid_tip(history, chain.keyring, verified.last_inclusion())
+    tip = valid_tip(history, chain.keyring, verified.incl[max(verified.incl)])
     assert tip == valid_tip(history, chain.keyring) and tip.blk_number == 3000

@@ -397,6 +397,68 @@ def test_no_two_wallets_share_a_log_map():
         assert len(maps) == len(set(maps))
 
 
+def reordered(history, first):
+    """The same history with the inclusion at block ``first`` moved to the
+    front of its map: a valid history, in no particular order."""
+    incl = {first: history.incl[first], **history.incl}
+    return CoinHistory(history.slot, history.deposit_block, incl, dict(history.excl))
+
+
+def test_a_history_in_any_order_is_logged_in_block_order():
+    """Dave is handed a valid history whose inclusions are out of order and
+    keeps his own copy in block order, so a stale exit of Bob's is still
+    challenged with Bob's own spend; what Dave was handed is not his log."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    for sender, receiver in (("alice", "bob"), ("bob", "carol")):
+        assert settled_transfer(sim, sender, slot, receiver)
+    history = handed_over(sim, "carol", slot, "dave")
+    sim.actor("carol").coins.pop(slot)
+    received, spent = sorted(history.incl)[1:3]  # Alice to Bob, Bob to Carol
+    offered = reordered(history, spent)
+    assert list(offered.incl) != sorted(offered.incl)
+    dave = sim.actor("dave")
+    assert dave.receive_coin(offered)
+    log = dave.logs[slot]
+    assert list(log.incl) == sorted(log.incl) and list(log.excl) == sorted(log.excl)
+    assert log.incl is not offered.incl and log.excl is not offered.excl
+    offered.incl.clear()
+    assert log == history and dave.marks[slot].block == max(sim.contract.roots)
+
+    sim.exit_with("bob", slot, sim.contract.coins[slot].deposit_block, received)
+    actions = dave.watch_and_challenge()
+    assert [(a.kind, a.ok) for a in actions] == [("after", True)]
+    assert slot not in sim.contract.exits
+
+
+def test_out_of_order_entries_do_not_end_a_history_at_the_receiver():
+    """The spend to Bob at 3000 is not the coin's last: Bob spent it on to
+    Dave at 4000 without ever verifying it.  Handed the blocks past his mark
+    with 3000 last in the map, Bob still finds that the history ends at Dave."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    for sender, receiver in (("alice", "bob"), ("bob", "carol")):
+        assert settled_transfer(sim, sender, slot, receiver)
+    _, receipt = sim.transfer("carol", slot, "bob")  # never delivered
+    assert receipt.accepted
+    to_bob = sim.commit_block().number
+    bob = sim.actor("bob")
+    stolen = make_transfer_tx(bob.signer, slot, to_bob, sim.address("dave"))
+    assert sim.operator.submit_tx(stolen).accepted
+    sim.commit_block()
+    carol = sim.actor("carol")
+    carol.sync(slot, sim.operator.get_witness)
+    kept = log_state(bob, slot)
+
+    offered = carol.coins[slot].past(bob.verified_block(slot))
+    out_of_order = reordered(offered, to_bob)
+    out_of_order.incl[to_bob] = out_of_order.incl.pop(to_bob)  # now last
+    for history in (offered, out_of_order):
+        verdict = bob.receive_coin(history)
+        assert not verdict and verdict.detail == "history does not end at this wallet"
+        assert log_state(bob, slot) == kept and not bob.owns(slot)
+
+
 @pytest.fixture
 def counts(monkeypatch):
     """Counts of hashes, signature recoveries and proof verifications."""
