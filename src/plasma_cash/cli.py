@@ -82,13 +82,17 @@ def fuzz_cmd(steps, seed, byzantine, json_path):
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def bench_cmd(txs, depth, trials, seed, json_path):
-    """Measure encoded proof sizes: the bitfield form every history and
-    challenge carries."""
+    """Measure encoded proof sizes, of inclusions and of exclusions: the
+    bitfield form every history and challenge carries."""
     result = bench_mod.bench_compact_proofs(txs=txs, depth=depth, trials=trials, seed=seed)
     _write_report(json.dumps(result, indent=2), json_path)
     click.echo(
         f"mean compact over {trials} proofs: {result['mean_compact']:.1f} bytes "
         f"(min {result['min_compact']}, max {result['max_compact']})"
+    )
+    click.echo(
+        f"mean exclusion over {trials} empty slots: {result['mean_exclusion']:.1f} bytes "
+        f"(min {result['min_exclusion']}, max {result['max_exclusion']})"
     )
 
 

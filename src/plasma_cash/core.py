@@ -57,12 +57,18 @@ class Transaction:
 
     def hash(self) -> bytes:
         """Digest of (slot, parent_block, new_owner); the signature signs
-        this digest and is therefore excluded from it."""
-        return hashlib.sha256(
-            self.slot.to_bytes(8, "big")
-            + self.parent_block.to_bytes(8, "big")
-            + self.new_owner.id
-        ).digest()
+        this digest and is therefore excluded from it.  Computed on the
+        first call and kept on the instance, outside the dataclass fields,
+        so equality, ``repr`` and ``asdict`` do not see it."""
+        digest = self.__dict__.get("_hash")
+        if digest is None:
+            digest = hashlib.sha256(
+                self.slot.to_bytes(8, "big")
+                + self.parent_block.to_bytes(8, "big")
+                + self.new_owner.id
+            ).digest()
+            object.__setattr__(self, "_hash", digest)
+        return digest
 
     def encode(self) -> bytes:
         return (

@@ -1,11 +1,23 @@
 """Ordered Sparse Merkle Tree with inclusion / non-inclusion proofs.
 
-Leaves live at fixed slots in a 2^depth address space.  Empty slots commit
-to a per-level chain of precomputed default hashes, so building and proving
-only ever touches the occupied part of the tree.  A proof holds one sibling
-per level; its one wire form is a bitfield that switches each level between
-"sibling is in the proof" and "sibling is the level's default hash", followed
-by the siblings that are in it.
+Leaves live at fixed slots in a 2^depth address space.  A subtree commits
+to one digest, chosen by how many leaves it holds:
+
+- none: its level's default, from a precomputed chain over the empty leaf;
+- one, at slot ``s``: ``hash_pair(s.to_bytes(8, "big"), leaf)`` at every
+  height, or the leaf itself at height 0;
+- two or more: ``hash_pair(left, right)``.
+
+A lone leaf's digest hashes 40 bytes and every other node 64, so one never
+stands for the other without a SHA-256 collision.  A tree of one coin costs
+one hash to build and one to check, at any depth.
+
+A proof holds one sibling per level.  Below its ``low`` level every sibling
+is the default, so the slot's subtree there holds at most one leaf: the
+slot's own, none, or, for an exclusion, one other coin's, which the proof
+names as its ``neighbor``.  The one wire form is a bitfield that switches
+each level between "sibling is in the proof" and "sibling is the level's
+default hash", followed by the siblings that are in it and the neighbour.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ DIGEST_SIZE = 32
 
 
 def hash_pair(left: bytes, right: bytes) -> bytes:
-    # parent = H(left || right); no domain separation, 32 bytes per level
+    # H(left || right): 64 bytes for an internal node, 8 + 32 for a lone leaf
     return hashlib.sha256(left + right).digest()
 
 
@@ -76,7 +88,13 @@ def _default_chain(depth: int) -> Tuple[bytes, ...]:
 
 @lru_cache(maxsize=None)
 def _empty_proof(depth: int) -> "Proof":
-    return Proof(_default_chain(depth)[:depth], 0)
+    return Proof(_default_chain(depth)[:depth], 0, depth)
+
+
+def lone_digest(slot: int, leaf: bytes) -> bytes:
+    """Digest of a subtree above height 0 whose only leaf is ``leaf`` at
+    ``slot``."""
+    return hash_pair(slot.to_bytes(8, "big"), leaf)
 
 
 class Reader:
@@ -111,12 +129,14 @@ class Reader:
 
 @dataclass(frozen=True)
 class Proof:
-    """Merkle proof: one sibling digest per level, leaf-adjacent first.
+    """Merkle proof: one sibling digest per level, leaf-adjacent first, and
+    for an exclusion beside a lone coin that coin's ``(slot, leaf)``.
 
     On the wire only the siblings that differ from their level's default
     are sent: a little-endian bitfield of ``config.bitfield_size`` bytes
     whose bit i is set iff the level-i sibling is present, then those
-    siblings, leaf-adjacent first.
+    siblings, leaf-adjacent first, then the neighbour, if any: its slot in
+    ``bitfield_size`` big-endian bytes and its leaf.
     """
 
     siblings: Tuple[bytes, ...]
@@ -126,13 +146,24 @@ class Proof:
     #: default objects.  A sibling equal to its default but not the same
     #: object only raises ``top``, which ``verify`` allows.
     top: int = field(default=None, compare=False)
+    #: The lowest level whose sibling is not that level's default, or the
+    #: depth when none is; ``verify`` folds from here.  ``prove`` and
+    #: ``decode`` set it, a proof built from siblings alone compares values.
+    low: int = field(default=None, compare=False)
+    #: ``(slot, leaf)`` of the one coin in the slot's subtree at ``low``, on
+    #: an exclusion whose subtree there is not empty; None otherwise.
+    neighbor: Optional[Tuple[int, bytes]] = None
 
     def __post_init__(self):
-        if self.top is None:
+        if self.top is None or self.low is None:
             defaults = _default_chain(len(self.siblings))
             # byte i is 1 iff the level-i sibling is not the default object
             top = bytes(map(operator.is_not, self.siblings, defaults)).rfind(1) + 1
-            object.__setattr__(self, "top", top)
+            low = bytes(map(operator.ne, self.siblings, defaults)).find(1)
+            if self.top is None:
+                object.__setattr__(self, "top", top)
+            if self.low is None:
+                object.__setattr__(self, "low", len(self.siblings) if low < 0 else low)
 
     def encode(self, config: SmtConfig) -> bytes:
         if len(self.siblings) != config.depth:
@@ -145,15 +176,21 @@ class Proof:
             if sib != default:
                 bitfield |= 1 << i
                 present.append(sib)
+        if self.neighbor is not None:
+            other, leaf = self.neighbor
+            present += [other.to_bytes(config.bitfield_size, "big"), leaf]
         return bitfield.to_bytes(config.bitfield_size, "little") + b"".join(present)
 
     @classmethod
     def decode(cls, data: bytes, config: SmtConfig) -> "Proof":
         """Inverse of encode.  A bit past the depth or a present sibling
         equal to its default would give a second encoding of the same
-        proof, so both raise MalformedEncoding."""
+        proof, so both raise MalformedEncoding; so does a tail after the
+        siblings that is not one neighbour's slot and leaf, or a neighbour
+        slot outside the tree."""
         r = Reader(data, "proof")
-        bitfield = int.from_bytes(r.take(config.bitfield_size), "little")
+        size = config.bitfield_size
+        bitfield = int.from_bytes(r.take(size), "little")
         if bitfield >> config.depth:
             raise MalformedEncoding("proof: bitfield bit set past the tree depth")
         sibs = []
@@ -165,8 +202,15 @@ class Proof:
                 sibs.append(sib)
             else:
                 sibs.append(default)
+        neighbor = None
+        if r.pos != len(data):
+            other = r.int(size)
+            if other >= config.capacity:
+                raise MalformedEncoding(f"proof: neighbour slot {other} outside the tree")
+            neighbor = (other, r.take(DIGEST_SIZE))
         r.end()
-        return cls(tuple(sibs), bitfield.bit_length())
+        low = (bitfield & -bitfield).bit_length() - 1 if bitfield else config.depth
+        return cls(tuple(sibs), bitfield.bit_length(), low, neighbor)
 
 
 class SparseMerkleTree:
@@ -184,40 +228,56 @@ class SparseMerkleTree:
                 )
         self.config = config
         self.leaves = dict(leaves)
-        # levels[i]: non-default node digests at level i, keyed by node index
-        self._levels = self._build()
-        # the split height: one past the highest level holding two or more
-        # nodes; every level from it up holds only the node above ``_anchor``
-        self._split = next(
-            (i + 1 for i in reversed(range(config.depth)) if len(self._levels[i]) > 1), 0
-        )
+        # levels[i]: the level-i nodes some proof names as a sibling, keyed by
+        # node index: each node holding two or more leaves, and each lone
+        # leaf's highest node (the one under a node of two or more).
+        # lone[(i, index)]: the slot whose leaf a stored lone node holds.
+        # split: one past the highest level holding two or more nodes;
+        # every level from it up holds only the node above ``_anchor``, and
+        # is stored only when that node holds two or more leaves.
+        self._levels, self._lone, self._split, self.root = self._build()
         self._anchor = next(iter(self.leaves), None)
 
     def _build(self):
-        defaults, depth = self.config.defaults, self.config.depth
-        levels = [dict(self.leaves)]
-        for i in range(depth):
-            current = levels[i]
-            if len(current) == 1:
-                # one node a level from here: fold it up past default siblings
-                ((idx, node),) = current.items()
-                for j in range(i, depth):
-                    node = hash_pair(defaults[j], node) if idx & 1 else hash_pair(node, defaults[j])
-                    idx >>= 1
-                    levels.append({idx: node})
-                break
+        defaults, depth, leaves = self.config.defaults, self.config.depth, self.leaves
+        levels = []
+        lone_at = {}
+        lone = {slot: slot for slot in leaves}  # index -> slot, one leaf below
+        inner: Dict[int, bytes] = {}  # index -> digest, two or more below
+        i = 0
+        while i < depth and len(lone) + len(inner) > 1:
+            stored = inner
+            up_lone = {}
+            for idx, slot in lone.items():
+                if (idx ^ 1) in lone or (idx ^ 1) in inner:
+                    # the lone leaf meets another node: its digest is stored
+                    stored[idx] = lone_digest(slot, leaves[slot]) if i else leaves[slot]
+                    lone_at[i, idx] = slot
+                else:
+                    up_lone[idx >> 1] = slot
             parents: Dict[int, bytes] = {}
-            for idx in current:
+            for idx in stored:
                 p = idx >> 1
                 if p not in parents:
-                    left = current.get(p * 2, defaults[i])
-                    parents[p] = hash_pair(left, current.get(p * 2 + 1, defaults[i]))
-            levels.append(parents)
-        return levels
-
-    @property
-    def root(self) -> bytes:
-        return self._levels[self.config.depth].get(0, self.config.defaults[self.config.depth])
+                    left = stored.get(p * 2, defaults[i])
+                    parents[p] = hash_pair(left, stored.get(p * 2 + 1, defaults[i]))
+            levels.append(stored)
+            lone, inner = up_lone, parents
+            i += 1
+        if inner:
+            # one node of two or more leaves: fold it up past default siblings
+            ((idx, root),) = inner.items()
+            levels.append({idx: root})
+            for j in range(i, depth):
+                root = hash_pair(defaults[j], root) if idx & 1 else hash_pair(root, defaults[j])
+                idx >>= 1
+                levels.append({idx: root})
+        elif lone:  # a tree of one leaf commits as its lone digest
+            (slot,) = lone.values()
+            root = lone_digest(slot, leaves[slot])
+        else:
+            root = defaults[depth]
+        return levels, lone_at, i, root
 
     def leaf_at(self, slot: int) -> bytes:
         """Digest committed at a slot (the default marker when absent)."""
@@ -232,7 +292,10 @@ class SparseMerkleTree:
         one node of each level lies on the occupied slots' path, so it is the
         slot's sibling only at the highest bit where the slot leaves that
         path, and a slot that leaves it there has no other non-default
-        sibling."""
+        sibling; in a tree of one leaf that node is the lone leaf, the
+        slot's neighbour.  Below the split height, an absent slot whose
+        lowest non-default sibling sits beside a lone leaf's highest node
+        has that leaf as its neighbour."""
         depth = self.config.depth
         if not 0 <= slot < 1 << depth:
             raise SlotOutOfRange(str(slot))
@@ -241,15 +304,24 @@ class SparseMerkleTree:
         if anchor is not None:
             high = (slot ^ anchor).bit_length() - 1
             if high >= split:
+                if not split:
+                    return Proof(tuple(sibs), 0, depth, (anchor, self.leaves[anchor]))
                 sibs[high] = levels[high][anchor >> high]
-                return Proof(tuple(sibs), high + 1)
-        top = 0
+                return Proof(tuple(sibs), high + 1, high)
+        top, low = 0, depth
         for i in range(split):
             sib = levels[i].get((slot >> i) ^ 1)
             if sib is not None:
                 sibs[i] = sib
                 top = i + 1
-        return Proof(tuple(sibs), top)
+                if low == depth:
+                    low = i
+        neighbor = None
+        if low < depth and slot not in self.leaves:
+            other = self._lone.get((low, slot >> low))
+            if other is not None:
+                neighbor = (other, self.leaves[other])
+        return Proof(tuple(sibs), top, low, neighbor)
 
 
 #: Keys ``(root, level, index, node)`` of subtree nodes ``verify`` folded
@@ -265,26 +337,31 @@ def verify(
     config: SmtConfig,
     known: Optional[Memo] = None,
 ) -> bool:
-    """Fold ``leaf`` up the path selected by the slot's bits.
+    """Check that ``root`` commits ``leaf`` at ``slot``; ``DEFAULT_LEAF``
+    asks that the slot is empty.
 
-    Bit i of the slot picks the side at level i (bit 0 decides adjacent to
-    the leaf); returns True iff the fold reproduces ``root``.
+    The fold starts at ``proof.low`` from the digest of the slot's subtree
+    there: the lone digest of ``leaf`` (the leaf itself at level 0), the
+    level's default for an exclusion, or the lone digest of the neighbour.
+    A neighbour is refused on an inclusion, and when it is the slot itself
+    or lies outside the slot's subtree at ``low`` (so also past the
+    tree).  From ``low`` up, bit i of the slot picks the side at level i.
 
     Above ``proof.top`` every sibling is its level's default, so the rest
     of the fold depends only on the node reached at ``top``, its index
     ``slot >> top`` and ``root``.  With ``known``, a caller's memo of such
     keys that folded to their root, a hit returns True without hashing and
-    a fold that succeeds adds its key, unless ``top`` is 0: that key names
-    the leaf itself, so only the same check again could hit it.  The answer
-    is the full fold's, with no assumption on the hash: a proof altered
-    above ``top`` has another ``top``, one altered below it reaches another
-    node.  Coins of one block share their path above the smallest subtree
-    holding them, so a wallet that keeps one memo hashes that path once per
-    block.
+    a fold that succeeds adds its key, unless no sibling is folded: then
+    the node is compared with the root as it is.  The answer is the full
+    fold's, with no assumption on the hash: a proof altered above ``top``
+    has another ``top``, one altered below it reaches another node.  Coins
+    of one block share their path above the smallest subtree holding them,
+    so a wallet that keeps one memo hashes that path once per block.
     """
-    if len(proof.siblings) != config.depth:
+    depth = config.depth
+    if len(proof.siblings) != depth:
         raise MalformedProof(
-            f"proof has {len(proof.siblings)} siblings, depth is {config.depth}"
+            f"proof has {len(proof.siblings)} siblings, depth is {depth}"
         )
     if not 0 <= slot < config.capacity:
         raise SlotOutOfRange(str(slot))
@@ -292,32 +369,36 @@ def verify(
     # call still sees every hash
     hash_ = hash_pair
     defaults = config.defaults
-    top = proof.top
-    if not top:
-        known = None
-    node = leaf
-    for i, sib in enumerate(proof.siblings[:top]):
-        # Two defaults fold to the next default; skipping the hash keeps
-        # non-inclusion checks over sparse trees cheap.
-        if node == defaults[i] and sib == defaults[i]:
-            node = defaults[i + 1]
-        elif (slot >> i) & 1:
-            node = hash_(sib, node)
-        else:
-            node = hash_(node, sib)
-    key = (root, top, slot >> top, node)
+    low, top = proof.low, proof.top
+    if proof.neighbor is not None:
+        other, other_leaf = proof.neighbor
+        if (
+            leaf != DEFAULT_LEAF
+            or other == slot
+            or other >> low != slot >> low
+            or len(other_leaf) != DIGEST_SIZE
+        ):
+            return False
+        node = lone_digest(other, other_leaf)
+    elif leaf == DEFAULT_LEAF:
+        node = defaults[low]
+    else:
+        node = lone_digest(slot, leaf) if low else leaf
+    if low == depth:
+        return node == root
+    siblings = proof.siblings
+    for i in range(low, top):
+        sib = siblings[i]
+        if len(sib) != DIGEST_SIZE:
+            return False
+        node = hash_(sib, node) if (slot >> i) & 1 else hash_(node, sib)
+    index = slot >> top
+    key = (root, top, index, node)
     if known is not None and key in known:
         return True
-    if node == defaults[top]:
-        node = defaults[config.depth]
-    else:
-        # every sibling is a default; the per-level default test below top
-        # would skip only hashes whose result, defaults[i + 1] ==
-        # hash_pair(defaults[i], defaults[i]), is the one computed here
-        index = slot >> top
-        for sib in defaults[top:config.depth]:
-            node = hash_(sib, node) if index & 1 else hash_(node, sib)
-            index >>= 1
+    for sib in defaults[top:depth]:
+        node = hash_(sib, node) if index & 1 else hash_(node, sib)
+        index >>= 1
     if node != root:
         return False
     if known is not None:

@@ -84,7 +84,11 @@ def test_compact_proof_sizes():
 
 def test_smt_matches_dense_oracle():
     """Roots and every proof agree with a brute-force dense tree for 1000
-    random leaf maps at depths up to 8."""
+    random leaf maps at depths up to 8.  Each dense node is its level's
+    default, a lone leaf's ``hash_pair(slot, leaf)`` (the leaf itself at
+    level 0), or the hash of its children; an absent slot whose lowest
+    non-empty sibling holds one leaf names that leaf as its neighbour in
+    place of the sibling."""
     t0 = time.monotonic()
     rng = random.Random(0)
     checked = 0
@@ -99,19 +103,37 @@ def test_smt_matches_dense_oracle():
         }
         sparse = SparseMerkleTree(config, leaves)
 
-        level = [leaves.get(i, DEFAULT_LEAF) for i in range(config.capacity)]
+        # each node: (digest, occupied slots below it)
+        level = [(leaves.get(i, DEFAULT_LEAF), [i] if i in leaves else []) for i in range(config.capacity)]
         levels = [level]
         while len(level) > 1:
-            level = [hash_pair(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+            height = len(levels)
+            parents = []
+            for (left, lslots), (right, rslots) in zip(level[::2], level[1::2]):
+                slots = lslots + rslots
+                if not slots:
+                    digest = config.defaults[height]
+                elif len(slots) == 1:
+                    digest = hash_pair(slots[0].to_bytes(8, "big"), leaves[slots[0]])
+                else:
+                    digest = hash_pair(left, right)
+                parents.append((digest, slots))
+            level = parents
             levels.append(level)
-        if sparse.root != levels[-1][0]:
+        if sparse.root != levels[-1][0][0]:
             ok = False
             break
         for slot in range(config.capacity):
-            dense_proof = Proof(
-                tuple(levels[i][(slot >> i) ^ 1] for i in range(depth))
-            )
-            if sparse.prove(slot) != dense_proof:
+            sibs = [levels[i][(slot >> i) ^ 1] for i in range(depth)]
+            digests = [digest for digest, _ in sibs]
+            neighbor = None
+            below = next((i for i, (_, slots) in enumerate(sibs) if slots), None)
+            if slot not in leaves and below is not None and len(sibs[below][1]) == 1:
+                (other,) = sibs[below][1]
+                neighbor = (other, leaves[other])
+                digests[below] = config.defaults[below]
+            got, want = sparse.prove(slot), Proof(tuple(digests), neighbor=neighbor)
+            if got != want or got.low != want.low:
                 ok = False
                 break
         checked += 1

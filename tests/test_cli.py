@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
+from plasma_cash.bench import bench_compact_proofs
 from plasma_cash.cli import main
 
 
@@ -45,3 +47,20 @@ def test_bench_command(tmp_path):
     sizes = {2 + 32 * k for k in range(1, 17)}
     assert obj["min_compact"] in sizes and obj["max_compact"] in sizes
     assert obj["min_compact"] <= obj["mean_compact"] <= obj["max_compact"]
+    # an exclusion may also carry a neighbour: a 2-byte slot and its leaf
+    sizes |= {2 + 2 + 32 + 32 * k for k in range(0, 17)}
+    assert obj["min_exclusion"] in sizes and obj["max_exclusion"] in sizes
+    assert obj["min_exclusion"] <= obj["mean_exclusion"] <= obj["max_exclusion"]
+    assert "mean exclusion over 20 empty slots" in result.output
+
+
+def test_bench_needs_an_empty_slot():
+    """Exclusions are sampled from empty slots, so a tree with none, or more
+    transactions than slots, is refused instead of sampling forever."""
+    for txs in (0, 16, 17):
+        with pytest.raises(ValueError):
+            bench_compact_proofs(txs=txs, depth=4, trials=5)
+    # every sample is the one empty slot: its pair's leaf as the neighbour,
+    # three siblings
+    stats = bench_compact_proofs(txs=15, depth=4, trials=5)
+    assert stats["min_exclusion"] == stats["max_exclusion"] == 1 + 3 * 32 + 1 + 32

@@ -1,10 +1,15 @@
 """Transactions, blocks, their canonical encodings, and the recoverable
 signature scheme."""
 
+import hashlib
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasma_cash import core
 from plasma_cash.core import (
     Address,
     IncludedTx,
@@ -50,6 +55,25 @@ def test_tx_hash_depends_on_each_field(keyring):
     ]
     hashes = {base.hash()} | {v.hash() for v in variants}
     assert len(hashes) == 4
+
+
+def test_tx_hash_is_computed_once_and_kept_outside_the_fields(monkeypatch):
+    """The digest is computed on the first call and kept on the transaction,
+    outside its dataclass fields: equality, hashing, ``repr`` and ``asdict``
+    read the same as for a transaction never hashed."""
+    calls = []
+
+    def sha256(data):
+        calls.append(data)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
+    tx = Transaction(slot=7, parent_block=1000, new_owner=Address(b"\x01" * 20))
+    fresh = Transaction(slot=7, parent_block=1000, new_owner=Address(b"\x01" * 20))
+    digest = tx.hash()
+    assert tx.hash() is digest and len(calls) == 1
+    assert tx == fresh and hash(tx) == hash(fresh)
+    assert repr(tx) == repr(fresh) and asdict(tx) == asdict(fresh)
 
 
 @settings(max_examples=200, deadline=None)

@@ -239,7 +239,11 @@ def test_exclusion_over_occupied_slot_rejected(chain):
 
 
 def test_history_binary_round_trip(chain):
+    # another coin moves alone at 5000, so slot 0's exclusion there names it
+    dave = chain.signer("dave")
+    chain.add_block(5000, {1: make_transfer_tx(dave, 1, 1, dave.address)})
     history = chain.history(0, 1)
+    assert history.excl[5000].proof.neighbor[0] == 1 and verify(chain, history)
     assert CoinHistory.decode(history.encode(CONFIG), CONFIG) == history
 
 

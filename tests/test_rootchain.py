@@ -1,5 +1,7 @@
 """Root-chain contract: deposits, commitments, and the exit game."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,6 +327,33 @@ def test_deposit_tx_at_an_operator_block_is_no_exit_parent():
         )
     assert contract_state(f.contract) == before
     assert f.contract.coins[slot].state is CoinState.DEPOSITED
+
+
+def test_an_exit_proof_carrying_a_neighbor_is_refused(fx):
+    """The contract takes inclusions only, and ``smt.verify`` refuses a
+    neighbour on an inclusion: an exit whose exit or parent proof names
+    one, the coin's own slot or another coin of a shared block, raises
+    BadProof and changes nothing; the same exit without it starts."""
+    other = fx.slot + 1
+    shared = fx.commit({
+        fx.slot: make_transfer_tx(fx.carol, fx.slot, 3000, fx.alice.address),
+        other: make_transfer_tx(fx.carol, other, 3000, fx.bob.address),
+    })
+    parent, exit_tx = fx.witness(fx.slot, 3000), fx.witness(fx.slot, shared.number)
+    before = contract_state(fx.contract)
+    for neighbor in ((other, shared.txs[other].hash()), (fx.slot, exit_tx.tx.hash())):
+        for carrier in ("parent", "exit"):
+            p, e = parent, exit_tx
+            if carrier == "parent":
+                p = IncludedTx(p.tx, p.blk_number, replace(p.proof, neighbor=neighbor))
+            else:
+                e = IncludedTx(e.tx, e.blk_number, replace(e.proof, neighbor=neighbor))
+            with pytest.raises(BadProof, match=f"{carrier} inclusion proof invalid"):
+                fx.contract.start_exit(fx.alice.address, fx.slot, p, e, BOND)
+            assert contract_state(fx.contract) == before
+            assert fx.contract.coins[fx.slot].state is CoinState.DEPOSITED
+    fx.contract.start_exit(fx.alice.address, fx.slot, parent, exit_tx, BOND)
+    assert fx.slot in fx.contract.exits
 
 
 def deposit_mutant(data, f, slot, genuine):

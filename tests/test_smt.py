@@ -1,7 +1,9 @@
 """Sparse Merkle tree: oracle equivalence, proof round-trips, soundness."""
 
+import functools
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,25 +30,56 @@ def leaf(n: int) -> bytes:
     return hashlib.sha256(b"leaf:%d" % n).digest()
 
 
+def lone(slot: int, leaf_: bytes) -> bytes:
+    """A subtree's digest when ``leaf_`` at ``slot`` is its only leaf."""
+    return hashlib.sha256(slot.to_bytes(8, "big") + leaf_).digest()
+
+
+def reference_proof(config: SmtConfig, leaves, slot: int, node) -> Proof:
+    """The proof of ``slot`` from ``node(level, index)``, which gives a
+    subtree's digest and occupied slots: the sibling at every level, except
+    that an absent slot whose lowest non-empty sibling holds one leaf names
+    that leaf as its neighbour and sends the default there instead."""
+    sibs = [node(i, (slot >> i) ^ 1) for i in range(config.depth)]
+    digests = [digest for digest, _ in sibs]
+    neighbor = None
+    below = next((i for i, (_, slots) in enumerate(sibs) if slots), None)
+    if slot not in leaves and below is not None and len(sibs[below][1]) == 1:
+        (other,) = sibs[below][1]
+        neighbor = (other, leaves[other])
+        digests[below] = config.defaults[below]
+    return Proof(tuple(digests), neighbor=neighbor)
+
+
 class DenseTree:
-    """Brute-force oracle: materializes every node of the full tree."""
+    """Brute-force oracle: materializes every node of the full tree, each the
+    level default, a lone leaf's digest, or the hash of its children."""
 
     def __init__(self, config: SmtConfig, leaves):
-        level = [leaves.get(i, DEFAULT_LEAF) for i in range(config.capacity)]
+        self.config, self.leaves = config, leaves
+        level = [(leaves.get(i, DEFAULT_LEAF), [i] if i in leaves else []) for i in range(config.capacity)]
         self.levels = [level]
         while len(level) > 1:
-            level = [hash_pair(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+            height = len(self.levels)
+            parents = []
+            for (left, lslots), (right, rslots) in zip(level[::2], level[1::2]):
+                slots = lslots + rslots
+                if not slots:
+                    digest = config.defaults[height]
+                elif len(slots) == 1:
+                    digest = lone(slots[0], leaves[slots[0]])
+                else:
+                    digest = hash_pair(left, right)
+                parents.append((digest, slots))
+            level = parents
             self.levels.append(level)
 
     @property
     def root(self):
-        return self.levels[-1][0]
+        return self.levels[-1][0][0]
 
     def prove(self, slot):
-        sibs = []
-        for i in range(len(self.levels) - 1):
-            sibs.append(self.levels[i][(slot >> i) ^ 1])
-        return Proof(tuple(sibs))
+        return reference_proof(self.config, self.leaves, slot, lambda i, j: self.levels[i][j])
 
 
 def random_leaves(rng, config, count):
@@ -64,7 +97,8 @@ def test_matches_dense_oracle(depth):
         dense = DenseTree(config, leaves)
         assert sparse.root == dense.root
         for slot in range(config.capacity):
-            assert sparse.prove(slot) == dense.prove(slot)
+            got, want = sparse.prove(slot), dense.prove(slot)
+            assert got == want and (got.low, got.top) == (want.low, want.top), slot
 
 
 def test_empty_tree_root_is_top_default():
@@ -97,8 +131,20 @@ def test_perturbed_proof_fails():
         sibs = list(proof.siblings)
         sibs[i] = bytes(b ^ 1 for b in sibs[i])
         assert not verify(17, tree.leaf_at(17), Proof(tuple(sibs)), tree.root, config)
-    # wrong slot reorders the fold
-    assert not verify(18, tree.leaf_at(17), proof, tree.root, config)
+    # an inclusion holds for its own slot only
+    for slot in tree.leaves:
+        inclusion = tree.prove(slot)
+        for other in range(config.capacity):
+            assert verify(other, tree.leaves[slot], inclusion, tree.root, config) == (other == slot)
+    # an exclusion beside a lone leaf also proves the other empty slots of
+    # that leaf's subtree, but never the neighbour's own slot
+    beside = [tree.prove(s) for s in range(config.capacity) if s not in tree.leaves]
+    with_neighbor = [p for p in beside if p.neighbor is not None]
+    assert with_neighbor
+    for p in with_neighbor:
+        other, other_leaf = p.neighbor
+        assert not verify(other, DEFAULT_LEAF, p, tree.root, config)
+        assert not verify(other, other_leaf, p, tree.root, config)
 
 
 def test_slot_bounds():
@@ -124,20 +170,28 @@ def test_verify_rejects_out_of_range_slots():
 
 
 def per_level_proof(tree: SparseMerkleTree, slot: int) -> Proof:
-    """Reference prover: one lookup at every level."""
-    defaults = tree.config.defaults
-    return Proof(tuple(
-        tree._levels[i].get((slot >> i) ^ 1, defaults[i]) for i in range(tree.config.depth)
-    ))
+    """Reference prover: every level's sibling computed from the leaves."""
+    config, leaves = tree.config, tree.leaves
+
+    @functools.lru_cache(maxsize=None)
+    def node(level, index):
+        slots = sorted(s for s in leaves if s >> level == index)
+        if not slots:
+            return config.defaults[level], slots
+        if len(slots) == 1:
+            return (lone(slots[0], leaves[slots[0]]) if level else leaves[slots[0]]), slots
+        return hash_pair(node(level - 1, 2 * index)[0], node(level - 1, 2 * index + 1)[0]), slots
+
+    return reference_proof(config, leaves, slot, node)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_prove_matches_the_per_level_lookup(data):
     """``prove`` looks up only the levels below the split height, yet gives
-    every level's sibling and the same ``top`` as a lookup at every level:
-    for the empty tree, occupied slots, absent slots beside them and slots
-    far outside the occupied subtree."""
+    every level's sibling, the same ``top``, ``low`` and neighbour as a
+    lookup at every level: for the empty tree, occupied slots, absent slots
+    beside them and slots far outside the occupied subtree."""
     depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
     config = SmtConfig(depth=depth)
     # leaves clustered in one 2^width-slot subtree, so the split height varies
@@ -152,7 +206,7 @@ def test_prove_matches_the_per_level_lookup(data):
         slots.append((occupied[0] if occupied else base) ^ (1 << bit))
     for slot in slots:
         got, want = tree.prove(slot), per_level_proof(tree, slot)
-        assert got.siblings == want.siblings and got.top == want.top, slot
+        assert got == want and (got.top, got.low) == (want.top, want.low), slot
 
 
 def test_leaf_equal_to_default_rejected():
@@ -262,10 +316,23 @@ def test_proof_decode_is_canonical(data):
 # -- the memo of verified upper paths --
 
 
-def fold(slot: int, leaf_: bytes, siblings, root: bytes) -> bool:
-    """Reference verifier: hash every level, no shortcut."""
-    node = leaf_
-    for i, sib in enumerate(siblings):
+def fold(slot: int, leaf_: bytes, siblings, root: bytes, neighbor=None) -> bool:
+    """Reference verifier: start at the lowest non-default sibling from the
+    digest of the slot's subtree there, then hash every level, no
+    shortcut."""
+    defaults = SmtConfig(depth=len(siblings)).defaults
+    low = next((i for i, (s, d) in enumerate(zip(siblings, defaults)) if s != d), len(siblings))
+    if neighbor is not None:
+        other, other_leaf = neighbor
+        if leaf_ != DEFAULT_LEAF or other == slot or other >> low != slot >> low:
+            return False
+        node = lone(other, other_leaf)
+    elif leaf_ == DEFAULT_LEAF:
+        node = defaults[low]
+    else:
+        node = lone(slot, leaf_) if low else leaf_
+    for i in range(low, len(siblings)):
+        sib = siblings[i]
         node = hash_pair(sib, node) if (slot >> i) & 1 else hash_pair(node, sib)
     return node == root
 
@@ -355,3 +422,196 @@ def test_memo_hit_skips_the_shared_upper_path(monkeypatch):
     sibs = list(tree.prove(0).siblings)
     sibs[40] = leaf(40)
     assert not verify(0, leaf(0), Proof(tuple(sibs)), tree.root, config, known)
+
+
+# -- lone leaves and neighbours --
+
+
+def clustered_tree(data, max_leaves=2):
+    """A tree at depth 4, 16 or 64 of 0 to ``max_leaves`` leaves inside one
+    small subtree, and slots to probe: the occupied ones, slots one bit away
+    from them, the subtree's first slot and one anywhere."""
+    depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
+    config = SmtConfig(depth=depth)
+    width = data.draw(st.integers(0, min(depth, 6)), label="width")
+    base = data.draw(st.integers(0, config.capacity - 1), label="base") >> width << width
+    offsets = data.draw(
+        st.sets(st.integers(0, (1 << width) - 1), max_size=max_leaves), label="offsets"
+    )
+    tree = SparseMerkleTree(config, {base | o: leaf(base | o) for o in offsets})
+    slots = {base, *tree.leaves, data.draw(st.integers(0, config.capacity - 1), label="far")}
+    for bit in data.draw(st.lists(st.integers(0, depth - 1), max_size=3), label="bits"):
+        slots.add((min(tree.leaves) if tree.leaves else base) ^ (1 << bit))
+    return config, tree, sorted(slots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_no_slot_opens_to_two_values(data):
+    """Every proof the tree gives, each also with its neighbour dropped or
+    replaced by any leaf of the tree, read at every probed slot: a proof
+    that verifies commits the slot's true value, so no slot has both an
+    inclusion and an exclusion under one root."""
+    config, tree, slots = clustered_tree(data)
+    proofs = []
+    for slot in slots:
+        proof = tree.prove(slot)
+        proofs += [proof, replace(proof, neighbor=None)]
+        proofs += [replace(proof, neighbor=item) for item in tree.leaves.items()]
+    values = [DEFAULT_LEAF, *tree.leaves.values()]
+    for slot in slots:
+        opened = {v for v in values for p in proofs if verify(slot, v, p, tree.root, config)}
+        assert opened == {tree.leaf_at(slot)}, slot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_wrong_neighbor_is_refused(data):
+    """An exclusion beside a lone leaf verifies with its own neighbour only:
+    not with the slot itself, a slot outside the slot's subtree at ``low``,
+    one at or past the capacity, a wrong or short leaf, or another slot of
+    the subtree."""
+    config, tree, slots = clustered_tree(data, max_leaves=2)
+    for slot in slots:
+        proof = tree.prove(slot)
+        if proof.neighbor is None:
+            continue
+        other, other_leaf = proof.neighbor
+        low = proof.low
+        assert verify(slot, DEFAULT_LEAF, proof, tree.root, config)
+        wrong = [(slot, other_leaf), (other, leaf(-1)), (other, other_leaf[:31]),
+                 (other, DEFAULT_LEAF), (config.capacity, other_leaf),
+                 (config.capacity + other, other_leaf), (-1, other_leaf)]
+        wrong += [(other ^ (1 << bit), other_leaf) for bit in range(low, config.depth)]
+        first = (slot >> low) << low
+        wrong += [(s, other_leaf) for s in range(first, first + min(10, 1 << low))
+                  if s not in (slot, other)]
+        for neighbor in wrong:
+            assert not verify(slot, DEFAULT_LEAF, replace(proof, neighbor=neighbor), tree.root, config)
+            assert not fold(slot, DEFAULT_LEAF, proof.siblings, tree.root, neighbor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_neighbor_added_or_removed_is_refused(data):
+    """A neighbour on an inclusion is refused, whichever leaf it names; an
+    exclusion stripped of its neighbour, or given the neighbour's digest as
+    a sibling in its place (the fold of a subtree of two), is refused."""
+    config, tree, slots = clustered_tree(data)
+    for slot in slots:
+        proof = tree.prove(slot)
+        if slot in tree.leaves:
+            for item in [*tree.leaves.items(), (slot ^ 1, leaf(-1))]:
+                assert not verify(slot, tree.leaves[slot], replace(proof, neighbor=item), tree.root, config)
+        elif proof.neighbor is not None:
+            other, other_leaf = proof.neighbor
+            assert not verify(slot, DEFAULT_LEAF, replace(proof, neighbor=None), tree.root, config)
+            sibs = list(proof.siblings)
+            level = (slot ^ other).bit_length() - 1
+            sibs[level] = lone(other, other_leaf) if level else other_leaf
+            assert not verify(slot, DEFAULT_LEAF, Proof(tuple(sibs)), tree.root, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_proof_decode_takes_one_neighbor_inside_the_tree(data):
+    """The tail after the siblings is empty or one neighbour of
+    ``bitfield_size + 32`` bytes whose slot is inside the tree; any other
+    length, or a slot at or past the capacity, does not decode."""
+    config = SmtConfig(depth=data.draw(st.sampled_from([4, 12, 16, 64]), label="depth"))
+    size = config.bitfield_size
+    slot = data.draw(st.integers(0, config.capacity - 1), label="slot")
+    tree = SparseMerkleTree(config, {slot: leaf(slot)})
+    other = slot ^ 1
+    proof = tree.prove(other)
+    assert proof.neighbor == (slot, leaf(slot))
+    encoded = proof.encode(config)
+    assert len(encoded) == size + size + 32
+    decoded = Proof.decode(encoded, config)
+    assert decoded == proof and (decoded.low, decoded.top) == (config.depth, 0)
+    body = encoded[:size]
+    for cut in range(1, size + 32):
+        with pytest.raises(MalformedEncoding):
+            Proof.decode(encoded[:-cut], config)
+    for extra in (b"\x00", leaf(1), bytes(size + 33)):
+        with pytest.raises(MalformedEncoding):
+            Proof.decode(encoded + extra, config)
+    # at depths 4 and 12 the slot bytes can name a slot past the tree
+    for past in (config.capacity, (1 << 8 * size) - 1):
+        if config.capacity <= past < 1 << 8 * size:
+            with pytest.raises(MalformedEncoding):
+                Proof.decode(body + past.to_bytes(size, "big") + leaf(slot), config)
+
+
+def test_digests_of_another_length_are_refused():
+    """Leaves are any 32 bytes, so they can be chosen to splice the 40-byte
+    lone form and the 64-byte internal form together; a sibling or a
+    neighbour leaf that is not 32 bytes is refused, so neither splice
+    passes."""
+    config = SmtConfig(depth=8)
+    # slot 1 is empty; an 8-byte level-0 sibling naming slot 0 would fold
+    # an inclusion of slot 0's leaf at slot 1 to slot 0's lone digest
+    tree = SparseMerkleTree(config, {0: leaf(0), 2: leaf(2)})
+    sibs = list(tree.prove(0).siblings)
+    sibs[0] = (0).to_bytes(8, "big")
+    assert fold(1, leaf(0), sibs, tree.root)
+    assert not verify(1, leaf(0), Proof(tuple(sibs)), tree.root, config)
+    # slot 0 is occupied; a 56-byte neighbour leaf would pass the internal
+    # node over slots 0 and 1 off as the lone digest of slot 1
+    head = (1).to_bytes(8, "big") + bytes(24)
+    tree = SparseMerkleTree(config, {0: head, 1: leaf(1), 2: leaf(2)})
+    sibs = list(tree.prove(0).siblings)
+    sibs[0] = config.defaults[0]
+    neighbor = (1, head[8:] + leaf(1))
+    assert fold(0, DEFAULT_LEAF, sibs, tree.root, neighbor)
+    assert not verify(0, DEFAULT_LEAF, Proof(tuple(sibs), neighbor=neighbor), tree.root, config)
+
+
+def test_a_one_leaf_tree_costs_one_hash(monkeypatch):
+    """A tree of one leaf at depth 64 hashes once to build, and each of its
+    proofs, the inclusion and an exclusion beside it, once to check."""
+    config = SmtConfig(depth=64)
+    calls = []
+
+    def counted(left, right):
+        calls.append(len(left + right))
+        return hash_pair(left, right)
+
+    monkeypatch.setattr(smt, "hash_pair", counted)
+    tree = SparseMerkleTree(config, {5: leaf(5)})
+    assert tree.root == lone(5, leaf(5)) and calls == [40]
+    for slot, value in ((5, leaf(5)), (2**63, DEFAULT_LEAF)):
+        calls.clear()
+        assert verify(slot, value, tree.prove(slot), tree.root, config)
+        assert calls == [40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
+    """Warmed with every occupied slot's proof, the memo gives the full
+    fold's verdict for an exclusion, with or without a neighbour, genuine or
+    with a sibling, the neighbour or the root tampered."""
+    config, tree, slots = clustered_tree(data, max_leaves=4)
+    known = set()
+    for s in tree.leaves:
+        assert verify(s, tree.leaves[s], tree.prove(s), tree.root, config, known)
+    slot = data.draw(st.sampled_from(slots), label="slot")
+    proof = tree.prove(slot)
+    siblings, neighbor, root = list(proof.siblings), proof.neighbor, tree.root
+    kind = data.draw(st.sampled_from(["genuine", "sibling", "neighbor", "root"]), label="kind")
+    if kind == "sibling":
+        level = data.draw(st.integers(0, config.depth - 1), label="level")
+        siblings[level] = bytes([siblings[level][0] ^ 1]) + siblings[level][1:]
+    elif kind == "neighbor":
+        neighbor = data.draw(st.sampled_from([None, *tree.leaves.items(), (slot ^ 1, leaf(-1))]))
+    elif kind == "root":
+        root = config.defaults[config.depth]
+    value = tree.leaf_at(slot)
+    expected = fold(slot, value, siblings, root, neighbor)
+    tampered = Proof(tuple(siblings), neighbor=neighbor)
+    assert verify(slot, value, tampered, root, config) == expected
+    assert verify(slot, value, tampered, root, config, known) == expected
+    assert verify(slot, value, tampered, root, config, known) == expected
+    if kind == "genuine":
+        assert expected

@@ -496,15 +496,16 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
         assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
         cost[k] = (counts["hashes"], counts["recoveries"])
     # per hand-off: a one-leaf block build and the four inclusion proofs the
-    # receiver has not verified, 64 hashes each; those four signatures plus
-    # the operator's and the shadow ledger's check of the new spend
-    assert cost[16] == cost[64] == (5 * 64, 6)
+    # receiver has not verified, one hash each, since a block of one coin
+    # commits as its lone leaf's digest at any depth; those four signatures
+    # plus the operator's and the shadow ledger's check of the new spend
+    assert cost[16] == cost[64] == (5, 6)
 
 
 def test_one_coin_blocks_leave_the_memo_empty():
-    """Every proof in a block of one coin has ``top`` 0, whose memo key only
-    the same check again could hit: after a hand-off chain of such blocks
-    no wallet holds a key."""
+    """Every proof in a block of one coin has no sibling to fold (``low`` is
+    the depth), so it is compared with the root at once and adds no memo
+    key: after a hand-off chain of such blocks no wallet holds a key."""
     sim = Simulation(params=ChainParams(smt_depth=64))
     names = ["w0", "w1", "w2", "w3"]
     slot = sim.deposit(names[0], 5)
