@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
 from .smt import DIGEST_SIZE, Proof, Reader, SmtConfig, SparseMerkleTree
@@ -43,6 +43,12 @@ class Address:
         return f"Address({self.id.hex()[:8]}…)"
 
 
+def _tx_digest(slot: int, parent_block: int, new_owner: Address) -> bytes:
+    return hashlib.sha256(
+        slot.to_bytes(8, "big") + parent_block.to_bytes(8, "big") + new_owner.id
+    ).digest()
+
+
 @dataclass(frozen=True)
 class Transaction:
     """Coin transfer: (slot, parentBlock, newOwner, signature).
@@ -62,11 +68,7 @@ class Transaction:
         so equality, ``repr`` and ``asdict`` do not see it."""
         digest = self.__dict__.get("_hash")
         if digest is None:
-            digest = hashlib.sha256(
-                self.slot.to_bytes(8, "big")
-                + self.parent_block.to_bytes(8, "big")
-                + self.new_owner.id
-            ).digest()
+            digest = _tx_digest(self.slot, self.parent_block, self.new_owner)
             object.__setattr__(self, "_hash", digest)
         return digest
 
@@ -102,14 +104,13 @@ def make_deposit_tx(slot: int, depositor: Address) -> Transaction:
 
 
 def make_transfer_tx(signer: "Signer", slot: int, parent_block: int, new_owner: Address) -> Transaction:
-    """Signed spend: the previous owner hands the slot to ``new_owner``."""
-    unsigned = Transaction(slot=slot, parent_block=parent_block, new_owner=new_owner)
-    return Transaction(
-        slot=slot,
-        parent_block=parent_block,
-        new_owner=new_owner,
-        signature=Keyring.sign(signer, unsigned.hash()),
-    )
+    """Signed spend: the previous owner hands the slot to ``new_owner``.
+    The digest is computed once, signed, and kept on the transaction as
+    ``hash()`` would keep it."""
+    digest = _tx_digest(slot, parent_block, new_owner)
+    tx = Transaction(slot, parent_block, new_owner, Keyring.sign(signer, digest))
+    object.__setattr__(tx, "_hash", digest)
+    return tx
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,9 @@ class Keyring:
     """
 
     def __init__(self):
-        self._secrets: Dict[Address, bytes] = {}
+        # raw 20-byte id -> (secret, the registered Address), so recovery
+        # looks up the signature's first bytes and builds no Address
+        self._secrets: Dict[bytes, Tuple[bytes, Address]] = {}
 
     def new_signer(self, seed) -> Signer:
         if isinstance(seed, str):
@@ -253,7 +256,7 @@ class Keyring:
         secret = hashlib.sha256(b"secret:" + seed).digest()
         address = Address(hashlib.sha256(b"address:" + seed).digest()[:ADDRESS_SIZE])
         signer = Signer(address=address, secret=secret)
-        self._secrets[address] = secret
+        self._secrets[address.id] = (secret, address)
         return signer
 
     @staticmethod
@@ -263,10 +266,9 @@ class Keyring:
     def recover(self, digest: bytes, sig: bytes) -> Address:
         if len(sig) != SIG_SIZE:
             raise MalformedSignature(f"signature must be {SIG_SIZE} bytes, got {len(sig)}")
-        claimed = Address(sig[:ADDRESS_SIZE])
-        secret = self._secrets.get(claimed)
-        if secret is not None and sig[ADDRESS_SIZE:] == hashlib.sha256(secret + digest).digest():
-            return claimed
+        entry = self._secrets.get(sig[:ADDRESS_SIZE])
+        if entry is not None and sig[ADDRESS_SIZE:] == hashlib.sha256(entry[0] + digest).digest():
+            return entry[1]
         # invalid binding: derive a garbage address deterministically
         return Address(hashlib.sha256(b"unrecoverable:" + sig + digest).digest()[:ADDRESS_SIZE])
 

@@ -178,6 +178,11 @@ class Proof:
                 present.append(sib)
         if self.neighbor is not None:
             other, leaf = self.neighbor
+            # what ``decode`` refuses is not written
+            if not 0 <= other < config.capacity:
+                raise MalformedProof(f"neighbour slot {other} outside 2^{config.depth} space")
+            if len(leaf) != DIGEST_SIZE:
+                raise MalformedProof(f"neighbour leaf of {len(leaf)} bytes, not {DIGEST_SIZE}")
             present += [other.to_bytes(config.bitfield_size, "big"), leaf]
         return bitfield.to_bytes(config.bitfield_size, "little") + b"".join(present)
 
@@ -295,19 +300,25 @@ class SparseMerkleTree:
         sibling; in a tree of one leaf that node is the lone leaf, the
         slot's neighbour.  Below the split height, an absent slot whose
         lowest non-default sibling sits beside a lone leaf's highest node
-        has that leaf as its neighbour."""
-        depth = self.config.depth
+        has that leaf as its neighbour.  The empty tree and a one-leaf
+        tree's own slot share ``config.empty_proof``."""
+        config = self.config
+        depth = config.depth
         if not 0 <= slot < 1 << depth:
             raise SlotOutOfRange(str(slot))
-        sibs = list(self.config.defaults[:depth])
-        levels, split, anchor = self._levels, self._split, self._anchor
-        if anchor is not None:
-            high = (slot ^ anchor).bit_length() - 1
-            if high >= split:
-                if not split:
-                    return Proof(tuple(sibs), 0, depth, (anchor, self.leaves[anchor]))
-                sibs[high] = levels[high][anchor >> high]
-                return Proof(tuple(sibs), high + 1, high)
+        split, anchor = self._split, self._anchor
+        if anchor is None:
+            return config.empty_proof
+        high = (slot ^ anchor).bit_length() - 1
+        if not split:
+            if high < 0:
+                return config.empty_proof
+            return Proof(config.defaults[:depth], 0, depth, (anchor, self.leaves[anchor]))
+        sibs = list(config.defaults[:depth])
+        if high >= split:
+            sibs[high] = self._levels[high][anchor >> high]
+            return Proof(tuple(sibs), high + 1, high)
+        levels = self._levels
         top, low = 0, depth
         for i in range(split):
             sib = levels[i].get((slot >> i) ^ 1)

@@ -313,3 +313,51 @@ def test_decoders_reject_unordered_or_repeated_entries(keyring):
     for body in (frame(second) + frame(first), frame(first) * 2):
         with pytest.raises(MalformedEncoding):
             CoinHistory.decode(head + no_incl + count + body, SMALL)
+
+
+def test_transfer_tx_keeps_the_digest_of_an_equal_fresh_transaction(keyring):
+    alice = keyring.new_signer("alice")
+    bob = keyring.new_signer("bob")
+    tx = make_transfer_tx(alice, 9, 3000, bob.address)
+    fresh = Transaction(9, 3000, Address(bob.address.id), tx.signature)
+    assert tx == fresh and tx.hash() == fresh.hash()
+    assert keyring.recover(tx.hash(), tx.signature) == alice.address
+
+
+def test_recover_equals_the_address_building_reference(keyring):
+    """Recovery by raw id returns what the former lookup by ``Address``
+    returned, for registered, unregistered, forged, replayed and garbage
+    signatures, and raises the same error for a wrong length."""
+    secrets = {}
+
+    def reference(digest, sig):
+        if len(sig) != core.SIG_SIZE:
+            raise MalformedSignature("length")
+        claimed = Address(sig[:core.ADDRESS_SIZE])
+        secret = secrets.get(claimed)
+        if secret is not None and sig[core.ADDRESS_SIZE:] == hashlib.sha256(secret + digest).digest():
+            return claimed
+        return Address(hashlib.sha256(b"unrecoverable:" + sig + digest).digest()[:core.ADDRESS_SIZE])
+
+    alice, mallory = keyring.new_signer("alice"), keyring.new_signer("mallory")
+    for signer in (alice, mallory):
+        secrets[signer.address] = signer.secret
+    stranger = Keyring().new_signer("stranger")  # not in this keyring
+    digest, other = b"\x05" * 32, b"\x06" * 32
+    cases = [
+        (digest, Keyring.sign(alice, digest)),  # registered
+        (digest, Keyring.sign(stranger, digest)),  # unregistered
+        (digest, alice.address.id + Keyring.sign(mallory, digest)[20:]),  # forged
+        (other, Keyring.sign(alice, digest)),  # replayed on another digest
+        (digest, b"\x0a" * 52),  # garbage
+    ]
+    for d, sig in cases:
+        got = keyring.recover(d, sig)
+        assert got == reference(d, sig) and type(got) is Address
+    assert keyring.recover(*cases[0]) is keyring.recover(*cases[0])
+    for sig in (b"", b"\x00" * 51, b"\x00" * 53):
+        with pytest.raises(MalformedSignature):
+            reference(digest, sig)
+        with pytest.raises(MalformedSignature):
+            keyring.recover(digest, sig)
+

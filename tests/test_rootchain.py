@@ -585,3 +585,18 @@ def test_value_is_conserved_through_a_full_dispute(fx):
     fx.contract.advance_time(PARAMS.maturity_period)
     fx.contract.finalize_exit(fx.slot)
     assert fx.contract.total_value() == total
+
+
+def test_history_blocks_past_the_last_operator_block():
+    """Nothing past the last operator block: an empty list, or the coin's
+    own deposit block when the history has not covered it yet."""
+    f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
+    assert [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)] == [1, 2, 3]
+    assert f.commit({}).number == 4
+    deposit = f.contract.deposit(f.bob.address, 1)[1]
+    view = f.contract.view
+    assert view.history_blocks(3) == [3, 4] and view.history_blocks(1, after=3) == [4]
+    assert view.history_blocks(1, after=4) == view.history_blocks(1, after=9) == []
+    assert view.history_blocks(deposit) == [deposit]
+    assert view.history_blocks(deposit, after=deposit) == []
+    assert view.history_blocks(1) == [1, 4]

@@ -615,3 +615,54 @@ def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
     assert verify(slot, value, tampered, root, config, known) == expected
     if kind == "genuine":
         assert expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_proofs_match_the_per_level_lookup_on_every_call(data):
+    """Every slot's proof, asked for the first time and again, in any
+    order, equals the per-level reference, ``low``, ``top`` and neighbour
+    too, shared empty proofs included."""
+    depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
+    config = SmtConfig(depth=depth)
+    width = data.draw(st.integers(0, depth), label="width")
+    base = data.draw(st.integers(0, config.capacity - 1), label="base") >> width << width
+    offsets = data.draw(st.sets(st.integers(0, (1 << width) - 1), max_size=6), label="offsets")
+    occupied = sorted(base | o for o in offsets)
+    tree = SparseMerkleTree(config, {s: leaf(s) for s in occupied})
+    if depth == 4:
+        slots = list(range(config.capacity))
+    else:
+        anchor = occupied[0] if occupied else base
+        slots = [*occupied, *(anchor ^ (1 << bit) for bit in range(depth))]
+        slots += data.draw(st.lists(st.integers(0, config.capacity - 1), max_size=4), label="far")
+    order = data.draw(st.permutations(slots + slots), label="order")
+    for slot in order:
+        got, want = tree.prove(slot), per_level_proof(tree, slot)
+        assert got == want and (got.top, got.low) == (want.top, want.low), slot
+
+
+def test_fixed_shapes_share_the_empty_proof():
+    """The empty tree and a one-leaf tree's own slot give the config's
+    empty proof; any other slot of a one-leaf tree an exclusion naming the
+    leaf."""
+    config = SmtConfig(depth=64)
+    empty = SparseMerkleTree(config, {})
+    assert empty.prove(0) is empty.prove(2**64 - 1) is config.empty_proof
+    one = SparseMerkleTree(config, {5: leaf(5)})
+    assert one.prove(5) is config.empty_proof
+    for slot in (4, 7, 2**63):
+        proof = one.prove(slot)
+        assert proof.neighbor == (5, leaf(5)) and proof == per_level_proof(one, slot)
+
+
+def test_proof_encode_refuses_what_decode_refuses():
+    """A neighbour slot past the tree, or a neighbour leaf that is not 32
+    bytes, has no encoding that decodes: encode raises MalformedProof."""
+    config = SmtConfig(depth=4)
+    defaults = config.defaults[:4]
+    for neighbor in ((16, leaf(0)), (256, leaf(0)), (-1, leaf(0)), (3, leaf(0)[:31])):
+        with pytest.raises(MalformedProof):
+            Proof(defaults, neighbor=neighbor).encode(config)
+    good = Proof(defaults, neighbor=(15, leaf(0)))
+    assert Proof.decode(good.encode(config), config) == good

@@ -1,11 +1,13 @@
 """Wallets: transfer etiquette, history auditing, and auto-challenging."""
 
+import hashlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from plasma_cash import smt
+from plasma_cash import core, smt
 from plasma_cash.core import IncludedTx, Keyring, make_deposit_tx, make_transfer_tx
 from plasma_cash.driver import Simulation
 from plasma_cash.errors import BadProof, NotOwned, WitnessUnavailable
@@ -614,3 +616,25 @@ def test_deposit_entry_under_an_operator_block_is_refused(forgery):
     if forgery == "root":
         with pytest.raises(BadProof):
             sim.contract.start_exit(carol.address, slot, entry, spend, PARAMS.bond_amount)
+
+
+def test_a_handoff_hashes_each_spend_once(monkeypatch):
+    """One round-robin hand-off at depth 64 costs 8 SHA-256 calls in
+    ``core``: the spend's digest, its signature, and six recoveries (the
+    operator's, the shadow ledger's and the receiver's four)."""
+    calls = Counter()
+
+    def sha256(data=b""):
+        calls["sha256"] += 1
+        return hashlib.sha256(data)
+
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    names = ["w0", "w1", "w2", "w3"]
+    slot = sim.deposit(names[0], 5)
+    for k in range(1, 9):
+        assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
+    for k in range(9, 25):
+        calls.clear()
+        assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
+        assert calls["sha256"] == 8, k
