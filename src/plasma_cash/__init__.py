@@ -21,7 +21,7 @@ from .history import (
     valid_tip,
     verify_history,
 )
-from .operator_node import OperatorMode, PlasmaOperator, TxReceipt
+from .operator_node import PlasmaOperator, TxReceipt
 from .rootchain import ChainParams, CoinRecord, CoinState, Exit, PlasmaContract
 from .scenarios import SCENARIOS, ScenarioReport, fuzz, run
 from .smt import (

@@ -14,17 +14,27 @@ from . import scenarios as scn
 
 
 def _params(maturity, bond, smt_depth, config_file) -> ChainParams:
+    """The chain parameters from ``--config`` and the flags; anything
+    ``ChainParams`` refuses is a usage error (exit code 2)."""
     values = {}
     if config_file:
         with open(config_file) as fh:
-            values.update(json.load(fh))
+            try:
+                values = json.load(fh)
+            except ValueError as exc:
+                raise click.BadParameter(f"not JSON: {exc}", param_hint="--config")
+        if not isinstance(values, dict):
+            raise click.BadParameter("must hold a JSON object", param_hint="--config")
     if maturity is not None:
         values["maturity_period"] = maturity
     if bond is not None:
         values["bond_amount"] = bond
     if smt_depth is not None:
         values["smt_depth"] = smt_depth
-    return ChainParams(**values)
+    try:
+        return ChainParams(**values)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(str(exc))
 
 
 def _write_report(report_json: str, path):

@@ -1,9 +1,7 @@
 """Glue layer wiring contract, operator, and wallets into one simulated
-deployment, plus the ground-truth shadow ledger scenarios assert against.
-
-The shadow ledger replays the operator's raw block data (not the published
-proofs) and tracks each coin's true owner; contract outcomes are compared
-against it.
+deployment.  ``Simulation.ledger`` is the operator's ownership ledger: it
+replays the raw block data (not the published proofs) and tracks each
+coin's true owner; contract outcomes are compared against it.
 """
 
 from __future__ import annotations
@@ -14,34 +12,9 @@ from typing import Dict, List, Optional, Tuple
 from .core import Address, Keyring, PlasmaBlock, Transaction
 from .errors import NotOwned, PlasmaError
 from .history import Verdict
-from .operator_node import OperatorMode, PlasmaOperator, TxReceipt
+from .operator_node import PlasmaOperator, TxReceipt
 from .rootchain import ChainParams, PlasmaContract
 from .wallet import Wallet
-
-
-class ShadowLedger:
-    """True ownership per slot, replayed from raw block data."""
-
-    def __init__(self, keyring: Keyring):
-        self.keyring = keyring
-        # slot -> (owner, last inclusion block)
-        self.owners: Dict[int, Tuple[Address, int]] = {}
-
-    def on_deposit(self, slot: int, owner: Address, block_number: int):
-        self.owners[slot] = (owner, block_number)
-
-    def on_block(self, block: PlasmaBlock):
-        for slot, tx in block.txs.items():
-            known = self.owners.get(slot)
-            if known is None:
-                continue
-            owner, last_block = known
-            # a double spend or forged chain has no effect on truth
-            if tx.parent_block == last_block and self.keyring.signer_of(tx) == owner:
-                self.owners[slot] = (tx.new_owner, block.number)
-
-    def true_owner(self, slot: int) -> Address:
-        return self.owners[slot][0]
 
 
 @dataclass
@@ -49,7 +22,6 @@ class Simulation:
     """One contract + one operator + named wallets, driven step by step."""
 
     params: ChainParams = field(default_factory=ChainParams)
-    operator_mode: OperatorMode = OperatorMode.HONEST
     initial_balance: int = 10_000
 
     def __post_init__(self):
@@ -64,11 +36,10 @@ class Simulation:
             address=self.operator_signer.address,
             keyring=self.keyring,
             config=self.params.smt_config,
-            mode=self.operator_mode,
         )
         self.contract.balances[self.operator_signer.address] = self.initial_balance
         self.wallets: Dict[str, Wallet] = {}
-        self.ledger = ShadowLedger(self.keyring)
+        self.ledger = self.operator.ledger
 
     # -- actors --
 
@@ -94,14 +65,12 @@ class Simulation:
         slot, number, block = self.contract.deposit(wallet.address, denomination)
         self.operator.observe_deposit(block)
         wallet.register_deposit(slot, number, block.prove(slot))
-        self.ledger.on_deposit(slot, wallet.address, number)
         return slot
 
     def commit_block(self) -> PlasmaBlock:
         number = self.contract.next_operator_block
         block = self.operator.produce_block(number)
         self.contract.submit_block(self.operator.address, block.root)
-        self.ledger.on_block(block)
         return block
 
     def transfer(self, sender: str, slot: int, receiver: str) -> Tuple[Transaction, TxReceipt]:

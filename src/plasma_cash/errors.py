@@ -143,10 +143,6 @@ class UnknownBlock(PlasmaError):
     pass
 
 
-class WrongMode(PlasmaError):
-    pass
-
-
 # --- wallet / scenarios ---
 
 class NotOwned(PlasmaError):

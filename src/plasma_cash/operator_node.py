@@ -1,28 +1,22 @@
-"""Plasmachain block producer and witness-data service.
+"""Plasmachain block producer, witness-data service and ownership ledger.
 
-One operator instance runs in exactly one mode: honest, or one of three
-scripted Byzantine behaviors (including a forged-signature transaction,
-including a double spend, or withholding witness data for targeted
-slot/block pairs).  Byzantine actions are driven explicitly by scenarios
+Every operator checks the transactions it is sent against one ledger of
+who owns each coin, replayed from the raw blocks it produces; that ledger
+is also the ground truth scenarios assert against.  Any operator may also
+act Byzantine, at any time and in any combination: include any
+transaction unchecked (a forgery, a double spend) and withhold witness
+data for chosen slot/block pairs.  Scenarios drive these moves explicitly
 so attack traces replay deterministically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction
-from .errors import UnknownBlock, WitnessUnavailable, WrongMode
+from .errors import UnknownBlock, WitnessUnavailable
 from .smt import SmtConfig
-
-
-class OperatorMode(Enum):
-    HONEST = "Honest"
-    INCLUDE_FORGED_TX = "IncludeForgedTx"
-    INCLUDE_DOUBLE_SPEND = "IncludeDoubleSpend"
-    WITHHOLD_WITNESS = "WithholdWitness"
 
 
 @dataclass(frozen=True)
@@ -34,24 +28,51 @@ class TxReceipt:
         return self.accepted
 
 
+class ShadowLedger:
+    """True ownership per slot, replayed from raw block data."""
+
+    def __init__(self, keyring: Keyring):
+        self.keyring = keyring
+        # slot -> (owner, last inclusion block)
+        self.owners: Dict[int, Tuple[Address, int]] = {}
+
+    def on_deposit(self, slot: int, owner: Address, block_number: int):
+        self.owners[slot] = (owner, block_number)
+
+    def spend_fault(self, tx: Transaction) -> Optional[str]:
+        """Why ``tx`` is not a valid spend of its coin's last output, or None."""
+        known = self.owners.get(tx.slot)
+        if known is None:
+            return "unknown coin"
+        owner, last_block = known
+        if tx.parent_block != last_block:
+            return "parent is not the last inclusion block"
+        signer = self.keyring.signer_of(tx)
+        if signer is None:
+            return "malformed signature"
+        if signer != owner:
+            return "signer does not own the coin"
+        return None
+
+    def on_block(self, block: PlasmaBlock):
+        for slot, tx in block.txs.items():
+            # a double spend or forged chain has no effect on truth
+            if self.spend_fault(tx) is None:
+                self.owners[slot] = (tx.new_owner, block.number)
+
+    def true_owner(self, slot: int) -> Address:
+        return self.owners[slot][0]
+
+
 class PlasmaOperator:
     """Accumulates transactions between block productions and serves
     (non-)inclusion witnesses for every block it has seen."""
 
-    def __init__(
-        self,
-        address: Address,
-        keyring: Keyring,
-        config: SmtConfig,
-        mode: OperatorMode = OperatorMode.HONEST,
-    ):
+    def __init__(self, address: Address, keyring: Keyring, config: SmtConfig):
         self.address = address
-        self.keyring = keyring
         self.config = config
-        self.mode = mode
         self.blocks: Dict[int, PlasmaBlock] = {}
-        # operator's view of current owner and last inclusion block per slot
-        self.ownership: Dict[int, Tuple[Address, int]] = {}
+        self.ledger = ShadowLedger(keyring)
         self.pending: Dict[int, Transaction] = {}
         self.withheld: set = set()
 
@@ -61,43 +82,23 @@ class PlasmaOperator:
         """Record a deposit block appended by the root chain."""
         self.blocks[block.number] = block
         for slot, tx in block.txs.items():
-            self.ownership[slot] = (tx.new_owner, block.number)
+            self.ledger.on_deposit(slot, tx.new_owner, block.number)
 
     # -- transaction intake --
 
     def submit_tx(self, tx: Transaction) -> TxReceipt:
-        if self.mode is OperatorMode.INCLUDE_DOUBLE_SPEND:
-            # colluding: skip ownership checks entirely
-            if tx.slot in self.pending:
-                return TxReceipt(False, "slot already spent this block")
-            self.pending[tx.slot] = tx
-            return TxReceipt(True)
-        return self._submit_checked(tx)
+        """Honest intake: only a valid spend of the coin's last output."""
+        fault = self.ledger.spend_fault(tx)
+        return TxReceipt(False, fault) if fault else self.inject_raw_tx(tx)
 
-    def _submit_checked(self, tx: Transaction) -> TxReceipt:
-        known = self.ownership.get(tx.slot)
-        if known is None:
-            return TxReceipt(False, "unknown coin")
-        owner, last_block = known
+    def inject_raw_tx(self, tx: Transaction) -> TxReceipt:
+        """Include any transaction, such as a forgery or a double spend."""
         if tx.slot in self.pending:
             # one spend per slot per block; a conflicting re-spend is a
             # double spend, not a queueing problem
             return TxReceipt(False, "slot already spent this block")
-        if tx.parent_block != last_block:
-            return TxReceipt(False, "parent is not the last inclusion block")
-        signer = self.keyring.signer_of(tx)
-        if signer is None:
-            return TxReceipt(False, "malformed signature")
-        if signer != owner:
-            return TxReceipt(False, "signer does not own the coin")
         self.pending[tx.slot] = tx
         return TxReceipt(True)
-
-    def inject_raw_tx(self, tx: Transaction):
-        """Scripted inclusion of an arbitrary (e.g. forged) transaction."""
-        if self.mode is not OperatorMode.INCLUDE_FORGED_TX:
-            raise WrongMode("raw inclusion requires the forged-tx mode")
-        self.pending[tx.slot] = tx
 
     # -- block production --
 
@@ -106,16 +107,13 @@ class PlasmaOperator:
         root is what gets committed on the root chain as ``number``."""
         block = PlasmaBlock.build(number, self.pending, self.config)
         self.blocks[number] = block
-        for slot, tx in block.txs.items():
-            self.ownership[slot] = (tx.new_owner, number)
+        self.ledger.on_block(block)
         self.pending = {}
         return block
 
     # -- witness service --
 
     def withhold(self, slot: int, block_number: int):
-        if self.mode is not OperatorMode.WITHHOLD_WITNESS:
-            raise WrongMode("withholding requires the withhold-witness mode")
         self.withheld.add((slot, block_number))
 
     def get_witness(self, slot: int, block_number: int) -> IncludedTx:

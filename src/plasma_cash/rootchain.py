@@ -12,7 +12,7 @@ interface wallet watchers consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional
 
@@ -102,6 +102,22 @@ class ChainParams:
     bond_amount: int = 100
     child_block_interval: int = 1000
     smt_depth: int = 64
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        # a bond of zero or less would pay an exitor to exit
+        if self.bond_amount <= 0:
+            raise ValueError(f"bond_amount must be positive, got {self.bond_amount}")
+        if self.maturity_period < 0:
+            raise ValueError(f"maturity_period must not be negative, got {self.maturity_period}")
+        if self.child_block_interval < 1:
+            raise ValueError(
+                f"child_block_interval must be at least 1, got {self.child_block_interval}"
+            )
+        SmtConfig(depth=self.smt_depth)  # refuses a depth outside [1, 64]
 
     @property
     def smt_config(self) -> SmtConfig:

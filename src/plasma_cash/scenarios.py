@@ -30,7 +30,6 @@ from .errors import (
     WitnessUnavailable,
 )
 from .history import CoinHistory, extend_history, verify_history
-from .operator_node import OperatorMode
 from .driver import Simulation
 from .rootchain import ChainParams, CoinState
 
@@ -93,10 +92,13 @@ class _Run:
 
     def spend(self, sender: str, slot: int, parent_block: int, receiver: str) -> PlasmaBlock:
         """``sender`` signs a spend of the coin's output at ``parent_block``
-        straight to the operator, which includes it in a new block."""
+        straight to a colluding operator, which includes it unchecked in a
+        new block."""
         sim = self.sim
         tx = make_transfer_tx(sim.actor(sender).signer, slot, parent_block, sim.address(receiver))
-        self.expect(sim.operator.submit_tx(tx).accepted, f"the operator includes {sender}'s spend")
+        self.expect(
+            sim.operator.inject_raw_tx(tx).accepted, f"the operator includes {sender}'s spend"
+        )
         return sim.commit_block()
 
     def challenged(self, kinds: List[str], who: str):
@@ -212,8 +214,8 @@ def scenario_s2(params: ChainParams, watcher: bool = True) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def scenario_s3(params: ChainParams, watcher: bool = True) -> ScenarioReport:
-    sim = Simulation(params=params, operator_mode=OperatorMode.INCLUDE_DOUBLE_SPEND)
-    run = _Run("S3", sim, ("alice", "bob", "charlie"))
+    run = _Run("S3", Simulation(params=params), ("alice", "bob", "charlie"))
+    sim = run.sim
 
     slot = sim.deposit("alice", DENOM)
     deposit_block = sim.contract.coins[slot].deposit_block
@@ -243,8 +245,8 @@ def scenario_s3(params: ChainParams, watcher: bool = True) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
-    sim = Simulation(params=params, operator_mode=OperatorMode.INCLUDE_FORGED_TX)
-    run = _Run("S4", sim, ("alice", "bob", "charlie", "dylan"))
+    run = _Run("S4", Simulation(params=params), ("alice", "bob", "charlie", "dylan"))
+    sim = run.sim
 
     slot = sim.deposit("alice", DENOM)
     deposit_block = sim.contract.coins[slot].deposit_block
@@ -311,8 +313,8 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
-    sim = Simulation(params=params, operator_mode=OperatorMode.WITHHOLD_WITNESS)
-    run = _Run("S5", sim, ("alice", "bob"))
+    run = _Run("S5", Simulation(params=params), ("alice", "bob"))
+    sim = run.sim
 
     slot = sim.deposit("alice", DENOM)
     deposit_block = sim.contract.coins[slot].deposit_block
@@ -414,13 +416,12 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
     settlement, with invariants checked after every step."""
     params = ChainParams(maturity_period=8, smt_depth=16)
     rng = random.Random(seed)
-    mode = OperatorMode.INCLUDE_DOUBLE_SPEND if byzantine else OperatorMode.HONEST
     honest = [f"h{i}" for i in range(4)]
     attacker = "attacker" if byzantine else None
     actors = honest + ([attacker] if attacker else [])
     run = _Run(
         f"fuzz-{'byzantine' if byzantine else 'honest'}",
-        Simulation(params=params, operator_mode=mode, initial_balance=1_000_000),
+        Simulation(params=params, initial_balance=1_000_000),
         actors,
     )
     sim = run.sim
@@ -532,7 +533,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
             double = make_transfer_tx(
                 sim.wallets[attacker].signer, slot, parent_block, sim.address(attacker)
             )
-            if not sim.operator.submit_tx(double).accepted:
+            if not sim.operator.inject_raw_tx(double).accepted:
                 return
             block = sim.commit_block()
             sim.run_watchers()

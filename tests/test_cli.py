@@ -64,3 +64,47 @@ def test_bench_needs_an_empty_slot():
     # three siblings
     stats = bench_compact_proofs(txs=15, depth=4, trials=5)
     assert stats["min_exclusion"] == stats["max_exclusion"] == 1 + 3 * 32 + 1 + 32
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--bond", "-50"],
+        ["--bond", "0"],
+        ["--maturity", "-1"],
+        ["--smt-depth", "0"],
+        ["--smt-depth", "65"],
+    ],
+)
+def test_run_refuses_bad_chain_parameters(args):
+    """A bad flag is a usage error (exit code 2), not a PASS or a traceback."""
+    result = CliRunner().invoke(main, ["run", "--scenario", "S2", *args])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "PASS" not in result.output
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"maturity": 3}', "unexpected keyword argument 'maturity'"),
+        ("[1, 2]", "must hold a JSON object"),
+        ("3", "must hold a JSON object"),
+        ("{bad", "not JSON"),
+        ('{"bond_amount": -50}', "bond_amount must be positive"),
+        ('{"bond_amount": "100"}', "bond_amount must be an integer"),
+        ('{"child_block_interval": 0}', "child_block_interval must be at least 1"),
+    ],
+)
+def test_run_refuses_a_bad_config_file(tmp_path, text, message):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["run", "--scenario", "S2", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_run_with_a_config_file(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text('{"maturity_period": 3, "bond_amount": 7}')
+    result = CliRunner().invoke(main, ["run", "--scenario", "S2", "--config", str(path)])
+    assert result.exit_code == 0, result.output

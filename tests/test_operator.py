@@ -1,21 +1,22 @@
-"""Block producer: transaction validation, modes, witness service."""
+"""Block producer: the checked intake and the ownership ledger it reads,
+the Byzantine capabilities (raw inclusion, withholding), witness service."""
 
 import random
 
 import pytest
 
 from plasma_cash.core import Keyring, PlasmaBlock, Transaction, make_deposit_tx, make_transfer_tx
-from plasma_cash.errors import UnknownBlock, WitnessUnavailable, WrongMode
-from plasma_cash.operator_node import OperatorMode, PlasmaOperator
+from plasma_cash.errors import UnknownBlock, WitnessUnavailable
+from plasma_cash.operator_node import PlasmaOperator
 from plasma_cash.smt import SmtConfig, SparseMerkleTree
 
 CONFIG = SmtConfig(depth=16)
 
 
-def make_operator(mode=OperatorMode.HONEST):
+def make_operator():
     keyring = Keyring()
     op_signer = keyring.new_signer("operator")
-    operator = PlasmaOperator(op_signer.address, keyring, CONFIG, mode)
+    operator = PlasmaOperator(op_signer.address, keyring, CONFIG)
     return keyring, operator
 
 
@@ -73,27 +74,46 @@ def test_ownership_advances_with_blocks():
     assert operator.submit_tx(make_transfer_tx(bob, 0, 1000, alice.address)).accepted
 
 
-def test_double_spend_mode_skips_ownership_checks():
-    keyring, operator = make_operator(OperatorMode.INCLUDE_DOUBLE_SPEND)
+def test_raw_injection_skips_ownership_checks():
+    keyring, operator = make_operator()
     seed_deposit(keyring, operator)
     mallory = keyring.new_signer("mallory")
-    receipt = operator.submit_tx(make_transfer_tx(mallory, 0, 1, mallory.address))
+    receipt = operator.inject_raw_tx(make_transfer_tx(mallory, 0, 1, mallory.address))
     assert receipt.accepted
+    # only a second transaction for a slot already in this block is refused
+    again = operator.inject_raw_tx(make_transfer_tx(mallory, 0, 7, mallory.address))
+    assert again.reason == "slot already spent this block"
 
 
-def test_forged_tx_mode_gates_raw_injection():
-    keyring, operator = make_operator(OperatorMode.INCLUDE_FORGED_TX)
+def test_injected_transactions_never_move_the_ledger():
+    """A deposit-shaped transaction at an operator block mints nothing, and
+    a forged spend of it moves nothing: the owner by the ledger, which the
+    intake reads, is still the depositor, whose next spend is accepted."""
+    keyring, operator = make_operator()
+    alice = seed_deposit(keyring, operator)
+    mallory = keyring.new_signer("mallory")
+    assert operator.inject_raw_tx(make_deposit_tx(0, mallory.address)).accepted
+    operator.produce_block(1000)
+    assert operator.inject_raw_tx(make_transfer_tx(mallory, 0, 1000, mallory.address)).accepted
+    operator.produce_block(2000)
+    assert operator.ledger.true_owner(0) == alice.address
+    assert operator.submit_tx(make_transfer_tx(mallory, 0, 1000, alice.address)).reason == (
+        "parent is not the last inclusion block"
+    )
+    assert operator.submit_tx(make_transfer_tx(alice, 0, 1, mallory.address)).accepted
+    operator.produce_block(3000)
+    assert operator.ledger.true_owner(0) == mallory.address
+
+
+def test_intake_refuses_what_raw_injection_includes():
+    keyring, operator = make_operator()
     seed_deposit(keyring, operator)
     mallory = keyring.new_signer("mallory")
     forged = make_transfer_tx(mallory, 0, 1, mallory.address)
     # the normal intake still refuses it; injection bypasses validation
     assert not operator.submit_tx(forged).accepted
-    operator.inject_raw_tx(forged)
+    assert operator.inject_raw_tx(forged).accepted
     assert operator.produce_block(1000).txs[0] == forged
-
-    _, honest = make_operator()
-    with pytest.raises(WrongMode):
-        honest.inject_raw_tx(forged)
 
 
 def test_empty_block_root_is_defaults_chain():
@@ -137,7 +157,7 @@ def test_witness_service_round_trip():
 
 
 def test_withholding_is_targeted():
-    keyring, operator = make_operator(OperatorMode.WITHHOLD_WITNESS)
+    keyring, operator = make_operator()
     alice = seed_deposit(keyring, operator)
     operator.submit_tx(make_transfer_tx(alice, 0, 1, alice.address))
     operator.produce_block(1000)
@@ -147,7 +167,3 @@ def test_withholding_is_targeted():
     # other slots and blocks still served
     assert operator.get_witness(1, 1000).is_exclusion
     assert operator.get_witness(0, 1).tx is not None
-
-    _, honest = make_operator()
-    with pytest.raises(WrongMode):
-        honest.withhold(0, 1000)

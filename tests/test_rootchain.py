@@ -600,3 +600,28 @@ def test_history_blocks_past_the_last_operator_block():
     assert view.history_blocks(deposit) == [deposit]
     assert view.history_blocks(deposit, after=deposit) == []
     assert view.history_blocks(1) == [1, 4]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        # a negative bond would pay the exitor to exit and overdraw the escrow
+        ({"bond_amount": -50}, ValueError),
+        ({"bond_amount": 0}, ValueError),
+        ({"maturity_period": -1}, ValueError),
+        ({"child_block_interval": 0}, ValueError),
+        ({"smt_depth": 0}, ValueError),
+        ({"smt_depth": 65}, ValueError),
+        ({"bond_amount": "100"}, TypeError),
+        ({"maturity_period": 2.5}, TypeError),
+    ],
+)
+def test_chain_params_refuse_values_the_contract_cannot_run_with(bad, error):
+    with pytest.raises(error):
+        ChainParams(**bad)
+
+
+def test_chain_params_edge_values_are_accepted():
+    params = ChainParams(maturity_period=0, bond_amount=1, child_block_interval=1, smt_depth=1)
+    assert params.smt_config.depth == 1
+    assert ChainParams(smt_depth=64).smt_config.capacity == 1 << 64

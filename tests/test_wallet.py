@@ -18,15 +18,14 @@ from plasma_cash.history import (
     valid_tip,
     verify_history,
 )
-from plasma_cash.operator_node import OperatorMode
 from plasma_cash.rootchain import ChainParams, CoinState
 from plasma_cash.wallet import Wallet
 
 PARAMS = ChainParams(maturity_period=5, smt_depth=16)
 
 
-def make_sim(mode=OperatorMode.HONEST):
-    return Simulation(params=PARAMS, operator_mode=mode)
+def make_sim():
+    return Simulation(params=PARAMS)
 
 
 def settled_transfer(sim, sender, slot, receiver):
@@ -97,7 +96,7 @@ def test_receiver_rejects_history_ending_elsewhere():
 
 
 def test_receiver_rejects_forged_history():
-    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     mallory = sim.actor("mallory")
     forged = make_transfer_tx(
@@ -115,14 +114,14 @@ def test_receiver_rejects_forged_history():
 
 
 def test_receiver_rejects_double_spend_history():
-    sim = make_sim(OperatorMode.INCLUDE_DOUBLE_SPEND)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     # Alice re-spends her consumed deposit to Carol in a later block
     alice = sim.actor("alice")
     dep_block = sim.contract.coins[slot].deposit_block
     stale = make_transfer_tx(alice.signer, slot, dep_block, sim.address("carol"))
-    assert sim.operator.submit_tx(stale).accepted
+    assert sim.operator.inject_raw_tx(stale).accepted
     sim.commit_block()
     history = extend_history(
         CoinHistory(slot, dep_block), sim.contract.view, sim.operator.get_witness
@@ -151,13 +150,13 @@ def test_watcher_challenges_exit_of_spent_coin():
 
 
 def test_watcher_challenges_double_spend_exit():
-    sim = make_sim(OperatorMode.INCLUDE_DOUBLE_SPEND)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     alice = sim.actor("alice")
     dep_block = sim.contract.coins[slot].deposit_block
     stale = make_transfer_tx(alice.signer, slot, dep_block, alice.address)
-    assert sim.operator.submit_tx(stale).accepted
+    assert sim.operator.inject_raw_tx(stale).accepted
     block = sim.commit_block()
     sim.exit_with("alice", slot, dep_block, block.number)
     actions = sim.run_watchers()
@@ -181,7 +180,7 @@ def forged_exit(sim, slot):
 
 
 def test_watcher_stakes_before_challenge_on_forged_history():
-    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     forged_exit(sim, slot)
@@ -195,7 +194,7 @@ def test_watcher_stakes_before_challenge_on_forged_history():
 
 
 def test_watcher_challenges_a_restarted_forged_exit():
-    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     blocks = forged_exit(sim, slot)
@@ -210,6 +209,48 @@ def test_watcher_challenges_a_restarted_forged_exit():
     assert sim.contract.coins[slot].state is CoinState.DEPOSITED
     assert sim.actor("bob").owns(slot)
     assert sim.ledger.true_owner(slot) == sim.address("bob")
+
+
+@pytest.mark.parametrize("watcher", [True, False])
+def test_forged_and_withheld_exit(watcher):
+    """One operator forges and withholds in one run: after an
+    honest hand-off to Bob it includes a forged Bob -> Mallory spend and
+    Mallory's spend of it, withholding both, and Mallory exits from its raw
+    blocks.  Bob cannot sync past his own block, yet his bonded challenge
+    from it cancels the exit; with no watcher the theft finalizes."""
+    sim = make_sim()
+    assert sim.ledger is sim.operator.ledger
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    mallory, operator = sim.actor("mallory"), sim.operator
+
+    def include_withheld(parent):
+        spend = make_transfer_tx(mallory.signer, slot, parent, mallory.address)
+        assert operator.inject_raw_tx(spend).accepted
+        number = sim.commit_block().number
+        operator.withhold(slot, number)
+        return number
+
+    # "Bob -> Mallory", signed by Mallory
+    forged = include_withheld(sim.actor("bob").last_inclusion(slot).blk_number)
+    spent = include_withheld(forged)
+    with pytest.raises(WitnessUnavailable):
+        sim.exit_with("mallory", slot, forged, spent)
+    parent_tx, exit_tx = operator.blocks[forged].prove(slot), operator.blocks[spent].prove(slot)
+    sim.contract.start_exit(mallory.address, slot, parent_tx, exit_tx, PARAMS.bond_amount)
+    assert sim.ledger.true_owner(slot) == sim.address("bob")
+
+    if not watcher:
+        assert finish_exit(sim, slot) == "Finalized"
+        assert sim.contract.coins[slot].owner == mallory.address
+        assert sim.withdraw("mallory", slot) == 5
+        return
+    actions = sim.run_watchers()
+    assert [(a.kind, a.ok) for a in actions] == [("before", True)]
+    assert finish_exit(sim, slot) == "CancelledByChallenge"
+    assert sim.contract.coins[slot].state is CoinState.DEPOSITED
+    assert sim.contract.balance_of(sim.address("bob")) == sim.initial_balance + PARAMS.bond_amount
+    assert sim.actor("bob").owns(slot)
 
 
 def test_watcher_ignores_own_and_honest_exits():
@@ -237,7 +278,7 @@ def test_a_withdrawn_coin_leaves_every_wallet():
 def test_exit_with_a_withheld_witness_starts_no_exit():
     """``exit_with`` fetches the operator's witnesses before it calls the
     contract: a withheld parent or exit witness leaves no trace on chain."""
-    sim = make_sim(OperatorMode.WITHHOLD_WITNESS)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     sim.transfer("alice", slot, "bob")
     block = sim.commit_block()
@@ -500,7 +541,7 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
     # per hand-off: a one-leaf block build and the four inclusion proofs the
     # receiver has not verified, one hash each, since a block of one coin
     # commits as its lone leaf's digest at any depth; those four signatures
-    # plus the operator's and the shadow ledger's check of the new spend
+    # plus the operator's intake and ledger replay of the new spend
     assert cost[16] == cost[64] == (5, 6)
 
 
@@ -596,7 +637,7 @@ def test_deposit_entry_under_an_operator_block_is_refused(forgery):
     transaction, or a tree holding that transaction.  A history that
     claims such an operator block as the coin's deposit block is refused;
     the contract too refuses the hash-root entry."""
-    sim = make_sim(OperatorMode.INCLUDE_FORGED_TX)
+    sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
     alice, carol = sim.actor("alice"), sim.actor("carol")
@@ -621,7 +662,7 @@ def test_deposit_entry_under_an_operator_block_is_refused(forgery):
 def test_a_handoff_hashes_each_spend_once(monkeypatch):
     """One round-robin hand-off at depth 64 costs 8 SHA-256 calls in
     ``core``: the spend's digest, its signature, and six recoveries (the
-    operator's, the shadow ledger's and the receiver's four)."""
+    operator's intake, its ledger's replay and the receiver's four)."""
     calls = Counter()
 
     def sha256(data=b""):
