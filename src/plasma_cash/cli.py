@@ -71,7 +71,7 @@ def run_cmd(name, maturity, bond, smt_depth, config_file, watcher, json_path):
 
 
 @main.command("fuzz")
-@click.option("--steps", required=True, type=int)
+@click.option("--steps", required=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--byzantine/--honest", default=False, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
@@ -86,15 +86,18 @@ def fuzz_cmd(steps, seed, byzantine, json_path):
 
 
 @main.command("bench-proofs")
-@click.option("--txs", default=2378, show_default=True, type=int)
-@click.option("--depth", default=64, show_default=True, type=int)
-@click.option("--trials", default=1000, show_default=True, type=int)
+@click.option("--txs", default=2378, show_default=True, type=click.IntRange(min=1))
+@click.option("--depth", default=64, show_default=True, type=click.IntRange(1, 64))
+@click.option("--trials", default=1000, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def bench_cmd(txs, depth, trials, seed, json_path):
     """Measure encoded proof sizes, of inclusions and of exclusions: the
     bitfield form every history and challenge carries."""
-    result = bench_mod.bench_compact_proofs(txs=txs, depth=depth, trials=trials, seed=seed)
+    try:
+        result = bench_mod.bench_compact_proofs(txs=txs, depth=depth, trials=trials, seed=seed)
+    except ValueError as exc:  # more transactions than the tree has slots
+        raise click.UsageError(str(exc))
     _write_report(json.dumps(result, indent=2), json_path)
     click.echo(
         f"mean compact over {trials} proofs: {result['mean_compact']:.1f} bytes "

@@ -151,21 +151,39 @@ class IncludedTx:
 def deposit_fault(
     itx: IncludedTx, slot: int, depositor: Address, root: bytes, config: SmtConfig
 ) -> Optional[str]:
-    """Why ``itx`` is not the deposit of ``slot`` to ``depositor`` under the
-    deposit block root ``root``, or None when it is.
+    """Why ``itx``, an inclusion, is not the deposit of ``slot`` to
+    ``depositor`` under the deposit block root ``root``, or None when it is.
 
     A deposit block's root is its one transaction's hash, so a deposit entry
     has one form: ``make_deposit_tx(slot, depositor)`` with the empty proof.
-    The contract and ``verify_history`` both check deposit entries here."""
+    Every deposit entry is checked here, through ``RootView.inclusion_fault``."""
     tx = itx.tx
-    if tx is None:
-        return "deposit block not an inclusion"
     if tx.new_owner != depositor:
         return "deposit owner mismatch"
     if tx != make_deposit_tx(slot, depositor):
         return "deposit tx malformed"
     if itx.proof != config.empty_proof or tx.hash() != root:
         return "deposit proof invalid"
+    return None
+
+
+UNLINKED = "parent is not the last inclusion block"
+
+
+def spend_fault(
+    tx: Transaction, parent_block: int, owner: Address, keyring: Keyring
+) -> Optional[str]:
+    """Why ``tx`` is not a valid spend of the output ``owner`` received at
+    ``parent_block``, or None when it is: ``UNLINKED`` when it names another
+    block, else the signer's fault.  A malformed signature is signed by no
+    one.  The contract, the verifier, the ledger and the wallet all ask here."""
+    if tx.parent_block != parent_block:
+        return UNLINKED
+    signer = keyring.signer_of(tx)
+    if signer is None:
+        return "malformed signature"
+    if signer != owner:
+        return "signer does not own the coin"
     return None
 
 

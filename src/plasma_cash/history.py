@@ -5,10 +5,10 @@ committed after it into inclusions (the coin moved) and exclusions (proof
 the slot was empty).  A deposit block's root is its one deposit
 transaction's hash, so other coins' deposit blocks are left out: the coin
 cannot be in one (see ``RootView``).  The verifier walks that partition:
-the deposit entry first, checked by hash equality (``core.deposit_fault``),
-then each spend must prove inclusion, chain its parent link to the previous
-inclusion, and carry a signature recovering to the previous owner; every
-other block must prove the slot empty.
+the deposit entry first, then each spend must be included
+(``RootView.inclusion_fault``, the contract's check too) and spend the
+previous inclusion's output (``core.spend_fault``); every other block must
+prove the slot empty.
 
 A receiver that verified a coin up to a block keeps a ``Mark`` there and is
 handed only the later entries, so a hand-off costs the same however old the coin is.
@@ -23,7 +23,7 @@ from itertools import takewhile
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import smt
-from .core import Address, IncludedTx, Keyring, Reader, deposit_fault
+from .core import UNLINKED, Address, IncludedTx, Keyring, Reader, deposit_fault, spend_fault
 from .errors import MalformedEncoding, MissingRoot, PlasmaError
 from .smt import SmtConfig
 
@@ -69,9 +69,10 @@ class RootView:
     - the contract sets each deposit root itself, to the hash of the one
       deposit transaction of a slot it has just minted, so the block holds
       no other slot and proves none (``PlasmaBlock.prove`` raises for one);
-    - the contract and ``verify_history`` accept an entry at a coin's
-      deposit block only through ``core.deposit_fault``: the coin's own
-      deposit transaction, the empty proof, and its hash equal to the root;
+    - ``inclusion_fault``, which the contract and ``verify_history`` both
+      ask, accepts an entry at a coin's deposit block only through
+      ``core.deposit_fault``: the coin's own deposit transaction, the empty
+      proof, and its hash equal to the root;
     - ``deposit`` skips the ``child_block_interval`` multiples and
       ``submit_block`` only ever uses ``next_operator_block``, so a deposit
       number is never an operator number, and the contract refuses an
@@ -100,6 +101,32 @@ class RootView:
         blocks = self.operator_blocks
         i = bisect.bisect_left(blocks, number)
         return i < len(blocks) and blocks[i] == number
+
+    def inclusion_fault(
+        self, itx: IncludedTx, slot: int, deposit_block: int, depositor: Address,
+        config: SmtConfig, known: Optional[smt.Memo] = None,
+    ) -> Optional[str]:
+        """Why ``itx`` is not a transaction of ``slot`` proven included in
+        one of the coin's blocks, or None when it is: at an operator block by
+        ``smt.verify`` against the caller's memo ``known`` (a deposit-shaped
+        transaction there is refused: no spend names block 0), at the coin's
+        deposit block by ``core.deposit_fault``, and at no other block."""
+        tx = itx.tx
+        if tx is None or tx.slot != slot:
+            return "transaction missing or for another slot"
+        number = itx.blk_number
+        if not self.is_operator_block(number):
+            if number != deposit_block:
+                return f"block {number} is not the coin's deposit or an operator block"
+            return deposit_fault(itx, slot, depositor, self.roots[number], config)
+        if tx.is_deposit:
+            return f"is a deposit transaction at operator block {number}"
+        try:
+            if smt.verify(slot, tx.hash(), itx.proof, self.roots[number], config, known):
+                return None
+        except PlasmaError:
+            pass
+        return "inclusion proof invalid"
 
 
 @dataclass
@@ -214,52 +241,39 @@ def verify_history(
         # an operator may commit any root, even a deposit transaction's hash
         if view.is_operator_block(dep.blk_number):
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block is an operator block")
-        fault = deposit_fault(dep, slot, deposit_owner, view.roots[dep.blk_number], config)
+        fault = view.inclusion_fault(dep, slot, dep.blk_number, deposit_owner, config)
         if fault is not None:
             return reject(Reason.BAD_DEPOSIT_PROOF, fault)
         # the partition puts every other entry after the deposit block
-        last_block = history.deposit_block
-        last_owner = deposit_owner
+        last_block, last_owner = history.deposit_block, deposit_owner
 
     for blk in sorted(b for b in incl if b > last_block):
         itx = incl[blk]
-        if itx.tx is None or itx.tx.slot != slot or itx.blk_number != blk:
+        if itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
-        if not _check_proof(slot, itx, itx.tx.hash(), view, config, known):
-            return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: proof invalid")
-        # reject double spends: each spend must chain the previous inclusion
-        if itx.tx.parent_block != last_block:
-            return reject(
-                Reason.BROKEN_PARENT_LINK,
-                f"block {blk}: parent {itx.tx.parent_block} != last inclusion {last_block}",
-            )
-        # accept spends only with valid signatures
-        sender = keyring.signer_of(itx.tx)
-        if sender is None:
-            return reject(Reason.BAD_SIGNATURE, f"block {blk}: malformed signature")
-        if sender != last_owner:
-            return reject(Reason.BAD_SIGNATURE, f"block {blk}: signer is not the owner")
-        last_block = blk
-        last_owner = itx.tx.new_owner
+        fault = view.inclusion_fault(itx, slot, history.deposit_block, deposit_owner, config, known)
+        if fault is not None:
+            return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: {fault}")
+        # reject double spends and forgeries: each spend must chain the
+        # previous inclusion and be signed by its owner
+        fault = spend_fault(itx.tx, last_block, last_owner, keyring)
+        if fault is not None:
+            reason = Reason.BROKEN_PARENT_LINK if fault == UNLINKED else Reason.BAD_SIGNATURE
+            return reject(reason, f"block {blk}: {fault}")
+        last_block, last_owner = blk, itx.tx.new_owner
 
     for blk in sorted(excl):
         itx = excl[blk]
         if itx.tx is not None or itx.blk_number != blk:
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: not an exclusion")
-        if not _check_proof(slot, itx, smt.DEFAULT_LEAF, view, config, known):
-            return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
+        try:
+            if smt.verify(slot, smt.DEFAULT_LEAF, itx.proof, view.roots[blk], config, known):
+                continue
+        except PlasmaError:
+            pass
+        return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
 
     return ACCEPT
-
-
-def _check_proof(
-    slot, itx: IncludedTx, leaf: bytes, view: RootView, config: SmtConfig,
-    known: Optional[smt.Memo],
-) -> bool:
-    try:
-        return smt.verify(slot, leaf, itx.proof, view.roots[itx.blk_number], config, known)
-    except PlasmaError:
-        return False
 
 
 WitnessSource = Callable[[int, int], IncludedTx]
@@ -306,7 +320,7 @@ def find_spend(
         and (before is None or itx.blk_number < before)
     ]
     for itx in sorted(spends, key=lambda i: i.blk_number):
-        if keyring.signer_of(itx.tx) == owner:
+        if spend_fault(itx.tx, parent, owner, keyring) is None:
             return itx
     return None
 

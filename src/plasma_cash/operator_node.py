@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction
+from .core import Address, IncludedTx, Keyring, PlasmaBlock, Transaction, spend_fault
 from .errors import UnknownBlock, WitnessUnavailable
 from .smt import SmtConfig
 
@@ -45,14 +45,7 @@ class ShadowLedger:
         if known is None:
             return "unknown coin"
         owner, last_block = known
-        if tx.parent_block != last_block:
-            return "parent is not the last inclusion block"
-        signer = self.keyring.signer_of(tx)
-        if signer is None:
-            return "malformed signature"
-        if signer != owner:
-            return "signer does not own the coin"
-        return None
+        return spend_fault(tx, last_block, owner, self.keyring)
 
     def on_block(self, block: PlasmaBlock):
         for slot, tx in block.txs.items():

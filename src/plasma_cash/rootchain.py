@@ -16,8 +16,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional
 
-from . import smt
-from .core import Address, IncludedTx, Keyring, deposit_fault, make_deposit_tx, PlasmaBlock
+from .core import Address, IncludedTx, Keyring, make_deposit_tx, PlasmaBlock, spend_fault
 from .errors import (
     BadProof,
     BadSignature,
@@ -36,7 +35,6 @@ from .errors import (
     NotOwner,
     NotSameParent,
     ParentMismatch,
-    PlasmaError,
     SlotOutOfRange,
     UnknownCoin,
     WrongBond,
@@ -188,35 +186,32 @@ class PlasmaContract:
 
     def _check_included(self, slot: int, itx: IncludedTx, what: str):
         """Raise BadProof unless ``itx`` is a transaction of ``slot`` proven
-        included in one of the coin's blocks: its deposit block, checked by
-        ``deposit_fault``, or an operator block, checked by ``smt.verify``.
+        included in one of the coin's blocks (``RootView.inclusion_fault``).
         ``what`` names the entry in the error."""
-        if itx.tx is None or itx.tx.slot != slot:
-            raise BadProof(f"{what} transaction missing or for another slot")
         coin = self.coins[slot]
-        number = itx.blk_number
-        root = self.roots.get(number)
-        if number == coin.deposit_block:
-            fault = deposit_fault(itx, slot, coin.depositor, root, self.config)
-            if fault is not None:
-                raise BadProof(f"{what}: {fault}")
-            return
-        if not self.view.is_operator_block(number):
-            raise BadProof(f"{what} block {number} is not the coin's deposit or an operator block")
-        if itx.tx.is_deposit:  # no spend at an operator block names block 0
-            raise BadProof(f"{what} is a deposit transaction at operator block {number}")
-        try:
-            if smt.verify(slot, itx.tx.hash(), itx.proof, root, self.config):
-                return
-        except PlasmaError:
-            pass
-        raise BadProof(f"{what} inclusion proof invalid")
+        fault = self.view.inclusion_fault(itx, slot, coin.deposit_block, coin.depositor, self.config)
+        if fault is not None:
+            raise BadProof(f"{what} {fault}")
 
-    def _check_signer(self, itx: IncludedTx, expected: Address, message: str):
-        """Raise BadSignature unless ``expected`` signed ``itx``'s transaction;
-        a malformed signature is signed by no one."""
-        if self.keyring.signer_of(itx.tx) != expected:
-            raise BadSignature(message)
+    def _check_spend(
+        self, what: str, slot: int, spend: IncludedTx, parent: IncludedTx, upto: int,
+        unlinked: type, late: Optional[type] = None,
+    ):
+        """Raise unless ``spend`` is an included spend of ``parent``'s output
+        in a block after the parent's and at most ``upto`` (``current_block``
+        bounds nothing: every included entry is committed).  Every move that
+        takes a spend asks here, in one order: BadProof, then ``unlinked`` for
+        a spend of another block, then ``late`` (or ``unlinked``) for a block
+        out of range, then BadSignature."""
+        self._check_included(slot, spend, what)
+        tx, low = spend.tx, parent.blk_number
+        if tx.parent_block != low:
+            raise unlinked(f"{what} spends block {tx.parent_block}, not {low}")
+        if not low < spend.blk_number <= upto:
+            raise (late or unlinked)(f"{what} block {spend.blk_number} is outside ({low}, {upto}]")
+        fault = spend_fault(tx, low, parent.tx.new_owner, self.keyring)
+        if fault is not None:
+            raise BadSignature(f"{what}: {fault}")
 
     # -- deposits and block commitments --
 
@@ -294,19 +289,8 @@ class PlasmaContract:
                 raise ParentMismatch("deposit-exit must use the deposit transaction")
             self._check_included(slot, exit_tx, "deposit")
         else:
-            if parent_tx.tx is None or parent_tx.tx.slot != slot:
-                raise BadProof("parent transaction missing or for another slot")
-            if exit_tx.tx.parent_block != parent_tx.blk_number:
-                raise ParentMismatch(
-                    f"exit tx parent {exit_tx.tx.parent_block} != parent block {parent_tx.blk_number}"
-                )
-            if exit_tx.blk_number <= parent_tx.blk_number:
-                raise ParentMismatch("exit tx must come after its parent")
             self._check_included(slot, parent_tx, "parent")
-            self._check_included(slot, exit_tx, "exit")
-            self._check_signer(
-                exit_tx, parent_tx.tx.new_owner, "exit tx not signed by the parent tx recipient"
-            )
+            self._check_spend("exit", slot, exit_tx, parent_tx, self.current_block, ParentMismatch)
 
         self._debit(caller, bond)
         self.bond_escrow += bond
@@ -357,12 +341,9 @@ class PlasmaContract:
     def challenge_after(self, challenger: Address, slot: int, spend: IncludedTx):
         """Cancel an exit of a spent coin with a direct spend of the exit tx."""
         ex = self._active_exit(slot)
-        self._check_included(slot, spend, "challenge")
         # only a child of the exit tx counts: deeper descendants assume the
         # validity of their ancestors
-        if spend.tx.parent_block != ex.exit_block or spend.blk_number <= ex.exit_block:
-            raise NotDirectSpend("challenge must directly spend the exit transaction")
-        self._check_signer(spend, ex.exitor, "challenge spend not signed by the exitor")
+        self._check_spend("challenge", slot, spend, ex.exit_tx, self.current_block, NotDirectSpend)
         self._cancel_exit(slot, challenger, "ChallengedAfter", spend)
 
     def challenge_between(self, challenger: Address, slot: int, spend: IncludedTx):
@@ -370,13 +351,8 @@ class PlasmaContract:
         ex = self._active_exit(slot)
         if ex.parent_tx is None:
             raise NotSameParent("deposit-exit has no parent to double-spend")
-        self._check_included(slot, spend, "challenge")
-        if spend.tx.parent_block != ex.parent_tx.blk_number:
-            raise NotSameParent("challenge does not spend the exit's parent")
-        if not (ex.parent_tx.blk_number < spend.blk_number < ex.exit_block):
-            raise NotBetween("challenge must sit between parent and exit blocks")
-        self._check_signer(
-            spend, ex.parent_tx.tx.new_owner, "challenge spend not signed by the parent tx recipient"
+        self._check_spend(
+            "challenge", slot, spend, ex.parent_tx, ex.exit_block - 1, NotSameParent, NotBetween
         )
         self._cancel_exit(slot, challenger, "ChallengedBetween", spend)
 
@@ -417,13 +393,8 @@ class PlasmaContract:
         )
         if challenge is None:
             raise NoSuchChallenge(f"no unanswered challenge {challenge_id} on slot {slot}")
-        self._check_included(slot, response, "response")
-        if response.tx.parent_block != challenge.tx.blk_number:
-            raise NotDirectSpendOfChallenge("response must spend the challenge tx")
-        if not challenge.tx.blk_number < response.blk_number <= ex.exit_block:
-            raise NotDirectSpendOfChallenge("response must sit between challenge and exit blocks")
-        self._check_signer(
-            response, challenge.tx.tx.new_owner, "response not signed by the challenged tx recipient"
+        self._check_spend(
+            "response", slot, response, challenge.tx, ex.exit_block, NotDirectSpendOfChallenge
         )
         challenge.answered = True
         self.bond_escrow -= challenge.bond

@@ -21,7 +21,6 @@ from itertools import count
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from . import smt
 from .core import IncludedTx, PlasmaBlock, Transaction, make_transfer_tx
 from .errors import (
     BadSignature,
@@ -369,8 +368,9 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     if challenge_events:
         config = sim.contract.config
         itx = IncludedTx.decode(bytes.fromhex(challenge_events[0].data["witness"]), config)
+        fault = sim.contract.view.inclusion_fault(itx, slot, deposit_block, sim.address("alice"), config)
         run.expect(
-            smt.verify(slot, itx.tx.hash(), itx.proof, sim.contract.roots[itx.blk_number], config),
+            fault is None and itx.blk_number == block.number,
             "revealed witness must prove the withheld inclusion",
         )
         run.expect(

@@ -35,6 +35,31 @@ def test_fuzz_command():
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_fuzz_refuses_a_step_count_below_one(steps):
+    """No steps is a usage error (exit code 2), not an empty PASS."""
+    result = CliRunner().invoke(main, ["fuzz", "--steps", steps])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "PASS" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--depth", "0"],
+        ["--depth", "70"],
+        ["--txs", "0"],
+        ["--trials", "0"],
+        ["--depth", "4", "--txs", "16"],  # no empty slot left to sample
+    ],
+)
+def test_bench_refuses_bad_arguments(args):
+    """A bad flag is a usage error (exit code 2), not a traceback."""
+    result = CliRunner().invoke(main, ["bench-proofs", *args])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output
+
+
 def test_bench_command(tmp_path):
     path = tmp_path / "bench.json"
     result = CliRunner().invoke(

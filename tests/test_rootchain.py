@@ -38,7 +38,8 @@ from plasma_cash.errors import (
     UnknownCoin,
     WrongBond,
 )
-from plasma_cash.history import ACCEPT, CoinHistory, Reason, verify_history
+from plasma_cash.history import ACCEPT, CoinHistory, Reason, find_spend, verify_history
+from plasma_cash.operator_node import ShadowLedger
 from plasma_cash.rootchain import ChainParams, CoinState, PlasmaContract
 from plasma_cash.smt import Proof
 
@@ -271,8 +272,11 @@ def test_challenge_between_window_enforced(fx):
 
 
 def contract_state(contract):
+    """Everything a move may change; ``repr`` reaches into each exit, so a
+    challenge marked answered shows too."""
     return (dict(contract.balances), contract.value_escrow, contract.bond_escrow,
-            dict(contract.exits), len(contract.events))
+            repr(contract.exits), [c.state for c in contract.coins.values()],
+            len(contract.events))
 
 
 def test_signed_deposit_tx_does_not_exit():
@@ -415,6 +419,176 @@ def test_verifier_and_contract_agree_on_deposit_entries(data):
     with pytest.raises(PlasmaError):
         f.contract.start_exit(exitor, slot, *args, BOND)
     assert contract_state(f.contract) == before
+
+
+# -- one spend check for the four moves that take a spend --
+
+# the error each move raises for a spend of another block, and for one out of range
+LINK_ERROR = {
+    "start_exit": ParentMismatch,
+    "challenge_after": NotDirectSpend,
+    "challenge_between": NotSameParent,
+    "respond_challenge_before": NotDirectSpendOfChallenge,
+}
+RANGE_ERROR = dict(LINK_ERROR, challenge_between=NotBetween)
+# each fault, and the move's error for it: the first of the checks in
+# order, inclusion, parent link, range, signer, when a spend has two faults
+SPEND_FAULTS = {
+    "wrong slot": lambda move: BadProof,
+    "bad proof": lambda move: BadProof,
+    "wrong parent": LINK_ERROR.get,
+    "out of range": RANGE_ERROR.get,
+    "wrong signer": lambda move: BadSignature,
+    "malformed signature": lambda move: BadSignature,
+    "bad proof, wrong parent": lambda move: BadProof,
+    "wrong parent, out of range": LINK_ERROR.get,
+    "out of range, wrong signer": RANGE_ERROR.get,
+}
+
+
+def spend_move(move, fault):
+    """Alice deposits, pays Bob at 2000, and Bob pays Carol at 3000; ``move``
+    is set up to take Bob's spend, and ``fault`` changes it.  A spend out of
+    range is included at 1000, before the block it spends.
+
+    - start_exit: Carol exits the spend with the 2000 parent.
+    - challenge_after: Bob exits at 2000, so the spend spends his exit.
+    - challenge_between: Bob double spends 2000 to Mallory at 4000, and
+      Mallory exits that.
+    - respond_challenge_before: Mallory forges a spend of 2000 at 4000 and
+      exits a spend of it at 5000; Alice challenges with the 2000 spend,
+      which Bob's spend answers.
+
+    Returns the fixture, the slot and a call of the move on a spend."""
+    f = Fixture()
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)
+    signer = f.mallory if "signer" in fault else f.bob
+    tx = make_transfer_tx(signer, slot, dep_block if "parent" in fault else 2000, f.carol.address)
+    if fault == "malformed signature":
+        tx = Transaction(slot, 2000, f.carol.address, b"\x00" * 5)
+    early = "out of range" in fault
+    f.commit({slot: tx} if early else {})
+    f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
+    f.commit({} if early else {slot: tx})
+    c = f.contract
+    if move == "challenge_after":
+        c.start_exit(f.bob.address, slot, dep.prove(slot), f.witness(slot, 2000), BOND)
+    elif move == "challenge_between":
+        f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.mallory.address)})
+        c.start_exit(f.mallory.address, slot, f.witness(slot, 2000), f.witness(slot, 4000), BOND)
+    elif move == "respond_challenge_before":
+        f.commit({slot: make_transfer_tx(f.mallory, slot, 2000, f.mallory.address)})
+        f.commit({slot: make_transfer_tx(f.mallory, slot, 4000, f.mallory.address)})
+        c.start_exit(f.mallory.address, slot, f.witness(slot, 4000), f.witness(slot, 5000), BOND)
+        cid = c.challenge_before(f.alice.address, slot, f.witness(slot, 2000), BOND)
+
+    def call(spend):
+        if move == "start_exit":
+            return c.start_exit(f.carol.address, slot, f.witness(slot, 2000), spend, BOND)
+        if move == "respond_challenge_before":
+            return c.respond_challenge_before(f.carol.address, slot, cid, spend)
+        return getattr(c, move)(f.carol.address, slot, spend)
+
+    return f, slot, call
+
+
+@pytest.mark.parametrize("fault", ["genuine", *SPEND_FAULTS])
+@pytest.mark.parametrize("move", list(LINK_ERROR))
+def test_every_move_checks_a_spend_in_one_order(move, fault):
+    """One spend per fault for each of the four moves that take a spend:
+    each move raises its own error for the fault that comes first in the
+    one order, and a refusal changes nothing; the genuine spend is taken."""
+    f, slot, call = spend_move(move, fault)
+    spend = f.witness(slot, 1000 if "out of range" in fault else 3000)
+    if fault == "wrong slot":
+        other = make_transfer_tx(f.bob, slot + 1, 2000, f.carol.address)
+        spend = IncludedTx(other, spend.blk_number, spend.proof)
+    if "bad proof" in fault:
+        sibs = list(spend.proof.siblings)
+        sibs[0] = bytes(b ^ 1 for b in sibs[0])
+        spend = IncludedTx(spend.tx, spend.blk_number, Proof(tuple(sibs)))
+    before = contract_state(f.contract)
+    if fault == "genuine":
+        call(spend)
+        assert contract_state(f.contract) != before
+        return
+    with pytest.raises(PlasmaError) as err:
+        call(spend)
+    assert type(err.value) is SPEND_FAULTS[fault](move), str(err.value)
+    assert contract_state(f.contract) == before
+
+
+def spend_mutant(data, f, slot):
+    """Bob's spend of 2000 to Carol, committed at 3000 beside a spend of coin
+    0, with one field changed: the transaction the operator includes, or the
+    entry's proof or block; and the reasons the verifier may give for it."""
+    kind = data.draw(st.sampled_from(
+        ["genuine", "parent_block", "signer", "signature", "sibling", "blk_number"]
+    ), label="kind")
+    tx = make_transfer_tx(f.bob, slot, 2000, f.carol.address)
+    reasons = {Reason.BAD_SIGNATURE}
+    if kind == "parent_block":
+        parent = data.draw(st.integers(0, 2**64 - 1).filter(lambda p: p != 2000))
+        tx = make_transfer_tx(f.bob, slot, parent, f.carol.address)
+        # a spend naming block 0 is deposit-shaped, which no operator block holds
+        reasons = {Reason.BROKEN_PARENT_LINK if parent else Reason.BAD_INCLUSION_PROOF}
+    elif kind == "signer":
+        signer = data.draw(st.sampled_from([f.alice, f.carol, f.mallory]))
+        tx = make_transfer_tx(signer, slot, 2000, f.carol.address)
+    elif kind == "signature":
+        sig = data.draw(st.binary(max_size=SIG_SIZE + 8).filter(lambda b: b != tx.signature))
+        tx = Transaction(slot, 2000, f.carol.address, sig)
+    entry = f.commit({0: make_transfer_tx(f.bob, 0, 1, f.alice.address), slot: tx}).prove(slot)
+    if kind == "sibling":
+        sibs = list(entry.proof.siblings)
+        i = data.draw(st.integers(0, len(sibs) - 1))
+        sibs[i] = data.draw(st.binary(min_size=32, max_size=32).filter(lambda b: b != sibs[i]))
+        entry = IncludedTx(tx, entry.blk_number, Proof(tuple(sibs)))
+        reasons = {Reason.BAD_INCLUSION_PROOF}
+    elif kind == "blk_number":
+        # another coin's deposit block, or an operator block before this coin's
+        entry = IncludedTx(tx, data.draw(st.sampled_from([1, 1000, 1002])), entry.proof)
+        reasons = {Reason.PARTITION_GAP}
+    return kind, entry, reasons
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_check_agrees_on_spend_entries(data):
+    """Mutate one field of a spend entry: ``verify_history`` gives the
+    reason for it, and ``start_exit`` refuses it as the exit tx and changes
+    nothing; ``ShadowLedger.spend_fault`` refuses a changed transaction and
+    ``find_spend`` a changed transaction or block.  All four accept the
+    genuine entry.  The ledger reads the transaction alone, and
+    ``find_spend`` a wallet's log whose proofs were checked on receipt, so
+    neither reads a proof."""
+    f = Fixture()
+    f.contract.deposit(f.bob.address, 1)  # block 1, slot 0: another coin's deposit
+    f.commit({})  # 1000
+    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)  # 1001
+    f.contract.deposit(f.carol.address, 1)  # 1002
+    parent = f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
+    kind, entry, reasons = spend_mutant(data, f, slot)
+
+    entries = {dep_block: dep.prove(slot), 2000: parent.prove(slot), entry.blk_number: entry}
+    history = CoinHistory(slot, dep_block, dict(sorted(entries.items())))
+    verdict = verify_history(history, f.contract.view, f.alice.address, f.keyring, f.contract.config)
+    ledger = ShadowLedger(f.keyring)
+    ledger.on_deposit(slot, f.alice.address, dep_block)
+    ledger.on_block(parent)
+    found = find_spend(history, 2000, f.bob.address, f.keyring)
+    before = contract_state(f.contract)
+    if kind == "genuine":
+        assert verdict == ACCEPT and ledger.spend_fault(entry.tx) is None and found == entry
+        f.contract.start_exit(f.carol.address, slot, parent.prove(slot), entry, BOND)
+        assert f.contract.coins[slot].state is CoinState.EXITING
+        return
+    assert not verdict and verdict.reason in reasons, (kind, verdict)
+    with pytest.raises(PlasmaError):
+        f.contract.start_exit(f.carol.address, slot, parent.prove(slot), entry, BOND)
+    assert contract_state(f.contract) == before
+    assert (ledger.spend_fault(entry.tx) is None) == (kind in ("sibling", "blk_number"))
+    assert (found is None) == (kind != "sibling")
 
 
 def test_challenge_between_rejected_on_deposit_exit():
