@@ -179,8 +179,9 @@ def spend_fault(
     one.  The contract, the verifier, the ledger and the wallet all ask here."""
     if tx.parent_block != parent_block:
         return UNLINKED
-    signer = keyring.signer_of(tx)
-    if signer is None:
+    try:
+        signer = keyring.recover(tx.hash(), tx.signature)
+    except MalformedSignature:
         return "malformed signature"
     if signer != owner:
         return "signer does not own the coin"
@@ -198,6 +199,8 @@ class PlasmaBlock:
     root: bytes
     tree: Optional[SparseMerkleTree] = field(repr=False, compare=False, default=None)
     config: Optional[SmtConfig] = field(repr=False, compare=False, default=None)
+    # proof.low -> the one exclusion entry of each proof the tree shares
+    _shared: Dict[int, IncludedTx] = field(repr=False, compare=False, init=False, default_factory=dict)
 
     @classmethod
     def build(cls, number: int, txs: Dict[int, Transaction], config: SmtConfig) -> "PlasmaBlock":
@@ -211,12 +214,19 @@ class PlasmaBlock:
         return cls(number=number, txs={tx.slot: tx}, root=tx.hash(), config=config)
 
     def prove(self, slot: int) -> IncludedTx:
-        """Inclusion witness when the slot is spent here, exclusion otherwise.
-        A deposit block proves its one transaction with the empty proof and
-        raises NotInDepositBlock for any other slot."""
+        """Inclusion witness when the slot is spent here, exclusion otherwise,
+        one frozen entry for each proof the tree shares.  A deposit block
+        proves its one transaction with the empty proof and raises
+        NotInDepositBlock for any other slot."""
         tx = self.txs.get(slot)
         if self.tree is not None:
-            return IncludedTx(tx, self.number, self.tree.prove(slot))
+            proof = self.tree.prove(slot)
+            itx = self._shared.get(proof.low) if tx is None else None
+            if itx is None or itx.proof is not proof:
+                itx = IncludedTx(tx, self.number, proof)
+                if tx is None and self.tree._shared.get(proof.low) is proof:
+                    self._shared[proof.low] = itx
+            return itx
         if tx is None:
             raise NotInDepositBlock(f"slot {slot} in deposit block {self.number}")
         return IncludedTx(tx, self.number, self.config.empty_proof)
@@ -289,11 +299,3 @@ class Keyring:
             return entry[1]
         # invalid binding: derive a garbage address deterministically
         return Address(hashlib.sha256(b"unrecoverable:" + sig + digest).digest()[:ADDRESS_SIZE])
-
-    def signer_of(self, tx: Transaction) -> Optional[Address]:
-        """Address that signed ``tx``, or None when its signature is
-        malformed.  A spend is valid only when this is the parent's owner."""
-        try:
-            return self.recover(tx.hash(), tx.signature)
-        except MalformedSignature:
-            return None

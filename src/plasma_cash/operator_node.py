@@ -35,6 +35,8 @@ class ShadowLedger:
         self.keyring = keyring
         # slot -> (owner, last inclusion block)
         self.owners: Dict[int, Tuple[Address, int]] = {}
+        # slot -> (spend, the ``owners`` entry intake found it valid against)
+        self.checked: Dict[int, Tuple[Transaction, Tuple[Address, int]]] = {}
 
     def on_deposit(self, slot: int, owner: Address, block_number: int):
         self.owners[slot] = (owner, block_number)
@@ -49,8 +51,10 @@ class ShadowLedger:
 
     def on_block(self, block: PlasmaBlock):
         for slot, tx in block.txs.items():
-            # a double spend or forged chain has no effect on truth
-            if self.spend_fault(tx) is None:
+            # intake's check holds for its very spend while that entry stands;
+            # a double spend or forgery has no effect on truth
+            accepted, entry = self.checked.pop(slot, (None, None))
+            if (accepted is tx and entry is self.owners[slot]) or self.spend_fault(tx) is None:
                 self.owners[slot] = (tx.new_owner, block.number)
 
     def true_owner(self, slot: int) -> Address:
@@ -82,7 +86,10 @@ class PlasmaOperator:
     def submit_tx(self, tx: Transaction) -> TxReceipt:
         """Honest intake: only a valid spend of the coin's last output."""
         fault = self.ledger.spend_fault(tx)
-        return TxReceipt(False, fault) if fault else self.inject_raw_tx(tx)
+        receipt = TxReceipt(False, fault) if fault else self.inject_raw_tx(tx)
+        if receipt:
+            self.ledger.checked[tx.slot] = (tx, self.ledger.owners[tx.slot])
+        return receipt
 
     def inject_raw_tx(self, tx: Transaction) -> TxReceipt:
         """Include any transaction, such as a forgery or a double spend."""

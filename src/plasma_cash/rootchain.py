@@ -115,11 +115,8 @@ class ChainParams:
             raise ValueError(
                 f"child_block_interval must be at least 1, got {self.child_block_interval}"
             )
-        SmtConfig(depth=self.smt_depth)  # refuses a depth outside [1, 64]
-
-    @property
-    def smt_config(self) -> SmtConfig:
-        return SmtConfig(depth=self.smt_depth)
+        # built once, outside the fields; it refuses a depth outside [1, 64]
+        object.__setattr__(self, "smt_config", SmtConfig(depth=self.smt_depth))
 
 
 @dataclass

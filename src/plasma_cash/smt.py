@@ -49,33 +49,22 @@ DEFAULT_LEAF = hashlib.sha256(b"\x00" * DIGEST_SIZE).digest()
 
 @dataclass(frozen=True)
 class SmtConfig:
-    """Tree shape: its height.  Empty slots hold ``DEFAULT_LEAF``."""
+    """Tree shape: its height.  Empty slots hold ``DEFAULT_LEAF``.  Its
+    constants are set once, outside the dataclass fields, so equality, hash
+    and ``repr`` see only ``depth``: ``capacity``, ``defaults`` (defaults[0]
+    is the empty leaf, defaults[depth] the empty-tree root),
+    ``bitfield_size``, and ``empty_proof``, a lone leaf's path."""
 
     depth: int = 64
 
     def __post_init__(self):
-        if not 1 <= self.depth <= 64:
-            raise ValueError(f"depth must be in [1, 64], got {self.depth}")
-
-    @property
-    def capacity(self) -> int:
-        return 1 << self.depth
-
-    @property
-    def defaults(self) -> Tuple[bytes, ...]:
-        """Default digest per level; defaults[0] is the empty leaf,
-        defaults[depth] the empty-tree root."""
-        return _default_chain(self.depth)
-
-    @property
-    def bitfield_size(self) -> int:
-        return (self.depth + 7) // 8
-
-    @property
-    def empty_proof(self) -> "Proof":
-        """The proof whose every sibling is its level's default: a lone
-        leaf's path."""
-        return _empty_proof(self.depth)
+        depth = self.depth
+        if not 1 <= depth <= 64:
+            raise ValueError(f"depth must be in [1, 64], got {depth}")
+        object.__setattr__(self, "capacity", 1 << depth)
+        object.__setattr__(self, "defaults", _default_chain(depth))
+        object.__setattr__(self, "bitfield_size", (depth + 7) // 8)
+        object.__setattr__(self, "empty_proof", _empty_proof(depth))
 
 
 @lru_cache(maxsize=None)
@@ -242,6 +231,8 @@ class SparseMerkleTree:
         # is stored only when that node holds two or more leaves.
         self._levels, self._lone, self._split, self.root = self._build()
         self._anchor = next(iter(self.leaves), None)
+        # low -> the exclusion proof shared by every slot of one shape (see prove)
+        self._shared: Dict[int, Proof] = {} if leaves else {config.depth: config.empty_proof}
 
     def _build(self):
         defaults, depth, leaves = self.config.defaults, self.config.depth, self.leaves
@@ -300,8 +291,11 @@ class SparseMerkleTree:
         sibling; in a tree of one leaf that node is the lone leaf, the
         slot's neighbour.  Below the split height, an absent slot whose
         lowest non-default sibling sits beside a lone leaf's highest node
-        has that leaf as its neighbour.  The empty tree and a one-leaf
-        tree's own slot share ``config.empty_proof``."""
+        has that leaf as its neighbour.  One frozen proof, built on first
+        request, serves every slot of a shape the tree fixes: the empty tree
+        (``config.empty_proof``), a one-leaf tree's other slots (low = depth)
+        and each height where a slot leaves the path above the split (low =
+        that height).  A one-leaf tree's own slot gets the empty proof."""
         config = self.config
         depth = config.depth
         if not 0 <= slot < 1 << depth:
@@ -310,14 +304,21 @@ class SparseMerkleTree:
         if anchor is None:
             return config.empty_proof
         high = (slot ^ anchor).bit_length() - 1
-        if not split:
-            if high < 0:
-                return config.empty_proof
-            return Proof(config.defaults[:depth], 0, depth, (anchor, self.leaves[anchor]))
-        sibs = list(config.defaults[:depth])
         if high >= split:
-            sibs[high] = self._levels[high][anchor >> high]
-            return Proof(tuple(sibs), high + 1, high)
+            low = high if split else depth
+            proof = self._shared.get(low)
+            if proof is None:
+                if split:
+                    sibs = list(config.defaults[:depth])
+                    sibs[high] = self._levels[high][anchor >> high]
+                    proof = Proof(tuple(sibs), high + 1, high)
+                else:
+                    proof = Proof(config.defaults[:depth], 0, depth, (anchor, self.leaves[anchor]))
+                self._shared[low] = proof
+            return proof
+        if not split:  # a one-leaf tree's own slot
+            return config.empty_proof
+        sibs = list(config.defaults[:depth])
         levels = self._levels
         top, low = 0, depth
         for i in range(split):

@@ -155,37 +155,27 @@ class Wallet:
         # a direct spend of the exit tx cancels it outright
         after = find_spend(history, exit_block, ex.exitor, self.keyring)
         if after is not None:
-            return self._attempt(
-                "after", slot, lambda: self.contract.challenge_after(self.address, slot, after)
-            )
+            return self._attempt("after", slot, self.contract.challenge_after, after)
         # a same-parent spend strictly between parent and exit proves a double spend
         if ex.parent_block is not None:
             between = find_spend(
                 history, ex.parent_block, ex.parent_tx.tx.new_owner, self.keyring, before=exit_block
             )
             if between is not None:
-                return self._attempt(
-                    "between",
-                    slot,
-                    lambda: self.contract.challenge_between(self.address, slot, between),
-                )
+                return self._attempt("between", slot, self.contract.challenge_between, between)
         # otherwise stake a bonded claim that the coin's history is invalid,
         # once per live exit: a restarted exit is a new exit to challenge
         mine = self.last_inclusion(slot)
         staked = any(c.challenger == self.address and not c.answered for c in ex.challenges)
         if mine.blk_number < ex.boundary and not staked:
-            return self._attempt(
-                "before",
-                slot,
-                lambda: self.contract.challenge_before(
-                    self.address, slot, mine, self.contract.params.bond_amount
-                ),
-            )
+            bond = self.contract.params.bond_amount
+            return self._attempt("before", slot, self.contract.challenge_before, mine, bond)
         return None
 
-    def _attempt(self, kind: str, slot: int, op) -> ChallengeAction:
+    def _attempt(self, kind: str, slot: int, move, *args) -> ChallengeAction:
+        """Make the contract ``move`` as this wallet on ``slot``."""
         try:
-            op()
+            move(self.address, slot, *args)
             return ChallengeAction(kind=kind, slot=slot, ok=True)
         except PlasmaError as exc:
             return ChallengeAction(kind=kind, slot=slot, ok=False, error=exc.code)

@@ -18,6 +18,7 @@ from plasma_cash.core import (
     Transaction,
     make_deposit_tx,
     make_transfer_tx,
+    spend_fault,
 )
 from plasma_cash.errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
 from plasma_cash.history import CoinHistory
@@ -129,12 +130,14 @@ def test_malformed_signature_raises(keyring):
         keyring.recover(b"\x01" * 32, b"\x00" * 51)
 
 
-def test_signer_of_names_the_signer_or_none(keyring):
+def test_spend_fault_names_a_malformed_signature(keyring):
+    """The owner's own spend has no fault; a truncated signature is signed
+    by no one."""
     alice = keyring.new_signer("alice")
     tx = make_transfer_tx(alice, 0, 1, alice.address)
-    assert keyring.signer_of(tx) == alice.address
+    assert spend_fault(tx, 1, alice.address, keyring) is None
     truncated = Transaction(tx.slot, tx.parent_block, tx.new_owner, tx.signature[:-1])
-    assert keyring.signer_of(truncated) is None
+    assert spend_fault(truncated, 1, alice.address, keyring) == "malformed signature"
 
 
 def test_new_signer_is_deterministic_per_seed():

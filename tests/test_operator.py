@@ -7,7 +7,7 @@ import pytest
 
 from plasma_cash.core import Keyring, PlasmaBlock, Transaction, make_deposit_tx, make_transfer_tx
 from plasma_cash.errors import UnknownBlock, WitnessUnavailable
-from plasma_cash.operator_node import PlasmaOperator
+from plasma_cash.operator_node import PlasmaOperator, ShadowLedger
 from plasma_cash.smt import SmtConfig, SparseMerkleTree
 
 CONFIG = SmtConfig(depth=16)
@@ -114,6 +114,65 @@ def test_intake_refuses_what_raw_injection_includes():
     assert not operator.submit_tx(forged).accepted
     assert operator.inject_raw_tx(forged).accepted
     assert operator.produce_block(1000).txs[0] == forged
+
+
+def checked_spends(ledger):
+    """Record every transaction ``ledger`` checks, in the returned list."""
+    checked, spend_fault = [], ledger.spend_fault
+
+    def recorded(tx):
+        checked.append(tx)
+        return spend_fault(tx)
+
+    ledger.spend_fault = recorded
+    return checked
+
+
+def test_ledger_replay_checks_every_spend_intake_did_not():
+    """A block holds a spend the intake accepted, an injected forgery and an
+    injected double spend of other coins.  The ledger checks the two
+    injected ones only, and ends with the owners of a replay that checks
+    every transaction."""
+    keyring, operator = make_operator()
+    alice, bob, mallory = (keyring.new_signer(name) for name in ("alice", "bob", "mallory"))
+    reference = ShadowLedger(keyring)
+    deposits = [PlasmaBlock.deposit(n, make_deposit_tx(n - 1, alice.address), CONFIG) for n in (1, 2, 3)]
+    for block in deposits:
+        operator.observe_deposit(block)
+        reference.on_deposit(block.number - 1, alice.address, block.number)
+    assert operator.submit_tx(make_transfer_tx(alice, 2, 3, bob.address)).accepted
+    blocks = [operator.produce_block(1000)]
+    assert operator.submit_tx(make_transfer_tx(alice, 0, 1, bob.address)).accepted
+    assert operator.inject_raw_tx(make_transfer_tx(mallory, 1, 2, mallory.address)).accepted
+    assert operator.inject_raw_tx(make_transfer_tx(alice, 2, 3, mallory.address)).accepted
+    checked = checked_spends(operator.ledger)
+    blocks.append(operator.produce_block(2000))
+    assert checked == [blocks[1].txs[1], blocks[1].txs[2]]
+    for block in blocks:
+        reference.on_block(block)
+    assert operator.ledger.owners == reference.owners == {
+        0: (bob.address, 2000), 1: (alice.address, 2), 2: (bob.address, 1000)
+    }
+
+
+def test_ledger_trusts_intake_only_for_its_spend_and_entry():
+    """The ledger skips its check only for the very transaction the intake
+    accepted, and only while the entry it was checked against stands: a
+    different transaction of that slot, or the same one after the coin's
+    entry changed, is checked again and here refused."""
+    keyring, operator = make_operator()
+    alice = seed_deposit(keyring, operator)
+    bob, mallory = keyring.new_signer("bob"), keyring.new_signer("mallory")
+    spend = make_transfer_tx(alice, 0, 1, bob.address)
+    assert operator.submit_tx(spend).accepted
+    forged = Transaction(spend.slot, spend.parent_block, mallory.address, spend.signature)
+    operator.ledger.on_block(PlasmaBlock.build(1000, {0: forged}, CONFIG))
+    assert operator.ledger.owners[0] == (alice.address, 1)
+    operator.pending = {}
+    assert operator.submit_tx(spend).accepted
+    operator.ledger.on_deposit(0, mallory.address, 1)  # the entry is replaced
+    operator.produce_block(2000)
+    assert operator.ledger.owners[0] == (mallory.address, 1)
 
 
 def test_empty_block_root_is_defaults_chain():

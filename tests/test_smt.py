@@ -3,13 +3,14 @@
 import functools
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasma_cash import smt
+from plasma_cash.core import Address, IncludedTx, PlasmaBlock, Transaction
 from plasma_cash.errors import (
     LeafEqualsDefault,
     MalformedEncoding,
@@ -644,16 +645,96 @@ def test_proofs_match_the_per_level_lookup_on_every_call(data):
 
 def test_fixed_shapes_share_the_empty_proof():
     """The empty tree and a one-leaf tree's own slot give the config's
-    empty proof; any other slot of a one-leaf tree an exclusion naming the
-    leaf."""
+    empty proof; every other slot of a one-leaf tree one exclusion naming
+    the leaf; and in a larger tree every slot that leaves the occupied
+    path at one height above the split one proof, another per height."""
     config = SmtConfig(depth=64)
     empty = SparseMerkleTree(config, {})
     assert empty.prove(0) is empty.prove(2**64 - 1) is config.empty_proof
     one = SparseMerkleTree(config, {5: leaf(5)})
     assert one.prove(5) is config.empty_proof
+    beside = one.prove(4)
     for slot in (4, 7, 2**63):
         proof = one.prove(slot)
+        assert proof is beside
         assert proof.neighbor == (5, leaf(5)) and proof == per_level_proof(one, slot)
+    two = SparseMerkleTree(config, {4: leaf(4), 5: leaf(5)})  # split height 1
+    by_height = {}
+    for slot in (6, 7, 0, 3, 8, 15, 2**63, 2**64 - 1):
+        proof = two.prove(slot)
+        assert proof is by_height.setdefault((slot ^ 4).bit_length() - 1, proof)
+        assert proof == per_level_proof(two, slot) and proof.low == proof.top - 1
+    assert sorted(by_height) == [1, 2, 3, 63]
+    assert len({id(p) for p in by_height.values()}) == 4
+    assert two.prove(4) is not two.prove(4)  # inclusions are built on each call
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_witnesses_share_only_what_the_shape_fixes(data):
+    """``PlasmaBlock.prove`` gives every slot the entry of the per-level
+    reference proof, which verifies there, and an exclusion never verifies
+    at an occupied slot.  Each shape the tree fixes is one object per block:
+    one entry for every slot of the empty tree, one for every other slot of
+    a one-leaf tree, one per height at or above the split; every other
+    entry is built on each request."""
+    depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
+    config = SmtConfig(depth=depth)
+    if data.draw(st.booleans(), label="clustered"):
+        width = data.draw(st.integers(0, min(depth, 6)), label="width")
+        base = data.draw(st.integers(0, config.capacity - 1), label="base") >> width << width
+        offsets = data.draw(st.sets(st.integers(0, (1 << width) - 1), max_size=3), label="offsets")
+        occupied = sorted(base | o for o in offsets)
+    else:
+        occupied = sorted(data.draw(st.sets(st.integers(0, config.capacity - 1), max_size=3), label="spread"))
+    owner = Address(bytes(20))
+    block = PlasmaBlock.build(1000, {s: Transaction(s, 1, owner) for s in occupied}, config)
+    anchor = occupied[0] if occupied else None
+    split = max(((s ^ anchor).bit_length() for s in occupied), default=0)
+    if depth == 4:
+        slots = list(range(config.capacity))
+    else:
+        near = anchor if occupied else 0
+        slots = [*occupied, *(near ^ (1 << bit) for bit in range(depth))]
+        slots += [near ^ (3 << bit) for bit in range(depth - 1)]
+        slots += data.draw(st.lists(st.integers(0, config.capacity - 1), max_size=4), label="far")
+    shared = {}
+    for slot in data.draw(st.permutations(slots + slots), label="order"):
+        itx, want = block.prove(slot), per_level_proof(block.tree, slot)
+        tx = block.txs.get(slot)
+        assert itx == IncludedTx(tx, 1000, want) and (itx.proof.top, itx.proof.low) == (want.top, want.low)
+        assert verify(slot, DEFAULT_LEAF if tx is None else tx.hash(), itx.proof, block.root, config)
+        if tx is not None:
+            continue
+        if anchor is not None:
+            assert not verify(anchor, DEFAULT_LEAF, itx.proof, block.root, config)
+        high = split if anchor is None else (slot ^ anchor).bit_length() - 1
+        if high >= split:
+            # the empty tree and a one-leaf tree have one shape, other trees one per height
+            assert itx is shared.setdefault(high if split else "all", itx), slot
+        else:
+            assert itx is not block.prove(slot), slot
+    assert len({id(itx) for itx in shared.values()}) == len(shared)
+    if len(occupied) < 2 and len(slots) > len(occupied):
+        assert list(shared) == ["all"]
+
+
+def test_config_constants_are_set_once_from_the_depth():
+    """For every depth the four constants equal their formulas, are the
+    same objects for equal configs, and only ``depth`` is a dataclass
+    field: equality, hash and ``repr`` see nothing else."""
+    assert [f.name for f in fields(SmtConfig)] == ["depth"]
+    chain = [DEFAULT_LEAF]
+    for depth in range(1, 65):
+        chain.append(hash_pair(chain[-1], chain[-1]))
+        config, twin = SmtConfig(depth=depth), SmtConfig(depth=depth)
+        assert config.capacity == 2**depth and config.bitfield_size == -(-depth // 8)
+        assert config.defaults == tuple(chain) and config.defaults is twin.defaults
+        empty = config.empty_proof
+        assert empty == Proof(tuple(chain[:depth])) and (empty.top, empty.low, empty.neighbor) == (0, depth, None)
+        assert empty is twin.empty_proof
+        assert config == twin and hash(config) == hash(twin) and repr(config) == f"SmtConfig(depth={depth})"
+        assert config != SmtConfig(depth=depth % 64 + 1)
 
 
 def test_proof_encode_refuses_what_decode_refuses():

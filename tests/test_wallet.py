@@ -541,8 +541,9 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
     # per hand-off: a one-leaf block build and the four inclusion proofs the
     # receiver has not verified, one hash each, since a block of one coin
     # commits as its lone leaf's digest at any depth; those four signatures
-    # plus the operator's intake and ledger replay of the new spend
-    assert cost[16] == cost[64] == (5, 6)
+    # plus the operator's intake of the new spend, which its ledger's replay
+    # trusts
+    assert cost[16] == cost[64] == (5, 5)
 
 
 def test_one_coin_blocks_leave_the_memo_empty():
@@ -660,9 +661,10 @@ def test_deposit_entry_under_an_operator_block_is_refused(forgery):
 
 
 def test_a_handoff_hashes_each_spend_once(monkeypatch):
-    """One round-robin hand-off at depth 64 costs 8 SHA-256 calls in
-    ``core``: the spend's digest, its signature, and six recoveries (the
-    operator's intake, its ledger's replay and the receiver's four)."""
+    """One round-robin hand-off at depth 64 costs 7 SHA-256 calls in
+    ``core``: the spend's digest, its signature, and five recoveries (the
+    operator's intake, which its ledger's replay trusts, and the receiver's
+    four)."""
     calls = Counter()
 
     def sha256(data=b""):
@@ -678,4 +680,4 @@ def test_a_handoff_hashes_each_spend_once(monkeypatch):
     for k in range(9, 25):
         calls.clear()
         assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
-        assert calls["sha256"] == 8, k
+        assert calls["sha256"] == 7, k
