@@ -1,8 +1,9 @@
 """Canonical transaction, block, and identity types.
 
-Serialization is big-endian, fields in declaration order, proofs in their
-bitfield form (see ``smt.Proof``), so encodings are bit-exact across
-machines and usable as golden fixtures.
+Encodings are self-delimiting and bit-exact across machines: fields in
+declaration order, integers in minimal LEB128 (``smt.uint``), proofs in
+their bitfield form (``smt.Proof``), each transaction framed by a kind byte.
+What is hashed and signed keeps its fixed-width form (``_tx_digest``).
 Signatures use a deterministic in-process scheme -- sig = address || MAC --
 kept behind the same sign/recover contract a real recoverable-ECDSA
 implementation would satisfy.
@@ -15,10 +16,17 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
-from .smt import DIGEST_SIZE, Proof, Reader, SmtConfig, SparseMerkleTree
+from .smt import DIGEST_SIZE, Proof, Reader, SmtConfig, SparseMerkleTree, uint
 
 ADDRESS_SIZE = 20
 SIG_SIZE = ADDRESS_SIZE + 32  # embedded address + 32-byte binding MAC
+#: Kind byte: the transaction that follows is unsigned or signed (none, 0,
+#: in an exclusion entry), plus NEIGHBOR when the entry's proof names one.
+UNSIGNED, SIGNED, NEIGHBOR = 1, 2, 4
+
+
+def _kind(tx: Optional["Transaction"]) -> int:
+    return 0 if tx is None else SIGNED if tx.signature else UNSIGNED
 
 
 @dataclass(frozen=True, order=True)
@@ -73,26 +81,24 @@ class Transaction:
         return digest
 
     def encode(self) -> bytes:
-        return (
-            self.slot.to_bytes(8, "big")
-            + self.parent_block.to_bytes(8, "big")
-            + self.new_owner.id
-            + self.signature
-        )
+        if len(self.signature) not in (0, SIG_SIZE):
+            raise MalformedEncoding(f"signature of {len(self.signature)} bytes, not 0 or {SIG_SIZE}")
+        return uint(self.slot) + uint(self.parent_block) + self.new_owner.id + self.signature
 
     @classmethod
     def decode(cls, data: bytes) -> "Transaction":
-        """Inverse of encode.  The signature is unframed, so it must be
-        empty or exactly SIG_SIZE bytes; any other length is a truncated
-        or padded encoding."""
-        r = Reader(data, "transaction")
-        slot, parent_block, new_owner = r.int(8), r.int(8), Address(r.take(ADDRESS_SIZE))
-        signature = data[r.pos:]
-        if len(signature) not in (0, SIG_SIZE):
-            raise MalformedEncoding(
-                f"transaction: signature of {len(signature)} bytes, not 0 or {SIG_SIZE}"
-            )
-        return cls(slot, parent_block, new_owner, signature)
+        """Inverse of encode.  Unsigned, a transaction takes at most two
+        10-byte integers and the owner, signed more, so its length is its kind."""
+        kind = SIGNED if len(data) > 2 * 10 + ADDRESS_SIZE else UNSIGNED
+        return Reader.whole(data, "transaction", lambda r: cls.read(r, kind))
+
+    @classmethod
+    def read(cls, r: Reader, kind: int) -> "Transaction":
+        """Read at the cursor one transaction of the kind its container names."""
+        if kind not in (UNSIGNED, SIGNED):
+            raise MalformedEncoding(f"{r.what}: unknown transaction kind {kind}")
+        slot, parent_block, new_owner = r.uint(), r.uint(), Address(r.take(ADDRESS_SIZE))
+        return cls(slot, parent_block, new_owner, r.take(SIG_SIZE) if kind == SIGNED else b"")
 
     @property
     def is_deposit(self) -> bool:
@@ -130,22 +136,22 @@ class IncludedTx:
         return self.tx is None
 
     def encode(self, config: SmtConfig) -> bytes:
-        tx_bytes = b"" if self.tx is None else self.tx.encode()
-        return (
-            self.blk_number.to_bytes(8, "big")
-            + len(tx_bytes).to_bytes(4, "big")
-            + tx_bytes
-            + self.proof.encode(config)
-        )
+        """``uint(blk_number) || kind || tx || proof``."""
+        kind = _kind(self.tx) | (0 if self.proof.neighbor is None else NEIGHBOR)
+        body = b"" if self.tx is None else self.tx.encode()
+        return uint(self.blk_number) + bytes((kind,)) + body + self.proof.encode(config)
 
     @classmethod
     def decode(cls, data: bytes, config: SmtConfig) -> "IncludedTx":
-        r = Reader(data, "included tx")
-        blk = r.int(8)
-        n = r.int(4)
-        tx = Transaction.decode(r.take(n)) if n else None
-        # the proof's bitfield frames it: it runs to the end of the entry
-        return cls(tx, blk, Proof.decode(data[r.pos:], config))
+        return Reader.whole(data, "included tx", lambda r: cls.read(r, config))
+
+    @classmethod
+    def read(cls, r: Reader, config: SmtConfig) -> "IncludedTx":
+        """Read one entry at the cursor: its kind byte, the bitfield and the
+        neighbour bit frame it, so entries need no length."""
+        blk, kind = r.uint(), r.take(1)[0]
+        tx = Transaction.read(r, kind & ~NEIGHBOR) if kind & ~NEIGHBOR else None
+        return cls(tx, blk, Proof.read(r, config, kind & NEIGHBOR == NEIGHBOR))
 
 
 def deposit_fault(
@@ -232,24 +238,18 @@ class PlasmaBlock:
         return IncludedTx(tx, self.number, self.config.empty_proof)
 
     def encode(self) -> bytes:
-        out = [self.number.to_bytes(8, "big"), len(self.txs).to_bytes(4, "big")]
-        for slot in sorted(self.txs):
-            enc = self.txs[slot].encode()
-            out.append(len(enc).to_bytes(4, "big"))
-            out.append(enc)
-        out.append(self.root)
-        return b"".join(out)
+        """``uint(number) || uint(count) || (kind || tx)... || root``."""
+        txs = [self.txs[slot] for slot in sorted(self.txs)]
+        framed = [bytes((_kind(tx),)) + tx.encode() for tx in txs]
+        return b"".join([uint(self.number), uint(len(txs)), *framed, self.root])
 
     @classmethod
     def decode(cls, data: bytes) -> "PlasmaBlock":
         r = Reader(data, "block")
-        number = r.int(8)
-        count = r.int(4)
-        txs = {}
-        for _ in range(count):
-            tx = Transaction.decode(r.take(r.int(4)))
-            txs[tx.slot] = tx
-        if len(txs) != count or list(txs) != sorted(txs):
+        number = r.uint()
+        items = [Transaction.read(r, r.take(1)[0]) for _ in range(r.uint())]
+        txs = {tx.slot: tx for tx in items}
+        if len(txs) != len(items) or list(txs) != sorted(txs):
             raise MalformedEncoding("block: transactions not in ascending slot order")
         root = r.take(DIGEST_SIZE)
         r.end()

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 from . import smt
 from .core import UNLINKED, Address, IncludedTx, Keyring, Reader, deposit_fault, spend_fault
 from .errors import MalformedEncoding, MissingRoot, PlasmaError
-from .smt import SmtConfig
+from .smt import SmtConfig, uint
 
 
 class Reason(Enum):
@@ -151,27 +151,23 @@ class CoinHistory:
     # -- canonical encoding --
 
     def encode(self, config: SmtConfig) -> bytes:
-        out = [self.slot.to_bytes(8, "big"), self.deposit_block.to_bytes(8, "big")]
+        """``uint(slot) || uint(deposit_block)``, then the inclusions and the
+        exclusions, each a ``uint`` count and the entries in block order."""
+        out = [uint(self.slot), uint(self.deposit_block)]
         for entries in (self.incl, self.excl):
-            out.append(len(entries).to_bytes(4, "big"))
-            for blk in sorted(entries):
-                enc = entries[blk].encode(config)
-                out.append(len(enc).to_bytes(4, "big"))
-                out.append(enc)
+            out.append(uint(len(entries)))
+            out += [entries[blk].encode(config) for blk in sorted(entries)]
         return b"".join(out)
 
     @classmethod
     def decode(cls, data: bytes, config: SmtConfig) -> "CoinHistory":
         r = Reader(data, "coin history")
-        slot, deposit_block = r.int(8), r.int(8)
+        slot, deposit_block = r.uint(), r.uint()
         maps = []
         for _ in range(2):
-            count = r.int(4)
-            entries = {}
-            for _ in range(count):
-                itx = IncludedTx.decode(r.take(r.int(4)), config)
-                entries[itx.blk_number] = itx
-            if len(entries) != count or list(entries) != sorted(entries):
+            items = [IncludedTx.read(r, config) for _ in range(r.uint())]
+            entries = {itx.blk_number: itx for itx in items}
+            if len(entries) != len(items) or list(entries) != sorted(entries):
                 raise MalformedEncoding("coin history: entries not in ascending block order")
             maps.append(entries)
         r.end()

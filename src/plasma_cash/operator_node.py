@@ -28,6 +28,9 @@ class TxReceipt:
         return self.accepted
 
 
+ACCEPTED = TxReceipt(True)
+
+
 class ShadowLedger:
     """True ownership per slot, replayed from raw block data."""
 
@@ -98,7 +101,7 @@ class PlasmaOperator:
             # double spend, not a queueing problem
             return TxReceipt(False, "slot already spent this block")
         self.pending[tx.slot] = tx
-        return TxReceipt(True)
+        return ACCEPTED
 
     # -- block production --
 

@@ -86,6 +86,19 @@ def lone_digest(slot: int, leaf: bytes) -> bytes:
     return hash_pair(slot.to_bytes(8, "big"), leaf)
 
 
+def uint(n: int) -> bytes:
+    """Minimal unsigned LEB128 of ``n``: 7 bits a byte, low bits first, the
+    high bit set while more follow.  ``n`` outside [0, 2^64) is refused."""
+    if not 0 <= n < 1 << 64:
+        raise MalformedEncoding(f"integer {n} outside [0, 2^64)")
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
 class Reader:
     """Cursor over one encoding.  Reading past the end or leaving bytes
     unread raises MalformedEncoding, so a truncated or padded input never
@@ -106,14 +119,32 @@ class Reader:
         self.pos = end
         return chunk
 
-    def int(self, n: int) -> int:
-        return int.from_bytes(self.take(n), "big")
+    def uint(self) -> int:
+        """Inverse of ``uint``: a trailing zero byte, a run past 10 bytes or
+        a value of 2^64 or more would give a second form or an overflow."""
+        value = 0
+        for shift in range(0, 70, 7):
+            (byte,) = self.take(1)
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                if (not byte and shift) or value >> 64:
+                    raise MalformedEncoding(f"{self.what}: integer not minimal or not below 2^64")
+                return value
+        raise MalformedEncoding(f"{self.what}: integer runs past 10 bytes")
 
     def end(self):
         if self.pos != len(self.data):
             raise MalformedEncoding(
                 f"{self.what}: {len(self.data) - self.pos} trailing bytes"
             )
+
+    @classmethod
+    def whole(cls, data: bytes, what: str, read):
+        """``read(reader)`` over exactly ``data``."""
+        r = cls(data, what)
+        value = read(r)
+        r.end()
+        return value
 
 
 @dataclass(frozen=True)
@@ -182,7 +213,12 @@ class Proof:
         proof, so both raise MalformedEncoding; so does a tail after the
         siblings that is not one neighbour's slot and leaf, or a neighbour
         slot outside the tree."""
-        r = Reader(data, "proof")
+        return Reader.whole(data, "proof", lambda r: cls.read(r, config))
+
+    @classmethod
+    def read(cls, r: Reader, config: SmtConfig, has_neighbor: Optional[bool] = None) -> "Proof":
+        """Read one proof at the cursor.  A container says whether a neighbour
+        follows the siblings; without ``has_neighbor`` one does iff bytes do."""
         size = config.bitfield_size
         bitfield = int.from_bytes(r.take(size), "little")
         if bitfield >> config.depth:
@@ -196,13 +232,14 @@ class Proof:
                 sibs.append(sib)
             else:
                 sibs.append(default)
+        if has_neighbor is None:
+            has_neighbor = r.pos != len(r.data)
         neighbor = None
-        if r.pos != len(data):
-            other = r.int(size)
+        if has_neighbor:
+            other = int.from_bytes(r.take(size), "big")
             if other >= config.capacity:
                 raise MalformedEncoding(f"proof: neighbour slot {other} outside the tree")
             neighbor = (other, r.take(DIGEST_SIZE))
-        r.end()
         low = (bitfield & -bitfield).bit_length() - 1 if bitfield else config.depth
         return cls(tuple(sibs), bitfield.bit_length(), low, neighbor)
 

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 from .core import Address, IncludedTx, Keyring, Signer, Transaction, make_transfer_tx
 from .errors import NotOwned, PlasmaError
 from .history import (
+    ACCEPT,
     CoinHistory,
     Mark,
     Verdict,
@@ -123,7 +124,7 @@ class Wallet:
                 entries.update(added)
         self.coins[history.slot] = log
         self.marks[history.slot] = Mark(log.last_block(), last)
-        return Verdict(True)
+        return ACCEPT
 
     # -- watching and challenging --
 

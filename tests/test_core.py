@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from plasma_cash import core
 from plasma_cash.core import (
+    ADDRESS_SIZE,
+    NEIGHBOR,
+    SIGNED,
     Address,
     IncludedTx,
     Keyring,
@@ -22,7 +25,7 @@ from plasma_cash.core import (
 )
 from plasma_cash.errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
 from plasma_cash.history import CoinHistory
-from plasma_cash.smt import Proof, SmtConfig, SparseMerkleTree
+from plasma_cash.smt import Proof, Reader, SmtConfig, SparseMerkleTree, uint
 
 
 @pytest.fixture
@@ -198,16 +201,18 @@ def test_included_tx_encode_round_trip(keyring):
 
 
 def test_exclusion_entry_size():
-    """With one coin on the chain every sibling of an exclusion proof is a
-    default, so the entry is its block number, an empty tx length and the
-    8-byte depth-64 bitfield."""
+    """In an empty tree every sibling of an exclusion proof is a default, so
+    the entry is its block number, the kind byte and the 8-byte depth-64
+    bitfield; a deposit entry adds the unsigned transaction: its slot, its
+    parent block 0 and the owner."""
     config = SmtConfig(depth=64)
     keyring = Keyring()
     deposit = PlasmaBlock.deposit(1, make_deposit_tx(0, keyring.new_signer("alice").address), config)
     excl = PlasmaBlock.build(1000, {}, config).prove(0)
     assert excl.is_exclusion
-    assert len(excl.encode(config)) == 8 + 4 + 8
-    assert len(deposit.prove(0).encode(config)) == 8 + 4 + 36 + 8
+    assert len(excl.encode(config)) == len(uint(1000)) + 1 + config.bitfield_size == 11
+    deposit_tx = len(uint(0)) + len(uint(0)) + ADDRESS_SIZE
+    assert len(deposit.prove(0).encode(config)) == len(uint(1)) + 1 + deposit_tx + config.bitfield_size
 
 
 # -- canonical decoding: one byte string, one value --
@@ -257,11 +262,12 @@ def assert_canonical(data, decode, value, keep=()):
 @given(tx=transactions)
 def test_tx_decode_is_canonical(tx):
     # the signature is unframed: cutting all of it leaves the encoding of
-    # the unsigned transaction, which containers tell apart by their framing
-    whole_signature_cut = (36,) if tx.signature else ()
+    # the unsigned transaction, which containers tell apart by the kind byte
+    unsigned_size = len(uint(tx.slot)) + len(uint(tx.parent_block)) + ADDRESS_SIZE
+    whole_signature_cut = (unsigned_size,) if tx.signature else ()
     assert_canonical(tx.encode(), Transaction.decode, tx, keep=whole_signature_cut)
     unsigned = Transaction(tx.slot, tx.parent_block, tx.new_owner)
-    assert Transaction.decode(tx.encode()[:36]) == unsigned
+    assert Transaction.decode(tx.encode()[:unsigned_size]) == unsigned
 
 
 @settings(max_examples=50, deadline=None)
@@ -295,27 +301,125 @@ def test_history_decode_is_canonical(slot, deposit_block, incl, excl):
     )
 
 
-def frame(encoding):
-    return len(encoding).to_bytes(4, "big") + encoding
-
-
 def test_decoders_reject_unordered_or_repeated_entries(keyring):
     alice = keyring.new_signer("alice")
-    a, b = (make_transfer_tx(alice, s, 1, alice.address) for s in (1, 2))
-    head, root = (7).to_bytes(8, "big") + (2).to_bytes(4, "big"), bytes(32)
-    assert list(PlasmaBlock.decode(head + frame(a.encode()) + frame(b.encode()) + root).txs) == [1, 2]
-    for body in (frame(b.encode()) + frame(a.encode()), frame(a.encode()) * 2):
+    # a block frames each transaction by its kind byte
+    a, b = (bytes((SIGNED,)) + make_transfer_tx(alice, s, 1, alice.address).encode() for s in (1, 2))
+    head, root = uint(7) + uint(2), bytes(32)
+    assert list(PlasmaBlock.decode(head + a + b + root).txs) == [1, 2]
+    for body in (b + a, a * 2):
         with pytest.raises(MalformedEncoding):
             PlasmaBlock.decode(head + body + root)
 
     proof = Proof((bytes(32),) * SMALL.depth)
     first, second = (IncludedTx(None, n, proof).encode(SMALL) for n in (3, 4))
-    head, no_incl = bytes(16), bytes(4)
-    count = (2).to_bytes(4, "big")
-    assert set(CoinHistory.decode(head + no_incl + count + frame(first) + frame(second), SMALL).excl) == {3, 4}
-    for body in (frame(second) + frame(first), frame(first) * 2):
+    # slot 0, deposit block 0, no inclusions, two exclusions
+    head = uint(0) + uint(0) + uint(0) + uint(2)
+    assert set(CoinHistory.decode(head + first + second, SMALL).excl) == {3, 4}
+    for body in (second + first, first * 2):
         with pytest.raises(MalformedEncoding):
-            CoinHistory.decode(head + no_incl + count + body, SMALL)
+            CoinHistory.decode(head + body, SMALL)
+
+
+# not minimal, a run past 10 bytes, 2^64
+BAD_UINTS = (b"\x80\x00", b"\x80" * 10 + b"\x01", b"\x80" * 9 + b"\x02")
+
+
+def test_uint_round_trips_at_the_extremes_and_refuses_other_forms():
+    for n, size in ((0, 1), (127, 1), (128, 2), (2**64 - 1, 10)):
+        assert len(uint(n)) == size and Reader.whole(uint(n), "n", Reader.uint) == n
+    for bad, why in zip(BAD_UINTS, ("not minimal", "past 10 bytes", "below 2\\^64")):
+        with pytest.raises(MalformedEncoding, match=why):
+            Reader.whole(bad, "n", Reader.uint)
+    for n in (-1, 2**64):
+        with pytest.raises(MalformedEncoding):
+            uint(n)
+
+
+@pytest.mark.parametrize("bad", BAD_UINTS)
+def test_every_integer_field_refuses_a_bad_form(keyring, bad):
+    alice = keyring.new_signer("alice")
+    tx = make_transfer_tx(alice, 3, 1, alice.address)
+    rest = tx.new_owner.id + tx.signature
+    # blk, kind, slot, parent, owner and signature, proof
+    itx = [uint(5), bytes((SIGNED,)), uint(3), uint(1), rest, SMALL.empty_proof.encode(SMALL)]
+    encodings = [  # decoder, parts, the indices of the parts that are integers
+        (Transaction.decode, [uint(3), uint(1), rest], (0, 1)),
+        (lambda d: IncludedTx.decode(d, SMALL), itx, (0, 2, 3)),
+        (PlasmaBlock.decode, [uint(7), uint(1), bytes((SIGNED,)), uint(3), uint(1), rest, bytes(32)],
+         (0, 1, 3, 4)),
+        # slot, deposit block, one inclusion, no exclusion
+        (lambda d: CoinHistory.decode(d, SMALL), [uint(3), uint(0), uint(1), *itx, uint(0)],
+         (0, 1, 2, 3, 5, 6, 9)),
+    ]
+    for decode, parts, fields in encodings:
+        decode(b"".join(parts))
+        for i in fields:
+            with pytest.raises(MalformedEncoding, match="integer"):
+                decode(b"".join(parts[:i] + [bad] + parts[i + 1:]))
+
+
+def test_decoders_refuse_unknown_kind_bits(keyring):
+    alice = keyring.new_signer("alice")
+    tx = make_transfer_tx(alice, 3, 1, alice.address)
+    data = IncludedTx(tx, 5, SMALL.empty_proof).encode(SMALL)
+    at = len(uint(5))
+    assert data[at] == SIGNED
+    for kind in (3, NEIGHBOR | 3, 8, 0x80, 0xFF):
+        with pytest.raises(MalformedEncoding, match="kind"):
+            IncludedTx.decode(data[:at] + bytes((kind,)) + data[at + 1:], SMALL)
+    data = PlasmaBlock(7, {3: tx}, bytes(32)).encode()
+    at = len(uint(7)) + len(uint(1))
+    assert data[at] == SIGNED
+    # a block's transaction is present and names no proof
+    for kind in (0, 3, NEIGHBOR, NEIGHBOR | SIGNED, 8, 0x80, 0xFF):
+        with pytest.raises(MalformedEncoding, match="kind"):
+            PlasmaBlock.decode(data[:at] + bytes((kind,)) + data[at + 1:])
+
+
+def test_a_truncated_or_missing_neighbour_is_refused():
+    leaf = hashlib.sha256(b"leaf").digest()
+    itx = IncludedTx(None, 5, SparseMerkleTree(SMALL, {0: leaf}).prove(1))
+    assert itx.proof.neighbor == (0, leaf)
+    data = itx.encode(SMALL)
+    assert data[len(uint(5))] == NEIGHBOR
+    neighbour = SMALL.bitfield_size + 32
+    for cut in range(len(data) - neighbour, len(data)):
+        with pytest.raises(MalformedEncoding):
+            IncludedTx.decode(data[:cut], SMALL)
+    # the neighbour bit set on an exclusion that names none
+    plain = IncludedTx(None, 5, SMALL.empty_proof).encode(SMALL)
+    flagged = plain[:1] + bytes((NEIGHBOR,)) + plain[2:]
+    with pytest.raises(MalformedEncoding):
+        IncludedTx.decode(flagged, SMALL)
+    head = uint(3) + uint(0) + uint(0) + uint(1)  # one exclusion, the last entry
+    assert CoinHistory.decode(head + plain, SMALL).excl[5] == IncludedTx(None, 5, SMALL.empty_proof)
+    with pytest.raises(MalformedEncoding):
+        CoinHistory.decode(head + flagged, SMALL)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_encoders_refuse_what_decoders_refuse(keyring, bad):
+    alice = keyring.new_signer("alice")
+    tx = make_transfer_tx(alice, 3, 1, alice.address)
+    encodings = [
+        Transaction(bad, 1, alice.address).encode,
+        Transaction(3, bad, alice.address).encode,
+        lambda: IncludedTx(tx, bad, SMALL.empty_proof).encode(SMALL),
+        lambda: IncludedTx(Transaction(bad, 1, alice.address), 5, SMALL.empty_proof).encode(SMALL),
+        PlasmaBlock(bad, {}, bytes(32)).encode,
+        PlasmaBlock(7, {3: Transaction(3, bad, alice.address)}, bytes(32)).encode,
+        lambda: CoinHistory(bad, 0).encode(SMALL),
+        lambda: CoinHistory(3, bad).encode(SMALL),
+        lambda: CoinHistory(3, 0, {bad: IncludedTx(tx, bad, SMALL.empty_proof)}).encode(SMALL),
+    ]
+    for encode in encodings:
+        with pytest.raises(MalformedEncoding):
+            encode()
+    # the kind byte frames only an empty or a whole signature
+    for signature in (b"\x01", tx.signature[:-1], tx.signature + b"\x00"):
+        with pytest.raises(MalformedEncoding):
+            Transaction(3, 1, alice.address, signature).encode()
 
 
 def test_transfer_tx_keeps_the_digest_of_an_equal_fresh_transaction(keyring):

@@ -546,6 +546,54 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
     assert cost[16] == cost[64] == (5, 5)
 
 
+def test_handoff_bytes_are_the_sum_of_closed_forms(monkeypatch):
+    """What a hand-off ships and what the receiver stores, in bytes: one
+    coin at depth 64, handed round-robin among 4 wallets, one block each.
+    Each block holds only the coin, so its proof is the bitfield alone.  An
+    entry is its block number, the kind byte, the transaction (slot, parent
+    block, owner and, on a spend, the signature) and the proof; a history
+    adds its slot, its deposit block and its two entry counts."""
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    config = sim.contract.config
+    names = ["w0", "w1", "w2", "w3"]
+    slot = sim.deposit(names[0], 5)
+    deposit_block = sim.contract.coins[slot].deposit_block
+    delivered = []
+    receive = Wallet.receive_coin
+
+    def recorded(wallet, history):
+        delivered.append(len(history.encode(config)))
+        return receive(wallet, history)
+
+    monkeypatch.setattr(Wallet, "receive_coin", recorded)
+    def uint_size(n):
+        return len(smt.uint(n))
+
+    def entry(blk, parent):
+        signature = core.SIG_SIZE if parent else 0
+        return (uint_size(blk) + 1 + uint_size(slot) + uint_size(parent) + core.ADDRESS_SIZE
+                + signature + config.bitfield_size)
+
+    def history(inclusions):
+        head = uint_size(slot) + uint_size(deposit_block) + uint_size(len(inclusions)) + uint_size(0)
+        return head + sum(entry(blk, parent) for blk, parent in inclusions)
+
+    chain = [(deposit_block, 0)]  # (block, parent block) of each inclusion
+    verified = {names[0]: len(chain)}  # inclusions each wallet has verified
+    for k in range(1, 41):
+        receiver = names[k % 4]
+        assert settled_transfer(sim, names[(k - 1) % 4], slot, receiver)
+        chain.append((sim.contract.operator_blocks[-1], chain[-1][0]))
+        # a first-time receiver gets the whole log, a returning one the 4
+        # inclusions past its mark
+        suffix = chain[verified.get(receiver, 0):]
+        assert len(suffix) == (k + 1 if k < 4 else 4)
+        assert len(delivered) == k and delivered[-1] == history(suffix)
+        verified[receiver] = len(chain)
+        assert len(sim.actor(receiver).logs[slot].encode(config)) == history(chain)
+    assert uint_size(chain[-1][0]) == 3 > uint_size(chain[1][0])  # block numbers grew a byte
+
+
 def test_one_coin_blocks_leave_the_memo_empty():
     """Every proof in a block of one coin has no sibling to fold (``low`` is
     the depth), so it is compared with the root at once and adds no memo
