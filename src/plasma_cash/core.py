@@ -1,9 +1,15 @@
 """Canonical transaction, block, and identity types.
 
-Encodings are self-delimiting and bit-exact across machines: fields in
-declaration order, integers in minimal LEB128 (``smt.uint``), proofs in
-their bitfield form (``smt.Proof``), each transaction framed by a kind byte.
-What is hashed and signed keeps its fixed-width form (``_tx_digest``).
+Witnesses travel in one self-delimiting encoding, bit-exact across
+machines, with one reader: a witness entry (``IncludedTx``) is
+``uint(blk) || kind || tx || proof``, whose kind byte says whether a
+transaction follows, signed or not, and whether the proof names a
+neighbour; a transaction in an entry is ``uint(slot) || uint(parent) ||
+owner || signature``, the proof its bitfield form (``smt.Proof``), and a
+coin history (``history.CoinHistory``) a run of entries.  Integers are
+minimal LEB128 (``smt.uint``).  What is hashed and signed keeps its
+fixed-width form (``_tx_digest``); a block reaches the contract as its
+root alone.
 Signatures use a deterministic in-process scheme -- sig = address || MAC --
 kept behind the same sign/recover contract a real recoverable-ECDSA
 implementation would satisfy.
@@ -16,17 +22,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
-from .smt import DIGEST_SIZE, Proof, Reader, SmtConfig, SparseMerkleTree, uint
+from .smt import Proof, Reader, SmtConfig, SparseMerkleTree, uint
 
 ADDRESS_SIZE = 20
 SIG_SIZE = ADDRESS_SIZE + 32  # embedded address + 32-byte binding MAC
 #: Kind byte: the transaction that follows is unsigned or signed (none, 0,
 #: in an exclusion entry), plus NEIGHBOR when the entry's proof names one.
 UNSIGNED, SIGNED, NEIGHBOR = 1, 2, 4
-
-
-def _kind(tx: Optional["Transaction"]) -> int:
-    return 0 if tx is None else SIGNED if tx.signature else UNSIGNED
 
 
 @dataclass(frozen=True, order=True)
@@ -86,13 +88,6 @@ class Transaction:
         return uint(self.slot) + uint(self.parent_block) + self.new_owner.id + self.signature
 
     @classmethod
-    def decode(cls, data: bytes) -> "Transaction":
-        """Inverse of encode.  Unsigned, a transaction takes at most two
-        10-byte integers and the owner, signed more, so its length is its kind."""
-        kind = SIGNED if len(data) > 2 * 10 + ADDRESS_SIZE else UNSIGNED
-        return Reader.whole(data, "transaction", lambda r: cls.read(r, kind))
-
-    @classmethod
     def read(cls, r: Reader, kind: int) -> "Transaction":
         """Read at the cursor one transaction of the kind its container names."""
         if kind not in (UNSIGNED, SIGNED):
@@ -137,13 +132,18 @@ class IncludedTx:
 
     def encode(self, config: SmtConfig) -> bytes:
         """``uint(blk_number) || kind || tx || proof``."""
-        kind = _kind(self.tx) | (0 if self.proof.neighbor is None else NEIGHBOR)
-        body = b"" if self.tx is None else self.tx.encode()
+        tx = self.tx
+        kind = 0 if tx is None else SIGNED if tx.signature else UNSIGNED
+        kind |= 0 if self.proof.neighbor is None else NEIGHBOR
+        body = b"" if tx is None else tx.encode()
         return uint(self.blk_number) + bytes((kind,)) + body + self.proof.encode(config)
 
     @classmethod
     def decode(cls, data: bytes, config: SmtConfig) -> "IncludedTx":
-        return Reader.whole(data, "included tx", lambda r: cls.read(r, config))
+        r = Reader(data, "included tx")
+        itx = cls.read(r, config)
+        r.end()
+        return itx
 
     @classmethod
     def read(cls, r: Reader, config: SmtConfig) -> "IncludedTx":
@@ -205,7 +205,7 @@ class PlasmaBlock:
     root: bytes
     tree: Optional[SparseMerkleTree] = field(repr=False, compare=False, default=None)
     config: Optional[SmtConfig] = field(repr=False, compare=False, default=None)
-    # proof.low -> the one exclusion entry of each proof the tree shares
+    # proof.bitfield -> the one exclusion entry of each proof the tree shares
     _shared: Dict[int, IncludedTx] = field(repr=False, compare=False, init=False, default_factory=dict)
 
     @classmethod
@@ -227,33 +227,15 @@ class PlasmaBlock:
         tx = self.txs.get(slot)
         if self.tree is not None:
             proof = self.tree.prove(slot)
-            itx = self._shared.get(proof.low) if tx is None else None
+            itx = self._shared.get(proof.bitfield) if tx is None else None
             if itx is None or itx.proof is not proof:
                 itx = IncludedTx(tx, self.number, proof)
-                if tx is None and self.tree._shared.get(proof.low) is proof:
-                    self._shared[proof.low] = itx
+                if tx is None and self.tree._shared.get(proof.bitfield) is proof:
+                    self._shared[proof.bitfield] = itx
             return itx
         if tx is None:
             raise NotInDepositBlock(f"slot {slot} in deposit block {self.number}")
         return IncludedTx(tx, self.number, self.config.empty_proof)
-
-    def encode(self) -> bytes:
-        """``uint(number) || uint(count) || (kind || tx)... || root``."""
-        txs = [self.txs[slot] for slot in sorted(self.txs)]
-        framed = [bytes((_kind(tx),)) + tx.encode() for tx in txs]
-        return b"".join([uint(self.number), uint(len(txs)), *framed, self.root])
-
-    @classmethod
-    def decode(cls, data: bytes) -> "PlasmaBlock":
-        r = Reader(data, "block")
-        number = r.uint()
-        items = [Transaction.read(r, r.take(1)[0]) for _ in range(r.uint())]
-        txs = {tx.slot: tx for tx in items}
-        if len(txs) != len(items) or list(txs) != sorted(txs):
-            raise MalformedEncoding("block: transactions not in ascending slot order")
-        root = r.take(DIGEST_SIZE)
-        r.end()
-        return cls(number=number, txs=txs, root=root)
 
 
 @dataclass(frozen=True)

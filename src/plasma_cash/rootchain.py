@@ -76,7 +76,8 @@ class Exit:
     parent_tx: Optional[IncludedTx]
     exit_tx: IncludedTx
     bond: int
-    created_at: int
+    #: the clock from which ``finalize_exit`` settles the exit
+    matures_at: int
     challenges: List[PendingChallenge] = field(default_factory=list)
 
     @property
@@ -297,7 +298,7 @@ class PlasmaContract:
             parent_tx=parent_tx,
             exit_tx=exit_tx,
             bond=bond,
-            created_at=self.clock,
+            matures_at=self.clock + self.params.maturity_period,
         )
         coin.state = CoinState.EXITING
         self._emit(
@@ -318,6 +319,7 @@ class PlasmaContract:
 
     def _cancel_exit(self, slot: int, beneficiary: Address, kind: str, revealed: IncludedTx):
         """Non-interactive challenge won: slash the exit bond, reopen the coin."""
+        witness = revealed.encode(self.config).hex()  # raises before any change
         ex = self.exits.pop(slot)
         self.coins[slot].state = CoinState.DEPOSITED
         self.bond_escrow -= ex.bond
@@ -331,7 +333,7 @@ class PlasmaContract:
             kind,
             slot=slot,
             challenger=beneficiary.hex,
-            witness=revealed.encode(self.config).hex(),
+            witness=witness,
         )
         self._emit("ExitCancelled", slot=slot, exitor=ex.exitor.hex)
 
@@ -393,6 +395,7 @@ class PlasmaContract:
         self._check_spend(
             "response", slot, response, challenge.tx, ex.exit_block, NotDirectSpendOfChallenge
         )
+        witness = response.encode(self.config).hex()  # raises before any change
         challenge.answered = True
         self.bond_escrow -= challenge.bond
         self._credit(responder, challenge.bond)
@@ -401,17 +404,15 @@ class PlasmaContract:
             slot=slot,
             challenge_id=challenge_id,
             responder=responder.hex,
-            witness=response.encode(self.config).hex(),
+            witness=witness,
         )
 
     def finalize_exit(self, slot: int) -> str:
         """Settle a matured exit: finalize, or cancel if any interactive
         challenge went unanswered."""
         ex = self._active_exit(slot)
-        if self.clock < ex.created_at + self.params.maturity_period:
-            raise NotMature(
-                f"exit matures at {ex.created_at + self.params.maturity_period}, now {self.clock}"
-            )
+        if self.clock < ex.matures_at:
+            raise NotMature(f"exit matures at {ex.matures_at}, now {self.clock}")
         unanswered = [c for c in ex.challenges if not c.answered]
         coin = self.coins[slot]
         del self.exits[slot]

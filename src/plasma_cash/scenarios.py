@@ -549,7 +549,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
     def settle_exits():
         nonlocal withdrawn
         for slot, ex in list(sim.contract.exits.items()):
-            if sim.contract.clock < ex.created_at + params.maturity_period:
+            if sim.contract.clock < ex.matures_at:
                 continue
             outcome = sim.finalize(slot)
             check_invariants()  # observe the post-finalization state too

@@ -12,19 +12,17 @@ A lone leaf's digest hashes 40 bytes and every other node 64, so one never
 stands for the other without a SHA-256 collision.  A tree of one coin costs
 one hash to build and one to check, at any depth.
 
-A proof holds one sibling per level.  Below its ``low`` level every sibling
-is the default, so the slot's subtree there holds at most one leaf: the
-slot's own, none, or, for an exclusion, one other coin's, which the proof
-names as its ``neighbor``.  The one wire form is a bitfield that switches
-each level between "sibling is in the proof" and "sibling is the level's
-default hash", followed by the siblings that are in it and the neighbour.
+A proof is its wire form: a bitfield whose bit i is set when the level-i
+sibling is not that level's default, the siblings so marked, and for an
+exclusion beside a lone coin that coin's ``(slot, leaf)``, its neighbour.
+Below the lowest set bit, ``low``, the slot's subtree holds at most one
+leaf: the slot's own, none, or the neighbour.
 """
 
 from __future__ import annotations
 
 import hashlib
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Set, Tuple
 
@@ -45,39 +43,6 @@ def hash_pair(left: bytes, right: bytes) -> bytes:
 
 #: Digest marking an empty slot: the hash of 32 zero bytes.
 DEFAULT_LEAF = hashlib.sha256(b"\x00" * DIGEST_SIZE).digest()
-
-
-@dataclass(frozen=True)
-class SmtConfig:
-    """Tree shape: its height.  Empty slots hold ``DEFAULT_LEAF``.  Its
-    constants are set once, outside the dataclass fields, so equality, hash
-    and ``repr`` see only ``depth``: ``capacity``, ``defaults`` (defaults[0]
-    is the empty leaf, defaults[depth] the empty-tree root),
-    ``bitfield_size``, and ``empty_proof``, a lone leaf's path."""
-
-    depth: int = 64
-
-    def __post_init__(self):
-        depth = self.depth
-        if not 1 <= depth <= 64:
-            raise ValueError(f"depth must be in [1, 64], got {depth}")
-        object.__setattr__(self, "capacity", 1 << depth)
-        object.__setattr__(self, "defaults", _default_chain(depth))
-        object.__setattr__(self, "bitfield_size", (depth + 7) // 8)
-        object.__setattr__(self, "empty_proof", _empty_proof(depth))
-
-
-@lru_cache(maxsize=None)
-def _default_chain(depth: int) -> Tuple[bytes, ...]:
-    chain = [DEFAULT_LEAF]
-    for _ in range(depth):
-        chain.append(hash_pair(chain[-1], chain[-1]))
-    return tuple(chain)
-
-
-@lru_cache(maxsize=None)
-def _empty_proof(depth: int) -> "Proof":
-    return Proof(_default_chain(depth)[:depth], 0, depth)
 
 
 def lone_digest(slot: int, leaf: bytes) -> bytes:
@@ -138,110 +103,110 @@ class Reader:
                 f"{self.what}: {len(self.data) - self.pos} trailing bytes"
             )
 
-    @classmethod
-    def whole(cls, data: bytes, what: str, read):
-        """``read(reader)`` over exactly ``data``."""
-        r = cls(data, what)
-        value = read(r)
-        r.end()
-        return value
+
+def _set_bits(bitfield: int):
+    """The levels whose bit is set in ``bitfield``, lowest first."""
+    while bitfield:
+        bit = bitfield & -bitfield
+        yield bit.bit_length() - 1
+        bitfield ^= bit
+
+
+def _check_frame(bitfield: int, present: Tuple[bytes, ...], depth: int):
+    """Raise MalformedProof unless ``bitfield`` sets a bit below ``depth`` per sibling."""
+    if bitfield < 0 or bitfield >> depth or len(present) != bitfield.bit_count():
+        raise MalformedProof(f"bitfield {bitfield:#x} does not frame {len(present)} siblings")
 
 
 @dataclass(frozen=True)
 class Proof:
-    """Merkle proof: one sibling digest per level, leaf-adjacent first, and
-    for an exclusion beside a lone coin that coin's ``(slot, leaf)``.
+    """Merkle proof in its wire form.  Bit i of ``bitfield`` is set when the
+    level-i sibling is not that level's default; ``present`` holds those
+    siblings, leaf-adjacent first.  ``neighbor`` is ``(slot, leaf)`` of the
+    one coin in the slot's subtree at the lowest set bit, on an exclusion
+    whose subtree there is not empty, and None otherwise.
 
-    On the wire only the siblings that differ from their level's default
-    are sent: a little-endian bitfield of ``config.bitfield_size`` bytes
-    whose bit i is set iff the level-i sibling is present, then those
-    siblings, leaf-adjacent first, then the neighbour, if any: its slot in
-    ``bitfield_size`` big-endian bytes and its leaf.
+    Encoded, the bitfield is ``config.bitfield_size`` little-endian bytes,
+    then come the present siblings, then the neighbour, if any: its slot in
+    ``bitfield_size`` big-endian bytes and its leaf.  The container says
+    whether a neighbour follows.
     """
 
-    siblings: Tuple[bytes, ...]
-    #: One past the highest level whose sibling is not that level's default.
-    #: ``prove`` and ``decode`` set it; a proof built from siblings alone
-    #: finds it by identity, since ``prove`` and ``decode`` place the shared
-    #: default objects.  A sibling equal to its default but not the same
-    #: object only raises ``top``, which ``verify`` allows.
-    top: int = field(default=None, compare=False)
-    #: The lowest level whose sibling is not that level's default, or the
-    #: depth when none is; ``verify`` folds from here.  ``prove`` and
-    #: ``decode`` set it, a proof built from siblings alone compares values.
-    low: int = field(default=None, compare=False)
-    #: ``(slot, leaf)`` of the one coin in the slot's subtree at ``low``, on
-    #: an exclusion whose subtree there is not empty; None otherwise.
+    bitfield: int
+    present: Tuple[bytes, ...]
     neighbor: Optional[Tuple[int, bytes]] = None
 
-    def __post_init__(self):
-        if self.top is None or self.low is None:
-            defaults = _default_chain(len(self.siblings))
-            # byte i is 1 iff the level-i sibling is not the default object
-            top = bytes(map(operator.is_not, self.siblings, defaults)).rfind(1) + 1
-            low = bytes(map(operator.ne, self.siblings, defaults)).find(1)
-            if self.top is None:
-                object.__setattr__(self, "top", top)
-            if self.low is None:
-                object.__setattr__(self, "low", len(self.siblings) if low < 0 else low)
-
     def encode(self, config: SmtConfig) -> bytes:
-        if len(self.siblings) != config.depth:
-            raise MalformedProof(
-                f"proof has {len(self.siblings)} siblings, depth is {config.depth}"
-            )
-        bitfield = 0
-        present = []
-        for i, (sib, default) in enumerate(zip(self.siblings, config.defaults)):
-            if sib != default:
-                bitfield |= 1 << i
-                present.append(sib)
+        """What ``read`` refuses is not written: a bit at or past the depth,
+        a count of siblings other than the set bits, a sibling that is not
+        32 bytes or equals its level's default, and a neighbour slot outside
+        the tree or neighbour leaf that is not 32 bytes raise MalformedProof."""
+        bitfield, present = self.bitfield, self.present
+        _check_frame(bitfield, present, config.depth)
+        for i, sib in zip(_set_bits(bitfield), present):
+            if len(sib) != DIGEST_SIZE or sib == config.defaults[i]:
+                raise MalformedProof(f"level-{i} sibling is not 32 bytes or is the default")
+        out = [bitfield.to_bytes(config.bitfield_size, "little"), *present]
         if self.neighbor is not None:
             other, leaf = self.neighbor
-            # what ``decode`` refuses is not written
             if not 0 <= other < config.capacity:
                 raise MalformedProof(f"neighbour slot {other} outside 2^{config.depth} space")
             if len(leaf) != DIGEST_SIZE:
                 raise MalformedProof(f"neighbour leaf of {len(leaf)} bytes, not {DIGEST_SIZE}")
-            present += [other.to_bytes(config.bitfield_size, "big"), leaf]
-        return bitfield.to_bytes(config.bitfield_size, "little") + b"".join(present)
+            out += [other.to_bytes(config.bitfield_size, "big"), leaf]
+        return b"".join(out)
 
     @classmethod
-    def decode(cls, data: bytes, config: SmtConfig) -> "Proof":
-        """Inverse of encode.  A bit past the depth or a present sibling
-        equal to its default would give a second encoding of the same
-        proof, so both raise MalformedEncoding; so does a tail after the
-        siblings that is not one neighbour's slot and leaf, or a neighbour
-        slot outside the tree."""
-        return Reader.whole(data, "proof", lambda r: cls.read(r, config))
-
-    @classmethod
-    def read(cls, r: Reader, config: SmtConfig, has_neighbor: Optional[bool] = None) -> "Proof":
-        """Read one proof at the cursor.  A container says whether a neighbour
-        follows the siblings; without ``has_neighbor`` one does iff bytes do."""
+    def read(cls, r: Reader, config: SmtConfig, has_neighbor: bool) -> "Proof":
+        """Read one proof at the cursor; its container's kind byte says
+        whether a neighbour follows.  A bit past the depth or a sent sibling
+        equal to its default would give a second encoding of one proof, so
+        both raise MalformedEncoding; so does a neighbour slot outside the
+        tree."""
         size = config.bitfield_size
         bitfield = int.from_bytes(r.take(size), "little")
         if bitfield >> config.depth:
             raise MalformedEncoding("proof: bitfield bit set past the tree depth")
-        sibs = []
-        for i, default in enumerate(config.defaults[:config.depth]):
-            if bitfield >> i & 1:
-                sib = r.take(DIGEST_SIZE)
-                if sib == default:
-                    raise MalformedEncoding(f"proof: level-{i} sibling sent but is the default")
-                sibs.append(sib)
-            else:
-                sibs.append(default)
-        if has_neighbor is None:
-            has_neighbor = r.pos != len(r.data)
+        present = tuple(r.take(DIGEST_SIZE) for _ in range(bitfield.bit_count()))
+        for i, sib in zip(_set_bits(bitfield), present):
+            if sib == config.defaults[i]:
+                raise MalformedEncoding(f"proof: level-{i} sibling sent but is the default")
         neighbor = None
         if has_neighbor:
             other = int.from_bytes(r.take(size), "big")
             if other >= config.capacity:
                 raise MalformedEncoding(f"proof: neighbour slot {other} outside the tree")
             neighbor = (other, r.take(DIGEST_SIZE))
-        low = (bitfield & -bitfield).bit_length() - 1 if bitfield else config.depth
-        return cls(tuple(sibs), bitfield.bit_length(), low, neighbor)
+        return cls(bitfield, present, neighbor)
+
+
+@dataclass(frozen=True)
+class SmtConfig:
+    """Tree shape: its height.  Empty slots hold ``DEFAULT_LEAF``.  Its
+    constants are set once, outside the dataclass fields, so equality, hash
+    and ``repr`` see only ``depth``: ``capacity``, ``defaults`` (defaults[0]
+    is the empty leaf, defaults[depth] the empty-tree root) and
+    ``bitfield_size``.  ``empty_proof``, a lone leaf's path, names no
+    sibling, so one proof serves every depth."""
+
+    depth: int = 64
+    empty_proof = Proof(0, ())
+
+    def __post_init__(self):
+        depth = self.depth
+        if not 1 <= depth <= 64:
+            raise ValueError(f"depth must be in [1, 64], got {depth}")
+        object.__setattr__(self, "capacity", 1 << depth)
+        object.__setattr__(self, "defaults", _default_chain(depth))
+        object.__setattr__(self, "bitfield_size", (depth + 7) // 8)
+
+
+@lru_cache(maxsize=None)
+def _default_chain(depth: int) -> Tuple[bytes, ...]:
+    chain = [DEFAULT_LEAF]
+    for _ in range(depth):
+        chain.append(hash_pair(chain[-1], chain[-1]))
+    return tuple(chain)
 
 
 class SparseMerkleTree:
@@ -268,8 +233,8 @@ class SparseMerkleTree:
         # is stored only when that node holds two or more leaves.
         self._levels, self._lone, self._split, self.root = self._build()
         self._anchor = next(iter(self.leaves), None)
-        # low -> the exclusion proof shared by every slot of one shape (see prove)
-        self._shared: Dict[int, Proof] = {} if leaves else {config.depth: config.empty_proof}
+        # bitfield -> the exclusion proof shared by every slot of one shape (see prove)
+        self._shared: Dict[int, Proof] = {} if leaves else {0: config.empty_proof}
 
     def _build(self):
         defaults, depth, leaves = self.config.defaults, self.config.depth, self.leaves
@@ -330,47 +295,42 @@ class SparseMerkleTree:
         lowest non-default sibling sits beside a lone leaf's highest node
         has that leaf as its neighbour.  One frozen proof, built on first
         request, serves every slot of a shape the tree fixes: the empty tree
-        (``config.empty_proof``), a one-leaf tree's other slots (low = depth)
-        and each height where a slot leaves the path above the split (low =
-        that height).  A one-leaf tree's own slot gets the empty proof."""
+        (``config.empty_proof``), a one-leaf tree's other slots (bitfield 0)
+        and each height where a slot leaves the path above the split (that
+        height's bit alone).  A one-leaf tree's own slot gets the empty proof."""
         config = self.config
-        depth = config.depth
-        if not 0 <= slot < 1 << depth:
+        if not 0 <= slot < config.capacity:
             raise SlotOutOfRange(str(slot))
         split, anchor = self._split, self._anchor
         if anchor is None:
             return config.empty_proof
         high = (slot ^ anchor).bit_length() - 1
         if high >= split:
-            low = high if split else depth
-            proof = self._shared.get(low)
+            key = 1 << high if split else 0
+            proof = self._shared.get(key)
             if proof is None:
                 if split:
-                    sibs = list(config.defaults[:depth])
-                    sibs[high] = self._levels[high][anchor >> high]
-                    proof = Proof(tuple(sibs), high + 1, high)
+                    proof = Proof(key, (self._levels[high][anchor >> high],))
                 else:
-                    proof = Proof(config.defaults[:depth], 0, depth, (anchor, self.leaves[anchor]))
-                self._shared[low] = proof
+                    proof = Proof(0, (), (anchor, self.leaves[anchor]))
+                self._shared[key] = proof
             return proof
         if not split:  # a one-leaf tree's own slot
             return config.empty_proof
-        sibs = list(config.defaults[:depth])
         levels = self._levels
-        top, low = 0, depth
+        bitfield, present = 0, []
         for i in range(split):
             sib = levels[i].get((slot >> i) ^ 1)
             if sib is not None:
-                sibs[i] = sib
-                top = i + 1
-                if low == depth:
-                    low = i
+                bitfield |= 1 << i
+                present.append(sib)
         neighbor = None
-        if low < depth and slot not in self.leaves:
+        if bitfield and slot not in self.leaves:
+            low = (bitfield & -bitfield).bit_length() - 1
             other = self._lone.get((low, slot >> low))
             if other is not None:
                 neighbor = (other, self.leaves[other])
-        return Proof(tuple(sibs), top, low, neighbor)
+        return Proof(bitfield, tuple(present), neighbor)
 
 
 #: Keys ``(root, level, index, node)`` of subtree nodes ``verify`` folded
@@ -389,36 +349,39 @@ def verify(
     """Check that ``root`` commits ``leaf`` at ``slot``; ``DEFAULT_LEAF``
     asks that the slot is empty.
 
-    The fold starts at ``proof.low`` from the digest of the slot's subtree
-    there: the lone digest of ``leaf`` (the leaf itself at level 0), the
-    level's default for an exclusion, or the lone digest of the neighbour.
-    A neighbour is refused on an inclusion, and when it is the slot itself
-    or lies outside the slot's subtree at ``low`` (so also past the
-    tree).  From ``low`` up, bit i of the slot picks the side at level i.
+    The fold starts at ``low``, the proof's lowest set bit (the depth when
+    none is set), from the digest of the slot's subtree there: the lone
+    digest of ``leaf`` (the leaf itself at level 0), the level's default for
+    an exclusion, or the lone digest of the neighbour.  A neighbour is
+    refused on an inclusion, and when it is the slot itself or lies outside
+    the slot's subtree at ``low`` (so also past the tree).  From ``low`` up,
+    bit i of the slot picks the side at level i.  A bitfield that does not
+    frame the present siblings below the depth raises MalformedProof; a
+    sibling ``encode`` refuses (not 32 bytes, or its default) is refused.
 
-    Above ``proof.top`` every sibling is its level's default, so the rest
-    of the fold depends only on the node reached at ``top``, its index
-    ``slot >> top`` and ``root``.  With ``known``, a caller's memo of such
-    keys that folded to their root, a hit returns True without hashing and
-    a fold that succeeds adds its key, unless no sibling is folded: then
-    the node is compared with the root as it is.  The answer is the full
-    fold's, with no assumption on the hash: a proof altered above ``top``
-    has another ``top``, one altered below it reaches another node.  Coins
-    of one block share their path above the smallest subtree holding them,
-    so a wallet that keeps one memo hashes that path once per block.
+    Above ``top``, one past the highest set bit, every sibling is its
+    level's default, so the rest of the fold depends only on the node
+    reached at ``top``, its index ``slot >> top`` and ``root``.  With
+    ``known``, a caller's memo of such keys that folded to their root, a hit
+    returns True without hashing and a fold that succeeds adds its key,
+    unless no sibling is folded: then the node is compared with the root as
+    it is.  The answer is the full fold's, with no assumption on the hash:
+    a proof altered above ``top`` has another ``top``, one altered below it
+    reaches another node.  Coins of one block share their path above the
+    smallest subtree holding them, so a wallet that keeps one memo hashes
+    that path once per block.
     """
     depth = config.depth
-    if len(proof.siblings) != depth:
-        raise MalformedProof(
-            f"proof has {len(proof.siblings)} siblings, depth is {depth}"
-        )
+    bitfield, present = proof.bitfield, proof.present
+    _check_frame(bitfield, present, depth)
     if not 0 <= slot < config.capacity:
         raise SlotOutOfRange(str(slot))
     # hash_pair is looked up once a call, so a hook patched in before the
     # call still sees every hash
     hash_ = hash_pair
     defaults = config.defaults
-    low, top = proof.low, proof.top
+    low = (bitfield & -bitfield).bit_length() - 1 if bitfield else depth
+    top = bitfield.bit_length()
     if proof.neighbor is not None:
         other, other_leaf = proof.neighbor
         if (
@@ -435,10 +398,14 @@ def verify(
         node = lone_digest(slot, leaf) if low else leaf
     if low == depth:
         return node == root
-    siblings = proof.siblings
-    for i in range(low, top):
-        sib = siblings[i]
-        if len(sib) != DIGEST_SIZE:
+    # each level's sibling, and what it may not be: a sent one, its default
+    sibs, forbidden = present, defaults[low:top]
+    if len(present) != top - low:  # defaults, checked against b"", fill clear levels
+        sibs, forbidden = list(forbidden), [b""] * (top - low)
+        for i, sib in zip(_set_bits(bitfield), present):
+            sibs[i - low], forbidden[i - low] = sib, defaults[i]
+    for i, sib, default in zip(range(low, top), sibs, forbidden):
+        if len(sib) != DIGEST_SIZE or sib == default:
             return False
         node = hash_(sib, node) if (slot >> i) & 1 else hash_(node, sib)
     index = slot >> top

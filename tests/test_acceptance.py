@@ -28,7 +28,7 @@ from plasma_cash.history import (
     verify_history,
 )
 from plasma_cash.scenarios import fuzz, run
-from plasma_cash.smt import DEFAULT_LEAF, Proof, SmtConfig, SparseMerkleTree, hash_pair
+from plasma_cash.smt import DEFAULT_LEAF, SmtConfig, SparseMerkleTree, hash_pair
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -132,8 +132,8 @@ def test_smt_matches_dense_oracle():
                 (other,) = sibs[below][1]
                 neighbor = (other, leaves[other])
                 digests[below] = config.defaults[below]
-            got, want = sparse.prove(slot), Proof(tuple(digests), neighbor=neighbor)
-            if got != want or got.low != want.low:
+            got, want = sparse.prove(slot), conftest.proof_from_siblings(digests, neighbor)
+            if got != want:
                 ok = False
                 break
         checked += 1
@@ -240,10 +240,7 @@ def test_history_verifier_corpus():
 
     def bad_inclusion(c, h, alice, bob):
         itx = h.incl[1000]
-        full = c.blocks[1000].tree.prove(0)
-        sibs = list(full.siblings)
-        sibs[0] = bytes(b ^ 1 for b in sibs[0])
-        h.incl[1000] = IncludedTx(itx.tx, 1000, Proof(tuple(sibs)))
+        h.incl[1000] = IncludedTx(itx.tx, 1000, conftest.flip(c.blocks[1000].tree.prove(0)))
 
     def broken_link(c, h, alice, bob):
         # a re-spend of the deposit after it was already consumed
@@ -258,10 +255,7 @@ def test_history_verifier_corpus():
         h.incl[2000] = c.blocks[2000].prove(0)
 
     def bad_exclusion(c, h, alice, bob):
-        full = c.blocks[2000].tree.prove(0)
-        sibs = list(full.siblings)
-        sibs[0] = bytes(b ^ 1 for b in sibs[0])
-        h.excl[2000] = IncludedTx(None, 2000, Proof(tuple(sibs)))
+        h.excl[2000] = IncludedTx(None, 2000, conftest.flip(c.blocks[2000].tree.prove(0)))
 
     variants = [
         (overlap, Reason.PARTITION_OVERLAP),

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import proof_from_siblings, whole
 from plasma_cash import core
 from plasma_cash.core import (
     ADDRESS_SIZE,
     NEIGHBOR,
     SIGNED,
+    UNSIGNED,
     Address,
     IncludedTx,
     Keyring,
@@ -26,6 +28,15 @@ from plasma_cash.core import (
 from plasma_cash.errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
 from plasma_cash.history import CoinHistory
 from plasma_cash.smt import Proof, Reader, SmtConfig, SparseMerkleTree, uint
+
+
+def read_tx(data: bytes, kind: int) -> Transaction:
+    """``data`` read as one transaction of the kind a container names."""
+    return whole(data, lambda r: Transaction.read(r, kind))
+
+
+def kind_of(tx: Transaction) -> int:
+    return SIGNED if tx.signature else UNSIGNED
 
 
 @pytest.fixture
@@ -89,7 +100,7 @@ def test_tx_hash_is_computed_once_and_kept_outside_the_fields(monkeypatch):
 )
 def test_tx_encode_round_trip(slot, parent, owner, sig):
     tx = Transaction(slot=slot, parent_block=parent, new_owner=Address(owner), signature=sig)
-    assert Transaction.decode(tx.encode()) == tx
+    assert read_tx(tx.encode(), kind_of(tx)) == tx
 
 
 def test_deposit_tx_shape():
@@ -172,23 +183,12 @@ def test_deposit_block_commits_its_transaction_hash():
     block = PlasmaBlock.deposit(3, tx, config)
     assert block.root == tx.hash() and block.txs == {7: tx} and block.tree is None
     itx = block.prove(7)
-    assert itx == IncludedTx(tx, 3, config.empty_proof) and itx.proof.top == 0
+    assert itx == IncludedTx(tx, 3, config.empty_proof) and itx.proof.bitfield == 0
     one_leaf = SparseMerkleTree(config, {7: tx.hash()}).prove(7)
     assert itx.encode(config) == IncludedTx(tx, 3, one_leaf).encode(config)
     for slot in (6, 8):
         with pytest.raises(NotInDepositBlock):
             block.prove(slot)
-
-
-def test_block_encode_round_trip(keyring):
-    config = SmtConfig(depth=8)
-    alice = keyring.new_signer("alice")
-    txs = {s: make_transfer_tx(alice, s, 1000, alice.address) for s in (0, 200)}
-    block = PlasmaBlock.build(3000, txs, config)
-    decoded = PlasmaBlock.decode(block.encode())
-    assert decoded.number == block.number
-    assert decoded.txs == block.txs
-    assert decoded.root == block.root
 
 
 def test_included_tx_encode_round_trip(keyring):
@@ -234,7 +234,7 @@ included_txs = st.builds(
     blk_number=u64,
     proof=st.tuples(
         *(st.just(d) | st.binary(min_size=32, max_size=32) for d in SMALL.defaults[:SMALL.depth])
-    ).map(Proof),
+    ).map(proof_from_siblings),
 )
 
 
@@ -265,26 +265,15 @@ def test_tx_decode_is_canonical(tx):
     # the unsigned transaction, which containers tell apart by the kind byte
     unsigned_size = len(uint(tx.slot)) + len(uint(tx.parent_block)) + ADDRESS_SIZE
     whole_signature_cut = (unsigned_size,) if tx.signature else ()
-    assert_canonical(tx.encode(), Transaction.decode, tx, keep=whole_signature_cut)
+    assert_canonical(tx.encode(), lambda d: read_tx(d, kind_of(tx)), tx, keep=whole_signature_cut)
     unsigned = Transaction(tx.slot, tx.parent_block, tx.new_owner)
-    assert Transaction.decode(tx.encode()[:unsigned_size]) == unsigned
+    assert read_tx(tx.encode()[:unsigned_size], UNSIGNED) == unsigned
 
 
 @settings(max_examples=50, deadline=None)
 @given(itx=included_txs)
 def test_included_tx_decode_is_canonical(itx):
     assert_canonical(itx.encode(SMALL), lambda d: IncludedTx.decode(d, SMALL), itx)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    number=u64,
-    txs=entries_by(lambda tx: tx.slot, transactions),
-    root=st.binary(min_size=32, max_size=32),
-)
-def test_block_decode_is_canonical(number, txs, root):
-    block = PlasmaBlock(number, txs, root)
-    assert_canonical(block.encode(), PlasmaBlock.decode, block)
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,17 +290,8 @@ def test_history_decode_is_canonical(slot, deposit_block, incl, excl):
     )
 
 
-def test_decoders_reject_unordered_or_repeated_entries(keyring):
-    alice = keyring.new_signer("alice")
-    # a block frames each transaction by its kind byte
-    a, b = (bytes((SIGNED,)) + make_transfer_tx(alice, s, 1, alice.address).encode() for s in (1, 2))
-    head, root = uint(7) + uint(2), bytes(32)
-    assert list(PlasmaBlock.decode(head + a + b + root).txs) == [1, 2]
-    for body in (b + a, a * 2):
-        with pytest.raises(MalformedEncoding):
-            PlasmaBlock.decode(head + body + root)
-
-    proof = Proof((bytes(32),) * SMALL.depth)
+def test_decoders_reject_unordered_or_repeated_entries():
+    proof = Proof(0b1111, (bytes(32),) * SMALL.depth)
     first, second = (IncludedTx(None, n, proof).encode(SMALL) for n in (3, 4))
     # slot 0, deposit block 0, no inclusions, two exclusions
     head = uint(0) + uint(0) + uint(0) + uint(2)
@@ -327,10 +307,10 @@ BAD_UINTS = (b"\x80\x00", b"\x80" * 10 + b"\x01", b"\x80" * 9 + b"\x02")
 
 def test_uint_round_trips_at_the_extremes_and_refuses_other_forms():
     for n, size in ((0, 1), (127, 1), (128, 2), (2**64 - 1, 10)):
-        assert len(uint(n)) == size and Reader.whole(uint(n), "n", Reader.uint) == n
+        assert len(uint(n)) == size and whole(uint(n), Reader.uint) == n
     for bad, why in zip(BAD_UINTS, ("not minimal", "past 10 bytes", "below 2\\^64")):
         with pytest.raises(MalformedEncoding, match=why):
-            Reader.whole(bad, "n", Reader.uint)
+            whole(bad, Reader.uint)
     for n in (-1, 2**64):
         with pytest.raises(MalformedEncoding):
             uint(n)
@@ -344,10 +324,8 @@ def test_every_integer_field_refuses_a_bad_form(keyring, bad):
     # blk, kind, slot, parent, owner and signature, proof
     itx = [uint(5), bytes((SIGNED,)), uint(3), uint(1), rest, SMALL.empty_proof.encode(SMALL)]
     encodings = [  # decoder, parts, the indices of the parts that are integers
-        (Transaction.decode, [uint(3), uint(1), rest], (0, 1)),
+        (lambda d: read_tx(d, SIGNED), [uint(3), uint(1), rest], (0, 1)),
         (lambda d: IncludedTx.decode(d, SMALL), itx, (0, 2, 3)),
-        (PlasmaBlock.decode, [uint(7), uint(1), bytes((SIGNED,)), uint(3), uint(1), rest, bytes(32)],
-         (0, 1, 3, 4)),
         # slot, deposit block, one inclusion, no exclusion
         (lambda d: CoinHistory.decode(d, SMALL), [uint(3), uint(0), uint(1), *itx, uint(0)],
          (0, 1, 2, 3, 5, 6, 9)),
@@ -368,13 +346,6 @@ def test_decoders_refuse_unknown_kind_bits(keyring):
     for kind in (3, NEIGHBOR | 3, 8, 0x80, 0xFF):
         with pytest.raises(MalformedEncoding, match="kind"):
             IncludedTx.decode(data[:at] + bytes((kind,)) + data[at + 1:], SMALL)
-    data = PlasmaBlock(7, {3: tx}, bytes(32)).encode()
-    at = len(uint(7)) + len(uint(1))
-    assert data[at] == SIGNED
-    # a block's transaction is present and names no proof
-    for kind in (0, 3, NEIGHBOR, NEIGHBOR | SIGNED, 8, 0x80, 0xFF):
-        with pytest.raises(MalformedEncoding, match="kind"):
-            PlasmaBlock.decode(data[:at] + bytes((kind,)) + data[at + 1:])
 
 
 def test_a_truncated_or_missing_neighbour_is_refused():
@@ -407,8 +378,6 @@ def test_encoders_refuse_what_decoders_refuse(keyring, bad):
         Transaction(3, bad, alice.address).encode,
         lambda: IncludedTx(tx, bad, SMALL.empty_proof).encode(SMALL),
         lambda: IncludedTx(Transaction(bad, 1, alice.address), 5, SMALL.empty_proof).encode(SMALL),
-        PlasmaBlock(bad, {}, bytes(32)).encode,
-        PlasmaBlock(7, {3: Transaction(3, bad, alice.address)}, bytes(32)).encode,
         lambda: CoinHistory(bad, 0).encode(SMALL),
         lambda: CoinHistory(3, bad).encode(SMALL),
         lambda: CoinHistory(3, 0, {bad: IncludedTx(tx, bad, SMALL.empty_proof)}).encode(SMALL),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import flip
 from plasma_cash.core import (
     SIG_SIZE,
     IncludedTx,
@@ -26,16 +27,9 @@ from plasma_cash.history import (
     valid_tip,
     verify_history,
 )
-from plasma_cash.smt import Proof, SmtConfig
+from plasma_cash.smt import SmtConfig
 
 CONFIG = SmtConfig(depth=16)
-
-
-def flip(proof):
-    """Corrupt one sibling digest."""
-    sibs = list(proof.siblings)
-    sibs[0] = bytes(b ^ 1 for b in sibs[0])
-    return Proof(tuple(sibs))
 
 
 class Chain:

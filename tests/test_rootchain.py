@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flip, proof_from_siblings, siblings_of
 from plasma_cash.core import (
     SIG_SIZE,
     IncludedTx,
@@ -377,9 +378,9 @@ def deposit_mutant(data, f, slot, genuine):
     elif kind == "signature":
         tx = Transaction(slot, 0, tx.new_owner, data.draw(st.binary(min_size=SIG_SIZE, max_size=SIG_SIZE)))
     elif kind == "sibling":
-        sibs = list(proof.siblings)
+        sibs = siblings_of(proof, f.contract.config.depth)
         sibs[data.draw(st.integers(0, len(sibs) - 1))] = data.draw(st.binary(min_size=32, max_size=32))
-        proof = Proof(tuple(sibs))
+        proof = proof_from_siblings(sibs)
     elif kind == "blk_number":
         number = data.draw(st.sampled_from([1, 1000, 1002]))
         reasons = {Reason.PARTITION_GAP}
@@ -443,13 +444,16 @@ SPEND_FAULTS = {
     "bad proof, wrong parent": lambda move: BadProof,
     "wrong parent, out of range": LINK_ERROR.get,
     "out of range, wrong signer": RANGE_ERROR.get,
+    "sent default": lambda move: BadProof,
 }
 
 
 def spend_move(move, fault):
     """Alice deposits, pays Bob at 2000, and Bob pays Carol at 3000; ``move``
     is set up to take Bob's spend, and ``fault`` changes it.  A spend out of
-    range is included at 1000, before the block it spends.
+    range is included at 1000, before the block it spends.  A spend whose
+    proof will send a default is committed beside an entry of the next slot,
+    so its proof has a sent sibling below the default.
 
     - start_exit: Carol exits the spend with the 2000 parent.
     - challenge_after: Bob exits at 2000, so the spend spends his exit.
@@ -469,7 +473,8 @@ def spend_move(move, fault):
     early = "out of range" in fault
     f.commit({slot: tx} if early else {})
     f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
-    f.commit({} if early else {slot: tx})
+    beside = {slot ^ 1: make_transfer_tx(f.mallory, slot ^ 1, 2000, f.carol.address)}
+    f.commit({} if early else {slot: tx, **(beside if fault == "sent default" else {})})
     c = f.contract
     if move == "challenge_after":
         c.start_exit(f.bob.address, slot, dep.prove(slot), f.witness(slot, 2000), BOND)
@@ -504,9 +509,12 @@ def test_every_move_checks_a_spend_in_one_order(move, fault):
         other = make_transfer_tx(f.bob, slot + 1, 2000, f.carol.address)
         spend = IncludedTx(other, spend.blk_number, spend.proof)
     if "bad proof" in fault:
-        sibs = list(spend.proof.siblings)
-        sibs[0] = bytes(b ^ 1 for b in sibs[0])
-        spend = IncludedTx(spend.tx, spend.blk_number, Proof(tuple(sibs)))
+        spend = IncludedTx(spend.tx, spend.blk_number, flip(spend.proof))
+    if fault == "sent default":
+        # the fold is the genuine one, but no wire form sends a default
+        proof = spend.proof
+        sent = Proof(proof.bitfield | 4, proof.present + (f.contract.config.defaults[2],))
+        spend = IncludedTx(spend.tx, spend.blk_number, sent)
     before = contract_state(f.contract)
     if fault == "genuine":
         call(spend)
@@ -540,10 +548,10 @@ def spend_mutant(data, f, slot):
         tx = Transaction(slot, 2000, f.carol.address, sig)
     entry = f.commit({0: make_transfer_tx(f.bob, 0, 1, f.alice.address), slot: tx}).prove(slot)
     if kind == "sibling":
-        sibs = list(entry.proof.siblings)
+        sibs = siblings_of(entry.proof, f.contract.config.depth)
         i = data.draw(st.integers(0, len(sibs) - 1))
         sibs[i] = data.draw(st.binary(min_size=32, max_size=32).filter(lambda b: b != sibs[i]))
-        entry = IncludedTx(tx, entry.blk_number, Proof(tuple(sibs)))
+        entry = IncludedTx(tx, entry.blk_number, proof_from_siblings(sibs))
         reasons = {Reason.BAD_INCLUSION_PROOF}
     elif kind == "blk_number":
         # another coin's deposit block, or an operator block before this coin's

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flip, proof_from_siblings, siblings_of, whole
 from plasma_cash import smt
 from plasma_cash.core import Address, IncludedTx, PlasmaBlock, Transaction
 from plasma_cash.errors import (
@@ -31,6 +32,11 @@ def leaf(n: int) -> bytes:
     return hashlib.sha256(b"leaf:%d" % n).digest()
 
 
+def read_proof(data: bytes, config: SmtConfig, has_neighbor: bool) -> Proof:
+    """``data`` read as exactly one proof, as a container would read it."""
+    return whole(data, lambda r: Proof.read(r, config, has_neighbor))
+
+
 def lone(slot: int, leaf_: bytes) -> bytes:
     """A subtree's digest when ``leaf_`` at ``slot`` is its only leaf."""
     return hashlib.sha256(slot.to_bytes(8, "big") + leaf_).digest()
@@ -49,7 +55,7 @@ def reference_proof(config: SmtConfig, leaves, slot: int, node) -> Proof:
         (other,) = sibs[below][1]
         neighbor = (other, leaves[other])
         digests[below] = config.defaults[below]
-    return Proof(tuple(digests), neighbor=neighbor)
+    return proof_from_siblings(digests, neighbor)
 
 
 class DenseTree:
@@ -99,7 +105,7 @@ def test_matches_dense_oracle(depth):
         assert sparse.root == dense.root
         for slot in range(config.capacity):
             got, want = sparse.prove(slot), dense.prove(slot)
-            assert got == want and (got.low, got.top) == (want.low, want.top), slot
+            assert got == want, slot
 
 
 def test_empty_tree_root_is_top_default():
@@ -129,9 +135,7 @@ def test_perturbed_proof_fails():
     tree = SparseMerkleTree(config, random_leaves(rng, config, 40))
     proof = tree.prove(17)
     for i in range(config.depth):
-        sibs = list(proof.siblings)
-        sibs[i] = bytes(b ^ 1 for b in sibs[i])
-        assert not verify(17, tree.leaf_at(17), Proof(tuple(sibs)), tree.root, config)
+        assert not verify(17, tree.leaf_at(17), flip(proof, i), tree.root, config)
     # an inclusion holds for its own slot only
     for slot in tree.leaves:
         inclusion = tree.prove(slot)
@@ -190,9 +194,9 @@ def per_level_proof(tree: SparseMerkleTree, slot: int) -> Proof:
 @given(st.data())
 def test_prove_matches_the_per_level_lookup(data):
     """``prove`` looks up only the levels below the split height, yet gives
-    every level's sibling, the same ``top``, ``low`` and neighbour as a
-    lookup at every level: for the empty tree, occupied slots, absent slots
-    beside them and slots far outside the occupied subtree."""
+    the same bitfield, siblings and neighbour as a lookup at every level:
+    for the empty tree, occupied slots, absent slots beside them and slots
+    far outside the occupied subtree."""
     depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
     config = SmtConfig(depth=depth)
     # leaves clustered in one 2^width-slot subtree, so the split height varies
@@ -207,7 +211,7 @@ def test_prove_matches_the_per_level_lookup(data):
         slots.append((occupied[0] if occupied else base) ^ (1 << bit))
     for slot in slots:
         got, want = tree.prove(slot), per_level_proof(tree, slot)
-        assert got == want and (got.top, got.low) == (want.top, want.low), slot
+        assert got == want, slot
 
 
 def test_leaf_equal_to_default_rejected():
@@ -217,11 +221,14 @@ def test_leaf_equal_to_default_rejected():
 
 
 def test_wrong_depth_proof_rejected():
+    """A bit past the depth, or a bitfield whose set bits differ in number
+    from the present siblings, is no proof for the tree."""
     config = SmtConfig(depth=8)
-    with pytest.raises(MalformedProof):
-        verify(0, leaf(0), Proof((leaf(1),) * 7), b"\x00" * 32, config)
-    with pytest.raises(MalformedProof):
-        Proof((leaf(1),) * 7).encode(config)
+    for bad in (Proof(1 << 8, (leaf(1),)), Proof(0b11, (leaf(1),)), Proof(0, (leaf(1),))):
+        with pytest.raises(MalformedProof):
+            verify(0, leaf(0), bad, b"\x00" * 32, config)
+        with pytest.raises(MalformedProof):
+            bad.encode(config)
 
 
 # -- serialization: the bitfield form --
@@ -237,7 +244,7 @@ def test_compact_proof_size_formula():
     rng = random.Random(2)
     tree = SparseMerkleTree(config, {rng.getrandbits(64): leaf(i) for i in range(100)})
     proof = tree.prove(next(iter(tree.leaves)))
-    present = sum(sib != d for sib, d in zip(proof.siblings, config.defaults))
+    present = sum(sib != d for sib, d in zip(siblings_of(proof, 64), config.defaults))
     encoded = proof.encode(config)
     assert len(encoded) == 8 + 32 * present
     assert bin(int.from_bytes(encoded[:8], "little")).count("1") == present
@@ -249,7 +256,7 @@ def test_proof_bytes_round_trip():
     tree = SparseMerkleTree(config, random_leaves(rng, config, 30))
     for slot in (0, 9, 255):
         proof = tree.prove(slot)
-        assert Proof.decode(proof.encode(config), config) == proof
+        assert read_proof(proof.encode(config), config, proof.neighbor is not None) == proof
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,7 +266,7 @@ def test_compact_expand_round_trip(leafmap, slot):
     leaves = {s: leaf(v) for s, v in leafmap.items()}
     tree = SparseMerkleTree(config, leaves)
     proof = tree.prove(slot)
-    decoded = Proof.decode(proof.encode(config), config)
+    decoded = read_proof(proof.encode(config), config, proof.neighbor is not None)
     assert decoded == proof
     assert verify(slot, tree.leaf_at(slot), decoded, tree.root, config)
 
@@ -270,7 +277,7 @@ def test_proof_decode_rejects_bad_length():
     assert len(encoded) == 1 + 32
     for data in (b"", encoded[:-1], encoded + b"\x00", encoded + leaf(9)):
         with pytest.raises(MalformedEncoding):
-            Proof.decode(data, config)
+            read_proof(data, config, False)
 
 
 def test_bitfield_mismatch_detected():
@@ -279,7 +286,7 @@ def test_bitfield_mismatch_detected():
     does not decode."""
     config = SmtConfig(depth=4)  # 4 spare bits in the 1-byte bitfield
     sib = leaf(9)
-    assert Proof.decode(b"\x01" + sib, config).siblings == (sib,) + config.defaults[1:4]
+    assert read_proof(b"\x01" + sib, config, False) == Proof(1, (sib,))
     for bad in (
         b"\x03" + sib,  # bit 1 set, its sibling missing
         b"\x11" + sib,  # bit 4 set: past the depth
@@ -288,7 +295,7 @@ def test_bitfield_mismatch_detected():
         b"\x05" + sib + config.defaults[2],  # sent sibling is the level-2 default
     ):
         with pytest.raises(MalformedEncoding):
-            Proof.decode(bad, config)
+            read_proof(bad, config, False)
 
 
 @settings(max_examples=100, deadline=None)
@@ -297,21 +304,21 @@ def test_proof_decode_is_canonical(data):
     """Multi-byte bitfields too: any proof round-trips, every strict prefix
     fails, and so does setting any spare bit past the depth."""
     config = SmtConfig(depth=data.draw(st.sampled_from([4, 12, 64])))
-    proof = Proof(tuple(
+    proof = proof_from_siblings([
         data.draw(st.just(d) | st.binary(min_size=32, max_size=32))
         for d in config.defaults[:config.depth]
-    ))
+    ])
     encoded = proof.encode(config)
-    assert Proof.decode(encoded, config) == proof
+    assert read_proof(encoded, config, False) == proof
     for cut in range(len(encoded)):
         with pytest.raises(MalformedEncoding):
-            Proof.decode(encoded[:cut], config)
+            read_proof(encoded[:cut], config, False)
     n = config.bitfield_size
     bitfield = int.from_bytes(encoded[:n], "little")
     for bit in range(config.depth, 8 * n):
         spare = (bitfield | 1 << bit).to_bytes(n, "little")
         with pytest.raises(MalformedEncoding):
-            Proof.decode(spare + encoded[n:], config)
+            read_proof(spare + encoded[n:], config, False)
 
 
 # -- the memo of verified upper paths --
@@ -341,15 +348,40 @@ def fold(slot: int, leaf_: bytes, siblings, root: bytes, neighbor=None) -> bool:
 def test_proof_top_is_one_past_the_highest_non_default_sibling():
     config = SmtConfig(depth=64)
     tree = SparseMerkleTree(config, {s: leaf(s) for s in range(8)})
-    assert tree.prove(0).top == tree.prove(7).top == 3
-    assert tree.prove(8).top == 4  # an absent slot beside the occupied subtree
-    assert Proof.decode(tree.prove(0).encode(config), config).top == 3
-    assert SparseMerkleTree(config, {9: leaf(9)}).prove(9).top == 0
-    # equal to the defaults but not the shared objects: a higher top, same verdict
-    copies = tuple(d[:16] + d[16:] for d in config.defaults[:64])
-    assert Proof(copies).top == 64
+    assert tree.prove(0).bitfield.bit_length() == tree.prove(7).bitfield.bit_length() == 3
+    assert tree.prove(8).bitfield.bit_length() == 4  # an absent slot beside the occupied subtree
+    assert read_proof(tree.prove(0).encode(config), config, False).bitfield.bit_length() == 3
+    assert SparseMerkleTree(config, {9: leaf(9)}).prove(9).bitfield == 0
+    # every default sent: the empty tree's fold, but no wire form sends a default
+    copies = Proof((1 << 64) - 1, config.defaults[:64])
     empty = SparseMerkleTree(config, {}).root
-    assert verify(3, DEFAULT_LEAF, Proof(copies), empty, config, set())
+    assert fold(3, DEFAULT_LEAF, copies.present, empty)
+    assert not verify(3, DEFAULT_LEAF, copies, empty, config, set())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_verify_refuses_a_sent_default(data):
+    """A proof that also sends a default at a level between two of its set
+    bits, or above them, folds as the genuine one, but ``read`` and
+    ``encode`` refuse it, so ``verify`` refuses it too."""
+    config, tree, slots = clustered_tree(data, max_leaves=8)
+    known = set()
+    for slot in slots:
+        proof = tree.prove(slot)
+        low = next(smt._set_bits(proof.bitfield), config.depth)
+        clear = [i for i in range(low + 1, config.depth) if not proof.bitfield >> i & 1]
+        if not clear:
+            continue
+        level = data.draw(st.sampled_from(clear), label="level")
+        sibs = dict(zip(smt._set_bits(proof.bitfield), proof.present))
+        sibs[level] = config.defaults[level]
+        sent = Proof(proof.bitfield | 1 << level, tuple(sib for _, sib in sorted(sibs.items())), proof.neighbor)
+        assert fold(slot, tree.leaf_at(slot), siblings_of(sent, config.depth), tree.root, sent.neighbor)
+        assert verify(slot, tree.leaf_at(slot), proof, tree.root, config, known)
+        assert not verify(slot, tree.leaf_at(slot), sent, tree.root, config, known)
+        with pytest.raises(MalformedProof):
+            sent.encode(config)
 
 
 def _memo_case(data):
@@ -379,7 +411,7 @@ def test_memo_verdict_equals_the_full_fold(data):
     for one tampered at any level, a wrong leaf, a wrong slot or a wrong
     root."""
     config, tree, other, slot, known = _memo_case(data)
-    siblings = list(tree.prove(slot).siblings)
+    siblings = siblings_of(tree.prove(slot), config.depth)
     the_leaf, the_slot, root = tree.leaf_at(slot), slot, tree.root
     kind = data.draw(st.sampled_from(["genuine", "sibling", "leaf", "slot", "root"]), label="kind")
     if kind == "sibling":
@@ -391,7 +423,7 @@ def test_memo_verdict_equals_the_full_fold(data):
         the_slot = data.draw(st.integers(0, config.capacity - 1).filter(lambda s: s != slot))
     elif kind == "root":
         root = data.draw(st.sampled_from([other.root, config.defaults[config.depth]]))
-    proof = Proof(tuple(siblings))
+    proof = proof_from_siblings(siblings)
     expected = fold(the_slot, the_leaf, siblings, root)
     assert expected == (kind == "genuine")
     assert verify(the_slot, the_leaf, proof, root, config) == expected
@@ -420,9 +452,9 @@ def test_memo_hit_skips_the_shared_upper_path(monkeypatch):
         assert verify(s, leaf(s), tree.prove(s), tree.root, config, known)
         cost.append(len(calls))
     assert cost == [64] + [3] * 7 and len(known) == 1
-    sibs = list(tree.prove(0).siblings)
+    sibs = siblings_of(tree.prove(0), 64)
     sibs[40] = leaf(40)
-    assert not verify(0, leaf(0), Proof(tuple(sibs)), tree.root, config, known)
+    assert not verify(0, leaf(0), proof_from_siblings(sibs), tree.root, config, known)
 
 
 # -- lone leaves and neighbours --
@@ -478,7 +510,7 @@ def test_a_wrong_neighbor_is_refused(data):
         if proof.neighbor is None:
             continue
         other, other_leaf = proof.neighbor
-        low = proof.low
+        low = next(smt._set_bits(proof.bitfield), config.depth)
         assert verify(slot, DEFAULT_LEAF, proof, tree.root, config)
         wrong = [(slot, other_leaf), (other, leaf(-1)), (other, other_leaf[:31]),
                  (other, DEFAULT_LEAF), (config.capacity, other_leaf),
@@ -489,7 +521,7 @@ def test_a_wrong_neighbor_is_refused(data):
                   if s not in (slot, other)]
         for neighbor in wrong:
             assert not verify(slot, DEFAULT_LEAF, replace(proof, neighbor=neighbor), tree.root, config)
-            assert not fold(slot, DEFAULT_LEAF, proof.siblings, tree.root, neighbor)
+            assert not fold(slot, DEFAULT_LEAF, siblings_of(proof, config.depth), tree.root, neighbor)
 
 
 @settings(max_examples=150, deadline=None)
@@ -507,18 +539,19 @@ def test_a_neighbor_added_or_removed_is_refused(data):
         elif proof.neighbor is not None:
             other, other_leaf = proof.neighbor
             assert not verify(slot, DEFAULT_LEAF, replace(proof, neighbor=None), tree.root, config)
-            sibs = list(proof.siblings)
+            sibs = siblings_of(proof, config.depth)
             level = (slot ^ other).bit_length() - 1
             sibs[level] = lone(other, other_leaf) if level else other_leaf
-            assert not verify(slot, DEFAULT_LEAF, Proof(tuple(sibs)), tree.root, config)
+            assert not verify(slot, DEFAULT_LEAF, proof_from_siblings(sibs), tree.root, config)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_proof_decode_takes_one_neighbor_inside_the_tree(data):
-    """The tail after the siblings is empty or one neighbour of
-    ``bitfield_size + 32`` bytes whose slot is inside the tree; any other
-    length, or a slot at or past the capacity, does not decode."""
+    """Read with the neighbour flag, the tail after the siblings is one
+    neighbour of ``bitfield_size + 32`` bytes whose slot is inside the tree;
+    any other length, or a slot at or past the capacity, does not read, and
+    without the flag a neighbour is trailing bytes."""
     config = SmtConfig(depth=data.draw(st.sampled_from([4, 12, 16, 64]), label="depth"))
     size = config.bitfield_size
     slot = data.draw(st.integers(0, config.capacity - 1), label="slot")
@@ -528,20 +561,22 @@ def test_proof_decode_takes_one_neighbor_inside_the_tree(data):
     assert proof.neighbor == (slot, leaf(slot))
     encoded = proof.encode(config)
     assert len(encoded) == size + size + 32
-    decoded = Proof.decode(encoded, config)
-    assert decoded == proof and (decoded.low, decoded.top) == (config.depth, 0)
+    decoded = read_proof(encoded, config, True)
+    assert decoded == proof and decoded.bitfield == 0
     body = encoded[:size]
     for cut in range(1, size + 32):
         with pytest.raises(MalformedEncoding):
-            Proof.decode(encoded[:-cut], config)
+            read_proof(encoded[:-cut], config, True)
     for extra in (b"\x00", leaf(1), bytes(size + 33)):
         with pytest.raises(MalformedEncoding):
-            Proof.decode(encoded + extra, config)
+            read_proof(encoded + extra, config, True)
+    with pytest.raises(MalformedEncoding):
+        read_proof(encoded, config, False)
     # at depths 4 and 12 the slot bytes can name a slot past the tree
     for past in (config.capacity, (1 << 8 * size) - 1):
         if config.capacity <= past < 1 << 8 * size:
             with pytest.raises(MalformedEncoding):
-                Proof.decode(body + past.to_bytes(size, "big") + leaf(slot), config)
+                read_proof(body + past.to_bytes(size, "big") + leaf(slot), config, True)
 
 
 def test_digests_of_another_length_are_refused():
@@ -553,19 +588,19 @@ def test_digests_of_another_length_are_refused():
     # slot 1 is empty; an 8-byte level-0 sibling naming slot 0 would fold
     # an inclusion of slot 0's leaf at slot 1 to slot 0's lone digest
     tree = SparseMerkleTree(config, {0: leaf(0), 2: leaf(2)})
-    sibs = list(tree.prove(0).siblings)
+    sibs = siblings_of(tree.prove(0), config.depth)
     sibs[0] = (0).to_bytes(8, "big")
     assert fold(1, leaf(0), sibs, tree.root)
-    assert not verify(1, leaf(0), Proof(tuple(sibs)), tree.root, config)
+    assert not verify(1, leaf(0), proof_from_siblings(sibs), tree.root, config)
     # slot 0 is occupied; a 56-byte neighbour leaf would pass the internal
     # node over slots 0 and 1 off as the lone digest of slot 1
     head = (1).to_bytes(8, "big") + bytes(24)
     tree = SparseMerkleTree(config, {0: head, 1: leaf(1), 2: leaf(2)})
-    sibs = list(tree.prove(0).siblings)
+    sibs = siblings_of(tree.prove(0), config.depth)
     sibs[0] = config.defaults[0]
     neighbor = (1, head[8:] + leaf(1))
     assert fold(0, DEFAULT_LEAF, sibs, tree.root, neighbor)
-    assert not verify(0, DEFAULT_LEAF, Proof(tuple(sibs), neighbor=neighbor), tree.root, config)
+    assert not verify(0, DEFAULT_LEAF, proof_from_siblings(sibs, neighbor), tree.root, config)
 
 
 def test_a_one_leaf_tree_costs_one_hash(monkeypatch):
@@ -599,7 +634,7 @@ def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
         assert verify(s, tree.leaves[s], tree.prove(s), tree.root, config, known)
     slot = data.draw(st.sampled_from(slots), label="slot")
     proof = tree.prove(slot)
-    siblings, neighbor, root = list(proof.siblings), proof.neighbor, tree.root
+    siblings, neighbor, root = siblings_of(proof, config.depth), proof.neighbor, tree.root
     kind = data.draw(st.sampled_from(["genuine", "sibling", "neighbor", "root"]), label="kind")
     if kind == "sibling":
         level = data.draw(st.integers(0, config.depth - 1), label="level")
@@ -610,7 +645,7 @@ def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
         root = config.defaults[config.depth]
     value = tree.leaf_at(slot)
     expected = fold(slot, value, siblings, root, neighbor)
-    tampered = Proof(tuple(siblings), neighbor=neighbor)
+    tampered = proof_from_siblings(siblings, neighbor)
     assert verify(slot, value, tampered, root, config) == expected
     assert verify(slot, value, tampered, root, config, known) == expected
     assert verify(slot, value, tampered, root, config, known) == expected
@@ -622,8 +657,8 @@ def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
 @given(st.data())
 def test_proofs_match_the_per_level_lookup_on_every_call(data):
     """Every slot's proof, asked for the first time and again, in any
-    order, equals the per-level reference, ``low``, ``top`` and neighbour
-    too, shared empty proofs included."""
+    order, equals the per-level reference, bitfield, siblings and neighbour,
+    shared empty proofs included."""
     depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
     config = SmtConfig(depth=depth)
     width = data.draw(st.integers(0, depth), label="width")
@@ -640,7 +675,7 @@ def test_proofs_match_the_per_level_lookup_on_every_call(data):
     order = data.draw(st.permutations(slots + slots), label="order")
     for slot in order:
         got, want = tree.prove(slot), per_level_proof(tree, slot)
-        assert got == want and (got.top, got.low) == (want.top, want.low), slot
+        assert got == want, slot
 
 
 def test_fixed_shapes_share_the_empty_proof():
@@ -663,7 +698,7 @@ def test_fixed_shapes_share_the_empty_proof():
     for slot in (6, 7, 0, 3, 8, 15, 2**63, 2**64 - 1):
         proof = two.prove(slot)
         assert proof is by_height.setdefault((slot ^ 4).bit_length() - 1, proof)
-        assert proof == per_level_proof(two, slot) and proof.low == proof.top - 1
+        assert proof == per_level_proof(two, slot) and proof.bitfield == 1 << (slot ^ 4).bit_length() - 1
     assert sorted(by_height) == [1, 2, 3, 63]
     assert len({id(p) for p in by_height.values()}) == 4
     assert two.prove(4) is not two.prove(4)  # inclusions are built on each call
@@ -702,7 +737,7 @@ def test_block_witnesses_share_only_what_the_shape_fixes(data):
     for slot in data.draw(st.permutations(slots + slots), label="order"):
         itx, want = block.prove(slot), per_level_proof(block.tree, slot)
         tx = block.txs.get(slot)
-        assert itx == IncludedTx(tx, 1000, want) and (itx.proof.top, itx.proof.low) == (want.top, want.low)
+        assert itx == IncludedTx(tx, 1000, want)
         assert verify(slot, DEFAULT_LEAF if tx is None else tx.hash(), itx.proof, block.root, config)
         if tx is not None:
             continue
@@ -731,19 +766,34 @@ def test_config_constants_are_set_once_from_the_depth():
         assert config.capacity == 2**depth and config.bitfield_size == -(-depth // 8)
         assert config.defaults == tuple(chain) and config.defaults is twin.defaults
         empty = config.empty_proof
-        assert empty == Proof(tuple(chain[:depth])) and (empty.top, empty.low, empty.neighbor) == (0, depth, None)
+        assert empty == proof_from_siblings(chain[:depth]) == Proof(0, ())
         assert empty is twin.empty_proof
         assert config == twin and hash(config) == hash(twin) and repr(config) == f"SmtConfig(depth={depth})"
         assert config != SmtConfig(depth=depth % 64 + 1)
 
 
 def test_proof_encode_refuses_what_decode_refuses():
-    """A neighbour slot past the tree, or a neighbour leaf that is not 32
-    bytes, has no encoding that decodes: encode raises MalformedProof."""
+    """A bit at or past the depth, a count of present siblings other than
+    the set bits, a present sibling that equals its level's default or is
+    not 32 bytes, a neighbour slot past the tree, or a neighbour leaf that
+    is not 32 bytes, has no encoding that reads back: encode raises
+    MalformedProof."""
     config = SmtConfig(depth=4)
-    defaults = config.defaults[:4]
-    for neighbor in ((16, leaf(0)), (256, leaf(0)), (-1, leaf(0)), (3, leaf(0)[:31])):
+    sib = leaf(9)
+    bad = [
+        Proof(1 << 4, (sib,)),  # past the depth, inside the 1-byte bitfield
+        Proof(1 << 8, (sib,)),  # past the bitfield's bytes too
+        Proof(-1, ()),
+        Proof(0b11, (sib,)),  # fewer siblings than set bits
+        Proof(0b1, (sib, sib)),  # more
+        Proof(0, (sib,)),
+        Proof(0b1, (config.defaults[0],)),  # a sent sibling equal to its default
+        Proof(0b101, (sib, config.defaults[2])),
+        Proof(0b1, (sib[:31],)),  # not 32 bytes
+    ]
+    bad += [Proof(0, (), n) for n in ((16, leaf(0)), (256, leaf(0)), (-1, leaf(0)), (3, leaf(0)[:31]))]
+    for proof in bad:
         with pytest.raises(MalformedProof):
-            Proof(defaults, neighbor=neighbor).encode(config)
-    good = Proof(defaults, neighbor=(15, leaf(0)))
-    assert Proof.decode(good.encode(config), config) == good
+            proof.encode(config)
+    for good in (Proof(0, (), (15, leaf(0))), Proof(0b101, (sib, leaf(10)))):
+        assert read_proof(good.encode(config), config, good.neighbor is not None) == good

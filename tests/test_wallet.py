@@ -3,10 +3,12 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import flip, proof_from_siblings, siblings_of
 from plasma_cash import core, smt
 from plasma_cash.core import IncludedTx, Keyring, make_deposit_tx, make_transfer_tx
 from plasma_cash.driver import Simulation
@@ -299,13 +301,6 @@ def test_exit_with_a_withheld_witness_starts_no_exit():
 # -- verified checkpoints --
 
 
-def flip(itx):
-    """The same entry with one sibling of its proof corrupted."""
-    sibs = list(itx.proof.siblings)
-    sibs[0] = bytes(b ^ 1 for b in sibs[0])
-    return IncludedTx(itx.tx, itx.blk_number, smt.Proof(tuple(sibs)))
-
-
 def handed_over(sim, sender, slot, receiver):
     """Transfer and commit, then return the history the sender would hand
     over, leaving the sender's copy in place."""
@@ -339,7 +334,8 @@ def test_rejected_delivery_keeps_checkpoints():
     to_bob = to_dave.past(bob.marks[slot].block)
     assert not bob.receive_coin(to_bob)  # valid, but ends at Dave
     newest = max(to_bob.incl)
-    to_bob.incl[newest] = to_dave.incl[newest] = flip(to_bob.incl[newest])
+    itx = to_bob.incl[newest]
+    to_bob.incl[newest] = to_dave.incl[newest] = replace(itx, proof=flip(itx.proof))
     verdict = bob.receive_coin(to_bob)
     assert not verdict and verdict.reason is Reason.BAD_INCLUSION_PROOF
     assert not eve.receive_coin(to_dave)
@@ -361,7 +357,8 @@ def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
 
     history = handed_over(sim, "carol", slot, "bob")
     corrupted = history.past(0)
-    corrupted.incl[mark.block] = flip(corrupted.incl[mark.block])  # already verified by Bob
+    itx = corrupted.incl[mark.block]  # already verified by Bob
+    corrupted.incl[mark.block] = replace(itx, proof=flip(itx.proof))
     verified = sorted(b for b in history.incl.keys() | history.excl.keys() if b <= mark.block)
     for offered in (history, corrupted):
         verdict = bob.receive_coin(offered)
@@ -670,11 +667,11 @@ def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
     assert bob.receive_coin(first) and bob._known
     blk = max(second.incl)
     itx = second.incl[blk]
-    assert itx.proof.top == 1
-    sibs = list(itx.proof.siblings)
+    assert itx.proof.bitfield == 1
+    sibs = siblings_of(itx.proof, 64)
     sibs[5] = sibs[0]
     forged = second.past(0)
-    forged.incl[blk] = IncludedTx(itx.tx, blk, smt.Proof(tuple(sibs)))
+    forged.incl[blk] = IncludedTx(itx.tx, blk, proof_from_siblings(sibs))
     verdict = bob.receive_coin(forged)
     assert verdict.reason is Reason.BAD_INCLUSION_PROOF and f"block {blk}" in verdict.detail
     assert bob.receive_coin(second)
