@@ -43,6 +43,16 @@ def _write_report(report_json: str, path):
             fh.write(report_json + "\n")
 
 
+def _finish(report: scn.ScenarioReport, json_path):
+    """Write the report, print its verdict, any extras and its failures; exit 0 iff it passed."""
+    _write_report(report.to_json(), json_path)
+    extras = f" {report.extras}" if report.extras else ""
+    click.echo(f"{report.name}: {'PASS' if report.passed else 'FAIL'}{extras}")
+    for failure in report.failures:
+        click.echo(f"  - {failure}")
+    sys.exit(0 if report.passed else 1)
+
+
 @click.group()
 def main():
     """Deterministic plasma coin-exit simulator."""
@@ -62,12 +72,7 @@ def main():
 def run_cmd(name, maturity, bond, smt_depth, config_file, watcher, json_path):
     """Run one scripted scenario and check its expected outcome."""
     params = _params(maturity, bond, smt_depth, config_file)
-    report = scn.run(name, params=params, watcher=watcher)
-    _write_report(report.to_json(), json_path)
-    click.echo(f"{report.name}: {'PASS' if report.passed else 'FAIL'}")
-    for failure in report.failures:
-        click.echo(f"  - {failure}")
-    sys.exit(0 if report.passed else 1)
+    _finish(scn.run(name, params=params, watcher=watcher), json_path)
 
 
 @main.command("fuzz")
@@ -77,12 +82,7 @@ def run_cmd(name, maturity, bond, smt_depth, config_file, watcher, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def fuzz_cmd(steps, seed, byzantine, json_path):
     """Randomized interleaving run with invariant checking."""
-    report = scn.fuzz(steps, seed=seed, byzantine=byzantine)
-    _write_report(report.to_json(), json_path)
-    click.echo(f"{report.name}: {'PASS' if report.passed else 'FAIL'} {report.extras}")
-    for failure in report.failures:
-        click.echo(f"  - {failure}")
-    sys.exit(0 if report.passed else 1)
+    _finish(scn.fuzz(steps, seed=seed, byzantine=byzantine), json_path)
 
 
 @main.command("bench-proofs")

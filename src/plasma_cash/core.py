@@ -45,10 +45,6 @@ class Address:
     def hex(self) -> str:
         return self.id.hex()
 
-    @classmethod
-    def from_hex(cls, s: str) -> "Address":
-        return cls(bytes.fromhex(s))
-
     def __repr__(self):
         return f"Address({self.id.hex()[:8]}…)"
 
@@ -205,7 +201,9 @@ class PlasmaBlock:
     root: bytes
     tree: Optional[SparseMerkleTree] = field(repr=False, compare=False, default=None)
     config: Optional[SmtConfig] = field(repr=False, compare=False, default=None)
-    # proof.bitfield -> the one exclusion entry of each proof the tree shares
+    # proof.bitfield -> the exclusion entry last built on a proof of that
+    # bitfield, reused for that very proof: no per-slot proof has the
+    # bitfield of one the tree shares, so a shared proof keeps its entry
     _shared: Dict[int, IncludedTx] = field(repr=False, compare=False, init=False, default_factory=dict)
 
     @classmethod
@@ -227,11 +225,11 @@ class PlasmaBlock:
         tx = self.txs.get(slot)
         if self.tree is not None:
             proof = self.tree.prove(slot)
-            itx = self._shared.get(proof.bitfield) if tx is None else None
+            if tx is not None:
+                return IncludedTx(tx, self.number, proof)
+            itx = self._shared.get(proof.bitfield)
             if itx is None or itx.proof is not proof:
-                itx = IncludedTx(tx, self.number, proof)
-                if tx is None and self.tree._shared.get(proof.bitfield) is proof:
-                    self._shared[proof.bitfield] = itx
+                itx = self._shared[proof.bitfield] = IncludedTx(None, self.number, proof)
             return itx
         if tx is None:
             raise NotInDepositBlock(f"slot {slot} in deposit block {self.number}")

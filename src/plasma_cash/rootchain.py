@@ -66,7 +66,6 @@ class PendingChallenge:
     challenger: Address
     tx: IncludedTx
     bond: int
-    answered: bool = False
 
 
 @dataclass
@@ -78,6 +77,7 @@ class Exit:
     bond: int
     #: the clock from which ``finalize_exit`` settles the exit
     matures_at: int
+    #: the challenges still unanswered; a response removes its challenge
     challenges: List[PendingChallenge] = field(default_factory=list)
 
     @property
@@ -129,13 +129,7 @@ class Event:
 class PlasmaContract:
     """Single-owner state machine; all mutations go through its methods."""
 
-    def __init__(
-        self,
-        operator: Address,
-        keyring: Keyring,
-        params: ChainParams = ChainParams(),
-        initial_balances: Optional[Dict[Address, int]] = None,
-    ):
+    def __init__(self, operator: Address, keyring: Keyring, params: ChainParams = ChainParams()):
         self.operator = operator
         self.keyring = keyring
         self.params = params
@@ -146,7 +140,7 @@ class PlasmaContract:
         self.current_block = 0
         self.coins: Dict[int, CoinRecord] = {}
         self.exits: Dict[int, Exit] = {}
-        self.balances: Dict[Address, int] = dict(initial_balances or {})
+        self.balances: Dict[Address, int] = {}
         self.clock = 0
         self.value_escrow = 0
         self.bond_escrow = 0
@@ -169,6 +163,16 @@ class PlasmaContract:
 
     def _credit(self, addr: Address, amount: int):
         self.balances[addr] = self.balance_of(addr) + amount
+
+    def _take_bond(self, addr: Address, amount: int):
+        """Move a bond from ``addr``'s balance into escrow: every bond enters here."""
+        self._debit(addr, amount)
+        self.bond_escrow += amount
+
+    def _pay_bond(self, addr: Address, amount: int):
+        """Pay ``amount`` of escrowed bonds to ``addr``: every bond leaves here."""
+        self.bond_escrow -= amount
+        self._credit(addr, amount)
 
     def total_value(self) -> int:
         """Conserved quantity: account balances plus both escrows."""
@@ -290,8 +294,7 @@ class PlasmaContract:
             self._check_included(slot, parent_tx, "parent")
             self._check_spend("exit", slot, exit_tx, parent_tx, self.current_block, ParentMismatch)
 
-        self._debit(caller, bond)
-        self.bond_escrow += bond
+        self._take_bond(caller, bond)
         ex = self.exits[slot] = Exit(
             slot=slot,
             exitor=caller,
@@ -322,13 +325,10 @@ class PlasmaContract:
         witness = revealed.encode(self.config).hex()  # raises before any change
         ex = self.exits.pop(slot)
         self.coins[slot].state = CoinState.DEPOSITED
-        self.bond_escrow -= ex.bond
-        self._credit(beneficiary, ex.bond)
+        self._pay_bond(beneficiary, ex.bond)
         # pending interactive challenge bonds go back to their challengers
         for ch in ex.challenges:
-            if not ch.answered:
-                self.bond_escrow -= ch.bond
-                self._credit(ch.challenger, ch.bond)
+            self._pay_bond(ch.challenger, ch.bond)
         self._emit(
             kind,
             slot=slot,
@@ -364,8 +364,7 @@ class PlasmaContract:
         if tx.blk_number >= ex.boundary:
             kind = "parent" if ex.parent_tx is not None else "deposit exit's"
             raise NotBefore(f"challenge must precede the {kind} block {ex.boundary}")
-        self._debit(challenger, bond)
-        self.bond_escrow += bond
+        self._take_bond(challenger, bond)
         challenge_id = self._next_challenge_id
         self._next_challenge_id += 1
         ex.challenges.append(
@@ -386,19 +385,15 @@ class PlasmaContract:
     ):
         """Dismiss an interactive challenge with a direct spend of its tx."""
         ex = self._active_exit(slot)
-        challenge = next(
-            (c for c in ex.challenges if c.challenge_id == challenge_id and not c.answered),
-            None,
-        )
+        challenge = next((c for c in ex.challenges if c.challenge_id == challenge_id), None)
         if challenge is None:
             raise NoSuchChallenge(f"no unanswered challenge {challenge_id} on slot {slot}")
         self._check_spend(
             "response", slot, response, challenge.tx, ex.exit_block, NotDirectSpendOfChallenge
         )
         witness = response.encode(self.config).hex()  # raises before any change
-        challenge.answered = True
-        self.bond_escrow -= challenge.bond
-        self._credit(responder, challenge.bond)
+        ex.challenges.remove(challenge)
+        self._pay_bond(responder, challenge.bond)
         self._emit(
             "ChallengeResponded",
             slot=slot,
@@ -413,31 +408,26 @@ class PlasmaContract:
         ex = self._active_exit(slot)
         if self.clock < ex.matures_at:
             raise NotMature(f"exit matures at {ex.matures_at}, now {self.clock}")
-        unanswered = [c for c in ex.challenges if not c.answered]
         coin = self.coins[slot]
         del self.exits[slot]
-        if not unanswered:
+        if not ex.challenges:
             coin.state = CoinState.EXITED
             coin.owner = ex.exitor
-            self.bond_escrow -= ex.bond
-            self._credit(ex.exitor, ex.bond)
+            self._pay_bond(ex.exitor, ex.bond)
             self._emit("ExitFinalized", slot=slot, exitor=ex.exitor.hex)
             return "Finalized"
-        # exit bond split equally among unanswered challengers, remainder to
-        # the earliest; their challenge bonds come back
+        # exit bond split equally among the unanswered challengers, remainder
+        # to the earliest; their challenge bonds come back
         coin.state = CoinState.DEPOSITED
-        self.bond_escrow -= ex.bond
-        share = ex.bond // len(unanswered)
-        remainder = ex.bond - share * len(unanswered)
-        for i, ch in enumerate(unanswered):
-            self._credit(ch.challenger, share + (remainder if i == 0 else 0))
-            self.bond_escrow -= ch.bond
-            self._credit(ch.challenger, ch.bond)
+        share = ex.bond // len(ex.challenges)
+        remainder = ex.bond - share * len(ex.challenges)
+        for i, ch in enumerate(ex.challenges):
+            self._pay_bond(ch.challenger, ch.bond + share + (remainder if i == 0 else 0))
         self._emit(
             "ExitCancelled",
             slot=slot,
             exitor=ex.exitor.hex,
-            challengers=[c.challenger.hex for c in unanswered],
+            challengers=[c.challenger.hex for c in ex.challenges],
         )
         return "CancelledByChallenge"
 

@@ -52,7 +52,8 @@ DENOM = 5  # the value of every scripted scenario's coin
 
 class _Run:
     """One run: the simulation, the balances it started from and the
-    failures seen so far, with the moves the scripted scenarios repeat."""
+    failures seen so far, with the moves the scripted scenarios and the
+    fuzz share."""
 
     def __init__(self, name: str, sim: Simulation, actors: Iterable[str]):
         self.name = name
@@ -62,9 +63,14 @@ class _Run:
             sim.actor(actor)
         self.before = sim.balances_snapshot()
 
+    def note(self, message: str):
+        """Record a failure; a run keeps its first 20."""
+        if len(self.failures) < 20:
+            self.failures.append(message)
+
     def expect(self, cond: bool, message: str):
         if not cond:
-            self.failures.append(message)
+            self.note(message)
 
     def expect_raises(self, exc_type, op, message: str):
         try:
@@ -72,9 +78,9 @@ class _Run:
         except exc_type:
             return
         except Exception as exc:  # wrong error is also a failure
-            self.failures.append(f"{message} (got {type(exc).__name__})")
+            self.note(f"{message} (got {type(exc).__name__})")
             return
-        self.failures.append(f"{message} (no error raised)")
+        self.note(f"{message} (no error raised)")
 
     def expect_delta(self, name: str, delta: int, message: str):
         """``name``'s balance has moved by exactly ``delta`` since the start."""
@@ -89,16 +95,18 @@ class _Run:
             bool(self.sim.deliver(sender, slot, receiver)), f"{receiver} must accept the history"
         )
 
+    def include(self, tx: Transaction) -> PlasmaBlock:
+        """A colluding operator includes ``tx`` unchecked in a new block."""
+        self.expect(self.sim.operator.inject_raw_tx(tx).accepted, "the operator must include the tx")
+        return self.sim.commit_block()
+
     def spend(self, sender: str, slot: int, parent_block: int, receiver: str) -> PlasmaBlock:
         """``sender`` signs a spend of the coin's output at ``parent_block``
-        straight to a colluding operator, which includes it unchecked in a
-        new block."""
+        straight to the operator, which includes it."""
         sim = self.sim
-        tx = make_transfer_tx(sim.actor(sender).signer, slot, parent_block, sim.address(receiver))
-        self.expect(
-            sim.operator.inject_raw_tx(tx).accepted, f"the operator includes {sender}'s spend"
+        return self.include(
+            make_transfer_tx(sim.actor(sender).signer, slot, parent_block, sim.address(receiver))
         )
-        return sim.commit_block()
 
     def challenged(self, kinds: List[str], who: str):
         """Run the watchers: exactly the challenges ``kinds`` succeed."""
@@ -121,13 +129,23 @@ class _Run:
         self.sim.run_watchers()
         self.settle(name, slot)
 
-    def theft_settles(self, thief: str, slot: int):
+    def cancelled(self, slot: int, kind: str):
+        """The exit of ``slot`` is gone, its coin reopened and ``kind`` logged."""
+        contract = self.sim.contract
+        self.expect(slot not in contract.exits, "exit must be cancelled")
+        self.expect(
+            contract.coins[slot].state is CoinState.DEPOSITED, "coin must return to DEPOSITED"
+        )
+        self.expect(kind in self.sim.event_kinds(), f"{kind} must be logged")
+
+    def theft_settles(self, thief: str, slot: int) -> ScenarioReport:
         """With no watcher, the fraudulent exit matures and pays the thief."""
         self.settle(thief, slot)
         self.expect(
             self.sim.contract.coins[slot].owner != self.sim.ledger.true_owner(slot),
             "attack success: the withdrawer is not the true owner",
         )
+        return self.report()
 
     def report(self, extras: Optional[dict] = None) -> ScenarioReport:
         sim = self.sim
@@ -190,19 +208,13 @@ def scenario_s2(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim.exit_with("alice", slot, None, sim.contract.coins[slot].deposit_block)
 
     if not watcher:
-        run.theft_settles("alice", slot)
-        return run.report()
+        return run.theft_settles("alice", slot)
     run.challenged(["after"], "Bob")
-    run.expect(slot not in sim.contract.exits, "exit must be cancelled")
-    run.expect(
-        sim.contract.coins[slot].state is CoinState.DEPOSITED,
-        "coin must return to DEPOSITED",
-    )
+    run.cancelled(slot, "ChallengedAfter")
     run.expect_delta(
         "alice", -DENOM - params.bond_amount, "Alice loses deposit value and her slashed bond"
     )
     run.expect_delta("bob", params.bond_amount, "Bob is paid Alice's bond")
-    run.expect("ChallengedAfter" in sim.event_kinds(), "challenge must be logged")
     # Bob can still settle his coin afterwards
     run.exit_and_withdraw("bob", slot)
     return run.report()
@@ -225,13 +237,11 @@ def scenario_s3(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim.exit_with("charlie", slot, deposit_block, double_block.number)
 
     if not watcher:
-        run.theft_settles("charlie", slot)
-        return run.report()
+        return run.theft_settles("charlie", slot)
     run.challenged(["between"], "Bob")
-    run.expect(slot not in sim.contract.exits, "exit must be cancelled")
+    run.cancelled(slot, "ChallengedBetween")
     run.expect_delta("charlie", -params.bond_amount, "Charlie loses his bond")
     run.expect_delta("bob", params.bond_amount, "Bob is paid Charlie's bond")
-    run.expect("ChallengedBetween" in sim.event_kinds(), "challenge must be logged")
     run.expect(
         sim.ledger.true_owner(slot) == sim.address("bob"),
         "ground truth: the earliest owner keeps the coin",
@@ -251,14 +261,7 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     deposit_block = sim.contract.coins[slot].deposit_block
 
     # operator includes a forged Alice -> Bob spend (garbage signature)
-    forged = Transaction(
-        slot=slot,
-        parent_block=deposit_block,
-        new_owner=sim.address("bob"),
-        signature=bytes(52),
-    )
-    sim.operator.inject_raw_tx(forged)
-    forged_block = sim.commit_block()
+    forged_block = run.include(Transaction(slot, deposit_block, sim.address("bob"), bytes(52)))
 
     # Bob's spend builds on the forgery, and Charlie forwards it to Dylan
     charlie_block = run.spend("bob", slot, forged_block.number, "charlie")
@@ -274,8 +277,7 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     run.expect(not verdict.accepted, "the forged history must not verify")
 
     if not watcher:
-        run.theft_settles("dylan", slot)
-        return run.report()
+        return run.theft_settles("dylan", slot)
     run.challenged(["before"], "Alice")
     challenge_id = sim.contract.exits[slot].challenges[0].challenge_id
     # the only would-be response is the forged spend, which cannot recover
@@ -292,10 +294,7 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
         sim.finalize(slot) == "CancelledByChallenge",
         "exit must die with an unanswered challenge",
     )
-    run.expect(
-        sim.contract.coins[slot].state is CoinState.DEPOSITED,
-        "coin must return to DEPOSITED",
-    )
+    run.cancelled(slot, "ExitCancelled")
     run.expect_delta("dylan", -params.bond_amount, "Dylan loses his exit bond")
     run.expect_delta(
         "alice",
@@ -354,7 +353,7 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     revealed = sim.operator.blocks[block.number].prove(slot)
     sim.contract.challenge_after(sim.operator.address, slot, revealed)
 
-    run.expect(slot not in sim.contract.exits, "exit must be cancelled")
+    run.cancelled(slot, "ChallengedAfter")
     run.expect_delta(
         "alice",
         -DENOM - params.bond_amount,
@@ -430,26 +429,21 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
     pending: Dict[int, Tuple[str, str]] = {}  # slot -> (sender, receiver), in submission order
     frozen: set = set()  # coins with tainted history: exit-only
     stale_credentials: List = []  # (slot, parent_block) the attacker can re-spend
-    attacker_deposits: Dict[int, int] = {}  # slot -> deposit block
     deliveries = rejected = 0
     withdrawn = 0  # coins withdrawn so far; settle_exits makes every withdrawal
     prev_states: Dict[int, CoinState] = {}
 
     addr_to_name = {sim.address(n): n for n in actors}
 
-    def note(v: str):
-        if len(run.failures) < 20:
-            run.failures.append(v)
-
     live_slots: List[int] = []  # coins not yet withdrawn; slots are minted sequentially
     sweep = count()
 
     def check_invariants(full: bool = False):
         if sim.contract.total_value() != total0:
-            note(f"value not conserved: {sim.contract.total_value()} != {total0}")
+            run.note(f"value not conserved: {sim.contract.total_value()} != {total0}")
         for a, bal in sim.contract.balances.items():
             if bal < 0:
-                note(f"negative balance for {a}")
+                run.note(f"negative balance for {a}")
         coins = sim.contract.coins
         for slot in range(len(prev_states), len(coins)):
             prev_states[slot] = coins[slot].state
@@ -463,7 +457,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
             prev = prev_states[slot]
             if prev is not state:
                 if (prev, state) not in _LEGAL_TRANSITIONS:
-                    note(f"illegal transition {prev} -> {state} on slot {slot}")
+                    run.note(f"illegal transition {prev} -> {state} on slot {slot}")
                 prev_states[slot] = state
             if state is not CoinState.WITHDRAWN:
                 still.append(slot)
@@ -471,12 +465,8 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
             live_slots[:] = still
 
     def do_deposit():
-        if len(sim.contract.coins) - withdrawn >= 25:
-            return
-        name = rng.choice(actors)
-        slot = sim.deposit(name, rng.randint(1, 9))
-        if name == attacker:
-            attacker_deposits[slot] = sim.contract.coins[slot].deposit_block
+        if len(sim.contract.coins) - withdrawn < 25:
+            sim.deposit(rng.choice(actors), rng.randint(1, 9))
 
     def free(slot: int) -> bool:
         """Not exiting or settled, no delivery pending."""
@@ -528,23 +518,23 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
         if choice < 0.5 and stale_credentials:
             # double spend an old parent to self, then exit with it
             slot, parent_block = rng.choice(stale_credentials)
-            if not free(slot):
-                return
-            double = make_transfer_tx(
-                sim.wallets[attacker].signer, slot, parent_block, sim.address(attacker)
-            )
-            if not sim.operator.inject_raw_tx(double).accepted:
-                return
-            block = sim.commit_block()
-            sim.run_watchers()
-            exit_as(lambda: sim.exit_with(attacker, slot, parent_block, block.number))
-        elif attacker_deposits:
-            # exit a deposited coin the attacker has since spent away
-            slot = rng.choice(sorted(attacker_deposits))
-            if not free(slot):
-                return
-            deposit_block = attacker_deposits[slot]
-            exit_as(lambda: sim.exit_with(attacker, slot, None, deposit_block))
+            if free(slot):  # so no spend of the slot awaits this block
+                block = run.spend(attacker, slot, parent_block, attacker)
+                sim.run_watchers()
+                exit_as(lambda: sim.exit_with(attacker, slot, parent_block, block.number))
+            return
+        # exit a deposited coin the attacker has since spent away
+        mine = sim.address(attacker)
+        deposits = [coin for coin in sim.contract.coins.values() if coin.depositor == mine]
+        if deposits:
+            coin = rng.choice(deposits)  # slots are minted, hence listed, in order
+            if free(coin.slot):
+                exit_as(lambda: sim.exit_with(attacker, coin.slot, None, coin.deposit_block))
+
+    def robbed(slot: int) -> bool:
+        """The contract's owner of ``slot`` is not its true owner, an honest actor."""
+        true_owner = sim.ledger.true_owner(slot)
+        return sim.contract.coins[slot].owner != true_owner and addr_to_name.get(true_owner) in honest
 
     def settle_exits():
         nonlocal withdrawn
@@ -555,10 +545,8 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
             check_invariants()  # observe the post-finalization state too
             if outcome != "Finalized":
                 continue
-            true_owner = sim.ledger.true_owner(slot)
             owner_name = addr_to_name.get(sim.contract.coins[slot].owner)
-            if sim.contract.coins[slot].owner != true_owner and addr_to_name.get(true_owner) in honest:
-                note(f"honest coin {slot} finalized to {owner_name}")
+            run.expect(not robbed(slot), f"honest coin {slot} finalized to {owner_name}")
             if owner_name is not None:
                 sim.withdraw(owner_name, slot)
                 withdrawn += 1
@@ -582,12 +570,9 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
     # end of run: every withdrawn coin must have gone to its true owner
     # unless the true owner is the attacker itself
     for slot, coin in sim.contract.coins.items():
-        if coin.state is CoinState.WITHDRAWN:
-            true_owner = sim.ledger.true_owner(slot)
-            if coin.owner != true_owner and addr_to_name.get(true_owner) in honest:
-                note(f"slot {slot} withdrawn by the wrong party")
-    if not byzantine and rejected:
-        note(f"{rejected} honest deliveries rejected")
+        if coin.state is CoinState.WITHDRAWN and robbed(slot):
+            run.note(f"slot {slot} withdrawn by the wrong party")
+    run.expect(byzantine or not rejected, f"{rejected} honest deliveries rejected")
 
     return run.report(
         extras={

@@ -167,7 +167,7 @@ class Wallet:
         # otherwise stake a bonded claim that the coin's history is invalid,
         # once per live exit: a restarted exit is a new exit to challenge
         mine = self.last_inclusion(slot)
-        staked = any(c.challenger == self.address and not c.answered for c in ex.challenges)
+        staked = any(c.challenger == self.address for c in ex.challenges)
         if mine.blk_number < ex.boundary and not staked:
             bond = self.contract.params.bond_amount
             return self._attempt("before", slot, self.contract.challenge_before, mine, bond)

@@ -48,7 +48,7 @@ def test_address_validation():
     Address(b"\x01" * 20)
     with pytest.raises(ValueError):
         Address(b"\x01" * 19)
-    assert Address.from_hex("ab" * 20).hex == "ab" * 20
+    assert Address(bytes.fromhex("ab" * 20)).hex == "ab" * 20
 
 
 def test_tx_hash_excludes_signature(keyring):

@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it never uses."""
+"""Source hygiene: no package module imports a name it never uses, and
+no private name is defined that the package never reads."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,51 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str):
+    """Private module-level functions, classes and constants ``source``
+    defines, and the private methods of its classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(n.name for n in node.body if isinstance(n, ast.FunctionDef))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str):
+    """Every name and attribute ``source`` loads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_unread_private_names_are_found():
+    source = (
+        "_LIMIT = 3\n"
+        "_unused: int = 4\n"
+        "def _helper(): return _LIMIT\n"
+        "class _Gone:\n"
+        "    def _stale(self): pass\n"
+        "    def _live(self): return _helper()\n"
+        "    def __repr__(self): return self._live()\n"
+    )
+    assert private_definitions(source) - names_read(source) == {"_unused", "_Gone", "_stale"}
+
+
+PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE.glob("*.py")))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_defines_a_private_name_the_package_never_reads(module):
+    assert sorted(private_definitions((PACKAGE / module).read_text()) - PACKAGE_READS) == []

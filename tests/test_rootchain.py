@@ -58,16 +58,11 @@ class Fixture:
         self.bob = self.keyring.new_signer("bob")
         self.carol = self.keyring.new_signer("carol")
         self.mallory = self.keyring.new_signer("mallory")
-        balances = {
-            s.address: 10_000
-            for s in (self.operator, self.alice, self.bob, self.carol, self.mallory)
-        }
         self.contract = PlasmaContract(
-            operator=self.operator.address,
-            keyring=self.keyring,
-            params=params,
-            initial_balances=balances,
+            operator=self.operator.address, keyring=self.keyring, params=params
         )
+        for s in (self.operator, self.alice, self.bob, self.carol, self.mallory):
+            self.contract.balances[s.address] = 10_000
         self.blocks = {}
 
     def commit(self, txs):
@@ -274,7 +269,7 @@ def test_challenge_between_window_enforced(fx):
 
 def contract_state(contract):
     """Everything a move may change; ``repr`` reaches into each exit, so a
-    challenge marked answered shows too."""
+    challenge added or removed shows too."""
     return (dict(contract.balances), contract.value_escrow, contract.bond_escrow,
             repr(contract.exits), [c.state for c in contract.coins.values()],
             len(contract.events))
@@ -667,6 +662,37 @@ def test_answered_challenge_before_lets_exit_finalize(fx):
     fx.contract.advance_time(PARAMS.maturity_period)
     assert fx.contract.finalize_exit(fx.slot) == "Finalized"
     assert fx.contract.balance_of(fx.alice.address) == 9_995 - BOND  # lost the bond, 5 still deposited
+
+
+def test_an_answered_challenge_is_gone_and_pays_once(fx):
+    """A response takes its challenge off the exit and pays its bond once:
+    a second response with the same id finds no challenge and changes
+    nothing, and after each move escrow holds exactly the exit bond and
+    the bonds of the challenges still listed."""
+    contract = fx.contract
+    carol_exit(fx)
+
+    def listed():
+        ex = contract.exits[fx.slot]
+        assert contract.bond_escrow == ex.bond + sum(c.bond for c in ex.challenges)
+        return [c.challenge_id for c in ex.challenges]
+
+    deposit = fx.witness(fx.slot, fx.dep_block)
+    answered = contract.challenge_before(fx.alice.address, fx.slot, deposit, BOND)
+    pending = contract.challenge_before(fx.bob.address, fx.slot, deposit, BOND)
+    assert listed() == [answered, pending]
+    response = fx.witness(fx.slot, 1000)
+    contract.respond_challenge_before(fx.carol.address, fx.slot, answered, response)
+    assert listed() == [pending]
+    before = contract_state(contract)
+    with pytest.raises(NoSuchChallenge):
+        contract.respond_challenge_before(fx.carol.address, fx.slot, answered, response)
+    assert contract_state(contract) == before and listed() == [pending]
+    contract.respond_challenge_before(fx.carol.address, fx.slot, pending, response)
+    assert listed() == []
+    assert contract.balance_of(fx.carol.address) == 10_000 - BOND + 2 * BOND
+    contract.advance_time(PARAMS.maturity_period)
+    assert contract.finalize_exit(fx.slot) == "Finalized" and contract.bond_escrow == 0
 
 
 def test_challenge_before_window_and_bond(fx):
