@@ -59,7 +59,7 @@ def main():
 
 
 @main.command("run")
-@click.option("--scenario", "name", required=True, help="scenario name (S1..S5)")
+@click.option("--scenario", "name", required=True, type=click.Choice(sorted(scn.SCENARIOS)))
 @click.option("--maturity", type=int, default=None, help="maturity period override")
 @click.option("--bond", type=int, default=None, help="bond amount override")
 @click.option("--smt-depth", type=int, default=None, help="tree depth override")

@@ -201,9 +201,8 @@ class PlasmaBlock:
     root: bytes
     tree: Optional[SparseMerkleTree] = field(repr=False, compare=False, default=None)
     config: Optional[SmtConfig] = field(repr=False, compare=False, default=None)
-    # proof.bitfield -> the exclusion entry last built on a proof of that
-    # bitfield, reused for that very proof: no per-slot proof has the
-    # bitfield of one the tree shares, so a shared proof keeps its entry
+    # proof.bitfield -> the exclusion entry on the proof the tree shares
+    # under it; an entry on a per-slot proof is built afresh, as is its proof
     _shared: Dict[int, IncludedTx] = field(repr=False, compare=False, init=False, default_factory=dict)
 
     @classmethod
@@ -229,7 +228,9 @@ class PlasmaBlock:
                 return IncludedTx(tx, self.number, proof)
             itx = self._shared.get(proof.bitfield)
             if itx is None or itx.proof is not proof:
-                itx = self._shared[proof.bitfield] = IncludedTx(None, self.number, proof)
+                itx = IncludedTx(None, self.number, proof)
+                if self.tree.shares(proof):
+                    self._shared[proof.bitfield] = itx
             return itx
         if tx is None:
             raise NotInDepositBlock(f"slot {slot} in deposit block {self.number}")

@@ -40,6 +40,7 @@ class Simulation:
         self.contract.balances[self.operator_signer.address] = self.initial_balance
         self.wallets: Dict[str, Wallet] = {}
         self.ledger = self.operator.ledger
+        self._synced = 0  # history blocks when a watcher pass last synced every log
 
     # -- actors --
 
@@ -111,15 +112,21 @@ class Simulation:
 
     def run_watchers(self):
         """Each wallet syncs its coins (best effort) and challenges any
-        fraudulent exits it can prove wrong."""
+        fraudulent exits it can prove wrong.  No wallet syncs when no history
+        block was committed since the last pass whose syncs all succeeded:
+        every log then covers them all, since an accepted history covers
+        every one up to the tip, a deposit starts at the tip, and logs only grow."""
         actions = []
+        tip = len(self.contract.operator_blocks)
+        stale = tip != self._synced
         for wallet in self.wallets.values():
-            for slot in list(wallet.coins):
+            for slot in list(wallet.coins) if stale else ():
                 try:
                     wallet.sync(slot, self.operator.get_witness)
                 except PlasmaError:
-                    pass  # withheld witnesses cannot block watching
+                    tip = None  # withheld witnesses cannot block watching; the next pass retries
             actions.extend(wallet.watch_and_challenge())
+        self._synced = tip
         return actions
 
     def advance_time(self, dt: int = 1):

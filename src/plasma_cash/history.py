@@ -4,11 +4,12 @@ A coin's history partitions its own deposit block and every operator block
 committed after it into inclusions (the coin moved) and exclusions (proof
 the slot was empty).  A deposit block's root is its one deposit
 transaction's hash, so other coins' deposit blocks are left out: the coin
-cannot be in one (see ``RootView``).  The verifier walks that partition:
-the deposit entry first, then each spend must be included
-(``RootView.inclusion_fault``, the contract's check too) and spend the
-previous inclusion's output (``core.spend_fault``); every other block must
-prove the slot empty.
+cannot be in one.  So is every block whose root is the empty-tree root,
+which proves every slot empty by itself (see ``RootView``).  The verifier
+walks that partition: the deposit entry first, then each spend must be
+included (``RootView.inclusion_fault``, the contract's check too) and spend
+the previous inclusion's output (``core.spend_fault``); every other block
+must prove the slot empty.
 
 A receiver that verified a coin up to a block keeps a ``Mark`` there and is
 handed only the later entries, so a hand-off costs the same however old the coin is.
@@ -60,8 +61,9 @@ def reject(reason: Reason, detail: str = "") -> Verdict:
 @dataclass
 class RootView:
     """The committed roots on the root chain, and the numbers of the
-    operator blocks among them in ascending order.  The contract keeps one
-    view over its own dict and list, so the view stays current.
+    operator blocks among them whose root is not the empty-tree root, in
+    ascending order.  The contract keeps one view over its own dict and
+    list, so the view stays current.
 
     A coin's history covers its own deposit block and every operator block
     after it, never another coin's deposit block.  That is sound because:
@@ -82,6 +84,13 @@ class RootView:
 
     An operator, Byzantine or not, commits no deposit root, so skipping
     those blocks hides nothing it could have put there.
+
+    Nor does a history cover an operator block whose root is the empty-tree
+    root ``defaults[depth]``, which the contract does not list: that root
+    alone proves every slot empty, since no inclusion folds to it without a
+    SHA-256 collision (a lone digest hashes 40 bytes, an internal node 64);
+    every contract move takes inclusions only, so no exit changes; and a
+    withheld empty block can force no protective exit.
     """
 
     roots: Dict[int, bytes]

@@ -135,7 +135,9 @@ class PlasmaContract:
         self.params = params
         self.config = params.smt_config
         self.roots: Dict[int, bytes] = {}
-        self.operator_blocks: List[int] = []  # ascending: submit_block counts up
+        # ascending (submit_block counts up): every operator block whose root
+        # is not the empty-tree root, the blocks a coin history covers
+        self.operator_blocks: List[int] = []
         self.view = RootView(self.roots, self.operator_blocks)
         self.current_block = 0
         self.coins: Dict[int, CoinRecord] = {}
@@ -258,7 +260,9 @@ class PlasmaContract:
             raise NotOperator("only the registered operator commits roots")
         number = self.next_operator_block
         self.roots[number] = root
-        self.operator_blocks.append(number)
+        if root != self.config.defaults[self.config.depth]:
+            # the empty-tree root proves every slot empty: no history lists it
+            self.operator_blocks.append(number)
         self.current_block = number
         self._emit("BlockSubmitted", block=number, root=root.hex())
         return number

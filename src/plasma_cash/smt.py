@@ -332,6 +332,10 @@ class SparseMerkleTree:
                 neighbor = (other, self.leaves[other])
         return Proof(bitfield, tuple(present), neighbor)
 
+    def shares(self, proof: Proof) -> bool:
+        """Whether ``prove`` serves this very proof to every slot of its shape."""
+        return self._shared.get(proof.bitfield) is proof
+
 
 #: Keys ``(root, level, index, node)`` of subtree nodes ``verify`` folded
 #: up to ``root`` with default siblings only.

@@ -16,10 +16,12 @@ from .history import (
     ACCEPT,
     CoinHistory,
     Mark,
+    Reason,
     Verdict,
     WitnessSource,
     extend_history,
     find_spend,
+    reject,
     valid_tip,
     verify_history,
 )
@@ -100,11 +102,14 @@ class Wallet:
     def receive_coin(self, history: CoinHistory) -> Verdict:
         """Audit an incoming coin and accept it only when it is valid and ends
         here.  A coin with a mark must come as exactly its entries past the
-        mark; a Merkle path above a subtree already folded to the same root
-        is not hashed again.  A refusal leaves the log and mark as they were."""
+        mark, under the coin's own deposit block; a Merkle path above a
+        subtree already folded to the same root is not hashed again.  A
+        refusal leaves the log and mark as they were."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
+        if history.deposit_block != coin.deposit_block:  # it places the partition
+            return reject(Reason.BAD_DEPOSIT_PROOF, "not the coin's deposit block")
         mark = self.marks.get(history.slot)
         verdict = verify_history(
             history, self.contract.view, coin.depositor, self.keyring, self.config, mark, self._known

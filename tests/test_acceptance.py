@@ -280,7 +280,10 @@ def test_history_verifier_corpus():
 
 
 def test_history_size_scales_linearly():
-    """Serialized witness volume grows linearly in blocks since deposit."""
+    """Serialized witness volume grows linearly in blocks since deposit.
+    The exclusions are built by hand from an empty tree's proof and encoded
+    directly: the contract lists no block whose root is the empty-tree root,
+    so this sizes each entry's framing, not a history the contract asks for."""
     config = SmtConfig(depth=64)
     keyring = Keyring()
     alice = keyring.new_signer("alice")

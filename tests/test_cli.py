@@ -16,8 +16,10 @@ def test_run_scenario():
 
 
 def test_run_unknown_scenario_fails():
+    """An unknown scenario is a usage error that names the known ones."""
     result = CliRunner().invoke(main, ["run", "--scenario", "S9"])
-    assert result.exit_code != 0
+    assert result.exit_code == 2 and result.exception.__class__ is SystemExit
+    assert all(name in result.output for name in ("S1", "S2", "S3", "S4", "S5"))
 
 
 def test_run_json_report(tmp_path):

@@ -108,18 +108,26 @@ def test_block_numbering_interleaves_deposits():
 
 def test_contract_records_its_operator_blocks():
     """Deposits skip the interval multiples and operator blocks take only
-    those; the contract records every operator block and no deposit block,
-    and a history runs from the coin's deposit over operator blocks only."""
+    those; the contract lists every operator block that holds a transaction
+    (here a spend of coin 0) and no deposit block, and a history runs from
+    the coin's deposit over listed operator blocks only.  A block with no
+    transaction is committed but not listed: its root proves every slot empty."""
     f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
     numbers = [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)]
-    assert numbers == [1, 2, 3] and f.commit({}).number == 4
+    spend = {0: make_transfer_tx(f.alice, 0, 1, f.bob.address)}
+    assert numbers == [1, 2, 3] and f.commit(spend).number == 4
     numbers = [f.contract.deposit(f.bob.address, 1)[1] for _ in range(4)]
-    assert numbers == [5, 6, 7, 9] and f.commit({}).number == 12
+    spend = {0: make_transfer_tx(f.bob, 0, 4, f.carol.address)}
+    assert numbers == [5, 6, 7, 9] and f.commit(spend).number == 12
     view = f.contract.view
     assert f.contract.operator_blocks == view.operator_blocks == [4, 12]
     assert view.history_blocks(1) == [1, 4, 12]
     assert view.history_blocks(6) == [6, 12]
     assert view.history_blocks(6, after=6) == [12]
+    empty = f.commit({})
+    assert empty.number == 16 and view.roots[16] == empty.root == f.contract.config.defaults[16]
+    assert view.operator_blocks == [4, 12] and view.history_blocks(6, after=12) == []
+    assert not view.is_operator_block(16)
 
 
 def test_deposit_moves_value_to_escrow():
@@ -521,6 +529,74 @@ def test_every_move_checks_a_spend_in_one_order(move, fault):
     assert contract_state(f.contract) == before
 
 
+@pytest.mark.parametrize("move", list(LINK_ERROR))
+def test_no_move_takes_a_spend_at_an_empty_block(move):
+    """Block 1000 of ``spend_move`` holds no transaction, so its root is the
+    empty-tree root and the contract does not list it.  Bob's genuine spend
+    filed there, with its own proof or with the empty proof, is refused
+    with BadProof by every move that takes a spend, and nothing changes."""
+    f, slot, call = spend_move(move, "genuine")
+    assert f.contract.roots[1000] == f.contract.config.defaults[16]
+    assert 1000 not in f.contract.operator_blocks
+    genuine = f.witness(slot, 3000)
+    for proof in (genuine.proof, f.contract.config.empty_proof):
+        before = contract_state(f.contract)
+        with pytest.raises(BadProof, match="block 1000 is not the coin's deposit or an operator"):
+            call(IncludedTx(genuine.tx, 1000, proof))
+        assert contract_state(f.contract) == before
+    call(genuine)
+
+
+def test_no_exit_parent_or_challenge_at_an_empty_block(fx):
+    """Block 2000 of ``fx`` holds no transaction.  An exit whose parent is
+    filed there, and a bonded challenge filed there, are refused with
+    BadProof, with a genuine entry's proof or with the empty proof."""
+    empty_proof = fx.contract.config.empty_proof
+    parent, deposit = fx.witness(fx.slot, 1000), fx.witness(fx.slot, fx.dep_block)
+    before = contract_state(fx.contract)
+    for proof in (parent.proof, empty_proof):
+        with pytest.raises(BadProof, match="parent block 2000 is not the coin's deposit"):
+            fx.contract.start_exit(
+                fx.carol.address, fx.slot, IncludedTx(parent.tx, 2000, proof),
+                fx.witness(fx.slot, 3000), BOND,
+            )
+    assert contract_state(fx.contract) == before
+    carol_exit(fx)
+    for tx in (deposit.tx, parent.tx):
+        with pytest.raises(BadProof, match="challenge block 2000 is not the coin's deposit"):
+            fx.contract.challenge_before(
+                fx.alice.address, fx.slot, IncludedTx(tx, 2000, empty_proof), BOND
+            )
+    assert fx.contract.exits[fx.slot].challenges == []
+
+
+def test_no_history_covers_an_empty_block(fx):
+    """Carol's history covers the deposit block, 1000 and 3000, not the
+    empty block 2000.  An entry at 2000, exclusion or inclusion, is a
+    partition gap; an inclusion filed under 3000 that names 2000 is a bad
+    inclusion; and a history whose deposit block is 2000 is a bad deposit."""
+    c, slot = fx.contract, fx.slot
+    incl = {n: fx.witness(slot, n) for n in (fx.dep_block, 1000, 3000)}
+
+    def audit(deposit_block, incl, excl=None):
+        history = CoinHistory(slot, deposit_block, incl, excl or {})
+        return verify_history(history, c.view, fx.alice.address, fx.keyring, c.config)
+
+    assert audit(fx.dep_block, incl) == ACCEPT
+    assert c.view.history_blocks(fx.dep_block) == [fx.dep_block, 1000, 3000]
+    moved = IncludedTx(incl[3000].tx, 2000, incl[3000].proof)
+    for entries in ((incl, {2000: fx.witness(slot, 2000)}), ({**incl, 2000: moved},)):
+        verdict = audit(fx.dep_block, *entries)
+        assert verdict.reason is Reason.PARTITION_GAP and "extra=[2000]" in verdict.detail
+    verdict = audit(fx.dep_block, {**incl, 3000: moved})
+    assert verdict.reason is Reason.BAD_INCLUSION_PROOF
+    fault = c.view.inclusion_fault(moved, slot, fx.dep_block, fx.alice.address, c.config)
+    assert fault == "block 2000 is not the coin's deposit or an operator block"
+    deposit = IncludedTx(incl[fx.dep_block].tx, 2000, c.config.empty_proof)
+    verdict = audit(2000, {2000: deposit, 3000: incl[3000]})
+    assert verdict.reason is Reason.BAD_DEPOSIT_PROOF
+
+
 def spend_mutant(data, f, slot):
     """Bob's spend of 2000 to Carol, committed at 3000 beside a spend of coin
     0, with one field changed: the transaction the operator includes, or the
@@ -796,18 +872,21 @@ def test_value_is_conserved_through_a_full_dispute(fx):
 
 
 def test_history_blocks_past_the_last_operator_block():
-    """Nothing past the last operator block: an empty list, or the coin's
-    own deposit block when the history has not covered it yet."""
+    """Nothing past the last listed operator block: an empty list, or the
+    coin's own deposit block when the history has not covered it yet.  A
+    later block with no transaction changes neither."""
     f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
     assert [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)] == [1, 2, 3]
-    assert f.commit({}).number == 4
+    assert f.commit({0: make_transfer_tx(f.alice, 0, 1, f.bob.address)}).number == 4
     deposit = f.contract.deposit(f.bob.address, 1)[1]
     view = f.contract.view
-    assert view.history_blocks(3) == [3, 4] and view.history_blocks(1, after=3) == [4]
-    assert view.history_blocks(1, after=4) == view.history_blocks(1, after=9) == []
-    assert view.history_blocks(deposit) == [deposit]
-    assert view.history_blocks(deposit, after=deposit) == []
-    assert view.history_blocks(1) == [1, 4]
+    for _ in range(2):
+        assert view.history_blocks(3) == [3, 4] and view.history_blocks(1, after=3) == [4]
+        assert view.history_blocks(1, after=4) == view.history_blocks(1, after=9) == []
+        assert view.history_blocks(deposit) == [deposit]
+        assert view.history_blocks(deposit, after=deposit) == []
+        assert view.history_blocks(1) == [1, 4]
+        assert f.commit({}).number in view.roots and view.operator_blocks == [4]
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+from plasma_cash import smt
 from plasma_cash.errors import UnknownScenario
+from plasma_cash.operator_node import PlasmaOperator
 from plasma_cash.scenarios import SCENARIOS, fuzz, run
+from plasma_cash.wallet import Wallet
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -56,6 +59,48 @@ def test_fuzz_smoke_honest():
 def test_fuzz_smoke_byzantine():
     report = fuzz(300, seed=5, byzantine=True)
     assert report.passed, report.failures
+
+
+@pytest.mark.parametrize(
+    "byzantine, pinned",
+    [
+        (False, {"verifies": 4070, "witnesses": 2924, "syncs": 3234, "cached": 131}),
+        (True, {"verifies": 3869, "witnesses": 3054, "syncs": 3267, "cached": 139}),
+    ],
+)
+def test_fuzz_spends_nothing_on_empty_blocks(monkeypatch, byzantine, pinned):
+    """In fuzz(1000, seed=0) no proof is verified against the empty-tree
+    root, since no history lists a block with no transaction; the counts of
+    verifies, witnesses fetched, wallet syncs and exclusion entries the
+    blocks cache are pinned."""
+    counts, blocks = {key: 0 for key in pinned}, []
+    verify, get_witness, sync = smt.verify, PlasmaOperator.get_witness, Wallet.sync
+    produce = PlasmaOperator.produce_block
+    empty_roots = []
+
+    def counted_verify(slot, leaf, proof, root, config, known=None):
+        counts["verifies"] += 1
+        if root == config.defaults[config.depth]:
+            empty_roots.append(slot)
+        return verify(slot, leaf, proof, root, config, known)
+
+    def counted(key, method):
+        def call(self, *args):
+            counts[key] += 1
+            return method(self, *args)
+        return call
+
+    def kept(operator, number):
+        blocks.append(produce(operator, number))
+        return blocks[-1]
+
+    monkeypatch.setattr(smt, "verify", counted_verify)
+    monkeypatch.setattr(PlasmaOperator, "get_witness", counted("witnesses", get_witness))
+    monkeypatch.setattr(Wallet, "sync", counted("syncs", sync))
+    monkeypatch.setattr(PlasmaOperator, "produce_block", kept)
+    assert fuzz(1000, seed=0, byzantine=byzantine).passed
+    counts["cached"] = sum(len(block._shared) for block in blocks)
+    assert empty_roots == [] and counts == pinned
 
 
 def test_fuzz_deterministic_per_seed():

@@ -712,7 +712,8 @@ def test_block_witnesses_share_only_what_the_shape_fixes(data):
     at an occupied slot.  Each shape the tree fixes is one object per block:
     one entry for every slot of the empty tree, one for every other slot of
     a one-leaf tree, one per height at or above the split; every other
-    entry is built on each request."""
+    entry is built on each request, and the block caches only the shared
+    entries, each of which a later request gets again."""
     depth = data.draw(st.sampled_from([4, 16, 64]), label="depth")
     config = SmtConfig(depth=depth)
     if data.draw(st.booleans(), label="clustered"):
@@ -750,6 +751,7 @@ def test_block_witnesses_share_only_what_the_shape_fixes(data):
         else:
             assert itx is not block.prove(slot), slot
     assert len({id(itx) for itx in shared.values()}) == len(shared)
+    assert sorted(map(id, block._shared.values())) == sorted(map(id, shared.values()))
     if len(occupied) < 2 and len(slots) > len(occupied):
         assert list(shared) == ["all"]
 

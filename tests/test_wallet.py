@@ -298,6 +298,69 @@ def test_exit_with_a_withheld_witness_starts_no_exit():
     assert sim.balances_snapshot() == before
 
 
+def test_a_withheld_empty_block_blocks_nothing():
+    """A block with no transaction proves every slot empty by its root
+    alone, so no history lists it: with the coin's witness there withheld,
+    Bob still syncs and hands the coin to Carol, who exits from her own
+    history and withdraws; no owner is driven to a protective exit."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    empty = sim.commit_block().number
+    sim.operator.withhold(slot, empty)
+    with pytest.raises(WitnessUnavailable):
+        sim.operator.get_witness(slot, empty)
+    sim.actor("bob").sync(slot, sim.operator.get_witness)
+    assert settled_transfer(sim, "bob", slot, "carol")
+    assert empty not in sim.actor("carol").logs[slot].excl
+    sim.start_exit("carol", slot)
+    assert sim.run_watchers() == [] and list(sim.contract.exits) == [slot]
+    assert finish_exit(sim, slot) == "Finalized"
+    assert sim.withdraw("carol", slot) == 5
+
+
+def test_a_watcher_pass_syncs_only_after_a_new_history_block(monkeypatch):
+    """After a pass whose syncs all succeeded every log covers every
+    history block, so a pass with none committed since fetches no witness,
+    however many empty blocks were.  A pass with a withheld witness leaves
+    the next pass syncing every coin again, until one succeeds."""
+    sim = make_sim()
+    a, b, c = slots = [sim.deposit(name, 5) for name in ("alice", "bob", "carol")]
+    synced, fetched = [], []
+    sync, get_witness = Wallet.sync, sim.operator.get_witness
+
+    def counted_sync(wallet, slot, witness):
+        synced.append(slot)
+        return sync(wallet, slot, witness)
+
+    def counted_witness(slot, number):
+        fetched.append((slot, number))
+        return get_witness(slot, number)
+
+    monkeypatch.setattr(Wallet, "sync", counted_sync)
+    monkeypatch.setattr(sim.operator, "get_witness", counted_witness)
+
+    def watch():
+        synced.clear()
+        fetched.clear()
+        sim.run_watchers()
+        return sorted(synced), sorted(fetched)
+
+    assert watch() == ([], [])  # a deposit starts at the tip
+    assert settled_transfer(sim, "alice", a, "bob")  # 1000: Bob's log covers it
+    assert watch() == (slots, [(b, 1000), (c, 1000)])
+    sim.commit_block()
+    assert watch() == ([], []) and watch() == ([], [])
+    _, receipt = sim.transfer("bob", a, "carol")
+    assert receipt.accepted and sim.commit_block().number == 3000
+    sim.operator.withhold(b, 3000)
+    assert watch() == (slots, [(a, 3000), (b, 3000), (c, 3000)])
+    assert watch() == (slots, [(b, 3000)])  # in full again: the last pass failed
+    sim.operator.withheld.clear()
+    assert watch() == (slots, [(b, 3000)])
+    assert watch() == ([], [])
+
+
 # -- verified checkpoints --
 
 
@@ -340,6 +403,39 @@ def test_rejected_delivery_keeps_checkpoints():
     assert not verdict and verdict.reason is Reason.BAD_INCLUSION_PROOF
     assert not eve.receive_coin(to_dave)
     assert log_state(bob, slot) == kept and eve.logs == eve.marks == {}
+
+
+def test_a_returning_coin_names_its_own_deposit_block():
+    """A history handed to a wallet with a mark is placed by its deposit
+    block: a later one would cut the blocks between the mark and it out of
+    the partition.  Rose pays Sam, Sam pays Tom; a colluding operator
+    re-includes Rose's spend, then Sam's spend of it back to Rose, and Sam
+    hands Rose those blocks as a coin deposited at the first, or at an
+    empty block before it.  Rose refuses both and keeps her log and mark."""
+    sim = make_sim()
+    slot = sim.deposit("dave", 5)
+    assert settled_transfer(sim, "dave", slot, "rose")
+    to_sam, _ = sim.transfer("rose", slot, "sam")
+    sim.commit_block()
+    assert sim.deliver("rose", slot, "sam")
+    assert settled_transfer(sim, "sam", slot, "tom")
+    empty = sim.commit_block().number
+    assert sim.operator.inject_raw_tx(to_sam)
+    again = sim.commit_block().number
+    to_rose = make_transfer_tx(sim.actor("sam").signer, slot, again, sim.address("rose"))
+    assert sim.operator.inject_raw_tx(to_rose)
+    back = sim.commit_block().number
+    rose, witness = sim.actor("rose"), sim.operator.get_witness
+    kept = log_state(rose, slot)
+    incl = {n: witness(slot, n) for n in (again, back)}
+    for forged in (
+        CoinHistory(slot, again, incl),
+        CoinHistory(slot, empty, incl, {empty: witness(slot, empty)}),
+    ):
+        verdict = rose.receive_coin(forged)
+        assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+    assert log_state(rose, slot) == kept and not rose.owns(slot)
+    assert sim.ledger.true_owner(slot) == sim.address("tom")
 
 
 def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
@@ -606,15 +702,22 @@ def test_one_coin_blocks_leave_the_memo_empty():
 @pytest.mark.parametrize("others", [0, 50])
 def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
     """A fresh receiver checks the coin's deposit entry by hash equality and
-    verifies one proof per operator block since; other coins' deposit
-    blocks, here interleaved with those operator blocks, cost it nothing."""
+    verifies one proof per listed operator block since, here each holding a
+    spend of another coin; other coins' deposit blocks, interleaved with
+    those operator blocks, and blocks with no transaction, which the
+    contract does not list, cost it nothing."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
-    for _ in range(2):
+    other = sim.deposit("carol", 1)
+    empty = []
+    for sender, receiver in (("carol", "dave"), ("dave", "carol")):
         for _ in range(others // 2):
             sim.deposit("dave", 1)
-        sim.commit_block()
+        assert settled_transfer(sim, sender, other, receiver)
+        empty.append(sim.commit_block().number)
+    assert not set(empty) & set(sim.contract.operator_blocks)
     history = handed_over(sim, "alice", slot, "bob")
+    assert not set(empty) & set(history.excl)
     counts.clear()
     assert sim.actor("bob").receive_coin(history)
     assert counts["verifies"] == 3
