@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .core import Address, Keyring, PlasmaBlock, Transaction
-from .errors import NotOwned, PlasmaError
+from .errors import PlasmaError
 from .history import Verdict
 from .operator_node import PlasmaOperator, TxReceipt
 from .rootchain import ChainParams, PlasmaContract
@@ -91,9 +91,7 @@ class Simulation:
     def start_exit(self, name: str, slot: int):
         """Exit with the wallet's last valid inclusion and its parent."""
         wallet = self.actor(name)
-        if not wallet.owns(slot):
-            raise NotOwned(f"{name} does not hold slot {slot}")
-        exit_tx = wallet.last_inclusion(slot)
+        exit_tx = wallet.last_inclusion(slot)  # NotOwned unless the wallet holds the coin
         parent = exit_tx.tx.parent_block
         parent_tx = None if exit_tx.tx.is_deposit else wallet.coins[slot].incl[parent]
         self.contract.start_exit(wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount)

@@ -26,14 +26,14 @@ class LeafEqualsDefault(PlasmaError):
     pass
 
 
-class MalformedProof(PlasmaError):
-    pass
-
-
 # --- encodings ---
 
 class MalformedEncoding(PlasmaError):
     pass
+
+
+class MalformedProof(MalformedEncoding):
+    """A proof with no wire form, refused when it is built or encoded."""
 
 
 # --- blocks ---
@@ -134,6 +134,10 @@ class UnknownCoin(PlasmaError):
 
 
 class InsufficientBalance(PlasmaError):
+    pass
+
+
+class BadDenomination(PlasmaError):
     pass
 
 

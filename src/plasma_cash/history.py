@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import smt
 from .core import UNLINKED, Address, IncludedTx, Keyring, Reader, deposit_fault, spend_fault
-from .errors import MalformedEncoding, MissingRoot, PlasmaError
+from .errors import MalformedEncoding, MissingRoot
 from .smt import SmtConfig, uint
 
 
@@ -130,11 +130,8 @@ class RootView:
             return deposit_fault(itx, slot, depositor, self.roots[number], config)
         if tx.is_deposit:
             return f"is a deposit transaction at operator block {number}"
-        try:
-            if smt.verify(slot, tx.hash(), itx.proof, self.roots[number], config, known):
-                return None
-        except PlasmaError:
-            pass
+        if smt.verify(slot, tx.hash(), itx.proof, self.roots[number], config, known):
+            return None
         return "inclusion proof invalid"
 
 
@@ -271,12 +268,8 @@ def verify_history(
         itx = excl[blk]
         if itx.tx is not None or itx.blk_number != blk:
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: not an exclusion")
-        try:
-            if smt.verify(slot, smt.DEFAULT_LEAF, itx.proof, view.roots[blk], config, known):
-                continue
-        except PlasmaError:
-            pass
-        return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
+        if not smt.verify(slot, smt.DEFAULT_LEAF, itx.proof, view.roots[blk], config, known):
+            return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
 
     return ACCEPT
 

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from .core import Address, IncludedTx, Keyring, make_deposit_tx, PlasmaBlock, spend_fault
 from .errors import (
+    BadDenomination,
     BadProof,
     BadSignature,
     CoinNotExitable,
@@ -223,7 +224,7 @@ class PlasmaContract:
         """Lock value, mint a coin, and append its one-transaction block,
         whose root is the deposit transaction's hash."""
         if denomination <= 0:
-            raise ValueError("denomination must be positive")
+            raise BadDenomination(f"denomination must be positive, got {denomination}")
         if self._next_slot >= self.config.capacity:
             raise SlotOutOfRange(f"all 2^{self.config.depth} slots are minted")
         self._debit(depositor, denomination)

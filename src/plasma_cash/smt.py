@@ -16,14 +16,18 @@ A proof is its wire form: a bitfield whose bit i is set when the level-i
 sibling is not that level's default, the siblings so marked, and for an
 exclusion beside a lone coin that coin's ``(slot, leaf)``, its neighbour.
 Below the lowest set bit, ``low``, the slot's subtree holds at most one
-leaf: the slot's own, none, or the neighbour.
+leaf: the slot's own, none, or the neighbour.  A proof's form is decided
+once, when it is built (``Proof.__post_init__``); only the two faults that
+depend on the depth, a bit past it and a neighbour slot outside the tree,
+are tested where the depth is known.  ``verify`` answers every input with
+True or False and never raises.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, Optional, Set, Tuple
 
 from .errors import (
@@ -112,10 +116,9 @@ def _set_bits(bitfield: int):
         bitfield ^= bit
 
 
-def _check_frame(bitfield: int, present: Tuple[bytes, ...], depth: int):
-    """Raise MalformedProof unless ``bitfield`` sets a bit below ``depth`` per sibling."""
-    if bitfield < 0 or bitfield >> depth or len(present) != bitfield.bit_count():
-        raise MalformedProof(f"bitfield {bitfield:#x} does not frame {len(present)} siblings")
+#: Each level's default digest: DEFAULTS[0] is the empty leaf, DEFAULTS[i]
+#: the root of an empty subtree of height i, whatever the tree's depth.
+DEFAULTS = tuple(accumulate(range(64), lambda node, _: hash_pair(node, node), initial=DEFAULT_LEAF))
 
 
 @dataclass(frozen=True)
@@ -136,41 +139,47 @@ class Proof:
     present: Tuple[bytes, ...]
     neighbor: Optional[Tuple[int, bytes]] = None
 
+    def __post_init__(self):
+        """Refuse with MalformedProof what no tree of any depth can send: a
+        negative bitfield or a bit at 64 or above, a count of siblings other
+        than the set bits, a sibling that is not 32 bytes or equals its
+        level's default, a negative neighbour slot and a neighbour leaf that
+        is not 32 bytes.  So every proof has one wire form and folds only
+        32-byte digests."""
+        bitfield, present, neighbor = self.bitfield, self.present, self.neighbor
+        if not 0 <= bitfield < 1 << 64 or len(present) != bitfield.bit_count():
+            raise MalformedProof(f"bitfield {bitfield:#x} does not frame {len(present)} siblings")
+        rest = bitfield  # walked inline, not by _set_bits: every proof built pays this
+        for sib in present:
+            bit, rest = rest & -rest, rest & (rest - 1)
+            if len(sib) != DIGEST_SIZE or sib == DEFAULTS[bit.bit_length() - 1]:
+                raise MalformedProof(f"sibling at bit {bit:#x} is not 32 bytes or is the default")
+        if neighbor is not None and (neighbor[0] < 0 or len(neighbor[1]) != DIGEST_SIZE):
+            raise MalformedProof(f"neighbour slot {neighbor[0]} is negative or its leaf not 32 bytes")
+
     def encode(self, config: SmtConfig) -> bytes:
-        """What ``read`` refuses is not written: a bit at or past the depth,
-        a count of siblings other than the set bits, a sibling that is not
-        32 bytes or equals its level's default, and a neighbour slot outside
-        the tree or neighbour leaf that is not 32 bytes raise MalformedProof."""
-        bitfield, present = self.bitfield, self.present
-        _check_frame(bitfield, present, config.depth)
-        for i, sib in zip(_set_bits(bitfield), present):
-            if len(sib) != DIGEST_SIZE or sib == config.defaults[i]:
-                raise MalformedProof(f"level-{i} sibling is not 32 bytes or is the default")
-        out = [bitfield.to_bytes(config.bitfield_size, "little"), *present]
-        if self.neighbor is not None:
-            other, leaf = self.neighbor
-            if not 0 <= other < config.capacity:
-                raise MalformedProof(f"neighbour slot {other} outside 2^{config.depth} space")
-            if len(leaf) != DIGEST_SIZE:
-                raise MalformedProof(f"neighbour leaf of {len(leaf)} bytes, not {DIGEST_SIZE}")
-            out += [other.to_bytes(config.bitfield_size, "big"), leaf]
+        """A bit at or past the depth, or a neighbour slot outside the tree,
+        has no encoding that ``read`` takes back: it raises MalformedProof."""
+        neighbor = self.neighbor
+        if self.bitfield >> config.depth or neighbor is not None and neighbor[0] >= config.capacity:
+            raise MalformedProof(f"proof does not fit a tree of depth {config.depth}")
+        out = [self.bitfield.to_bytes(config.bitfield_size, "little"), *self.present]
+        if neighbor is not None:
+            out += [neighbor[0].to_bytes(config.bitfield_size, "big"), neighbor[1]]
         return b"".join(out)
 
     @classmethod
     def read(cls, r: Reader, config: SmtConfig, has_neighbor: bool) -> "Proof":
         """Read one proof at the cursor; its container's kind byte says
-        whether a neighbour follows.  A bit past the depth or a sent sibling
-        equal to its default would give a second encoding of one proof, so
-        both raise MalformedEncoding; so does a neighbour slot outside the
-        tree."""
+        whether a neighbour follows.  A bit past the depth, a neighbour slot
+        outside the tree, and a sent sibling equal to its default (refused
+        by the constructor with MalformedProof, a kind of MalformedEncoding)
+        would each give a second encoding of one proof."""
         size = config.bitfield_size
         bitfield = int.from_bytes(r.take(size), "little")
         if bitfield >> config.depth:
             raise MalformedEncoding("proof: bitfield bit set past the tree depth")
         present = tuple(r.take(DIGEST_SIZE) for _ in range(bitfield.bit_count()))
-        for i, sib in zip(_set_bits(bitfield), present):
-            if sib == config.defaults[i]:
-                raise MalformedEncoding(f"proof: level-{i} sibling sent but is the default")
         neighbor = None
         if has_neighbor:
             other = int.from_bytes(r.take(size), "big")
@@ -184,12 +193,13 @@ class Proof:
 class SmtConfig:
     """Tree shape: its height.  Empty slots hold ``DEFAULT_LEAF``.  Its
     constants are set once, outside the dataclass fields, so equality, hash
-    and ``repr`` see only ``depth``: ``capacity``, ``defaults`` (defaults[0]
-    is the empty leaf, defaults[depth] the empty-tree root) and
-    ``bitfield_size``.  ``empty_proof``, a lone leaf's path, names no
-    sibling, so one proof serves every depth."""
+    and ``repr`` see only ``depth``: ``capacity`` and ``bitfield_size``.
+    Two serve every depth: ``defaults``, the module's ``DEFAULTS`` chain
+    (defaults[depth] is the empty-tree root), and ``empty_proof``, a lone
+    leaf's path, which names no sibling."""
 
     depth: int = 64
+    defaults = DEFAULTS
     empty_proof = Proof(0, ())
 
     def __post_init__(self):
@@ -197,16 +207,7 @@ class SmtConfig:
         if not 1 <= depth <= 64:
             raise ValueError(f"depth must be in [1, 64], got {depth}")
         object.__setattr__(self, "capacity", 1 << depth)
-        object.__setattr__(self, "defaults", _default_chain(depth))
         object.__setattr__(self, "bitfield_size", (depth + 7) // 8)
-
-
-@lru_cache(maxsize=None)
-def _default_chain(depth: int) -> Tuple[bytes, ...]:
-    chain = [DEFAULT_LEAF]
-    for _ in range(depth):
-        chain.append(hash_pair(chain[-1], chain[-1]))
-    return tuple(chain)
 
 
 class SparseMerkleTree:
@@ -359,9 +360,10 @@ def verify(
     an exclusion, or the lone digest of the neighbour.  A neighbour is
     refused on an inclusion, and when it is the slot itself or lies outside
     the slot's subtree at ``low`` (so also past the tree).  From ``low`` up,
-    bit i of the slot picks the side at level i.  A bitfield that does not
-    frame the present siblings below the depth raises MalformedProof; a
-    sibling ``encode`` refuses (not 32 bytes, or its default) is refused.
+    bit i of the slot picks the side at level i.  A slot outside the tree,
+    or a bit at or past the depth, is refused; the proof's constructor has
+    refused every other malformed field, so ``verify`` answers every input
+    with True or False and raises nothing.
 
     Above ``top``, one past the highest set bit, every sibling is its
     level's default, so the rest of the fold depends only on the node
@@ -377,46 +379,36 @@ def verify(
     """
     depth = config.depth
     bitfield, present = proof.bitfield, proof.present
-    _check_frame(bitfield, present, depth)
-    if not 0 <= slot < config.capacity:
-        raise SlotOutOfRange(str(slot))
+    if bitfield >> depth or not 0 <= slot < config.capacity:
+        return False
     # hash_pair is looked up once a call, so a hook patched in before the
     # call still sees every hash
     hash_ = hash_pair
-    defaults = config.defaults
     low = (bitfield & -bitfield).bit_length() - 1 if bitfield else depth
     top = bitfield.bit_length()
     if proof.neighbor is not None:
         other, other_leaf = proof.neighbor
-        if (
-            leaf != DEFAULT_LEAF
-            or other == slot
-            or other >> low != slot >> low
-            or len(other_leaf) != DIGEST_SIZE
-        ):
+        if leaf != DEFAULT_LEAF or other == slot or other >> low != slot >> low:
             return False
         node = lone_digest(other, other_leaf)
     elif leaf == DEFAULT_LEAF:
-        node = defaults[low]
+        node = DEFAULTS[low]
     else:
         node = lone_digest(slot, leaf) if low else leaf
     if low == depth:
         return node == root
-    # each level's sibling, and what it may not be: a sent one, its default
-    sibs, forbidden = present, defaults[low:top]
-    if len(present) != top - low:  # defaults, checked against b"", fill clear levels
-        sibs, forbidden = list(forbidden), [b""] * (top - low)
+    sibs = present
+    if len(present) != top - low:  # clear levels between low and top fold their default
+        sibs = list(DEFAULTS[low:top])
         for i, sib in zip(_set_bits(bitfield), present):
-            sibs[i - low], forbidden[i - low] = sib, defaults[i]
-    for i, sib, default in zip(range(low, top), sibs, forbidden):
-        if len(sib) != DIGEST_SIZE or sib == default:
-            return False
+            sibs[i - low] = sib
+    for i, sib in zip(range(low, top), sibs):
         node = hash_(sib, node) if (slot >> i) & 1 else hash_(node, sib)
     index = slot >> top
     key = (root, top, index, node)
     if known is not None and key in known:
         return True
-    for sib in defaults[top:depth]:
+    for sib in DEFAULTS[top:depth]:
         node = hash_(sib, node) if index & 1 else hash_(node, sib)
         index >>= 1
     if node != root:

@@ -17,10 +17,12 @@ from plasma_cash.core import (
     make_transfer_tx,
 )
 from plasma_cash.errors import (
+    BadDenomination,
     BadProof,
     BadSignature,
     CoinNotExitable,
     InsufficientBalance,
+    MalformedProof,
     NoActiveExit,
     NoSuchChallenge,
     NotBefore,
@@ -140,11 +142,15 @@ def test_deposit_moves_value_to_escrow():
 
 
 def test_deposit_rejects_bad_amounts():
+    """A denomination of zero or below raises BadDenomination, one past the
+    depositor's balance InsufficientBalance; neither moves a balance or the
+    escrow, mints a coin or takes a block number."""
     f = Fixture()
-    with pytest.raises(ValueError):
-        f.contract.deposit(f.alice.address, 0)
-    with pytest.raises(InsufficientBalance):
-        f.contract.deposit(f.alice.address, 10_001)
+    before = (contract_state(f.contract), f.contract.current_block)
+    for amount, error in ((0, BadDenomination), (-3, BadDenomination), (10_001, InsufficientBalance)):
+        with pytest.raises(error):
+            f.contract.deposit(f.alice.address, amount)
+        assert (contract_state(f.contract), f.contract.current_block) == before
 
 
 def test_deposit_past_capacity_changes_nothing():
@@ -436,7 +442,8 @@ LINK_ERROR = {
 }
 RANGE_ERROR = dict(LINK_ERROR, challenge_between=NotBetween)
 # each fault, and the move's error for it: the first of the checks in
-# order, inclusion, parent link, range, signer, when a spend has two faults
+# order, inclusion, parent link, range, signer, when a spend has two faults;
+# a proof that sends a default is refused before any move, when it is built
 SPEND_FAULTS = {
     "wrong slot": lambda move: BadProof,
     "bad proof": lambda move: BadProof,
@@ -447,7 +454,7 @@ SPEND_FAULTS = {
     "bad proof, wrong parent": lambda move: BadProof,
     "wrong parent, out of range": LINK_ERROR.get,
     "out of range, wrong signer": RANGE_ERROR.get,
-    "sent default": lambda move: BadProof,
+    "sent default": lambda move: MalformedProof,
 }
 
 
@@ -505,26 +512,32 @@ def spend_move(move, fault):
 def test_every_move_checks_a_spend_in_one_order(move, fault):
     """One spend per fault for each of the four moves that take a spend:
     each move raises its own error for the fault that comes first in the
-    one order, and a refusal changes nothing; the genuine spend is taken."""
+    one order, and a refusal changes nothing; the genuine spend is taken.
+    A spend whose proof sends a default never reaches the move: its proof
+    cannot be built."""
     f, slot, call = spend_move(move, fault)
-    spend = f.witness(slot, 1000 if "out of range" in fault else 3000)
-    if fault == "wrong slot":
-        other = make_transfer_tx(f.bob, slot + 1, 2000, f.carol.address)
-        spend = IncludedTx(other, spend.blk_number, spend.proof)
-    if "bad proof" in fault:
-        spend = IncludedTx(spend.tx, spend.blk_number, flip(spend.proof))
-    if fault == "sent default":
-        # the fold is the genuine one, but no wire form sends a default
-        proof = spend.proof
-        sent = Proof(proof.bitfield | 4, proof.present + (f.contract.config.defaults[2],))
-        spend = IncludedTx(spend.tx, spend.blk_number, sent)
+
+    def spend():
+        spend = f.witness(slot, 1000 if "out of range" in fault else 3000)
+        if fault == "wrong slot":
+            other = make_transfer_tx(f.bob, slot + 1, 2000, f.carol.address)
+            spend = IncludedTx(other, spend.blk_number, spend.proof)
+        if "bad proof" in fault:
+            spend = IncludedTx(spend.tx, spend.blk_number, flip(spend.proof))
+        if fault == "sent default":
+            # the fold would be the genuine one, but no proof sends a default
+            proof = spend.proof
+            sent = Proof(proof.bitfield | 4, proof.present + (f.contract.config.defaults[2],))
+            spend = IncludedTx(spend.tx, spend.blk_number, sent)
+        return spend
+
     before = contract_state(f.contract)
     if fault == "genuine":
-        call(spend)
+        call(spend())
         assert contract_state(f.contract) != before
         return
     with pytest.raises(PlasmaError) as err:
-        call(spend)
+        call(spend())
     assert type(err.value) is SPEND_FAULTS[fault](move), str(err.value)
     assert contract_state(f.contract) == before
 

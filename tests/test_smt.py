@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip, proof_from_siblings, siblings_of, whole
+from conftest import flip, fold, fold_root, lone, proof_from_siblings, siblings_of, whole
 from plasma_cash import smt
 from plasma_cash.core import Address, IncludedTx, PlasmaBlock, Transaction
 from plasma_cash.errors import (
@@ -35,11 +35,6 @@ def leaf(n: int) -> bytes:
 def read_proof(data: bytes, config: SmtConfig, has_neighbor: bool) -> Proof:
     """``data`` read as exactly one proof, as a container would read it."""
     return whole(data, lambda r: Proof.read(r, config, has_neighbor))
-
-
-def lone(slot: int, leaf_: bytes) -> bytes:
-    """A subtree's digest when ``leaf_`` at ``slot`` is its only leaf."""
-    return hashlib.sha256(slot.to_bytes(8, "big") + leaf_).digest()
 
 
 def reference_proof(config: SmtConfig, leaves, slot: int, node) -> Proof:
@@ -165,13 +160,13 @@ def test_slot_bounds():
 
 def test_verify_rejects_out_of_range_slots():
     """Slots 5 + 256 and -251 share slot 5's low 8 bits, so without a range
-    check both would fold slot 5's proof to the root."""
+    check both would fold slot 5's proof to the root; ``verify`` answers
+    False."""
     config = SmtConfig(depth=8)
     tree = SparseMerkleTree(config, {5: leaf(5)})
     assert verify(5, leaf(5), tree.prove(5), tree.root, config)
     for slot in (5 + 256, -251):
-        with pytest.raises(SlotOutOfRange):
-            verify(slot, leaf(5), tree.prove(5), tree.root, config)
+        assert verify(slot, leaf(5), tree.prove(5), tree.root, config) is False
 
 
 def per_level_proof(tree: SparseMerkleTree, slot: int) -> Proof:
@@ -221,14 +216,26 @@ def test_leaf_equal_to_default_rejected():
 
 
 def test_wrong_depth_proof_rejected():
-    """A bit past the depth, or a bitfield whose set bits differ in number
-    from the present siblings, is no proof for the tree."""
+    """A bit past the depth is no proof for the tree: a depth-9 proof is
+    refused at depth 8, even against the root it folds to, and has no
+    depth-8 encoding; nor does a stray bit at the depth, which would leave
+    nothing to fold, pass a lone leaf's digest off as the root.  A bitfield whose set bits differ in
+    number from the present siblings is no proof at all: it cannot be
+    built."""
     config = SmtConfig(depth=8)
-    for bad in (Proof(1 << 8, (leaf(1),)), Proof(0b11, (leaf(1),)), Proof(0, (leaf(1),))):
+    deeper = SparseMerkleTree(SmtConfig(depth=9), {0: leaf(0), 256: leaf(1)})
+    proof = deeper.prove(0)
+    assert proof == Proof(1 << 8, (lone(256, leaf(1)),))
+    assert verify(0, leaf(0), proof, deeper.root, deeper.config)
+    assert verify(0, leaf(0), proof, deeper.root, config) is False
+    with pytest.raises(MalformedProof):
+        proof.encode(config)
+    alone = SparseMerkleTree(config, {0: leaf(0)})
+    assert verify(0, leaf(0), config.empty_proof, alone.root, config)
+    assert verify(0, leaf(0), Proof(1 << 8, (leaf(1),)), alone.root, config) is False
+    for bitfield, present in ((0b11, (leaf(1),)), (0, (leaf(1),))):
         with pytest.raises(MalformedProof):
-            verify(0, leaf(0), bad, b"\x00" * 32, config)
-        with pytest.raises(MalformedProof):
-            bad.encode(config)
+            Proof(bitfield, present)
 
 
 # -- serialization: the bitfield form --
@@ -324,27 +331,6 @@ def test_proof_decode_is_canonical(data):
 # -- the memo of verified upper paths --
 
 
-def fold(slot: int, leaf_: bytes, siblings, root: bytes, neighbor=None) -> bool:
-    """Reference verifier: start at the lowest non-default sibling from the
-    digest of the slot's subtree there, then hash every level, no
-    shortcut."""
-    defaults = SmtConfig(depth=len(siblings)).defaults
-    low = next((i for i, (s, d) in enumerate(zip(siblings, defaults)) if s != d), len(siblings))
-    if neighbor is not None:
-        other, other_leaf = neighbor
-        if leaf_ != DEFAULT_LEAF or other == slot or other >> low != slot >> low:
-            return False
-        node = lone(other, other_leaf)
-    elif leaf_ == DEFAULT_LEAF:
-        node = defaults[low]
-    else:
-        node = lone(slot, leaf_) if low else leaf_
-    for i in range(low, len(siblings)):
-        sib = siblings[i]
-        node = hash_pair(sib, node) if (slot >> i) & 1 else hash_pair(node, sib)
-    return node == root
-
-
 def test_proof_top_is_one_past_the_highest_non_default_sibling():
     config = SmtConfig(depth=64)
     tree = SparseMerkleTree(config, {s: leaf(s) for s in range(8)})
@@ -352,19 +338,19 @@ def test_proof_top_is_one_past_the_highest_non_default_sibling():
     assert tree.prove(8).bitfield.bit_length() == 4  # an absent slot beside the occupied subtree
     assert read_proof(tree.prove(0).encode(config), config, False).bitfield.bit_length() == 3
     assert SparseMerkleTree(config, {9: leaf(9)}).prove(9).bitfield == 0
-    # every default sent: the empty tree's fold, but no wire form sends a default
-    copies = Proof((1 << 64) - 1, config.defaults[:64])
+    # every default sent: the empty tree's fold, but no proof sends a default
     empty = SparseMerkleTree(config, {}).root
-    assert fold(3, DEFAULT_LEAF, copies.present, empty)
-    assert not verify(3, DEFAULT_LEAF, copies, empty, config, set())
+    assert fold(3, DEFAULT_LEAF, config.defaults[:64], empty)
+    with pytest.raises(MalformedProof):
+        Proof((1 << 64) - 1, config.defaults[:64])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_verify_refuses_a_sent_default(data):
     """A proof that also sends a default at a level between two of its set
-    bits, or above them, folds as the genuine one, but ``read`` and
-    ``encode`` refuse it, so ``verify`` refuses it too."""
+    bits, or above them, would fold as the genuine one, but it cannot be
+    built, so neither ``encode`` nor ``verify`` ever sees it."""
     config, tree, slots = clustered_tree(data, max_leaves=8)
     known = set()
     for slot in slots:
@@ -376,12 +362,10 @@ def test_verify_refuses_a_sent_default(data):
         level = data.draw(st.sampled_from(clear), label="level")
         sibs = dict(zip(smt._set_bits(proof.bitfield), proof.present))
         sibs[level] = config.defaults[level]
-        sent = Proof(proof.bitfield | 1 << level, tuple(sib for _, sib in sorted(sibs.items())), proof.neighbor)
-        assert fold(slot, tree.leaf_at(slot), siblings_of(sent, config.depth), tree.root, sent.neighbor)
+        assert fold(slot, tree.leaf_at(slot), siblings_of(proof, config.depth), tree.root, proof.neighbor)
         assert verify(slot, tree.leaf_at(slot), proof, tree.root, config, known)
-        assert not verify(slot, tree.leaf_at(slot), sent, tree.root, config, known)
         with pytest.raises(MalformedProof):
-            sent.encode(config)
+            Proof(proof.bitfield | 1 << level, tuple(sib for _, sib in sorted(sibs.items())), proof.neighbor)
 
 
 def _memo_case(data):
@@ -502,8 +486,8 @@ def test_no_slot_opens_to_two_values(data):
 def test_a_wrong_neighbor_is_refused(data):
     """An exclusion beside a lone leaf verifies with its own neighbour only:
     not with the slot itself, a slot outside the slot's subtree at ``low``,
-    one at or past the capacity, a wrong or short leaf, or another slot of
-    the subtree."""
+    one at or past the capacity, a wrong leaf, or another slot of the
+    subtree; a short leaf or a negative slot cannot be built."""
     config, tree, slots = clustered_tree(data, max_leaves=2)
     for slot in slots:
         proof = tree.prove(slot)
@@ -512,9 +496,11 @@ def test_a_wrong_neighbor_is_refused(data):
         other, other_leaf = proof.neighbor
         low = next(smt._set_bits(proof.bitfield), config.depth)
         assert verify(slot, DEFAULT_LEAF, proof, tree.root, config)
-        wrong = [(slot, other_leaf), (other, leaf(-1)), (other, other_leaf[:31]),
-                 (other, DEFAULT_LEAF), (config.capacity, other_leaf),
-                 (config.capacity + other, other_leaf), (-1, other_leaf)]
+        for unbuilt in ((other, other_leaf[:31]), (-1, other_leaf)):
+            with pytest.raises(MalformedProof):
+                replace(proof, neighbor=unbuilt)
+        wrong = [(slot, other_leaf), (other, leaf(-1)), (other, DEFAULT_LEAF),
+                 (config.capacity, other_leaf), (config.capacity + other, other_leaf)]
         wrong += [(other ^ (1 << bit), other_leaf) for bit in range(low, config.depth)]
         first = (slot >> low) << low
         wrong += [(s, other_leaf) for s in range(first, first + min(10, 1 << low))
@@ -581,8 +567,8 @@ def test_proof_decode_takes_one_neighbor_inside_the_tree(data):
 
 def test_digests_of_another_length_are_refused():
     """Leaves are any 32 bytes, so they can be chosen to splice the 40-byte
-    lone form and the 64-byte internal form together; a sibling or a
-    neighbour leaf that is not 32 bytes is refused, so neither splice
+    lone form and the 64-byte internal form together; a proof whose sibling
+    or neighbour leaf is not 32 bytes cannot be built, so neither splice
     passes."""
     config = SmtConfig(depth=8)
     # slot 1 is empty; an 8-byte level-0 sibling naming slot 0 would fold
@@ -591,7 +577,8 @@ def test_digests_of_another_length_are_refused():
     sibs = siblings_of(tree.prove(0), config.depth)
     sibs[0] = (0).to_bytes(8, "big")
     assert fold(1, leaf(0), sibs, tree.root)
-    assert not verify(1, leaf(0), proof_from_siblings(sibs), tree.root, config)
+    with pytest.raises(MalformedProof):
+        proof_from_siblings(sibs)
     # slot 0 is occupied; a 56-byte neighbour leaf would pass the internal
     # node over slots 0 and 1 off as the lone digest of slot 1
     head = (1).to_bytes(8, "big") + bytes(24)
@@ -600,7 +587,8 @@ def test_digests_of_another_length_are_refused():
     sibs[0] = config.defaults[0]
     neighbor = (1, head[8:] + leaf(1))
     assert fold(0, DEFAULT_LEAF, sibs, tree.root, neighbor)
-    assert not verify(0, DEFAULT_LEAF, proof_from_siblings(sibs, neighbor), tree.root, config)
+    with pytest.raises(MalformedProof):
+        proof_from_siblings(sibs, neighbor)
 
 
 def test_a_one_leaf_tree_costs_one_hash(monkeypatch):
@@ -758,44 +746,112 @@ def test_block_witnesses_share_only_what_the_shape_fixes(data):
 
 def test_config_constants_are_set_once_from_the_depth():
     """For every depth the four constants equal their formulas, are the
-    same objects for equal configs, and only ``depth`` is a dataclass
-    field: equality, hash and ``repr`` see nothing else."""
+    same objects for equal configs (the defaults one chain for every depth),
+    and only ``depth`` is a dataclass field: equality, hash and ``repr`` see
+    nothing else."""
     assert [f.name for f in fields(SmtConfig)] == ["depth"]
     chain = [DEFAULT_LEAF]
     for depth in range(1, 65):
         chain.append(hash_pair(chain[-1], chain[-1]))
         config, twin = SmtConfig(depth=depth), SmtConfig(depth=depth)
         assert config.capacity == 2**depth and config.bitfield_size == -(-depth // 8)
-        assert config.defaults == tuple(chain) and config.defaults is twin.defaults
+        assert config.defaults[:depth + 1] == tuple(chain)
+        assert config.defaults is twin.defaults is smt.DEFAULTS
         empty = config.empty_proof
         assert empty == proof_from_siblings(chain[:depth]) == Proof(0, ())
         assert empty is twin.empty_proof
         assert config == twin and hash(config) == hash(twin) and repr(config) == f"SmtConfig(depth={depth})"
         assert config != SmtConfig(depth=depth % 64 + 1)
+    assert smt.DEFAULTS == tuple(chain)
 
 
 def test_proof_encode_refuses_what_decode_refuses():
-    """A bit at or past the depth, a count of present siblings other than
-    the set bits, a present sibling that equals its level's default or is
-    not 32 bytes, a neighbour slot past the tree, or a neighbour leaf that
-    is not 32 bytes, has no encoding that reads back: encode raises
-    MalformedProof."""
+    """The two faults that depend on the depth, a bit at or past it and a
+    neighbour slot past the tree, have no encoding that reads back: encode
+    raises MalformedProof, and verify answers False."""
     config = SmtConfig(depth=4)
     sib = leaf(9)
     bad = [
         Proof(1 << 4, (sib,)),  # past the depth, inside the 1-byte bitfield
         Proof(1 << 8, (sib,)),  # past the bitfield's bytes too
-        Proof(-1, ()),
-        Proof(0b11, (sib,)),  # fewer siblings than set bits
-        Proof(0b1, (sib, sib)),  # more
-        Proof(0, (sib,)),
-        Proof(0b1, (config.defaults[0],)),  # a sent sibling equal to its default
-        Proof(0b101, (sib, config.defaults[2])),
-        Proof(0b1, (sib[:31],)),  # not 32 bytes
+        Proof(1 << 63, (sib,)),
     ]
-    bad += [Proof(0, (), n) for n in ((16, leaf(0)), (256, leaf(0)), (-1, leaf(0)), (3, leaf(0)[:31]))]
+    bad += [Proof(0, (), (n, leaf(0))) for n in (16, 256, 2**64)]
     for proof in bad:
         with pytest.raises(MalformedProof):
             proof.encode(config)
+        assert verify(3, DEFAULT_LEAF, proof, config.defaults[4], config) is False
     for good in (Proof(0, (), (15, leaf(0))), Proof(0b101, (sib, leaf(10)))):
         assert read_proof(good.encode(config), config, good.neighbor is not None) == good
+
+
+@pytest.mark.parametrize("bitfield, present, neighbor", [
+    pytest.param(-1, (), None, id="negative bitfield"),
+    pytest.param(1 << 64, (leaf(9),), None, id="bit 64"),
+    pytest.param(1 << 70 | 1, (leaf(9), leaf(10)), None, id="bit 70"),
+    pytest.param(0b11, (leaf(9),), None, id="fewer siblings than set bits"),
+    pytest.param(0b1, (leaf(9), leaf(10)), None, id="more siblings than set bits"),
+    pytest.param(0, (leaf(9),), None, id="a sibling and no bit"),
+    pytest.param(0b1, (leaf(9)[:31],), None, id="short sibling"),
+    pytest.param(0b1, (leaf(9) + b"\x00",), None, id="long sibling"),
+    pytest.param(0b1, (DEFAULT_LEAF,), None, id="level-0 default sent"),
+    pytest.param(0b101, (leaf(9), smt.DEFAULTS[2]), None, id="level-2 default sent"),
+    pytest.param(1 << 63, (smt.DEFAULTS[63],), None, id="level-63 default sent"),
+    pytest.param(0, (), (-1, leaf(0)), id="negative neighbour slot"),
+    pytest.param(0, (), (3, leaf(0)[:31]), id="short neighbour leaf"),
+    pytest.param(0, (), (3, bytes(24) + leaf(0)), id="56-byte neighbour leaf"),
+])
+def test_a_proof_refuses_each_malformed_field_when_built(bitfield, present, neighbor):
+    """What no tree of any depth can send is refused by the constructor
+    with MalformedProof, a kind of MalformedEncoding, so a reader that
+    meets it raises MalformedEncoding."""
+    assert issubclass(MalformedProof, MalformedEncoding)
+    with pytest.raises(MalformedProof):
+        Proof(bitfield, present, neighbor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_answers_every_input_with_a_bool(data):
+    """For any proof that can be built, any int slot (inside the tree, -1,
+    the capacity, 2^64 and past it), any root, at depths 1, 4, 16 and 64,
+    ``verify`` raises nothing and answers a bool, with no memo, a fresh one
+    and the same one again: the reference fold's verdict for a slot inside
+    the tree and a proof whose bits are below the depth, False otherwise.
+    The root is drawn at random or as the one the fold reaches from the
+    slot's residue mod the capacity, with the proof cut to the depth or
+    taken whole, so True answers, slots that alias one inside the tree and
+    bits past the depth that would fold to the root all occur."""
+    depth = data.draw(st.sampled_from([1, 4, 16, 64]), label="depth")
+    config = SmtConfig(depth=depth)
+    cap = config.capacity
+    bits = st.sets(st.integers(0, depth - 1), max_size=6) | st.sets(st.integers(0, 63), max_size=6)
+    bitfield = sum(1 << i for i in data.draw(bits, label="bits"))
+    present = tuple(
+        data.draw(st.binary(min_size=32, max_size=32).filter(lambda b, i=i: b != smt.DEFAULTS[i]))
+        for i in smt._set_bits(bitfield)
+    )
+    slot = data.draw(
+        st.integers(0, cap - 1) | st.sampled_from([-1, cap, 2**64, 2**64 + 1, 2**80])
+        | st.integers(-(2**70), 2**70),
+        label="slot",
+    )
+    low = min(smt._set_bits(bitfield), default=depth)
+    near = st.integers(0, (1 << min(low, depth)) - 1).map(lambda k: slot % cap ^ k)
+    neighbor = data.draw(
+        st.none() | st.tuples(near | st.integers(0, 2**66), st.binary(min_size=32, max_size=32)),
+        label="neighbor",
+    )
+    proof = Proof(bitfield, present, neighbor)
+    value = data.draw(st.sampled_from([DEFAULT_LEAF, leaf(slot)]), label="value")
+    fits = not bitfield >> depth
+    full = siblings_of(proof, 64)
+    roots = [data.draw(st.binary(min_size=32, max_size=32), label="random root")]
+    for height in {depth, max(depth, bitfield.bit_length())}:  # the proof cut to the depth, or whole
+        reached = fold_root(slot % cap, value, full[:height], neighbor)
+        roots += [reached] if reached is not None else []
+    root = data.draw(st.sampled_from(roots), label="root")
+    expected = 0 <= slot < cap and fits and fold(slot, value, full[:depth], root, neighbor)
+    known = set()
+    for memo in (None, known, known):
+        assert verify(slot, value, proof, root, config, memo) is expected

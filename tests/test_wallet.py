@@ -277,6 +277,29 @@ def test_a_withdrawn_coin_leaves_every_wallet():
     assert [(w.coins, w.logs, w.marks) for w in sim.wallets.values()] == [({}, {}, {})] * 2
 
 
+def test_an_exit_of_a_coin_the_wallet_does_not_hold_starts_nothing():
+    """``start_exit`` exits from the wallet's own log: Alice, who handed the
+    coin on, Carol, who never held it, and Bob asking for a slot never
+    minted are refused with NotOwned, and the contract is as it was."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    sim.actor("carol")
+
+    def state():
+        contract = sim.contract
+        return (sim.balances_snapshot(), contract.value_escrow, contract.bond_escrow,
+                dict(contract.exits), contract.coins[slot].state, len(contract.events))
+
+    before = state()
+    for name, coin in (("alice", slot), ("carol", slot), ("bob", slot + 1)):
+        with pytest.raises(NotOwned):
+            sim.start_exit(name, coin)
+        assert state() == before
+    sim.start_exit("bob", slot)
+    assert state() != before
+
+
 def test_exit_with_a_withheld_witness_starts_no_exit():
     """``exit_with`` fetches the operator's witnesses before it calls the
     contract: a withheld parent or exit witness leaves no trace on chain."""
