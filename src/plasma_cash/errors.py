@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error carries a short machine-readable ``code``, its class name, so
-drivers and tests can assert on failure kinds without string matching.
+Every refusal, a ``PlasmaError``, carries a short machine-readable
+``code``, its class name, so drivers and tests can assert on failure kinds
+without string matching.  ``IllegalTransition`` is a fault, not a refusal.
 """
 
 
@@ -22,8 +23,8 @@ class SlotOutOfRange(PlasmaError):
     pass
 
 
-class LeafEqualsDefault(PlasmaError):
-    pass
+class BadLeaf(PlasmaError):
+    """A tree's leaf that is not 32 bytes, or is the empty leaf's default."""
 
 
 # --- encodings ---
@@ -60,6 +61,11 @@ class WitnessUnavailable(PlasmaError):
 
 
 # --- root-chain contract ---
+
+class IllegalTransition(Exception):
+    """A coin state change the lifecycle does not list: a fault of the
+    contract, not a refused move, so no handler of PlasmaError hides it."""
+
 
 class NotOperator(PlasmaError):
     pass

@@ -75,7 +75,7 @@ class RootView:
       ask, accepts an entry at a coin's deposit block only through
       ``core.deposit_fault``: the coin's own deposit transaction, the empty
       proof, and its hash equal to the root;
-    - ``deposit`` skips the ``child_block_interval`` multiples and
+    - ``deposit`` skips the multiples of ``CHILD_BLOCK_INTERVAL`` and
       ``submit_block`` only ever uses ``next_operator_block``, so a deposit
       number is never an operator number, and the contract refuses an
       entry at any block that is neither the coin's deposit block nor an

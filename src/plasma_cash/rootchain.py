@@ -7,7 +7,8 @@ interactive challenges from deeper history), finalization after a maturity
 period, and withdrawal.
 
 Every state change appends an ``Event`` to ``events``; that list is the
-interface wallet watchers consume.
+interface wallet watchers consume.  A coin's state changes only through
+``PlasmaContract._move``, which refuses any pair ``TRANSITIONS`` does not list.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     BadProof,
     BadSignature,
     CoinNotExitable,
+    IllegalTransition,
     InsufficientBalance,
     NoActiveExit,
     NoSuchChallenge,
@@ -49,6 +51,19 @@ class CoinState(Enum):
     EXITING = "EXITING"
     EXITED = "EXITED"
     WITHDRAWN = "WITHDRAWN"
+
+
+#: the coin lifecycle, every legal (from, to) pair: an exit starts, is
+#: cancelled (reopening the coin) or finalizes, and an exited coin is withdrawn
+TRANSITIONS = frozenset({
+    (CoinState.DEPOSITED, CoinState.EXITING),
+    (CoinState.EXITING, CoinState.DEPOSITED),
+    (CoinState.EXITING, CoinState.EXITED),
+    (CoinState.EXITED, CoinState.WITHDRAWN),
+})
+
+#: deposits take the block numbers between its multiples, operator blocks the multiples
+CHILD_BLOCK_INTERVAL = 1000
 
 
 @dataclass
@@ -100,7 +115,6 @@ class Exit:
 class ChainParams:
     maturity_period: int = 20
     bond_amount: int = 100
-    child_block_interval: int = 1000
     smt_depth: int = 64
 
     def __post_init__(self):
@@ -113,10 +127,6 @@ class ChainParams:
             raise ValueError(f"bond_amount must be positive, got {self.bond_amount}")
         if self.maturity_period < 0:
             raise ValueError(f"maturity_period must not be negative, got {self.maturity_period}")
-        if self.child_block_interval < 1:
-            raise ValueError(
-                f"child_block_interval must be at least 1, got {self.child_block_interval}"
-            )
         # built once, outside the fields; it refuses a depth outside [1, 64]
         object.__setattr__(self, "smt_config", SmtConfig(depth=self.smt_depth))
 
@@ -186,8 +196,24 @@ class PlasmaContract:
 
     @property
     def next_operator_block(self) -> int:
-        interval = self.params.child_block_interval
-        return (self.current_block // interval + 1) * interval
+        return (self.current_block // CHILD_BLOCK_INTERVAL + 1) * CHILD_BLOCK_INTERVAL
+
+    def _coin_for(self, slot: int, state: CoinState, refusal: type) -> CoinRecord:
+        """The coin at ``slot`` if ``TRANSITIONS`` lets it move to ``state``:
+        UnknownCoin if no coin was minted there, else ``refusal``."""
+        coin = self.coins.get(slot)
+        if coin is None:
+            raise UnknownCoin(f"slot {slot}")
+        if (coin.state, state) not in TRANSITIONS:
+            raise refusal(f"coin is {coin.state.value}")
+        return coin
+
+    def _move(self, coin: CoinRecord, state: CoinState):
+        """The one write of a coin's state.  A pair ``TRANSITIONS`` does not
+        list raises IllegalTransition and leaves the state as it was."""
+        if (coin.state, state) not in TRANSITIONS:
+            raise IllegalTransition(f"slot {coin.slot}: {coin.state.value} -> {state.value}")
+        coin.state = state
 
     def _check_included(self, slot: int, itx: IncludedTx, what: str):
         """Raise BadProof unless ``itx`` is a transaction of ``slot`` proven
@@ -233,7 +259,7 @@ class PlasmaContract:
         slot = self._next_slot
         self._next_slot += 1
         number = self.current_block + 1
-        if number % self.params.child_block_interval == 0:
+        if number % CHILD_BLOCK_INTERVAL == 0:
             number += 1  # interval numbers belong to operator blocks
         self.current_block = number
 
@@ -278,11 +304,7 @@ class PlasmaContract:
         exit_tx: IncludedTx,
         bond: int,
     ) -> int:
-        coin = self.coins.get(slot)
-        if coin is None:
-            raise UnknownCoin(f"slot {slot}")
-        if coin.state is not CoinState.DEPOSITED:
-            raise CoinNotExitable(f"coin is {coin.state.value}")
+        coin = self._coin_for(slot, CoinState.EXITING, CoinNotExitable)
         if bond != self.params.bond_amount:
             raise WrongBond(f"bond must be {self.params.bond_amount}")
         if exit_tx.tx is None or exit_tx.tx.slot != slot:
@@ -308,7 +330,7 @@ class PlasmaContract:
             bond=bond,
             matures_at=self.clock + self.params.maturity_period,
         )
-        coin.state = CoinState.EXITING
+        self._move(coin, CoinState.EXITING)
         self._emit(
             "ExitStarted",
             slot=slot,
@@ -328,8 +350,8 @@ class PlasmaContract:
     def _cancel_exit(self, slot: int, beneficiary: Address, kind: str, revealed: IncludedTx):
         """Non-interactive challenge won: slash the exit bond, reopen the coin."""
         witness = revealed.encode(self.config).hex()  # raises before any change
+        self._move(self.coins[slot], CoinState.DEPOSITED)
         ex = self.exits.pop(slot)
-        self.coins[slot].state = CoinState.DEPOSITED
         self._pay_bond(beneficiary, ex.bond)
         # pending interactive challenge bonds go back to their challengers
         for ch in ex.challenges:
@@ -416,14 +438,14 @@ class PlasmaContract:
         coin = self.coins[slot]
         del self.exits[slot]
         if not ex.challenges:
-            coin.state = CoinState.EXITED
+            self._move(coin, CoinState.EXITED)
             coin.owner = ex.exitor
             self._pay_bond(ex.exitor, ex.bond)
             self._emit("ExitFinalized", slot=slot, exitor=ex.exitor.hex)
             return "Finalized"
         # exit bond split equally among the unanswered challengers, remainder
         # to the earliest; their challenge bonds come back
-        coin.state = CoinState.DEPOSITED
+        self._move(coin, CoinState.DEPOSITED)
         share = ex.bond // len(ex.challenges)
         remainder = ex.bond - share * len(ex.challenges)
         for i, ch in enumerate(ex.challenges):
@@ -437,14 +459,10 @@ class PlasmaContract:
         return "CancelledByChallenge"
 
     def withdraw(self, caller: Address, slot: int) -> int:
-        coin = self.coins.get(slot)
-        if coin is None:
-            raise UnknownCoin(f"slot {slot}")
-        if coin.state is not CoinState.EXITED:
-            raise NotExited(f"coin is {coin.state.value}")
+        coin = self._coin_for(slot, CoinState.WITHDRAWN, NotExited)
         if caller != coin.owner:
             raise NotOwner("only the coin's owner may withdraw")
-        coin.state = CoinState.WITHDRAWN
+        self._move(coin, CoinState.WITHDRAWN)
         self.value_escrow -= coin.denomination
         self._credit(caller, coin.denomination)
         self._emit("Withdrawn", slot=slot, owner=caller.hex, denomination=coin.denomination)

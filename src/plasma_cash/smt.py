@@ -31,7 +31,7 @@ from itertools import accumulate
 from typing import Dict, Optional, Set, Tuple
 
 from .errors import (
-    LeafEqualsDefault,
+    BadLeaf,
     MalformedEncoding,
     MalformedProof,
     SlotOutOfRange,
@@ -217,12 +217,8 @@ class SparseMerkleTree:
         for slot, leaf in leaves.items():
             if not 0 <= slot < config.capacity:
                 raise SlotOutOfRange(f"slot {slot} outside 2^{config.depth} space")
-            if len(leaf) != DIGEST_SIZE:
-                raise MalformedProof(f"leaf at slot {slot} is not 32 bytes")
-            if leaf == DEFAULT_LEAF:
-                raise LeafEqualsDefault(
-                    f"slot {slot}: leaf equals the empty-slot marker"
-                )
+            if len(leaf) != DIGEST_SIZE or leaf == DEFAULT_LEAF:
+                raise BadLeaf(f"leaf at slot {slot} is not 32 bytes or is the empty-slot marker")
         self.config = config
         self.leaves = dict(leaves)
         # levels[i]: the level-i nodes some proof names as a sibling, keyed by

@@ -2,7 +2,8 @@
 
 A wallet keeps an append-only log and a mark of the last block it verified
 for every coin it has held, signs transfers, audits only the entries past
-its mark, and scans the root chain to challenge fraudulent exits of its coins.
+its mark, scans the root chain to challenge fraudulent exits of its coins,
+and answers a bonded challenge of its own exit from its log.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .smt import Memo, SmtConfig
 class ChallengeAction:
     """One attempted challenge, with its outcome."""
 
-    kind: str  # "after" | "between" | "before"
+    kind: str  # a challenge, "after" | "between" | "before", or "respond" to a "before"
     slot: int
     ok: bool
     error: Optional[str] = None
@@ -135,24 +136,44 @@ class Wallet:
 
     def watch_and_challenge(self) -> List[ChallengeAction]:
         """Scan new root-chain events; challenge any active exit of a coin
-        this wallet owns.  Non-interactive moves are preferred over the
-        bonded interactive one."""
+        this wallet owns, and answer a ``before`` challenge of its own exit.
+        Non-interactive moves are preferred over the bonded interactive one."""
         actions: List[ChallengeAction] = []
         events = self.contract.events[self._event_cursor:]
         self._event_cursor = len(self.contract.events)
         for event in events:
-            if event.kind != "ExitStarted":
+            if event.kind not in ("ExitStarted", "ChallengedBefore"):
                 continue
             slot = event.data["slot"]
-            if not self.owns(slot):
-                continue
             ex = self.contract.exits.get(slot)
-            if ex is None or ex.exitor == self.address:
+            if ex is None or not self.owns(slot):
                 continue
-            action = self._challenge_exit(slot, ex)
+            mine = ex.exitor == self.address
+            if event.kind == "ExitStarted" and not mine:
+                action = self._challenge_exit(slot, ex)
+            elif event.kind == "ChallengedBefore" and mine:
+                action = self._respond(slot, ex, event.data["challenge_id"])
+            else:
+                continue
             if action is not None:
                 actions.append(action)
         return actions
+
+    def _respond(self, slot: int, ex, challenge_id: int) -> Optional[ChallengeAction]:
+        """Answer a pending challenge of this wallet's exit with the spend of
+        the challenged entry, by its new owner, in (challenge block, exit block]."""
+        challenge = next((c for c in ex.challenges if c.challenge_id == challenge_id), None)
+        if challenge is None:  # answered already, or made against an earlier exit
+            return None
+        entry = challenge.tx
+        answer = find_spend(
+            self.coins[slot], entry.blk_number, entry.tx.new_owner, self.keyring,
+            before=ex.exit_block + 1,
+        )
+        if answer is None:
+            return None
+        move = self.contract.respond_challenge_before
+        return self._attempt("respond", slot, move, challenge_id, answer)
 
     def _challenge_exit(self, slot: int, ex) -> Optional[ChallengeAction]:
         history = self.coins[slot]

@@ -119,7 +119,6 @@ def test_run_refuses_bad_chain_parameters(args):
         ("{bad", "not JSON"),
         ('{"bond_amount": -50}', "bond_amount must be positive"),
         ('{"bond_amount": "100"}', "bond_amount must be an integer"),
-        ('{"child_block_interval": 0}', "child_block_interval must be at least 1"),
     ],
 )
 def test_run_refuses_a_bad_config_file(tmp_path, text, message):

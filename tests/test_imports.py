@@ -1,5 +1,6 @@
-"""Source hygiene: no package module imports a name it never uses, and
-no private name is defined that the package never reads."""
+"""Source hygiene: no package module imports a name it never uses, no
+private name is defined that the package never reads, no coin state is
+written outside the contract's one move, and no module asserts."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,50 @@ PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE.glob("*
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_defines_a_private_name_the_package_never_reads(module):
     assert sorted(private_definitions((PACKAGE / module).read_text()) - PACKAGE_READS) == []
+
+
+def state_writes(source: str):
+    """The qualified names of the functions (``""`` for module level) that
+    store or delete an attribute named ``state``, or set it by name."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Attribute) and node.attr == "state":
+            if not isinstance(node.ctx, ast.Load):
+                found.add(scope)
+        elif isinstance(node, ast.Call) and len(node.args) > 1:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("setattr", "__setattr__") and getattr(node.args[1], "value", None) == "state":
+                found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_state_writes_are_found():
+    source = (
+        "class C:\n"
+        "    def _move(self, coin): coin.state = 1\n"
+        "    def swap(self, a, b): a.state, b.state = b.state, a.state\n"
+        "    def bump(self, coin): coin.state += 1\n"
+        "def forced(coin): object.__setattr__(coin, 'state', 2)\n"
+        "def read(coin): return coin.state\n"
+        "del C.state\n"
+    )
+    assert state_writes(source) == {"C._move", "C.swap", "C.bump", "forced", ""}
+
+
+def test_only_the_contract_move_writes_a_coin_state():
+    writers = {(p.name, scope) for p in PACKAGE.glob("*.py") for scope in state_writes(p.read_text())}
+    assert writers == {("rootchain.py", "PlasmaContract._move")}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_asserts(module):
+    """``python -O`` drops asserts: every check must be a raise."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -21,6 +21,7 @@ from plasma_cash.errors import (
     BadProof,
     BadSignature,
     CoinNotExitable,
+    IllegalTransition,
     InsufficientBalance,
     MalformedProof,
     NoActiveExit,
@@ -43,7 +44,7 @@ from plasma_cash.errors import (
 )
 from plasma_cash.history import ACCEPT, CoinHistory, Reason, find_spend, verify_history
 from plasma_cash.operator_node import ShadowLedger
-from plasma_cash.rootchain import ChainParams, CoinState, PlasmaContract
+from plasma_cash.rootchain import TRANSITIONS, ChainParams, CoinState, PlasmaContract
 from plasma_cash.smt import Proof
 
 PARAMS = ChainParams(maturity_period=5, bond_amount=100, smt_depth=16)
@@ -114,22 +115,23 @@ def test_contract_records_its_operator_blocks():
     (here a spend of coin 0) and no deposit block, and a history runs from
     the coin's deposit over listed operator blocks only.  A block with no
     transaction is committed but not listed: its root proves every slot empty."""
-    f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
+    f = Fixture()
+    f.contract.current_block = 997  # the third deposit reaches an interval multiple
     numbers = [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)]
-    spend = {0: make_transfer_tx(f.alice, 0, 1, f.bob.address)}
-    assert numbers == [1, 2, 3] and f.commit(spend).number == 4
-    numbers = [f.contract.deposit(f.bob.address, 1)[1] for _ in range(4)]
-    spend = {0: make_transfer_tx(f.bob, 0, 4, f.carol.address)}
-    assert numbers == [5, 6, 7, 9] and f.commit(spend).number == 12
+    spend = {0: make_transfer_tx(f.alice, 0, 998, f.bob.address)}
+    assert numbers == [998, 999, 1001] and f.commit(spend).number == 2000
+    numbers = [f.contract.deposit(f.bob.address, 1)[1] for _ in range(2)]
+    spend = {0: make_transfer_tx(f.bob, 0, 2000, f.carol.address)}
+    assert numbers == [2001, 2002] and f.commit(spend).number == 3000
     view = f.contract.view
-    assert f.contract.operator_blocks == view.operator_blocks == [4, 12]
-    assert view.history_blocks(1) == [1, 4, 12]
-    assert view.history_blocks(6) == [6, 12]
-    assert view.history_blocks(6, after=6) == [12]
+    assert f.contract.operator_blocks == view.operator_blocks == [2000, 3000]
+    assert view.history_blocks(998) == [998, 2000, 3000]
+    assert view.history_blocks(2002) == [2002, 3000]
+    assert view.history_blocks(2002, after=2002) == [3000]
     empty = f.commit({})
-    assert empty.number == 16 and view.roots[16] == empty.root == f.contract.config.defaults[16]
-    assert view.operator_blocks == [4, 12] and view.history_blocks(6, after=12) == []
-    assert not view.is_operator_block(16)
+    assert empty.number == 4000 and view.roots[4000] == empty.root == f.contract.config.defaults[16]
+    assert view.operator_blocks == [2000, 3000] and view.history_blocks(2002, after=3000) == []
+    assert not view.is_operator_block(4000)
 
 
 def test_deposit_moves_value_to_escrow():
@@ -874,6 +876,36 @@ def test_withdraw_guards(fx):
         fx.contract.withdraw(fx.carol.address, fx.slot)
 
 
+# the coin lifecycle: an exit starts, is cancelled (reopening the coin) or
+# finalizes, and an exited coin is withdrawn
+LIFECYCLE = {
+    (CoinState.DEPOSITED, CoinState.EXITING),
+    (CoinState.EXITING, CoinState.DEPOSITED),
+    (CoinState.EXITING, CoinState.EXITED),
+    (CoinState.EXITED, CoinState.WITHDRAWN),
+}
+
+
+@pytest.mark.parametrize("to", list(CoinState), ids=lambda s: s.value)
+@pytest.mark.parametrize("start", list(CoinState), ids=lambda s: s.value)
+def test_a_coin_state_changes_only_along_the_lifecycle(start, to):
+    """``_move`` makes each of the four lifecycle moves and refuses the
+    other twelve pairs with IllegalTransition, which no handler of
+    PlasmaError catches, leaving the state as it was."""
+    assert TRANSITIONS == LIFECYCLE
+    f = Fixture()
+    coin = f.contract.coins[f.contract.deposit(f.alice.address, 5)[0]]
+    coin.state = start
+    if (start, to) in LIFECYCLE:
+        f.contract._move(coin, to)
+        assert coin.state is to
+        return
+    with pytest.raises(IllegalTransition) as raised:
+        f.contract._move(coin, to)
+    assert not isinstance(raised.value, PlasmaError)
+    assert coin.state is start
+
+
 def test_value_is_conserved_through_a_full_dispute(fx):
     total = fx.contract.total_value()
     exit_invalid_history(fx)
@@ -888,18 +920,20 @@ def test_history_blocks_past_the_last_operator_block():
     """Nothing past the last listed operator block: an empty list, or the
     coin's own deposit block when the history has not covered it yet.  A
     later block with no transaction changes neither."""
-    f = Fixture(ChainParams(child_block_interval=4, smt_depth=16))
-    assert [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)] == [1, 2, 3]
-    assert f.commit({0: make_transfer_tx(f.alice, 0, 1, f.bob.address)}).number == 4
+    f = Fixture()
+    f.contract.current_block = 997  # the third deposit reaches an interval multiple
+    assert [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)] == [998, 999, 1001]
+    assert f.commit({0: make_transfer_tx(f.alice, 0, 998, f.bob.address)}).number == 2000
     deposit = f.contract.deposit(f.bob.address, 1)[1]
     view = f.contract.view
     for _ in range(2):
-        assert view.history_blocks(3) == [3, 4] and view.history_blocks(1, after=3) == [4]
-        assert view.history_blocks(1, after=4) == view.history_blocks(1, after=9) == []
+        assert view.history_blocks(1001) == [1001, 2000]
+        assert view.history_blocks(998, after=1001) == [2000]
+        assert view.history_blocks(998, after=2000) == view.history_blocks(998, after=2005) == []
         assert view.history_blocks(deposit) == [deposit]
         assert view.history_blocks(deposit, after=deposit) == []
-        assert view.history_blocks(1) == [1, 4]
-        assert f.commit({}).number in view.roots and view.operator_blocks == [4]
+        assert view.history_blocks(998) == [998, 2000]
+        assert f.commit({}).number in view.roots and view.operator_blocks == [2000]
 
 
 @pytest.mark.parametrize(
@@ -909,7 +943,6 @@ def test_history_blocks_past_the_last_operator_block():
         ({"bond_amount": -50}, ValueError),
         ({"bond_amount": 0}, ValueError),
         ({"maturity_period": -1}, ValueError),
-        ({"child_block_interval": 0}, ValueError),
         ({"smt_depth": 0}, ValueError),
         ({"smt_depth": 65}, ValueError),
         ({"bond_amount": "100"}, TypeError),
@@ -922,6 +955,6 @@ def test_chain_params_refuse_values_the_contract_cannot_run_with(bad, error):
 
 
 def test_chain_params_edge_values_are_accepted():
-    params = ChainParams(maturity_period=0, bond_amount=1, child_block_interval=1, smt_depth=1)
+    params = ChainParams(maturity_period=0, bond_amount=1, smt_depth=1)
     assert params.smt_config.depth == 1
     assert ChainParams(smt_depth=64).smt_config.capacity == 1 << 64

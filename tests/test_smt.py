@@ -13,7 +13,7 @@ from conftest import flip, fold, fold_root, lone, proof_from_siblings, siblings_
 from plasma_cash import smt
 from plasma_cash.core import Address, IncludedTx, PlasmaBlock, Transaction
 from plasma_cash.errors import (
-    LeafEqualsDefault,
+    BadLeaf,
     MalformedEncoding,
     MalformedProof,
     SlotOutOfRange,
@@ -211,8 +211,14 @@ def test_prove_matches_the_per_level_lookup(data):
 
 def test_leaf_equal_to_default_rejected():
     config = SmtConfig(depth=4)
-    with pytest.raises(LeafEqualsDefault):
+    with pytest.raises(BadLeaf):
         SparseMerkleTree(config, {0: DEFAULT_LEAF})
+
+
+def test_a_short_leaf_is_a_leaf_fault_not_an_encoding_fault():
+    with pytest.raises(BadLeaf) as raised:
+        SparseMerkleTree(SmtConfig(depth=4), {0: b"x"})
+    assert not isinstance(raised.value, MalformedEncoding)
 
 
 def test_wrong_depth_proof_rejected():

@@ -265,6 +265,49 @@ def test_watcher_ignores_own_and_honest_exits():
     assert sim.withdraw("bob", slot) == 5
 
 
+def test_an_honest_exitor_answers_a_before_challenge():
+    """Alice pays Bob and Bob pays Carol; Carol exits, and Alice stakes a
+    ``before`` challenge with the deposit entry she has since spent.
+    Carol's watcher answers with Alice's spend from its log, so the exit
+    finalizes: Carol nets Alice's challenge bond and Alice loses it."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    assert settled_transfer(sim, "bob", slot, "carol")
+    before = sim.balances_snapshot()
+    sim.start_exit("carol", slot)
+    assert sim.run_watchers() == []
+    deposit = sim.operator.get_witness(slot, sim.contract.coins[slot].deposit_block)
+    sim.contract.challenge_before(sim.address("alice"), slot, deposit, PARAMS.bond_amount)
+    actions = sim.run_watchers()
+    assert [(a.kind, a.ok) for a in actions] == [("respond", True)]
+    assert sim.contract.exits[slot].challenges == []
+    assert finish_exit(sim, slot) == "Finalized"
+    after = sim.balances_snapshot()
+    assert after["carol"] - before["carol"] == PARAMS.bond_amount
+    assert after["alice"] - before["alice"] == -PARAMS.bond_amount
+
+
+def test_an_exitor_with_no_answer_in_its_log_takes_no_action():
+    """Mallory exits on a forged spend of Bob's coin and keeps the whole
+    forged history as its log.  Bob's ``before`` challenge names his own
+    entry; the only spend of it in Mallory's log is not signed by Bob, so
+    Mallory's watcher makes no move and the exit is cancelled."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    forged_exit(sim, slot)
+    deposit_block = sim.contract.coins[slot].deposit_block
+    sim.actor("mallory").coins[slot] = extend_history(
+        CoinHistory(slot, deposit_block), sim.contract.view, sim.operator.get_witness
+    )
+    actions = sim.run_watchers()
+    assert [(a.kind, a.ok) for a in actions] == [("before", True)]
+    assert len(sim.contract.exits[slot].challenges) == 1
+    assert finish_exit(sim, slot) == "CancelledByChallenge"
+    assert sim.contract.coins[slot].state is CoinState.DEPOSITED
+
+
 def test_a_withdrawn_coin_leaves_every_wallet():
     """A withdrawn coin never comes back, so no wallet keeps its log or mark."""
     sim = make_sim()
