@@ -943,6 +943,7 @@ def test_history_blocks_past_the_last_operator_block():
         ({"bond_amount": -50}, ValueError),
         ({"bond_amount": 0}, ValueError),
         ({"maturity_period": -1}, ValueError),
+        ({"smt_depth": -1}, ValueError),
         ({"smt_depth": 0}, ValueError),
         ({"smt_depth": 65}, ValueError),
         ({"bond_amount": "100"}, TypeError),
