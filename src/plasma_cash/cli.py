@@ -93,7 +93,10 @@ def fuzz_cmd(steps, seed, byzantine, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def bench_cmd(txs, depth, trials, seed, json_path):
     """Measure encoded proof sizes, of inclusions and of exclusions: the
-    bitfield form every history and challenge carries."""
+    bitfield form every history and challenge carries.  A bitfield takes
+    the fewest bytes that hold it, but among uniformly random slots the
+    top sibling is almost always sent, so these proofs keep the full
+    ``(depth + 7) // 8`` bytes."""
     try:
         result = bench_mod.bench_compact_proofs(txs=txs, depth=depth, trials=trials, seed=seed)
     except ValueError as exc:  # more transactions than the tree has slots

@@ -3,11 +3,12 @@
 Witnesses travel in one self-delimiting encoding, bit-exact across
 machines, with one reader: a witness entry (``IncludedTx``) is
 ``uint(blk) || kind || tx || proof``, whose kind byte says whether a
-transaction follows, signed or not, and whether the proof names a
-neighbour; a transaction in an entry is ``uint(slot) || uint(parent) ||
-owner || signature``, the proof its bitfield form (``smt.Proof``), and a
-coin history (``history.CoinHistory``) a run of entries.  Integers are
-minimal LEB128 (``smt.uint``).  What is hashed and signed keeps its
+transaction follows, signed or not, whether the proof names a neighbour,
+and how many bytes its bitfield takes; a transaction in an entry is
+``uint(slot) || uint(parent) || owner || signature``, the proof its
+bitfield form (``smt.Proof``) in the fewest bytes, and a coin history
+(``history.CoinHistory``) a run of entries.  Integers are minimal LEB128
+(``smt.uint``).  What is hashed and signed keeps its
 fixed-width form (``_tx_digest``); a block reaches the contract as its
 root alone.
 Signatures use a deterministic in-process scheme -- sig = address || MAC --
@@ -27,8 +28,11 @@ from .smt import Proof, Reader, SmtConfig, SparseMerkleTree, uint
 ADDRESS_SIZE = 20
 SIG_SIZE = ADDRESS_SIZE + 32  # embedded address + 32-byte binding MAC
 #: Kind byte: the transaction that follows is unsigned or signed (none, 0,
-#: in an exclusion entry), plus NEIGHBOR when the entry's proof names one.
+#: in an exclusion entry), plus NEIGHBOR when the entry's proof names one,
+#: plus the proof's bitfield width (``Proof.width``) shifted by WIDTH_SHIFT
+#: into bits 3-6.  Bit 7 is set in no entry.
 UNSIGNED, SIGNED, NEIGHBOR = 1, 2, 4
+WIDTH_SHIFT = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -131,6 +135,7 @@ class IncludedTx:
         tx = self.tx
         kind = 0 if tx is None else SIGNED if tx.signature else UNSIGNED
         kind |= 0 if self.proof.neighbor is None else NEIGHBOR
+        kind |= self.proof.width << WIDTH_SHIFT
         body = b"" if tx is None else tx.encode()
         return uint(self.blk_number) + bytes((kind,)) + body + self.proof.encode(config)
 
@@ -143,11 +148,14 @@ class IncludedTx:
 
     @classmethod
     def read(cls, r: Reader, config: SmtConfig) -> "IncludedTx":
-        """Read one entry at the cursor: its kind byte, the bitfield and the
-        neighbour bit frame it, so entries need no length."""
+        """Read one entry at the cursor: its kind byte and the bitfield frame
+        it, so entries need no length.  Kind bit 7 is refused."""
         blk, kind = r.uint(), r.take(1)[0]
-        tx = Transaction.read(r, kind & ~NEIGHBOR) if kind & ~NEIGHBOR else None
-        return cls(tx, blk, Proof.read(r, config, kind & NEIGHBOR == NEIGHBOR))
+        if kind >> 7:
+            raise MalformedEncoding(f"{r.what}: unknown kind bit 7")
+        tx_kind = kind & (UNSIGNED | SIGNED)
+        tx = Transaction.read(r, tx_kind) if tx_kind else None
+        return cls(tx, blk, Proof.read(r, config, kind >> WIDTH_SHIFT, kind & NEIGHBOR == NEIGHBOR))
 
 
 def deposit_fault(

@@ -129,10 +129,11 @@ class Proof:
     one coin in the slot's subtree at the lowest set bit, on an exclusion
     whose subtree there is not empty, and None otherwise.
 
-    Encoded, the bitfield is ``config.bitfield_size`` little-endian bytes,
+    Encoded, the bitfield is its ``width``, the fewest little-endian bytes
+    that hold it (none for bitfield 0, at most ``config.bitfield_size``),
     then come the present siblings, then the neighbour, if any: its slot in
-    ``bitfield_size`` big-endian bytes and its leaf.  The container says
-    whether a neighbour follows.
+    ``bitfield_size`` big-endian bytes and its leaf.  The container records
+    the width and whether a neighbour follows.
     """
 
     bitfield: int
@@ -157,26 +158,37 @@ class Proof:
         if neighbor is not None and (neighbor[0] < 0 or len(neighbor[1]) != DIGEST_SIZE):
             raise MalformedProof(f"neighbour slot {neighbor[0]} is negative or its leaf not 32 bytes")
 
+    @property
+    def width(self) -> int:
+        """Bytes the encoded bitfield takes: 0 for none set, 1 for bits 0-7."""
+        return (self.bitfield.bit_length() + 7) // 8
+
     def encode(self, config: SmtConfig) -> bytes:
         """A bit at or past the depth, or a neighbour slot outside the tree,
         has no encoding that ``read`` takes back: it raises MalformedProof."""
         neighbor = self.neighbor
         if self.bitfield >> config.depth or neighbor is not None and neighbor[0] >= config.capacity:
             raise MalformedProof(f"proof does not fit a tree of depth {config.depth}")
-        out = [self.bitfield.to_bytes(config.bitfield_size, "little"), *self.present]
+        out = [self.bitfield.to_bytes(self.width, "little"), *self.present]
         if neighbor is not None:
             out += [neighbor[0].to_bytes(config.bitfield_size, "big"), neighbor[1]]
         return b"".join(out)
 
     @classmethod
-    def read(cls, r: Reader, config: SmtConfig, has_neighbor: bool) -> "Proof":
-        """Read one proof at the cursor; its container's kind byte says
-        whether a neighbour follows.  A bit past the depth, a neighbour slot
-        outside the tree, and a sent sibling equal to its default (refused
-        by the constructor with MalformedProof, a kind of MalformedEncoding)
-        would each give a second encoding of one proof."""
+    def read(cls, r: Reader, config: SmtConfig, width: int, has_neighbor: bool) -> "Proof":
+        """Read one proof at the cursor; its container's kind byte gives the
+        bitfield's width and says whether a neighbour follows.  A width past
+        ``bitfield_size``, a zero top byte, a bit past the depth, a
+        neighbour slot outside the tree, and a sent sibling equal to its
+        default (refused by the constructor with MalformedProof, a kind of
+        MalformedEncoding) would each give a second encoding of one proof."""
         size = config.bitfield_size
-        bitfield = int.from_bytes(r.take(size), "little")
+        if width > size:
+            raise MalformedEncoding(f"proof: bitfield of {width} bytes, past {size}")
+        raw = r.take(width)
+        if raw and not raw[-1]:
+            raise MalformedEncoding("proof: bitfield's top byte is zero")
+        bitfield = int.from_bytes(raw, "little")
         if bitfield >> config.depth:
             raise MalformedEncoding("proof: bitfield bit set past the tree depth")
         present = tuple(r.take(DIGEST_SIZE) for _ in range(bitfield.bit_count()))

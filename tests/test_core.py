@@ -16,6 +16,7 @@ from plasma_cash.core import (
     NEIGHBOR,
     SIGNED,
     UNSIGNED,
+    WIDTH_SHIFT,
     Address,
     IncludedTx,
     Keyring,
@@ -202,17 +203,18 @@ def test_included_tx_encode_round_trip(keyring):
 
 def test_exclusion_entry_size():
     """In an empty tree every sibling of an exclusion proof is a default, so
-    the entry is its block number, the kind byte and the 8-byte depth-64
-    bitfield; a deposit entry adds the unsigned transaction: its slot, its
-    parent block 0 and the owner."""
+    the proof's bitfield is 0, of width 0, and the entry is its block number
+    and the kind byte alone; a deposit entry adds the unsigned transaction:
+    its slot, its parent block 0 and the owner."""
     config = SmtConfig(depth=64)
     keyring = Keyring()
     deposit = PlasmaBlock.deposit(1, make_deposit_tx(0, keyring.new_signer("alice").address), config)
     excl = PlasmaBlock.build(1000, {}, config).prove(0)
     assert excl.is_exclusion
-    assert len(excl.encode(config)) == len(uint(1000)) + 1 + config.bitfield_size == 11
+    assert excl.encode(config) == uint(1000) + bytes((0,))  # kind 0: no tx, no neighbour, width 0
+    assert len(excl.encode(config)) == len(uint(1000)) + 1 == 3
     deposit_tx = len(uint(0)) + len(uint(0)) + ADDRESS_SIZE
-    assert len(deposit.prove(0).encode(config)) == len(uint(1)) + 1 + deposit_tx + config.bitfield_size
+    assert len(deposit.prove(0).encode(config)) == len(uint(1)) + 1 + deposit_tx == 24
 
 
 # -- canonical decoding: one byte string, one value --
@@ -338,14 +340,62 @@ def test_every_integer_field_refuses_a_bad_form(keyring, bad):
 
 
 def test_decoders_refuse_unknown_kind_bits(keyring):
+    """Unknown kinds: transaction kind 3, bit 7, and a bitfield width past
+    ``bitfield_size`` (1 byte at depth 4), whatever bytes follow."""
     alice = keyring.new_signer("alice")
     tx = make_transfer_tx(alice, 3, 1, alice.address)
     data = IncludedTx(tx, 5, SMALL.empty_proof).encode(SMALL)
     at = len(uint(5))
     assert data[at] == SIGNED
-    for kind in (3, NEIGHBOR | 3, 8, 0x80, 0xFF):
+    for kind in (3, NEIGHBOR | 3, 0x80, 0x80 | SIGNED, 0xFF):
         with pytest.raises(MalformedEncoding, match="kind"):
             IncludedTx.decode(data[:at] + bytes((kind,)) + data[at + 1:], SMALL)
+    for width in range(SMALL.bitfield_size + 1, 16):
+        kind = SIGNED | width << WIDTH_SHIFT
+        for tail in (b"", b"\x01" * width):
+            with pytest.raises(MalformedEncoding, match="past"):
+                IncludedTx.decode(data[:at] + bytes((kind,)) + data[at + 1:] + tail, SMALL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entry_bitfield_takes_the_fewest_bytes(data):
+    """At every depth an entry round-trips, its kind byte records the
+    bitfield's width, ``ceil(bit_length / 8)`` bytes and never more than
+    ``bitfield_size``, and those bytes follow the transaction.  The reader
+    refuses a zero top byte, a width past ``bitfield_size`` and kind bit 7."""
+    config = SmtConfig(depth=data.draw(st.integers(1, 64), label="depth"))
+    bitfield = data.draw(st.integers(0, config.capacity - 1), label="bitfield")
+    tx = data.draw(st.none() | transactions, label="tx")
+    neighbor = None
+    if tx is None and data.draw(st.booleans(), label="neighbour"):
+        neighbor = (data.draw(st.integers(0, config.capacity - 1), label="slot"), bytes(32))
+    present = tuple(hashlib.sha256(b"sib:%d" % i).digest() for i in range(bitfield.bit_count()))
+    itx = IncludedTx(tx, data.draw(u64, label="blk"), Proof(bitfield, present, neighbor))
+    encoded = itx.encode(config)
+    assert IncludedTx.decode(encoded, config) == itx
+    width = -(-bitfield.bit_length() // 8)
+    assert itx.proof.width == width <= config.bitfield_size
+    at = len(uint(itx.blk_number))
+    kind = encoded[at]
+    assert kind >> WIDTH_SHIFT == width
+    body = at + 1 + (0 if tx is None else len(tx.encode()))
+    assert encoded[body:body + width] == bitfield.to_bytes(width, "little")
+
+    def with_kind(kind, bitfield_bytes):
+        return encoded[:at] + bytes((kind,)) + encoded[at + 1:body] + bitfield_bytes + encoded[body + width:]
+
+    wider = width + 1  # the same bitfield, a zero top byte appended
+    padded = with_kind(kind + (1 << WIDTH_SHIFT), bitfield.to_bytes(wider, "little"))
+    why = "top byte is zero" if wider <= config.bitfield_size else "past"
+    with pytest.raises(MalformedEncoding, match=why):
+        IncludedTx.decode(padded, config)
+    for past in range(config.bitfield_size + 1, 16):
+        wide = with_kind(kind & ~(0xF << WIDTH_SHIFT) | past << WIDTH_SHIFT, bitfield.to_bytes(past, "little"))
+        with pytest.raises(MalformedEncoding, match="past"):
+            IncludedTx.decode(wide, config)
+    with pytest.raises(MalformedEncoding, match="kind bit 7"):
+        IncludedTx.decode(with_kind(kind | 0x80, encoded[body:body + width]), config)
 
 
 def test_a_truncated_or_missing_neighbour_is_refused():

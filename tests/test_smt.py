@@ -32,9 +32,15 @@ def leaf(n: int) -> bytes:
     return hashlib.sha256(b"leaf:%d" % n).digest()
 
 
-def read_proof(data: bytes, config: SmtConfig, has_neighbor: bool) -> Proof:
+def read_proof(data: bytes, config: SmtConfig, width: int, has_neighbor: bool) -> Proof:
     """``data`` read as exactly one proof, as a container would read it."""
-    return whole(data, lambda r: Proof.read(r, config, has_neighbor))
+    return whole(data, lambda r: Proof.read(r, config, width, has_neighbor))
+
+
+def round_trip(proof: Proof, config: SmtConfig) -> Proof:
+    """``proof`` encoded, then read back with the width and neighbour bit
+    its container records."""
+    return read_proof(proof.encode(config), config, proof.width, proof.neighbor is not None)
 
 
 def reference_proof(config: SmtConfig, leaves, slot: int, node) -> Proof:
@@ -248,17 +254,24 @@ def test_wrong_depth_proof_rejected():
 
 
 def test_compact_proof_size_formula():
-    # a lone leaf at slot 0 has only default siblings: the bitfield alone
+    """A proof is ``ceil(bit_length / 8)`` bitfield bytes plus 32 a sent
+    sibling: nothing for a lone leaf, whose siblings are all defaults; one
+    byte for slot 0 of a block of 64 consecutive slots (bits 0-5); all 8 at
+    depth 64 for a slot among random ones, whose top sibling is sent."""
     for depth in (4, 8, 64):
         config = SmtConfig(depth=depth)
         tree = SparseMerkleTree(config, {0: leaf(0)})
-        assert tree.prove(0).encode(config) == bytes(config.bitfield_size)
+        assert tree.prove(0).width == 0 and tree.prove(0).encode(config) == b""
     config = SmtConfig(depth=64)
+    proof = SparseMerkleTree(config, {s: leaf(s) for s in range(64)}).prove(0)
+    assert proof.bitfield == 0b111111 and proof.width == 1
+    assert proof.encode(config) == b"\x3f" + b"".join(proof.present)
     rng = random.Random(2)
     tree = SparseMerkleTree(config, {rng.getrandbits(64): leaf(i) for i in range(100)})
     proof = tree.prove(next(iter(tree.leaves)))
     present = sum(sib != d for sib, d in zip(siblings_of(proof, 64), config.defaults))
     encoded = proof.encode(config)
+    assert proof.width == config.bitfield_size == 8
     assert len(encoded) == 8 + 32 * present
     assert bin(int.from_bytes(encoded[:8], "little")).count("1") == present
 
@@ -269,7 +282,7 @@ def test_proof_bytes_round_trip():
     tree = SparseMerkleTree(config, random_leaves(rng, config, 30))
     for slot in (0, 9, 255):
         proof = tree.prove(slot)
-        assert read_proof(proof.encode(config), config, proof.neighbor is not None) == proof
+        assert round_trip(proof, config) == proof
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,7 +292,7 @@ def test_compact_expand_round_trip(leafmap, slot):
     leaves = {s: leaf(v) for s, v in leafmap.items()}
     tree = SparseMerkleTree(config, leaves)
     proof = tree.prove(slot)
-    decoded = read_proof(proof.encode(config), config, proof.neighbor is not None)
+    decoded = round_trip(proof, config)
     assert decoded == proof
     assert verify(slot, tree.leaf_at(slot), decoded, tree.root, config)
 
@@ -290,48 +303,53 @@ def test_proof_decode_rejects_bad_length():
     assert len(encoded) == 1 + 32
     for data in (b"", encoded[:-1], encoded + b"\x00", encoded + leaf(9)):
         with pytest.raises(MalformedEncoding):
-            read_proof(data, config, False)
+            read_proof(data, config, 1, False)
 
 
 def test_bitfield_mismatch_detected():
     """Each proof has one encoding: a bit whose sibling is missing, a
-    spare bit past the depth, or a sent sibling equal to its level default
-    does not decode."""
+    spare bit past the depth, a sent sibling equal to its level default, a
+    zero top byte or a width past ``bitfield_size`` does not decode."""
     config = SmtConfig(depth=4)  # 4 spare bits in the 1-byte bitfield
     sib = leaf(9)
-    assert read_proof(b"\x01" + sib, config, False) == Proof(1, (sib,))
-    for bad in (
-        b"\x03" + sib,  # bit 1 set, its sibling missing
-        b"\x11" + sib,  # bit 4 set: past the depth
-        b"\x80",  # bit 7 set: past the depth
-        b"\x01" + config.defaults[0],  # sent sibling is the level-0 default
-        b"\x05" + sib + config.defaults[2],  # sent sibling is the level-2 default
+    assert read_proof(b"\x01" + sib, config, 1, False) == Proof(1, (sib,))
+    assert read_proof(b"", config, 0, False) == config.empty_proof
+    for width, bad in (
+        (1, b"\x03" + sib),  # bit 1 set, its sibling missing
+        (1, b"\x11" + sib),  # bit 4 set: past the depth
+        (1, b"\x80"),  # bit 7 set: past the depth
+        (1, b"\x01" + config.defaults[0]),  # sent sibling is the level-0 default
+        (1, b"\x05" + sib + config.defaults[2]),  # sent sibling is the level-2 default
+        (1, b"\x00"),  # the empty bitfield has width 0, not a zero byte
+        (2, b"\x01\x00" + sib),  # a zero top byte
+        (2, b"\x01\x01" + sib),  # past the 1-byte bitfield
     ):
         with pytest.raises(MalformedEncoding):
-            read_proof(bad, config, False)
+            read_proof(bad, config, width, False)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_proof_decode_is_canonical(data):
     """Multi-byte bitfields too: any proof round-trips, every strict prefix
-    fails, and so does setting any spare bit past the depth."""
+    fails, and so does setting any spare bit past the depth, in the width
+    that holds it."""
     config = SmtConfig(depth=data.draw(st.sampled_from([4, 12, 64])))
     proof = proof_from_siblings([
         data.draw(st.just(d) | st.binary(min_size=32, max_size=32))
         for d in config.defaults[:config.depth]
     ])
-    encoded = proof.encode(config)
-    assert read_proof(encoded, config, False) == proof
+    encoded, width = proof.encode(config), proof.width
+    assert read_proof(encoded, config, width, False) == proof
     for cut in range(len(encoded)):
         with pytest.raises(MalformedEncoding):
-            read_proof(encoded[:cut], config, False)
-    n = config.bitfield_size
-    bitfield = int.from_bytes(encoded[:n], "little")
-    for bit in range(config.depth, 8 * n):
-        spare = (bitfield | 1 << bit).to_bytes(n, "little")
+            read_proof(encoded[:cut], config, width, False)
+    assert int.from_bytes(encoded[:width], "little") == proof.bitfield
+    for bit in range(config.depth, 8 * config.bitfield_size):
+        spare = proof.bitfield | 1 << bit
+        wide = (spare.bit_length() + 7) // 8
         with pytest.raises(MalformedEncoding):
-            read_proof(spare + encoded[n:], config, False)
+            read_proof(spare.to_bytes(wide, "little") + encoded[width:], config, wide, False)
 
 
 # -- the memo of verified upper paths --
@@ -342,7 +360,7 @@ def test_proof_top_is_one_past_the_highest_non_default_sibling():
     tree = SparseMerkleTree(config, {s: leaf(s) for s in range(8)})
     assert tree.prove(0).bitfield.bit_length() == tree.prove(7).bitfield.bit_length() == 3
     assert tree.prove(8).bitfield.bit_length() == 4  # an absent slot beside the occupied subtree
-    assert read_proof(tree.prove(0).encode(config), config, False).bitfield.bit_length() == 3
+    assert round_trip(tree.prove(0), config).bitfield.bit_length() == 3
     assert SparseMerkleTree(config, {9: leaf(9)}).prove(9).bitfield == 0
     # every default sent: the empty tree's fold, but no proof sends a default
     empty = SparseMerkleTree(config, {}).root
@@ -541,7 +559,8 @@ def test_a_neighbor_added_or_removed_is_refused(data):
 @given(st.data())
 def test_proof_decode_takes_one_neighbor_inside_the_tree(data):
     """Read with the neighbour flag, the tail after the siblings is one
-    neighbour of ``bitfield_size + 32`` bytes whose slot is inside the tree;
+    neighbour of ``bitfield_size + 32`` bytes whose slot is inside the tree
+    (here after a bitfield of width 0);
     any other length, or a slot at or past the capacity, does not read, and
     without the flag a neighbour is trailing bytes."""
     config = SmtConfig(depth=data.draw(st.sampled_from([4, 12, 16, 64]), label="depth"))
@@ -552,23 +571,22 @@ def test_proof_decode_takes_one_neighbor_inside_the_tree(data):
     proof = tree.prove(other)
     assert proof.neighbor == (slot, leaf(slot))
     encoded = proof.encode(config)
-    assert len(encoded) == size + size + 32
-    decoded = read_proof(encoded, config, True)
+    assert proof.width == 0 and len(encoded) == size + 32
+    decoded = read_proof(encoded, config, 0, True)
     assert decoded == proof and decoded.bitfield == 0
-    body = encoded[:size]
-    for cut in range(1, size + 32):
+    for cut in range(1, size + 33):
         with pytest.raises(MalformedEncoding):
-            read_proof(encoded[:-cut], config, True)
+            read_proof(encoded[:-cut], config, 0, True)
     for extra in (b"\x00", leaf(1), bytes(size + 33)):
         with pytest.raises(MalformedEncoding):
-            read_proof(encoded + extra, config, True)
+            read_proof(encoded + extra, config, 0, True)
     with pytest.raises(MalformedEncoding):
-        read_proof(encoded, config, False)
+        read_proof(encoded, config, 0, False)
     # at depths 4 and 12 the slot bytes can name a slot past the tree
     for past in (config.capacity, (1 << 8 * size) - 1):
         if config.capacity <= past < 1 << 8 * size:
             with pytest.raises(MalformedEncoding):
-                read_proof(body + past.to_bytes(size, "big") + leaf(slot), config, True)
+                read_proof(past.to_bytes(size, "big") + leaf(slot), config, 0, True)
 
 
 def test_digests_of_another_length_are_refused():
@@ -788,7 +806,7 @@ def test_proof_encode_refuses_what_decode_refuses():
             proof.encode(config)
         assert verify(3, DEFAULT_LEAF, proof, config.defaults[4], config) is False
     for good in (Proof(0, (), (15, leaf(0))), Proof(0b101, (sib, leaf(10)))):
-        assert read_proof(good.encode(config), config, good.neighbor is not None) == good
+        assert round_trip(good, config) == good
 
 
 @pytest.mark.parametrize("bitfield, present, neighbor", [

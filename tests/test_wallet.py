@@ -708,10 +708,11 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
 def test_handoff_bytes_are_the_sum_of_closed_forms(monkeypatch):
     """What a hand-off ships and what the receiver stores, in bytes: one
     coin at depth 64, handed round-robin among 4 wallets, one block each.
-    Each block holds only the coin, so its proof is the bitfield alone.  An
-    entry is its block number, the kind byte, the transaction (slot, parent
-    block, owner and, on a spend, the signature) and the proof; a history
-    adds its slot, its deposit block and its two entry counts."""
+    Each block holds only the coin, so its proof sets no bit: a bitfield of
+    width 0, no bytes at all.  An entry is its block number, the kind byte,
+    the transaction (slot, parent block, owner and, on a spend, the
+    signature) and the proof; a history adds its slot, its deposit block and
+    its two entry counts."""
     sim = Simulation(params=ChainParams(smt_depth=64))
     config = sim.contract.config
     names = ["w0", "w1", "w2", "w3"]
@@ -730,8 +731,9 @@ def test_handoff_bytes_are_the_sum_of_closed_forms(monkeypatch):
 
     def entry(blk, parent):
         signature = core.SIG_SIZE if parent else 0
+        proof = 0  # the width of a bitfield with no bit set
         return (uint_size(blk) + 1 + uint_size(slot) + uint_size(parent) + core.ADDRESS_SIZE
-                + signature + config.bitfield_size)
+                + signature + proof)
 
     def history(inclusions):
         head = uint_size(slot) + uint_size(deposit_block) + uint_size(len(inclusions)) + uint_size(0)
