@@ -6,10 +6,11 @@ the slot was empty).  A deposit block's root is its one deposit
 transaction's hash, so other coins' deposit blocks are left out: the coin
 cannot be in one.  So is every block whose root is the empty-tree root,
 which proves every slot empty by itself (see ``RootView``).  The verifier
-walks that partition: the deposit entry first, then each spend must be
-included (``RootView.inclusion_fault``, the contract's check too) and spend
-the previous inclusion's output (``core.spend_fault``); every other block
-must prove the slot empty.
+walks that partition in block order: the deposit entry first
+(``RootView.inclusion_fault``, the contract's check too), then each spend
+must be included in its operator block (``RootView.operator_fault``, that
+check's operator-block branch) and spend the previous inclusion's output
+(``core.spend_fault``); every other block must prove the slot empty.
 
 A receiver that verified a coin up to a block keeps a ``Mark`` there and is
 handed only the later entries, so a hand-off costs the same however old the coin is.
@@ -117,17 +118,27 @@ class RootView:
     ) -> Optional[str]:
         """Why ``itx`` is not a transaction of ``slot`` proven included in
         one of the coin's blocks, or None when it is: at an operator block by
-        ``smt.verify`` against the caller's memo ``known`` (a deposit-shaped
-        transaction there is refused: no spend names block 0), at the coin's
-        deposit block by ``core.deposit_fault``, and at no other block."""
+        ``operator_fault``, at the coin's deposit block by
+        ``core.deposit_fault``, and at no other block.  A missing or foreign
+        transaction is refused first, at any block, by ``operator_fault``."""
+        tx, number = itx.tx, itx.blk_number
+        if tx is None or tx.slot != slot or self.is_operator_block(number):
+            return self.operator_fault(itx, slot, config, known)
+        if number != deposit_block:
+            return f"block {number} is not the coin's deposit or an operator block"
+        return deposit_fault(itx, slot, depositor, self.roots[number], config)
+
+    def operator_fault(
+        self, itx: IncludedTx, slot: int, config: SmtConfig, known: Optional[smt.Memo] = None,
+    ) -> Optional[str]:
+        """``inclusion_fault`` at an operator block, which the caller knows
+        ``itx.blk_number`` to be: ``smt.verify`` against the caller's memo
+        ``known``, after refusing a missing or foreign transaction and a
+        deposit-shaped one (no spend names block 0)."""
         tx = itx.tx
         if tx is None or tx.slot != slot:
             return "transaction missing or for another slot"
         number = itx.blk_number
-        if not self.is_operator_block(number):
-            if number != deposit_block:
-                return f"block {number} is not the coin's deposit or an operator block"
-            return deposit_fault(itx, slot, depositor, self.roots[number], config)
         if tx.is_deposit:
             return f"is a deposit transaction at operator block {number}"
         if smt.verify(slot, tx.hash(), itx.proof, self.roots[number], config, known):
@@ -150,7 +161,7 @@ class CoinHistory:
 
     def past(self, block: int) -> "CoinHistory":
         """A fresh history of the entries past ``block``: new maps, the frozen
-        entries shared; for 0, in ascending block order whatever order these are in."""
+        entries shared, in this history's order."""
         incl, excl = _past(self.incl, block), _past(self.excl, block)
         return CoinHistory(self.slot, self.deposit_block, incl, excl)
 
@@ -181,9 +192,7 @@ class CoinHistory:
 
 
 def _past(entries: Dict[int, IncludedTx], block: int) -> Dict[int, IncludedTx]:
-    if not block:
-        return dict(entries) if list(entries) == sorted(entries) else dict(sorted(entries.items()))
-    tail = list(takewhile(lambda blk: blk > block, reversed(entries)))
+    tail = list(takewhile(block.__lt__, reversed(entries)))  # the blocks past ``block``, last first
     return {blk: entries[blk] for blk in reversed(tail)}
 
 
@@ -209,6 +218,13 @@ def verify_history(
     cannot cover the claimed blocks raises MissingRoot instead: the caller
     must distinguish "unverifiable" from "fraudulent".
 
+    The audit walks ``view.history_blocks``, the ascending blocks the
+    partition must equal: each has a root and sits in exactly one map, and
+    the maps hold no more entries.  Only a partition that fails is named,
+    by ``_partition_fault``.  Then the deposit entry, the inclusions and the
+    exclusions are checked in the list's order; each listed block past the
+    deposit block is an operator block.
+
     With ``mark``, the caller's record of the coin verified up to its block,
     the history must hold exactly the coin's blocks past that one; every
     check runs on each and the ownership chain resumes at ``mark.tip``.
@@ -218,42 +234,40 @@ def verify_history(
     ``known`` is the caller's memo of verified upper Merkle paths, handed to
     every ``smt.verify``; it changes the cost, never the verdict.
     """
-    slot = history.slot
-    incl, excl = history.incl, history.excl
-    claimed = incl.keys() | excl.keys()
-    for blk in claimed if mark is not None else claimed | {history.deposit_block}:
-        if blk not in view.roots:
-            raise MissingRoot(f"no committed root for block {blk}")
-
-    overlap = incl.keys() & excl.keys()
-    if overlap:
-        return reject(Reason.PARTITION_OVERLAP, f"blocks {sorted(overlap)}")
-    required = set(view.history_blocks(history.deposit_block, after=mark.block if mark else 0))
-    if claimed != required:
-        missing = sorted(required - claimed)
-        extra = sorted(claimed - required)
-        return reject(Reason.PARTITION_GAP, f"missing={missing} extra={extra}")
+    slot, deposit_block = history.slot, history.deposit_block
+    incl, excl, roots = history.incl, history.excl, view.roots
+    blocks = view.history_blocks(deposit_block, after=mark.block if mark else 0)
+    if len(incl) + len(excl) != len(blocks) or mark is None and deposit_block not in roots:
+        return _partition_fault(history, view, mark, blocks)
+    for blk in blocks:
+        if blk not in roots or (blk in incl) is (blk in excl):
+            return _partition_fault(history, view, mark, blocks)
 
     if mark is not None:
         last_block, last_owner = mark.tip.blk_number, mark.tip.tx.new_owner
     else:
-        dep = incl.get(history.deposit_block)
-        if dep is None or dep.blk_number != history.deposit_block:
+        dep = incl.get(deposit_block)
+        if dep is None or dep.blk_number != deposit_block:
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
         # an operator may commit any root, even a deposit transaction's hash
-        if view.is_operator_block(dep.blk_number):
+        if view.is_operator_block(deposit_block):
             return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block is an operator block")
-        fault = view.inclusion_fault(dep, slot, dep.blk_number, deposit_owner, config)
+        fault = view.inclusion_fault(dep, slot, deposit_block, deposit_owner, config)
         if fault is not None:
             return reject(Reason.BAD_DEPOSIT_PROOF, fault)
         # the partition puts every other entry after the deposit block
-        last_block, last_owner = history.deposit_block, deposit_owner
+        last_block, last_owner = deposit_block, deposit_owner
 
-    for blk in sorted(b for b in incl if b > last_block):
-        itx = incl[blk]
+    for blk in blocks:
+        itx = incl.get(blk)
+        if itx is None or blk <= last_block:
+            continue
         if itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
-        fault = view.inclusion_fault(itx, slot, history.deposit_block, deposit_owner, config, known)
+        if blk == deposit_block:  # listed past a mark below it
+            fault = view.inclusion_fault(itx, slot, deposit_block, deposit_owner, config, known)
+        else:
+            fault = view.operator_fault(itx, slot, config, known)
         if fault is not None:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: {fault}")
         # reject double spends and forgeries: each spend must chain the
@@ -264,14 +278,36 @@ def verify_history(
             return reject(reason, f"block {blk}: {fault}")
         last_block, last_owner = blk, itx.tx.new_owner
 
-    for blk in sorted(excl):
-        itx = excl[blk]
+    for blk in blocks:
+        itx = excl.get(blk)
+        if itx is None:
+            continue
         if itx.tx is not None or itx.blk_number != blk:
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: not an exclusion")
-        if not smt.verify(slot, smt.DEFAULT_LEAF, itx.proof, view.roots[blk], config, known):
+        if not smt.verify(slot, smt.DEFAULT_LEAF, itx.proof, roots[blk], config, known):
             return reject(Reason.BAD_EXCLUSION_PROOF, f"block {blk}: proof invalid")
 
     return ACCEPT
+
+
+def _partition_fault(
+    history: CoinHistory, view: RootView, mark: Optional[Mark], blocks: List[int]
+) -> Verdict:
+    """The fault of a partition that is not ``blocks``, in one order: a
+    claimed block, or without a mark the deposit block, with no root raises
+    MissingRoot; then the blocks in both maps; then the gap."""
+    incl, excl = history.incl, history.excl
+    claimed = incl.keys() | excl.keys()
+    for blk in claimed if mark is not None else claimed | {history.deposit_block}:
+        if blk not in view.roots:
+            raise MissingRoot(f"no committed root for block {blk}")
+    overlap = incl.keys() & excl.keys()
+    if overlap:
+        return reject(Reason.PARTITION_OVERLAP, f"blocks {sorted(overlap)}")
+    required = set(blocks)
+    missing = sorted(required - claimed)
+    extra = sorted(claimed - required)
+    return reject(Reason.PARTITION_GAP, f"missing={missing} extra={extra}")
 
 
 WitnessSource = Callable[[int, int], IncludedTx]

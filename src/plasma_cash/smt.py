@@ -108,14 +108,6 @@ class Reader:
             )
 
 
-def _set_bits(bitfield: int):
-    """The levels whose bit is set in ``bitfield``, lowest first."""
-    while bitfield:
-        bit = bitfield & -bitfield
-        yield bit.bit_length() - 1
-        bitfield ^= bit
-
-
 #: Each level's default digest: DEFAULTS[0] is the empty leaf, DEFAULTS[i]
 #: the root of an empty subtree of height i, whatever the tree's depth.
 DEFAULTS = tuple(accumulate(range(64), lambda node, _: hash_pair(node, node), initial=DEFAULT_LEAF))
@@ -150,7 +142,7 @@ class Proof:
         bitfield, present, neighbor = self.bitfield, self.present, self.neighbor
         if not 0 <= bitfield < 1 << 64 or len(present) != bitfield.bit_count():
             raise MalformedProof(f"bitfield {bitfield:#x} does not frame {len(present)} siblings")
-        rest = bitfield  # walked inline, not by _set_bits: every proof built pays this
+        rest = bitfield
         for sib in present:
             bit, rest = rest & -rest, rest & (rest - 1)
             if len(sib) != DIGEST_SIZE or sib == DEFAULTS[bit.bit_length() - 1]:
@@ -386,31 +378,32 @@ def verify(
     that path once per block.
     """
     depth = config.depth
-    bitfield, present = proof.bitfield, proof.present
+    bitfield = proof.bitfield
     if bitfield >> depth or not 0 <= slot < config.capacity:
         return False
     # hash_pair is looked up once a call, so a hook patched in before the
     # call still sees every hash
     hash_ = hash_pair
     low = (bitfield & -bitfield).bit_length() - 1 if bitfield else depth
-    top = bitfield.bit_length()
+    # a lone digest is hashed here, not through lone_digest: one call fewer
+    # on every entry a receiver audits
     if proof.neighbor is not None:
         other, other_leaf = proof.neighbor
         if leaf != DEFAULT_LEAF or other == slot or other >> low != slot >> low:
             return False
-        node = lone_digest(other, other_leaf)
+        node = hash_(other.to_bytes(8, "big"), other_leaf)
     elif leaf == DEFAULT_LEAF:
         node = DEFAULTS[low]
     else:
-        node = lone_digest(slot, leaf) if low else leaf
+        node = hash_(slot.to_bytes(8, "big"), leaf) if low else leaf
     if low == depth:
         return node == root
-    sibs = present
-    if len(present) != top - low:  # clear levels between low and top fold their default
-        sibs = list(DEFAULTS[low:top])
-        for i, sib in zip(_set_bits(bitfield), present):
-            sibs[i - low] = sib
-    for i, sib in zip(range(low, top), sibs):
+    # fold in place up to ``top``: a set bit takes the next present sibling,
+    # a clear one its level's default
+    top = bitfield.bit_length()
+    sibs = iter(proof.present)
+    for i in range(low, top):
+        sib = next(sibs) if bitfield >> i & 1 else DEFAULTS[i]
         node = hash_(sib, node) if (slot >> i) & 1 else hash_(node, sib)
     index = slot >> top
     key = (root, top, index, node)

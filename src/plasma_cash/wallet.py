@@ -117,19 +117,23 @@ class Wallet:
         )
         if not verdict:
             return verdict
-        new = history.past(0)  # own maps, in block order whatever order these are in
-        last = new.incl[next(reversed(new.incl))] if new.incl else mark.tip
+        # the entries in block order, whatever order the handed maps are in
+        incl, excl = sorted(history.incl.items()), sorted(history.excl.items())
+        last = incl[-1][1] if incl else mark.tip
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
-        log = self.logs.setdefault(history.slot, new)
-        if mark is not None:
+        slot = history.slot
+        if mark is None:  # a log and its mark are kept together
+            log = self.logs[slot] = CoinHistory(slot, history.deposit_block, dict(incl), dict(excl))
+        else:
+            log = self.logs[slot]
             # drop what sync appended past the mark; the new entries replace it
-            for entries, added in ((log.incl, new.incl), (log.excl, new.excl)):
+            for entries, added in ((log.incl, incl), (log.excl, excl)):
                 while entries and next(reversed(entries)) > mark.block:
                     entries.popitem()
                 entries.update(added)
-        self.coins[history.slot] = log
-        self.marks[history.slot] = Mark(log.last_block(), last)
+        self.coins[slot] = log
+        self.marks[slot] = Mark(log.last_block(), last)
         return ACCEPT
 
     # -- watching and challenging --

@@ -4,7 +4,8 @@ Acceptance tests register their PASS/FAIL verdict lines here; the terminal
 summary hook replays them after the run, outside pytest's output capture,
 so every verdict is visible in the run log.  ``proof_from_siblings`` and
 ``siblings_of`` convert between a proof and its full sibling list, one
-digest per level, ``flip`` is the one way tests tamper with a proof,
+digest per level, ``set_bits`` lists a bitfield's set levels, ``flip`` is
+the one way tests tamper with a proof,
 ``fold`` is the reference verifier over such a list, and ``whole`` reads
 exactly one encoding.
 """
@@ -12,7 +13,7 @@ exactly one encoding.
 import hashlib
 from typing import List, Optional
 
-from plasma_cash.smt import DEFAULT_LEAF, DEFAULTS, Proof, Reader, _set_bits, hash_pair
+from plasma_cash.smt import DEFAULT_LEAF, DEFAULTS, Proof, Reader, hash_pair
 
 acceptance_lines: List[str] = []
 
@@ -31,11 +32,19 @@ def proof_from_siblings(siblings, neighbor=None) -> Proof:
     return Proof(sum(1 << i for i, _ in sent), tuple(sib for _, sib in sent), neighbor)
 
 
+def set_bits(bitfield: int):
+    """The levels whose bit is set in ``bitfield``, lowest first."""
+    while bitfield:
+        bit = bitfield & -bitfield
+        yield bit.bit_length() - 1
+        bitfield ^= bit
+
+
 def siblings_of(proof: Proof, depth: int) -> list:
     """A proof's full sibling list: each present sibling at its set bit, the
     level's default elsewhere."""
     sibs = list(DEFAULTS[:depth])
-    for i, sib in zip(_set_bits(proof.bitfield), proof.present):
+    for i, sib in zip(set_bits(proof.bitfield), proof.present):
         sibs[i] = sib
     return sibs
 

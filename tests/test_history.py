@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flip
 from plasma_cash.core import (
@@ -84,6 +86,68 @@ def test_honest_history_accepted(chain):
     assert set(history.incl) == {1, 1000, 3000}
     assert set(history.excl) == {2000, 4000}
     assert verify(chain, history)
+
+
+def partition_oracle(history, view, mark):
+    """The partition fault ``verify_history`` must name, spelled out: a
+    claimed block, or without a mark the deposit block, with no root is
+    MissingRoot; then the blocks in both maps; then the blocks missing from
+    and extra to the deposit block (when it has a root and lies past the
+    mark) and every operator block past both.  None when the partition holds."""
+    incl, excl, roots = set(history.incl), set(history.excl), view.roots
+    claimed, deposit, after = incl | excl, history.deposit_block, mark.block if mark else 0
+    if any(blk not in roots for blk in (claimed if mark else claimed | {deposit})):
+        return MissingRoot
+    if incl & excl:
+        return Reason.PARTITION_OVERLAP, f"blocks {sorted(incl & excl)}"
+    required = {blk for blk in view.operator_blocks if blk > max(after, deposit)}
+    if after < deposit and deposit in roots:
+        required.add(deposit)
+    if claimed != required:
+        return Reason.PARTITION_GAP, f"missing={sorted(required - claimed)} extra={sorted(claimed - required)}"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_partition_faults_are_the_oracles(data):
+    """Random views, some listing operator blocks that have no root and a
+    deposit block with a root or none, and random maps, with and without a
+    mark: ``verify_history`` raises MissingRoot exactly when the oracle
+    does, else names its partition fault with the same detail, and never
+    names one when the partition holds.  No input raises anything else."""
+    draw = data.draw
+    blocks = st.integers(0, 9)
+    keyring = Keyring()
+    owner = keyring.new_signer("alice").address
+    spend = make_transfer_tx(keyring.new_signer("bob"), 0, 1, owner)
+    operator_blocks = sorted(draw(st.sets(blocks)))
+    roots = {blk: bytes([blk]) * 32 for blk in draw(st.sets(blocks))}
+    view = RootView(roots, operator_blocks)
+    deposit = draw(blocks)
+    mark = draw(st.none() | blocks.map(
+        lambda blk: Mark(blk, IncludedTx(make_deposit_tx(0, owner), min(blk, deposit), CONFIG.empty_proof))
+    ))
+    listed = view.history_blocks(deposit, after=mark.block if mark else 0)
+    maps = []
+    for _ in range(2):
+        # a random subset of the listed blocks, maybe others, in any order
+        picked = draw(st.lists(st.sampled_from(listed) if listed else blocks, unique=True))
+        picked += [blk for blk in draw(st.lists(blocks, max_size=2)) if blk not in picked]
+        maps.append({
+            blk: IncludedTx(spend if draw(st.booleans()) else None, blk, CONFIG.empty_proof) for blk in picked
+        })
+    history = CoinHistory(0, deposit, *maps)
+    expected = partition_oracle(history, view, mark)
+    if expected is MissingRoot:
+        with pytest.raises(MissingRoot):
+            verify_history(history, view, owner, keyring, CONFIG, mark)
+        return
+    verdict = verify_history(history, view, owner, keyring, CONFIG, mark)
+    if expected is None:
+        assert verdict.reason not in (Reason.PARTITION_OVERLAP, Reason.PARTITION_GAP)
+    else:
+        assert (verdict.reason, verdict.detail) == expected
 
 
 def test_deposit_only_history_accepted():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip, fold, fold_root, lone, proof_from_siblings, siblings_of, whole
+from conftest import flip, fold, fold_root, lone, proof_from_siblings, set_bits, siblings_of, whole
 from plasma_cash import smt
 from plasma_cash.core import Address, IncludedTx, PlasmaBlock, Transaction
 from plasma_cash.errors import (
@@ -379,12 +379,12 @@ def test_verify_refuses_a_sent_default(data):
     known = set()
     for slot in slots:
         proof = tree.prove(slot)
-        low = next(smt._set_bits(proof.bitfield), config.depth)
+        low = next(set_bits(proof.bitfield), config.depth)
         clear = [i for i in range(low + 1, config.depth) if not proof.bitfield >> i & 1]
         if not clear:
             continue
         level = data.draw(st.sampled_from(clear), label="level")
-        sibs = dict(zip(smt._set_bits(proof.bitfield), proof.present))
+        sibs = dict(zip(set_bits(proof.bitfield), proof.present))
         sibs[level] = config.defaults[level]
         assert fold(slot, tree.leaf_at(slot), siblings_of(proof, config.depth), tree.root, proof.neighbor)
         assert verify(slot, tree.leaf_at(slot), proof, tree.root, config, known)
@@ -518,7 +518,7 @@ def test_a_wrong_neighbor_is_refused(data):
         if proof.neighbor is None:
             continue
         other, other_leaf = proof.neighbor
-        low = next(smt._set_bits(proof.bitfield), config.depth)
+        low = next(set_bits(proof.bitfield), config.depth)
         assert verify(slot, DEFAULT_LEAF, proof, tree.root, config)
         for unbuilt in ((other, other_leaf[:31]), (-1, other_leaf)):
             with pytest.raises(MalformedProof):
@@ -632,6 +632,57 @@ def test_a_one_leaf_tree_costs_one_hash(monkeypatch):
         calls.clear()
         assert verify(slot, value, tree.prove(slot), tree.root, config)
         assert calls == [40]
+
+
+@pytest.mark.parametrize("depth", [16, 64])
+@pytest.mark.parametrize("k", [1, 2, 5, 6, 64])
+def test_verify_costs_its_closed_form(monkeypatch, k, depth):
+    """``k`` coins in slots 0 to k - 1 fill a subtree of height
+    ``h = ceil(log2 k)``.  The inclusion of slot 0 folds from its leaf
+    through h present siblings, then the ``depth - h`` default levels up to
+    the root.  The exclusion of slot k, the first empty one, folds from its
+    lowest present sibling, at level ``low``, up to h, then the default
+    levels above:
+
+    - k = 2^h: slot k lies just past the subtree, which is its one present
+      sibling, at h, folded from that level's default;
+    - k even: its present siblings are k's set bits, the lowest full of
+      coins, so ``low = tz(k)``, folded from that level's default;
+    - k odd: coin k - 1 is alone beside it up to the lowest set bit of
+      k - 1, its neighbour, whose lone digest costs one hash: ``low = tz(k - 1)``.
+
+    A memo hit skips the default levels above h, and for k = 2^h those
+    above h + 1.  A one-coin tree commits its lone digest, and each proof
+    costs that one hash, memo or not.  Each proof is counted with a fresh
+    memo, then again with that memo."""
+    h = (k - 1).bit_length()
+    tz = (k & -k).bit_length() - 1
+    if k == 1:
+        inclusion = exclusion = (1, 1)
+    elif k == 1 << h:
+        inclusion, exclusion = (depth, h), (depth - h, 1)
+    elif k % 2 == 0:
+        inclusion, exclusion = (depth, h), (depth - tz, h - tz)
+    else:
+        low = ((k - 1) & -(k - 1)).bit_length() - 1
+        inclusion, exclusion = (depth, h), (1 + depth - low, 1 + h - low)
+    config = SmtConfig(depth=depth)
+    tree = SparseMerkleTree(config, {s: leaf(s) for s in range(k)})
+    calls = []
+
+    def counted(left, right):
+        calls.append(1)
+        return hash_pair(left, right)
+
+    monkeypatch.setattr(smt, "hash_pair", counted)
+    for slot, value, expected in ((0, leaf(0), inclusion), (k, DEFAULT_LEAF, exclusion)):
+        known, cost = set(), []
+        for _ in range(2):
+            calls.clear()
+            assert verify(slot, value, tree.prove(slot), tree.root, config, known)
+            cost.append(len(calls))
+        assert tuple(cost) == expected, (slot, k, depth)
+        assert len(known) == (k > 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -853,14 +904,14 @@ def test_verify_answers_every_input_with_a_bool(data):
     bitfield = sum(1 << i for i in data.draw(bits, label="bits"))
     present = tuple(
         data.draw(st.binary(min_size=32, max_size=32).filter(lambda b, i=i: b != smt.DEFAULTS[i]))
-        for i in smt._set_bits(bitfield)
+        for i in set_bits(bitfield)
     )
     slot = data.draw(
         st.integers(0, cap - 1) | st.sampled_from([-1, cap, 2**64, 2**64 + 1, 2**80])
         | st.integers(-(2**70), 2**70),
         label="slot",
     )
-    low = min(smt._set_bits(bitfield), default=depth)
+    low = min(set_bits(bitfield), default=depth)
     near = st.integers(0, (1 << min(low, depth)) - 1).map(lambda k: slot % cap ^ k)
     neighbor = data.draw(
         st.none() | st.tuples(near | st.integers(0, 2**66), st.binary(min_size=32, max_size=32)),
