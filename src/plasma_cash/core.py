@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
@@ -64,6 +65,10 @@ class Transaction:
     """Coin transfer: (slot, parentBlock, newOwner, signature).
 
     Deposit transactions carry parent_block = 0 and an empty signature.
+    ``digest`` is the hash of (slot, parent_block, new_owner); the signature
+    signs it and is therefore excluded from it.  It is computed at most once
+    and kept on the instance, outside the dataclass fields, so equality,
+    ``repr`` and ``asdict`` do not see it.
     """
 
     slot: int
@@ -71,16 +76,13 @@ class Transaction:
     new_owner: Address
     signature: bytes = b""
 
+    @cached_property
+    def digest(self) -> bytes:
+        return _tx_digest(self.slot, self.parent_block, self.new_owner)
+
     def hash(self) -> bytes:
-        """Digest of (slot, parent_block, new_owner); the signature signs
-        this digest and is therefore excluded from it.  Computed on the
-        first call and kept on the instance, outside the dataclass fields,
-        so equality, ``repr`` and ``asdict`` do not see it."""
-        digest = self.__dict__.get("_hash")
-        if digest is None:
-            digest = _tx_digest(self.slot, self.parent_block, self.new_owner)
-            object.__setattr__(self, "_hash", digest)
-        return digest
+        """``digest``, the same bytes object; the program reads the attribute."""
+        return self.digest
 
     def encode(self) -> bytes:
         if len(self.signature) not in (0, SIG_SIZE):
@@ -106,11 +108,11 @@ def make_deposit_tx(slot: int, depositor: Address) -> Transaction:
 
 def make_transfer_tx(signer: "Signer", slot: int, parent_block: int, new_owner: Address) -> Transaction:
     """Signed spend: the previous owner hands the slot to ``new_owner``.
-    The digest is computed once, signed, and kept on the transaction as
-    ``hash()`` would keep it."""
+    The digest is computed once, signed, and kept on the transaction as its
+    ``digest``."""
     digest = _tx_digest(slot, parent_block, new_owner)
     tx = Transaction(slot, parent_block, new_owner, Keyring.sign(signer, digest))
-    object.__setattr__(tx, "_hash", digest)
+    tx.__dict__["digest"] = digest
     return tx
 
 
@@ -165,14 +167,15 @@ def deposit_fault(
     ``depositor`` under the deposit block root ``root``, or None when it is.
 
     A deposit block's root is its one transaction's hash, so a deposit entry
-    has one form: ``make_deposit_tx(slot, depositor)`` with the empty proof.
-    Every deposit entry is checked here, through ``RootView.inclusion_fault``."""
+    has one form: the fields of ``make_deposit_tx(slot, depositor)``, compared
+    one by one, with the empty proof.  Every deposit entry is checked here,
+    through ``RootView.inclusion_fault``."""
     tx = itx.tx
     if tx.new_owner != depositor:
         return "deposit owner mismatch"
-    if tx != make_deposit_tx(slot, depositor):
+    if tx.slot != slot or tx.parent_block != 0 or tx.signature != b"":
         return "deposit tx malformed"
-    if itx.proof != config.empty_proof or tx.hash() != root:
+    if itx.proof != config.empty_proof or tx.digest != root:
         return "deposit proof invalid"
     return None
 
@@ -190,7 +193,7 @@ def spend_fault(
     if tx.parent_block != parent_block:
         return UNLINKED
     try:
-        signer = keyring.recover(tx.hash(), tx.signature)
+        signer = keyring.recover(tx.digest, tx.signature)
     except MalformedSignature:
         return "malformed signature"
     if signer != owner:
@@ -215,14 +218,14 @@ class PlasmaBlock:
 
     @classmethod
     def build(cls, number: int, txs: Dict[int, Transaction], config: SmtConfig) -> "PlasmaBlock":
-        tree = SparseMerkleTree(config, {slot: tx.hash() for slot, tx in txs.items()})
+        tree = SparseMerkleTree(config, {slot: tx.digest for slot, tx in txs.items()})
         return cls(number=number, txs=dict(txs), root=tree.root, tree=tree, config=config)
 
     @classmethod
     def deposit(cls, number: int, tx: Transaction, config: SmtConfig) -> "PlasmaBlock":
         """The block of one deposit: its root is the transaction's hash, and
         no tree is built."""
-        return cls(number=number, txs={tx.slot: tx}, root=tx.hash(), config=config)
+        return cls(number=number, txs={tx.slot: tx}, root=tx.digest, config=config)
 
     def prove(self, slot: int) -> IncludedTx:
         """Inclusion witness when the slot is spent here, exclusion otherwise,

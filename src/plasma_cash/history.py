@@ -141,7 +141,7 @@ class RootView:
         number = itx.blk_number
         if tx.is_deposit:
             return f"is a deposit transaction at operator block {number}"
-        if smt.verify(slot, tx.hash(), itx.proof, self.roots[number], config, known):
+        if smt.verify(slot, tx.digest, itx.proof, self.roots[number], config, known):
             return None
         return "inclusion proof invalid"
 
@@ -342,18 +342,21 @@ def find_spend(
 ) -> Optional[IncludedTx]:
     """Earliest inclusion after block ``parent`` (and before block
     ``before``, when given) that spends ``parent`` and is signed by
-    ``owner``, or None.  Only inclusions past ``parent`` are read, from the
-    last back, and signatures are recovered only for entries that already
-    name ``parent`` and fall in the range."""
+    ``owner``, or None.  One loop reads the log's inclusions from the last
+    back and stops at the first block at or below ``parent``; the log is in
+    ascending block order, so the entries that name ``parent`` and fall in
+    the range are gathered last first, and their signatures are then
+    recovered earliest first."""
     incl = history.incl
-    spends = [
-        itx
-        for itx in map(incl.get, takewhile(lambda blk: blk > parent, reversed(incl)))
-        if itx.tx is not None
-        and itx.tx.parent_block == parent
-        and (before is None or itx.blk_number < before)
-    ]
-    for itx in sorted(spends, key=lambda i: i.blk_number):
+    spends = []
+    for blk in reversed(incl):
+        if blk <= parent:
+            break
+        itx = incl[blk]
+        tx = itx.tx
+        if tx is not None and tx.parent_block == parent and (before is None or itx.blk_number < before):
+            spends.append(itx)
+    for itx in reversed(spends):
         if spend_fault(itx.tx, parent, owner, keyring) is None:
             return itx
     return None

@@ -2,7 +2,7 @@
 signature scheme."""
 
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +22,7 @@ from plasma_cash.core import (
     Keyring,
     PlasmaBlock,
     Transaction,
+    deposit_fault,
     make_deposit_tx,
     make_transfer_tx,
     spend_fault,
@@ -74,9 +75,12 @@ def test_tx_hash_depends_on_each_field(keyring):
 
 
 def test_tx_hash_is_computed_once_and_kept_outside_the_fields(monkeypatch):
-    """The digest is computed on the first call and kept on the transaction,
-    outside its dataclass fields: equality, hashing, ``repr`` and ``asdict``
-    read the same as for a transaction never hashed."""
+    """The digest is computed on the first read, of ``digest`` or through
+    ``hash()``, and every later read of either returns that bytes object.
+    It is kept on the transaction, outside its dataclass fields: equality,
+    hashing, ``repr``, ``asdict`` and ``fields`` read the same as for a
+    transaction never hashed.  A signed spend keeps the digest it signed, so
+    its first read hashes nothing."""
     calls = []
 
     def sha256(data):
@@ -84,12 +88,21 @@ def test_tx_hash_is_computed_once_and_kept_outside_the_fields(monkeypatch):
         return hashlib.sha256(data)
 
     monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
-    tx = Transaction(slot=7, parent_block=1000, new_owner=Address(b"\x01" * 20))
-    fresh = Transaction(slot=7, parent_block=1000, new_owner=Address(b"\x01" * 20))
-    digest = tx.hash()
-    assert tx.hash() is digest and len(calls) == 1
-    assert tx == fresh and hash(tx) == hash(fresh)
-    assert repr(tx) == repr(fresh) and asdict(tx) == asdict(fresh)
+    owner = Address(b"\x01" * 20)
+    fresh = Transaction(slot=7, parent_block=1000, new_owner=owner)
+    for first in (Transaction.hash, lambda tx: tx.digest):
+        tx = Transaction(slot=7, parent_block=1000, new_owner=owner)
+        calls.clear()
+        digest = first(tx)
+        reads = [tx.digest, tx.hash(), tx.digest, tx.hash(), first(tx)]
+        assert all(read is digest for read in reads) and len(calls) == 1
+        assert digest == hashlib.sha256(calls[0]).digest() and isinstance(digest, bytes)
+        assert tx == fresh and hash(tx) == hash(fresh)
+        assert repr(tx) == repr(fresh) and asdict(tx) == asdict(fresh)
+        assert [f.name for f in fields(tx)] == ["slot", "parent_block", "new_owner", "signature"]
+    spend = make_transfer_tx(Keyring().new_signer("alice"), 7, 1000, owner)
+    calls.clear()
+    assert spend.digest is spend.hash() and spend.digest == digest and not calls
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,6 +121,42 @@ def test_deposit_tx_shape():
     dep = make_deposit_tx(3, Address(b"\x02" * 20))
     assert dep.is_deposit
     assert dep.parent_block == 0 and dep.signature == b""
+
+
+def built_deposit_fault(itx, slot, depositor, root, config):
+    """The deposit rule spelled out as first written: the entry's
+    transaction must equal a freshly built ``make_deposit_tx``."""
+    tx = itx.tx
+    if tx.new_owner != depositor:
+        return "deposit owner mismatch"
+    if tx != make_deposit_tx(slot, depositor):
+        return "deposit tx malformed"
+    if itx.proof != config.empty_proof or tx.hash() != root:
+        return "deposit proof invalid"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_deposit_fault_is_the_built_deposit_comparison(data):
+    """``deposit_fault`` names, message for message, the fault the oracle
+    finds by comparing the entry with a built deposit transaction, over
+    entries that differ from the deposit form in any field, carry an empty or
+    a sent-sibling proof, and meet a root that is or is not the deposit's
+    hash."""
+    draw = data.draw
+    config = SmtConfig(depth=16)
+    slots = st.integers(0, 3)
+    owners = st.sampled_from([Address(bytes([i]) * ADDRESS_SIZE) for i in range(3)])
+    slot, depositor = draw(slots), draw(owners)
+    tx_fields = (draw(slots), draw(st.sampled_from([0, 0, 1, 1000, 2**64 - 1])), draw(owners),
+               draw(st.just(b"") | st.binary(min_size=52, max_size=52)))
+    proof = draw(st.sampled_from([config.empty_proof, Proof(1, (b"\x05" * 32,))]))
+    root = draw(st.sampled_from([
+        make_deposit_tx(slot, depositor).hash(), Transaction(*tx_fields).hash(), b"\x00" * 32,
+    ]))
+    expected = built_deposit_fault(IncludedTx(Transaction(*tx_fields), 1, proof), slot, depositor, root, config)
+    assert deposit_fault(IncludedTx(Transaction(*tx_fields), 1, proof), slot, depositor, root, config) == expected
 
 
 def test_sign_and_recover(keyring):

@@ -1,6 +1,7 @@
 """Coin-history building, verification, and the valid-tip walk."""
 
 import random
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from plasma_cash.core import (
     Transaction,
     make_deposit_tx,
     make_transfer_tx,
+    spend_fault,
 )
 from plasma_cash.errors import MissingRoot
 from plasma_cash.history import (
@@ -339,6 +341,78 @@ def test_find_spend_checks_parent_signer_and_range(chain):
     assert find_spend(history, 1000, bob.address, chain.keyring).blk_number == 3000
     assert find_spend(history, 1000, bob.address, chain.keyring, before=3000) is None
     assert find_spend(history, 2000, bob.address, chain.keyring) is None  # nothing spends 2000
+
+
+def sorted_find_spend(history, parent, owner, keyring, before=None):
+    """``find_spend`` spelled out as first written: the inclusions past
+    ``parent`` read from the last back, filtered, then sorted by block."""
+    incl = history.incl
+    spends = [
+        itx
+        for itx in map(incl.get, takewhile(lambda blk: blk > parent, reversed(incl)))
+        if itx.tx is not None
+        and itx.tx.parent_block == parent
+        and (before is None or itx.blk_number < before)
+    ]
+    for itx in sorted(spends, key=lambda i: i.blk_number):
+        if spend_fault(itx.tx, parent, owner, keyring) is None:
+            return itx
+    return None
+
+
+def sorted_valid_tip(history, keyring, tip=None):
+    """``valid_tip`` over ``sorted_find_spend``."""
+    tip = history.incl[history.deposit_block] if tip is None else tip
+    while (spend := sorted_find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)) is not None:
+        tip = spend
+    return tip
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_find_spend_and_valid_tip_are_the_sorted_search(data):
+    """Over random logs in ascending block order, each key its entry's
+    block, holding spends, same-parent double spends, spends that name their
+    own or a later block, forged, malformed and unsigned spends, entries with
+    no transaction and exclusions,
+    ``find_spend`` (with and without a ``before`` bound) and ``valid_tip``
+    (from the deposit and from any inclusion) return the very entry the
+    sorted search returns."""
+    draw = data.draw
+    keyring = Keyring()
+    signers = [keyring.new_signer(name) for name in ("alice", "bob", "carol")]
+    owners = [s.address for s in signers]
+    blocks = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=10)))
+    deposit, later = blocks[0], blocks[1:]
+    incl = {deposit: IncludedTx(make_deposit_tx(0, draw(st.sampled_from(owners))), deposit, CONFIG.empty_proof)}
+    excl = {}
+    for blk in later:
+        kind = draw(st.sampled_from(["signed", "signed", "forged", "malformed", "none", "exclusion"]))
+        # mostly an earlier inclusion; else any block, this one or a later one too
+        parent = draw(st.sampled_from(sorted(incl)) | st.sampled_from(blocks) | st.integers(0, 31))
+        signer, new_owner = draw(st.sampled_from(signers)), draw(st.sampled_from(owners))
+        if kind == "exclusion":
+            excl[blk] = IncludedTx(None, blk, CONFIG.empty_proof)
+            continue
+        if kind == "signed":
+            tx = make_transfer_tx(signer, 0, parent, new_owner)
+        elif kind == "forged":
+            tx = Transaction(0, parent, new_owner, signer.address.id + draw(st.binary(min_size=32, max_size=32)))
+        else:
+            tx = Transaction(0, parent, new_owner, draw(st.sampled_from([b"", b"\x01" * (SIG_SIZE - 1)])))
+        incl[blk] = IncludedTx(None if kind == "none" else tx, blk, CONFIG.empty_proof)
+    history = CoinHistory(0, deposit, incl, excl)
+
+    bounds = st.none() | st.sampled_from(blocks) | st.integers(0, 32)
+    for parent in [*incl, draw(st.integers(0, 31))]:
+        for owner in owners:
+            before = draw(bounds)
+            expected = sorted_find_spend(history, parent, owner, keyring, before)
+            assert find_spend(history, parent, owner, keyring, before) is expected
+    assert valid_tip(history, keyring) is sorted_valid_tip(history, keyring)
+    for itx in incl.values():
+        if itx.tx is not None:
+            assert valid_tip(history, keyring, itx) is sorted_valid_tip(history, keyring, itx)
 
 
 # -- agreement with a block-replay oracle --
