@@ -6,8 +6,8 @@ after the exit, a same-parent spend between parent and exit, and bonded
 interactive challenges from deeper history), finalization after a maturity
 period, and withdrawal.
 
-Every state change appends an ``Event`` to ``events``; that list is the
-interface wallet watchers consume.  A coin's state changes only through
+Every state change appends an ``Event`` to ``events``, the run's record
+for reports; watchers read ``exits``.  A coin's state changes only through
 ``PlasmaContract._move``, which refuses any pair ``TRANSITIONS`` does not list.
 """
 

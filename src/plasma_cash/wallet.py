@@ -2,8 +2,9 @@
 
 A wallet keeps an append-only log and a mark of the last block it verified
 for every coin it has held, signs transfers, audits only the entries past
-its mark, scans the root chain to challenge fraudulent exits of its coins,
-and answers a bonded challenge of its own exit from its log.
+its mark, challenges each live exit of a coin it holds (read from the
+contract's state, not its event log), and answers a bonded challenge of
+its own exit from its log.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .history import (
     valid_tip,
     verify_history,
 )
-from .rootchain import PlasmaContract
+from .rootchain import Exit, PlasmaContract
 from .smt import Memo, SmtConfig
 
 
@@ -55,7 +56,9 @@ class Wallet:
         # of one block share the hashing above their common subtree; never
         # shared with another wallet, each client pays for its own checks
         self._known: Memo = set()
-        self._event_cursor = 0
+        # per coin, the exit this wallet last staked a ``before`` bond on: an
+        # answer removes the challenge from the exit, not the stake from here
+        self._staked: Dict[int, Exit] = {}
 
     @property
     def address(self) -> Address:
@@ -77,7 +80,7 @@ class Wallet:
 
     def forget(self, slot: int):
         """Drop a withdrawn coin's log and mark: it never comes back."""
-        for held in (self.coins, self.logs, self.marks):
+        for held in (self.coins, self.logs, self.marks, self._staked):
             held.pop(slot, None)
 
     def last_inclusion(self, slot: int) -> IncludedTx:
@@ -139,36 +142,26 @@ class Wallet:
     # -- watching and challenging --
 
     def watch_and_challenge(self) -> List[ChallengeAction]:
-        """Scan new root-chain events; challenge any active exit of a coin
-        this wallet owns, and answer a ``before`` challenge of its own exit.
-        Non-interactive moves are preferred over the bonded interactive one."""
-        actions: List[ChallengeAction] = []
-        events = self.contract.events[self._event_cursor:]
-        self._event_cursor = len(self.contract.events)
-        for event in events:
-            if event.kind not in ("ExitStarted", "ChallengedBefore"):
+        """Defend each live exit of a coin this wallet holds, read from the
+        contract's ``exits`` on every pass: challenge one it did not start,
+        and answer each pending ``before`` challenge of one it did.  A refused
+        move is tried again on the next pass; staking at most one ``before``
+        bond per live exit, answered or not, keeps a revisited exit from
+        being bonded again."""
+        tried: List[Optional[ChallengeAction]] = []  # None where no move was made
+        for slot, ex in tuple(self.contract.exits.items()):  # a won challenge ends its exit
+            if slot not in self.coins:
                 continue
-            slot = event.data["slot"]
-            ex = self.contract.exits.get(slot)
-            if ex is None or not self.owns(slot):
-                continue
-            mine = ex.exitor == self.address
-            if event.kind == "ExitStarted" and not mine:
-                action = self._challenge_exit(slot, ex)
-            elif event.kind == "ChallengedBefore" and mine:
-                action = self._respond(slot, ex, event.data["challenge_id"])
+            if ex.exitor != self.address:
+                tried.append(self._challenge_exit(slot, ex))
             else:
-                continue
-            if action is not None:
-                actions.append(action)
-        return actions
+                for challenge in tuple(ex.challenges):  # an answer removes its challenge
+                    tried.append(self._respond(slot, ex, challenge))
+        return [action for action in tried if action is not None]
 
-    def _respond(self, slot: int, ex, challenge_id: int) -> Optional[ChallengeAction]:
+    def _respond(self, slot: int, ex, challenge) -> Optional[ChallengeAction]:
         """Answer a pending challenge of this wallet's exit with the spend of
         the challenged entry, by its new owner, in (challenge block, exit block]."""
-        challenge = next((c for c in ex.challenges if c.challenge_id == challenge_id), None)
-        if challenge is None:  # answered already, or made against an earlier exit
-            return None
         entry = challenge.tx
         answer = find_spend(
             self.coins[slot], entry.blk_number, entry.tx.new_owner, self.keyring,
@@ -177,7 +170,7 @@ class Wallet:
         if answer is None:
             return None
         move = self.contract.respond_challenge_before
-        return self._attempt("respond", slot, move, challenge_id, answer)
+        return self._attempt("respond", slot, move, challenge.challenge_id, answer)
 
     def _challenge_exit(self, slot: int, ex) -> Optional[ChallengeAction]:
         history = self.coins[slot]
@@ -195,12 +188,14 @@ class Wallet:
             if between is not None:
                 return self._attempt("between", slot, self.contract.challenge_between, between)
         # otherwise stake a bonded claim that the coin's history is invalid,
-        # once per live exit: a restarted exit is a new exit to challenge
+        # once per live exit, answered or not (a restarted exit is a new one)
         mine = self.last_inclusion(slot)
-        staked = any(c.challenger == self.address for c in ex.challenges)
-        if mine.blk_number < ex.boundary and not staked:
+        if mine.blk_number < ex.boundary and self._staked.get(slot) is not ex:
             bond = self.contract.params.bond_amount
-            return self._attempt("before", slot, self.contract.challenge_before, mine, bond)
+            action = self._attempt("before", slot, self.contract.challenge_before, mine, bond)
+            if action.ok:
+                self._staked[slot] = ex
+            return action
         return None
 
     def _attempt(self, kind: str, slot: int, move, *args) -> ChallengeAction:

@@ -1,11 +1,15 @@
 """Source hygiene: no package module imports a name it never uses, no
 private name is defined that the package never reads, no coin state is
-written outside the contract's one move, and no module asserts."""
+written outside the contract's one move, no client module reads the
+contract's event log, and no module asserts."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from plasma_cash.rootchain import Event
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plasma_cash"
 # ``__init__`` imports names to re-export them
@@ -136,6 +140,41 @@ def test_state_writes_are_found():
 def test_only_the_contract_move_writes_a_coin_state():
     writers = {(p.name, scope) for p in PACKAGE.glob("*.py") for scope in state_writes(p.read_text())}
     assert writers == {("rootchain.py", "PlasmaContract._move")}
+
+
+EVENT_NAMES = {"events"} | {f.name for f in fields(Event)}
+
+
+def event_log_reads(source: str):
+    """The names by which ``source`` reaches the contract's event log: the
+    ``events`` attribute, an ``Event`` field, or the ``Event`` class itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in EVENT_NAMES:
+            found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "Event":
+            found.add("Event")
+    return found
+
+
+def test_event_log_reads_are_found():
+    source = (
+        "def scan(contract):\n"
+        "    return [(e.kind, e.data['slot']) for e in contract.events if isinstance(e, Event)]\n"
+        "def live(contract): return contract.exits\n"
+    )
+    assert event_log_reads(source) == {"Event", "events", "kind", "data"}
+
+
+@pytest.mark.parametrize("module", ["wallet.py", "history.py"])
+def test_the_client_reads_contract_state_not_its_event_log(module):
+    assert event_log_reads((PACKAGE / module).read_text()) == set()
+
+
+def test_only_the_contract_and_the_report_makers_touch_the_event_log():
+    """``rootchain`` writes the log; ``driver`` and ``scenarios`` read it for reports."""
+    touching = {p.name for p in PACKAGE.glob("*.py") if "events" in event_log_reads(p.read_text())}
+    assert touching == {"rootchain.py", "driver.py", "scenarios.py"}
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

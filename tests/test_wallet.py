@@ -12,7 +12,7 @@ from conftest import flip, proof_from_siblings, siblings_of
 from plasma_cash import core, smt
 from plasma_cash.core import IncludedTx, Keyring, make_deposit_tx, make_transfer_tx
 from plasma_cash.driver import Simulation
-from plasma_cash.errors import BadProof, NotOwned, WitnessUnavailable
+from plasma_cash.errors import BadProof, NoActiveExit, NotOwned, WitnessUnavailable
 from plasma_cash.history import (
     CoinHistory,
     Reason,
@@ -306,6 +306,136 @@ def test_an_exitor_with_no_answer_in_its_log_takes_no_action():
     assert len(sim.contract.exits[slot].challenges) == 1
     assert finish_exit(sim, slot) == "CancelledByChallenge"
     assert sim.contract.coins[slot].state is CoinState.DEPOSITED
+
+
+def test_an_exit_in_the_hand_off_window_is_challenged_by_the_receiver():
+    """Bob pays Carol and, once the block is committed but before he hands
+    the coin over, exits from the block that paid him.  Carol holds no log
+    while the exit starts, yet her first pass after the delivery cancels it
+    with Bob's spend to her and takes his bond; she then exits and withdraws."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    deposit_block = sim.contract.coins[slot].deposit_block
+    bob_receipt = sim.actor("bob").last_inclusion(slot).blk_number
+    _, receipt = sim.transfer("bob", slot, "carol")
+    assert receipt.accepted
+    sim.commit_block()
+    before = sim.balances_snapshot()
+    sim.exit_with("bob", slot, deposit_block, bob_receipt)
+    assert sim.run_watchers() == []
+    assert sim.deliver("bob", slot, "carol")
+    actions = sim.run_watchers()
+    assert [(a.kind, a.ok) for a in actions] == [("after", True)]
+    assert slot not in sim.contract.exits
+    after = sim.balances_snapshot()
+    assert after["carol"] - before["carol"] == PARAMS.bond_amount
+    assert after["bob"] - before["bob"] == -PARAMS.bond_amount
+    sim.advance_time(PARAMS.maturity_period)
+    with pytest.raises(NoActiveExit):
+        sim.finalize(slot)
+    assert sim.contract.coins[slot].state is CoinState.DEPOSITED
+    sim.start_exit("carol", slot)
+    assert sim.run_watchers() == []
+    assert finish_exit(sim, slot) == "Finalized"
+    assert sim.withdraw("carol", slot) == 5
+
+
+def test_a_revisited_exit_is_bonded_once():
+    """Mallory's forged exit stays live over three passes.  Bob can only
+    answer it with a ``before`` challenge; he stakes in the first pass and
+    not again, so escrow holds the exit bond and his one bond."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    forged_exit(sim, slot)
+    passes = [[(a.kind, a.ok) for a in sim.run_watchers()] for _ in range(3)]
+    assert passes == [[("before", True)], [], []]
+    assert sim.contract.bond_escrow == 2 * PARAMS.bond_amount
+    assert len(sim.contract.exits[slot].challenges) == 1
+
+
+def test_an_answered_before_challenge_is_not_staked_again():
+    """The operator withholds Bob's spend to Carol and Carol's spend to
+    Dave, so Bob, who cannot deliver, still holds the coin at his own
+    block.  Dave exits; Bob stakes a ``before`` challenge, and Dave answers
+    it with Bob's withheld spend after each pass.  Bob loses that one bond
+    and stakes no other, and Dave's exit finalizes."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    operator, carol, dave = sim.operator, sim.actor("carol"), sim.actor("dave")
+    _, receipt = sim.transfer("bob", slot, "carol")
+    assert receipt.accepted
+    to_carol = sim.commit_block().number
+    assert operator.inject_raw_tx(make_transfer_tx(carol.signer, slot, to_carol, dave.address)).accepted
+    to_dave = sim.commit_block().number
+    for number in (to_carol, to_dave):
+        operator.withhold(slot, number)
+    spend = operator.blocks[to_carol].prove(slot)
+    sim.contract.start_exit(
+        dave.address, slot, spend, operator.blocks[to_dave].prove(slot), PARAMS.bond_amount
+    )
+    before = sim.balances_snapshot()
+    passes = []
+    for _ in range(3):
+        passes.append([(a.kind, a.ok) for a in sim.run_watchers()])
+        for challenge in tuple(sim.contract.exits[slot].challenges):
+            sim.contract.respond_challenge_before(dave.address, slot, challenge.challenge_id, spend)
+    assert passes == [[("before", True)], [], []]
+    assert sim.balances_snapshot()["bob"] - before["bob"] == -PARAMS.bond_amount
+    assert finish_exit(sim, slot) == "Finalized"
+
+
+def test_a_refused_move_changes_nothing_and_is_tried_again():
+    """Bob cannot pay the bond of his ``before`` challenge of Mallory's
+    forged exit: the contract refuses it and is as it was, and each later
+    pass tries again, until one stakes once he can pay."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    forged_exit(sim, slot)
+    contract, bob = sim.contract, sim.address("bob")
+    contract.balances[bob] = PARAMS.bond_amount - 1
+
+    def state():
+        return (sim.balances_snapshot(), contract.bond_escrow,
+                list(contract.exits[slot].challenges), len(contract.events))
+
+    before = state()
+    for _ in range(2):
+        actions = sim.run_watchers()
+        assert [(a.kind, a.ok, a.error) for a in actions] == [("before", False, "InsufficientBalance")]
+        assert state() == before
+    contract.balances[bob] = PARAMS.bond_amount
+    assert [(a.kind, a.ok) for a in sim.run_watchers()] == [("before", True)]
+    assert contract.balance_of(bob) == 0
+    assert finish_exit(sim, slot) == "CancelledByChallenge"
+
+
+def test_an_exitor_answers_on_the_first_pass_its_log_holds_the_answer():
+    """Carol exits from the operator's witnesses before Bob hands her the
+    coin, and Alice stakes a ``before`` challenge with the deposit entry she
+    spent to Bob.  Carol holds no log, so her passes make no move; the first
+    pass after the delivery answers with Alice's spend, and the exit finalizes."""
+    sim = make_sim()
+    slot = sim.deposit("alice", 5)
+    assert settled_transfer(sim, "alice", slot, "bob")
+    bob_receipt = sim.actor("bob").last_inclusion(slot).blk_number
+    _, receipt = sim.transfer("bob", slot, "carol")
+    assert receipt.accepted
+    carol_receipt = sim.commit_block().number
+    sim.exit_with("carol", slot, bob_receipt, carol_receipt)
+    deposit = sim.operator.get_witness(slot, sim.contract.coins[slot].deposit_block)
+    sim.contract.challenge_before(sim.address("alice"), slot, deposit, PARAMS.bond_amount)
+    assert sim.run_watchers() == [] and sim.run_watchers() == []
+    assert len(sim.contract.exits[slot].challenges) == 1
+    assert sim.deliver("bob", slot, "carol")
+    actions = sim.run_watchers()
+    assert [(a.kind, a.ok) for a in actions] == [("respond", True)]
+    assert sim.contract.exits[slot].challenges == []
+    assert finish_exit(sim, slot) == "Finalized"
+    assert sim.withdraw("carol", slot) == 5
 
 
 def test_a_withdrawn_coin_leaves_every_wallet():
