@@ -160,26 +160,6 @@ class IncludedTx:
         return cls(tx, blk, Proof.read(r, config, kind >> WIDTH_SHIFT, kind & NEIGHBOR == NEIGHBOR))
 
 
-def deposit_fault(
-    itx: IncludedTx, slot: int, depositor: Address, root: bytes, config: SmtConfig
-) -> Optional[str]:
-    """Why ``itx``, an inclusion, is not the deposit of ``slot`` to
-    ``depositor`` under the deposit block root ``root``, or None when it is.
-
-    A deposit block's root is its one transaction's hash, so a deposit entry
-    has one form: the fields of ``make_deposit_tx(slot, depositor)``, compared
-    one by one, with the empty proof.  Every deposit entry is checked here,
-    through ``RootView.inclusion_fault``."""
-    tx = itx.tx
-    if tx.new_owner != depositor:
-        return "deposit owner mismatch"
-    if tx.slot != slot or tx.parent_block != 0 or tx.signature != b"":
-        return "deposit tx malformed"
-    if itx.proof != config.empty_proof or tx.digest != root:
-        return "deposit proof invalid"
-    return None
-
-
 UNLINKED = "parent is not the last inclusion block"
 
 

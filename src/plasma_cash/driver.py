@@ -63,9 +63,9 @@ class Simulation:
 
     def deposit(self, name: str, denomination: int) -> int:
         wallet = self.actor(name)
-        slot, number, block = self.contract.deposit(wallet.address, denomination)
+        slot, _, block = self.contract.deposit(wallet.address, denomination)
         self.operator.observe_deposit(block)
-        wallet.register_deposit(slot, number, block.prove(slot))
+        wallet.register_deposit(slot)
         return slot
 
     def commit_block(self) -> PlasmaBlock:
@@ -79,11 +79,12 @@ class Simulation:
         return tx, self.operator.submit_tx(tx)
 
     def deliver(self, sender: str, slot: int, receiver: str) -> Verdict:
-        """After inclusion: the sender syncs and hands over its entries past the receiver's mark."""
+        """After inclusion: the sender syncs and hands over its entries past
+        the receiver's mark, the deposit record's block for a first-time one."""
         src, dst = self.actor(sender), self.actor(receiver)
         src.sync(slot, self.operator.get_witness)
         log = src.coins.pop(slot)
-        verdict = dst.receive_coin(log.past(dst.verified_block(slot)))
+        verdict = dst.receive_coin(log.past(dst.mark(slot).block))
         if not verdict:
             src.coins[slot] = log  # refused: kept, now last (the fuzz draws coins in order)
         return verdict

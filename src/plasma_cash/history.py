@@ -5,15 +5,17 @@ committed after it into inclusions (the coin moved) and exclusions (proof
 the slot was empty).  A deposit block's root is its one deposit
 transaction's hash, so other coins' deposit blocks are left out: the coin
 cannot be in one.  So is every block whose root is the empty-tree root,
-which proves every slot empty by itself (see ``RootView``).  The verifier
-walks that partition in block order: the deposit entry first
-(``RootView.inclusion_fault``, the contract's check too), then each spend
-must be included in its operator block (``RootView.operator_fault``, that
-check's operator-block branch) and spend the previous inclusion's output
-(``core.spend_fault``); every other block must prove the slot empty.
+which proves every slot empty by itself (see ``RootView``).
 
-A receiver that verified a coin up to a block keeps a ``Mark`` there and is
-handed only the later entries, so a hand-off costs the same however old the coin is.
+Every audit resumes at a ``Mark``: the last block of the coin a receiver
+verified and the valid tip there.  A coin's first mark is the contract's own
+record of its deposit (``CoinRecord.deposit``), so no receiver audits a
+deposit entry; checkpoints would be one more source of a mark.  The
+verifier walks the operator blocks past the mark in block order: each spend
+must be included in its block (``RootView.operator_fault``) and spend the
+previous inclusion's output (``core.spend_fault``); every other block must
+prove the slot empty.  A receiver is handed only the entries past its
+mark, so a hand-off costs the same however old the coin is.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import takewhile
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from . import smt
-from .core import UNLINKED, Address, IncludedTx, Keyring, Reader, deposit_fault, spend_fault
+from .core import UNLINKED, Address, IncludedTx, Keyring, Reader, spend_fault
 from .errors import MalformedEncoding, MissingRoot
 from .smt import SmtConfig, uint
 
@@ -72,10 +74,10 @@ class RootView:
     - the contract sets each deposit root itself, to the hash of the one
       deposit transaction of a slot it has just minted, so the block holds
       no other slot and proves none (``PlasmaBlock.prove`` raises for one);
-    - ``inclusion_fault``, which the contract and ``verify_history`` both
-      ask, accepts an entry at a coin's deposit block only through
-      ``core.deposit_fault``: the coin's own deposit transaction, the empty
-      proof, and its hash equal to the root;
+    - the contract keeps that block's entry on the coin's record
+      (``CoinRecord.deposit``), every audit starts at it as the coin's first
+      mark, and ``inclusion_fault`` accepts an entry at the deposit block
+      only when it equals the record;
     - ``deposit`` skips the multiples of ``CHILD_BLOCK_INTERVAL`` and
       ``submit_block`` only ever uses ``next_operator_block``, so a deposit
       number is never an operator number, and the contract refuses an
@@ -97,15 +99,11 @@ class RootView:
     roots: Dict[int, bytes]
     operator_blocks: List[int]
 
-    def history_blocks(self, deposit_block: int, after: int = 0) -> List[int]:
-        """Ascending blocks past ``after`` that a history of the coin
-        deposited at ``deposit_block`` must cover: the deposit block itself,
-        when committed, then every operator block after it."""
+    def history_blocks(self, after: int) -> List[int]:
+        """The ascending operator blocks past ``after`` that a history
+        resuming at a mark there must cover."""
         blocks = self.operator_blocks
-        tail = blocks[bisect.bisect_right(blocks, max(after, deposit_block)):]
-        if after < deposit_block and deposit_block in self.roots:
-            return [deposit_block, *tail]
-        return tail
+        return blocks[bisect.bisect_right(blocks, after):]
 
     def is_operator_block(self, number: int) -> bool:
         blocks = self.operator_blocks
@@ -113,20 +111,20 @@ class RootView:
         return i < len(blocks) and blocks[i] == number
 
     def inclusion_fault(
-        self, itx: IncludedTx, slot: int, deposit_block: int, depositor: Address,
+        self, itx: IncludedTx, slot: int, deposit: IncludedTx,
         config: SmtConfig, known: Optional[smt.Memo] = None,
     ) -> Optional[str]:
         """Why ``itx`` is not a transaction of ``slot`` proven included in
         one of the coin's blocks, or None when it is: at an operator block by
-        ``operator_fault``, at the coin's deposit block by
-        ``core.deposit_fault``, and at no other block.  A missing or foreign
+        ``operator_fault``, elsewhere only as the coin's deposit entry
+        ``deposit``, the contract's record.  A missing or foreign
         transaction is refused first, at any block, by ``operator_fault``."""
-        tx, number = itx.tx, itx.blk_number
-        if tx is None or tx.slot != slot or self.is_operator_block(number):
+        tx = itx.tx
+        if tx is None or tx.slot != slot or self.is_operator_block(itx.blk_number):
             return self.operator_fault(itx, slot, config, known)
-        if number != deposit_block:
-            return f"block {number} is not the coin's deposit or an operator block"
-        return deposit_fault(itx, slot, depositor, self.roots[number], config)
+        if itx != deposit:
+            return f"block {itx.blk_number}: neither an operator block nor the coin's deposit entry"
+        return None
 
     def operator_fault(
         self, itx: IncludedTx, slot: int, config: SmtConfig, known: Optional[smt.Memo] = None,
@@ -148,7 +146,7 @@ class RootView:
 
 @dataclass
 class CoinHistory:
-    """A coin's entries since its deposit, or past a receiver's mark.  A wallet's
+    """A coin's entries from its deposit, or past a receiver's mark.  A wallet's
     log keeps them in ascending block order, so a map's last key is its highest."""
 
     slot: int
@@ -157,7 +155,8 @@ class CoinHistory:
     excl: Dict[int, IncludedTx] = field(default_factory=dict)
 
     def last_block(self) -> int:
-        return max(next(reversed(self.incl), 0), next(reversed(self.excl), 0))
+        """The highest block covered, the deposit block when no entry is."""
+        return max(self.deposit_block, next(reversed(self.incl), 0), next(reversed(self.excl), 0))
 
     def past(self, block: int) -> "CoinHistory":
         """A fresh history of the entries past ``block``: new maps, the frozen
@@ -206,68 +205,46 @@ class Mark(NamedTuple):
 def verify_history(
     history: CoinHistory,
     view: RootView,
-    deposit_owner: Address,
     keyring: Keyring,
     config: SmtConfig,
-    mark: Optional[Mark] = None,
+    mark: Mark,
     known: Optional[smt.Memo] = None,
 ) -> Verdict:
-    """Audit a coin history against the committed roots.
+    """Audit the entries of a coin past ``mark``, the caller's record of the
+    coin verified up to its block, against the committed roots.
 
     Returns ACCEPT or a reject verdict with a reason code.  A view that
     cannot cover the claimed blocks raises MissingRoot instead: the caller
     must distinguish "unverifiable" from "fraudulent".
 
-    The audit walks ``view.history_blocks``, the ascending blocks the
-    partition must equal: each has a root and sits in exactly one map, and
-    the maps hold no more entries.  Only a partition that fails is named,
-    by ``_partition_fault``.  Then the deposit entry, the inclusions and the
-    exclusions are checked in the list's order; each listed block past the
-    deposit block is an operator block.
-
-    With ``mark``, the caller's record of the coin verified up to its block,
-    the history must hold exactly the coin's blocks past that one; every
-    check runs on each and the ownership chain resumes at ``mark.tip``.
-    Committed roots are append-only and the depositor is fixed at minting,
-    so the verdict is the full walk's over the verified entries and these.
+    The audit walks ``view.history_blocks(mark.block)``, the ascending
+    operator blocks the partition must equal: each has a root and sits in
+    exactly one map, and the maps hold no more entries.  Only a partition
+    that fails is named, by ``_partition_fault``.  Then the inclusions and
+    the exclusions are checked in the list's order, every check on each,
+    the ownership chain resuming at ``mark.tip``.  Committed roots are
+    append-only, so the verdict is the full walk's over the verified
+    entries and these.
 
     ``known`` is the caller's memo of verified upper Merkle paths, handed to
     every ``smt.verify``; it changes the cost, never the verdict.
     """
-    slot, deposit_block = history.slot, history.deposit_block
-    incl, excl, roots = history.incl, history.excl, view.roots
-    blocks = view.history_blocks(deposit_block, after=mark.block if mark else 0)
-    if len(incl) + len(excl) != len(blocks) or mark is None and deposit_block not in roots:
-        return _partition_fault(history, view, mark, blocks)
+    slot, incl, excl, roots = history.slot, history.incl, history.excl, view.roots
+    blocks = view.history_blocks(mark.block)
+    if len(incl) + len(excl) != len(blocks):
+        return _partition_fault(history, view, blocks)
     for blk in blocks:
         if blk not in roots or (blk in incl) is (blk in excl):
-            return _partition_fault(history, view, mark, blocks)
+            return _partition_fault(history, view, blocks)
 
-    if mark is not None:
-        last_block, last_owner = mark.tip.blk_number, mark.tip.tx.new_owner
-    else:
-        dep = incl.get(deposit_block)
-        if dep is None or dep.blk_number != deposit_block:
-            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block not an inclusion")
-        # an operator may commit any root, even a deposit transaction's hash
-        if view.is_operator_block(deposit_block):
-            return reject(Reason.BAD_DEPOSIT_PROOF, "deposit block is an operator block")
-        fault = view.inclusion_fault(dep, slot, deposit_block, deposit_owner, config)
-        if fault is not None:
-            return reject(Reason.BAD_DEPOSIT_PROOF, fault)
-        # the partition puts every other entry after the deposit block
-        last_block, last_owner = deposit_block, deposit_owner
-
+    last_block, last_owner = mark.tip.blk_number, mark.tip.tx.new_owner
     for blk in blocks:
         itx = incl.get(blk)
-        if itx is None or blk <= last_block:
+        if itx is None:
             continue
         if itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
-        if blk == deposit_block:  # listed past a mark below it
-            fault = view.inclusion_fault(itx, slot, deposit_block, deposit_owner, config, known)
-        else:
-            fault = view.operator_fault(itx, slot, config, known)
+        fault = view.operator_fault(itx, slot, config, known)
         if fault is not None:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: {fault}")
         # reject double spends and forgeries: each spend must chain the
@@ -290,15 +267,13 @@ def verify_history(
     return ACCEPT
 
 
-def _partition_fault(
-    history: CoinHistory, view: RootView, mark: Optional[Mark], blocks: List[int]
-) -> Verdict:
+def _partition_fault(history: CoinHistory, view: RootView, blocks: List[int]) -> Verdict:
     """The fault of a partition that is not ``blocks``, in one order: a
-    claimed block, or without a mark the deposit block, with no root raises
-    MissingRoot; then the blocks in both maps; then the gap."""
+    claimed block with no root raises MissingRoot; then the blocks in both
+    maps; then the gap."""
     incl, excl = history.incl, history.excl
     claimed = incl.keys() | excl.keys()
-    for blk in claimed if mark is not None else claimed | {history.deposit_block}:
+    for blk in claimed:
         if blk not in view.roots:
             raise MissingRoot(f"no committed root for block {blk}")
     overlap = incl.keys() & excl.keys()
@@ -320,11 +295,13 @@ def extend_history(
 ) -> CoinHistory:
     """Fill in witnesses for the history's blocks it does not cover yet.
 
-    Histories always cover a prefix of ``view.history_blocks``, so only
-    blocks past the highest covered one need fetching.  WitnessUnavailable
-    from the source propagates: withheld data is never papered over.
+    A history covers a prefix of the operator blocks after its deposit
+    block, so only those past the highest covered one, or past the deposit
+    block for ``CoinHistory(slot, deposit_block)``, need fetching.
+    WitnessUnavailable from the source propagates: withheld data is never
+    papered over.
     """
-    for blk in view.history_blocks(history.deposit_block, after=history.last_block()):
+    for blk in view.history_blocks(history.last_block()):
         itx = witness(history.slot, blk)
         if itx.is_exclusion:
             history.excl[blk] = itx

@@ -95,7 +95,10 @@ class PlasmaOperator:
         return receipt
 
     def inject_raw_tx(self, tx: Transaction) -> TxReceipt:
-        """Include any transaction, such as a forgery or a double spend."""
+        """Include any transaction, such as a forgery or a double spend, of
+        a slot the tree has."""
+        if not 0 <= tx.slot < self.config.capacity:
+            return TxReceipt(False, "slot out of range")
         if tx.slot in self.pending:
             # one spend per slot per block; a conflicting re-spend is a
             # double spend, not a queueing problem

@@ -74,6 +74,9 @@ class CoinRecord:
     denomination: int
     state: CoinState
     deposit_block: int
+    #: the deposit block's entry, the coin's first mark and the one entry
+    #: the contract takes at that block
+    deposit: IncludedTx
 
 
 @dataclass
@@ -219,8 +222,7 @@ class PlasmaContract:
         """Raise BadProof unless ``itx`` is a transaction of ``slot`` proven
         included in one of the coin's blocks (``RootView.inclusion_fault``).
         ``what`` names the entry in the error."""
-        coin = self.coins[slot]
-        fault = self.view.inclusion_fault(itx, slot, coin.deposit_block, coin.depositor, self.config)
+        fault = self.view.inclusion_fault(itx, slot, self.coins[slot].deposit, self.config)
         if fault is not None:
             raise BadProof(f"{what} {fault}")
 
@@ -249,8 +251,8 @@ class PlasmaContract:
     def deposit(self, depositor: Address, denomination: int):
         """Lock value, mint a coin, and append its one-transaction block,
         whose root is the deposit transaction's hash."""
-        if denomination <= 0:
-            raise BadDenomination(f"denomination must be positive, got {denomination}")
+        if type(denomination) is not int or denomination <= 0:
+            raise BadDenomination(f"denomination must be a positive integer, got {denomination!r}")
         if self._next_slot >= self.config.capacity:
             raise SlotOutOfRange(f"all 2^{self.config.depth} slots are minted")
         self._debit(depositor, denomination)
@@ -272,6 +274,7 @@ class PlasmaContract:
             denomination=denomination,
             state=CoinState.DEPOSITED,
             deposit_block=number,
+            deposit=block.prove(slot),
         )
         self._emit(
             "Deposit",

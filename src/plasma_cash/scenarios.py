@@ -27,7 +27,7 @@ from .errors import (
     UnknownScenario,
     WitnessUnavailable,
 )
-from .history import CoinHistory, extend_history, verify_history
+from .history import CoinHistory, Mark, extend_history, verify_history
 from .driver import Simulation
 from .rootchain import ChainParams, CoinState
 
@@ -257,7 +257,8 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim = run.sim
 
     slot = sim.deposit("alice", DENOM)
-    deposit_block = sim.contract.coins[slot].deposit_block
+    coin = sim.contract.coins[slot]
+    deposit_block = coin.deposit_block
 
     # operator includes a forged Alice -> Bob spend (garbage signature)
     forged_block = run.include(Transaction(slot, deposit_block, sim.address("bob"), bytes(52)))
@@ -269,10 +270,12 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     # From the contract's point of view Dylan's exit looks valid
     sim.exit_with("dylan", slot, charlie_block.number, dylan_block.number)
 
-    # an honest receiver would have rejected this history outright
+    # an honest receiver, auditing from the deposit, would have rejected it outright
     view = sim.contract.view
-    full = extend_history(CoinHistory(slot, deposit_block), view, sim.operator.get_witness)
-    verdict = verify_history(full, view, sim.address("alice"), sim.keyring, sim.contract.config)
+    suffix = extend_history(CoinHistory(slot, deposit_block), view, sim.operator.get_witness)
+    verdict = verify_history(
+        suffix, view, sim.keyring, sim.contract.config, Mark(deposit_block, coin.deposit)
+    )
     run.expect(not verdict.accepted, "the forged history must not verify")
 
     if not watcher:
@@ -314,7 +317,7 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     sim = run.sim
 
     slot = sim.deposit("alice", DENOM)
-    deposit_block = sim.contract.coins[slot].deposit_block
+    coin = sim.contract.coins[slot]
     sim.transfer("alice", slot, "bob")
     block = sim.commit_block()
     sim.operator.withhold(slot, block.number)
@@ -330,7 +333,7 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     run.expect_raises(
         WitnessUnavailable,
         lambda: extend_history(
-            CoinHistory(slot, deposit_block), sim.contract.view, sim.operator.get_witness
+            CoinHistory(slot, coin.deposit_block), sim.contract.view, sim.operator.get_witness
         ),
         "Bob's build must surface the withheld witness, not fabricate it",
     )
@@ -366,7 +369,7 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     if challenge_events:
         config = sim.contract.config
         itx = IncludedTx.decode(bytes.fromhex(challenge_events[0].data["witness"]), config)
-        fault = sim.contract.view.inclusion_fault(itx, slot, deposit_block, sim.address("alice"), config)
+        fault = sim.contract.view.inclusion_fault(itx, slot, coin.deposit, config)
         run.expect(
             fault is None and itx.blk_number == block.number,
             "revealed witness must prove the withheld inclusion",

@@ -4,7 +4,9 @@ A wallet keeps an append-only log and a mark of the last block it verified
 for every coin it has held, signs transfers, audits only the entries past
 its mark, challenges each live exit of a coin it holds (read from the
 contract's state, not its event log), and answers a bonded challenge of
-its own exit from its log.
+its own exit from its log.  A coin it has not verified yet has the
+contract's deposit record as its mark, and its log starts at that record's
+entry, so a first-time receiver and a returning one take the same path.
 """
 
 from __future__ import annotations
@@ -69,14 +71,24 @@ class Wallet:
     def owns(self, slot: int) -> bool:
         return slot in self.coins
 
-    def register_deposit(self, slot: int, deposit_block: int, itx: IncludedTx):
-        """Record a coin this wallet deposited; the contract's deposit entry is the first mark."""
-        self.coins[slot] = self.logs[slot] = CoinHistory(slot, deposit_block, {deposit_block: itx})
-        self.marks[slot] = Mark(deposit_block, itx)
+    def register_deposit(self, slot: int):
+        """Record a coin this wallet deposited: its log starts at the contract's deposit entry."""
+        self.coins[slot] = self._log(slot)
 
-    def verified_block(self, slot: int) -> int:
-        """The last block of the coin this wallet verified, 0 if it never held it."""
-        return self.marks[slot].block if slot in self.marks else 0
+    def _log(self, slot: int) -> CoinHistory:
+        """The coin's stored log, else a new one at the contract's deposit entry."""
+        log = self.logs.get(slot)
+        if log is None:
+            coin = self.contract.coins[slot]
+            log = CoinHistory(slot, coin.deposit_block, {coin.deposit_block: coin.deposit})
+            self.logs[slot] = log
+        return log
+
+    def mark(self, slot: int) -> Mark:
+        """The last block of the coin this wallet verified and the valid tip
+        there; before it accepts the coin, the contract's deposit record."""
+        coin = self.contract.coins[slot]
+        return self.marks.get(slot) or Mark(coin.deposit_block, coin.deposit)
 
     def forget(self, slot: int):
         """Drop a withdrawn coin's log and mark: it never comes back."""
@@ -88,7 +100,7 @@ class Wallet:
         the mark; fraudulent inclusions picked up while syncing are skipped."""
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
-        return valid_tip(self.coins[slot], self.keyring, self.marks[slot].tip)
+        return valid_tip(self.coins[slot], self.keyring, self.mark(slot).tip)
 
     def sync(self, slot: int, witness: WitnessSource):
         """Pull witnesses for any committed blocks the stored history lacks.
@@ -105,19 +117,19 @@ class Wallet:
 
     def receive_coin(self, history: CoinHistory) -> Verdict:
         """Audit an incoming coin and accept it only when it is valid and ends
-        here.  A coin with a mark must come as exactly its entries past the
-        mark, under the coin's own deposit block; a Merkle path above a
-        subtree already folded to the same root is not hashed again.  A
-        refusal leaves the log and mark as they were."""
+        here.  It must come as exactly its entries past this wallet's mark,
+        under the coin's own deposit block; a Merkle path above a subtree
+        already folded to the same root is not hashed again.  A refusal
+        leaves the log and mark as they were."""
         coin = self.contract.coins.get(history.slot)
         if coin is None:
             return Verdict(False, None, "coin unknown to the root chain")
         if history.deposit_block != coin.deposit_block:  # it places the partition
             return reject(Reason.BAD_DEPOSIT_PROOF, "not the coin's deposit block")
-        mark = self.marks.get(history.slot)
-        verdict = verify_history(
-            history, self.contract.view, coin.depositor, self.keyring, self.config, mark, self._known
-        )
+        slot = history.slot
+        mark = self.mark(slot)
+        view = self.contract.view
+        verdict = verify_history(history, view, self.keyring, self.config, mark, self._known)
         if not verdict:
             return verdict
         # the entries in block order, whatever order the handed maps are in
@@ -125,16 +137,12 @@ class Wallet:
         last = incl[-1][1] if incl else mark.tip
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
-        slot = history.slot
-        if mark is None:  # a log and its mark are kept together
-            log = self.logs[slot] = CoinHistory(slot, history.deposit_block, dict(incl), dict(excl))
-        else:
-            log = self.logs[slot]
-            # drop what sync appended past the mark; the new entries replace it
-            for entries, added in ((log.incl, incl), (log.excl, excl)):
-                while entries and next(reversed(entries)) > mark.block:
-                    entries.popitem()
-                entries.update(added)
+        log = self._log(slot)
+        # drop what sync appended past the mark; the new entries replace it
+        for entries, added in ((log.incl, incl), (log.excl, excl)):
+            while entries and next(reversed(entries)) > mark.block:
+                entries.popitem()
+            entries.update(added)
         self.coins[slot] = log
         self.marks[slot] = Mark(log.last_block(), last)
         return ACCEPT

@@ -22,7 +22,6 @@ from plasma_cash.core import (
     Keyring,
     PlasmaBlock,
     Transaction,
-    deposit_fault,
     make_deposit_tx,
     make_transfer_tx,
     spend_fault,
@@ -121,42 +120,6 @@ def test_deposit_tx_shape():
     dep = make_deposit_tx(3, Address(b"\x02" * 20))
     assert dep.is_deposit
     assert dep.parent_block == 0 and dep.signature == b""
-
-
-def built_deposit_fault(itx, slot, depositor, root, config):
-    """The deposit rule spelled out as first written: the entry's
-    transaction must equal a freshly built ``make_deposit_tx``."""
-    tx = itx.tx
-    if tx.new_owner != depositor:
-        return "deposit owner mismatch"
-    if tx != make_deposit_tx(slot, depositor):
-        return "deposit tx malformed"
-    if itx.proof != config.empty_proof or tx.hash() != root:
-        return "deposit proof invalid"
-    return None
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_deposit_fault_is_the_built_deposit_comparison(data):
-    """``deposit_fault`` names, message for message, the fault the oracle
-    finds by comparing the entry with a built deposit transaction, over
-    entries that differ from the deposit form in any field, carry an empty or
-    a sent-sibling proof, and meet a root that is or is not the deposit's
-    hash."""
-    draw = data.draw
-    config = SmtConfig(depth=16)
-    slots = st.integers(0, 3)
-    owners = st.sampled_from([Address(bytes([i]) * ADDRESS_SIZE) for i in range(3)])
-    slot, depositor = draw(slots), draw(owners)
-    tx_fields = (draw(slots), draw(st.sampled_from([0, 0, 1, 1000, 2**64 - 1])), draw(owners),
-               draw(st.just(b"") | st.binary(min_size=52, max_size=52)))
-    proof = draw(st.sampled_from([config.empty_proof, Proof(1, (b"\x05" * 32,))]))
-    root = draw(st.sampled_from([
-        make_deposit_tx(slot, depositor).hash(), Transaction(*tx_fields).hash(), b"\x00" * 32,
-    ]))
-    expected = built_deposit_fault(IncludedTx(Transaction(*tx_fields), 1, proof), slot, depositor, root, config)
-    assert deposit_fault(IncludedTx(Transaction(*tx_fields), 1, proof), slot, depositor, root, config) == expected
 
 
 def test_sign_and_recover(keyring):

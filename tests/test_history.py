@@ -62,7 +62,13 @@ class Chain:
         return self.blocks[number].prove(slot)
 
     def history(self, slot, deposit_block):
+        """The coin's entries past its deposit, what a first-time receiver is handed."""
         return extend_history(CoinHistory(slot, deposit_block), self.view(), self.witness)
+
+    def deposit_mark(self, slot, deposit_block):
+        """The coin's first mark: its deposit block and the entry there, which
+        the contract records."""
+        return Mark(deposit_block, self.witness(slot, deposit_block))
 
 
 @pytest.fixture
@@ -79,32 +85,29 @@ def chain():
 
 
 def verify(chain, history):
-    alice = chain.keyring.new_signer("alice")
-    return verify_history(history, chain.view(), alice.address, chain.keyring, CONFIG)
+    """Audit ``history`` from the coin's deposit mark."""
+    return verify_history(history, chain.view(), chain.keyring, CONFIG, chain.deposit_mark(0, 1))
 
 
 def test_honest_history_accepted(chain):
     history = chain.history(0, 1)
-    assert set(history.incl) == {1, 1000, 3000}
+    assert set(history.incl) == {1000, 3000}
     assert set(history.excl) == {2000, 4000}
     assert verify(chain, history)
 
 
 def partition_oracle(history, view, mark):
     """The partition fault ``verify_history`` must name, spelled out: a
-    claimed block, or without a mark the deposit block, with no root is
-    MissingRoot; then the blocks in both maps; then the blocks missing from
-    and extra to the deposit block (when it has a root and lies past the
-    mark) and every operator block past both.  None when the partition holds."""
+    claimed block with no root is MissingRoot; then the blocks in both maps;
+    then the blocks missing from and extra to the operator blocks past the
+    mark.  None when the partition holds."""
     incl, excl, roots = set(history.incl), set(history.excl), view.roots
-    claimed, deposit, after = incl | excl, history.deposit_block, mark.block if mark else 0
-    if any(blk not in roots for blk in (claimed if mark else claimed | {deposit})):
+    claimed = incl | excl
+    if any(blk not in roots for blk in claimed):
         return MissingRoot
     if incl & excl:
         return Reason.PARTITION_OVERLAP, f"blocks {sorted(incl & excl)}"
-    required = {blk for blk in view.operator_blocks if blk > max(after, deposit)}
-    if after < deposit and deposit in roots:
-        required.add(deposit)
+    required = {blk for blk in view.operator_blocks if blk > mark.block}
     if claimed != required:
         return Reason.PARTITION_GAP, f"missing={sorted(required - claimed)} extra={sorted(claimed - required)}"
     return None
@@ -113,11 +116,11 @@ def partition_oracle(history, view, mark):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_partition_faults_are_the_oracles(data):
-    """Random views, some listing operator blocks that have no root and a
-    deposit block with a root or none, and random maps, with and without a
-    mark: ``verify_history`` raises MissingRoot exactly when the oracle
-    does, else names its partition fault with the same detail, and never
-    names one when the partition holds.  No input raises anything else."""
+    """Random views, some listing operator blocks that have no root, random
+    marks and random maps: ``verify_history`` raises MissingRoot exactly
+    when the oracle does, else names its partition fault with the same
+    detail, and never names one when the partition holds.  No input raises
+    anything else."""
     draw = data.draw
     blocks = st.integers(0, 9)
     keyring = Keyring()
@@ -127,10 +130,10 @@ def test_partition_faults_are_the_oracles(data):
     roots = {blk: bytes([blk]) * 32 for blk in draw(st.sets(blocks))}
     view = RootView(roots, operator_blocks)
     deposit = draw(blocks)
-    mark = draw(st.none() | blocks.map(
+    mark = draw(blocks.map(
         lambda blk: Mark(blk, IncludedTx(make_deposit_tx(0, owner), min(blk, deposit), CONFIG.empty_proof))
     ))
-    listed = view.history_blocks(deposit, after=mark.block if mark else 0)
+    listed = view.history_blocks(mark.block)
     maps = []
     for _ in range(2):
         # a random subset of the listed blocks, maybe others, in any order
@@ -143,9 +146,9 @@ def test_partition_faults_are_the_oracles(data):
     expected = partition_oracle(history, view, mark)
     if expected is MissingRoot:
         with pytest.raises(MissingRoot):
-            verify_history(history, view, owner, keyring, CONFIG, mark)
+            verify_history(history, view, keyring, CONFIG, mark)
         return
-    verdict = verify_history(history, view, owner, keyring, CONFIG, mark)
+    verdict = verify_history(history, view, keyring, CONFIG, mark)
     if expected is None:
         assert verdict.reason not in (Reason.PARTITION_OVERLAP, Reason.PARTITION_GAP)
     else:
@@ -153,10 +156,14 @@ def test_partition_faults_are_the_oracles(data):
 
 
 def test_deposit_only_history_accepted():
+    """A coin with no operator block past its deposit: the history past the
+    deposit mark is empty and accepted."""
     c = Chain()
     alice = c.signer("alice")
     c.add_block(1, {0: make_deposit_tx(0, alice.address)})
-    assert verify(c, c.history(0, 1))
+    history = c.history(0, 1)
+    assert history == CoinHistory(0, 1) and history.last_block() == 1
+    assert verify(c, history)
 
 
 def test_missing_root_raises(chain):
@@ -184,7 +191,7 @@ def test_other_coins_deposit_blocks_are_skipped(chain):
     # block 2 is slot 1's deposit block: slot 0 cannot be in it
     chain.add_block(2, {1: make_deposit_tx(1, chain.signer("dave").address)})
     history = chain.history(0, 1)
-    assert set(history.incl) == {1, 1000, 3000}
+    assert set(history.incl) == {1000, 3000}
     assert set(history.excl) == {2000, 4000}
     assert verify(chain, history)
 
@@ -195,48 +202,55 @@ def test_other_coins_deposit_blocks_are_skipped(chain):
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
     assert verdict.detail == "missing=[] extra=[2]"
 
-    # the coin's own deposit block stays required, though it is a deposit block
-    del history.incl[1]
+    # the coin's own deposit block is the mark's, so its entry is extra too
+    history.incl[1] = chain.witness(0, 1)
     verdict = verify(chain, history)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
-    assert verdict.detail == "missing=[1] extra=[]"
+    assert verdict.detail == "missing=[] extra=[1]"
+
+
+def refusals(chain, entry):
+    """``entry`` offered as the coin's deposit entry: the contract's rule,
+    which compares it with the coin's record, and a receiver handed it in a
+    history, who audits from the record and takes no deposit entry."""
+    fault = chain.view().inclusion_fault(entry, 0, chain.witness(0, 1), CONFIG)
+    history = chain.history(0, 1)
+    history.incl[1] = entry
+    return fault, verify(chain, history)
+
+
+HANDED_DEPOSIT = Verdict(False, Reason.PARTITION_GAP, "missing=[] extra=[1]")
+NOT_THE_DEPOSIT = "block 1: neither an operator block nor the coin's deposit entry"
 
 
 def test_wrong_deposit_owner_rejected(chain):
-    history = chain.history(0, 1)
     mallory = chain.keyring.new_signer("mallory")
-    verdict = verify_history(history, chain.view(), mallory.address, chain.keyring, CONFIG)
-    assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+    forged = IncludedTx(make_deposit_tx(0, mallory.address), 1, CONFIG.empty_proof)
+    assert refusals(chain, forged) == (NOT_THE_DEPOSIT, HANDED_DEPOSIT)
+    assert refusals(chain, chain.witness(0, 1)) == (None, HANDED_DEPOSIT)
 
 
 def test_corrupt_deposit_proof_rejected(chain):
-    history = chain.history(0, 1)
-    dep = history.incl[1]
-    history.incl[1] = IncludedTx(dep.tx, 1, flip(dep.proof))
-    verdict = verify(chain, history)
-    assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+    dep = chain.witness(0, 1)
+    assert refusals(chain, IncludedTx(dep.tx, 1, flip(dep.proof))) == (NOT_THE_DEPOSIT, HANDED_DEPOSIT)
 
 
 def test_signed_deposit_entry_rejected(chain):
     """``Transaction.hash`` leaves the signature out, so a deposit tx that
     carries one hashes to the committed root; it is still refused, and a
     deposit entry has one encoding."""
-    history = chain.history(0, 1)
-    dep = history.incl[1]
+    dep = chain.witness(0, 1)
     signed = Transaction(0, 0, dep.tx.new_owner, bytes(SIG_SIZE))
     assert signed.hash() == chain.blocks[1].root
-    history.incl[1] = IncludedTx(signed, 1, dep.proof)
-    verdict = verify(chain, history)
-    assert verdict == Verdict(False, Reason.BAD_DEPOSIT_PROOF, "deposit tx malformed")
+    assert refusals(chain, IncludedTx(signed, 1, dep.proof)) == (NOT_THE_DEPOSIT, HANDED_DEPOSIT)
 
 
 def test_deposit_entry_for_another_block_rejected(chain):
     # the entry filed under the deposit block claims block 5 (no root)
-    history = chain.history(0, 1)
-    dep = history.incl[1]
-    history.incl[1] = IncludedTx(dep.tx, 5, dep.proof)
-    verdict = verify(chain, history)
-    assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+    dep = chain.witness(0, 1)
+    fault, verdict = refusals(chain, IncludedTx(dep.tx, 5, dep.proof))
+    assert fault == "block 5: neither an operator block nor the coin's deposit entry"
+    assert verdict == HANDED_DEPOSIT
 
 
 def test_corrupt_inclusion_proof_rejected(chain):
@@ -312,7 +326,7 @@ def test_history_binary_round_trip(chain):
 
 def test_valid_tip_follows_ownership_chain(chain):
     carol = chain.keyring.new_signer("carol")
-    tip = valid_tip(chain.history(0, 1), chain.keyring)
+    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.witness(0, 1))
     assert tip.blk_number == 3000 and tip.tx.new_owner == carol.address
 
 
@@ -320,7 +334,7 @@ def test_valid_tip_skips_fraudulent_inclusions(chain):
     # operator includes Mallory's self-dealing forgery later on
     mallory = chain.keyring.new_signer("mallory")
     chain.add_block(5000, {0: make_transfer_tx(mallory, 0, 3000, mallory.address)})
-    tip = valid_tip(chain.history(0, 1), chain.keyring)
+    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.witness(0, 1))
     assert tip.blk_number == 3000
 
 
@@ -329,7 +343,7 @@ def test_valid_tip_takes_earliest_same_parent_spend(chain):
     bob = chain.keyring.new_signer("bob")
     mallory = chain.keyring.new_signer("mallory")
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
-    tip = valid_tip(chain.history(0, 1), chain.keyring)
+    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.witness(0, 1))
     assert tip.blk_number == 3000  # the earlier spend of parent 1000 wins
 
 
@@ -455,11 +469,10 @@ def test_random_honest_chains_agree_with_replay(subtests=None):
                 c.add_block(number, {})
             number += 1000
         history = c.history(0, 1)
-        verdict = verify_history(
-            history, c.view(), signers[0].address, c.keyring, CONFIG
-        )
+        mark = c.deposit_mark(0, 1)
+        verdict = verify_history(history, c.view(), c.keyring, CONFIG, mark)
         assert verdict, f"trial {trial}: {verdict.reason} {verdict.detail}"
-        tip = valid_tip(history, c.keyring)
+        tip = valid_tip(history, c.keyring, mark.tip)
         oracle_owner, oracle_block = replay_owner(c, 0, 1)
         assert tip.tx.new_owner == oracle_owner
         assert tip.blk_number == oracle_block
@@ -495,7 +508,6 @@ def corrupt(chain, history, kind, blk):
     """Apply one scripted corruption at block ``blk``, in place; returns the
     reason the full verifier must give, or None (and changes nothing) when
     ``kind`` does not apply to that block."""
-    spend = blk in history.incl and blk != history.deposit_block
     if kind == "overlap":
         if blk in history.incl:
             history.excl[blk] = history.incl[blk]
@@ -509,15 +521,15 @@ def corrupt(chain, history, kind, blk):
     if kind == "inclusion" and blk in history.incl:
         itx = history.incl[blk]
         history.incl[blk] = IncludedTx(itx.tx, blk, flip(itx.proof))
-        return Reason.BAD_INCLUSION_PROOF if spend else Reason.BAD_DEPOSIT_PROOF
+        return Reason.BAD_INCLUSION_PROOF
     if kind == "exclusion" and blk in history.excl:
         history.excl[blk] = IncludedTx(None, blk, flip(history.excl[blk].proof))
         return Reason.BAD_EXCLUSION_PROOF
-    if kind in ("parent", "signature") and spend:
+    if kind in ("parent", "signature") and blk in history.incl:
         # the operator commits a bad spend at blk, with valid proofs
         tx = history.incl[blk].tx
         if kind == "parent":
-            spender = chain.owners[history.incl[tx.parent_block].tx.new_owner]
+            spender = chain.owners[chain.blocks[tx.parent_block].txs[0].new_owner]
             bad = make_transfer_tx(spender, 0, tx.parent_block + 1, tx.new_owner)
         else:
             bad = make_transfer_tx(chain.signer("mallory"), 0, tx.parent_block, tx.new_owner)
@@ -539,13 +551,16 @@ def suffix(history, cut):
 
 
 def test_checkpointed_verifier_agrees_with_full_walk():
+    """A walk from a later mark gives the walk from the deposit mark's
+    verdict over the entries past it, and does not read those before it."""
     exercised = set()
     for seed in range(60):
         rng = random.Random(f"cut-{seed}")
-        chain, depositor = random_chain(seed)
+        chain, _ = random_chain(seed)
+        first = chain.deposit_mark(0, 1)
 
-        def verify(history, mark=None):
-            return verify_history(history, chain.view(), depositor, chain.keyring, CONFIG, mark)
+        def verify(history, mark=first):
+            return verify_history(history, chain.view(), chain.keyring, CONFIG, mark)
 
         # verify a prefix cut at a random block, mark its tip, extend it
         cut = rng.choice(sorted(chain.blocks)[:-1])
@@ -555,9 +570,9 @@ def test_checkpointed_verifier_agrees_with_full_walk():
             [n for n in view.operator_blocks if n <= cut],
         )
         prefix = extend_history(CoinHistory(0, 1), prefix_view, chain.witness)
-        assert verify_history(prefix, prefix_view, depositor, chain.keyring, CONFIG)
-        mark = Mark(prefix.last_block(), prefix.incl[max(prefix.incl)])
-        assert mark.tip == valid_tip(prefix, chain.keyring)
+        assert verify_history(prefix, prefix_view, chain.keyring, CONFIG, first)
+        mark = Mark(prefix.last_block(), valid_tip(prefix, chain.keyring, first.tip))
+        assert mark.tip == (prefix.incl[max(prefix.incl)] if prefix.incl else first.tip)
         extended = extend_history(prefix, chain.view(), chain.witness)
         assert mark.block == cut < extended.last_block()
         assert extended.past(cut) == suffix(extended, cut)
@@ -565,9 +580,9 @@ def test_checkpointed_verifier_agrees_with_full_walk():
 
         for kind in CORRUPTIONS:
             for above in (True, False):
-                chain, depositor = random_chain(seed)  # undo the last corruption
+                chain, _ = random_chain(seed)  # undo the last corruption
                 history = chain.history(0, 1)
-                side = [b for b in sorted(chain.blocks) if (b > cut) == above]
+                side = [b for b in chain.view().operator_blocks if (b > cut) == above]
                 rng.shuffle(side)
                 for blk in side:
                     expected = corrupt(chain, history, kind, blk)
@@ -584,7 +599,7 @@ def test_checkpointed_verifier_agrees_with_full_walk():
                     # entries at or below the mark are not read again: the
                     # suffix is accepted, a history holding them is refused
                     assert verify(suffix(history, cut), mark) == ACCEPT
-                    if min(history.incl.keys() | history.excl.keys()) <= cut:
+                    if min(history.incl.keys() | history.excl.keys(), default=cut + 1) <= cut:
                         refused = verify(history, mark).reason
                         assert refused in (Reason.PARTITION_OVERLAP, Reason.PARTITION_GAP)
                 exercised.add((kind, above))
@@ -601,12 +616,11 @@ def test_resumed_verification_reads_only_roots_past_the_mark(chain):
     history = chain.history(0, 1)
     view = chain.view()
     recent = RootView({n: r for n, r in view.roots.items() if n > 4000}, view.operator_blocks)
-    alice = chain.keyring.new_signer("alice")
-    args = (recent, alice.address, chain.keyring, CONFIG)
+    args = (recent, chain.keyring, CONFIG)
     assert list(history.past(mark.block).excl) == [5000]
     assert verify_history(history.past(mark.block), *args, mark) == ACCEPT
     with pytest.raises(MissingRoot):
-        verify_history(history, *args)
+        verify_history(history, *args, chain.deposit_mark(0, 1))
 
 
 def test_valid_tip_resumes_at_a_checkpoint(chain):
@@ -616,4 +630,4 @@ def test_valid_tip_resumes_at_a_checkpoint(chain):
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
     history = chain.history(0, 1)
     tip = valid_tip(history, chain.keyring, verified.incl[max(verified.incl)])
-    assert tip == valid_tip(history, chain.keyring) and tip.blk_number == 3000
+    assert tip == valid_tip(history, chain.keyring, chain.witness(0, 1)) and tip.blk_number == 3000

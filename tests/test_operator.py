@@ -74,6 +74,21 @@ def test_ownership_advances_with_blocks():
     assert operator.submit_tx(make_transfer_tx(bob, 0, 1000, alice.address)).accepted
 
 
+def test_raw_injection_refuses_a_slot_outside_the_tree():
+    """A raw transaction of a slot outside [0, capacity) is refused with a
+    receipt, not queued: it would jam every later block.  An honest spend
+    then still commits."""
+    keyring, operator = make_operator()
+    alice = seed_deposit(keyring, operator)
+    bob = keyring.new_signer("bob")
+    for slot in (CONFIG.capacity, -1):
+        receipt = operator.inject_raw_tx(Transaction(slot, 1, bob.address, bytes(52)))
+        assert not receipt.accepted and receipt.reason == "slot out of range"
+    assert operator.pending == {}
+    assert operator.submit_tx(make_transfer_tx(alice, 0, 1, bob.address)).accepted
+    assert operator.produce_block(1000).txs[0].new_owner == bob.address
+
+
 def test_raw_injection_skips_ownership_checks():
     keyring, operator = make_operator()
     seed_deposit(keyring, operator)

@@ -42,10 +42,11 @@ from plasma_cash.errors import (
     UnknownCoin,
     WrongBond,
 )
-from plasma_cash.history import ACCEPT, CoinHistory, Reason, find_spend, verify_history
+from plasma_cash.history import ACCEPT, CoinHistory, Mark, Reason, Verdict, find_spend, verify_history
 from plasma_cash.operator_node import ShadowLedger
 from plasma_cash.rootchain import TRANSITIONS, ChainParams, CoinState, PlasmaContract
 from plasma_cash.smt import Proof
+from plasma_cash.wallet import Wallet
 
 PARAMS = ChainParams(maturity_period=5, bond_amount=100, smt_depth=16)
 BOND = PARAMS.bond_amount
@@ -114,7 +115,8 @@ def test_contract_records_its_operator_blocks():
     those; the contract lists every operator block that holds a transaction
     (here a spend of coin 0) and no deposit block, and a history runs from
     the coin's deposit over listed operator blocks only.  A block with no
-    transaction is committed but not listed: its root proves every slot empty."""
+    transaction is committed but not listed: its root proves every slot empty.
+    A history resuming past a block covers the listed operator blocks after it."""
     f = Fixture()
     f.contract.current_block = 997  # the third deposit reaches an interval multiple
     numbers = [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)]
@@ -125,12 +127,11 @@ def test_contract_records_its_operator_blocks():
     assert numbers == [2001, 2002] and f.commit(spend).number == 3000
     view = f.contract.view
     assert f.contract.operator_blocks == view.operator_blocks == [2000, 3000]
-    assert view.history_blocks(998) == [998, 2000, 3000]
-    assert view.history_blocks(2002) == [2002, 3000]
-    assert view.history_blocks(2002, after=2002) == [3000]
+    assert view.history_blocks(998) == [2000, 3000]
+    assert view.history_blocks(2000) == view.history_blocks(2002) == [3000]
     empty = f.commit({})
     assert empty.number == 4000 and view.roots[4000] == empty.root == f.contract.config.defaults[16]
-    assert view.operator_blocks == [2000, 3000] and view.history_blocks(2002, after=3000) == []
+    assert view.operator_blocks == [2000, 3000] and view.history_blocks(3000) == []
     assert not view.is_operator_block(4000)
 
 
@@ -153,6 +154,18 @@ def test_deposit_rejects_bad_amounts():
         with pytest.raises(error):
             f.contract.deposit(f.alice.address, amount)
         assert (contract_state(f.contract), f.contract.current_block) == before
+
+
+def test_deposit_refuses_a_denomination_that_is_not_an_integer():
+    """A float, even a whole one, a bool or a string is refused with
+    BadDenomination before any balance, escrow, coin or block number moves."""
+    f = Fixture()
+    before = (contract_state(f.contract), f.contract.current_block)
+    for amount in (2.5, 3.0, True, "5"):
+        with pytest.raises(BadDenomination):
+            f.contract.deposit(f.alice.address, amount)
+        assert (contract_state(f.contract), f.contract.current_block) == before
+    assert f.contract.balance_of(f.alice.address) == 10_000 and not f.contract.coins
 
 
 def test_deposit_past_capacity_changes_nothing():
@@ -319,7 +332,7 @@ def test_entries_outside_the_coins_blocks_are_refused(fx):
     genuine = fx.witness(fx.slot, fx.dep_block)
     for number in (other_block, 999):
         moved = IncludedTx(genuine.tx, number, genuine.proof)
-        with pytest.raises(BadProof, match="not the coin's deposit or an operator block"):
+        with pytest.raises(BadProof, match="neither an operator block nor the coin's deposit entry"):
             fx.contract.challenge_before(fx.alice.address, fx.slot, moved, BOND)
     assert fx.contract.exits[fx.slot].challenges == []
     fx.contract.challenge_before(fx.alice.address, fx.slot, genuine, BOND)
@@ -373,13 +386,11 @@ def test_an_exit_proof_carrying_a_neighbor_is_refused(fx):
 
 
 def deposit_mutant(data, f, slot, genuine):
-    """One field of the genuine deposit entry changed, and the reasons the
-    verifier may give for it."""
+    """The genuine deposit entry, or one with one field changed."""
     kind = data.draw(st.sampled_from(
         ["genuine", "owner", "slot", "parent_block", "signature", "sibling", "blk_number"]
     ), label="kind")
     tx, number, proof = genuine.tx, genuine.blk_number, genuine.proof
-    reasons = {Reason.BAD_DEPOSIT_PROOF}
     if kind == "owner":
         tx = Transaction(slot, 0, data.draw(st.sampled_from([f.bob, f.mallory])).address)
     elif kind == "slot":
@@ -394,28 +405,37 @@ def deposit_mutant(data, f, slot, genuine):
         proof = proof_from_siblings(sibs)
     elif kind == "blk_number":
         number = data.draw(st.sampled_from([1, 1000, 1002]))
-        reasons = {Reason.PARTITION_GAP}
-    return kind, IncludedTx(tx, number, proof), reasons
+    return kind, IncludedTx(tx, number, proof)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_verifier_and_contract_agree_on_deposit_entries(data):
-    """Mutate one field of a deposit entry: ``verify_history`` refuses the
-    mutant with BAD_DEPOSIT_PROOF (PARTITION_GAP when the entry moves to
-    another committed block), and ``start_exit`` refuses it whether it is
-    the exit tx of a deposit exit or the parent of a spend, changing
-    nothing; both accept the genuine entry."""
+def test_only_the_recorded_deposit_entry_is_taken(data):
+    """Mutate one field of a deposit entry.  The contract compares an entry
+    at a deposit block with the coin's record: ``start_exit`` refuses the
+    mutant, whether it is the exit tx of a deposit exit or the parent of a
+    spend, and changes nothing; it takes the genuine entry.  A receiver
+    audits from the record, so a history handed with a deposit entry,
+    genuine or not, is a partition gap that leaves its log and mark as
+    they were; handed without one, the spend is accepted."""
     f = Fixture()
     f.contract.deposit(f.bob.address, 1)  # block 1: another coin's deposit
     f.commit({})  # 1000
     slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)  # 1001
     f.contract.deposit(f.carol.address, 1)  # 1002
     spend = f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)}).prove(slot)
-    kind, entry, reasons = deposit_mutant(data, f, slot, dep.prove(slot))
+    record = f.contract.coins[slot].deposit
+    assert record == dep.prove(slot)
+    kind, entry = deposit_mutant(data, f, slot, record)
+    fault = f.contract.view.inclusion_fault(entry, slot, record, f.contract.config)
+    assert (fault is None) == (kind == "genuine"), (kind, fault)
 
-    history = CoinHistory(slot, dep_block, {entry.blk_number: entry, spend.blk_number: spend})
-    verdict = verify_history(history, f.contract.view, f.alice.address, f.keyring, f.contract.config)
+    bob = Wallet(f.bob, f.keyring, f.contract)
+    verdict = bob.receive_coin(CoinHistory(slot, dep_block, {entry.blk_number: entry, 2000: spend}))
+    assert verdict == Verdict(False, Reason.PARTITION_GAP, f"missing=[] extra=[{entry.blk_number}]")
+    assert (bob.coins, bob.logs, bob.marks) == ({}, {}, {})
+    assert bob.receive_coin(CoinHistory(slot, dep_block, {2000: spend})) == ACCEPT
+
     use = data.draw(st.sampled_from(["deposit exit", "parent"]), label="use")
     if use == "deposit exit":
         exitor, args = entry.tx.new_owner, (None, entry)
@@ -423,11 +443,9 @@ def test_verifier_and_contract_agree_on_deposit_entries(data):
         exitor, args = f.bob.address, (entry, spend)
     before = contract_state(f.contract)
     if kind == "genuine":
-        assert verdict == ACCEPT
         f.contract.start_exit(exitor, slot, *args, BOND)
         assert f.contract.coins[slot].state is CoinState.EXITING
         return
-    assert not verdict and verdict.reason in reasons, (kind, verdict)
     with pytest.raises(PlasmaError):
         f.contract.start_exit(exitor, slot, *args, BOND)
     assert contract_state(f.contract) == before
@@ -556,7 +574,7 @@ def test_no_move_takes_a_spend_at_an_empty_block(move):
     genuine = f.witness(slot, 3000)
     for proof in (genuine.proof, f.contract.config.empty_proof):
         before = contract_state(f.contract)
-        with pytest.raises(BadProof, match="block 1000 is not the coin's deposit or an operator"):
+        with pytest.raises(BadProof, match="block 1000: neither an operator block nor the coin's deposit"):
             call(IncludedTx(genuine.tx, 1000, proof))
         assert contract_state(f.contract) == before
     call(genuine)
@@ -570,7 +588,7 @@ def test_no_exit_parent_or_challenge_at_an_empty_block(fx):
     parent, deposit = fx.witness(fx.slot, 1000), fx.witness(fx.slot, fx.dep_block)
     before = contract_state(fx.contract)
     for proof in (parent.proof, empty_proof):
-        with pytest.raises(BadProof, match="parent block 2000 is not the coin's deposit"):
+        with pytest.raises(BadProof, match="parent block 2000: neither an operator block nor the coin's deposit"):
             fx.contract.start_exit(
                 fx.carol.address, fx.slot, IncludedTx(parent.tx, 2000, proof),
                 fx.witness(fx.slot, 3000), BOND,
@@ -578,7 +596,7 @@ def test_no_exit_parent_or_challenge_at_an_empty_block(fx):
     assert contract_state(fx.contract) == before
     carol_exit(fx)
     for tx in (deposit.tx, parent.tx):
-        with pytest.raises(BadProof, match="challenge block 2000 is not the coin's deposit"):
+        with pytest.raises(BadProof, match="challenge block 2000: neither an operator block nor the coin's deposit"):
             fx.contract.challenge_before(
                 fx.alice.address, fx.slot, IncludedTx(tx, 2000, empty_proof), BOND
             )
@@ -586,30 +604,28 @@ def test_no_exit_parent_or_challenge_at_an_empty_block(fx):
 
 
 def test_no_history_covers_an_empty_block(fx):
-    """Carol's history covers the deposit block, 1000 and 3000, not the
+    """Carol's history past the deposit mark covers 1000 and 3000, not the
     empty block 2000.  An entry at 2000, exclusion or inclusion, is a
     partition gap; an inclusion filed under 3000 that names 2000 is a bad
-    inclusion; and a history whose deposit block is 2000 is a bad deposit."""
+    inclusion, and the contract's rule refuses it too."""
     c, slot = fx.contract, fx.slot
-    incl = {n: fx.witness(slot, n) for n in (fx.dep_block, 1000, 3000)}
+    incl = {n: fx.witness(slot, n) for n in (1000, 3000)}
+    mark = Mark(fx.dep_block, c.coins[slot].deposit)
 
-    def audit(deposit_block, incl, excl=None):
-        history = CoinHistory(slot, deposit_block, incl, excl or {})
-        return verify_history(history, c.view, fx.alice.address, fx.keyring, c.config)
+    def audit(incl, excl=None):
+        history = CoinHistory(slot, fx.dep_block, incl, excl or {})
+        return verify_history(history, c.view, fx.keyring, c.config, mark)
 
-    assert audit(fx.dep_block, incl) == ACCEPT
-    assert c.view.history_blocks(fx.dep_block) == [fx.dep_block, 1000, 3000]
+    assert audit(incl) == ACCEPT
+    assert c.view.history_blocks(fx.dep_block) == [1000, 3000]
     moved = IncludedTx(incl[3000].tx, 2000, incl[3000].proof)
     for entries in ((incl, {2000: fx.witness(slot, 2000)}), ({**incl, 2000: moved},)):
-        verdict = audit(fx.dep_block, *entries)
+        verdict = audit(*entries)
         assert verdict.reason is Reason.PARTITION_GAP and "extra=[2000]" in verdict.detail
-    verdict = audit(fx.dep_block, {**incl, 3000: moved})
+    verdict = audit({**incl, 3000: moved})
     assert verdict.reason is Reason.BAD_INCLUSION_PROOF
-    fault = c.view.inclusion_fault(moved, slot, fx.dep_block, fx.alice.address, c.config)
-    assert fault == "block 2000 is not the coin's deposit or an operator block"
-    deposit = IncludedTx(incl[fx.dep_block].tx, 2000, c.config.empty_proof)
-    verdict = audit(2000, {2000: deposit, 3000: incl[3000]})
-    assert verdict.reason is Reason.BAD_DEPOSIT_PROOF
+    fault = c.view.inclusion_fault(moved, slot, c.coins[slot].deposit, c.config)
+    assert fault == "block 2000: neither an operator block nor the coin's deposit entry"
 
 
 def spend_mutant(data, f, slot):
@@ -659,14 +675,15 @@ def test_every_check_agrees_on_spend_entries(data):
     f = Fixture()
     f.contract.deposit(f.bob.address, 1)  # block 1, slot 0: another coin's deposit
     f.commit({})  # 1000
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)  # 1001
+    slot, dep_block, _ = f.contract.deposit(f.alice.address, 5)  # 1001
     f.contract.deposit(f.carol.address, 1)  # 1002
     parent = f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
     kind, entry, reasons = spend_mutant(data, f, slot)
 
-    entries = {dep_block: dep.prove(slot), 2000: parent.prove(slot), entry.blk_number: entry}
+    entries = {2000: parent.prove(slot), entry.blk_number: entry}
     history = CoinHistory(slot, dep_block, dict(sorted(entries.items())))
-    verdict = verify_history(history, f.contract.view, f.alice.address, f.keyring, f.contract.config)
+    mark = Mark(dep_block, f.contract.coins[slot].deposit)
+    verdict = verify_history(history, f.contract.view, f.keyring, f.contract.config, mark)
     ledger = ShadowLedger(f.keyring)
     ledger.on_deposit(slot, f.alice.address, dep_block)
     ledger.on_block(parent)
@@ -917,9 +934,9 @@ def test_value_is_conserved_through_a_full_dispute(fx):
 
 
 def test_history_blocks_past_the_last_operator_block():
-    """Nothing past the last listed operator block: an empty list, or the
-    coin's own deposit block when the history has not covered it yet.  A
-    later block with no transaction changes neither."""
+    """Nothing past the last listed operator block: an empty list, also past
+    a deposit made after it.  A later block with no transaction changes
+    nothing."""
     f = Fixture()
     f.contract.current_block = 997  # the third deposit reaches an interval multiple
     assert [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)] == [998, 999, 1001]
@@ -927,12 +944,9 @@ def test_history_blocks_past_the_last_operator_block():
     deposit = f.contract.deposit(f.bob.address, 1)[1]
     view = f.contract.view
     for _ in range(2):
-        assert view.history_blocks(1001) == [1001, 2000]
-        assert view.history_blocks(998, after=1001) == [2000]
-        assert view.history_blocks(998, after=2000) == view.history_blocks(998, after=2005) == []
-        assert view.history_blocks(deposit) == [deposit]
-        assert view.history_blocks(deposit, after=deposit) == []
-        assert view.history_blocks(998) == [998, 2000]
+        assert view.history_blocks(998) == view.history_blocks(1001) == [2000]
+        assert view.history_blocks(2000) == view.history_blocks(2005) == []
+        assert view.history_blocks(deposit) == []
         assert f.commit({}).number in view.roots and view.operator_blocks == [2000]
 
 

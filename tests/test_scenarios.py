@@ -7,6 +7,7 @@ import pytest
 
 from plasma_cash import smt
 from plasma_cash.errors import UnknownScenario
+from plasma_cash.history import CoinHistory
 from plasma_cash.operator_node import PlasmaOperator
 from plasma_cash.scenarios import SCENARIOS, fuzz, run
 from plasma_cash.wallet import Wallet
@@ -101,6 +102,31 @@ def test_fuzz_spends_nothing_on_empty_blocks(monkeypatch, byzantine, pinned):
     assert fuzz(1000, seed=0, byzantine=byzantine).passed
     counts["cached"] = sum(len(block._shared) for block in blocks)
     assert empty_roots == [] and counts == pinned
+
+
+def test_every_handed_history_decodes_to_itself(monkeypatch):
+    """Every history a wallet is handed in S1-S5, with the watcher on and
+    off, and in fuzz(1000, seed=0), honest and byzantine, encodes to bytes
+    that decode back to it, and carries no deposit entry: a receiver audits
+    from the contract's record.  The fuzz hands one per delivery it counts."""
+    handed = []
+    receive = Wallet.receive_coin
+
+    def checked(wallet, history):
+        assert CoinHistory.decode(history.encode(wallet.config), wallet.config) == history
+        assert history.deposit_block not in history.incl
+        handed.append(history)
+        return receive(wallet, history)
+
+    monkeypatch.setattr(Wallet, "receive_coin", checked)
+    for name in sorted(SCENARIOS):
+        for watcher in (True, False):
+            assert run(name, watcher=watcher).passed
+    assert handed
+    for byzantine in (False, True):
+        handed.clear()
+        report = fuzz(1000, seed=0, byzantine=byzantine)
+        assert report.passed and len(handed) == report.extras["deliveries"] > 0
 
 
 def test_fuzz_deterministic_per_seed():

@@ -15,6 +15,7 @@ from plasma_cash.driver import Simulation
 from plasma_cash.errors import BadProof, NoActiveExit, NotOwned, WitnessUnavailable
 from plasma_cash.history import (
     CoinHistory,
+    Mark,
     Reason,
     extend_history,
     valid_tip,
@@ -60,7 +61,7 @@ def test_contract_view_stays_current():
     block = sim.commit_block()
     assert sim.contract.view is view
     assert view.roots[block.number] == block.root
-    assert view.history_blocks(deposit_block) == [deposit_block, block.number]
+    assert view.history_blocks(deposit_block) == [block.number]
     assert sim.deliver("alice", slot, "bob")
     assert sim.contract.view is view
 
@@ -91,9 +92,10 @@ def test_receiver_rejects_history_ending_elsewhere():
     sim.commit_block()
     alice = sim.actor("alice")
     alice.sync(slot, sim.operator.get_witness)
-    history = alice.coins.pop(slot)
+    carol = sim.actor("carol")
+    history = alice.coins.pop(slot).past(carol.mark(slot).block)
     # Carol is handed Bob's coin
-    verdict = sim.actor("carol").receive_coin(history)
+    verdict = carol.receive_coin(history)
     assert not verdict and "does not end" in verdict.detail
 
 
@@ -443,7 +445,7 @@ def test_a_withdrawn_coin_leaves_every_wallet():
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
-    assert all(slot in w.logs and slot in w.marks for w in sim.wallets.values())
+    assert all(slot in w.logs for w in sim.wallets.values()) and slot in sim.actor("bob").marks
     sim.start_exit("bob", slot)
     assert finish_exit(sim, slot) == "Finalized"
     assert sim.withdraw("bob", slot) == 5
@@ -686,9 +688,10 @@ def test_valid_tip_walks_from_the_stored_mark():
 
 
 def test_a_returning_receiver_is_handed_only_the_new_blocks(monkeypatch):
-    """One coin handed round-robin among 4 wallets: after the first lap
-    every receiver is handed the 4 blocks since it verified the coin, at
-    hand-off 16 as at hand-off 400, and keeps the whole log."""
+    """One coin handed round-robin among 4 wallets: a first-time receiver
+    is handed every block past the deposit, and after the first lap every
+    receiver the 4 blocks since it verified the coin, at hand-off 16 as at
+    hand-off 400; each keeps the whole log, from the deposit entry."""
     sim = make_sim()
     names = ["w0", "w1", "w2", "w3"]
     slot = sim.deposit(names[0], 5)
@@ -702,7 +705,7 @@ def test_a_returning_receiver_is_handed_only_the_new_blocks(monkeypatch):
     monkeypatch.setattr(Wallet, "receive_coin", counted)
     for k in range(1, 401):
         assert settled_transfer(sim, names[(k - 1) % 4], slot, names[k % 4])
-    assert handed[:3] == [2, 3, 4]  # first-time receivers: deposit and every block
+    assert handed[:3] == [1, 2, 3]  # first-time receivers: every block past the deposit
     assert handed[16 - 1] == handed[400 - 1] == 4 and set(handed[3:]) == {4}
     log = sim.actor(names[0]).coins[slot]
     assert len(log.incl) == 401 and log.last_block() == max(sim.contract.roots)
@@ -747,9 +750,9 @@ def test_a_history_in_any_order_is_logged_in_block_order():
     history = handed_over(sim, "carol", slot, "dave")
     sim.actor("carol").coins.pop(slot)
     received, spent = sorted(history.incl)[1:3]  # Alice to Bob, Bob to Carol
-    offered = reordered(history, spent)
-    assert list(offered.incl) != sorted(offered.incl)
     dave = sim.actor("dave")
+    offered = reordered(history.past(dave.mark(slot).block), spent)
+    assert list(offered.incl) != sorted(offered.incl)
     assert dave.receive_coin(offered)
     log = dave.logs[slot]
     assert list(log.incl) == sorted(log.incl) and list(log.excl) == sorted(log.excl)
@@ -782,7 +785,7 @@ def test_out_of_order_entries_do_not_end_a_history_at_the_receiver():
     carol.sync(slot, sim.operator.get_witness)
     kept = log_state(bob, slot)
 
-    offered = carol.coins[slot].past(bob.verified_block(slot))
+    offered = carol.coins[slot].past(bob.mark(slot).block)
     out_of_order = reordered(offered, to_bob)
     out_of_order.incl[to_bob] = out_of_order.incl.pop(to_bob)  # now last
     for history in (offered, out_of_order):
@@ -870,15 +873,15 @@ def test_handoff_bytes_are_the_sum_of_closed_forms(monkeypatch):
         return head + sum(entry(blk, parent) for blk, parent in inclusions)
 
     chain = [(deposit_block, 0)]  # (block, parent block) of each inclusion
-    verified = {names[0]: len(chain)}  # inclusions each wallet has verified
+    verified = {}  # inclusions past the deposit each wallet has verified
     for k in range(1, 41):
         receiver = names[k % 4]
         assert settled_transfer(sim, names[(k - 1) % 4], slot, receiver)
         chain.append((sim.contract.operator_blocks[-1], chain[-1][0]))
-        # a first-time receiver gets the whole log, a returning one the 4
-        # inclusions past its mark
-        suffix = chain[verified.get(receiver, 0):]
-        assert len(suffix) == (k + 1 if k < 4 else 4)
+        # a first-time receiver gets every inclusion past the deposit, a
+        # returning one the 4 past its mark
+        suffix = chain[verified.get(receiver, 1):]
+        assert len(suffix) == (k if k < 4 else 4)
         assert len(delivered) == k and delivered[-1] == history(suffix)
         verified[receiver] = len(chain)
         assert len(sim.actor(receiver).logs[slot].encode(config)) == history(chain)
@@ -899,11 +902,11 @@ def test_one_coin_blocks_leave_the_memo_empty():
 
 @pytest.mark.parametrize("others", [0, 50])
 def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
-    """A fresh receiver checks the coin's deposit entry by hash equality and
-    verifies one proof per listed operator block since, here each holding a
-    spend of another coin; other coins' deposit blocks, interleaved with
-    those operator blocks, and blocks with no transaction, which the
-    contract does not list, cost it nothing."""
+    """A fresh receiver starts at the contract's record of the coin's
+    deposit and verifies one proof per listed operator block since, here
+    each holding a spend of another coin; other coins' deposit blocks,
+    interleaved with those operator blocks, and blocks with no transaction,
+    which the contract does not list, cost it nothing."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     other = sim.deposit("carol", 1)
@@ -914,7 +917,7 @@ def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
         assert settled_transfer(sim, sender, other, receiver)
         empty.append(sim.commit_block().number)
     assert not set(empty) & set(sim.contract.operator_blocks)
-    history = handed_over(sim, "alice", slot, "bob")
+    history = handed_over(sim, "alice", slot, "bob").past(sim.actor("bob").mark(slot).block)
     assert not set(empty) & set(history.excl)
     counts.clear()
     assert sim.actor("bob").receive_coin(history)
@@ -923,7 +926,8 @@ def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
 
 def coins_moved_together(sim, sender, receiver, n):
     """Deposit ``n`` coins to ``sender``, move them all to ``receiver`` in
-    one block, and return the histories the sender hands over."""
+    one block, and return the histories the sender hands over: the entries
+    past each deposit."""
     slots = [sim.deposit(sender, 5) for _ in range(n)]
     for slot in slots:
         _, receipt = sim.transfer(sender, slot, receiver)
@@ -932,15 +936,16 @@ def coins_moved_together(sim, sender, receiver, n):
     histories = []
     for slot in slots:
         sim.actor(sender).sync(slot, sim.operator.get_witness)
-        histories.append(sim.actor(sender).coins[slot].past(0))
+        histories.append(sim.actor(sender).coins[slot].past(sim.actor(receiver).mark(slot).block))
     return histories
 
 
 def test_coins_that_share_a_block_share_its_upper_path(counts):
     """Eight coins in slots 0-7 of one depth-64 block: Bob's first delivery
     hashes the block proof's 64 levels; every later one hashes only the 3
-    levels below the coins' common subtree.  A deposit entry is checked by
-    hash equality and costs no tree hash.  Without the memo each costs 64."""
+    levels below the coins' common subtree.  Each audit starts at the
+    contract's deposit record, which costs no hash.  Without the memo each
+    costs 64."""
     sim = Simulation(params=ChainParams(smt_depth=64))
     histories = coins_moved_together(sim, "alice", "bob", 8)
     bob = sim.actor("bob")
@@ -952,9 +957,8 @@ def test_coins_that_share_a_block_share_its_upper_path(counts):
     assert cost == [64] + [3] * 7
     coin = sim.contract.coins[histories[-1].slot]
     counts.clear()
-    assert verify_history(
-        histories[-1], sim.contract.view, coin.depositor, sim.keyring, bob.config
-    )
+    mark = Mark(coin.deposit_block, coin.deposit)
+    assert verify_history(histories[-1], sim.contract.view, sim.keyring, bob.config, mark)
     assert counts["hashes"] == 64
 
 
