@@ -9,8 +9,9 @@ and how many bytes its bitfield takes; a transaction in an entry is
 bitfield form (``smt.Proof``) in the fewest bytes, and a coin history
 (``history.CoinHistory``) a run of entries.  Integers are minimal LEB128
 (``smt.uint``).  What is hashed and signed keeps its
-fixed-width form (``_tx_digest``); a block reaches the contract as its
-root alone.
+fixed-width form (``_tx_digest``); an operator block reaches the contract
+as its root alone, and the contract makes each deposit entry itself
+(``rootchain.PlasmaContract.deposit``).
 Signatures use a deterministic in-process scheme -- sig = address || MAC --
 kept behind the same sign/recover contract a real recoverable-ECDSA
 implementation would satisfy.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from .errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
+from .errors import MalformedEncoding, MalformedSignature
 from .smt import Proof, Reader, SmtConfig, SparseMerkleTree, uint
 
 ADDRESS_SIZE = 20
@@ -183,15 +184,14 @@ def spend_fault(
 
 @dataclass
 class PlasmaBlock:
-    """One plasmachain block: at most one transaction per slot, plus its
-    root.  An operator block's root is the SMT root over the slot -> txHash
-    map; a deposit block's root is its one transaction's hash."""
+    """One operator block: at most one transaction per slot, and the SMT
+    root over the slot -> txHash map.  Deposit blocks are the contract's
+    own: it keeps each one's entry on the coin's record."""
 
     number: int
     txs: Dict[int, Transaction]
     root: bytes
-    tree: Optional[SparseMerkleTree] = field(repr=False, compare=False, default=None)
-    config: Optional[SmtConfig] = field(repr=False, compare=False, default=None)
+    tree: SparseMerkleTree = field(repr=False, compare=False)
     # proof.bitfield -> the exclusion entry on the proof the tree shares
     # under it; an entry on a per-slot proof is built afresh, as is its proof
     _shared: Dict[int, IncludedTx] = field(repr=False, compare=False, init=False, default_factory=dict)
@@ -199,33 +199,21 @@ class PlasmaBlock:
     @classmethod
     def build(cls, number: int, txs: Dict[int, Transaction], config: SmtConfig) -> "PlasmaBlock":
         tree = SparseMerkleTree(config, {slot: tx.digest for slot, tx in txs.items()})
-        return cls(number=number, txs=dict(txs), root=tree.root, tree=tree, config=config)
-
-    @classmethod
-    def deposit(cls, number: int, tx: Transaction, config: SmtConfig) -> "PlasmaBlock":
-        """The block of one deposit: its root is the transaction's hash, and
-        no tree is built."""
-        return cls(number=number, txs={tx.slot: tx}, root=tx.digest, config=config)
+        return cls(number=number, txs=dict(txs), root=tree.root, tree=tree)
 
     def prove(self, slot: int) -> IncludedTx:
         """Inclusion witness when the slot is spent here, exclusion otherwise,
-        one frozen entry for each proof the tree shares.  A deposit block
-        proves its one transaction with the empty proof and raises
-        NotInDepositBlock for any other slot."""
+        one frozen entry for each proof the tree shares."""
         tx = self.txs.get(slot)
-        if self.tree is not None:
-            proof = self.tree.prove(slot)
-            if tx is not None:
-                return IncludedTx(tx, self.number, proof)
-            itx = self._shared.get(proof.bitfield)
-            if itx is None or itx.proof is not proof:
-                itx = IncludedTx(None, self.number, proof)
-                if self.tree.shares(proof):
-                    self._shared[proof.bitfield] = itx
-            return itx
-        if tx is None:
-            raise NotInDepositBlock(f"slot {slot} in deposit block {self.number}")
-        return IncludedTx(tx, self.number, self.config.empty_proof)
+        proof = self.tree.prove(slot)
+        if tx is not None:
+            return IncludedTx(tx, self.number, proof)
+        itx = self._shared.get(proof.bitfield)
+        if itx is None or itx.proof is not proof:
+            itx = IncludedTx(None, self.number, proof)
+            if self.tree.shares(proof):
+                self._shared[proof.bitfield] = itx
+        return itx
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,10 @@ class Simulation:
 
     def deposit(self, name: str, denomination: int) -> int:
         wallet = self.actor(name)
-        slot, _, block = self.contract.deposit(wallet.address, denomination)
-        self.operator.observe_deposit(block)
-        wallet.register_deposit(slot)
-        return slot
+        coin = self.contract.deposit(wallet.address, denomination)
+        self.ledger.on_deposit(coin.slot, wallet.address, coin.deposit_block)
+        wallet.register_deposit(coin.slot)
+        return coin.slot
 
     def commit_block(self) -> PlasmaBlock:
         number = self.contract.next_operator_block
@@ -98,13 +98,18 @@ class Simulation:
         self.contract.start_exit(wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount)
 
     def exit_with(self, name: str, slot: int, parent_block: Optional[int], exit_block: int):
-        """Exit with the operator's witnesses of the coin at ``parent_block``
-        (None for a deposit exit) and ``exit_block``, not the wallet's own
-        history (used by attackers and scripted runs).  A withheld witness
+        """Exit with the coin's entries at ``parent_block`` (None for a
+        deposit exit) and ``exit_block``, not the wallet's own history (used
+        by attackers and scripted runs): the contract's record at the deposit
+        block, the operator's witness at any other.  A withheld witness
         raises WitnessUnavailable before any exit starts."""
-        witness = self.operator.get_witness
-        parent_tx = None if parent_block is None else witness(slot, parent_block)
-        exit_tx = witness(slot, exit_block)
+        coin = self.contract.coins[slot]
+
+        def entry(block: int):
+            return coin.deposit if block == coin.deposit_block else self.operator.get_witness(slot, block)
+
+        parent_tx = None if parent_block is None else entry(parent_block)
+        exit_tx = entry(exit_block)
         self.contract.start_exit(
             self.address(name), slot, parent_tx, exit_tx, self.params.bond_amount
         )

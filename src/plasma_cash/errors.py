@@ -37,13 +37,6 @@ class MalformedProof(MalformedEncoding):
     """A proof with no wire form, refused when it is built or encoded."""
 
 
-# --- blocks ---
-
-class NotInDepositBlock(PlasmaError):
-    """A deposit block commits one transaction's hash, not a tree, so it
-    proves no other slot."""
-
-
 # --- signatures ---
 
 class MalformedSignature(PlasmaError):

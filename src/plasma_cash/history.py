@@ -73,7 +73,7 @@ class RootView:
 
     - the contract sets each deposit root itself, to the hash of the one
       deposit transaction of a slot it has just minted, so the block holds
-      no other slot and proves none (``PlasmaBlock.prove`` raises for one);
+      no other slot and proves none;
     - the contract keeps that block's entry on the coin's record
       (``CoinRecord.deposit``), every audit starts at it as the coin's first
       mark, and ``inclusion_fault`` accepts an entry at the deposit block
@@ -339,24 +339,19 @@ def find_spend(
     return None
 
 
-def valid_tip(
-    history: CoinHistory, keyring: Keyring, tip: Optional[IncludedTx] = None
-) -> IncludedTx:
+def valid_tip(history: CoinHistory, keyring: Keyring, tip: IncludedTx) -> IncludedTx:
     """Last inclusion on the coin's valid ownership chain.
 
-    Walks from the deposit, at each step following only correctly signed
-    children of the current tip; among same-parent siblings the earliest
-    inclusion wins.  Fraudulent inclusions a wallet picked up while syncing
-    (double spends, forged spends) are skipped, so the tip is what the
-    wallet can legitimately spend or exit with.
-
-    With ``tip``, the valid tip at a block the caller verified, the walk
-    resumes there: up to that block the inclusions are one chain and every
-    other block proves the slot empty, so any other spend of a block in the
-    chain comes later than the chain's own, and the full walk passes ``tip``.
+    Walks from ``tip``, the valid tip at a block the caller verified (the
+    deposit entry at the first mark), at each step following only correctly
+    signed children of the current tip; among same-parent siblings the
+    earliest inclusion wins.  Fraudulent inclusions a wallet picked up while
+    syncing (double spends, forged spends) are skipped, so the tip is what
+    the wallet can legitimately spend or exit with.  Up to ``tip``'s block
+    the inclusions are one chain and every other block proves the slot
+    empty, so any other spend of a block in the chain comes later than the
+    chain's own, and a walk from the deposit passes ``tip``.
     """
-    if tip is None:
-        tip = history.incl[history.deposit_block]
     while True:
         spend = find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)
         if spend is None:

@@ -66,7 +66,8 @@ class ShadowLedger:
 
 class PlasmaOperator:
     """Accumulates transactions between block productions and serves
-    (non-)inclusion witnesses for every block it has seen."""
+    (non-)inclusion witnesses for every block it produced.  Deposit blocks
+    are the contract's: their entries are on its coin records."""
 
     def __init__(self, address: Address, keyring: Keyring, config: SmtConfig):
         self.address = address
@@ -75,14 +76,6 @@ class PlasmaOperator:
         self.ledger = ShadowLedger(keyring)
         self.pending: Dict[int, Transaction] = {}
         self.withheld: set = set()
-
-    # -- chain observation --
-
-    def observe_deposit(self, block: PlasmaBlock):
-        """Record a deposit block appended by the root chain."""
-        self.blocks[block.number] = block
-        for slot, tx in block.txs.items():
-            self.ledger.on_deposit(slot, tx.new_owner, block.number)
 
     # -- transaction intake --
 

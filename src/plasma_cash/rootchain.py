@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional
 
-from .core import Address, IncludedTx, Keyring, make_deposit_tx, PlasmaBlock, spend_fault
+from .core import Address, IncludedTx, Keyring, make_deposit_tx, spend_fault
 from .errors import (
     BadDenomination,
     BadProof,
@@ -70,13 +70,15 @@ CHILD_BLOCK_INTERVAL = 1000
 class CoinRecord:
     slot: int
     owner: Address  # depositor, replaced by the exitor on successful exit
-    depositor: Address  # fixed at minting; owner changes, this does not
     denomination: int
     state: CoinState
-    deposit_block: int
     #: the deposit block's entry, the coin's first mark and the one entry
-    #: the contract takes at that block
+    #: the contract takes at that block; it names the depositor
     deposit: IncludedTx
+
+    @property
+    def deposit_block(self) -> int:
+        return self.deposit.blk_number
 
 
 @dataclass
@@ -248,9 +250,10 @@ class PlasmaContract:
 
     # -- deposits and block commitments --
 
-    def deposit(self, depositor: Address, denomination: int):
+    def deposit(self, depositor: Address, denomination: int) -> CoinRecord:
         """Lock value, mint a coin, and append its one-transaction block,
-        whose root is the deposit transaction's hash."""
+        whose root is the deposit transaction's hash and whose entry, with
+        the empty proof, the coin's record keeps."""
         if type(denomination) is not int or denomination <= 0:
             raise BadDenomination(f"denomination must be a positive integer, got {denomination!r}")
         if self._next_slot >= self.config.capacity:
@@ -265,16 +268,14 @@ class PlasmaContract:
             number += 1  # interval numbers belong to operator blocks
         self.current_block = number
 
-        block = PlasmaBlock.deposit(number, make_deposit_tx(slot, depositor), self.config)
-        self.roots[number] = block.root
-        self.coins[slot] = CoinRecord(
+        tx = make_deposit_tx(slot, depositor)
+        self.roots[number] = tx.digest
+        coin = self.coins[slot] = CoinRecord(
             slot=slot,
             owner=depositor,
-            depositor=depositor,
             denomination=denomination,
             state=CoinState.DEPOSITED,
-            deposit_block=number,
-            deposit=block.prove(slot),
+            deposit=IncludedTx(tx, number, self.config.empty_proof),
         )
         self._emit(
             "Deposit",
@@ -283,7 +284,7 @@ class PlasmaContract:
             denomination=denomination,
             block=number,
         )
-        return slot, number, block
+        return coin
 
     def submit_block(self, caller: Address, root: bytes) -> int:
         if caller != self.operator:

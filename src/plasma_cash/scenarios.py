@@ -499,7 +499,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
             return
         # exit a deposited coin the attacker has since spent away
         mine = sim.address(attacker)
-        deposits = [coin for coin in sim.contract.coins.values() if coin.depositor == mine]
+        deposits = [coin for coin in sim.contract.coins.values() if coin.deposit.tx.new_owner == mine]
         if deposits:
             coin = rng.choice(deposits)  # slots are minted, hence listed, in order
             if free(coin.slot):

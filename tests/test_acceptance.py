@@ -148,20 +148,22 @@ def test_smt_matches_dense_oracle():
 class _Chain:
     def __init__(self):
         self.keyring = Keyring()
-        self.blocks = {}
+        self.blocks = {}  # operator blocks
+        self.deposits = {}  # deposit entries, as the contract records them
         self.config = SmtConfig(depth=16)
 
     def add(self, number, txs):
-        if number % 1000:  # a deposit block: its one transaction's hash is the root
+        if number % 1000:  # a deposit: its one transaction's hash is the root
             (tx,) = txs.values()
-            self.blocks[number] = PlasmaBlock.deposit(number, tx, self.config)
+            self.deposits[number] = IncludedTx(tx, number, self.config.empty_proof)
         else:
             self.blocks[number] = PlasmaBlock.build(number, txs, self.config)
 
     def view(self):
-        # operator blocks take the multiples of 1000, deposit blocks the rest
-        operator_blocks = sorted(n for n in self.blocks if n % 1000 == 0)
-        return RootView({n: b.root for n, b in self.blocks.items()}, operator_blocks)
+        # operator blocks take the multiples of 1000, deposits the rest
+        roots = {n: b.root for n, b in self.blocks.items()}
+        roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
+        return RootView(roots, sorted(self.blocks))
 
     def history(self, slot=0, deposit_block=1):
         """The entries past the deposit, what a first-time receiver is handed."""
@@ -171,11 +173,11 @@ class _Chain:
 
     def audit(self, history, slot=0, deposit_block=1):
         """``verify_history`` from the coin's first mark, its deposit entry."""
-        mark = Mark(deposit_block, self.blocks[deposit_block].prove(slot))
+        mark = Mark(deposit_block, self.deposits[deposit_block])
         return verify_history(history, self.view(), self.keyring, self.config, mark)
 
     def replay_owner(self, slot=0, deposit_block=1):
-        dep = self.blocks[deposit_block].txs[slot]
+        dep = self.deposits[deposit_block].tx
         owner, last = dep.new_owner, deposit_block
         for number in sorted(self.blocks):
             if number <= deposit_block:
@@ -220,7 +222,7 @@ def test_history_verifier_corpus():
         c, _ = _random_chain(rng, trial)
         history = c.history()
         verdict = c.audit(history)
-        tip = valid_tip(history, c.keyring, c.blocks[1].prove(0))
+        tip = valid_tip(history, c.keyring, c.deposits[1])
         owner, last = c.replay_owner()
         if verdict and tip.tx.new_owner == owner and tip.blk_number == last:
             agree += 1
@@ -297,9 +299,9 @@ def test_history_size_scales_linearly():
     alice = keyring.new_signer("alice")
     sizes = {}
     checkpoints = (10, 100, 1000)
-    blocks = {1: PlasmaBlock.deposit(1, make_deposit_tx(0, alice.address), config)}
+    deposit = IncludedTx(make_deposit_tx(0, alice.address), 1, config.empty_proof)
     empty = PlasmaBlock.build(0, {}, config)
-    history = CoinHistory(slot=0, deposit_block=1, incl={1: blocks[1].prove(0)})
+    history = CoinHistory(slot=0, deposit_block=1, incl={1: deposit})
     for t in range(1, max(checkpoints) + 1):
         history.excl[t * 1000] = IncludedTx(None, t * 1000, empty.tree.prove(0))
         if t in checkpoints:

@@ -26,8 +26,9 @@ from plasma_cash.core import (
     make_transfer_tx,
     spend_fault,
 )
-from plasma_cash.errors import MalformedEncoding, MalformedSignature, NotInDepositBlock
+from plasma_cash.errors import MalformedEncoding, MalformedSignature
 from plasma_cash.history import CoinHistory
+from plasma_cash.rootchain import PlasmaContract
 from plasma_cash.smt import Proof, Reader, SmtConfig, SparseMerkleTree, uint
 
 
@@ -188,20 +189,26 @@ def test_block_build_and_prove(keyring):
 
 
 def test_deposit_block_commits_its_transaction_hash():
-    """A deposit block builds no tree: its root is its one transaction's
-    hash, it proves that transaction with the empty proof, which encodes as
-    a one-leaf tree's proof did, and it proves no other slot."""
-    config = SmtConfig(depth=64)
-    tx = make_deposit_tx(7, Address(b"\x02" * 20))
-    block = PlasmaBlock.deposit(3, tx, config)
-    assert block.root == tx.hash() and block.txs == {7: tx} and block.tree is None
-    itx = block.prove(7)
+    """The contract builds no tree for a deposit: the block's root is its
+    one transaction's hash, and the coin's record, which returns, keeps that
+    transaction's entry with the empty proof, which encodes as a one-leaf
+    tree's proof did.  The record stores the entry alone: its block and
+    depositor are read from it."""
+    keyring = Keyring()
+    alice = keyring.new_signer("alice")
+    contract = PlasmaContract(keyring.new_signer("operator").address, keyring)
+    contract.balances[alice.address] = 5
+    contract.current_block = 2
+    config = contract.config
+    coin = contract.deposit(alice.address, 5)
+    tx = make_deposit_tx(0, alice.address)
+    assert contract.coins[0] is coin and contract.roots == {3: tx.hash()}
+    assert [f.name for f in fields(coin)] == ["slot", "owner", "denomination", "state", "deposit"]
+    itx = coin.deposit
     assert itx == IncludedTx(tx, 3, config.empty_proof) and itx.proof.bitfield == 0
-    one_leaf = SparseMerkleTree(config, {7: tx.hash()}).prove(7)
+    assert coin.deposit_block == 3 and itx.tx.new_owner == coin.owner == alice.address
+    one_leaf = SparseMerkleTree(config, {0: tx.hash()}).prove(0)
     assert itx.encode(config) == IncludedTx(tx, 3, one_leaf).encode(config)
-    for slot in (6, 8):
-        with pytest.raises(NotInDepositBlock):
-            block.prove(slot)
 
 
 def test_included_tx_encode_round_trip(keyring):
@@ -220,13 +227,13 @@ def test_exclusion_entry_size():
     its slot, its parent block 0 and the owner."""
     config = SmtConfig(depth=64)
     keyring = Keyring()
-    deposit = PlasmaBlock.deposit(1, make_deposit_tx(0, keyring.new_signer("alice").address), config)
+    deposit = IncludedTx(make_deposit_tx(0, keyring.new_signer("alice").address), 1, config.empty_proof)
     excl = PlasmaBlock.build(1000, {}, config).prove(0)
     assert excl.is_exclusion
     assert excl.encode(config) == uint(1000) + bytes((0,))  # kind 0: no tx, no neighbour, width 0
     assert len(excl.encode(config)) == len(uint(1000)) + 1 == 3
     deposit_tx = len(uint(0)) + len(uint(0)) + ADDRESS_SIZE
-    assert len(deposit.prove(0).encode(config)) == len(uint(1)) + 1 + deposit_tx == 24
+    assert len(deposit.encode(config)) == len(uint(1)) + 1 + deposit_tx == 24
 
 
 # -- canonical decoding: one byte string, one value --

@@ -37,26 +37,29 @@ CONFIG = SmtConfig(depth=16)
 
 
 class Chain:
-    """Hand-built plasmachain: blocks keyed by number, witness access."""
+    """Hand-built plasmachain: operator blocks and deposit entries keyed by
+    number, witness access."""
 
     def __init__(self):
         self.keyring = Keyring()
-        self.blocks = {}
+        self.blocks = {}  # operator blocks
+        self.deposits = {}  # deposit entries, as the contract records them
 
     def signer(self, name):
         return self.keyring.new_signer(name)
 
     def add_block(self, number, txs):
-        if number % 1000:  # a deposit block: its one transaction's hash is the root
+        if number % 1000:  # a deposit: its one transaction's hash is the root
             (tx,) = txs.values()
-            self.blocks[number] = PlasmaBlock.deposit(number, tx, CONFIG)
+            self.deposits[number] = IncludedTx(tx, number, CONFIG.empty_proof)
         else:
             self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
 
     def view(self):
-        # operator blocks take the multiples of 1000, deposit blocks the rest
-        operator_blocks = sorted(n for n in self.blocks if n % 1000 == 0)
-        return RootView({n: b.root for n, b in self.blocks.items()}, operator_blocks)
+        # operator blocks take the multiples of 1000, deposits the rest
+        roots = {n: b.root for n, b in self.blocks.items()}
+        roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
+        return RootView(roots, sorted(self.blocks))
 
     def witness(self, slot, number):
         return self.blocks[number].prove(slot)
@@ -68,7 +71,7 @@ class Chain:
     def deposit_mark(self, slot, deposit_block):
         """The coin's first mark: its deposit block and the entry there, which
         the contract records."""
-        return Mark(deposit_block, self.witness(slot, deposit_block))
+        return Mark(deposit_block, self.deposits[deposit_block])
 
 
 @pytest.fixture
@@ -203,7 +206,7 @@ def test_other_coins_deposit_blocks_are_skipped(chain):
     assert verdict.detail == "missing=[] extra=[2]"
 
     # the coin's own deposit block is the mark's, so its entry is extra too
-    history.incl[1] = chain.witness(0, 1)
+    history.incl[1] = chain.deposits[1]
     verdict = verify(chain, history)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
     assert verdict.detail == "missing=[] extra=[1]"
@@ -213,7 +216,7 @@ def refusals(chain, entry):
     """``entry`` offered as the coin's deposit entry: the contract's rule,
     which compares it with the coin's record, and a receiver handed it in a
     history, who audits from the record and takes no deposit entry."""
-    fault = chain.view().inclusion_fault(entry, 0, chain.witness(0, 1), CONFIG)
+    fault = chain.view().inclusion_fault(entry, 0, chain.deposits[1], CONFIG)
     history = chain.history(0, 1)
     history.incl[1] = entry
     return fault, verify(chain, history)
@@ -227,11 +230,11 @@ def test_wrong_deposit_owner_rejected(chain):
     mallory = chain.keyring.new_signer("mallory")
     forged = IncludedTx(make_deposit_tx(0, mallory.address), 1, CONFIG.empty_proof)
     assert refusals(chain, forged) == (NOT_THE_DEPOSIT, HANDED_DEPOSIT)
-    assert refusals(chain, chain.witness(0, 1)) == (None, HANDED_DEPOSIT)
+    assert refusals(chain, chain.deposits[1]) == (None, HANDED_DEPOSIT)
 
 
 def test_corrupt_deposit_proof_rejected(chain):
-    dep = chain.witness(0, 1)
+    dep = chain.deposits[1]
     assert refusals(chain, IncludedTx(dep.tx, 1, flip(dep.proof))) == (NOT_THE_DEPOSIT, HANDED_DEPOSIT)
 
 
@@ -239,15 +242,15 @@ def test_signed_deposit_entry_rejected(chain):
     """``Transaction.hash`` leaves the signature out, so a deposit tx that
     carries one hashes to the committed root; it is still refused, and a
     deposit entry has one encoding."""
-    dep = chain.witness(0, 1)
+    dep = chain.deposits[1]
     signed = Transaction(0, 0, dep.tx.new_owner, bytes(SIG_SIZE))
-    assert signed.hash() == chain.blocks[1].root
+    assert signed.hash() == chain.view().roots[1]
     assert refusals(chain, IncludedTx(signed, 1, dep.proof)) == (NOT_THE_DEPOSIT, HANDED_DEPOSIT)
 
 
 def test_deposit_entry_for_another_block_rejected(chain):
     # the entry filed under the deposit block claims block 5 (no root)
-    dep = chain.witness(0, 1)
+    dep = chain.deposits[1]
     fault, verdict = refusals(chain, IncludedTx(dep.tx, 5, dep.proof))
     assert fault == "block 5: neither an operator block nor the coin's deposit entry"
     assert verdict == HANDED_DEPOSIT
@@ -326,7 +329,7 @@ def test_history_binary_round_trip(chain):
 
 def test_valid_tip_follows_ownership_chain(chain):
     carol = chain.keyring.new_signer("carol")
-    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.witness(0, 1))
+    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.deposits[1])
     assert tip.blk_number == 3000 and tip.tx.new_owner == carol.address
 
 
@@ -334,7 +337,7 @@ def test_valid_tip_skips_fraudulent_inclusions(chain):
     # operator includes Mallory's self-dealing forgery later on
     mallory = chain.keyring.new_signer("mallory")
     chain.add_block(5000, {0: make_transfer_tx(mallory, 0, 3000, mallory.address)})
-    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.witness(0, 1))
+    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.deposits[1])
     assert tip.blk_number == 3000
 
 
@@ -343,7 +346,7 @@ def test_valid_tip_takes_earliest_same_parent_spend(chain):
     bob = chain.keyring.new_signer("bob")
     mallory = chain.keyring.new_signer("mallory")
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
-    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.witness(0, 1))
+    tip = valid_tip(chain.history(0, 1), chain.keyring, chain.deposits[1])
     assert tip.blk_number == 3000  # the earlier spend of parent 1000 wins
 
 
@@ -374,9 +377,8 @@ def sorted_find_spend(history, parent, owner, keyring, before=None):
     return None
 
 
-def sorted_valid_tip(history, keyring, tip=None):
+def sorted_valid_tip(history, keyring, tip):
     """``valid_tip`` over ``sorted_find_spend``."""
-    tip = history.incl[history.deposit_block] if tip is None else tip
     while (spend := sorted_find_spend(history, tip.blk_number, tip.tx.new_owner, keyring)) is not None:
         tip = spend
     return tip
@@ -423,7 +425,8 @@ def test_find_spend_and_valid_tip_are_the_sorted_search(data):
             before = draw(bounds)
             expected = sorted_find_spend(history, parent, owner, keyring, before)
             assert find_spend(history, parent, owner, keyring, before) is expected
-    assert valid_tip(history, keyring) is sorted_valid_tip(history, keyring)
+    first = incl[deposit]
+    assert valid_tip(history, keyring, first) is sorted_valid_tip(history, keyring, first)
     for itx in incl.values():
         if itx.tx is not None:
             assert valid_tip(history, keyring, itx) is sorted_valid_tip(history, keyring, itx)
@@ -434,7 +437,7 @@ def test_find_spend_and_valid_tip_are_the_sorted_search(data):
 
 def replay_owner(chain, slot, deposit_block):
     """Independent ground truth: replay raw blocks, ignore invalid spends."""
-    dep = chain.blocks[deposit_block].txs[slot]
+    dep = chain.deposits[deposit_block].tx
     owner, last = dep.new_owner, deposit_block
     for number in sorted(chain.blocks):
         if number <= deposit_block:
@@ -529,7 +532,8 @@ def corrupt(chain, history, kind, blk):
         # the operator commits a bad spend at blk, with valid proofs
         tx = history.incl[blk].tx
         if kind == "parent":
-            spender = chain.owners[chain.blocks[tx.parent_block].txs[0].new_owner]
+            parent = chain.deposits.get(tx.parent_block) or chain.witness(0, tx.parent_block)
+            spender = chain.owners[parent.tx.new_owner]
             bad = make_transfer_tx(spender, 0, tx.parent_block + 1, tx.new_owner)
         else:
             bad = make_transfer_tx(chain.signer("mallory"), 0, tx.parent_block, tx.new_owner)
@@ -563,7 +567,7 @@ def test_checkpointed_verifier_agrees_with_full_walk():
             return verify_history(history, chain.view(), chain.keyring, CONFIG, mark)
 
         # verify a prefix cut at a random block, mark its tip, extend it
-        cut = rng.choice(sorted(chain.blocks)[:-1])
+        cut = rng.choice(sorted(chain.deposits.keys() | chain.blocks.keys())[:-1])
         view = chain.view()
         prefix_view = RootView(
             {n: r for n, r in view.roots.items() if n <= cut},
@@ -630,4 +634,4 @@ def test_valid_tip_resumes_at_a_checkpoint(chain):
     chain.add_block(5000, {0: make_transfer_tx(bob, 0, 1000, mallory.address)})
     history = chain.history(0, 1)
     tip = valid_tip(history, chain.keyring, verified.incl[max(verified.incl)])
-    assert tip == valid_tip(history, chain.keyring, chain.witness(0, 1)) and tip.blk_number == 3000
+    assert tip == valid_tip(history, chain.keyring, chain.deposits[1]) and tip.blk_number == 3000

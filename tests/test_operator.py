@@ -22,8 +22,7 @@ def make_operator():
 
 def seed_deposit(keyring, operator, slot=0):
     owner = keyring.new_signer("alice")
-    block = PlasmaBlock.build(1, {slot: make_deposit_tx(slot, owner.address)}, CONFIG)
-    operator.observe_deposit(block)
+    operator.ledger.on_deposit(slot, owner.address, 1)
     return owner
 
 
@@ -151,10 +150,9 @@ def test_ledger_replay_checks_every_spend_intake_did_not():
     keyring, operator = make_operator()
     alice, bob, mallory = (keyring.new_signer(name) for name in ("alice", "bob", "mallory"))
     reference = ShadowLedger(keyring)
-    deposits = [PlasmaBlock.deposit(n, make_deposit_tx(n - 1, alice.address), CONFIG) for n in (1, 2, 3)]
-    for block in deposits:
-        operator.observe_deposit(block)
-        reference.on_deposit(block.number - 1, alice.address, block.number)
+    for number in (1, 2, 3):
+        for ledger in (operator.ledger, reference):
+            ledger.on_deposit(number - 1, alice.address, number)
     assert operator.submit_tx(make_transfer_tx(alice, 2, 3, bob.address)).accepted
     blocks = [operator.produce_block(1000)]
     assert operator.submit_tx(make_transfer_tx(alice, 0, 1, bob.address)).accepted
@@ -207,8 +205,7 @@ def test_block_root_matches_independent_tree_rebuild():
     while len(slots) < 2378:
         slots.add(rng.getrandbits(64))
     for slot in slots:
-        block = PlasmaBlock.build(1, {slot: make_deposit_tx(slot, alice.address)}, config)
-        operator.observe_deposit(block)
+        operator.ledger.on_deposit(slot, alice.address, 1)
     txs = {s: make_transfer_tx(alice, s, 1, alice.address) for s in slots}
     for tx in txs.values():
         assert operator.submit_tx(tx).accepted
@@ -240,4 +237,5 @@ def test_withholding_is_targeted():
         operator.get_witness(0, 1000)
     # other slots and blocks still served
     assert operator.get_witness(1, 1000).is_exclusion
-    assert operator.get_witness(0, 1).tx is not None
+    operator.produce_block(2000)
+    assert operator.get_witness(0, 2000).is_exclusion

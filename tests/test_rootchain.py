@@ -53,7 +53,7 @@ BOND = PARAMS.bond_amount
 
 
 class Fixture:
-    """Contract plus hand-built blocks: deposit, Alice->Bob, Bob->Carol."""
+    """Contract plus hand-built operator blocks: deposit, Alice->Bob, Bob->Carol."""
 
     def __init__(self, params=PARAMS):
         self.keyring = Keyring()
@@ -77,15 +77,22 @@ class Fixture:
         self.blocks[block.number] = block
         return block
 
+    def mint(self, signer, denomination):
+        """Deposit; the new coin's slot, deposit block and the record's entry."""
+        coin = self.contract.deposit(signer.address, denomination)
+        return coin.slot, coin.deposit_block, coin.deposit
+
     def witness(self, slot, number):
-        return self.blocks[number].prove(slot)
+        """The coin's entry at ``number``: the contract's record at its
+        deposit block, a hand-built operator block's proof at any other."""
+        coin = self.contract.coins[slot]
+        return coin.deposit if number == coin.deposit_block else self.blocks[number].prove(slot)
 
 
 @pytest.fixture
 def fx():
     f = Fixture()
-    f.slot, f.dep_block, dep = f.contract.deposit(f.alice.address, 5)
-    f.blocks[f.dep_block] = dep
+    f.slot, f.dep_block, _ = f.mint(f.alice, 5)
     f.commit({f.slot: make_transfer_tx(f.alice, f.slot, f.dep_block, f.bob.address)})
     f.commit({})
     f.commit({f.slot: make_transfer_tx(f.bob, f.slot, 1000, f.carol.address)})
@@ -103,10 +110,10 @@ def carol_exit(fx):
 
 def test_block_numbering_interleaves_deposits():
     f = Fixture()
-    assert f.contract.deposit(f.alice.address, 1)[1] == 1
-    assert f.contract.deposit(f.bob.address, 1)[1] == 2
+    assert f.contract.deposit(f.alice.address, 1).deposit_block == 1
+    assert f.contract.deposit(f.bob.address, 1).deposit_block == 2
     assert f.commit({}).number == 1000
-    assert f.contract.deposit(f.carol.address, 1)[1] == 1001
+    assert f.contract.deposit(f.carol.address, 1).deposit_block == 1001
     assert f.commit({}).number == 2000
 
 
@@ -119,10 +126,10 @@ def test_contract_records_its_operator_blocks():
     A history resuming past a block covers the listed operator blocks after it."""
     f = Fixture()
     f.contract.current_block = 997  # the third deposit reaches an interval multiple
-    numbers = [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)]
+    numbers = [f.contract.deposit(f.alice.address, 1).deposit_block for _ in range(3)]
     spend = {0: make_transfer_tx(f.alice, 0, 998, f.bob.address)}
     assert numbers == [998, 999, 1001] and f.commit(spend).number == 2000
-    numbers = [f.contract.deposit(f.bob.address, 1)[1] for _ in range(2)]
+    numbers = [f.contract.deposit(f.bob.address, 1).deposit_block for _ in range(2)]
     spend = {0: make_transfer_tx(f.bob, 0, 2000, f.carol.address)}
     assert numbers == [2001, 2002] and f.commit(spend).number == 3000
     view = f.contract.view
@@ -209,9 +216,8 @@ def test_exit_and_withdraw_happy_path(fx):
 
 def test_deposit_exit(fx):
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 3)
-    f.blocks[dep_block] = dep
-    f.contract.start_exit(f.alice.address, slot, None, dep.prove(slot), BOND)
+    slot, _, dep = f.mint(f.alice, 3)
+    f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
     f.contract.advance_time(PARAMS.maturity_period)
     assert f.contract.finalize_exit(slot) == "Finalized"
     assert f.contract.withdraw(f.alice.address, slot) == 3
@@ -309,10 +315,9 @@ def test_signed_deposit_tx_does_not_exit():
     the hash leaves the signature out; the contract still refuses it and
     nothing changes."""
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 3)
-    genuine = dep.prove(slot)
+    slot, dep_block, genuine = f.mint(f.alice, 3)
     signed_tx = Transaction(slot, 0, f.alice.address, Keyring.sign(f.alice, genuine.tx.hash()))
-    assert signed_tx.hash() == dep.root
+    assert signed_tx.hash() == f.contract.roots[dep_block]
     before = contract_state(f.contract)
     with pytest.raises(BadProof):
         f.contract.start_exit(
@@ -327,7 +332,7 @@ def test_entries_outside_the_coins_blocks_are_refused(fx):
     operator block: the coin's deposit tx filed under another coin's
     deposit block, or under an uncommitted number, is refused; at its own
     deposit block it is taken."""
-    _, other_block, _ = fx.contract.deposit(fx.bob.address, 3)
+    other_block = fx.contract.deposit(fx.bob.address, 3).deposit_block
     carol_exit(fx)
     genuine = fx.witness(fx.slot, fx.dep_block)
     for number in (other_block, 999):
@@ -345,7 +350,7 @@ def test_deposit_tx_at_an_operator_block_is_no_exit_parent():
     spend names block 0, so the entry at 2000 is no parent: the exit is
     refused and nothing changes."""
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)
+    slot, dep_block, _ = f.mint(f.alice, 5)
     f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
     f.commit({slot: make_deposit_tx(slot, f.alice.address)})
     f.commit({slot: make_transfer_tx(f.alice, slot, 2000, f.carol.address)})
@@ -421,11 +426,12 @@ def test_only_the_recorded_deposit_entry_is_taken(data):
     f = Fixture()
     f.contract.deposit(f.bob.address, 1)  # block 1: another coin's deposit
     f.commit({})  # 1000
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)  # 1001
+    slot, dep_block, record = f.mint(f.alice, 5)  # 1001
     f.contract.deposit(f.carol.address, 1)  # 1002
     spend = f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)}).prove(slot)
-    record = f.contract.coins[slot].deposit
-    assert record == dep.prove(slot)
+    assert record == IncludedTx(
+        make_deposit_tx(slot, f.alice.address), dep_block, f.contract.config.empty_proof
+    )
     kind, entry = deposit_mutant(data, f, slot, record)
     fault = f.contract.view.inclusion_fault(entry, slot, record, f.contract.config)
     assert (fault is None) == (kind == "genuine"), (kind, fault)
@@ -495,7 +501,7 @@ def spend_move(move, fault):
 
     Returns the fixture, the slot and a call of the move on a spend."""
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)
+    slot, dep_block, dep = f.mint(f.alice, 5)
     signer = f.mallory if "signer" in fault else f.bob
     tx = make_transfer_tx(signer, slot, dep_block if "parent" in fault else 2000, f.carol.address)
     if fault == "malformed signature":
@@ -507,7 +513,7 @@ def spend_move(move, fault):
     f.commit({} if early else {slot: tx, **(beside if fault == "sent default" else {})})
     c = f.contract
     if move == "challenge_after":
-        c.start_exit(f.bob.address, slot, dep.prove(slot), f.witness(slot, 2000), BOND)
+        c.start_exit(f.bob.address, slot, dep, f.witness(slot, 2000), BOND)
     elif move == "challenge_between":
         f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.mallory.address)})
         c.start_exit(f.mallory.address, slot, f.witness(slot, 2000), f.witness(slot, 4000), BOND)
@@ -675,7 +681,7 @@ def test_every_check_agrees_on_spend_entries(data):
     f = Fixture()
     f.contract.deposit(f.bob.address, 1)  # block 1, slot 0: another coin's deposit
     f.commit({})  # 1000
-    slot, dep_block, _ = f.contract.deposit(f.alice.address, 5)  # 1001
+    slot, dep_block, _ = f.mint(f.alice, 5)  # 1001
     f.contract.deposit(f.carol.address, 1)  # 1002
     parent = f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
     kind, entry, reasons = spend_mutant(data, f, slot)
@@ -704,11 +710,10 @@ def test_every_check_agrees_on_spend_entries(data):
 
 def test_challenge_between_rejected_on_deposit_exit():
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 3)
-    f.blocks[dep_block] = dep
-    f.contract.start_exit(f.alice.address, slot, None, dep.prove(slot), BOND)
+    slot, _, dep = f.mint(f.alice, 3)
+    f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
     with pytest.raises(NotSameParent):
-        f.contract.challenge_between(f.bob.address, slot, dep.prove(slot))
+        f.contract.challenge_between(f.bob.address, slot, dep)
 
 
 # -- challengeBefore / respond --
@@ -817,11 +822,11 @@ def test_challenge_before_a_deposit_exit_names_its_exit_block():
     """A deposit exit has no parent block: its own deposit transaction is
     too late to challenge it, and the refusal names the deposit block."""
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 3)
-    f.contract.start_exit(f.alice.address, slot, None, dep.prove(slot), BOND)
+    slot, dep_block, dep = f.mint(f.alice, 3)
+    f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
     assert f.contract.exits[slot].boundary == dep_block
     with pytest.raises(NotBefore) as err:
-        f.contract.challenge_before(f.bob.address, slot, dep.prove(slot), BOND)
+        f.contract.challenge_before(f.bob.address, slot, dep, BOND)
     assert "parent" not in str(err.value) and f"block {dep_block}" in str(err.value)
     assert f.contract.exits[slot].challenges == []
 
@@ -841,7 +846,7 @@ def test_respond_challenge_before_error_paths(fx):
         )
     # a signed spend of the challenged tx included before it is no answer
     f = Fixture()
-    slot, dep_block, dep = f.contract.deposit(f.alice.address, 5)
+    slot, dep_block, _ = f.mint(f.alice, 5)
     early = f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.mallory.address)})
     f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
     f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.carol.address)})
@@ -911,7 +916,7 @@ def test_a_coin_state_changes_only_along_the_lifecycle(start, to):
     PlasmaError catches, leaving the state as it was."""
     assert TRANSITIONS == LIFECYCLE
     f = Fixture()
-    coin = f.contract.coins[f.contract.deposit(f.alice.address, 5)[0]]
+    coin = f.contract.deposit(f.alice.address, 5)
     coin.state = start
     if (start, to) in LIFECYCLE:
         f.contract._move(coin, to)
@@ -939,9 +944,9 @@ def test_history_blocks_past_the_last_operator_block():
     nothing."""
     f = Fixture()
     f.contract.current_block = 997  # the third deposit reaches an interval multiple
-    assert [f.contract.deposit(f.alice.address, 1)[1] for _ in range(3)] == [998, 999, 1001]
+    assert [f.contract.deposit(f.alice.address, 1).deposit_block for _ in range(3)] == [998, 999, 1001]
     assert f.commit({0: make_transfer_tx(f.alice, 0, 998, f.bob.address)}).number == 2000
-    deposit = f.contract.deposit(f.bob.address, 1)[1]
+    deposit = f.contract.deposit(f.bob.address, 1).deposit_block
     view = f.contract.view
     for _ in range(2):
         assert view.history_blocks(998) == view.history_blocks(1001) == [2000]

@@ -6,9 +6,12 @@ import json
 import pytest
 
 from plasma_cash import smt
-from plasma_cash.errors import UnknownScenario
+from plasma_cash.core import IncludedTx
+from plasma_cash.driver import Simulation
+from plasma_cash.errors import UnknownBlock, UnknownScenario
 from plasma_cash.history import CoinHistory
 from plasma_cash.operator_node import PlasmaOperator
+from plasma_cash.rootchain import CHILD_BLOCK_INTERVAL, PlasmaContract
 from plasma_cash.scenarios import SCENARIOS, fuzz, run
 from plasma_cash.wallet import Wallet
 
@@ -66,14 +69,16 @@ def test_fuzz_smoke_byzantine():
     "byzantine, pinned",
     [
         (False, {"verifies": 4070, "witnesses": 2924, "syncs": 3234, "cached": 131}),
-        (True, {"verifies": 3869, "witnesses": 3054, "syncs": 3267, "cached": 139}),
+        (True, {"verifies": 3869, "witnesses": 3033, "syncs": 3267, "cached": 139}),
     ],
 )
 def test_fuzz_spends_nothing_on_empty_blocks(monkeypatch, byzantine, pinned):
     """In fuzz(1000, seed=0) no proof is verified against the empty-tree
     root, since no history lists a block with no transaction; the counts of
     verifies, witnesses fetched, wallet syncs and exclusion entries the
-    blocks cache are pinned."""
+    blocks cache are pinned.  The operator serves no deposit entry: the 21
+    entries at deposit blocks that the byzantine run's exits name come from
+    the contract's record."""
     counts, blocks = {key: 0 for key in pinned}, []
     verify, get_witness, sync = smt.verify, PlasmaOperator.get_witness, Wallet.sync
     produce = PlasmaOperator.produce_block
@@ -127,6 +132,64 @@ def test_every_handed_history_decodes_to_itself(monkeypatch):
         handed.clear()
         report = fuzz(1000, seed=0, byzantine=byzantine)
         assert report.passed and len(handed) == report.extras["deliveries"] > 0
+
+
+MOVES = ("start_exit", "challenge_after", "challenge_between", "challenge_before",
+         "respond_challenge_before")
+
+
+def test_a_deposit_is_stated_once_by_the_contract(monkeypatch):
+    """In S1-S5, with the watcher on and off, and in fuzz(1000, seed=0),
+    honest and byzantine, every entry at a coin's deposit block that a
+    contract move takes or a wallet's log holds is the coin's record,
+    ``CoinRecord.deposit``, itself; the operator keeps operator blocks only
+    and serves no witness at a deposit block."""
+    sims, seen = [], {"moves": 0, "logs": 0}
+    post_init, sync = Simulation.__post_init__, Wallet.sync
+
+    def kept(sim):
+        post_init(sim)
+        sims.append(sim)
+
+    def is_record(coins, slot, itx):
+        coin = coins.get(slot)
+        if coin is not None and itx.blk_number == coin.deposit_block:
+            assert itx is coin.deposit
+            return True
+        return False
+
+    def checked(method):
+        def move(contract, caller, slot, *args):
+            for arg in args:
+                if isinstance(arg, IncludedTx) and is_record(contract.coins, slot, arg):
+                    seen["moves"] += 1
+            return method(contract, caller, slot, *args)
+        return move
+
+    def logs_checked(wallet):
+        for slot, log in wallet.logs.items():
+            entry = log.incl.get(wallet.contract.coins[slot].deposit_block)
+            seen["logs"] += entry is not None and is_record(wallet.contract.coins, slot, entry)
+
+    def synced(wallet, slot, witness):
+        logs_checked(wallet)
+        return sync(wallet, slot, witness)
+
+    monkeypatch.setattr(Simulation, "__post_init__", kept)
+    for name in MOVES:
+        monkeypatch.setattr(PlasmaContract, name, checked(getattr(PlasmaContract, name)))
+    monkeypatch.setattr(Wallet, "sync", synced)
+    reports = [run(name, watcher=watcher) for name in sorted(SCENARIOS) for watcher in (True, False)]
+    reports += [fuzz(1000, seed=0, byzantine=byzantine) for byzantine in (False, True)]
+    assert all(report.passed for report in reports) and len(sims) == len(reports)
+    for sim in sims:
+        for wallet in sim.wallets.values():
+            logs_checked(wallet)
+        assert all(number % CHILD_BLOCK_INTERVAL == 0 for number in sim.operator.blocks)
+        for slot, coin in sim.contract.coins.items():
+            with pytest.raises(UnknownBlock):
+                sim.operator.get_witness(slot, coin.deposit_block)
+    assert seen["moves"] > 0 and seen["logs"] > 0
 
 
 def test_fuzz_deterministic_per_seed():

@@ -279,7 +279,7 @@ def test_an_honest_exitor_answers_a_before_challenge():
     before = sim.balances_snapshot()
     sim.start_exit("carol", slot)
     assert sim.run_watchers() == []
-    deposit = sim.operator.get_witness(slot, sim.contract.coins[slot].deposit_block)
+    deposit = sim.contract.coins[slot].deposit
     sim.contract.challenge_before(sim.address("alice"), slot, deposit, PARAMS.bond_amount)
     actions = sim.run_watchers()
     assert [(a.kind, a.ok) for a in actions] == [("respond", True)]
@@ -428,7 +428,7 @@ def test_an_exitor_answers_on_the_first_pass_its_log_holds_the_answer():
     assert receipt.accepted
     carol_receipt = sim.commit_block().number
     sim.exit_with("carol", slot, bob_receipt, carol_receipt)
-    deposit = sim.operator.get_witness(slot, sim.contract.coins[slot].deposit_block)
+    deposit = sim.contract.coins[slot].deposit
     sim.contract.challenge_before(sim.address("alice"), slot, deposit, PARAMS.bond_amount)
     assert sim.run_watchers() == [] and sim.run_watchers() == []
     assert len(sim.contract.exits[slot].challenges) == 1
@@ -673,7 +673,8 @@ def test_returning_coin_with_a_corrupted_checkpointed_block_is_rejected():
 def test_valid_tip_walks_from_the_stored_mark():
     """Bob's tip is walked from his mark, never from the deposit: entries
     at or below the mark are not read again, so losing them changes
-    nothing, while the walk from the deposit needs them."""
+    nothing, while the walk from the deposit needs them and, without them,
+    stops at the deposit."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
     assert settled_transfer(sim, "alice", slot, "bob")
@@ -683,8 +684,8 @@ def test_valid_tip_walks_from_the_stored_mark():
     log = bob.coins[slot]
     log.incl.clear()
     assert bob.last_inclusion(slot) == mine
-    with pytest.raises(KeyError):
-        valid_tip(log, sim.keyring)
+    deposit = sim.contract.coins[slot].deposit
+    assert valid_tip(log, sim.keyring, deposit) is deposit != mine
 
 
 def test_a_returning_receiver_is_handed_only_the_new_blocks(monkeypatch):
