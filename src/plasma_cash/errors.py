@@ -3,6 +3,11 @@
 Every refusal, a ``PlasmaError``, carries a short machine-readable
 ``code``, its class name, so drivers and tests can assert on failure kinds
 without string matching.  ``IllegalTransition`` is a fault, not a refusal.
+
+The contract names a refusal by the rule it breaks, not by the move that
+broke it: a spend of another block is ``Unlinked`` whether it backs an exit,
+a challenge or a response, and a spend takes its checks in one order,
+``BadProof``, ``Unlinked``, ``OutOfRange``, ``BadSignature``.
 """
 
 
@@ -60,51 +65,31 @@ class IllegalTransition(Exception):
     contract, not a refused move, so no handler of PlasmaError hides it."""
 
 
-class NotOperator(PlasmaError):
-    pass
-
-
 class BadProof(PlasmaError):
-    pass
+    """An entry that is not the coin's transaction proven in one of its blocks."""
+
+
+class Unlinked(PlasmaError):
+    """A spend of another block than the one the move names."""
+
+
+class OutOfRange(PlasmaError):
+    """An entry whose block lies outside the move's window."""
 
 
 class BadSignature(PlasmaError):
     pass
 
 
-class ParentMismatch(PlasmaError):
-    pass
+class WrongState(PlasmaError):
+    """A move the coin's state, or its exit's absence, does not allow."""
 
 
-class NotNewOwner(PlasmaError):
-    pass
-
-
-class CoinNotExitable(PlasmaError):
-    pass
+class WrongCaller(PlasmaError):
+    """A move made by someone other than the one party it allows."""
 
 
 class WrongBond(PlasmaError):
-    pass
-
-
-class NoActiveExit(PlasmaError):
-    pass
-
-
-class NotDirectSpend(PlasmaError):
-    pass
-
-
-class NotBetween(PlasmaError):
-    pass
-
-
-class NotSameParent(PlasmaError):
-    pass
-
-
-class NotBefore(PlasmaError):
     pass
 
 
@@ -112,19 +97,7 @@ class NoSuchChallenge(PlasmaError):
     pass
 
 
-class NotDirectSpendOfChallenge(PlasmaError):
-    pass
-
-
 class NotMature(PlasmaError):
-    pass
-
-
-class NotExited(PlasmaError):
-    pass
-
-
-class NotOwner(PlasmaError):
     pass
 
 

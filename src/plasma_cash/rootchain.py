@@ -22,25 +22,17 @@ from .errors import (
     BadDenomination,
     BadProof,
     BadSignature,
-    CoinNotExitable,
     IllegalTransition,
     InsufficientBalance,
-    NoActiveExit,
     NoSuchChallenge,
-    NotBefore,
-    NotBetween,
-    NotDirectSpend,
-    NotDirectSpendOfChallenge,
-    NotExited,
     NotMature,
-    NotNewOwner,
-    NotOperator,
-    NotOwner,
-    NotSameParent,
-    ParentMismatch,
+    OutOfRange,
     SlotOutOfRange,
     UnknownCoin,
+    Unlinked,
     WrongBond,
+    WrongCaller,
+    WrongState,
 )
 from .history import RootView
 from .smt import SmtConfig
@@ -203,14 +195,14 @@ class PlasmaContract:
     def next_operator_block(self) -> int:
         return (self.current_block // CHILD_BLOCK_INTERVAL + 1) * CHILD_BLOCK_INTERVAL
 
-    def _coin_for(self, slot: int, state: CoinState, refusal: type) -> CoinRecord:
+    def _coin_for(self, slot: int, state: CoinState) -> CoinRecord:
         """The coin at ``slot`` if ``TRANSITIONS`` lets it move to ``state``:
-        UnknownCoin if no coin was minted there, else ``refusal``."""
+        UnknownCoin if no coin was minted there, else WrongState."""
         coin = self.coins.get(slot)
         if coin is None:
             raise UnknownCoin(f"slot {slot}")
         if (coin.state, state) not in TRANSITIONS:
-            raise refusal(f"coin is {coin.state.value}")
+            raise WrongState(f"coin is {coin.state.value}, cannot become {state.value}")
         return coin
 
     def _move(self, coin: CoinRecord, state: CoinState):
@@ -228,22 +220,18 @@ class PlasmaContract:
         if fault is not None:
             raise BadProof(f"{what} {fault}")
 
-    def _check_spend(
-        self, what: str, slot: int, spend: IncludedTx, parent: IncludedTx, upto: int,
-        unlinked: type, late: Optional[type] = None,
-    ):
+    def _check_spend(self, what: str, slot: int, spend: IncludedTx, parent: IncludedTx, upto: int):
         """Raise unless ``spend`` is an included spend of ``parent``'s output
         in a block after the parent's and at most ``upto`` (``current_block``
         bounds nothing: every included entry is committed).  Every move that
-        takes a spend asks here, in one order: BadProof, then ``unlinked`` for
-        a spend of another block, then ``late`` (or ``unlinked``) for a block
-        out of range, then BadSignature."""
+        takes a spend asks here, in one order: BadProof, Unlinked for a spend
+        of another block, OutOfRange for a block out of range, BadSignature."""
         self._check_included(slot, spend, what)
         tx, low = spend.tx, parent.blk_number
         if tx.parent_block != low:
-            raise unlinked(f"{what} spends block {tx.parent_block}, not {low}")
+            raise Unlinked(f"{what} spends block {tx.parent_block}, not {low}")
         if not low < spend.blk_number <= upto:
-            raise (late or unlinked)(f"{what} block {spend.blk_number} is outside ({low}, {upto}]")
+            raise OutOfRange(f"{what} block {spend.blk_number} is outside ({low}, {upto}]")
         fault = spend_fault(tx, low, parent.tx.new_owner, self.keyring)
         if fault is not None:
             raise BadSignature(f"{what}: {fault}")
@@ -288,7 +276,7 @@ class PlasmaContract:
 
     def submit_block(self, caller: Address, root: bytes) -> int:
         if caller != self.operator:
-            raise NotOperator("only the registered operator commits roots")
+            raise WrongCaller("only the registered operator commits roots")
         number = self.next_operator_block
         self.roots[number] = root
         if root != self.config.defaults[self.config.depth]:
@@ -308,22 +296,21 @@ class PlasmaContract:
         exit_tx: IncludedTx,
         bond: int,
     ) -> int:
-        coin = self._coin_for(slot, CoinState.EXITING, CoinNotExitable)
+        coin = self._coin_for(slot, CoinState.EXITING)
         if bond != self.params.bond_amount:
             raise WrongBond(f"bond must be {self.params.bond_amount}")
         if exit_tx.tx is None or exit_tx.tx.slot != slot:
             raise BadProof("exit transaction missing or for another slot")
         if caller != exit_tx.tx.new_owner:
-            raise NotNewOwner("only the recipient of the exit tx may exit")
+            raise WrongCaller("only the recipient of the exit tx may exit")
 
         if parent_tx is None:
             # deposit-exit: the coin was never transferred
-            if exit_tx.blk_number != coin.deposit_block or not exit_tx.tx.is_deposit:
-                raise ParentMismatch("deposit-exit must use the deposit transaction")
-            self._check_included(slot, exit_tx, "deposit")
+            if exit_tx != coin.deposit:
+                raise BadProof("a deposit exit takes only the coin's deposit entry")
         else:
             self._check_included(slot, parent_tx, "parent")
-            self._check_spend("exit", slot, exit_tx, parent_tx, self.current_block, ParentMismatch)
+            self._check_spend("exit", slot, exit_tx, parent_tx, self.current_block)
 
         self._take_bond(caller, bond)
         ex = self.exits[slot] = Exit(
@@ -348,7 +335,7 @@ class PlasmaContract:
     def _active_exit(self, slot: int) -> Exit:
         ex = self.exits.get(slot)
         if ex is None:
-            raise NoActiveExit(f"no active exit for slot {slot}")
+            raise WrongState(f"no active exit for slot {slot}")
         return ex
 
     def _cancel_exit(self, slot: int, beneficiary: Address, kind: str, revealed: IncludedTx):
@@ -373,17 +360,16 @@ class PlasmaContract:
         ex = self._active_exit(slot)
         # only a child of the exit tx counts: deeper descendants assume the
         # validity of their ancestors
-        self._check_spend("challenge", slot, spend, ex.exit_tx, self.current_block, NotDirectSpend)
+        self._check_spend("challenge", slot, spend, ex.exit_tx, self.current_block)
         self._cancel_exit(slot, challenger, "ChallengedAfter", spend)
 
     def challenge_between(self, challenger: Address, slot: int, spend: IncludedTx):
         """Cancel a double-spend exit with the earlier same-parent spend."""
         ex = self._active_exit(slot)
         if ex.parent_tx is None:
-            raise NotSameParent("deposit-exit has no parent to double-spend")
-        self._check_spend(
-            "challenge", slot, spend, ex.parent_tx, ex.exit_block - 1, NotSameParent, NotBetween
-        )
+            self._check_included(slot, spend, "challenge")  # BadProof first, as for any spend
+            raise Unlinked("deposit-exit has no parent to double-spend")
+        self._check_spend("challenge", slot, spend, ex.parent_tx, ex.exit_block - 1)
         self._cancel_exit(slot, challenger, "ChallengedBetween", spend)
 
     def challenge_before(self, challenger: Address, slot: int, tx: IncludedTx, bond: int) -> int:
@@ -394,7 +380,7 @@ class PlasmaContract:
         self._check_included(slot, tx, "challenge")
         if tx.blk_number >= ex.boundary:
             kind = "parent" if ex.parent_tx is not None else "deposit exit's"
-            raise NotBefore(f"challenge must precede the {kind} block {ex.boundary}")
+            raise OutOfRange(f"challenge must precede the {kind} block {ex.boundary}")
         self._take_bond(challenger, bond)
         challenge_id = self._next_challenge_id
         self._next_challenge_id += 1
@@ -419,9 +405,7 @@ class PlasmaContract:
         challenge = next((c for c in ex.challenges if c.challenge_id == challenge_id), None)
         if challenge is None:
             raise NoSuchChallenge(f"no unanswered challenge {challenge_id} on slot {slot}")
-        self._check_spend(
-            "response", slot, response, challenge.tx, ex.exit_block, NotDirectSpendOfChallenge
-        )
+        self._check_spend("response", slot, response, challenge.tx, ex.exit_block)
         witness = response.encode(self.config).hex()  # raises before any change
         ex.challenges.remove(challenge)
         self._pay_bond(responder, challenge.bond)
@@ -463,9 +447,9 @@ class PlasmaContract:
         return "CancelledByChallenge"
 
     def withdraw(self, caller: Address, slot: int) -> int:
-        coin = self._coin_for(slot, CoinState.WITHDRAWN, NotExited)
+        coin = self._coin_for(slot, CoinState.WITHDRAWN)
         if caller != coin.owner:
-            raise NotOwner("only the coin's owner may withdraw")
+            raise WrongCaller("only the coin's owner may withdraw")
         self._move(coin, CoinState.WITHDRAWN)
         self.value_escrow -= coin.denomination
         self._credit(caller, coin.denomination)

@@ -4,12 +4,11 @@ shows in the run log)."""
 
 import math
 import random
+import statistics
 import sys
 import time
 
 import conftest
-
-import numpy as np
 
 from plasma_cash.bench import bench_compact_proofs
 from plasma_cash.core import (
@@ -159,11 +158,19 @@ class _Chain:
         else:
             self.blocks[number] = PlasmaBlock.build(number, txs, self.config)
 
+    def add_idle(self, number):
+        """An operator block where slot 0 stays put and slot 1 moves, so the
+        contract lists it and slot 0's history holds an exclusion there."""
+        other = self.keyring.new_signer("other")
+        self.add(number, {1: make_transfer_tx(other, 1, 1, other.address)})
+
     def view(self):
-        # operator blocks take the multiples of 1000, deposits the rest
+        # operator blocks take the multiples of 1000, deposits the rest; as
+        # the contract does, it lists no block whose root is the empty-tree root
         roots = {n: b.root for n, b in self.blocks.items()}
         roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
-        return RootView(roots, sorted(self.blocks))
+        empty = self.config.defaults[self.config.depth]
+        return RootView(roots, sorted(n for n, b in self.blocks.items() if b.root != empty))
 
     def history(self, slot=0, deposit_block=1):
         """The entries past the deposit, what a first-time receiver is handed."""
@@ -206,7 +213,7 @@ def _random_chain(rng, trial):
             c.add(number, {0: make_transfer_tx(owner, 0, last, nxt.address)})
             owner, last = nxt, number
         else:
-            c.add(number, {})
+            c.add_idle(number)
         number += 1000
     return c, signers[0]
 
@@ -233,7 +240,7 @@ def test_history_verifier_corpus():
         bob = c.keyring.new_signer("bob")
         c.add(1, {0: make_deposit_tx(0, alice.address)})
         c.add(1000, {0: make_transfer_tx(alice, 0, 1, bob.address)})
-        c.add(2000, {})
+        c.add_idle(2000)
         history = c.history()
         mutate(c, history, alice, bob)
         return c.audit(history)
@@ -306,11 +313,9 @@ def test_history_size_scales_linearly():
         history.excl[t * 1000] = IncludedTx(None, t * 1000, empty.tree.prove(0))
         if t in checkpoints:
             sizes[t] = len(history.encode(config))
-    xs = np.array(checkpoints, dtype=float)
-    ys = np.array([sizes[t] for t in checkpoints], dtype=float)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = ys - (slope * xs + intercept)
-    r2 = 1 - residuals.var() / ys.var()
+    ys = [sizes[t] for t in checkpoints]
+    slope = statistics.linear_regression(checkpoints, ys).slope
+    r2 = statistics.correlation(checkpoints, ys) ** 2
     ok = r2 > 0.99 and slope > 0
     report(
         "history-size-linear",

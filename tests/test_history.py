@@ -55,11 +55,19 @@ class Chain:
         else:
             self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
 
+    def add_idle_block(self, number):
+        """An operator block where slot 0 stays put and slot 1 moves, so the
+        contract lists it and slot 0's history holds an exclusion there."""
+        other = self.signer("other")
+        self.add_block(number, {1: make_transfer_tx(other, 1, 1, other.address)})
+
     def view(self):
-        # operator blocks take the multiples of 1000, deposits the rest
+        # operator blocks take the multiples of 1000, deposits the rest; as
+        # the contract does, it lists no block whose root is the empty-tree root
         roots = {n: b.root for n, b in self.blocks.items()}
         roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
-        return RootView(roots, sorted(self.blocks))
+        empty = CONFIG.defaults[CONFIG.depth]
+        return RootView(roots, sorted(n for n, b in self.blocks.items() if b.root != empty))
 
     def witness(self, slot, number):
         return self.blocks[number].prove(slot)
@@ -76,14 +84,15 @@ class Chain:
 
 @pytest.fixture
 def chain():
-    """Deposit at 1, spends at 1000 and 3000, idle at 2000 and 4000."""
+    """Deposit at 1, spends at 1000 and 3000, idle at 2000 and 4000 (slot 1
+    moves there)."""
     c = Chain()
     alice, bob, carol = c.signer("alice"), c.signer("bob"), c.signer("carol")
     c.add_block(1, {0: make_deposit_tx(0, alice.address)})
     c.add_block(1000, {0: make_transfer_tx(alice, 0, 1, bob.address)})
-    c.add_block(2000, {})
+    c.add_idle_block(2000)
     c.add_block(3000, {0: make_transfer_tx(bob, 0, 1000, carol.address)})
-    c.add_block(4000, {})
+    c.add_idle_block(4000)
     return c
 
 
@@ -469,7 +478,7 @@ def test_random_honest_chains_agree_with_replay(subtests=None):
                 c.add_block(number, {0: make_transfer_tx(owner, 0, last, nxt.address)})
                 owner, last = nxt, number
             else:
-                c.add_block(number, {})
+                c.add_idle_block(number)
             number += 1000
         history = c.history(0, 1)
         mark = c.deposit_mark(0, 1)
@@ -485,8 +494,8 @@ def test_random_honest_chains_agree_with_replay(subtests=None):
 
 
 def random_chain(seed):
-    """Deposit at 1, then 2-8 blocks each holding an honest spend or
-    nothing; the same seed always builds the same chain."""
+    """Deposit at 1, then 2-8 blocks each holding an honest spend of slot 0
+    or only slot 1's; the same seed always builds the same chain."""
     rng = random.Random(seed)
     c = Chain()
     signers = [c.signer(f"r{seed}-{i}") for i in range(3)]
@@ -500,7 +509,7 @@ def random_chain(seed):
             c.add_block(number, {0: make_transfer_tx(owner, 0, last, nxt.address)})
             owner, last = nxt, number
         else:
-            c.add_block(number, {})
+            c.add_idle_block(number)
     return c, signers[0].address
 
 
@@ -616,7 +625,7 @@ def test_resumed_verification_reads_only_roots_past_the_mark(chain):
     entries, while the full walk cannot cover them."""
     verified = chain.history(0, 1)
     mark = Mark(verified.last_block(), verified.incl[max(verified.incl)])
-    chain.add_block(5000, {})
+    chain.add_idle_block(5000)
     history = chain.history(0, 1)
     view = chain.view()
     recent = RootView({n: r for n, r in view.roots.items() if n > 4000}, view.operator_blocks)

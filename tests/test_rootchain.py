@@ -20,27 +20,19 @@ from plasma_cash.errors import (
     BadDenomination,
     BadProof,
     BadSignature,
-    CoinNotExitable,
     IllegalTransition,
     InsufficientBalance,
     MalformedProof,
-    NoActiveExit,
     NoSuchChallenge,
-    NotBefore,
-    NotBetween,
-    NotDirectSpend,
-    NotDirectSpendOfChallenge,
-    NotExited,
     NotMature,
-    NotNewOwner,
-    NotOperator,
-    NotOwner,
-    NotSameParent,
-    ParentMismatch,
+    OutOfRange,
     PlasmaError,
     SlotOutOfRange,
     UnknownCoin,
+    Unlinked,
     WrongBond,
+    WrongCaller,
+    WrongState,
 )
 from plasma_cash.history import ACCEPT, CoinHistory, Mark, Reason, Verdict, find_spend, verify_history
 from plasma_cash.operator_node import ShadowLedger
@@ -194,7 +186,7 @@ def test_deposit_past_capacity_changes_nothing():
 
 def test_only_operator_commits():
     f = Fixture()
-    with pytest.raises(NotOperator):
+    with pytest.raises(WrongCaller):
         f.contract.submit_block(f.alice.address, b"\x00" * 32)
 
 
@@ -229,11 +221,11 @@ def test_start_exit_error_paths(fx):
         fx.contract.start_exit(fx.carol.address, 99, w1000, w3000, BOND)
     with pytest.raises(WrongBond):
         fx.contract.start_exit(fx.carol.address, fx.slot, w1000, w3000, BOND + 1)
-    with pytest.raises(NotNewOwner):
+    with pytest.raises(WrongCaller):
         fx.contract.start_exit(fx.mallory.address, fx.slot, w1000, w3000, BOND)
     with pytest.raises(BadProof):  # exclusion entry in place of the exit tx
         fx.contract.start_exit(fx.carol.address, fx.slot, w1000, fx.witness(fx.slot, 2000), BOND)
-    with pytest.raises(ParentMismatch):  # parent witness from the wrong block
+    with pytest.raises(Unlinked):  # parent witness from the wrong block
         fx.contract.start_exit(
             fx.carol.address, fx.slot, fx.witness(fx.slot, fx.dep_block), w3000, BOND
         )
@@ -242,11 +234,11 @@ def test_start_exit_error_paths(fx):
         forged = make_transfer_tx(fx.mallory, fx.slot, 1000, fx.carol.address)
         block = fx.commit({fx.slot: forged})
         fx.contract.start_exit(fx.carol.address, fx.slot, w1000, block.prove(fx.slot), BOND)
-    with pytest.raises(ParentMismatch):  # non-deposit tx on the deposit-exit path
+    with pytest.raises(BadProof):  # non-deposit entry on the deposit-exit path
         fx.contract.start_exit(fx.carol.address, fx.slot, None, w3000, BOND)
 
     carol_exit(fx)
-    with pytest.raises(CoinNotExitable):  # already exiting
+    with pytest.raises(WrongState):  # already exiting
         carol_exit(fx)
 
 
@@ -268,13 +260,13 @@ def test_challenge_after_cancels_spent_coin_exit(fx):
 
 def test_challenge_after_requires_direct_spend(fx):
     carol_exit(fx)
-    with pytest.raises(NotDirectSpend):  # parent is 1000, not the exit block
+    with pytest.raises(Unlinked):  # parent is 1000, not the exit block
         fx.contract.challenge_after(fx.bob.address, fx.slot, fx.witness(fx.slot, 3000))
     with pytest.raises(BadSignature):  # direct spend but not signed by the exitor
         forged = make_transfer_tx(fx.mallory, fx.slot, 3000, fx.mallory.address)
         spend = fx.commit({fx.slot: forged}).prove(fx.slot)
         fx.contract.challenge_after(fx.mallory.address, fx.slot, spend)
-    with pytest.raises(NoActiveExit):
+    with pytest.raises(WrongState):
         fx.contract.challenge_after(fx.bob.address, 99, fx.witness(fx.slot, 3000))
 
 
@@ -295,10 +287,10 @@ def test_challenge_between_cancels_double_spend_exit(fx):
 
 def test_challenge_between_window_enforced(fx):
     carol_exit(fx)
-    with pytest.raises(NotSameParent):  # deposit spend has parent 1, not 1000
+    with pytest.raises(Unlinked):  # deposit spend has parent 1, not 1000
         fx.contract.challenge_between(fx.bob.address, fx.slot, fx.witness(fx.slot, 1000))
     late = fx.commit({fx.slot: make_transfer_tx(fx.bob, fx.slot, 1000, fx.mallory.address)})
-    with pytest.raises(NotBetween):  # same parent but after the exit block
+    with pytest.raises(OutOfRange):  # same parent but after the exit block
         fx.contract.challenge_between(fx.bob.address, fx.slot, late.prove(fx.slot))
 
 
@@ -459,28 +451,22 @@ def test_only_the_recorded_deposit_entry_is_taken(data):
 
 # -- one spend check for the four moves that take a spend --
 
-# the error each move raises for a spend of another block, and for one out of range
-LINK_ERROR = {
-    "start_exit": ParentMismatch,
-    "challenge_after": NotDirectSpend,
-    "challenge_between": NotSameParent,
-    "respond_challenge_before": NotDirectSpendOfChallenge,
-}
-RANGE_ERROR = dict(LINK_ERROR, challenge_between=NotBetween)
-# each fault, and the move's error for it: the first of the checks in
-# order, inclusion, parent link, range, signer, when a spend has two faults;
-# a proof that sends a default is refused before any move, when it is built
+SPEND_MOVES = ["start_exit", "challenge_after", "challenge_between", "respond_challenge_before"]
+# each fault, and the error every move raises for it: the first of the
+# checks in order, inclusion, parent link, range, signer, when a spend has
+# two faults; a proof that sends a default is refused before any move, when
+# it is built
 SPEND_FAULTS = {
-    "wrong slot": lambda move: BadProof,
-    "bad proof": lambda move: BadProof,
-    "wrong parent": LINK_ERROR.get,
-    "out of range": RANGE_ERROR.get,
-    "wrong signer": lambda move: BadSignature,
-    "malformed signature": lambda move: BadSignature,
-    "bad proof, wrong parent": lambda move: BadProof,
-    "wrong parent, out of range": LINK_ERROR.get,
-    "out of range, wrong signer": RANGE_ERROR.get,
-    "sent default": lambda move: MalformedProof,
+    "wrong slot": BadProof,
+    "bad proof": BadProof,
+    "wrong parent": Unlinked,
+    "out of range": OutOfRange,
+    "wrong signer": BadSignature,
+    "malformed signature": BadSignature,
+    "bad proof, wrong parent": BadProof,
+    "wrong parent, out of range": Unlinked,
+    "out of range, wrong signer": OutOfRange,
+    "sent default": MalformedProof,
 }
 
 
@@ -534,11 +520,11 @@ def spend_move(move, fault):
 
 
 @pytest.mark.parametrize("fault", ["genuine", *SPEND_FAULTS])
-@pytest.mark.parametrize("move", list(LINK_ERROR))
+@pytest.mark.parametrize("move", SPEND_MOVES)
 def test_every_move_checks_a_spend_in_one_order(move, fault):
     """One spend per fault for each of the four moves that take a spend:
-    each move raises its own error for the fault that comes first in the
-    one order, and a refusal changes nothing; the genuine spend is taken.
+    every move raises the error of the rule that comes first in the one
+    order, and a refusal changes nothing; the genuine spend is taken.
     A spend whose proof sends a default never reaches the move: its proof
     cannot be built."""
     f, slot, call = spend_move(move, fault)
@@ -564,11 +550,11 @@ def test_every_move_checks_a_spend_in_one_order(move, fault):
         return
     with pytest.raises(PlasmaError) as err:
         call(spend())
-    assert type(err.value) is SPEND_FAULTS[fault](move), str(err.value)
+    assert type(err.value) is SPEND_FAULTS[fault], str(err.value)
     assert contract_state(f.contract) == before
 
 
-@pytest.mark.parametrize("move", list(LINK_ERROR))
+@pytest.mark.parametrize("move", SPEND_MOVES)
 def test_no_move_takes_a_spend_at_an_empty_block(move):
     """Block 1000 of ``spend_move`` holds no transaction, so its root is the
     empty-tree root and the contract does not list it.  Bob's genuine spend
@@ -709,11 +695,18 @@ def test_every_check_agrees_on_spend_entries(data):
 
 
 def test_challenge_between_rejected_on_deposit_exit():
+    """A deposit exit has no parent, so no spend is linked to it; a spend
+    that is not included is still refused for that first, as on any exit."""
     f = Fixture()
-    slot, _, dep = f.mint(f.alice, 3)
+    slot, dep_block, dep = f.mint(f.alice, 3)
     f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
-    with pytest.raises(NotSameParent):
+    before = contract_state(f.contract)
+    with pytest.raises(Unlinked):
         f.contract.challenge_between(f.bob.address, slot, dep)
+    forged = IncludedTx(make_deposit_tx(slot, f.bob.address), dep_block, dep.proof)
+    with pytest.raises(BadProof):
+        f.contract.challenge_between(f.bob.address, slot, forged)
+    assert contract_state(f.contract) == before
 
 
 # -- challengeBefore / respond --
@@ -810,7 +803,7 @@ def test_an_answered_challenge_is_gone_and_pays_once(fx):
 
 def test_challenge_before_window_and_bond(fx):
     carol_exit(fx)
-    with pytest.raises(NotBefore):  # boundary is the parent block 1000
+    with pytest.raises(OutOfRange):  # boundary is the parent block 1000
         fx.contract.challenge_before(fx.bob.address, fx.slot, fx.witness(fx.slot, 1000), BOND)
     with pytest.raises(WrongBond):
         fx.contract.challenge_before(
@@ -825,7 +818,7 @@ def test_challenge_before_a_deposit_exit_names_its_exit_block():
     slot, dep_block, dep = f.mint(f.alice, 3)
     f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
     assert f.contract.exits[slot].boundary == dep_block
-    with pytest.raises(NotBefore) as err:
+    with pytest.raises(OutOfRange) as err:
         f.contract.challenge_before(f.bob.address, slot, dep, BOND)
     assert "parent" not in str(err.value) and f"block {dep_block}" in str(err.value)
     assert f.contract.exits[slot].challenges == []
@@ -840,7 +833,7 @@ def test_respond_challenge_before_error_paths(fx):
         fx.contract.respond_challenge_before(
             fx.carol.address, fx.slot, cid + 1, fx.witness(fx.slot, 1000)
         )
-    with pytest.raises(NotDirectSpendOfChallenge):  # spends 1000, not the deposit
+    with pytest.raises(Unlinked):  # spends 1000, not the deposit
         fx.contract.respond_challenge_before(
             fx.carol.address, fx.slot, cid, fx.witness(fx.slot, 3000)
         )
@@ -855,7 +848,7 @@ def test_respond_challenge_before_error_paths(fx):
         f.mallory.address, slot, f.witness(slot, 3000), f.witness(slot, 4000), BOND
     )
     cid = f.contract.challenge_before(f.alice.address, slot, f.witness(slot, 2000), BOND)
-    with pytest.raises(NotDirectSpendOfChallenge):
+    with pytest.raises(OutOfRange):
         f.contract.respond_challenge_before(f.mallory.address, slot, cid, early.prove(slot))
 
 
@@ -886,15 +879,15 @@ def test_finalize_requires_maturity(fx):
 def test_withdraw_guards(fx):
     with pytest.raises(UnknownCoin):
         fx.contract.withdraw(fx.carol.address, 99)
-    with pytest.raises(NotExited):
+    with pytest.raises(WrongState):
         fx.contract.withdraw(fx.carol.address, fx.slot)
     carol_exit(fx)
     fx.contract.advance_time(PARAMS.maturity_period)
     fx.contract.finalize_exit(fx.slot)
-    with pytest.raises(NotOwner):
+    with pytest.raises(WrongCaller):
         fx.contract.withdraw(fx.mallory.address, fx.slot)
     fx.contract.withdraw(fx.carol.address, fx.slot)
-    with pytest.raises(NotExited):  # no double withdrawal
+    with pytest.raises(WrongState):  # no double withdrawal
         fx.contract.withdraw(fx.carol.address, fx.slot)
 
 

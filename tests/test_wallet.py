@@ -12,7 +12,7 @@ from conftest import flip, proof_from_siblings, siblings_of
 from plasma_cash import core, smt
 from plasma_cash.core import IncludedTx, Keyring, make_deposit_tx, make_transfer_tx
 from plasma_cash.driver import Simulation
-from plasma_cash.errors import BadProof, NoActiveExit, NotOwned, WitnessUnavailable
+from plasma_cash.errors import BadProof, NotOwned, WitnessUnavailable, WrongState
 from plasma_cash.history import (
     CoinHistory,
     Mark,
@@ -334,7 +334,7 @@ def test_an_exit_in_the_hand_off_window_is_challenged_by_the_receiver():
     assert after["carol"] - before["carol"] == PARAMS.bond_amount
     assert after["bob"] - before["bob"] == -PARAMS.bond_amount
     sim.advance_time(PARAMS.maturity_period)
-    with pytest.raises(NoActiveExit):
+    with pytest.raises(WrongState):
         sim.finalize(slot)
     assert sim.contract.coins[slot].state is CoinState.DEPOSITED
     sim.start_exit("carol", slot)
