@@ -20,6 +20,7 @@ implementation would satisfy.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Optional, Tuple
@@ -37,15 +38,19 @@ UNSIGNED, SIGNED, NEIGHBOR = 1, 2, 4
 WIDTH_SHIFT = 3
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """20-byte account identifier on the root chain."""
+class Address(namedtuple("Address", "id")):
+    """20-byte account identifier on the root chain.
 
-    id: bytes
+    A one-field tuple whose ``__new__`` checks the length, so equality,
+    ordering and hashing are the tuple's and run in C: every hand-off
+    compares owners several times.  ``hash(Address(b)) == hash((b,))``."""
 
-    def __post_init__(self):
-        if len(self.id) != ADDRESS_SIZE:
+    __slots__ = ()
+
+    def __new__(cls, id: bytes):
+        if len(id) != ADDRESS_SIZE:
             raise ValueError("address must be 20 bytes")
+        return tuple.__new__(cls, (id,))
 
     @property
     def hex(self) -> str:

@@ -37,7 +37,6 @@ class Reason(Enum):
 
     PARTITION_OVERLAP = "PartitionOverlap"
     PARTITION_GAP = "PartitionGap"
-    BAD_DEPOSIT_PROOF = "BadDepositProof"
     BAD_INCLUSION_PROOF = "BadInclusionProof"
     BROKEN_PARENT_LINK = "BrokenParentLink"
     BAD_SIGNATURE = "BadSignature"
@@ -191,6 +190,8 @@ class CoinHistory:
 
 
 def _past(entries: Dict[int, IncludedTx], block: int) -> Dict[int, IncludedTx]:
+    if not entries:
+        return {}
     tail = list(takewhile(block.__lt__, reversed(entries)))  # the blocks past ``block``, last first
     return {blk: entries[blk] for blk in reversed(tail)}
 
@@ -222,9 +223,9 @@ def verify_history(
     exactly one map, and the maps hold no more entries.  Only a partition
     that fails is named, by ``_partition_fault``.  Then the inclusions and
     the exclusions are checked in the list's order, every check on each,
-    the ownership chain resuming at ``mark.tip``.  Committed roots are
-    append-only, so the verdict is the full walk's over the verified
-    entries and these.
+    the ownership chain resuming at ``mark.tip``; an empty map is not
+    walked.  Committed roots are append-only, so the verdict is the full
+    walk's over the verified entries and these.
 
     ``known`` is the caller's memo of verified upper Merkle paths, handed to
     every ``smt.verify``; it changes the cost, never the verdict.
@@ -238,7 +239,7 @@ def verify_history(
             return _partition_fault(history, view, blocks)
 
     last_block, last_owner = mark.tip.blk_number, mark.tip.tx.new_owner
-    for blk in blocks:
+    for blk in blocks if incl else ():
         itx = incl.get(blk)
         if itx is None:
             continue
@@ -255,7 +256,7 @@ def verify_history(
             return reject(reason, f"block {blk}: {fault}")
         last_block, last_owner = blk, itx.tx.new_owner
 
-    for blk in blocks:
+    for blk in blocks if excl else ():
         itx = excl.get(blk)
         if itx is None:
             continue

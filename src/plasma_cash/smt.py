@@ -278,12 +278,6 @@ class SparseMerkleTree:
             root = defaults[depth]
         return levels, lone_at, i, root
 
-    def leaf_at(self, slot: int) -> bytes:
-        """Digest committed at a slot (the default marker when absent)."""
-        if not 0 <= slot < self.config.capacity:
-            raise SlotOutOfRange(str(slot))
-        return self.leaves.get(slot, DEFAULT_LEAF)
-
     def prove(self, slot: int) -> Proof:
         """Merkle path for a slot; works for absent slots too (non-inclusion).
 

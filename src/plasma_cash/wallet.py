@@ -20,12 +20,10 @@ from .history import (
     ACCEPT,
     CoinHistory,
     Mark,
-    Reason,
     Verdict,
     WitnessSource,
     extend_history,
     find_spend,
-    reject,
     valid_tip,
     verify_history,
 )
@@ -87,8 +85,11 @@ class Wallet:
     def mark(self, slot: int) -> Mark:
         """The last block of the coin this wallet verified and the valid tip
         there; before it accepts the coin, the contract's deposit record."""
-        coin = self.contract.coins[slot]
-        return self.marks.get(slot) or Mark(coin.deposit_block, coin.deposit)
+        mark = self.marks.get(slot)
+        if mark is None:
+            coin = self.contract.coins[slot]
+            mark = Mark(coin.deposit_block, coin.deposit)
+        return mark
 
     def forget(self, slot: int):
         """Drop a withdrawn coin's log and mark: it never comes back."""
@@ -118,15 +119,13 @@ class Wallet:
     def receive_coin(self, history: CoinHistory) -> Verdict:
         """Audit an incoming coin and accept it only when it is valid and ends
         here.  It must come as exactly its entries past this wallet's mark,
-        under the coin's own deposit block; a Merkle path above a subtree
-        already folded to the same root is not hashed again.  A refusal
-        leaves the log and mark as they were."""
-        coin = self.contract.coins.get(history.slot)
-        if coin is None:
-            return Verdict(False, None, "coin unknown to the root chain")
-        if history.deposit_block != coin.deposit_block:  # it places the partition
-            return reject(Reason.BAD_DEPOSIT_PROOF, "not the coin's deposit block")
+        which alone places the partition (the handed ``deposit_block`` is
+        not read); a Merkle path above a subtree already folded to the same
+        root is not hashed again.  A refusal leaves the log and mark as they
+        were."""
         slot = history.slot
+        if slot not in self.contract.coins:
+            return Verdict(False, None, "coin unknown to the root chain")
         mark = self.mark(slot)
         view = self.contract.view
         verdict = verify_history(history, view, self.keyring, self.config, mark, self._known)

@@ -1,7 +1,9 @@
 """Transactions, blocks, their canonical encodings, and the recoverable
 signature scheme."""
 
+import copy
 import hashlib
+import pickle
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -48,9 +50,37 @@ def keyring():
 
 def test_address_validation():
     Address(b"\x01" * 20)
-    with pytest.raises(ValueError):
-        Address(b"\x01" * 19)
-    assert Address(bytes.fromhex("ab" * 20)).hex == "ab" * 20
+    for size in (19, 21):
+        with pytest.raises(ValueError):
+            Address(b"\x01" * size)
+    address = Address(bytes.fromhex("ab" * 20))
+    assert address.hex == "ab" * 20 and repr(address) == "Address(abababab…)"
+
+
+def test_address_compares_and_hashes_as_its_tuple():
+    """Equality, ordering and hashing are ``tuple``'s own C slots, not
+    Python-level methods: the hand-off path compares owners several times
+    per delivery.  The hash is the one-field tuple's, and sorting orders
+    addresses by ``id``."""
+    for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        assert getattr(Address, name) is getattr(tuple, name), name
+    ids = [hashlib.sha256(bytes([i])).digest()[:ADDRESS_SIZE] for i in range(16)]
+    addresses = [Address(i) for i in ids]
+    assert all(hash(a) == hash((i,)) for a, i in zip(addresses, ids))
+    assert [a.id for a in sorted(addresses)] == sorted(ids)
+    assert Address(ids[0]) == addresses[0] and Address(ids[0]) != addresses[1]
+    assert not hasattr(addresses[0], "__dict__")
+
+
+def test_address_survives_pickle_deepcopy_and_asdict():
+    """A transaction and its owner round-trip through ``pickle``,
+    ``copy.deepcopy`` and ``dataclasses.asdict``, each owner still an
+    ``Address``."""
+    owner = Keyring().new_signer("alice").address
+    tx = make_transfer_tx(Keyring().new_signer("bob"), 7, 1000, owner)
+    for copied in (pickle.loads(pickle.dumps(tx)), copy.deepcopy(tx), Transaction(**asdict(tx))):
+        assert copied == tx and type(copied.new_owner) is Address and copied.new_owner == owner
+    assert pickle.loads(pickle.dumps(owner)) == owner and type(copy.deepcopy(owner)) is Address
 
 
 def test_tx_hash_excludes_signature(keyring):

@@ -136,7 +136,7 @@ def test_perturbed_proof_fails():
     tree = SparseMerkleTree(config, random_leaves(rng, config, 40))
     proof = tree.prove(17)
     for i in range(config.depth):
-        assert not verify(17, tree.leaf_at(17), flip(proof, i), tree.root, config)
+        assert not verify(17, tree.leaves.get(17, DEFAULT_LEAF), flip(proof, i), tree.root, config)
     # an inclusion holds for its own slot only
     for slot in tree.leaves:
         inclusion = tree.prove(slot)
@@ -160,8 +160,6 @@ def test_slot_bounds():
         tree.prove(16)
     with pytest.raises(SlotOutOfRange):
         tree.prove(-1)
-    with pytest.raises(SlotOutOfRange):
-        tree.leaf_at(16)
 
 
 def test_verify_rejects_out_of_range_slots():
@@ -294,7 +292,7 @@ def test_compact_expand_round_trip(leafmap, slot):
     proof = tree.prove(slot)
     decoded = round_trip(proof, config)
     assert decoded == proof
-    assert verify(slot, tree.leaf_at(slot), decoded, tree.root, config)
+    assert verify(slot, tree.leaves.get(slot, DEFAULT_LEAF), decoded, tree.root, config)
 
 
 def test_proof_decode_rejects_bad_length():
@@ -386,8 +384,9 @@ def test_verify_refuses_a_sent_default(data):
         level = data.draw(st.sampled_from(clear), label="level")
         sibs = dict(zip(set_bits(proof.bitfield), proof.present))
         sibs[level] = config.defaults[level]
-        assert fold(slot, tree.leaf_at(slot), siblings_of(proof, config.depth), tree.root, proof.neighbor)
-        assert verify(slot, tree.leaf_at(slot), proof, tree.root, config, known)
+        leaf = tree.leaves.get(slot, DEFAULT_LEAF)
+        assert fold(slot, leaf, siblings_of(proof, config.depth), tree.root, proof.neighbor)
+        assert verify(slot, leaf, proof, tree.root, config, known)
         with pytest.raises(MalformedProof):
             Proof(proof.bitfield | 1 << level, tuple(sib for _, sib in sorted(sibs.items())), proof.neighbor)
 
@@ -407,7 +406,7 @@ def _memo_case(data):
     known = set()
     for t in (tree, other):
         for s in occupied - {slot}:
-            assert verify(s, t.leaf_at(s), t.prove(s), t.root, config, known)
+            assert verify(s, t.leaves.get(s, DEFAULT_LEAF), t.prove(s), t.root, config, known)
     return config, tree, other, slot, known
 
 
@@ -420,7 +419,7 @@ def test_memo_verdict_equals_the_full_fold(data):
     root."""
     config, tree, other, slot, known = _memo_case(data)
     siblings = siblings_of(tree.prove(slot), config.depth)
-    the_leaf, the_slot, root = tree.leaf_at(slot), slot, tree.root
+    the_leaf, the_slot, root = tree.leaves.get(slot, DEFAULT_LEAF), slot, tree.root
     kind = data.draw(st.sampled_from(["genuine", "sibling", "leaf", "slot", "root"]), label="kind")
     if kind == "sibling":
         level = data.draw(st.integers(0, config.depth - 1), label="level")
@@ -502,7 +501,7 @@ def test_no_slot_opens_to_two_values(data):
     values = [DEFAULT_LEAF, *tree.leaves.values()]
     for slot in slots:
         opened = {v for v in values for p in proofs if verify(slot, v, p, tree.root, config)}
-        assert opened == {tree.leaf_at(slot)}, slot
+        assert opened == {tree.leaves.get(slot, DEFAULT_LEAF)}, slot
 
 
 @settings(max_examples=150, deadline=None)
@@ -706,7 +705,7 @@ def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
         neighbor = data.draw(st.sampled_from([None, *tree.leaves.items(), (slot ^ 1, leaf(-1))]))
     elif kind == "root":
         root = config.defaults[config.depth]
-    value = tree.leaf_at(slot)
+    value = tree.leaves.get(slot, DEFAULT_LEAF)
     expected = fold(slot, value, siblings, root, neighbor)
     tampered = proof_from_siblings(siblings, neighbor)
     assert verify(slot, value, tampered, root, config) == expected

@@ -604,12 +604,13 @@ def test_rejected_delivery_keeps_checkpoints():
 
 
 def test_a_returning_coin_names_its_own_deposit_block():
-    """A history handed to a wallet with a mark is placed by its deposit
-    block: a later one would cut the blocks between the mark and it out of
-    the partition.  Rose pays Sam, Sam pays Tom; a colluding operator
-    re-includes Rose's spend, then Sam's spend of it back to Rose, and Sam
-    hands Rose those blocks as a coin deposited at the first, or at an
-    empty block before it.  Rose refuses both and keeps her log and mark."""
+    """A history handed to a wallet with a mark is placed by the mark, not
+    by the deposit block it names: naming a later one cuts no block between
+    the mark and it out of the partition.  Rose pays Sam, Sam pays Tom; a
+    colluding operator re-includes Rose's spend, then Sam's spend of it back
+    to Rose, and Sam hands Rose those blocks as a coin deposited at the
+    first, or at an empty block before it.  Rose refuses both as a gap in
+    the partition and keeps her log and mark."""
     sim = make_sim()
     slot = sim.deposit("dave", 5)
     assert settled_transfer(sim, "dave", slot, "rose")
@@ -631,7 +632,7 @@ def test_a_returning_coin_names_its_own_deposit_block():
         CoinHistory(slot, empty, incl, {empty: witness(slot, empty)}),
     ):
         verdict = rose.receive_coin(forged)
-        assert not verdict and verdict.reason is Reason.BAD_DEPOSIT_PROOF
+        assert not verdict and verdict.reason is Reason.PARTITION_GAP
     assert log_state(rose, slot) == kept and not rose.owns(slot)
     assert sim.ledger.true_owner(slot) == sim.address("tom")
 
@@ -987,7 +988,8 @@ def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
 def test_deposit_entry_under_an_operator_block_is_refused(forgery):
     """An operator may commit any root: the hash of a coin's deposit
     transaction, or a tree holding that transaction.  A history that
-    claims such an operator block as the coin's deposit block is refused;
+    claims such an operator block as the coin's deposit block is refused as
+    a gap in the partition, which starts at the contract's deposit record;
     the contract too refuses the hash-root entry."""
     sim = make_sim()
     slot = sim.deposit("alice", 5)
@@ -1005,7 +1007,7 @@ def test_deposit_entry_under_an_operator_block_is_refused(forgery):
     spend = sim.commit_block().prove(slot)
     history = CoinHistory(slot, fake, {fake: entry, spend.blk_number: spend})
     verdict = carol.receive_coin(history)
-    assert verdict.reason is Reason.BAD_DEPOSIT_PROOF and not carol.owns(slot)
+    assert verdict.reason is Reason.PARTITION_GAP and not carol.owns(slot)
     if forgery == "root":
         with pytest.raises(BadProof):
             sim.contract.start_exit(carol.address, slot, entry, spend, PARAMS.bond_amount)
