@@ -103,10 +103,6 @@ class Transaction:
         slot, parent_block, new_owner = r.uint(), r.uint(), Address(r.take(ADDRESS_SIZE))
         return cls(slot, parent_block, new_owner, r.take(SIG_SIZE) if kind == SIGNED else b"")
 
-    @property
-    def is_deposit(self) -> bool:
-        return self.parent_block == 0
-
 
 def make_deposit_tx(slot: int, depositor: Address) -> Transaction:
     return Transaction(slot=slot, parent_block=0, new_owner=depositor, signature=b"")
@@ -133,10 +129,6 @@ class IncludedTx:
     tx: Optional[Transaction]
     blk_number: int
     proof: Proof
-
-    @property
-    def is_exclusion(self) -> bool:
-        return self.tx is None
 
     def encode(self, config: SmtConfig) -> bytes:
         """``uint(blk_number) || kind || tx || proof``."""

@@ -75,17 +75,18 @@ class Simulation:
         return block
 
     def transfer(self, sender: str, slot: int, receiver: str) -> Tuple[Transaction, TxReceipt]:
-        tx = self.actor(sender).send_coin(slot, self.address(receiver))
+        tx = self.actor(sender).send_coin(slot, self.actor(receiver).address)
         return tx, self.operator.submit_tx(tx)
 
     def deliver(self, sender: str, slot: int, receiver: str) -> Verdict:
         """After inclusion: the sender syncs and hands over its entries past
-        the receiver's mark, the deposit record's block for a first-time one."""
-        src, dst = self.actor(sender), self.actor(receiver)
+        the receiver's mark, the deposit record's block for a first-time one.
+        Both wallets exist: the transfer named them."""
+        src, dst = self.wallets[sender], self.wallets[receiver]
         src.sync(slot, self.operator.get_witness)
         log = src.coins.pop(slot)
         verdict = dst.receive_coin(log.past(dst.mark(slot).block))
-        if not verdict:
+        if not verdict.accepted:
             src.coins[slot] = log  # refused: kept, now last (the fuzz draws coins in order)
         return verdict
 
@@ -94,7 +95,7 @@ class Simulation:
         wallet = self.actor(name)
         exit_tx = wallet.last_inclusion(slot)  # NotOwned unless the wallet holds the coin
         parent = exit_tx.tx.parent_block
-        parent_tx = None if exit_tx.tx.is_deposit else wallet.coins[slot].incl[parent]
+        parent_tx = None if parent == 0 else wallet.coins[slot].incl[parent]  # 0: a deposit
         self.contract.start_exit(wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount)
 
     def exit_with(self, name: str, slot: int, parent_block: Optional[int], exit_block: int):

@@ -136,7 +136,7 @@ class RootView:
         if tx is None or tx.slot != slot:
             return "transaction missing or for another slot"
         number = itx.blk_number
-        if tx.is_deposit:
+        if tx.parent_block == 0:
             return f"is a deposit transaction at operator block {number}"
         if smt.verify(slot, tx.digest, itx.proof, self.roots[number], config, known):
             return None
@@ -154,13 +154,20 @@ class CoinHistory:
     excl: Dict[int, IncludedTx] = field(default_factory=dict)
 
     def last_block(self) -> int:
-        """The highest block covered, the deposit block when no entry is."""
-        return max(self.deposit_block, next(reversed(self.incl), 0), next(reversed(self.excl), 0))
+        """The highest block covered, the deposit block when no entry is:
+        each map's last key, read without a call, is its highest."""
+        last = self.deposit_block
+        for entries in (self.incl, self.excl):
+            for blk in reversed(entries):
+                last = blk if blk > last else last
+                break
+        return last
 
     def past(self, block: int) -> "CoinHistory":
         """A fresh history of the entries past ``block``: new maps, the frozen
         entries shared, in this history's order."""
-        incl, excl = _past(self.incl, block), _past(self.excl, block)
+        incl = _past(self.incl, block) if self.incl else {}
+        excl = _past(self.excl, block) if self.excl else {}
         return CoinHistory(self.slot, self.deposit_block, incl, excl)
 
     # -- canonical encoding --
@@ -190,8 +197,6 @@ class CoinHistory:
 
 
 def _past(entries: Dict[int, IncludedTx], block: int) -> Dict[int, IncludedTx]:
-    if not entries:
-        return {}
     tail = list(takewhile(block.__lt__, reversed(entries)))  # the blocks past ``block``, last first
     return {blk: entries[blk] for blk in reversed(tail)}
 
@@ -304,7 +309,7 @@ def extend_history(
     """
     for blk in view.history_blocks(history.last_block()):
         itx = witness(history.slot, blk)
-        if itx.is_exclusion:
+        if itx.tx is None:
             history.excl[blk] = itx
         else:
             history.incl[blk] = itx

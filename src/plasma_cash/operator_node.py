@@ -83,7 +83,7 @@ class PlasmaOperator:
         """Honest intake: only a valid spend of the coin's last output."""
         fault = self.ledger.spend_fault(tx)
         receipt = TxReceipt(False, fault) if fault else self.inject_raw_tx(tx)
-        if receipt:
+        if receipt.accepted:
             self.ledger.checked[tx.slot] = (tx, self.ledger.owners[tx.slot])
         return receipt
 

@@ -91,7 +91,7 @@ class _Run:
         self.expect(receipt.accepted, f"{sender}'s transfer must be accepted")
         self.sim.commit_block()
         self.expect(
-            bool(self.sim.deliver(sender, slot, receiver)), f"{receiver} must accept the history"
+            self.sim.deliver(sender, slot, receiver).accepted, f"{receiver} must accept the history"
         )
 
     def include(self, tx: Transaction) -> PlasmaBlock:
@@ -466,7 +466,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
         for slot, (sender, receiver) in pending.items():
             verdict = sim.deliver(sender, slot, receiver)
             deliveries += 1
-            if not verdict:
+            if not verdict.accepted:
                 rejected += 1
                 frozen.add(slot)
         pending.clear()

@@ -38,11 +38,12 @@ from .errors import (
 )
 
 DIGEST_SIZE = 32
+_sha256 = hashlib.sha256  # bound once; hooks count hashes at hash_pair, looked up per call
 
 
 def hash_pair(left: bytes, right: bytes) -> bytes:
     # H(left || right): 64 bytes for an internal node, 8 + 32 for a lone leaf
-    return hashlib.sha256(left + right).digest()
+    return _sha256(left + right).digest()
 
 
 #: Digest marking an empty slot: the hash of 32 zero bytes.
@@ -239,6 +240,12 @@ class SparseMerkleTree:
 
     def _build(self):
         defaults, depth, leaves = self.config.defaults, self.config.depth, self.leaves
+        # no level of a tree of zero or one leaf holds two nodes
+        if not leaves:
+            return [], {}, 0, defaults[depth]
+        if len(leaves) == 1:  # it commits as its lone digest
+            ((slot, leaf),) = leaves.items()
+            return [], {}, 0, lone_digest(slot, leaf)
         levels = []
         lone_at = {}
         lone = {slot: slot for slot in leaves}  # index -> slot, one leaf below
@@ -263,19 +270,13 @@ class SparseMerkleTree:
             levels.append(stored)
             lone, inner = up_lone, parents
             i += 1
-        if inner:
-            # one node of two or more leaves: fold it up past default siblings
-            ((idx, root),) = inner.items()
+        # one node of two or more leaves: fold it up past default siblings
+        ((idx, root),) = inner.items()
+        levels.append({idx: root})
+        for j in range(i, depth):
+            root = hash_pair(defaults[j], root) if idx & 1 else hash_pair(root, defaults[j])
+            idx >>= 1
             levels.append({idx: root})
-            for j in range(i, depth):
-                root = hash_pair(defaults[j], root) if idx & 1 else hash_pair(root, defaults[j])
-                idx >>= 1
-                levels.append({idx: root})
-        elif lone:  # a tree of one leaf commits as its lone digest
-            (slot,) = lone.values()
-            root = lone_digest(slot, leaves[slot])
-        else:
-            root = defaults[depth]
         return levels, lone_at, i, root
 
     def prove(self, slot: int) -> Proof:

@@ -44,6 +44,7 @@ class ChallengeAction:
 class Wallet:
     def __init__(self, signer: Signer, keyring: Keyring, contract: PlasmaContract):
         self.signer = signer
+        self.address: Address = signer.address
         self.keyring = keyring
         self.contract = contract
         self.config: SmtConfig = contract.config
@@ -60,10 +61,6 @@ class Wallet:
         # answer removes the challenge from the exit, not the stake from here
         self._staked: Dict[int, Exit] = {}
 
-    @property
-    def address(self) -> Address:
-        return self.signer.address
-
     # -- ownership bookkeeping --
 
     def owns(self, slot: int) -> bool:
@@ -75,21 +72,18 @@ class Wallet:
 
     def _log(self, slot: int) -> CoinHistory:
         """The coin's stored log, else a new one at the contract's deposit entry."""
-        log = self.logs.get(slot)
-        if log is None:
+        if slot not in self.logs:
             coin = self.contract.coins[slot]
-            log = CoinHistory(slot, coin.deposit_block, {coin.deposit_block: coin.deposit})
-            self.logs[slot] = log
-        return log
+            self.logs[slot] = CoinHistory(slot, coin.deposit_block, {coin.deposit_block: coin.deposit})
+        return self.logs[slot]
 
     def mark(self, slot: int) -> Mark:
         """The last block of the coin this wallet verified and the valid tip
         there; before it accepts the coin, the contract's deposit record."""
-        mark = self.marks.get(slot)
-        if mark is None:
-            coin = self.contract.coins[slot]
-            mark = Mark(coin.deposit_block, coin.deposit)
-        return mark
+        if slot in self.marks:
+            return self.marks[slot]
+        coin = self.contract.coins[slot]
+        return Mark(coin.deposit_block, coin.deposit)
 
     def forget(self, slot: int):
         """Drop a withdrawn coin's log and mark: it never comes back."""
@@ -129,7 +123,7 @@ class Wallet:
         mark = self.mark(slot)
         view = self.contract.view
         verdict = verify_history(history, view, self.keyring, self.config, mark, self._known)
-        if not verdict:
+        if not verdict.accepted:
             return verdict
         # the entries in block order, whatever order the handed maps are in
         incl, excl = sorted(history.incl.items()), sorted(history.excl.items())
@@ -137,13 +131,17 @@ class Wallet:
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
         log = self._log(slot)
-        # drop what sync appended past the mark; the new entries replace it
+        # drop what sync appended past the mark; the new entries replace it,
+        # and the last of them is the new mark's block
+        block = mark.block
         for entries, added in ((log.incl, incl), (log.excl, excl)):
             while entries and next(reversed(entries)) > mark.block:
                 entries.popitem()
             entries.update(added)
+            if added and added[-1][0] > block:
+                block = added[-1][0]
         self.coins[slot] = log
-        self.marks[slot] = Mark(log.last_block(), last)
+        self.marks[slot] = Mark(block, last)
         return ACCEPT
 
     # -- watching and challenging --

@@ -7,13 +7,17 @@ so every verdict is visible in the run log.  ``proof_from_siblings`` and
 digest per level, ``set_bits`` lists a bitfield's set levels, ``flip`` is
 the one way tests tamper with a proof,
 ``fold`` is the reference verifier over such a list, and ``whole`` reads
-exactly one encoding.
+exactly one encoding.  ``Chain`` is the one hand-built plasmachain, with
+its block-replay ownership oracle.
 """
 
 import hashlib
 from typing import List, Optional
 
-from plasma_cash.smt import DEFAULT_LEAF, DEFAULTS, Proof, Reader, hash_pair
+from plasma_cash.core import IncludedTx, Keyring, PlasmaBlock, make_transfer_tx
+from plasma_cash.errors import MalformedSignature
+from plasma_cash.history import CoinHistory, Mark, RootView, extend_history, verify_history
+from plasma_cash.smt import DEFAULT_LEAF, DEFAULTS, Proof, Reader, SmtConfig, hash_pair
 
 acceptance_lines: List[str] = []
 
@@ -94,3 +98,78 @@ def whole(data: bytes, read):
     value = read(r)
     r.end()
     return value
+
+
+class Chain:
+    """Hand-built plasmachain at depth 16, built as the contract builds one:
+    operator blocks take the multiples of 1000 and deposits the numbers
+    between; a deposit block's root is its one transaction's hash and its
+    entry, on the empty proof, the contract's record; the view lists no
+    block whose root is the empty-tree root.  Witnesses come from the
+    blocks, and ``replay_owner`` is an ownership oracle that shares no code
+    with the verifier."""
+
+    config = SmtConfig(depth=16)
+
+    def __init__(self):
+        self.keyring = Keyring()
+        self.blocks = {}  # operator blocks
+        self.deposits = {}  # deposit entries, as the contract records them
+
+    def signer(self, name):
+        return self.keyring.new_signer(name)
+
+    def add_block(self, number, txs):
+        if number % 1000:  # a deposit: its one transaction's hash is the root
+            (tx,) = txs.values()
+            self.deposits[number] = IncludedTx(tx, number, self.config.empty_proof)
+        else:
+            self.blocks[number] = PlasmaBlock.build(number, txs, self.config)
+
+    def add_idle_block(self, number):
+        """An operator block where slot 0 stays put and slot 1 moves, so the
+        contract lists it and slot 0's history holds an exclusion there."""
+        other = self.signer("other")
+        self.add_block(number, {1: make_transfer_tx(other, 1, 1, other.address)})
+
+    def view(self):
+        roots = {n: b.root for n, b in self.blocks.items()}
+        roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
+        empty = self.config.defaults[self.config.depth]
+        return RootView(roots, sorted(n for n, b in self.blocks.items() if b.root != empty))
+
+    def witness(self, slot, number):
+        return self.blocks[number].prove(slot)
+
+    def history(self, slot=0, deposit_block=1):
+        """The coin's entries past its deposit, what a first-time receiver is handed."""
+        return extend_history(CoinHistory(slot, deposit_block), self.view(), self.witness)
+
+    def deposit_mark(self, slot=0, deposit_block=1):
+        """The coin's first mark: its deposit block and the entry there, which
+        the contract records."""
+        return Mark(deposit_block, self.deposits[deposit_block])
+
+    def audit(self, history, slot=0, deposit_block=1):
+        """``verify_history`` from the coin's first mark."""
+        mark = self.deposit_mark(slot, deposit_block)
+        return verify_history(history, self.view(), self.keyring, self.config, mark)
+
+    def replay_owner(self, slot=0, deposit_block=1):
+        """Independent ground truth: replay the raw blocks past the deposit,
+        skipping every spend that names another block or that its owner did
+        not sign; a malformed signature is signed by no one."""
+        owner, last = self.deposits[deposit_block].tx.new_owner, deposit_block
+        for number in sorted(self.blocks):
+            if number <= deposit_block:
+                continue
+            tx = self.blocks[number].txs.get(slot)
+            if tx is None or tx.parent_block != last:
+                continue
+            try:
+                if self.keyring.recover(tx.digest, tx.signature) != owner:
+                    continue
+            except MalformedSignature:
+                continue
+            owner, last = tx.new_owner, number
+        return owner, last

@@ -18,15 +18,7 @@ from plasma_cash.core import (
     make_deposit_tx,
     make_transfer_tx,
 )
-from plasma_cash.history import (
-    CoinHistory,
-    Mark,
-    Reason,
-    RootView,
-    extend_history,
-    valid_tip,
-    verify_history,
-)
+from plasma_cash.history import CoinHistory, Reason, valid_tip
 from plasma_cash.scenarios import fuzz, run
 from plasma_cash.smt import DEFAULT_LEAF, SmtConfig, SparseMerkleTree, hash_pair
 
@@ -144,76 +136,19 @@ def test_smt_matches_dense_oracle():
     report("smt-oracle-equivalence", ok, f"maps={checked} elapsed={elapsed:.1f}s")
 
 
-class _Chain:
-    def __init__(self):
-        self.keyring = Keyring()
-        self.blocks = {}  # operator blocks
-        self.deposits = {}  # deposit entries, as the contract records them
-        self.config = SmtConfig(depth=16)
-
-    def add(self, number, txs):
-        if number % 1000:  # a deposit: its one transaction's hash is the root
-            (tx,) = txs.values()
-            self.deposits[number] = IncludedTx(tx, number, self.config.empty_proof)
-        else:
-            self.blocks[number] = PlasmaBlock.build(number, txs, self.config)
-
-    def add_idle(self, number):
-        """An operator block where slot 0 stays put and slot 1 moves, so the
-        contract lists it and slot 0's history holds an exclusion there."""
-        other = self.keyring.new_signer("other")
-        self.add(number, {1: make_transfer_tx(other, 1, 1, other.address)})
-
-    def view(self):
-        # operator blocks take the multiples of 1000, deposits the rest; as
-        # the contract does, it lists no block whose root is the empty-tree root
-        roots = {n: b.root for n, b in self.blocks.items()}
-        roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
-        empty = self.config.defaults[self.config.depth]
-        return RootView(roots, sorted(n for n, b in self.blocks.items() if b.root != empty))
-
-    def history(self, slot=0, deposit_block=1):
-        """The entries past the deposit, what a first-time receiver is handed."""
-        return extend_history(
-            CoinHistory(slot, deposit_block), self.view(), lambda s, n: self.blocks[n].prove(s)
-        )
-
-    def audit(self, history, slot=0, deposit_block=1):
-        """``verify_history`` from the coin's first mark, its deposit entry."""
-        mark = Mark(deposit_block, self.deposits[deposit_block])
-        return verify_history(history, self.view(), self.keyring, self.config, mark)
-
-    def replay_owner(self, slot=0, deposit_block=1):
-        dep = self.deposits[deposit_block].tx
-        owner, last = dep.new_owner, deposit_block
-        for number in sorted(self.blocks):
-            if number <= deposit_block:
-                continue
-            tx = self.blocks[number].txs.get(slot)
-            if tx is None or tx.parent_block != last:
-                continue
-            try:
-                if self.keyring.recover(tx.hash(), tx.signature) != owner:
-                    continue
-            except Exception:
-                continue
-            owner, last = tx.new_owner, number
-        return owner, last
-
-
 def _random_chain(rng, trial):
-    c = _Chain()
+    c = conftest.Chain()
     signers = [c.keyring.new_signer(f"{trial}-{i}") for i in range(4)]
     owner, last = signers[0], 1
-    c.add(1, {0: make_deposit_tx(0, owner.address)})
+    c.add_block(1, {0: make_deposit_tx(0, owner.address)})
     number = 1000
     for _ in range(rng.randint(0, 10)):
         if rng.random() < 0.6:
             nxt = rng.choice(signers)
-            c.add(number, {0: make_transfer_tx(owner, 0, last, nxt.address)})
+            c.add_block(number, {0: make_transfer_tx(owner, 0, last, nxt.address)})
             owner, last = nxt, number
         else:
-            c.add_idle(number)
+            c.add_idle_block(number)
         number += 1000
     return c, signers[0]
 
@@ -235,12 +170,12 @@ def test_history_verifier_corpus():
             agree += 1
 
     def corrupted(mutate):
-        c = _Chain()
+        c = conftest.Chain()
         alice = c.keyring.new_signer("alice")
         bob = c.keyring.new_signer("bob")
-        c.add(1, {0: make_deposit_tx(0, alice.address)})
-        c.add(1000, {0: make_transfer_tx(alice, 0, 1, bob.address)})
-        c.add_idle(2000)
+        c.add_block(1, {0: make_deposit_tx(0, alice.address)})
+        c.add_block(1000, {0: make_transfer_tx(alice, 0, 1, bob.address)})
+        c.add_idle_block(2000)
         history = c.history()
         mutate(c, history, alice, bob)
         return c.audit(history)
@@ -261,13 +196,13 @@ def test_history_verifier_corpus():
 
     def broken_link(c, h, alice, bob):
         # a re-spend of the deposit after it was already consumed
-        c.add(2000, {0: make_transfer_tx(alice, 0, 1, alice.address)})
+        c.add_block(2000, {0: make_transfer_tx(alice, 0, 1, alice.address)})
         del h.excl[2000]
         h.incl[2000] = c.blocks[2000].prove(0)
 
     def forged_sig(c, h, alice, bob):
         mallory = c.keyring.new_signer("mallory")
-        c.add(2000, {0: make_transfer_tx(mallory, 0, 1000, mallory.address)})
+        c.add_block(2000, {0: make_transfer_tx(mallory, 0, 1000, mallory.address)})
         del h.excl[2000]
         h.incl[2000] = c.blocks[2000].prove(0)
 

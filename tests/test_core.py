@@ -149,7 +149,6 @@ def test_tx_encode_round_trip(slot, parent, owner, sig):
 
 def test_deposit_tx_shape():
     dep = make_deposit_tx(3, Address(b"\x02" * 20))
-    assert dep.is_deposit
     assert dep.parent_block == 0 and dep.signature == b""
 
 
@@ -214,8 +213,8 @@ def test_block_build_and_prove(keyring):
     txs = {s: make_transfer_tx(alice, s, 1000, alice.address) for s in (1, 5, 9)}
     block = PlasmaBlock.build(2000, txs, config)
     itx = block.prove(5)
-    assert itx.tx == txs[5] and itx.blk_number == 2000 and not itx.is_exclusion
-    assert block.prove(6).is_exclusion
+    assert itx.tx == txs[5] and itx.blk_number == 2000
+    assert block.prove(6).tx is None
 
 
 def test_deposit_block_commits_its_transaction_hash():
@@ -259,7 +258,7 @@ def test_exclusion_entry_size():
     keyring = Keyring()
     deposit = IncludedTx(make_deposit_tx(0, keyring.new_signer("alice").address), 1, config.empty_proof)
     excl = PlasmaBlock.build(1000, {}, config).prove(0)
-    assert excl.is_exclusion
+    assert excl.tx is None
     assert excl.encode(config) == uint(1000) + bytes((0,))  # kind 0: no tx, no neighbour, width 0
     assert len(excl.encode(config)) == len(uint(1000)) + 1 == 3
     deposit_tx = len(uint(0)) + len(uint(0)) + ADDRESS_SIZE

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip
+from conftest import Chain, flip
 from plasma_cash.core import (
     SIG_SIZE,
     IncludedTx,
     Keyring,
-    PlasmaBlock,
     Transaction,
     make_deposit_tx,
     make_transfer_tx,
@@ -31,55 +30,8 @@ from plasma_cash.history import (
     valid_tip,
     verify_history,
 )
-from plasma_cash.smt import SmtConfig
 
-CONFIG = SmtConfig(depth=16)
-
-
-class Chain:
-    """Hand-built plasmachain: operator blocks and deposit entries keyed by
-    number, witness access."""
-
-    def __init__(self):
-        self.keyring = Keyring()
-        self.blocks = {}  # operator blocks
-        self.deposits = {}  # deposit entries, as the contract records them
-
-    def signer(self, name):
-        return self.keyring.new_signer(name)
-
-    def add_block(self, number, txs):
-        if number % 1000:  # a deposit: its one transaction's hash is the root
-            (tx,) = txs.values()
-            self.deposits[number] = IncludedTx(tx, number, CONFIG.empty_proof)
-        else:
-            self.blocks[number] = PlasmaBlock.build(number, txs, CONFIG)
-
-    def add_idle_block(self, number):
-        """An operator block where slot 0 stays put and slot 1 moves, so the
-        contract lists it and slot 0's history holds an exclusion there."""
-        other = self.signer("other")
-        self.add_block(number, {1: make_transfer_tx(other, 1, 1, other.address)})
-
-    def view(self):
-        # operator blocks take the multiples of 1000, deposits the rest; as
-        # the contract does, it lists no block whose root is the empty-tree root
-        roots = {n: b.root for n, b in self.blocks.items()}
-        roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
-        empty = CONFIG.defaults[CONFIG.depth]
-        return RootView(roots, sorted(n for n, b in self.blocks.items() if b.root != empty))
-
-    def witness(self, slot, number):
-        return self.blocks[number].prove(slot)
-
-    def history(self, slot, deposit_block):
-        """The coin's entries past its deposit, what a first-time receiver is handed."""
-        return extend_history(CoinHistory(slot, deposit_block), self.view(), self.witness)
-
-    def deposit_mark(self, slot, deposit_block):
-        """The coin's first mark: its deposit block and the entry there, which
-        the contract records."""
-        return Mark(deposit_block, self.deposits[deposit_block])
+CONFIG = Chain.config
 
 
 @pytest.fixture
@@ -96,16 +48,11 @@ def chain():
     return c
 
 
-def verify(chain, history):
-    """Audit ``history`` from the coin's deposit mark."""
-    return verify_history(history, chain.view(), chain.keyring, CONFIG, chain.deposit_mark(0, 1))
-
-
 def test_honest_history_accepted(chain):
     history = chain.history(0, 1)
     assert set(history.incl) == {1000, 3000}
     assert set(history.excl) == {2000, 4000}
-    assert verify(chain, history)
+    assert chain.audit(history)
 
 
 def partition_oracle(history, view, mark):
@@ -175,27 +122,27 @@ def test_deposit_only_history_accepted():
     c.add_block(1, {0: make_deposit_tx(0, alice.address)})
     history = c.history(0, 1)
     assert history == CoinHistory(0, 1) and history.last_block() == 1
-    assert verify(c, history)
+    assert c.audit(history)
 
 
 def test_missing_root_raises(chain):
     history = chain.history(0, 1)
     history.excl[5000] = history.excl[4000]
     with pytest.raises(MissingRoot):
-        verify(chain, history)
+        chain.audit(history)
 
 
 def test_partition_overlap_rejected(chain):
     history = chain.history(0, 1)
     history.excl[1000] = IncludedTx(None, 1000, chain.blocks[1000].tree.prove(0))
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.PARTITION_OVERLAP
 
 
 def test_partition_gap_rejected(chain):
     history = chain.history(0, 1)
     del history.excl[2000]
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
 
 
@@ -205,18 +152,18 @@ def test_other_coins_deposit_blocks_are_skipped(chain):
     history = chain.history(0, 1)
     assert set(history.incl) == {1000, 3000}
     assert set(history.excl) == {2000, 4000}
-    assert verify(chain, history)
+    assert chain.audit(history)
 
     # block 2 proves no other slot, so the padding is built by hand
     padded = chain.history(0, 1)
     padded.excl[2] = IncludedTx(None, 2, CONFIG.empty_proof)
-    verdict = verify(chain, padded)
+    verdict = chain.audit(padded)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
     assert verdict.detail == "missing=[] extra=[2]"
 
     # the coin's own deposit block is the mark's, so its entry is extra too
     history.incl[1] = chain.deposits[1]
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.PARTITION_GAP
     assert verdict.detail == "missing=[] extra=[1]"
 
@@ -228,7 +175,7 @@ def refusals(chain, entry):
     fault = chain.view().inclusion_fault(entry, 0, chain.deposits[1], CONFIG)
     history = chain.history(0, 1)
     history.incl[1] = entry
-    return fault, verify(chain, history)
+    return fault, chain.audit(history)
 
 
 HANDED_DEPOSIT = Verdict(False, Reason.PARTITION_GAP, "missing=[] extra=[1]")
@@ -269,7 +216,7 @@ def test_corrupt_inclusion_proof_rejected(chain):
     history = chain.history(0, 1)
     itx = history.incl[1000]
     history.incl[1000] = IncludedTx(itx.tx, 1000, flip(itx.proof))
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.BAD_INCLUSION_PROOF
 
 
@@ -279,7 +226,7 @@ def test_double_spend_history_rejected(chain):
     mallory = chain.keyring.new_signer("mallory")
     chain.add_block(3000, {0: make_transfer_tx(alice, 0, 1, mallory.address)})
     history = chain.history(0, 1)
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.BROKEN_PARENT_LINK
 
 
@@ -289,7 +236,7 @@ def test_forged_signature_rejected(chain):
     forged = make_transfer_tx(mallory, 0, 1000, mallory.address)
     chain.add_block(3000, {0: forged})
     chain.blocks.pop(4000)
-    verdict = verify(chain, chain.history(0, 1))
+    verdict = chain.audit(chain.history(0, 1))
     assert not verdict and verdict.reason is Reason.BAD_SIGNATURE
 
 
@@ -299,14 +246,14 @@ def test_malformed_signature_rejected(chain):
     broken = Transaction(tx.slot, tx.parent_block, tx.new_owner, b"\x00" * 10)
     chain.add_block(3000, {0: broken})
     chain.blocks.pop(4000)
-    verdict = verify(chain, chain.history(0, 1))
+    verdict = chain.audit(chain.history(0, 1))
     assert not verdict and verdict.reason is Reason.BAD_SIGNATURE
 
 
 def test_corrupt_exclusion_rejected(chain):
     history = chain.history(0, 1)
     history.excl[2000] = IncludedTx(None, 2000, flip(history.excl[2000].proof))
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.BAD_EXCLUSION_PROOF
 
 
@@ -317,7 +264,7 @@ def test_exclusion_over_occupied_slot_rejected(chain):
     del history.incl[3000]  # would otherwise trip the parent link first
     history.excl[1000] = IncludedTx(None, 1000, chain.blocks[1000].tree.prove(0))
     history.excl[3000] = IncludedTx(None, 3000, chain.blocks[3000].tree.prove(0))
-    verdict = verify(chain, history)
+    verdict = chain.audit(history)
     assert not verdict and verdict.reason is Reason.BAD_EXCLUSION_PROOF
 
 
@@ -329,7 +276,7 @@ def test_history_binary_round_trip(chain):
     dave = chain.signer("dave")
     chain.add_block(5000, {1: make_transfer_tx(dave, 1, 1, dave.address)})
     history = chain.history(0, 1)
-    assert history.excl[5000].proof.neighbor[0] == 1 and verify(chain, history)
+    assert history.excl[5000].proof.neighbor[0] == 1 and chain.audit(history)
     assert CoinHistory.decode(history.encode(CONFIG), CONFIG) == history
 
 
@@ -444,25 +391,6 @@ def test_find_spend_and_valid_tip_are_the_sorted_search(data):
 # -- agreement with a block-replay oracle --
 
 
-def replay_owner(chain, slot, deposit_block):
-    """Independent ground truth: replay raw blocks, ignore invalid spends."""
-    dep = chain.deposits[deposit_block].tx
-    owner, last = dep.new_owner, deposit_block
-    for number in sorted(chain.blocks):
-        if number <= deposit_block:
-            continue
-        tx = chain.blocks[number].txs.get(slot)
-        if tx is None or tx.parent_block != last:
-            continue
-        try:
-            if chain.keyring.recover(tx.hash(), tx.signature) != owner:
-                continue
-        except Exception:
-            continue
-        owner, last = tx.new_owner, number
-    return owner, last
-
-
 def test_random_honest_chains_agree_with_replay(subtests=None):
     rng = random.Random(7)
     for trial in range(60):
@@ -485,7 +413,7 @@ def test_random_honest_chains_agree_with_replay(subtests=None):
         verdict = verify_history(history, c.view(), c.keyring, CONFIG, mark)
         assert verdict, f"trial {trial}: {verdict.reason} {verdict.detail}"
         tip = valid_tip(history, c.keyring, mark.tip)
-        oracle_owner, oracle_block = replay_owner(c, 0, 1)
+        oracle_owner, oracle_block = c.replay_owner(0, 1)
         assert tip.tx.new_owner == oracle_owner
         assert tip.blk_number == oracle_block
 

@@ -222,7 +222,7 @@ def test_witness_service_round_trip():
     operator.produce_block(1000)
     incl = operator.get_witness(0, 1000)
     assert incl.tx is not None and incl.tx.new_owner == bob.address
-    assert operator.get_witness(5, 1000).is_exclusion
+    assert operator.get_witness(5, 1000).tx is None
     with pytest.raises(UnknownBlock):
         operator.get_witness(0, 2000)
 
@@ -236,6 +236,6 @@ def test_withholding_is_targeted():
     with pytest.raises(WitnessUnavailable):
         operator.get_witness(0, 1000)
     # other slots and blocks still served
-    assert operator.get_witness(1, 1000).is_exclusion
+    assert operator.get_witness(1, 1000).tx is None
     operator.produce_block(2000)
-    assert operator.get_witness(0, 2000).is_exclusion
+    assert operator.get_witness(0, 2000).tx is None

@@ -9,7 +9,7 @@ from plasma_cash import smt
 from plasma_cash.core import IncludedTx
 from plasma_cash.driver import Simulation
 from plasma_cash.errors import UnknownBlock, UnknownScenario
-from plasma_cash.history import CoinHistory
+from plasma_cash.history import CoinHistory, Mark, valid_tip
 from plasma_cash.operator_node import PlasmaOperator
 from plasma_cash.rootchain import CHILD_BLOCK_INTERVAL, PlasmaContract
 from plasma_cash.scenarios import SCENARIOS, fuzz, run
@@ -132,6 +132,38 @@ def test_every_handed_history_decodes_to_itself(monkeypatch):
         handed.clear()
         report = fuzz(1000, seed=0, byzantine=byzantine)
         assert report.passed and len(handed) == report.extras["deliveries"] > 0
+
+
+def test_an_accepted_history_marks_the_logs_last_block_and_valid_tip(monkeypatch):
+    """After every accepted ``receive_coin`` in S1-S5, with the watcher on
+    and off, and in fuzz(1000) at seeds 0-2, honest and byzantine, the new
+    mark is the log's last block and the valid tip walked there from the
+    old mark's tip, and both maps of the log are in ascending block order:
+    the block ``receive_coin`` takes from the entries it splices in is the
+    one the log gives."""
+    accepted = []
+    receive = Wallet.receive_coin
+
+    def checked(wallet, history):
+        old = wallet.mark(history.slot)
+        verdict = receive(wallet, history)
+        if verdict.accepted:
+            log = wallet.coins[history.slot]
+            tip = valid_tip(log, wallet.keyring, old.tip)
+            assert wallet.marks[history.slot] == Mark(log.last_block(), tip)
+            assert list(log.incl) == sorted(log.incl) and list(log.excl) == sorted(log.excl)
+            accepted.append(history)
+        return verdict
+
+    monkeypatch.setattr(Wallet, "receive_coin", checked)
+    for name in sorted(SCENARIOS):
+        for watcher in (True, False):
+            assert run(name, watcher=watcher).passed
+    assert accepted
+    for seed in range(3):
+        for byzantine in (False, True):
+            accepted.clear()
+            assert fuzz(1000, seed=seed, byzantine=byzantine).passed and accepted
 
 
 MOVES = ("start_exit", "challenge_after", "challenge_between", "challenge_before",

@@ -115,6 +115,34 @@ def test_empty_tree_root_is_top_default():
         assert SparseMerkleTree(config, {}).root == config.defaults[depth]
 
 
+@pytest.mark.parametrize("depth, count", [(8, 0), (64, 0), (8, 1), (64, 1), (8, 2), (8, 40)])
+def test_every_tree_is_built_by_one_build_call(monkeypatch, depth, count):
+    """Every construction runs ``_build`` exactly once, an empty tree and a
+    tree of one leaf too: the tracer counts trees by wrapping it
+    (``smt.SparseMerkleTree.build.calls``), so a tree built without it would
+    read 0.  The root is the empty-tree root, the lone digest, or the fold
+    of the leaves (the dense oracle's root)."""
+    config = SmtConfig(depth=depth)
+    leaves = random_leaves(random.Random(count), SmtConfig(depth=8), count)
+    built = []
+    build = SparseMerkleTree._build
+
+    def counted(tree):
+        built.append(tree)
+        return build(tree)
+
+    monkeypatch.setattr(SparseMerkleTree, "_build", counted)
+    tree = SparseMerkleTree(config, leaves)
+    assert built == [tree]
+    if not leaves:
+        assert tree.root == config.defaults[depth]
+    elif len(leaves) == 1:
+        ((slot, value),) = leaves.items()
+        assert tree.root == lone(slot, value)
+    else:
+        assert tree.root == DenseTree(config, leaves).root
+
+
 def test_default_leaf_value():
     assert DEFAULT_LEAF == hashlib.sha256(b"\x00" * 32).digest()
 
