@@ -82,6 +82,12 @@ class Transaction:
     new_owner: Address
     signature: bytes = b""
 
+    def __init__(self, slot: int, parent_block: int, new_owner: Address, signature: bytes = b""):
+        # @dataclass keeps it: one dict write, not an object.__setattr__ per field
+        self.__dict__.update(
+            slot=slot, parent_block=parent_block, new_owner=new_owner, signature=signature
+        )
+
     @cached_property
     def digest(self) -> bytes:
         return _tx_digest(self.slot, self.parent_block, self.new_owner)
@@ -196,7 +202,7 @@ class PlasmaBlock:
     @classmethod
     def build(cls, number: int, txs: Dict[int, Transaction], config: SmtConfig) -> "PlasmaBlock":
         tree = SparseMerkleTree(config, {slot: tx.digest for slot, tx in txs.items()})
-        return cls(number=number, txs=dict(txs), root=tree.root, tree=tree)
+        return cls(number, dict(txs), tree.root, tree)
 
     def prove(self, slot: int) -> IncludedTx:
         """Inclusion witness when the slot is spent here, exclusion otherwise,

@@ -50,12 +50,6 @@ def hash_pair(left: bytes, right: bytes) -> bytes:
 DEFAULT_LEAF = hashlib.sha256(b"\x00" * DIGEST_SIZE).digest()
 
 
-def lone_digest(slot: int, leaf: bytes) -> bytes:
-    """Digest of a subtree above height 0 whose only leaf is ``leaf`` at
-    ``slot``."""
-    return hash_pair(slot.to_bytes(8, "big"), leaf)
-
-
 def uint(n: int) -> bytes:
     """Minimal unsigned LEB128 of ``n``: 7 bits a byte, low bits first, the
     high bit set while more follow.  ``n`` outside [0, 2^64) is refused."""
@@ -245,7 +239,7 @@ class SparseMerkleTree:
             return [], {}, 0, defaults[depth]
         if len(leaves) == 1:  # it commits as its lone digest
             ((slot, leaf),) = leaves.items()
-            return [], {}, 0, lone_digest(slot, leaf)
+            return [], {}, 0, hash_pair(slot.to_bytes(8, "big"), leaf)
         levels = []
         lone_at = {}
         lone = {slot: slot for slot in leaves}  # index -> slot, one leaf below
@@ -257,7 +251,8 @@ class SparseMerkleTree:
             for idx, slot in lone.items():
                 if (idx ^ 1) in lone or (idx ^ 1) in inner:
                     # the lone leaf meets another node: its digest is stored
-                    stored[idx] = lone_digest(slot, leaves[slot]) if i else leaves[slot]
+                    leaf = leaves[slot]
+                    stored[idx] = hash_pair(slot.to_bytes(8, "big"), leaf) if i else leaf
                     lone_at[i, idx] = slot
                 else:
                     up_lone[idx >> 1] = slot
@@ -380,8 +375,8 @@ def verify(
     # call still sees every hash
     hash_ = hash_pair
     low = (bitfield & -bitfield).bit_length() - 1 if bitfield else depth
-    # a lone digest is hashed here, not through lone_digest: one call fewer
-    # on every entry a receiver audits
+    # a lone digest is hashed inline, as in ``_build``: no helper call on
+    # any entry a receiver audits
     if proof.neighbor is not None:
         other, other_leaf = proof.neighbor
         if leaf != DEFAULT_LEAF or other == slot or other >> low != slot >> low:

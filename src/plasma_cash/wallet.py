@@ -73,8 +73,8 @@ class Wallet:
     def _log(self, slot: int) -> CoinHistory:
         """The coin's stored log, else a new one at the contract's deposit entry."""
         if slot not in self.logs:
-            coin = self.contract.coins[slot]
-            self.logs[slot] = CoinHistory(slot, coin.deposit_block, {coin.deposit_block: coin.deposit})
+            deposit = self.contract.coins[slot].deposit
+            self.logs[slot] = CoinHistory(slot, deposit.blk_number, {deposit.blk_number: deposit})
         return self.logs[slot]
 
     def mark(self, slot: int) -> Mark:
@@ -82,8 +82,8 @@ class Wallet:
         there; before it accepts the coin, the contract's deposit record."""
         if slot in self.marks:
             return self.marks[slot]
-        coin = self.contract.coins[slot]
-        return Mark(coin.deposit_block, coin.deposit)
+        deposit = self.contract.coins[slot].deposit
+        return Mark(deposit.blk_number, deposit)
 
     def forget(self, slot: int):
         """Drop a withdrawn coin's log and mark: it never comes back."""
@@ -125,21 +125,24 @@ class Wallet:
         verdict = verify_history(history, view, self.keyring, self.config, mark, self._known)
         if not verdict.accepted:
             return verdict
-        # the entries in block order, whatever order the handed maps are in
-        incl, excl = sorted(history.incl.items()), sorted(history.excl.items())
+        # the entries in block order, whatever order the handed maps are in;
+        # an empty map is neither sorted nor spliced in
+        incl = sorted(history.incl.items()) if history.incl else ()
         last = incl[-1][1] if incl else mark.tip
         if last.tx.new_owner != self.address:
             return Verdict(False, None, "history does not end at this wallet")
+        excl = sorted(history.excl.items()) if history.excl else ()
         log = self._log(slot)
-        # drop what sync appended past the mark; the new entries replace it,
-        # and the last of them is the new mark's block
+        # drop what sync appended past the mark from both maps; the new
+        # entries replace it, and the last of them is the new mark's block
         block = mark.block
         for entries, added in ((log.incl, incl), (log.excl, excl)):
             while entries and next(reversed(entries)) > mark.block:
                 entries.popitem()
-            entries.update(added)
-            if added and added[-1][0] > block:
-                block = added[-1][0]
+            if added:
+                entries.update(added)
+                if added[-1][0] > block:
+                    block = added[-1][0]
         self.coins[slot] = log
         self.marks[slot] = Mark(block, last)
         return ACCEPT

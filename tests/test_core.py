@@ -4,7 +4,7 @@ signature scheme."""
 import copy
 import hashlib
 import pickle
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -133,6 +133,48 @@ def test_tx_hash_is_computed_once_and_kept_outside_the_fields(monkeypatch):
     spend = make_transfer_tx(Keyring().new_signer("alice"), 7, 1000, owner)
     calls.clear()
     assert spend.digest is spend.hash() and spend.digest == digest and not calls
+
+
+def test_a_transaction_keeps_the_frozen_dataclass_contract(keyring):
+    """``Transaction``'s own ``__init__``, which the dataclass keeps, builds
+    the same frozen dataclass the generated one would, for a signed spend
+    and for transactions built positionally and by keyword: every field
+    refuses a write and a delete, the instance dict holds the four fields
+    and, once read, the digest, and ``replace`` carries no digest over.  A
+    missing or unknown argument raises TypeError, and the signature
+    defaults to empty."""
+    alice = keyring.new_signer("alice")
+    bob, carol = (keyring.new_signer(name).address for name in ("bob", "carol"))
+    spend = make_transfer_tx(alice, 7, 1000, bob)
+    positional = Transaction(7, 1000, bob, spend.signature)
+    keyword = Transaction(slot=7, parent_block=1000, new_owner=bob, signature=spend.signature)
+    assert spend == positional == keyword and hash(spend) == hash(positional) == hash(keyword)
+    assert repr(spend) == repr(positional) == repr(keyword)
+    names = [f.name for f in fields(Transaction)]
+    assert names == ["slot", "parent_block", "new_owner", "signature"]
+    held = {"slot": 7, "parent_block": 1000, "new_owner": bob, "signature": spend.signature}
+    assert vars(spend) == {**held, "digest": spend.digest}
+    for tx in (positional, keyword):
+        assert vars(tx) == held
+        assert tx.digest == spend.digest and vars(tx) == {**held, "digest": spend.digest}
+    for tx in (spend, positional, keyword):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(tx, name, getattr(tx, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(tx, name)
+        moved = replace(tx, new_owner=carol)
+        assert "digest" not in vars(moved) and moved.new_owner == carol
+        assert moved.digest == Transaction(7, 1000, carol, spend.signature).digest != spend.digest
+    assert Transaction(7, 0, alice.address) == make_deposit_tx(7, alice.address)  # signature b""
+    for args, kwargs in (
+        ((7, 1000), {}),
+        ((), {"slot": 7, "parent_block": 1000, "signature": b""}),
+        ((7, 1000, bob, b"", 5), {}),
+        ((7, 1000, bob), {"colour": 1}),
+    ):
+        with pytest.raises(TypeError):
+            Transaction(*args, **kwargs)
 
 
 @settings(max_examples=200, deadline=None)

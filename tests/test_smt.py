@@ -661,6 +661,36 @@ def test_a_one_leaf_tree_costs_one_hash(monkeypatch):
         assert calls == [40]
 
 
+def test_a_tree_of_lone_leaves_costs_its_closed_form_to_build(monkeypatch):
+    """In a tree of slots 0, 2^a and 2^b (0 < a < b) at depth d, no subtree
+    of height a or less holds two leaves.  Each leaf is lone until it meets
+    another node, above level 0, so its lone digest is hashed once: 3
+    hashes of 8 + 32 bytes.  Slots 0 and 2^a meet at level a, so every
+    level from a + 1 up to the root holds one node of two or more leaves,
+    one 64-byte hash each: d - a.  At a = 10, b = 20, d = 64 that is
+    3 + 54 = 57 hashes, all through ``smt.hash_pair`` looked up at build
+    time."""
+    a, b, depth = 10, 20, 64
+    slots = (0, 1 << a, 1 << b)
+    leaves = {slot: leaf(slot) for slot in slots}
+    # the root by hand: the pair meets at level a, the third leaf at level b
+    node = hash_pair(lone(slots[0], leaves[slots[0]]), lone(slots[1], leaves[slots[1]]))
+    for i in range(a + 1, depth):
+        right = lone(slots[2], leaves[slots[2]]) if i == b else smt.DEFAULTS[i]
+        node = hash_pair(node, right)
+    calls = []
+
+    def counted(left, right):
+        calls.append(len(left + right))
+        return hash_pair(left, right)
+
+    monkeypatch.setattr(smt, "hash_pair", counted)
+    tree = SparseMerkleTree(SmtConfig(depth=depth), leaves)
+    assert tree.root == node
+    assert calls.count(40) == len(slots) and calls.count(64) == depth - a
+    assert len(calls) == len(slots) + depth - a == 57
+
+
 @pytest.mark.parametrize("depth", [16, 64])
 @pytest.mark.parametrize("k", [1, 2, 5, 6, 64])
 def test_verify_costs_its_closed_form(monkeypatch, k, depth):

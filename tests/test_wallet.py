@@ -840,6 +840,52 @@ def test_handoff_cost_does_not_grow_with_coin_age(counts):
     assert cost[16] == cost[64] == (5, 5)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_sync_costs_one_witness_per_new_block_and_no_hash(monkeypatch, counts, k):
+    """A holder's ``sync`` over k new blocks fetches k witnesses, one a
+    block, and checks none: no ``smt.hash_pair``, no ``Keyring.recover`` and
+    no SHA-256 in ``core``.  Alice's coin stays put at depth 64 while other
+    coins move, alone in one block (her exclusion names a neighbour) and
+    three at a time in the next; an empty block between them is not listed,
+    so it costs nothing.  A second ``sync`` fetches nothing."""
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    slot = sim.deposit("alice", 5)
+    names = ["bob", "carol", "dave"]
+    holders = {sim.deposit(name, 5): name for name in names}
+    for j in range(k):
+        moves = [
+            (holders[other], other, names[(names.index(holders[other]) + 1) % 3])
+            for other in list(holders)[: 1 if j % 2 == 0 else 3]
+        ]
+        for sender, other, receiver in moves:
+            sim.transfer(sender, other, receiver)
+        sim.commit_block()
+        for sender, other, receiver in moves:
+            assert sim.deliver(sender, other, receiver).accepted
+            holders[other] = receiver
+        sim.commit_block()  # no transaction: the contract does not list it
+    alice, get_witness = sim.actor("alice"), sim.operator.get_witness
+    blocks = sim.contract.view.history_blocks(sim.contract.coins[slot].deposit_block)
+    assert len(blocks) == k
+    fetched, sha256s = [], []
+
+    def counted_witness(coin, number):
+        fetched.append((coin, number))
+        return get_witness(coin, number)
+
+    def sha256(data=b""):
+        sha256s.append(data)
+        return hashlib.sha256(data)
+
+    counts.clear()
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
+    alice.sync(slot, counted_witness)
+    assert fetched == [(slot, number) for number in blocks]
+    assert list(alice.coins[slot].excl) == blocks
+    alice.sync(slot, counted_witness)
+    assert len(fetched) == k and not counts and not sha256s
+
+
 def test_handoff_bytes_are_the_sum_of_closed_forms(monkeypatch):
     """What a hand-off ships and what the receiver stores, in bytes: one
     coin at depth 64, handed round-robin among 4 wallets, one block each.
