@@ -13,27 +13,13 @@ from . import bench as bench_mod
 from . import scenarios as scn
 
 
-def _params(maturity, bond, smt_depth, config_file) -> ChainParams:
-    """The chain parameters from ``--config`` and the flags; anything
-    ``ChainParams`` refuses is a usage error (exit code 2)."""
-    values = {}
-    if config_file:
-        with open(config_file) as fh:
-            try:
-                values = json.load(fh)
-            except ValueError as exc:
-                raise click.BadParameter(f"not JSON: {exc}", param_hint="--config")
-        if not isinstance(values, dict):
-            raise click.BadParameter("must hold a JSON object", param_hint="--config")
-    if maturity is not None:
-        values["maturity_period"] = maturity
-    if bond is not None:
-        values["bond_amount"] = bond
-    if smt_depth is not None:
-        values["smt_depth"] = smt_depth
+def _params(maturity, bond, smt_depth) -> ChainParams:
+    """The chain parameters from the flags, defaults for those not given;
+    anything ``ChainParams`` refuses is a usage error (exit code 2)."""
+    given = {"maturity_period": maturity, "bond_amount": bond, "smt_depth": smt_depth}
     try:
-        return ChainParams(**values)
-    except (TypeError, ValueError) as exc:
+        return ChainParams(**{name: value for name, value in given.items() if value is not None})
+    except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -63,15 +49,13 @@ def main():
 @click.option("--maturity", type=int, default=None, help="maturity period override")
 @click.option("--bond", type=int, default=None, help="bond amount override")
 @click.option("--smt-depth", type=int, default=None, help="tree depth override")
-@click.option("--config", "config_file", type=click.Path(exists=True), default=None,
-              help="JSON file with chain parameters")
 @click.option("--watcher/--no-watcher", default=True, show_default=True,
               help="run the defending wallet watcher")
 @click.option("--json", "json_path", type=click.Path(), default=None,
               help="write the full report to this path")
-def run_cmd(name, maturity, bond, smt_depth, config_file, watcher, json_path):
+def run_cmd(name, maturity, bond, smt_depth, watcher, json_path):
     """Run one scripted scenario and check its expected outcome."""
-    params = _params(maturity, bond, smt_depth, config_file)
+    params = _params(maturity, bond, smt_depth)
     _finish(scn.run(name, params=params, watcher=watcher), json_path)
 
 

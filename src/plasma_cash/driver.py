@@ -96,7 +96,7 @@ class Simulation:
         exit_tx = wallet.last_inclusion(slot)  # NotOwned unless the wallet holds the coin
         parent = exit_tx.tx.parent_block
         parent_tx = None if parent == 0 else wallet.coins[slot].incl[parent]  # 0: a deposit
-        self.contract.start_exit(wallet.address, slot, parent_tx, exit_tx, self.params.bond_amount)
+        self.contract.start_exit(wallet.address, slot, parent_tx, exit_tx)
 
     def exit_with(self, name: str, slot: int, parent_block: Optional[int], exit_block: int):
         """Exit with the coin's entries at ``parent_block`` (None for a
@@ -111,9 +111,7 @@ class Simulation:
 
         parent_tx = None if parent_block is None else entry(parent_block)
         exit_tx = entry(exit_block)
-        self.contract.start_exit(
-            self.address(name), slot, parent_tx, exit_tx, self.params.bond_amount
-        )
+        self.contract.start_exit(self.address(name), slot, parent_tx, exit_tx)
 
     def run_watchers(self):
         """Each wallet syncs its coins (best effort) and challenges any

@@ -89,10 +89,6 @@ class WrongCaller(PlasmaError):
     """A move made by someone other than the one party it allows."""
 
 
-class WrongBond(PlasmaError):
-    pass
-
-
 class NoSuchChallenge(PlasmaError):
     pass
 

@@ -30,7 +30,6 @@ from .errors import (
     SlotOutOfRange,
     UnknownCoin,
     Unlinked,
-    WrongBond,
     WrongCaller,
     WrongState,
 )
@@ -83,7 +82,6 @@ class PendingChallenge:
 
 @dataclass
 class Exit:
-    slot: int
     exitor: Address
     parent_tx: Optional[IncludedTx]
     exit_tx: IncludedTx
@@ -155,7 +153,6 @@ class PlasmaContract:
         self.value_escrow = 0
         self.bond_escrow = 0
         self.events: List[Event] = []
-        self._next_slot = 0
         self._next_challenge_id = 0
 
     # -- plumbing --
@@ -244,13 +241,12 @@ class PlasmaContract:
         the empty proof, the coin's record keeps."""
         if type(denomination) is not int or denomination <= 0:
             raise BadDenomination(f"denomination must be a positive integer, got {denomination!r}")
-        if self._next_slot >= self.config.capacity:
+        slot = len(self.coins)  # no record is ever removed
+        if slot >= self.config.capacity:
             raise SlotOutOfRange(f"all 2^{self.config.depth} slots are minted")
         self._debit(depositor, denomination)
         self.value_escrow += denomination
 
-        slot = self._next_slot
-        self._next_slot += 1
         number = self.current_block + 1
         if number % CHILD_BLOCK_INTERVAL == 0:
             number += 1  # interval numbers belong to operator blocks
@@ -294,11 +290,11 @@ class PlasmaContract:
         slot: int,
         parent_tx: Optional[IncludedTx],
         exit_tx: IncludedTx,
-        bond: int,
     ) -> int:
+        """Exit ``slot`` with ``exit_tx``, a spend of ``parent_tx`` (None for
+        a deposit exit); the contract escrows ``params.bond_amount`` from the
+        caller."""
         coin = self._coin_for(slot, CoinState.EXITING)
-        if bond != self.params.bond_amount:
-            raise WrongBond(f"bond must be {self.params.bond_amount}")
         if exit_tx.tx is None or exit_tx.tx.slot != slot:
             raise BadProof("exit transaction missing or for another slot")
         if caller != exit_tx.tx.new_owner:
@@ -312,9 +308,9 @@ class PlasmaContract:
             self._check_included(slot, parent_tx, "parent")
             self._check_spend("exit", slot, exit_tx, parent_tx, self.current_block)
 
+        bond = self.params.bond_amount
         self._take_bond(caller, bond)
         ex = self.exits[slot] = Exit(
-            slot=slot,
             exitor=caller,
             parent_tx=parent_tx,
             exit_tx=exit_tx,
@@ -372,15 +368,15 @@ class PlasmaContract:
         self._check_spend("challenge", slot, spend, ex.parent_tx, ex.exit_block - 1)
         self._cancel_exit(slot, challenger, "ChallengedBetween", spend)
 
-    def challenge_before(self, challenger: Address, slot: int, tx: IncludedTx, bond: int) -> int:
-        """Bonded interactive claim that the exit's history is invalid."""
+    def challenge_before(self, challenger: Address, slot: int, tx: IncludedTx) -> int:
+        """Bonded interactive claim that the exit's history is invalid; the
+        contract escrows ``params.bond_amount`` from the challenger."""
         ex = self._active_exit(slot)
-        if bond != self.params.bond_amount:
-            raise WrongBond(f"bond must be {self.params.bond_amount}")
         self._check_included(slot, tx, "challenge")
         if tx.blk_number >= ex.boundary:
             kind = "parent" if ex.parent_tx is not None else "deposit exit's"
             raise OutOfRange(f"challenge must precede the {kind} block {ex.boundary}")
+        bond = self.params.bond_amount
         self._take_bond(challenger, bond)
         challenge_id = self._next_challenge_id
         self._next_challenge_id += 1

@@ -199,8 +199,7 @@ class Wallet:
         # once per live exit, answered or not (a restarted exit is a new one)
         mine = self.last_inclusion(slot)
         if mine.blk_number < ex.boundary and self._staked.get(slot) is not ex:
-            bond = self.contract.params.bond_amount
-            action = self._attempt("before", slot, self.contract.challenge_before, mine, bond)
+            action = self._attempt("before", slot, self.contract.challenge_before, mine)
             if action.ok:
                 self._staked[slot] = ex
             return action

@@ -6,7 +6,8 @@ so every verdict is visible in the run log.  ``proof_from_siblings`` and
 ``siblings_of`` convert between a proof and its full sibling list, one
 digest per level, ``set_bits`` lists a bitfield's set levels, ``flip`` is
 the one way tests tamper with a proof,
-``fold`` is the reference verifier over such a list, and ``whole`` reads
+``fold`` is the reference verifier over such a list, ``DenseTree`` is the
+brute-force tree oracle with its ``reference_proof``, and ``whole`` reads
 exactly one encoding.  ``Chain`` is the one hand-built plasmachain, with
 its block-replay ownership oracle.
 """
@@ -90,6 +91,53 @@ def fold_root(slot: int, leaf: bytes, siblings, neighbor=None) -> Optional[bytes
 def fold(slot: int, leaf: bytes, siblings, root: bytes, neighbor=None) -> bool:
     """Whether the reference fold reaches ``root``."""
     return fold_root(slot, leaf, siblings, neighbor) == root
+
+
+def reference_proof(config: SmtConfig, leaves, slot: int, node) -> Proof:
+    """The proof of ``slot`` from ``node(level, index)``, which gives a
+    subtree's digest and occupied slots: the sibling at every level, except
+    that an absent slot whose lowest non-empty sibling holds one leaf names
+    that leaf as its neighbour and sends the default there instead."""
+    sibs = [node(i, (slot >> i) ^ 1) for i in range(config.depth)]
+    digests = [digest for digest, _ in sibs]
+    neighbor = None
+    below = next((i for i, (_, slots) in enumerate(sibs) if slots), None)
+    if slot not in leaves and below is not None and len(sibs[below][1]) == 1:
+        (other,) = sibs[below][1]
+        neighbor = (other, leaves[other])
+        digests[below] = config.defaults[below]
+    return proof_from_siblings(digests, neighbor)
+
+
+class DenseTree:
+    """Brute-force oracle: materializes every node of the full tree, each the
+    level default, a lone leaf's digest, or the hash of its children."""
+
+    def __init__(self, config: SmtConfig, leaves):
+        self.config, self.leaves = config, leaves
+        level = [(leaves.get(i, DEFAULT_LEAF), [i] if i in leaves else []) for i in range(config.capacity)]
+        self.levels = [level]
+        while len(level) > 1:
+            height = len(self.levels)
+            parents = []
+            for (left, lslots), (right, rslots) in zip(level[::2], level[1::2]):
+                slots = lslots + rslots
+                if not slots:
+                    digest = config.defaults[height]
+                elif len(slots) == 1:
+                    digest = lone(slots[0], leaves[slots[0]])
+                else:
+                    digest = hash_pair(left, right)
+                parents.append((digest, slots))
+            level = parents
+            self.levels.append(level)
+
+    @property
+    def root(self):
+        return self.levels[-1][0][0]
+
+    def prove(self, slot):
+        return reference_proof(self.config, self.leaves, slot, lambda i, j: self.levels[i][j])
 
 
 def whole(data: bytes, read):

@@ -30,7 +30,6 @@ from plasma_cash.errors import (
     SlotOutOfRange,
     UnknownCoin,
     Unlinked,
-    WrongBond,
     WrongCaller,
     WrongState,
 )
@@ -93,7 +92,7 @@ def fx():
 
 def carol_exit(fx):
     fx.contract.start_exit(
-        fx.carol.address, fx.slot, fx.witness(fx.slot, 1000), fx.witness(fx.slot, 3000), BOND
+        fx.carol.address, fx.slot, fx.witness(fx.slot, 1000), fx.witness(fx.slot, 3000)
     )
 
 
@@ -176,7 +175,7 @@ def test_deposit_past_capacity_changes_nothing():
 
     def state():
         c = f.contract
-        return c.balance_of(f.alice.address), c.value_escrow, c.current_block, c._next_slot
+        return c.balance_of(f.alice.address), c.value_escrow, c.current_block, len(c.coins)
 
     before = state()
     with pytest.raises(SlotOutOfRange):
@@ -209,7 +208,7 @@ def test_exit_and_withdraw_happy_path(fx):
 def test_deposit_exit(fx):
     f = Fixture()
     slot, _, dep = f.mint(f.alice, 3)
-    f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
+    f.contract.start_exit(f.alice.address, slot, None, dep)
     f.contract.advance_time(PARAMS.maturity_period)
     assert f.contract.finalize_exit(slot) == "Finalized"
     assert f.contract.withdraw(f.alice.address, slot) == 3
@@ -218,24 +217,20 @@ def test_deposit_exit(fx):
 def test_start_exit_error_paths(fx):
     w1000, w3000 = fx.witness(fx.slot, 1000), fx.witness(fx.slot, 3000)
     with pytest.raises(UnknownCoin):
-        fx.contract.start_exit(fx.carol.address, 99, w1000, w3000, BOND)
-    with pytest.raises(WrongBond):
-        fx.contract.start_exit(fx.carol.address, fx.slot, w1000, w3000, BOND + 1)
+        fx.contract.start_exit(fx.carol.address, 99, w1000, w3000)
     with pytest.raises(WrongCaller):
-        fx.contract.start_exit(fx.mallory.address, fx.slot, w1000, w3000, BOND)
+        fx.contract.start_exit(fx.mallory.address, fx.slot, w1000, w3000)
     with pytest.raises(BadProof):  # exclusion entry in place of the exit tx
-        fx.contract.start_exit(fx.carol.address, fx.slot, w1000, fx.witness(fx.slot, 2000), BOND)
+        fx.contract.start_exit(fx.carol.address, fx.slot, w1000, fx.witness(fx.slot, 2000))
     with pytest.raises(Unlinked):  # parent witness from the wrong block
-        fx.contract.start_exit(
-            fx.carol.address, fx.slot, fx.witness(fx.slot, fx.dep_block), w3000, BOND
-        )
+        fx.contract.start_exit(fx.carol.address, fx.slot, fx.witness(fx.slot, fx.dep_block), w3000)
     with pytest.raises(BadSignature):
         # exit tx re-signed by a non-owner
         forged = make_transfer_tx(fx.mallory, fx.slot, 1000, fx.carol.address)
         block = fx.commit({fx.slot: forged})
-        fx.contract.start_exit(fx.carol.address, fx.slot, w1000, block.prove(fx.slot), BOND)
+        fx.contract.start_exit(fx.carol.address, fx.slot, w1000, block.prove(fx.slot))
     with pytest.raises(BadProof):  # non-deposit entry on the deposit-exit path
-        fx.contract.start_exit(fx.carol.address, fx.slot, None, w3000, BOND)
+        fx.contract.start_exit(fx.carol.address, fx.slot, None, w3000)
 
     carol_exit(fx)
     with pytest.raises(WrongState):  # already exiting
@@ -278,7 +273,7 @@ def test_challenge_between_cancels_double_spend_exit(fx):
     double = make_transfer_tx(fx.bob, fx.slot, 1000, fx.mallory.address)
     blk = fx.commit({fx.slot: double})
     fx.contract.start_exit(
-        fx.mallory.address, fx.slot, fx.witness(fx.slot, 1000), blk.prove(fx.slot), BOND
+        fx.mallory.address, fx.slot, fx.witness(fx.slot, 1000), blk.prove(fx.slot)
     )
     fx.contract.challenge_between(fx.carol.address, fx.slot, fx.witness(fx.slot, 3000))
     assert fx.slot not in fx.contract.exits
@@ -313,7 +308,7 @@ def test_signed_deposit_tx_does_not_exit():
     before = contract_state(f.contract)
     with pytest.raises(BadProof):
         f.contract.start_exit(
-            f.alice.address, slot, None, IncludedTx(signed_tx, dep_block, genuine.proof), BOND
+            f.alice.address, slot, None, IncludedTx(signed_tx, dep_block, genuine.proof)
         )
     assert contract_state(f.contract) == before
     assert f.contract.coins[slot].state is CoinState.DEPOSITED
@@ -330,9 +325,9 @@ def test_entries_outside_the_coins_blocks_are_refused(fx):
     for number in (other_block, 999):
         moved = IncludedTx(genuine.tx, number, genuine.proof)
         with pytest.raises(BadProof, match="neither an operator block nor the coin's deposit entry"):
-            fx.contract.challenge_before(fx.alice.address, fx.slot, moved, BOND)
+            fx.contract.challenge_before(fx.alice.address, fx.slot, moved)
     assert fx.contract.exits[fx.slot].challenges == []
-    fx.contract.challenge_before(fx.alice.address, fx.slot, genuine, BOND)
+    fx.contract.challenge_before(fx.alice.address, fx.slot, genuine)
     assert len(fx.contract.exits[fx.slot].challenges) == 1
 
 
@@ -348,9 +343,7 @@ def test_deposit_tx_at_an_operator_block_is_no_exit_parent():
     f.commit({slot: make_transfer_tx(f.alice, slot, 2000, f.carol.address)})
     before = contract_state(f.contract)
     with pytest.raises(BadProof, match="deposit transaction at operator block 2000"):
-        f.contract.start_exit(
-            f.carol.address, slot, f.witness(slot, 2000), f.witness(slot, 3000), BOND
-        )
+        f.contract.start_exit(f.carol.address, slot, f.witness(slot, 2000), f.witness(slot, 3000))
     assert contract_state(f.contract) == before
     assert f.contract.coins[slot].state is CoinState.DEPOSITED
 
@@ -375,10 +368,10 @@ def test_an_exit_proof_carrying_a_neighbor_is_refused(fx):
             else:
                 e = IncludedTx(e.tx, e.blk_number, replace(e.proof, neighbor=neighbor))
             with pytest.raises(BadProof, match=f"{carrier} inclusion proof invalid"):
-                fx.contract.start_exit(fx.alice.address, fx.slot, p, e, BOND)
+                fx.contract.start_exit(fx.alice.address, fx.slot, p, e)
             assert contract_state(fx.contract) == before
             assert fx.contract.coins[fx.slot].state is CoinState.DEPOSITED
-    fx.contract.start_exit(fx.alice.address, fx.slot, parent, exit_tx, BOND)
+    fx.contract.start_exit(fx.alice.address, fx.slot, parent, exit_tx)
     assert fx.slot in fx.contract.exits
 
 
@@ -441,11 +434,11 @@ def test_only_the_recorded_deposit_entry_is_taken(data):
         exitor, args = f.bob.address, (entry, spend)
     before = contract_state(f.contract)
     if kind == "genuine":
-        f.contract.start_exit(exitor, slot, *args, BOND)
+        f.contract.start_exit(exitor, slot, *args)
         assert f.contract.coins[slot].state is CoinState.EXITING
         return
     with pytest.raises(PlasmaError):
-        f.contract.start_exit(exitor, slot, *args, BOND)
+        f.contract.start_exit(exitor, slot, *args)
     assert contract_state(f.contract) == before
 
 
@@ -499,19 +492,19 @@ def spend_move(move, fault):
     f.commit({} if early else {slot: tx, **(beside if fault == "sent default" else {})})
     c = f.contract
     if move == "challenge_after":
-        c.start_exit(f.bob.address, slot, dep, f.witness(slot, 2000), BOND)
+        c.start_exit(f.bob.address, slot, dep, f.witness(slot, 2000))
     elif move == "challenge_between":
         f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.mallory.address)})
-        c.start_exit(f.mallory.address, slot, f.witness(slot, 2000), f.witness(slot, 4000), BOND)
+        c.start_exit(f.mallory.address, slot, f.witness(slot, 2000), f.witness(slot, 4000))
     elif move == "respond_challenge_before":
         f.commit({slot: make_transfer_tx(f.mallory, slot, 2000, f.mallory.address)})
         f.commit({slot: make_transfer_tx(f.mallory, slot, 4000, f.mallory.address)})
-        c.start_exit(f.mallory.address, slot, f.witness(slot, 4000), f.witness(slot, 5000), BOND)
-        cid = c.challenge_before(f.alice.address, slot, f.witness(slot, 2000), BOND)
+        c.start_exit(f.mallory.address, slot, f.witness(slot, 4000), f.witness(slot, 5000))
+        cid = c.challenge_before(f.alice.address, slot, f.witness(slot, 2000))
 
     def call(spend):
         if move == "start_exit":
-            return c.start_exit(f.carol.address, slot, f.witness(slot, 2000), spend, BOND)
+            return c.start_exit(f.carol.address, slot, f.witness(slot, 2000), spend)
         if move == "respond_challenge_before":
             return c.respond_challenge_before(f.carol.address, slot, cid, spend)
         return getattr(c, move)(f.carol.address, slot, spend)
@@ -583,14 +576,14 @@ def test_no_exit_parent_or_challenge_at_an_empty_block(fx):
         with pytest.raises(BadProof, match="parent block 2000: neither an operator block nor the coin's deposit"):
             fx.contract.start_exit(
                 fx.carol.address, fx.slot, IncludedTx(parent.tx, 2000, proof),
-                fx.witness(fx.slot, 3000), BOND,
+                fx.witness(fx.slot, 3000),
             )
     assert contract_state(fx.contract) == before
     carol_exit(fx)
     for tx in (deposit.tx, parent.tx):
         with pytest.raises(BadProof, match="challenge block 2000: neither an operator block nor the coin's deposit"):
             fx.contract.challenge_before(
-                fx.alice.address, fx.slot, IncludedTx(tx, 2000, empty_proof), BOND
+                fx.alice.address, fx.slot, IncludedTx(tx, 2000, empty_proof)
             )
     assert fx.contract.exits[fx.slot].challenges == []
 
@@ -683,12 +676,12 @@ def test_every_check_agrees_on_spend_entries(data):
     before = contract_state(f.contract)
     if kind == "genuine":
         assert verdict == ACCEPT and ledger.spend_fault(entry.tx) is None and found == entry
-        f.contract.start_exit(f.carol.address, slot, parent.prove(slot), entry, BOND)
+        f.contract.start_exit(f.carol.address, slot, parent.prove(slot), entry)
         assert f.contract.coins[slot].state is CoinState.EXITING
         return
     assert not verdict and verdict.reason in reasons, (kind, verdict)
     with pytest.raises(PlasmaError):
-        f.contract.start_exit(f.carol.address, slot, parent.prove(slot), entry, BOND)
+        f.contract.start_exit(f.carol.address, slot, parent.prove(slot), entry)
     assert contract_state(f.contract) == before
     assert (ledger.spend_fault(entry.tx) is None) == (kind in ("sibling", "blk_number"))
     assert (found is None) == (kind != "sibling")
@@ -699,7 +692,7 @@ def test_challenge_between_rejected_on_deposit_exit():
     that is not included is still refused for that first, as on any exit."""
     f = Fixture()
     slot, dep_block, dep = f.mint(f.alice, 3)
-    f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
+    f.contract.start_exit(f.alice.address, slot, None, dep)
     before = contract_state(f.contract)
     with pytest.raises(Unlinked):
         f.contract.challenge_between(f.bob.address, slot, dep)
@@ -718,14 +711,12 @@ def exit_invalid_history(fx):
     p_blk = fx.commit({fx.slot: forged_parent})
     forged_exit = make_transfer_tx(fx.mallory, fx.slot, p_blk.number, fx.mallory.address)
     e_blk = fx.commit({fx.slot: forged_exit})
-    fx.contract.start_exit(
-        fx.mallory.address, fx.slot, p_blk.prove(fx.slot), e_blk.prove(fx.slot), BOND
-    )
+    fx.contract.start_exit(fx.mallory.address, fx.slot, p_blk.prove(fx.slot), e_blk.prove(fx.slot))
 
 
 def test_unanswered_challenge_before_cancels_at_finalization(fx):
     exit_invalid_history(fx)
-    cid = fx.contract.challenge_before(fx.carol.address, fx.slot, fx.witness(fx.slot, 3000), BOND)
+    cid = fx.contract.challenge_before(fx.carol.address, fx.slot, fx.witness(fx.slot, 3000))
     assert fx.contract.bond_escrow == 2 * BOND
     fx.contract.advance_time(PARAMS.maturity_period)
     assert fx.contract.finalize_exit(fx.slot) == "CancelledByChallenge"
@@ -743,7 +734,7 @@ def test_unanswered_challengers_split_the_exit_bond(fx):
     exit_invalid_history(fx)
     challengers = [(fx.carol, 3000), (fx.bob, 1000), (fx.alice, fx.dep_block)]
     for signer, block in challengers:
-        fx.contract.challenge_before(signer.address, fx.slot, fx.witness(fx.slot, block), BOND)
+        fx.contract.challenge_before(signer.address, fx.slot, fx.witness(fx.slot, block))
     assert fx.contract.bond_escrow == 4 * BOND
     before = [fx.contract.balance_of(signer.address) for signer, _ in challengers]
     fx.contract.advance_time(PARAMS.maturity_period)
@@ -758,9 +749,7 @@ def test_unanswered_challengers_split_the_exit_bond(fx):
 def test_answered_challenge_before_lets_exit_finalize(fx):
     carol_exit(fx)
     # Alice (griefing) challenges with the deposit tx; Bob's spend answers it
-    cid = fx.contract.challenge_before(
-        fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block), BOND
-    )
+    cid = fx.contract.challenge_before(fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block))
     fx.contract.respond_challenge_before(
         fx.carol.address, fx.slot, cid, fx.witness(fx.slot, 1000)
     )
@@ -784,8 +773,8 @@ def test_an_answered_challenge_is_gone_and_pays_once(fx):
         return [c.challenge_id for c in ex.challenges]
 
     deposit = fx.witness(fx.slot, fx.dep_block)
-    answered = contract.challenge_before(fx.alice.address, fx.slot, deposit, BOND)
-    pending = contract.challenge_before(fx.bob.address, fx.slot, deposit, BOND)
+    answered = contract.challenge_before(fx.alice.address, fx.slot, deposit)
+    pending = contract.challenge_before(fx.bob.address, fx.slot, deposit)
     assert listed() == [answered, pending]
     response = fx.witness(fx.slot, 1000)
     contract.respond_challenge_before(fx.carol.address, fx.slot, answered, response)
@@ -804,11 +793,10 @@ def test_an_answered_challenge_is_gone_and_pays_once(fx):
 def test_challenge_before_window_and_bond(fx):
     carol_exit(fx)
     with pytest.raises(OutOfRange):  # boundary is the parent block 1000
-        fx.contract.challenge_before(fx.bob.address, fx.slot, fx.witness(fx.slot, 1000), BOND)
-    with pytest.raises(WrongBond):
-        fx.contract.challenge_before(
-            fx.bob.address, fx.slot, fx.witness(fx.slot, fx.dep_block), BOND - 1
-        )
+        fx.contract.challenge_before(fx.bob.address, fx.slot, fx.witness(fx.slot, 1000))
+    # the contract escrows the chain's bond beside the exit's
+    fx.contract.challenge_before(fx.bob.address, fx.slot, fx.witness(fx.slot, fx.dep_block))
+    assert fx.contract.bond_escrow == 2 * BOND
 
 
 def test_challenge_before_a_deposit_exit_names_its_exit_block():
@@ -816,19 +804,17 @@ def test_challenge_before_a_deposit_exit_names_its_exit_block():
     too late to challenge it, and the refusal names the deposit block."""
     f = Fixture()
     slot, dep_block, dep = f.mint(f.alice, 3)
-    f.contract.start_exit(f.alice.address, slot, None, dep, BOND)
+    f.contract.start_exit(f.alice.address, slot, None, dep)
     assert f.contract.exits[slot].boundary == dep_block
     with pytest.raises(OutOfRange) as err:
-        f.contract.challenge_before(f.bob.address, slot, dep, BOND)
+        f.contract.challenge_before(f.bob.address, slot, dep)
     assert "parent" not in str(err.value) and f"block {dep_block}" in str(err.value)
     assert f.contract.exits[slot].challenges == []
 
 
 def test_respond_challenge_before_error_paths(fx):
     carol_exit(fx)
-    cid = fx.contract.challenge_before(
-        fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block), BOND
-    )
+    cid = fx.contract.challenge_before(fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block))
     with pytest.raises(NoSuchChallenge):
         fx.contract.respond_challenge_before(
             fx.carol.address, fx.slot, cid + 1, fx.witness(fx.slot, 1000)
@@ -844,10 +830,8 @@ def test_respond_challenge_before_error_paths(fx):
     f.commit({slot: make_transfer_tx(f.alice, slot, dep_block, f.bob.address)})
     f.commit({slot: make_transfer_tx(f.bob, slot, 2000, f.carol.address)})
     f.commit({slot: make_transfer_tx(f.carol, slot, 3000, f.mallory.address)})
-    f.contract.start_exit(
-        f.mallory.address, slot, f.witness(slot, 3000), f.witness(slot, 4000), BOND
-    )
-    cid = f.contract.challenge_before(f.alice.address, slot, f.witness(slot, 2000), BOND)
+    f.contract.start_exit(f.mallory.address, slot, f.witness(slot, 3000), f.witness(slot, 4000))
+    cid = f.contract.challenge_before(f.alice.address, slot, f.witness(slot, 2000))
     with pytest.raises(OutOfRange):
         f.contract.respond_challenge_before(f.mallory.address, slot, cid, early.prove(slot))
 
@@ -858,7 +842,7 @@ def test_cancelled_exit_refunds_pending_challenge_bonds(fx):
         {fx.slot: make_transfer_tx(fx.carol, fx.slot, 3000, fx.mallory.address)}
     ).prove(fx.slot)
     carol_exit(fx)
-    fx.contract.challenge_before(fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block), BOND)
+    fx.contract.challenge_before(fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block))
     fx.contract.challenge_after(fx.mallory.address, fx.slot, spend)
     assert fx.contract.bond_escrow == 0
     assert fx.contract.balance_of(fx.alice.address) == 9_995  # bond returned (5 still deposited)
@@ -924,7 +908,7 @@ def test_a_coin_state_changes_only_along_the_lifecycle(start, to):
 def test_value_is_conserved_through_a_full_dispute(fx):
     total = fx.contract.total_value()
     exit_invalid_history(fx)
-    fx.contract.challenge_before(fx.carol.address, fx.slot, fx.witness(fx.slot, 3000), BOND)
+    fx.contract.challenge_before(fx.carol.address, fx.slot, fx.witness(fx.slot, 3000))
     assert fx.contract.total_value() == total
     fx.contract.advance_time(PARAMS.maturity_period)
     fx.contract.finalize_exit(fx.slot)

@@ -9,7 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip, fold, fold_root, lone, proof_from_siblings, set_bits, siblings_of, whole
+from conftest import (
+    DenseTree,
+    flip,
+    fold,
+    fold_root,
+    lone,
+    proof_from_siblings,
+    reference_proof,
+    set_bits,
+    siblings_of,
+    whole,
+)
 from plasma_cash import smt
 from plasma_cash.core import Address, IncludedTx, PlasmaBlock, Transaction
 from plasma_cash.errors import (
@@ -41,53 +52,6 @@ def round_trip(proof: Proof, config: SmtConfig) -> Proof:
     """``proof`` encoded, then read back with the width and neighbour bit
     its container records."""
     return read_proof(proof.encode(config), config, proof.width, proof.neighbor is not None)
-
-
-def reference_proof(config: SmtConfig, leaves, slot: int, node) -> Proof:
-    """The proof of ``slot`` from ``node(level, index)``, which gives a
-    subtree's digest and occupied slots: the sibling at every level, except
-    that an absent slot whose lowest non-empty sibling holds one leaf names
-    that leaf as its neighbour and sends the default there instead."""
-    sibs = [node(i, (slot >> i) ^ 1) for i in range(config.depth)]
-    digests = [digest for digest, _ in sibs]
-    neighbor = None
-    below = next((i for i, (_, slots) in enumerate(sibs) if slots), None)
-    if slot not in leaves and below is not None and len(sibs[below][1]) == 1:
-        (other,) = sibs[below][1]
-        neighbor = (other, leaves[other])
-        digests[below] = config.defaults[below]
-    return proof_from_siblings(digests, neighbor)
-
-
-class DenseTree:
-    """Brute-force oracle: materializes every node of the full tree, each the
-    level default, a lone leaf's digest, or the hash of its children."""
-
-    def __init__(self, config: SmtConfig, leaves):
-        self.config, self.leaves = config, leaves
-        level = [(leaves.get(i, DEFAULT_LEAF), [i] if i in leaves else []) for i in range(config.capacity)]
-        self.levels = [level]
-        while len(level) > 1:
-            height = len(self.levels)
-            parents = []
-            for (left, lslots), (right, rslots) in zip(level[::2], level[1::2]):
-                slots = lslots + rslots
-                if not slots:
-                    digest = config.defaults[height]
-                elif len(slots) == 1:
-                    digest = lone(slots[0], leaves[slots[0]])
-                else:
-                    digest = hash_pair(left, right)
-                parents.append((digest, slots))
-            level = parents
-            self.levels.append(level)
-
-    @property
-    def root(self):
-        return self.levels[-1][0][0]
-
-    def prove(self, slot):
-        return reference_proof(self.config, self.leaves, slot, lambda i, j: self.levels[i][j])
 
 
 def random_leaves(rng, config, count):
@@ -188,6 +152,15 @@ def test_slot_bounds():
         tree.prove(16)
     with pytest.raises(SlotOutOfRange):
         tree.prove(-1)
+
+
+@pytest.mark.parametrize("depth", [4, 64])
+def test_a_leaf_outside_the_tree_is_refused(depth):
+    """No tree is built with a leaf at slot ``capacity`` or -1."""
+    config = SmtConfig(depth=depth)
+    for slot in (config.capacity, -1):
+        with pytest.raises(SlotOutOfRange):
+            SparseMerkleTree(config, {slot: leaf(slot)})
 
 
 def test_verify_rejects_out_of_range_slots():

@@ -241,7 +241,7 @@ def test_forged_and_withheld_exit(watcher):
     with pytest.raises(WitnessUnavailable):
         sim.exit_with("mallory", slot, forged, spent)
     parent_tx, exit_tx = operator.blocks[forged].prove(slot), operator.blocks[spent].prove(slot)
-    sim.contract.start_exit(mallory.address, slot, parent_tx, exit_tx, PARAMS.bond_amount)
+    sim.contract.start_exit(mallory.address, slot, parent_tx, exit_tx)
     assert sim.ledger.true_owner(slot) == sim.address("bob")
 
     if not watcher:
@@ -280,7 +280,7 @@ def test_an_honest_exitor_answers_a_before_challenge():
     sim.start_exit("carol", slot)
     assert sim.run_watchers() == []
     deposit = sim.contract.coins[slot].deposit
-    sim.contract.challenge_before(sim.address("alice"), slot, deposit, PARAMS.bond_amount)
+    sim.contract.challenge_before(sim.address("alice"), slot, deposit)
     actions = sim.run_watchers()
     assert [(a.kind, a.ok) for a in actions] == [("respond", True)]
     assert sim.contract.exits[slot].challenges == []
@@ -375,9 +375,7 @@ def test_an_answered_before_challenge_is_not_staked_again():
     for number in (to_carol, to_dave):
         operator.withhold(slot, number)
     spend = operator.blocks[to_carol].prove(slot)
-    sim.contract.start_exit(
-        dave.address, slot, spend, operator.blocks[to_dave].prove(slot), PARAMS.bond_amount
-    )
+    sim.contract.start_exit(dave.address, slot, spend, operator.blocks[to_dave].prove(slot))
     before = sim.balances_snapshot()
     passes = []
     for _ in range(3):
@@ -429,7 +427,7 @@ def test_an_exitor_answers_on_the_first_pass_its_log_holds_the_answer():
     carol_receipt = sim.commit_block().number
     sim.exit_with("carol", slot, bob_receipt, carol_receipt)
     deposit = sim.contract.coins[slot].deposit
-    sim.contract.challenge_before(sim.address("alice"), slot, deposit, PARAMS.bond_amount)
+    sim.contract.challenge_before(sim.address("alice"), slot, deposit)
     assert sim.run_watchers() == [] and sim.run_watchers() == []
     assert len(sim.contract.exits[slot].challenges) == 1
     assert sim.deliver("bob", slot, "carol")
@@ -1056,7 +1054,7 @@ def test_deposit_entry_under_an_operator_block_is_refused(forgery):
     assert verdict.reason is Reason.PARTITION_GAP and not carol.owns(slot)
     if forgery == "root":
         with pytest.raises(BadProof):
-            sim.contract.start_exit(carol.address, slot, entry, spend, PARAMS.bond_amount)
+            sim.contract.start_exit(carol.address, slot, entry, spend)
 
 
 def test_a_handoff_hashes_each_spend_once(monkeypatch):
