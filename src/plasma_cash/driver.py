@@ -85,7 +85,11 @@ class Simulation:
         src, dst = self.wallets[sender], self.wallets[receiver]
         src.sync(slot, self.operator.get_witness)
         log = src.coins.pop(slot)
-        verdict = dst.receive_coin(log.past(dst.mark(slot).block))
+        # only the mark's block is read here: ``receive_coin`` derives the
+        # mark itself, so a first-time receiver's is built once
+        mark = dst.marks.get(slot)
+        block = self.contract.coins[slot].deposit_block if mark is None else mark.block
+        verdict = dst.receive_coin(log.past(block))
         if not verdict.accepted:
             src.coins[slot] = log  # refused: kept, now last (the fuzz draws coins in order)
         return verdict

@@ -227,7 +227,9 @@ class SparseMerkleTree:
         # split: one past the highest level holding two or more nodes;
         # every level from it up holds only the node above ``_anchor``, and
         # is stored only when that node holds two or more leaves.
-        self._levels, self._lone, self._split, self.root = self._build()
+        # held: ``(i, levels[i])`` for each level below the split that holds
+        # a node, lowest first: the only levels ``prove`` looks up.
+        self._levels, self._held, self._lone, self._split, self.root = self._build()
         self._anchor = next(iter(self.leaves), None)
         # bitfield -> the exclusion proof shared by every slot of one shape (see prove)
         self._shared: Dict[int, Proof] = {} if leaves else {0: config.empty_proof}
@@ -236,11 +238,12 @@ class SparseMerkleTree:
         defaults, depth, leaves = self.config.defaults, self.config.depth, self.leaves
         # no level of a tree of zero or one leaf holds two nodes
         if not leaves:
-            return [], {}, 0, defaults[depth]
+            return [], [], {}, 0, defaults[depth]
         if len(leaves) == 1:  # it commits as its lone digest
             ((slot, leaf),) = leaves.items()
-            return [], {}, 0, hash_pair(slot.to_bytes(8, "big"), leaf)
+            return [], [], {}, 0, hash_pair(slot.to_bytes(8, "big"), leaf)
         levels = []
+        held = []
         lone_at = {}
         lone = {slot: slot for slot in leaves}  # index -> slot, one leaf below
         inner: Dict[int, bytes] = {}  # index -> digest, two or more below
@@ -263,6 +266,8 @@ class SparseMerkleTree:
                     left = stored.get(p * 2, defaults[i])
                     parents[p] = hash_pair(left, stored.get(p * 2 + 1, defaults[i]))
             levels.append(stored)
+            if stored:
+                held.append((i, stored))
             lone, inner = up_lone, parents
             i += 1
         # one node of two or more leaves: fold it up past default siblings
@@ -272,12 +277,13 @@ class SparseMerkleTree:
             root = hash_pair(defaults[j], root) if idx & 1 else hash_pair(root, defaults[j])
             idx >>= 1
             levels.append({idx: root})
-        return levels, lone_at, i, root
+        return levels, held, lone_at, i, root
 
     def prove(self, slot: int) -> Proof:
         """Merkle path for a slot; works for absent slots too (non-inclusion).
 
-        Only the levels below the split height are looked up.  Above it the
+        Only the levels below the split height that hold a node are looked
+        up: none does below the lowest level where two nodes meet.  Above it the
         one node of each level lies on the occupied slots' path, so it is the
         slot's sibling only at the highest bit where the slot leaves that
         path, and a slot that leaves it there has no other non-default
@@ -308,10 +314,9 @@ class SparseMerkleTree:
             return proof
         if not split:  # a one-leaf tree's own slot
             return config.empty_proof
-        levels = self._levels
         bitfield, present = 0, []
-        for i in range(split):
-            sib = levels[i].get((slot >> i) ^ 1)
+        for i, level in self._held:
+            sib = level.get((slot >> i) ^ 1)
             if sib is not None:
                 bitfield |= 1 << i
                 present.append(sib)
@@ -388,14 +393,23 @@ def verify(
         node = hash_(slot.to_bytes(8, "big"), leaf) if low else leaf
     if low == depth:
         return node == root
-    # fold in place up to ``top``: a set bit takes the next present sibling,
-    # a clear one its level's default
+    # fold up to ``top`` in one pass over the siblings, leaf-adjacent first:
+    # ``present`` itself when every level from ``low`` sends one (the bits
+    # from ``low`` are all ones), else each level spelled out, its default
+    # where the bitfield has a gap.  Bit 0 of ``index`` picks the side at
+    # each level, so it ends as ``slot >> top``
     top = bitfield.bit_length()
-    sibs = iter(proof.present)
-    for i in range(low, top):
-        sib = next(sibs) if bitfield >> i & 1 else DEFAULTS[i]
-        node = hash_(sib, node) if (slot >> i) & 1 else hash_(node, sib)
-    index = slot >> top
+    sibs = proof.present
+    run = bitfield >> low
+    if run & (run + 1):
+        sibs = [*DEFAULTS[low:top]]
+        for sib in proof.present:
+            sibs[(run & -run).bit_length() - 1] = sib
+            run &= run - 1
+    index = slot >> low
+    for sib in sibs:
+        node = hash_(sib, node) if index & 1 else hash_(node, sib)
+        index >>= 1
     key = (root, top, index, node)
     if known is not None and key in known:
         return True

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     DenseTree,
     flip,
@@ -744,6 +745,64 @@ def test_memo_verdict_equals_the_full_fold_on_exclusions(data):
     assert verify(slot, value, tampered, root, config, known) == expected
     if kind == "genuine":
         assert expected
+
+
+def hashed(run):
+    """``run()`` and the ``hash_pair`` calls it made, argument pairs in
+    order, in ``smt`` and in the reference fold, whose lone digest counts as
+    the pair it hashes."""
+    calls = []
+
+    def record(left, right):
+        calls.append((left, right))
+        return hash_pair(left, right)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smt, "hash_pair", record)
+        patch.setattr(conftest, "hash_pair", record)
+        patch.setattr(conftest, "lone", lambda slot, value: record(slot.to_bytes(8, "big"), value))
+        return run(), calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_makes_the_reference_folds_hashes(data):
+    """Trees of random occupancy at depths 16 and 64, one subtree of up to 64
+    slots either full (every inclusion sends a full run of siblings) or
+    partly filled (gapped bitfields): every probed slot's proof, genuine,
+    with one level's sibling flipped, and without its neighbour.  With no
+    memo, ``verify`` makes exactly the ``hash_pair`` calls of the reference
+    fold, the same pairs in the same order, and returns its verdict; with a
+    memo warmed by every occupied slot, the same verdict.  A fold that
+    skips, adds or reorders a hash fails here."""
+    depth = data.draw(st.sampled_from([16, 64]), label="depth")
+    config = SmtConfig(depth=depth)
+    width = data.draw(st.integers(0, 6), label="width")
+    base = data.draw(st.integers(0, config.capacity - 1), label="base") >> width << width
+    every = range(1 << width)
+    if data.draw(st.booleans(), label="full"):
+        offsets = set(every)
+    else:
+        offsets = data.draw(st.sets(st.sampled_from(every), max_size=len(every)), label="offsets")
+    tree = SparseMerkleTree(config, {base | o: leaf(base | o) for o in offsets})
+    known = set()
+    for s, value in tree.leaves.items():
+        assert verify(s, value, tree.prove(s), tree.root, config, known)
+    anchor = min(tree.leaves, default=base)
+    slots = {base, *sorted(tree.leaves)[:4], data.draw(st.integers(0, config.capacity - 1), label="far")}
+    bits = data.draw(st.lists(st.integers(0, depth - 1), max_size=3), label="bits")
+    slots.update(anchor ^ 1 << bit for bit in bits)
+    for slot in sorted(slots):
+        proof = tree.prove(slot)
+        value = tree.leaves.get(slot, DEFAULT_LEAF)
+        assert fold(slot, value, siblings_of(proof, depth), tree.root, proof.neighbor)
+        level = data.draw(st.integers(0, depth - 1), label="level")
+        for offered in (proof, flip(proof, level), replace(proof, neighbor=None)):
+            siblings = siblings_of(offered, depth)
+            expected, folded = hashed(lambda: fold(slot, value, siblings, tree.root, offered.neighbor))
+            verdict, made = hashed(lambda: verify(slot, value, offered, tree.root, config))
+            assert (verdict, made) == (expected, folded), (slot, offered.bitfield)
+            assert verify(slot, value, offered, tree.root, config, known) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -970,6 +970,60 @@ def test_handoff_cost_does_not_grow_with_other_deposits(counts, others):
     assert counts["verifies"] == 3
 
 
+def test_a_hand_off_checks_one_signature_per_handed_inclusion(monkeypatch, counts):
+    """The many-coins shape at depth 64: 64 coins in slots 0-63, slot i
+    deposited by wallet i % 8, each moved once a block to another of the 8
+    wallets drawn from a fixed seed, for 7 blocks (448 hand-offs).  Counted
+    per hand-off from this run, its transfer and its delivery: the
+    operator's intake recovers the spend's signer and the receiver each
+    handed inclusion's, so ``Keyring.recover`` runs 1 + the handed
+    inclusions; ``core`` takes SHA-256 for the spend's digest, its signature
+    and the intake's check, then one for each handed inclusion's check, so
+    3 + the handed inclusions.  Committing a block costs neither."""
+    sim = Simulation(params=ChainParams(smt_depth=64))
+    names = [f"w{i}" for i in range(8)]
+    for name in names:
+        sim.actor(name)  # key generation hashes too: keep it out of the counts
+    holder = {slot: names[slot % 8] for slot in range(64)}
+    for slot, name in holder.items():
+        assert sim.deposit(name, 5) == slot
+    sha256s, handed = [], []
+    receive = Wallet.receive_coin
+
+    def sha256(data=b""):
+        sha256s.append(data)
+        return hashlib.sha256(data)
+
+    def recorded(wallet, history):
+        handed.append(len(history.incl))
+        return receive(wallet, history)
+
+    monkeypatch.setattr(core, "hashlib", SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(Wallet, "receive_coin", recorded)
+
+    def spent(step):
+        counts.clear()
+        sha256s.clear()
+        step()
+        return counts["recoveries"], len(sha256s)
+
+    rng, costs = random.Random(0), []
+    for _ in range(7):
+        moves = []
+        for slot, sender in holder.items():
+            receiver = rng.choice([n for n in names if n != sender])
+            moves.append((sender, slot, receiver))
+            holder[slot] = receiver
+        transfers = [spent(lambda: sim.transfer(*move)) for move in moves]
+        assert spent(sim.commit_block) == (0, 0)
+        for move, (recoveries, sha256_calls) in zip(moves, transfers):
+            delivered = spent(lambda: sim.deliver(*move))
+            assert sim.actor(move[2]).owns(move[1])
+            inclusions = handed[-1]
+            costs.append((recoveries + delivered[0] - inclusions, sha256_calls + delivered[1] - inclusions))
+    assert len(handed) == len(costs) == 448 and set(costs) == {(1, 3)}
+
+
 def coins_moved_together(sim, sender, receiver, n):
     """Deposit ``n`` coins to ``sender``, move them all to ``receiver`` in
     one block, and return the histories the sender hands over: the entries
