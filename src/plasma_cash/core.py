@@ -241,11 +241,10 @@ class Keyring:
         # looks up the signature's first bytes and builds no Address
         self._secrets: Dict[bytes, Tuple[bytes, Address]] = {}
 
-    def new_signer(self, seed) -> Signer:
-        if isinstance(seed, str):
-            seed = seed.encode()
-        secret = hashlib.sha256(b"secret:" + seed).digest()
-        address = Address(hashlib.sha256(b"address:" + seed).digest()[:ADDRESS_SIZE])
+    def new_signer(self, seed: str) -> Signer:
+        raw = seed.encode()
+        secret = hashlib.sha256(b"secret:" + raw).digest()
+        address = Address(hashlib.sha256(b"address:" + raw).digest()[:ADDRESS_SIZE])
         signer = Signer(address=address, secret=secret)
         self._secrets[address.id] = (secret, address)
         return signer

@@ -47,7 +47,7 @@ class Simulation:
     def actor(self, name: str) -> Wallet:
         if name not in self.wallets:
             signer = self.keyring.new_signer(name)
-            self.wallets[name] = Wallet(signer, self.keyring, self.contract)
+            self.wallets[name] = Wallet(signer, self.contract)
             self.contract.balances[signer.address] = self.initial_balance
         return self.wallets[name]
 

@@ -62,10 +62,11 @@ def reject(reason: Reason, detail: str = "") -> Verdict:
 
 @dataclass
 class RootView:
-    """The committed roots on the root chain, and the numbers of the
-    operator blocks among them whose root is not the empty-tree root, in
-    ascending order.  The contract keeps one view over its own dict and
-    list, so the view stays current.
+    """The committed roots on the root chain, the numbers of the operator
+    blocks among them whose root is not the empty-tree root, in ascending
+    order, and the tree shape every root commits at.  The contract keeps one
+    view over its own dict, list and config, so the view stays current and
+    no root is checked at another depth.
 
     A coin's history covers its own deposit block and every operator block
     after it, never another coin's deposit block.  That is sound because:
@@ -97,6 +98,7 @@ class RootView:
 
     roots: Dict[int, bytes]
     operator_blocks: List[int]
+    config: SmtConfig
 
     def history_blocks(self, after: int) -> List[int]:
         """The ascending operator blocks past ``after`` that a history
@@ -109,10 +111,7 @@ class RootView:
         i = bisect.bisect_left(blocks, number)
         return i < len(blocks) and blocks[i] == number
 
-    def inclusion_fault(
-        self, itx: IncludedTx, slot: int, deposit: IncludedTx,
-        config: SmtConfig, known: Optional[smt.Memo] = None,
-    ) -> Optional[str]:
+    def inclusion_fault(self, itx: IncludedTx, slot: int, deposit: IncludedTx) -> Optional[str]:
         """Why ``itx`` is not a transaction of ``slot`` proven included in
         one of the coin's blocks, or None when it is: at an operator block by
         ``operator_fault``, elsewhere only as the coin's deposit entry
@@ -120,14 +119,12 @@ class RootView:
         transaction is refused first, at any block, by ``operator_fault``."""
         tx = itx.tx
         if tx is None or tx.slot != slot or self.is_operator_block(itx.blk_number):
-            return self.operator_fault(itx, slot, config, known)
+            return self.operator_fault(itx, slot)
         if itx != deposit:
             return f"block {itx.blk_number}: neither an operator block nor the coin's deposit entry"
         return None
 
-    def operator_fault(
-        self, itx: IncludedTx, slot: int, config: SmtConfig, known: Optional[smt.Memo] = None,
-    ) -> Optional[str]:
+    def operator_fault(self, itx: IncludedTx, slot: int, known: Optional[smt.Memo] = None) -> Optional[str]:
         """``inclusion_fault`` at an operator block, which the caller knows
         ``itx.blk_number`` to be: ``smt.verify`` against the caller's memo
         ``known``, after refusing a missing or foreign transaction and a
@@ -138,7 +135,7 @@ class RootView:
         number = itx.blk_number
         if tx.parent_block == 0:
             return f"is a deposit transaction at operator block {number}"
-        if smt.verify(slot, tx.digest, itx.proof, self.roots[number], config, known):
+        if smt.verify(slot, tx.digest, itx.proof, self.roots[number], self.config, known):
             return None
         return "inclusion proof invalid"
 
@@ -212,12 +209,12 @@ def verify_history(
     history: CoinHistory,
     view: RootView,
     keyring: Keyring,
-    config: SmtConfig,
     mark: Mark,
     known: Optional[smt.Memo] = None,
 ) -> Verdict:
     """Audit the entries of a coin past ``mark``, the caller's record of the
-    coin verified up to its block, against the committed roots.
+    coin verified up to its block, against the committed roots at the
+    view's depth.
 
     Returns ACCEPT or a reject verdict with a reason code.  A view that
     cannot cover the claimed blocks raises MissingRoot instead: the caller
@@ -235,7 +232,7 @@ def verify_history(
     ``known`` is the caller's memo of verified upper Merkle paths, handed to
     every ``smt.verify``; it changes the cost, never the verdict.
     """
-    slot, incl, excl, roots = history.slot, history.incl, history.excl, view.roots
+    slot, incl, excl, roots, config = history.slot, history.incl, history.excl, view.roots, view.config
     blocks = view.history_blocks(mark.block)
     if len(incl) + len(excl) != len(blocks):
         return _partition_fault(history, view, blocks)
@@ -250,7 +247,7 @@ def verify_history(
             continue
         if itx.blk_number != blk:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: malformed entry")
-        fault = view.operator_fault(itx, slot, config, known)
+        fault = view.operator_fault(itx, slot, known)
         if fault is not None:
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: {fault}")
         # reject double spends and forgeries: each spend must chain the

@@ -144,7 +144,7 @@ class PlasmaContract:
         # ascending (submit_block counts up): every operator block whose root
         # is not the empty-tree root, the blocks a coin history covers
         self.operator_blocks: List[int] = []
-        self.view = RootView(self.roots, self.operator_blocks)
+        self.view = RootView(self.roots, self.operator_blocks, self.config)
         self.current_block = 0
         self.coins: Dict[int, CoinRecord] = {}
         self.exits: Dict[int, Exit] = {}
@@ -213,7 +213,7 @@ class PlasmaContract:
         """Raise BadProof unless ``itx`` is a transaction of ``slot`` proven
         included in one of the coin's blocks (``RootView.inclusion_fault``).
         ``what`` names the entry in the error."""
-        fault = self.view.inclusion_fault(itx, slot, self.coins[slot].deposit, self.config)
+        fault = self.view.inclusion_fault(itx, slot, self.coins[slot].deposit)
         if fault is not None:
             raise BadProof(f"{what} {fault}")
 

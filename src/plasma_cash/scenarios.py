@@ -273,9 +273,7 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     # an honest receiver, auditing from the deposit, would have rejected it outright
     view = sim.contract.view
     suffix = extend_history(CoinHistory(slot, deposit_block), view, sim.operator.get_witness)
-    verdict = verify_history(
-        suffix, view, sim.keyring, sim.contract.config, Mark(deposit_block, coin.deposit)
-    )
+    verdict = verify_history(suffix, view, sim.keyring, Mark(deposit_block, coin.deposit))
     run.expect(not verdict.accepted, "the forged history must not verify")
 
     if not watcher:
@@ -369,7 +367,7 @@ def scenario_s5(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     if challenge_events:
         config = sim.contract.config
         itx = IncludedTx.decode(bytes.fromhex(challenge_events[0].data["witness"]), config)
-        fault = sim.contract.view.inclusion_fault(itx, slot, coin.deposit, config)
+        fault = sim.contract.view.inclusion_fault(itx, slot, coin.deposit)
         run.expect(
             fault is None and itx.blk_number == block.number,
             "revealed witness must prove the withheld inclusion",

@@ -220,16 +220,16 @@ class SparseMerkleTree:
                 raise BadLeaf(f"leaf at slot {slot} is not 32 bytes or is the empty-slot marker")
         self.config = config
         self.leaves = dict(leaves)
-        # levels[i]: the level-i nodes some proof names as a sibling, keyed by
-        # node index: each node holding two or more leaves, and each lone
+        # split: one past the highest level holding two or more nodes.
+        # held: ``(i, nodes)`` for each level i below the split that holds a
+        # node some proof names as a sibling, lowest first, the nodes keyed
+        # by index: each node holding two or more leaves, and each lone
         # leaf's highest node (the one under a node of two or more).
-        # lone[(i, index)]: the slot whose leaf a stored lone node holds.
-        # split: one past the highest level holding two or more nodes;
-        # every level from it up holds only the node above ``_anchor``, and
-        # is stored only when that node holds two or more leaves.
-        # held: ``(i, levels[i])`` for each level below the split that holds
-        # a node, lowest first: the only levels ``prove`` looks up.
-        self._levels, self._held, self._lone, self._split, self.root = self._build()
+        # lone[(i, index)]: the slot whose leaf a held lone node holds.
+        # spine: ``spine[j - split]`` is the one node of level j, for each
+        # level from the split up to the root's children, on ``_anchor``'s
+        # path; empty in a tree of zero or one leaf.
+        self._spine, self._held, self._lone, self._split, self.root = self._build()
         self._anchor = next(iter(self.leaves), None)
         # bitfield -> the exclusion proof shared by every slot of one shape (see prove)
         self._shared: Dict[int, Proof] = {} if leaves else {0: config.empty_proof}
@@ -242,7 +242,6 @@ class SparseMerkleTree:
         if len(leaves) == 1:  # it commits as its lone digest
             ((slot, leaf),) = leaves.items()
             return [], [], {}, 0, hash_pair(slot.to_bytes(8, "big"), leaf)
-        levels = []
         held = []
         lone_at = {}
         lone = {slot: slot for slot in leaves}  # index -> slot, one leaf below
@@ -265,19 +264,18 @@ class SparseMerkleTree:
                 if p not in parents:
                     left = stored.get(p * 2, defaults[i])
                     parents[p] = hash_pair(left, stored.get(p * 2 + 1, defaults[i]))
-            levels.append(stored)
             if stored:
                 held.append((i, stored))
             lone, inner = up_lone, parents
             i += 1
         # one node of two or more leaves: fold it up past default siblings
-        ((idx, root),) = inner.items()
-        levels.append({idx: root})
+        ((idx, node),) = inner.items()
+        spine = []
         for j in range(i, depth):
-            root = hash_pair(defaults[j], root) if idx & 1 else hash_pair(root, defaults[j])
+            spine.append(node)
+            node = hash_pair(defaults[j], node) if idx & 1 else hash_pair(node, defaults[j])
             idx >>= 1
-            levels.append({idx: root})
-        return levels, held, lone_at, i, root
+        return spine, held, lone_at, i, node
 
     def prove(self, slot: int) -> Proof:
         """Merkle path for a slot; works for absent slots too (non-inclusion).
@@ -307,7 +305,7 @@ class SparseMerkleTree:
             proof = self._shared.get(key)
             if proof is None:
                 if split:
-                    proof = Proof(key, (self._levels[high][anchor >> high],))
+                    proof = Proof(key, (self._spine[high - split],))
                 else:
                     proof = Proof(0, (), (anchor, self.leaves[anchor]))
                 self._shared[key] = proof

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .core import Address, IncludedTx, Keyring, Signer, Transaction, make_transfer_tx
+from .core import Address, IncludedTx, Signer, Transaction, make_transfer_tx
 from .errors import NotOwned, PlasmaError
 from .history import (
     ACCEPT,
@@ -28,7 +28,7 @@ from .history import (
     verify_history,
 )
 from .rootchain import Exit, PlasmaContract
-from .smt import Memo, SmtConfig
+from .smt import Memo
 
 
 @dataclass
@@ -42,12 +42,11 @@ class ChallengeAction:
 
 
 class Wallet:
-    def __init__(self, signer: Signer, keyring: Keyring, contract: PlasmaContract):
+    def __init__(self, signer: Signer, contract: PlasmaContract):
         self.signer = signer
         self.address: Address = signer.address
-        self.keyring = keyring
+        self.keyring = contract.keyring  # the chain's, as is the depth its view checks at
         self.contract = contract
-        self.config: SmtConfig = contract.config
         self.coins: Dict[int, CoinHistory] = {}  # the logs of the coins owned
         # every coin deposited or accepted, kept after it leaves since it may
         # come back: entries up to the mark were verified, later ones synced
@@ -122,7 +121,7 @@ class Wallet:
             return Verdict(False, None, "coin unknown to the root chain")
         mark = self.mark(slot)
         view = self.contract.view
-        verdict = verify_history(history, view, self.keyring, self.config, mark, self._known)
+        verdict = verify_history(history, view, self.keyring, mark, self._known)
         if not verdict.accepted:
             return verdict
         # the entries in block order, whatever order the handed maps are in;

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it never uses, no
 private name is defined that the package never reads, no coin state is
 written outside the contract's one move, no client module reads the
-contract's event log, and no module asserts."""
+contract's event log, no module asserts, and no parameter keeps a default
+that no call overrides."""
 
 import ast
 from dataclasses import fields
@@ -12,6 +13,7 @@ import pytest
 from plasma_cash.rootchain import Event
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "plasma_cash"
+TESTS = PACKAGE.parent.parent / "tests"
 # ``__init__`` imports names to re-export them
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -182,3 +184,99 @@ def test_no_module_asserts(module):
     """``python -O`` drops asserts: every check must be a raise."""
     tree = ast.parse((PACKAGE / module).read_text())
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def defaulted_parameters(source: str):
+    """``(name, parameter, position)`` for each parameter with a default of
+    each function ``source`` defines: an ``__init__`` is named by its class,
+    and ``position`` is the parameter's index among a call's arguments
+    (after a method's ``self`` or ``cls``), None for a keyword-only one."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                bound = 1 if cls is not None and not static else 0
+                name = cls if cls is not None and child.name == "__init__" else child.name
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    found.append((name, positional[i].arg, i - bound))
+                keyword = zip(args.kwonlyargs, args.kw_defaults)
+                found.extend((name, a.arg, None) for a, d in keyword if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+ALL = "*"
+
+
+def passed_arguments(source: str):
+    """Per name called in ``source``: the positions and keywords some call
+    of it passes, with ``ALL`` for a call that unpacks ``*args`` or
+    ``**kwargs`` and for a name read other than as the callee of a call."""
+    tree = ast.parse(source)
+    passed, callees = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callees.add(id(node.func))
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            got = passed.setdefault(name, set())
+            got.update(range(len(node.args)))
+            got.update(k.arg or ALL for k in node.keywords)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                got.add(ALL)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            if id(node) not in callees:
+                passed.setdefault(getattr(node, "id", getattr(node, "attr", None)), set()).add(ALL)
+    return passed
+
+
+def never_passed(defined, passed):
+    """The ``defaulted_parameters`` entries no call in ``passed`` passes."""
+    return sorted(
+        (name, parameter) for name, parameter, position in defined
+        if not {ALL, parameter, position} & passed.get(name, set())
+    )
+
+
+def test_defaults_no_call_passes_are_found():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, size, lid=None): pass\n"
+        "    def fill(self, item, count=1, *, loose=False): pass\n"
+        "    @staticmethod\n"
+        "    def weigh(item, scale=1.0): pass\n"
+        "class Crate:\n"
+        "    def __init__(self, size, slats=4): pass\n"
+        "def pack(box, tape=True): pass\n"
+        "def ship(box, express=False): pass\n"
+        "ROUTES = {'ship': ship}\n"
+        "Box(3).fill('a', 2)\n"
+        "Box(3, lid=1).fill('b', loose=True)\n"
+        "Crate(2).weigh('c')\n"
+        "pack(Box(1))\n"
+    )
+    defined = defaulted_parameters(source)
+    assert never_passed(defined, passed_arguments(source)) == [
+        ("Crate", "slats"), ("pack", "tape"), ("weigh", "scale"),
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A default that no call in ``src/`` or ``tests/`` overrides is a
+    parameter the program does not need."""
+    defined = [entry for p in PACKAGE.glob("*.py") for entry in defaulted_parameters(p.read_text())]
+    passed = {}
+    for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]:
+        for name, got in passed_arguments(path.read_text()).items():
+            passed.setdefault(name, set()).update(got)
+    assert never_passed(defined, passed) == []

@@ -418,10 +418,10 @@ def test_only_the_recorded_deposit_entry_is_taken(data):
         make_deposit_tx(slot, f.alice.address), dep_block, f.contract.config.empty_proof
     )
     kind, entry = deposit_mutant(data, f, slot, record)
-    fault = f.contract.view.inclusion_fault(entry, slot, record, f.contract.config)
+    fault = f.contract.view.inclusion_fault(entry, slot, record)
     assert (fault is None) == (kind == "genuine"), (kind, fault)
 
-    bob = Wallet(f.bob, f.keyring, f.contract)
+    bob = Wallet(f.bob, f.contract)
     verdict = bob.receive_coin(CoinHistory(slot, dep_block, {entry.blk_number: entry, 2000: spend}))
     assert verdict == Verdict(False, Reason.PARTITION_GAP, f"missing=[] extra=[{entry.blk_number}]")
     assert (bob.coins, bob.logs, bob.marks) == ({}, {}, {})
@@ -599,7 +599,7 @@ def test_no_history_covers_an_empty_block(fx):
 
     def audit(incl, excl=None):
         history = CoinHistory(slot, fx.dep_block, incl, excl or {})
-        return verify_history(history, c.view, fx.keyring, c.config, mark)
+        return verify_history(history, c.view, fx.keyring, mark)
 
     assert audit(incl) == ACCEPT
     assert c.view.history_blocks(fx.dep_block) == [1000, 3000]
@@ -609,7 +609,7 @@ def test_no_history_covers_an_empty_block(fx):
         assert verdict.reason is Reason.PARTITION_GAP and "extra=[2000]" in verdict.detail
     verdict = audit({**incl, 3000: moved})
     assert verdict.reason is Reason.BAD_INCLUSION_PROOF
-    fault = c.view.inclusion_fault(moved, slot, c.coins[slot].deposit, c.config)
+    fault = c.view.inclusion_fault(moved, slot, c.coins[slot].deposit)
     assert fault == "block 2000: neither an operator block nor the coin's deposit entry"
 
 
@@ -668,7 +668,7 @@ def test_every_check_agrees_on_spend_entries(data):
     entries = {2000: parent.prove(slot), entry.blk_number: entry}
     history = CoinHistory(slot, dep_block, dict(sorted(entries.items())))
     mark = Mark(dep_block, f.contract.coins[slot].deposit)
-    verdict = verify_history(history, f.contract.view, f.keyring, f.contract.config, mark)
+    verdict = verify_history(history, f.contract.view, f.keyring, mark)
     ledger = ShadowLedger(f.keyring)
     ledger.on_deposit(slot, f.alice.address, dep_block)
     ledger.on_block(parent)

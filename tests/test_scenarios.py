@@ -118,7 +118,7 @@ def test_every_handed_history_decodes_to_itself(monkeypatch):
     receive = Wallet.receive_coin
 
     def checked(wallet, history):
-        assert CoinHistory.decode(history.encode(wallet.config), wallet.config) == history
+        assert CoinHistory.decode(history.encode(wallet.contract.config), wallet.contract.config) == history
         assert history.deposit_block not in history.incl
         handed.append(history)
         return receive(wallet, history)

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -927,6 +928,33 @@ def test_config_constants_are_set_once_from_the_depth():
         assert config == twin and hash(config) == hash(twin) and repr(config) == f"SmtConfig(depth={depth})"
         assert config != SmtConfig(depth=depth % 64 + 1)
     assert smt.DEFAULTS == tuple(chain)
+
+
+def containers(tree: SparseMerkleTree) -> Counter:
+    """The dicts, lists and tuples reachable from the tree's attributes
+    through dicts, lists and tuples, by type, not counting through
+    ``config``, whose defaults chain serves every depth."""
+    found, seen = Counter(), set()
+    stack = [value for name, value in vars(tree).items() if name != "config"]
+    while stack:
+        obj = stack.pop()
+        if type(obj) not in (dict, list, tuple) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found[type(obj).__name__] += 1
+        stack += [*obj.keys(), *obj.values()] if type(obj) is dict else obj
+    return found
+
+
+@pytest.mark.parametrize("count", [2, 8, 64])
+def test_a_tree_keeps_as_many_containers_at_any_depth(count):
+    """Leaves in slots 0 to count - 1 meet below level 6, so at depth 16 and
+    at depth 64 the tree holds the same nodes below its split; above it,
+    each level holds one node, which the tree keeps in one list whatever
+    the depth, not in a container of its own."""
+    leaves = {slot: leaf(slot) for slot in range(count)}
+    built = [containers(SparseMerkleTree(SmtConfig(depth=depth), leaves)) for depth in (16, 64)]
+    assert built[0] == built[1], built
 
 
 def test_proof_encode_refuses_what_decode_refuses():

@@ -1058,8 +1058,70 @@ def test_coins_that_share_a_block_share_its_upper_path(counts):
     coin = sim.contract.coins[histories[-1].slot]
     counts.clear()
     mark = Mark(coin.deposit_block, coin.deposit)
-    assert verify_history(histories[-1], sim.contract.view, sim.keyring, bob.config, mark)
+    assert verify_history(histories[-1], sim.contract.view, sim.keyring, mark)
     assert counts["hashes"] == 64
+
+
+@pytest.mark.parametrize("depth", [16, 64])
+@pytest.mark.parametrize("k", [1, 2, 8, 64])
+def test_a_receive_costs_its_closed_form(monkeypatch, counts, k, depth):
+    """The ``smt.hash_pair`` and ``Keyring.recover`` calls of each
+    ``Wallet.receive_coin``, from the handed entries, the occupancy and the
+    depth.  Alice deposits k coins, in slots 0 to k - 1 (k a power of two,
+    2^h), and Dave one more, in slot k.  Every block moves either all k
+    coins, so they fill its subtree of height h, or Dave's coin alone:
+
+    1. Alice pays Bob each coin: Bob is a first-time receiver, handed one
+       inclusion;
+    2. Dave's coin moves alone: one exclusion in every later history;
+    3. Bob pays Carol, a first-time receiver handed two inclusions and that
+       exclusion;
+    4. Carol pays Bob back: Bob returns, handed the last two inclusions and
+       the exclusion past his mark.
+
+    Each handed inclusion recovers one signer.  Its proof folds h present
+    siblings and depth - h default levels with a cold memo; with a warm one,
+    holding the block's path above the coins' subtree from the receiver's
+    previous coin, it folds h.  A coin alone in its block (k = 1) commits
+    as its lone digest, one hash, memo or not.  An exclusion in Dave's block
+    names his coin as its neighbour, one hash."""
+    sim = Simulation(params=ChainParams(smt_depth=depth))
+    for name in ("alice", "bob", "carol", "dave", "erin"):
+        sim.actor(name)  # key generation hashes too: keep it out of the counts
+    slots = [sim.deposit("alice", 5) for _ in range(k)]
+    other = sim.deposit("dave", 5)
+    received = []
+    receive = Wallet.receive_coin
+
+    def counted(wallet, history):
+        counts.clear()
+        verdict = receive(wallet, history)
+        received.append((len(history.incl), len(history.excl), counts["hashes"], counts["recoveries"]))
+        return verdict
+
+    monkeypatch.setattr(Wallet, "receive_coin", counted)
+    for sender, receiver in (("alice", "bob"), ("bob", "carol"), ("carol", "bob")):
+        for slot in slots:
+            sim.transfer(sender, slot, receiver)
+        sim.commit_block()
+        for slot in slots:
+            assert sim.deliver(sender, slot, receiver).accepted
+        if sender == "alice":  # Dave's spend, in a block of its own, is never delivered
+            sim.transfer("dave", other, "erin")
+            sim.commit_block()
+
+    h = k.bit_length() - 1
+
+    def closed_form(inclusions, exclusions, warm):
+        per_inclusion = 1 if k == 1 else h if warm else depth
+        return inclusions, exclusions, inclusions * per_inclusion + exclusions, inclusions
+
+    expected = [
+        closed_form(inclusions, exclusions, warm)
+        for inclusions, exclusions in ((1, 0), (2, 1), (2, 1))  # Bob, Carol, Bob again
+        for warm in [False] + [True] * (k - 1)
+    ]
+    assert received == expected
 
 
 def test_memo_does_not_vouch_for_a_path_tampered_above_the_shared_subtree():
