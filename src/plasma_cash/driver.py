@@ -136,12 +136,6 @@ class Simulation:
         self._synced = tip
         return actions
 
-    def advance_time(self, dt: int = 1):
-        self.contract.advance_time(dt)
-
-    def finalize(self, slot: int) -> str:
-        return self.contract.finalize_exit(slot)
-
     def withdraw(self, name: str, slot: int) -> int:
         wallet = self.actor(name)
         amount = self.contract.withdraw(wallet.address, slot)

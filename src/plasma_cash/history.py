@@ -64,9 +64,10 @@ def reject(reason: Reason, detail: str = "") -> Verdict:
 class RootView:
     """The committed roots on the root chain, the numbers of the operator
     blocks among them whose root is not the empty-tree root, in ascending
-    order, and the tree shape every root commits at.  The contract keeps one
-    view over its own dict, list and config, so the view stays current and
-    no root is checked at another depth.
+    order, the tree shape every root commits at, and the keyring that
+    recovers each spend's signer.  The contract keeps one view over its own
+    dict, list, config and keyring, so the view stays current and no root
+    is checked at another depth, nor a signature by another keyring.
 
     A coin's history covers its own deposit block and every operator block
     after it, never another coin's deposit block.  That is sound because:
@@ -99,6 +100,7 @@ class RootView:
     roots: Dict[int, bytes]
     operator_blocks: List[int]
     config: SmtConfig
+    keyring: Keyring
 
     def history_blocks(self, after: int) -> List[int]:
         """The ascending operator blocks past ``after`` that a history
@@ -208,13 +210,12 @@ class Mark(NamedTuple):
 def verify_history(
     history: CoinHistory,
     view: RootView,
-    keyring: Keyring,
     mark: Mark,
     known: Optional[smt.Memo] = None,
 ) -> Verdict:
     """Audit the entries of a coin past ``mark``, the caller's record of the
     coin verified up to its block, against the committed roots at the
-    view's depth.
+    view's depth and the signers its keyring recovers.
 
     Returns ACCEPT or a reject verdict with a reason code.  A view that
     cannot cover the claimed blocks raises MissingRoot instead: the caller
@@ -252,7 +253,7 @@ def verify_history(
             return reject(Reason.BAD_INCLUSION_PROOF, f"block {blk}: {fault}")
         # reject double spends and forgeries: each spend must chain the
         # previous inclusion and be signed by its owner
-        fault = spend_fault(itx.tx, last_block, last_owner, keyring)
+        fault = spend_fault(itx.tx, last_block, last_owner, view.keyring)
         if fault is not None:
             reason = Reason.BROKEN_PARENT_LINK if fault == UNLINKED else Reason.BAD_SIGNATURE
             return reject(reason, f"block {blk}: {fault}")

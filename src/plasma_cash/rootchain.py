@@ -8,7 +8,8 @@ period, and withdrawal.
 
 Every state change appends an ``Event`` to ``events``, the run's record
 for reports; watchers read ``exits``.  A coin's state changes only through
-``PlasmaContract._move``, which refuses any pair ``TRANSITIONS`` does not list.
+``PlasmaContract._move``, which refuses any pair ``TRANSITIONS`` does not list,
+and every exit ends through ``_end_exit``, the one payout of its bonds.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class PendingChallenge:
     challenge_id: int
     challenger: Address
     tx: IncludedTx
-    bond: int
 
 
 @dataclass
@@ -85,7 +85,6 @@ class Exit:
     exitor: Address
     parent_tx: Optional[IncludedTx]
     exit_tx: IncludedTx
-    bond: int
     #: the clock from which ``finalize_exit`` settles the exit
     matures_at: int
     #: the challenges still unanswered; a response removes its challenge
@@ -144,7 +143,7 @@ class PlasmaContract:
         # ascending (submit_block counts up): every operator block whose root
         # is not the empty-tree root, the blocks a coin history covers
         self.operator_blocks: List[int] = []
-        self.view = RootView(self.roots, self.operator_blocks, self.config)
+        self.view = RootView(self.roots, self.operator_blocks, self.config, keyring)
         self.current_block = 0
         self.coins: Dict[int, CoinRecord] = {}
         self.exits: Dict[int, Exit] = {}
@@ -314,7 +313,6 @@ class PlasmaContract:
             exitor=caller,
             parent_tx=parent_tx,
             exit_tx=exit_tx,
-            bond=bond,
             matures_at=self.clock + self.params.maturity_period,
         )
         self._move(coin, CoinState.EXITING)
@@ -334,21 +332,26 @@ class PlasmaContract:
             raise WrongState(f"no active exit for slot {slot}")
         return ex
 
-    def _cancel_exit(self, slot: int, beneficiary: Address, kind: str, revealed: IncludedTx):
-        """Non-interactive challenge won: slash the exit bond, reopen the coin."""
-        witness = revealed.encode(self.config).hex()  # raises before any change
-        self._move(self.coins[slot], CoinState.DEPOSITED)
+    def _end_exit(self, slot: int, state: CoinState, winners: List[Address]) -> Exit:
+        """The one end of an exit, and the one payout of its bonds: move the
+        coin to ``state``, split the exit bond equally among ``winners`` (the
+        remainder to the first) and return each pending challenger's bond."""
+        self._move(self.coins[slot], state)
         ex = self.exits.pop(slot)
-        self._pay_bond(beneficiary, ex.bond)
-        # pending interactive challenge bonds go back to their challengers
+        bond = self.params.bond_amount
+        share, remainder = divmod(bond, len(winners))
+        for i, winner in enumerate(winners):
+            self._pay_bond(winner, share + (remainder if i == 0 else 0))
         for ch in ex.challenges:
-            self._pay_bond(ch.challenger, ch.bond)
-        self._emit(
-            kind,
-            slot=slot,
-            challenger=beneficiary.hex,
-            witness=witness,
-        )
+            self._pay_bond(ch.challenger, bond)
+        return ex
+
+    def _cancel_exit(self, slot: int, beneficiary: Address, kind: str, revealed: IncludedTx):
+        """Non-interactive challenge won: the challenger takes the exit bond
+        and the coin reopens."""
+        witness = revealed.encode(self.config).hex()  # raises before any change
+        ex = self._end_exit(slot, CoinState.DEPOSITED, [beneficiary])
+        self._emit(kind, slot=slot, challenger=beneficiary.hex, witness=witness)
         self._emit("ExitCancelled", slot=slot, exitor=ex.exitor.hex)
 
     def challenge_after(self, challenger: Address, slot: int, spend: IncludedTx):
@@ -380,9 +383,7 @@ class PlasmaContract:
         self._take_bond(challenger, bond)
         challenge_id = self._next_challenge_id
         self._next_challenge_id += 1
-        ex.challenges.append(
-            PendingChallenge(challenge_id=challenge_id, challenger=challenger, tx=tx, bond=bond)
-        )
+        ex.challenges.append(PendingChallenge(challenge_id, challenger, tx))
         self._emit(
             "ChallengedBefore",
             slot=slot,
@@ -404,7 +405,7 @@ class PlasmaContract:
         self._check_spend("response", slot, response, challenge.tx, ex.exit_block)
         witness = response.encode(self.config).hex()  # raises before any change
         ex.challenges.remove(challenge)
-        self._pay_bond(responder, challenge.bond)
+        self._pay_bond(responder, self.params.bond_amount)
         self._emit(
             "ChallengeResponded",
             slot=slot,
@@ -419,26 +420,19 @@ class PlasmaContract:
         ex = self._active_exit(slot)
         if self.clock < ex.matures_at:
             raise NotMature(f"exit matures at {ex.matures_at}, now {self.clock}")
-        coin = self.coins[slot]
-        del self.exits[slot]
         if not ex.challenges:
-            self._move(coin, CoinState.EXITED)
-            coin.owner = ex.exitor
-            self._pay_bond(ex.exitor, ex.bond)
+            self._end_exit(slot, CoinState.EXITED, [ex.exitor])
+            self.coins[slot].owner = ex.exitor
             self._emit("ExitFinalized", slot=slot, exitor=ex.exitor.hex)
             return "Finalized"
-        # exit bond split equally among the unanswered challengers, remainder
-        # to the earliest; their challenge bonds come back
-        self._move(coin, CoinState.DEPOSITED)
-        share = ex.bond // len(ex.challenges)
-        remainder = ex.bond - share * len(ex.challenges)
-        for i, ch in enumerate(ex.challenges):
-            self._pay_bond(ch.challenger, ch.bond + share + (remainder if i == 0 else 0))
+        # the unanswered challengers win the exit bond
+        challengers = [c.challenger for c in ex.challenges]
+        self._end_exit(slot, CoinState.DEPOSITED, challengers)
         self._emit(
             "ExitCancelled",
             slot=slot,
             exitor=ex.exitor.hex,
-            challengers=[c.challenger.hex for c in ex.challenges],
+            challengers=[c.hex for c in challengers],
         )
         return "CancelledByChallenge"
 

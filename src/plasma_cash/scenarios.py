@@ -117,9 +117,9 @@ class _Run:
 
     def settle(self, name: str, slot: int):
         """The live exit of ``slot`` matures, finalizes and pays ``name``."""
-        sim = self.sim
-        sim.advance_time(sim.params.maturity_period)
-        self.expect(sim.finalize(slot) == "Finalized", f"the exit of slot {slot} must finalize")
+        sim, contract = self.sim, self.sim.contract
+        contract.advance_time(sim.params.maturity_period)
+        self.expect(contract.finalize_exit(slot) == "Finalized", f"the exit of slot {slot} must finalize")
         self.expect(sim.withdraw(name, slot) == DENOM, f"{name} must withdraw the denomination")
 
     def exit_and_withdraw(self, name: str, slot: int):
@@ -273,7 +273,7 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
     # an honest receiver, auditing from the deposit, would have rejected it outright
     view = sim.contract.view
     suffix = extend_history(CoinHistory(slot, deposit_block), view, sim.operator.get_witness)
-    verdict = verify_history(suffix, view, sim.keyring, Mark(deposit_block, coin.deposit))
+    verdict = verify_history(suffix, view, Mark(deposit_block, coin.deposit))
     run.expect(not verdict.accepted, "the forged history must not verify")
 
     if not watcher:
@@ -289,9 +289,9 @@ def scenario_s4(params: ChainParams, watcher: bool = True) -> ScenarioReport:
         ),
         "responding with the forged spend must fail",
     )
-    sim.advance_time(params.maturity_period)
+    sim.contract.advance_time(params.maturity_period)
     run.expect(
-        sim.finalize(slot) == "CancelledByChallenge",
+        sim.contract.finalize_exit(slot) == "CancelledByChallenge",
         "exit must die with an unanswered challenge",
     )
     run.cancelled(slot, "ExitCancelled")
@@ -513,7 +513,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
         for slot, ex in list(sim.contract.exits.items()):
             if sim.contract.clock < ex.matures_at:
                 continue
-            if sim.finalize(slot) != "Finalized":
+            if sim.contract.finalize_exit(slot) != "Finalized":
                 continue
             owner_name = addr_to_name.get(sim.contract.coins[slot].owner)
             run.expect(not robbed(slot), f"honest coin {slot} finalized to {owner_name}")
@@ -527,7 +527,7 @@ def fuzz(steps: int, seed: int = 0, byzantine: bool = False) -> ScenarioReport:
         (do_commit, 4),
         (do_honest_exit, 2),
         (do_attack, 2 if byzantine else 0),
-        (lambda: sim.advance_time(rng.randint(1, 3)), 3),
+        (lambda: sim.contract.advance_time(rng.randint(1, 3)), 3),
     ]
     actions = [a for a, w in action_weights for _ in range(w)]
 

@@ -45,7 +45,6 @@ class Wallet:
     def __init__(self, signer: Signer, contract: PlasmaContract):
         self.signer = signer
         self.address: Address = signer.address
-        self.keyring = contract.keyring  # the chain's, as is the depth its view checks at
         self.contract = contract
         self.coins: Dict[int, CoinHistory] = {}  # the logs of the coins owned
         # every coin deposited or accepted, kept after it leaves since it may
@@ -94,7 +93,7 @@ class Wallet:
         the mark; fraudulent inclusions picked up while syncing are skipped."""
         if slot not in self.coins:
             raise NotOwned(f"slot {slot}")
-        return valid_tip(self.coins[slot], self.keyring, self.mark(slot).tip)
+        return valid_tip(self.coins[slot], self.contract.keyring, self.mark(slot).tip)
 
     def sync(self, slot: int, witness: WitnessSource):
         """Pull witnesses for any committed blocks the stored history lacks.
@@ -121,7 +120,7 @@ class Wallet:
             return Verdict(False, None, "coin unknown to the root chain")
         mark = self.mark(slot)
         view = self.contract.view
-        verdict = verify_history(history, view, self.keyring, mark, self._known)
+        verdict = verify_history(history, view, mark, self._known)
         if not verdict.accepted:
             return verdict
         # the entries in block order, whatever order the handed maps are in;
@@ -171,7 +170,7 @@ class Wallet:
         the challenged entry, by its new owner, in (challenge block, exit block]."""
         entry = challenge.tx
         answer = find_spend(
-            self.coins[slot], entry.blk_number, entry.tx.new_owner, self.keyring,
+            self.coins[slot], entry.blk_number, entry.tx.new_owner, self.contract.keyring,
             before=ex.exit_block + 1,
         )
         if answer is None:
@@ -180,17 +179,17 @@ class Wallet:
         return self._attempt("respond", slot, move, challenge.challenge_id, answer)
 
     def _challenge_exit(self, slot: int, ex) -> Optional[ChallengeAction]:
-        history = self.coins[slot]
+        history, keyring = self.coins[slot], self.contract.keyring
         exit_block = ex.exit_block
 
         # a direct spend of the exit tx cancels it outright
-        after = find_spend(history, exit_block, ex.exitor, self.keyring)
+        after = find_spend(history, exit_block, ex.exitor, keyring)
         if after is not None:
             return self._attempt("after", slot, self.contract.challenge_after, after)
         # a same-parent spend strictly between parent and exit proves a double spend
         if ex.parent_block is not None:
             between = find_spend(
-                history, ex.parent_block, ex.parent_tx.tx.new_owner, self.keyring, before=exit_block
+                history, ex.parent_block, ex.parent_tx.tx.new_owner, keyring, before=exit_block
             )
             if between is not None:
                 return self._attempt("between", slot, self.contract.challenge_between, between)

@@ -184,7 +184,8 @@ class Chain:
         roots = {n: b.root for n, b in self.blocks.items()}
         roots.update((n, itx.tx.digest) for n, itx in self.deposits.items())
         empty = self.config.defaults[self.config.depth]
-        return RootView(roots, sorted(n for n, b in self.blocks.items() if b.root != empty), self.config)
+        listed = sorted(n for n, b in self.blocks.items() if b.root != empty)
+        return RootView(roots, listed, self.config, self.keyring)
 
     def witness(self, slot, number):
         return self.blocks[number].prove(slot)
@@ -201,7 +202,7 @@ class Chain:
     def audit(self, history, slot=0, deposit_block=1):
         """``verify_history`` from the coin's first mark."""
         mark = self.deposit_mark(slot, deposit_block)
-        return verify_history(history, self.view(), self.keyring, mark)
+        return verify_history(history, self.view(), mark)
 
     def replay_owner(self, slot=0, deposit_block=1):
         """Independent ground truth: replay the raw blocks past the deposit,

@@ -87,7 +87,7 @@ def test_partition_faults_are_the_oracles(data):
     spend = make_transfer_tx(keyring.new_signer("bob"), 0, 1, owner)
     operator_blocks = sorted(draw(st.sets(blocks)))
     roots = {blk: bytes([blk]) * 32 for blk in draw(st.sets(blocks))}
-    view = RootView(roots, operator_blocks, CONFIG)
+    view = RootView(roots, operator_blocks, CONFIG, keyring)
     deposit = draw(blocks)
     mark = draw(blocks.map(
         lambda blk: Mark(blk, IncludedTx(make_deposit_tx(0, owner), min(blk, deposit), CONFIG.empty_proof))
@@ -105,9 +105,9 @@ def test_partition_faults_are_the_oracles(data):
     expected = partition_oracle(history, view, mark)
     if expected is MissingRoot:
         with pytest.raises(MissingRoot):
-            verify_history(history, view, keyring, mark)
+            verify_history(history, view, mark)
         return
-    verdict = verify_history(history, view, keyring, mark)
+    verdict = verify_history(history, view, mark)
     if expected is None:
         assert verdict.reason not in (Reason.PARTITION_OVERLAP, Reason.PARTITION_GAP)
     else:
@@ -410,7 +410,7 @@ def test_random_honest_chains_agree_with_replay(subtests=None):
             number += 1000
         history = c.history(0, 1)
         mark = c.deposit_mark(0, 1)
-        verdict = verify_history(history, c.view(), c.keyring, mark)
+        verdict = verify_history(history, c.view(), mark)
         assert verdict, f"trial {trial}: {verdict.reason} {verdict.detail}"
         tip = valid_tip(history, c.keyring, mark.tip)
         oracle_owner, oracle_block = c.replay_owner(0, 1)
@@ -501,7 +501,7 @@ def test_checkpointed_verifier_agrees_with_full_walk():
         first = chain.deposit_mark(0, 1)
 
         def verify(history, mark=first):
-            return verify_history(history, chain.view(), chain.keyring, mark)
+            return verify_history(history, chain.view(), mark)
 
         # verify a prefix cut at a random block, mark its tip, extend it
         cut = rng.choice(sorted(chain.deposits.keys() | chain.blocks.keys())[:-1])
@@ -510,9 +510,10 @@ def test_checkpointed_verifier_agrees_with_full_walk():
             {n: r for n, r in view.roots.items() if n <= cut},
             [n for n in view.operator_blocks if n <= cut],
             CONFIG,
+            chain.keyring,
         )
         prefix = extend_history(CoinHistory(0, 1), prefix_view, chain.witness)
-        assert verify_history(prefix, prefix_view, chain.keyring, first)
+        assert verify_history(prefix, prefix_view, first)
         mark = Mark(prefix.last_block(), valid_tip(prefix, chain.keyring, first.tip))
         assert mark.tip == (prefix.incl[max(prefix.incl)] if prefix.incl else first.tip)
         extended = extend_history(prefix, chain.view(), chain.witness)
@@ -557,12 +558,12 @@ def test_resumed_verification_reads_only_roots_past_the_mark(chain):
     chain.add_idle_block(5000)
     history = chain.history(0, 1)
     view = chain.view()
-    recent = RootView({n: r for n, r in view.roots.items() if n > 4000}, view.operator_blocks, CONFIG)
-    args = (recent, chain.keyring)
+    roots = {n: r for n, r in view.roots.items() if n > 4000}
+    recent = RootView(roots, view.operator_blocks, CONFIG, chain.keyring)
     assert list(history.past(mark.block).excl) == [5000]
-    assert verify_history(history.past(mark.block), *args, mark) == ACCEPT
+    assert verify_history(history.past(mark.block), recent, mark) == ACCEPT
     with pytest.raises(MissingRoot):
-        verify_history(history, *args, chain.deposit_mark(0, 1))
+        verify_history(history, recent, chain.deposit_mark(0, 1))
 
 
 def test_valid_tip_resumes_at_a_checkpoint(chain):

@@ -104,20 +104,20 @@ def test_no_module_defines_a_private_name_the_package_never_reads(module):
     assert sorted(private_definitions((PACKAGE / module).read_text()) - PACKAGE_READS) == []
 
 
-def state_writes(source: str):
+def attribute_writes(source: str, attr: str):
     """The qualified names of the functions (``""`` for module level) that
-    store or delete an attribute named ``state``, or set it by name."""
+    store or delete an attribute named ``attr``, or set it by name."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}".lstrip(".")
-        if isinstance(node, ast.Attribute) and node.attr == "state":
+        if isinstance(node, ast.Attribute) and node.attr == attr:
             if not isinstance(node.ctx, ast.Load):
                 found.add(scope)
         elif isinstance(node, ast.Call) and len(node.args) > 1:
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in ("setattr", "__setattr__") and getattr(node.args[1], "value", None) == "state":
+            if name in ("setattr", "__setattr__") and getattr(node.args[1], "value", None) == attr:
                 found.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -136,12 +136,29 @@ def test_state_writes_are_found():
         "def read(coin): return coin.state\n"
         "del C.state\n"
     )
-    assert state_writes(source) == {"C._move", "C.swap", "C.bump", "forced", ""}
+    assert attribute_writes(source, "state") == {"C._move", "C.swap", "C.bump", "forced", ""}
+
+
+def writers_of(attr: str):
+    """``(module, function)`` for each package function that writes ``attr``."""
+    return {(p.name, scope) for p in PACKAGE.glob("*.py") for scope in attribute_writes(p.read_text(), attr)}
 
 
 def test_only_the_contract_move_writes_a_coin_state():
-    writers = {(p.name, scope) for p in PACKAGE.glob("*.py") for scope in state_writes(p.read_text())}
-    assert writers == {("rootchain.py", "PlasmaContract._move")}
+    assert writers_of("state") == {("rootchain.py", "PlasmaContract._move")}
+
+
+@pytest.mark.parametrize(
+    "escrow, writers",
+    [
+        ("bond_escrow", {"__init__", "_take_bond", "_pay_bond"}),
+        ("value_escrow", {"__init__", "deposit", "withdraw"}),
+    ],
+)
+def test_only_the_contract_moves_its_escrows(escrow, writers):
+    """Every bond enters escrow through ``_take_bond`` and leaves through
+    ``_pay_bond``; coin value enters at ``deposit`` and leaves at ``withdraw``."""
+    assert writers_of(escrow) == {("rootchain.py", f"PlasmaContract.{name}") for name in writers}
 
 
 EVENT_NAMES = {"events"} | {f.name for f in fields(Event)}

@@ -599,7 +599,7 @@ def test_no_history_covers_an_empty_block(fx):
 
     def audit(incl, excl=None):
         history = CoinHistory(slot, fx.dep_block, incl, excl or {})
-        return verify_history(history, c.view, fx.keyring, mark)
+        return verify_history(history, c.view, mark)
 
     assert audit(incl) == ACCEPT
     assert c.view.history_blocks(fx.dep_block) == [1000, 3000]
@@ -668,7 +668,7 @@ def test_every_check_agrees_on_spend_entries(data):
     entries = {2000: parent.prove(slot), entry.blk_number: entry}
     history = CoinHistory(slot, dep_block, dict(sorted(entries.items())))
     mark = Mark(dep_block, f.contract.coins[slot].deposit)
-    verdict = verify_history(history, f.contract.view, f.keyring, mark)
+    verdict = verify_history(history, f.contract.view, mark)
     ledger = ShadowLedger(f.keyring)
     ledger.on_deposit(slot, f.alice.address, dep_block)
     ledger.on_block(parent)
@@ -769,7 +769,7 @@ def test_an_answered_challenge_is_gone_and_pays_once(fx):
 
     def listed():
         ex = contract.exits[fx.slot]
-        assert contract.bond_escrow == ex.bond + sum(c.bond for c in ex.challenges)
+        assert contract.bond_escrow == BOND * (1 + len(ex.challenges))
         return [c.challenge_id for c in ex.challenges]
 
     deposit = fx.witness(fx.slot, fx.dep_block)
@@ -836,16 +836,44 @@ def test_respond_challenge_before_error_paths(fx):
         f.contract.respond_challenge_before(f.mallory.address, slot, cid, early.prove(slot))
 
 
-def test_cancelled_exit_refunds_pending_challenge_bonds(fx):
-    # an after-challenge cancels the exit while a bonded challenge is pending
-    spend = fx.commit(
-        {fx.slot: make_transfer_tx(fx.carol, fx.slot, 3000, fx.mallory.address)}
-    ).prove(fx.slot)
-    carol_exit(fx)
-    fx.contract.challenge_before(fx.alice.address, fx.slot, fx.witness(fx.slot, fx.dep_block))
-    fx.contract.challenge_after(fx.mallory.address, fx.slot, spend)
-    assert fx.contract.bond_escrow == 0
-    assert fx.contract.balance_of(fx.alice.address) == 9_995  # bond returned (5 still deposited)
+@pytest.mark.parametrize("ending", ["after", "between", "finalize"])
+def test_cancelled_exit_refunds_pending_challenge_bonds(fx, ending):
+    """An exit with two pending ``before`` challenges ends each way it can
+    be cancelled: a won ``after`` or ``between`` challenge, or finalization
+    with the challenges unanswered.  Each pending challenger is paid its own
+    bond exactly once, the exit bond goes to the winners, and escrow ends
+    empty."""
+    c = fx.contract
+    if ending == "between":
+        # Bob spends the 1000 parent again, to Mallory, who exits that copy
+        double = fx.commit({fx.slot: make_transfer_tx(fx.bob, fx.slot, 1000, fx.mallory.address)})
+        c.start_exit(fx.mallory.address, fx.slot, fx.witness(fx.slot, 1000), double.prove(fx.slot))
+    else:
+        if ending == "after":
+            spend = fx.commit(
+                {fx.slot: make_transfer_tx(fx.carol, fx.slot, 3000, fx.mallory.address)}
+            ).prove(fx.slot)
+        carol_exit(fx)
+    pending = (fx.alice, fx.bob)
+    for signer in pending:
+        c.challenge_before(signer.address, fx.slot, fx.witness(fx.slot, fx.dep_block))
+    assert c.bond_escrow == 3 * BOND
+    before = {s.address: c.balance_of(s.address) for s in (fx.alice, fx.bob, fx.carol, fx.mallory)}
+    if ending == "after":
+        c.challenge_after(fx.mallory.address, fx.slot, spend)
+        won = {fx.mallory.address: BOND}
+    elif ending == "between":
+        c.challenge_between(fx.carol.address, fx.slot, fx.witness(fx.slot, 3000))
+        won = {fx.carol.address: BOND}
+    else:
+        c.advance_time(PARAMS.maturity_period)
+        assert c.finalize_exit(fx.slot) == "CancelledByChallenge"
+        won = {s.address: BOND // 2 for s in pending}
+    refunds = {s.address: BOND for s in pending}
+    gains = {a: c.balance_of(a) - b for a, b in before.items()}
+    assert gains == {a: refunds.get(a, 0) + won.get(a, 0) for a in before}
+    assert c.bond_escrow == 0 and fx.slot not in c.exits
+    assert c.coins[fx.slot].state is CoinState.DEPOSITED
 
 
 # -- finalize / withdraw guards --

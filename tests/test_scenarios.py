@@ -11,7 +11,7 @@ from plasma_cash.driver import Simulation
 from plasma_cash.errors import UnknownBlock, UnknownScenario
 from plasma_cash.history import CoinHistory, Mark, valid_tip
 from plasma_cash.operator_node import PlasmaOperator
-from plasma_cash.rootchain import CHILD_BLOCK_INTERVAL, PlasmaContract
+from plasma_cash.rootchain import CHILD_BLOCK_INTERVAL, ChainParams, CoinState, PlasmaContract
 from plasma_cash.scenarios import SCENARIOS, fuzz, run
 from plasma_cash.wallet import Wallet
 
@@ -149,7 +149,7 @@ def test_an_accepted_history_marks_the_logs_last_block_and_valid_tip(monkeypatch
         verdict = receive(wallet, history)
         if verdict.accepted:
             log = wallet.coins[history.slot]
-            tip = valid_tip(log, wallet.keyring, old.tip)
+            tip = valid_tip(log, wallet.contract.keyring, old.tip)
             assert wallet.marks[history.slot] == Mark(log.last_block(), tip)
             assert list(log.incl) == sorted(log.incl) and list(log.excl) == sorted(log.excl)
             accepted.append(history)
@@ -164,6 +164,35 @@ def test_an_accepted_history_marks_the_logs_last_block_and_valid_tip(monkeypatch
         for byzantine in (False, True):
             accepted.clear()
             assert fuzz(1000, seed=seed, byzantine=byzantine).passed and accepted
+
+
+def test_escrows_hold_exactly_the_live_bonds_and_coins(monkeypatch):
+    """After every contract event in S1-S5, with the watcher on and off, at
+    the default chain and at bond 7, and in fuzz(1000) at seeds 0-2, honest
+    and byzantine: bond escrow is the chain's bond for each live exit and
+    each of its pending challenges, and value escrow is the denominations
+    of the coins not withdrawn."""
+    seen = set()
+    emit = PlasmaContract._emit
+
+    def checked(contract, kind, **data):
+        emit(contract, kind, **data)
+        live = len(contract.exits) + sum(len(ex.challenges) for ex in contract.exits.values())
+        assert contract.bond_escrow == contract.params.bond_amount * live, kind
+        held = [c.denomination for c in contract.coins.values() if c.state is not CoinState.WITHDRAWN]
+        assert contract.value_escrow == sum(held), kind
+        seen.add(kind)
+
+    monkeypatch.setattr(PlasmaContract, "_emit", checked)
+    for params in (None, ChainParams(maturity_period=3, bond_amount=7, smt_depth=16)):
+        for name in sorted(SCENARIOS):
+            for watcher in (True, False):
+                assert run(name, params, watcher).passed
+    for seed in range(3):
+        for byzantine in (False, True):
+            assert fuzz(1000, seed=seed, byzantine=byzantine).passed
+    ends = {"ChallengedAfter", "ChallengedBetween", "ExitCancelled", "ExitFinalized", "Withdrawn"}
+    assert ends <= seen
 
 
 MOVES = ("start_exit", "challenge_after", "challenge_between", "challenge_before",

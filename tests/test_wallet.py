@@ -138,8 +138,8 @@ def test_receiver_rejects_double_spend_history():
 
 
 def finish_exit(sim, slot):
-    sim.advance_time(PARAMS.maturity_period)
-    return sim.finalize(slot)
+    sim.contract.advance_time(PARAMS.maturity_period)
+    return sim.contract.finalize_exit(slot)
 
 
 def test_watcher_challenges_exit_of_spent_coin():
@@ -333,9 +333,9 @@ def test_an_exit_in_the_hand_off_window_is_challenged_by_the_receiver():
     after = sim.balances_snapshot()
     assert after["carol"] - before["carol"] == PARAMS.bond_amount
     assert after["bob"] - before["bob"] == -PARAMS.bond_amount
-    sim.advance_time(PARAMS.maturity_period)
+    sim.contract.advance_time(PARAMS.maturity_period)
     with pytest.raises(WrongState):
-        sim.finalize(slot)
+        sim.contract.finalize_exit(slot)
     assert sim.contract.coins[slot].state is CoinState.DEPOSITED
     sim.start_exit("carol", slot)
     assert sim.run_watchers() == []
@@ -1058,7 +1058,7 @@ def test_coins_that_share_a_block_share_its_upper_path(counts):
     coin = sim.contract.coins[histories[-1].slot]
     counts.clear()
     mark = Mark(coin.deposit_block, coin.deposit)
-    assert verify_history(histories[-1], sim.contract.view, sim.keyring, mark)
+    assert verify_history(histories[-1], sim.contract.view, mark)
     assert counts["hashes"] == 64
 
 
